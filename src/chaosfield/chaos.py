@@ -14,11 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, DomainError
 from .hermite import hermite_table
 from .multiindex import (
     MultiIndex,
     Truncation,
+    _check_table_size,
+    _log_factorial,
+    _rank,
+    _tables,
     enumerate_multiindices,
     index_map,
 )
@@ -80,10 +84,13 @@ class ChaosExpansion:
 
     @staticmethod
     def from_dense(trunc: Truncation, vec) -> "ChaosExpansion":
-        alphas = enumerate_multiindices(trunc)
-        return ChaosExpansion(
-            trunc, {a: float(v) for a, v in zip(alphas, vec) if v != 0.0}
-        )
+        """Expansion holding the nonzero entries of ``vec``, in enumeration order."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (trunc.size(),):
+            raise ConfigurationError(f"dense vector shape {vec.shape}, expected ({trunc.size()},)")
+        alphas = _tables(trunc).alphas
+        rows = np.flatnonzero(vec)
+        return ChaosExpansion(trunc, dict(zip([alphas[i] for i in rows.tolist()], vec[rows].tolist())))
 
     @staticmethod
     def constant(trunc: Truncation, c: float) -> "ChaosExpansion":
@@ -142,6 +149,8 @@ class HValuedChaos:
             raise ConfigurationError(
                 f"coefficient array shape {self.coeffs.shape}, expected {expected}"
             )
+        if not np.all(np.isfinite(self.coeffs)):
+            raise DomainError("integrand coefficients must be finite")
 
     def norm_squared(self) -> float:
         return float(np.sum(self.coeffs**2))
@@ -151,6 +160,7 @@ class HValuedChaos:
 
     @staticmethod
     def zeros(trunc: Truncation, basis=None) -> "HValuedChaos":
+        _tables(trunc)  # checks the truncation's size before allocating
         return HValuedChaos(trunc, np.zeros((trunc.size(), trunc.modes)), basis)
 
     def to_dict(self) -> dict:
@@ -171,8 +181,8 @@ class HValuedChaos:
     @staticmethod
     def from_dict(d: dict, basis=None) -> "HValuedChaos":
         trunc = Truncation(d["trunc"]["modes"], d["trunc"]["max_order"])
+        imap = index_map(trunc)  # checks the truncation's size before allocating
         arr = np.zeros((trunc.size(), trunc.modes))
-        imap = index_map(trunc)
         for item in d["coeffs"]:
             alpha = MultiIndex(tuple((int(k), int(a)) for k, a in item["alpha"]))
             arr[imap[alpha], int(item["k"]) - 1] = float(item["value"])
@@ -211,23 +221,29 @@ def wick_product(f: ChaosExpansion, g: ChaosExpansion, return_dropped: bool = Fa
     """
     if f.trunc != g.trunc:
         raise ConfigurationError("wick_product requires a shared truncation")
-    n_max = f.trunc.max_order
-    out: dict = {}
-    dropped: dict = {}
-    for alpha, fa in f.coeffs.items():
-        la = alpha.factorial_log()
-        for beta, gb in g.coeffs.items():
-            gamma = alpha.add(beta)
-            factor = math.exp(
-                0.5 * (gamma.factorial_log() - la - beta.factorial_log())
-            )
-            term = fa * gb * factor
-            target = out if gamma.order() <= n_max else dropped
-            target[gamma] = target.get(gamma, 0.0) + term
-    result = ChaosExpansion(f.trunc, {a: c for a, c in out.items() if c != 0.0})
+    tables = _tables(f.trunc)
+    ia, ib, ig, factor = tables.wick_pairs
+    fd, gd = f.dense(), g.dense()
+    out = np.bincount(ig, weights=fd[ia] * gd[ib] * factor, minlength=len(fd))
+    result = ChaosExpansion.from_dense(f.trunc, out)
     if return_dropped:
-        return result, sum(c * c for c in dropped.values())
+        return result, _dropped_mass(tables, fd, gd)
     return result
+
+
+def _dropped_mass(tables, fd: np.ndarray, gd: np.ndarray) -> float:
+    """Squared mass of the Wick product's coefficients of order above N."""
+    rows_f, rows_g = np.flatnonzero(fd), np.flatnonzero(gd)
+    _check_table_size(len(rows_f) * len(rows_g) * tables.trunc.modes, "the dropped Wick mass")
+    ia, ib = np.repeat(rows_f, len(rows_g)), np.tile(rows_g, len(rows_f))
+    outside = tables.orders[ia] + tables.orders[ib] > tables.trunc.max_order
+    ia, ib = ia[outside], ib[outside]
+    gamma = tables.exponents[ia] + tables.exponents[ib]
+    lf = tables.log_factorial
+    terms = fd[ia] * gd[ib] * np.exp(0.5 * (_log_factorial(gamma) - lf[ia] - lf[ib]))
+    _, slot = np.unique(_rank(gamma), return_inverse=True)
+    sums = np.bincount(slot, weights=terms)
+    return float(np.dot(sums, sums))
 
 
 def wick_exp_first_chaos(c, trunc: Truncation) -> ChaosExpansion:
@@ -239,14 +255,17 @@ def wick_exp_first_chaos(c, trunc: Truncation) -> ChaosExpansion:
     c = np.asarray(c, dtype=float)
     if c.shape != (trunc.modes,):
         raise ConfigurationError(f"coefficient vector must have length {trunc.modes}")
-    coeffs = {}
-    for alpha in enumerate_multiindices(trunc):
-        v = 1.0
-        for k, a in alpha.entries:
-            v *= c[k - 1] ** a
-        if v != 0.0:
-            coeffs[alpha] = v * math.exp(-alpha.factorial_sqrt_log())
-    return ChaosExpansion(trunc, coeffs)
+    if not np.all(np.isfinite(c)):
+        raise DomainError("first-chaos coefficients must be finite")
+    tables = _tables(trunc)
+    # powers[k, a] = c_k ** a; the column a = 0 is exactly 1
+    powers = np.array(
+        [[1.0] + [c[k] ** a for a in range(1, trunc.max_order + 1)] for k in range(trunc.modes)]
+    )
+    v = np.ones(len(tables.exponents))
+    for k in range(trunc.modes):
+        v *= powers[k, tables.exponents[:, k]]
+    return ChaosExpansion.from_dense(trunc, v * tables.inv_sqrt_factorial)
 
 
 def truncate_expansion(f: ChaosExpansion, trunc: Truncation) -> ChaosExpansion:
@@ -264,6 +283,8 @@ def chaos_eval(f: ChaosExpansion, z):
     z = np.asarray(z, dtype=float)
     one_sample = z.ndim == 1
     zz = z[None, :] if one_sample else z
+    if not np.all(np.isfinite(zz)):
+        raise DomainError("samples must be finite")
     if any(a.max_support > zz.shape[1] for a in f.coeffs):
         raise DimensionError("sample vector shorter than the expansion support")
     n_max = f.trunc.max_order
@@ -287,11 +308,6 @@ def malliavin_derivative(f: ChaosExpansion) -> HValuedChaos:
 
     Output coefficients D[beta, k] = sqrt(beta_k + 1) * f_{beta+eps_k}.
     """
-    trunc = f.trunc
-    out = np.zeros((trunc.size(), trunc.modes))
-    imap = index_map(trunc)
-    for alpha, coef in f.coeffs.items():
-        for k, a in alpha.entries:
-            beta = alpha.sub_eps(k)
-            out[imap[beta], k - 1] += math.sqrt(a) * coef
-    return HValuedChaos(trunc, out)
+    tables = _tables(f.trunc)
+    padded = np.append(f.dense(), 0.0)  # up = -1 reads the trailing zero
+    return HValuedChaos(f.trunc, np.sqrt(tables.exponents + 1) * padded[tables.up])

@@ -8,7 +8,6 @@ operator); the Stratonovich integral adds the Malliavin trace term
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,7 +17,7 @@ from .basis import BasisFamily, QuadratureRule, DEFAULT_RULE, inner_product, qua
 from .chaos import ChaosExpansion, HValuedChaos, truncate_expansion
 from .errors import DomainError
 from .kernels import KernelSpec, kmk_factor
-from .multiindex import MultiIndex, Truncation, enumerate_multiindices, index_map
+from .multiindex import MultiIndex, Truncation, _tables, index_map
 
 
 def ito_integral(eta: HValuedChaos) -> ChaosExpansion:
@@ -29,34 +28,22 @@ def ito_integral(eta: HValuedChaos) -> ChaosExpansion:
     """
     trunc = eta.trunc
     out_trunc = Truncation(trunc.modes, trunc.max_order + 1)
-    out: dict = {}
-    alphas = enumerate_multiindices(trunc)
-    for i, alpha in enumerate(alphas):
-        row = eta.coeffs[i]
-        for k in range(1, trunc.modes + 1):
-            v = row[k - 1]
-            if v == 0.0:
-                continue
-            gamma = alpha.add_eps(k)
-            out[gamma] = out.get(gamma, 0.0) + math.sqrt(gamma.get(k)) * v
-    return ChaosExpansion(out_trunc, {a: c for a, c in out.items() if c != 0.0})
+    tables = _tables(out_trunc)
+    rows = trunc.size()  # the rows of (K, N) are the first rows of (K, N + 1)
+    weights = np.sqrt(tables.exponents[:rows] + 1) * eta.coeffs
+    # bincount adds in (alpha, k) order, the order of the defining sum
+    out = np.bincount(tables.up[:rows].ravel(), weights=weights.ravel(), minlength=out_trunc.size())
+    return ChaosExpansion.from_dense(out_trunc, out)
 
 
 def malliavin_trace(eta: HValuedChaos) -> ChaosExpansion:
     """Trace term sum_alpha (eta_alpha, D xi_alpha): coefficient at beta is
     sum_k sqrt(beta_k + 1) eta[beta + eps_k, k]."""
-    trunc = eta.trunc
-    out: dict = {}
-    alphas = enumerate_multiindices(trunc)
-    for i, alpha in enumerate(alphas):
-        row = eta.coeffs[i]
-        for k, a in alpha.entries:
-            v = row[k - 1]
-            if v == 0.0:
-                continue
-            beta = alpha.sub_eps(k)
-            out[beta] = out.get(beta, 0.0) + math.sqrt(a) * v
-    return ChaosExpansion(trunc, {a: c for a, c in out.items() if c != 0.0})
+    tables = _tables(eta.trunc)
+    valid = tables.down >= 0
+    weights = np.sqrt(tables.exponents) * eta.coeffs
+    out = np.bincount(tables.down[valid], weights=weights[valid], minlength=eta.trunc.size())
+    return ChaosExpansion.from_dense(eta.trunc, out)
 
 
 def strat_integral(eta: HValuedChaos) -> ChaosExpansion:
@@ -68,23 +55,14 @@ def strat_integral(eta: HValuedChaos) -> ChaosExpansion:
     The output is kept on the input truncation (K, N); creation terms of
     order N + 1 fall outside and are dropped.
     """
-    trunc = eta.trunc
-    out: dict = {}
-    alphas = enumerate_multiindices(trunc)
-    for i, alpha in enumerate(alphas):
-        row = eta.coeffs[i]
-        for k in range(1, trunc.modes + 1):
-            v = row[k - 1]
-            if v == 0.0:
-                continue
-            up = alpha.add_eps(k)
-            if trunc.contains(up):
-                out[up] = out.get(up, 0.0) + math.sqrt(up.get(k)) * v
-            a = alpha.get(k)
-            if a >= 1:
-                down = alpha.sub_eps(k)
-                out[down] = out.get(down, 0.0) + math.sqrt(a) * v
-    return ChaosExpansion(trunc, {a: c for a, c in out.items() if c != 0.0})
+    tables = _tables(eta.trunc)
+    e = tables.exponents
+    # per (alpha, k) the creation term comes before the annihilation term
+    targets = np.stack([tables.up, tables.down], axis=-1)
+    weights = np.stack([np.sqrt(e + 1) * eta.coeffs, np.sqrt(e) * eta.coeffs], axis=-1)
+    valid = targets >= 0
+    out = np.bincount(targets[valid], weights=weights[valid], minlength=eta.trunc.size())
+    return ChaosExpansion.from_dense(eta.trunc, out)
 
 
 def strat_via_trace(eta: HValuedChaos) -> ChaosExpansion:
@@ -181,9 +159,8 @@ def admissibility_diagnostic(eta: HValuedChaos) -> AdmissibilityReport:
     indicates whether the truncation has converged.
     """
     trunc = eta.trunc
-    alphas = enumerate_multiindices(trunc)
     sq = np.sum(eta.coeffs**2, axis=1)
-    orders = np.array([a.order() for a in alphas])
+    orders = _tables(trunc).orders
     total = float(np.sum(sq))
     weighted = float(np.sum(orders * sq))
     top = float(np.sum(sq[orders == trunc.max_order]))
@@ -199,8 +176,8 @@ def brownian_path_integrand(
     Coefficients eta[eps_k, j] = (M_k, m_j).
     """
     modes = trunc.modes
+    imap = index_map(trunc)  # checks the truncation's size before allocating
     coeffs = np.zeros((trunc.size(), modes))
-    imap = index_map(trunc)
     xs, ws = rule.nodes_weights(0.0, basis.horizon)
     m_vals = np.array([basis.eval(j, xs) for j in range(1, modes + 1)])
     for k in range(1, modes + 1):

@@ -4,16 +4,31 @@ A multi-index is a finitely supported sequence of non-negative integers
 alpha = (alpha_1, alpha_2, ...).  It labels one basis element of the chaos
 space.  Only the non-zero entries are stored, as a sorted tuple of
 (position, value) pairs with positions starting at 1.
+
+``MultiIndex`` is for input and output.  The chaos operators work on the
+rows of a truncation's index tables (``_tables``): the exponent matrix, the
+row of alpha + eps_k, and the per-row factorial weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
+
+from .errors import ConfigurationError
+
+# Largest table, in int entries, that is ever built: S * K for an index set
+# of S multi-indices over K modes.  The largest ones in use, suite_mc's
+# (8, 12) and the Wick pair table of (16, 4) (the index set of (32, 4)),
+# have 1.0e6 and 1.9e6; past the budget an enumeration would exhaust memory
+# or run for hours (C(50, 10) = 1.0e10 indices at (40, 10)).
+MAX_TABLE_ENTRIES = 20_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiIndex:
     """Sparse multi-index; ``entries`` is a sorted tuple of (k, a_k) pairs.
 
@@ -116,22 +131,6 @@ class MultiIndex:
         return "+".join(f"{a}e{k}" if a > 1 else f"e{k}" for k, a in self.entries)
 
 
-def mi_order(alpha: MultiIndex) -> int:
-    return alpha.order()
-
-
-def mi_factorial_sqrt_log(alpha: MultiIndex) -> float:
-    return alpha.factorial_sqrt_log()
-
-
-def mi_add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    return alpha.add(beta)
-
-
-def mi_sub_eps(alpha: MultiIndex, k: int):
-    return alpha.sub_eps(k)
-
-
 @dataclass(frozen=True)
 class Truncation:
     """Finite chaos space: ``modes`` basis functions, chaos order up to ``max_order``.
@@ -156,35 +155,146 @@ class Truncation:
         return alpha.max_support <= self.modes and alpha.order() <= self.max_order
 
 
-@lru_cache(maxsize=None)
-def _enumerate(modes: int, max_order: int):
-    """All dense tuples of length ``modes`` with sum <= max_order, graded order.
+def _check_table_size(entries: int, what: str) -> None:
+    if entries > MAX_TABLE_ENTRIES:
+        raise ConfigurationError(
+            f"{what} needs {entries} table entries, over the budget of {MAX_TABLE_ENTRIES}"
+        )
 
-    Within a grade, ties are broken so that weight on earlier positions comes
-    first (eps_1 before eps_2), i.e. descending lexicographic on the dense tuple.
+
+def _exponents(modes: int, max_order: int) -> np.ndarray:
+    """Exponent matrix of I(modes, max_order): one dense row per multi-index.
+
+    Rows are graded by order.  Within a grade, weight on earlier positions
+    comes first (eps_1 before eps_2), i.e. descending lexicographic order.
+    """
+    size = math.comb(max_order + modes, modes)
+    _check_table_size(size * modes, f"truncation ({modes}, {max_order})")
+    # grades[n]: the rows of order n over the last positions built so far
+    grades = [np.array([[n]], dtype=np.int32) for n in range(max_order + 1)]
+    for _ in range(modes - 1):
+        grades = [
+            np.concatenate([np.insert(grades[n - first], 0, first, axis=1) for first in range(n, -1, -1)])
+            for n in range(max_order + 1)
+        ]
+    return np.concatenate(grades)
+
+
+def _below(top: int, modes: int) -> np.ndarray:
+    """below[s, b] = C(s + b - 1, b): multi-indices on b positions of order below s."""
+    return np.array(
+        [[math.comb(s + b - 1, b) if s else 0 for b in range(modes + 1)] for s in range(top + 1)],
+        dtype=np.int64,
+    )
+
+
+def _suffix_orders(rows: np.ndarray) -> np.ndarray:
+    """suffix[:, j] = order of rows[:, j:]."""
+    return np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+
+
+def _rank(rows: np.ndarray) -> np.ndarray:
+    """Position of each exponent row in the enumeration of its mode count.
+
+    Ahead of alpha come all multi-indices of lower order and, for each
+    position j >= 1, those of the same order that agree with alpha before
+    j - 1, carry more at j - 1 and so less from j on.
+    """
+    modes = rows.shape[1]
+    suffix = _suffix_orders(rows)
+    below = _below(int(suffix[:, 0].max(initial=0)), modes)
+    return below[suffix[:, 0], modes] + below[suffix[:, 1:], np.arange(modes - 1, 0, -1)].sum(axis=1)
+
+
+def _log_factorial(rows: np.ndarray) -> np.ndarray:
+    """log(alpha!) per row, summed position by position as ``MultiIndex.factorial_log`` does."""
+    lgamma = np.array([math.lgamma(a + 1) for a in range(int(rows.max(initial=0)) + 1)])
+    out = np.zeros(len(rows))
+    for k in range(rows.shape[1]):
+        out += lgamma[rows[:, k]]
+    return out
+
+
+class _IndexTables:
+    """Index tables of one truncation I(K, N); rows follow the enumeration order.
+
+    ``exponents`` is the S x K exponent matrix, ``orders`` the row orders,
+    ``log_factorial`` log(alpha!) and ``inv_sqrt_factorial`` 1/sqrt(alpha!)
+    per row.  The other tables are built on first use.
     """
 
-    def compositions(length, total):
-        # all tuples of given length summing to exactly total
-        if length == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in compositions(length - 1, total - first):
-                yield (first,) + rest
+    def __init__(self, trunc: Truncation):
+        self.trunc = trunc
+        self.exponents = _exponents(trunc.modes, trunc.max_order)
+        self.orders = self.exponents.sum(axis=1)
+        self.log_factorial = _log_factorial(self.exponents)
+        # math.exp per row: np.exp can differ from it in the last bit
+        self.inv_sqrt_factorial = np.array([math.exp(-0.5 * v) for v in self.log_factorial.tolist()])
 
-    out = []
-    for n in range(max_order + 1):
-        out.extend(compositions(modes, n))
-    return tuple(out)
+    @cached_property
+    def up(self) -> np.ndarray:
+        """up[i, k]: row of alpha_i + eps_{k+1}, or -1 when its order exceeds N."""
+        e = self.exponents
+        modes = e.shape[1]
+        suffix = _suffix_orders(e)
+        below = _below(self.trunc.max_order + 2, modes)
+        exact = below[1:] - below[:-1]  # exact[s, b]: multi-indices on b positions of order s
+        # against _rank(alpha), the grade term grows by the size of alpha's
+        # grade, and the term of each tail from j <= k, which eps_{k+1} makes
+        # one heavier, by the number of tails of exactly its weight
+        steps = exact[suffix[:, 1:], np.arange(modes - 1, 0, -1)]
+        up = np.arange(len(e))[:, None] + exact[self.orders, modes][:, None] + np.cumsum(
+            np.hstack([np.zeros((len(e), 1), dtype=np.int64), steps]), axis=1
+        )
+        up[self.orders == self.trunc.max_order] = -1
+        return up.astype(np.int32)
+
+    @cached_property
+    def down(self) -> np.ndarray:
+        """down[i, k]: row of alpha_i - eps_{k+1}, or -1 when alpha_{k+1} = 0."""
+        down = np.full_like(self.up, -1)
+        rows, ks = np.nonzero(self.up >= 0)
+        down[self.up[rows, ks], ks] = rows
+        return down
+
+    @cached_property
+    def wick_pairs(self):
+        """(ia, ib, ig, factor) over the pairs (alpha, beta) with |alpha| + |beta| <= N.
+
+        Rows of alpha, beta and alpha + beta, and sqrt((alpha+beta)! / (alpha! beta!)).
+        The pairs are the index set I(2K, N), each row split into two halves.
+        """
+        modes = self.trunc.modes
+        both = _exponents(2 * modes, self.trunc.max_order)
+        alpha, beta = both[:, :modes], both[:, modes:]
+        ia, ib, ig = _rank(alpha), _rank(beta), _rank(alpha + beta)
+        lf = self.log_factorial
+        return ia, ib, ig, np.exp(0.5 * (lf[ig] - lf[ia] - lf[ib]))
+
+    @cached_property
+    def alphas(self) -> tuple:
+        # the multi-indices share their (position, value) pairs, which keeps the cache small
+        pairs = [[(k + 1, a) for a in range(self.trunc.max_order + 1)] for k in range(self.trunc.modes)]
+        return tuple(
+            MultiIndex(tuple(pairs[k][a] for k, a in enumerate(row) if a)) for row in self.exponents.tolist()
+        )
+
+    @cached_property
+    def index(self) -> dict:
+        return {alpha: i for i, alpha in enumerate(self.alphas)}
+
+
+@lru_cache(maxsize=32)
+def _tables(trunc: Truncation) -> _IndexTables:
+    """The cached index tables of ``trunc``; raises ConfigurationError over the size budget."""
+    return _IndexTables(trunc)
 
 
 def enumerate_multiindices(trunc: Truncation):
     """Ordered list of all multi-indices in I(K, N); deterministic."""
-    return [MultiIndex.from_dense(d) for d in _enumerate(trunc.modes, trunc.max_order)]
+    return list(_tables(trunc).alphas)
 
 
-@lru_cache(maxsize=None)
 def index_map(trunc: Truncation):
     """Map MultiIndex -> position in the enumeration order."""
-    return {alpha: i for i, alpha in enumerate(enumerate_multiindices(trunc))}
+    return _tables(trunc).index

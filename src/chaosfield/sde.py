@@ -25,7 +25,7 @@ from .errors import ConfigurationError, DomainError
 from .hermite import hermite_table
 from .basis import jacobi01
 from .kernels import KernelSpec, kmk_factor, m_tilde
-from .multiindex import Truncation, enumerate_multiindices, index_map
+from .multiindex import Truncation, _tables, enumerate_multiindices, index_map
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,18 @@ def solve_closed_form(
 ) -> PropagatorSolution:
     """Wick-exponential solution u_alpha(t) = prod_k M~_k(t)^{alpha_k} / sqrt(alpha!)."""
     _check_interpretation(interpretation)
+    tables = _tables(trunc)  # checks the truncation's size before any quadrature
     times = np.asarray(grid, dtype=float)
     mt = _mtilde_table(kernel, basis, trunc.modes, times)
-    alphas = enumerate_multiindices(trunc)
-    coeffs = np.empty((len(times), len(alphas)))
-    for j, alpha in enumerate(alphas):
-        col = np.ones(len(times))
-        for k, a in alpha.entries:
-            col = col * mt[:, k - 1] ** a
-        coeffs[:, j] = col * math.exp(-alpha.factorial_sqrt_log())
+    e = tables.exponents
+    coeffs = np.ones((len(times), len(e)))
+    for k in range(trunc.modes):
+        # powers[a] = M~_k(t) ** a; the row a = 0 is exactly 1
+        powers = np.ones((trunc.max_order + 1, len(times)))
+        for a in range(1, trunc.max_order + 1):
+            powers[a] = mt[:, k] ** a
+        coeffs *= powers[e[:, k]].T
+    coeffs *= tables.inv_sqrt_factorial
     return PropagatorSolution(trunc, basis, kernel.name, times, coeffs, mt)
 
 

@@ -13,7 +13,7 @@ from chaosfield.chaos import (
     wick_product,
     xi_alpha_eval,
 )
-from chaosfield.errors import ConfigurationError, DimensionError
+from chaosfield.errors import ConfigurationError, DimensionError, DomainError
 from chaosfield.multiindex import MultiIndex, Truncation
 
 
@@ -128,6 +128,36 @@ def test_chaos_eval_matches_sum():
     z = rng.standard_normal((5, 2))
     direct = sum(c * xi_alpha_eval(a, z) for a, c in coeffs.items())
     assert chaos_eval(f, z) == pytest.approx(direct)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hvalued_rejects_nonfinite_coefficients(bad):
+    arr = np.zeros((3, 2))
+    arr[1, 0] = bad
+    with pytest.raises(DomainError):
+        HValuedChaos(Truncation(2, 1), arr)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_wick_exp_rejects_nonfinite_coefficients(bad):
+    with pytest.raises(DomainError):
+        wick_exp_first_chaos(np.array([0.5, bad]), Truncation(2, 3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_chaos_eval_rejects_nonfinite_samples(bad):
+    f = ChaosExpansion(Truncation(2, 1), {MultiIndex.eps(1): 1.0})
+    z = np.zeros((4, 2))
+    z[2, 1] = bad
+    with pytest.raises(DomainError):
+        chaos_eval(f, z)
+    with pytest.raises(DomainError):
+        chaos_eval(f, z[2])
+
+
+def test_hvalued_zeros_rejects_oversized_truncation():
+    with pytest.raises(ConfigurationError):
+        HValuedChaos.zeros(Truncation(40, 10))
 
 
 def test_malliavin_derivative_annihilates():

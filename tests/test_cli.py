@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +114,22 @@ def test_verify_algebra(capsys):
 
 def test_verify_unknown_suite(capsys):
     code, _ = run(capsys, "verify", "--suite", "nope")
+    assert code == 2
+
+
+@pytest.mark.parametrize("command", ["sde", "integrate"])
+def test_oversized_truncation_exits_2(command, tmp_path, capsys):
+    # (40, 10) holds C(50, 10) = 1.0e10 multi-indices
+    start = time.perf_counter()
+    code, _ = run(capsys, command, "--modes", "40", "--order", "10", "--out", str(tmp_path))
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_integrate_oversized_json_integrand_exits_2(tmp_path, capsys):
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps({"trunc": {"modes": 40, "max_order": 10}, "coeffs": []}))
+    code, _ = run(capsys, "integrate", "--integrand", str(path))
     assert code == 2
 
 

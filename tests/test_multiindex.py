@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
+from chaosfield.errors import ConfigurationError
 from chaosfield.multiindex import MultiIndex, Truncation, enumerate_multiindices, index_map
 
 
@@ -70,3 +72,15 @@ def test_contains():
     assert trunc.contains(MultiIndex.from_dense([1, 1]))
     assert not trunc.contains(MultiIndex.from_dense([2, 1]))
     assert not trunc.contains(MultiIndex.eps(3))
+
+
+def test_oversized_truncation_raises_before_enumerating():
+    # C(50, 10) = 1.0e10 indices: enumerating them would exhaust memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError):
+            enumerate_multiindices(Truncation(40, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
