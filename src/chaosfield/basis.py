@@ -38,7 +38,6 @@ class QuadratureRule:
 
     panels: int = 8
     nodes: int = 16
-    tolerance: float = 1e-10
 
     def nodes_weights(self, a: float, b: float):
         """Nodes and weights on [a, b]; exact for degree <= 2*nodes-1 per panel."""
@@ -123,14 +122,6 @@ class BasisFamily:
                     - np.polynomial.legendre.legval(x, down)
                 ) / (2 * n + 1)
         return val if np.asarray(val).ndim else float(val)
-
-
-def basis_eval(basis: BasisFamily, k: int, t):
-    return basis.eval(k, t)
-
-
-def basis_antideriv(basis: BasisFamily, k: int, t):
-    return basis.antideriv(k, t)
 
 
 def inner_product(f, g, rule: QuadratureRule = DEFAULT_RULE, horizon: float = 1.0) -> float:

@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -135,8 +135,6 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     else:
         with open(args.integrand) as fh:
             eta = HValuedChaos.from_dict(json.load(fh), basis)
-        if eta.trunc.modes != trunc.modes:
-            trunc = eta.trunc
         eta = HValuedChaos(eta.trunc, eta.coeffs, basis)
     if args.mode == "ito":
         result = ito_integral(eta)

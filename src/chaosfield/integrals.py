@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisFamily, QuadratureRule, DEFAULT_RULE, inner_product, quad_singular
+from .basis import BasisFamily, QuadratureRule, DEFAULT_RULE
 from .chaos import ChaosExpansion, HValuedChaos, truncate_expansion
 from .errors import DomainError
 from .kernels import KernelSpec, kmk_factor

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -21,6 +20,7 @@ from .basis import (
     BasisFamily,
     QuadratureRule,
     DEFAULT_RULE,
+    _leggauss,
     jacobi01,
     quad_singular,
     quad_singular_smooth,
@@ -68,12 +68,15 @@ class KernelSpec:
 
     - ``kmk_hook(basis, k, s)``     -> values of (K m_k)(s)
     - ``kmk_factor_hook(basis, k)`` -> (gamma0, psi) with (K m_k)(s) = s^gamma0 psi(s)
-    - ``mtilde_hook(basis, k, t)``  -> int_0^t (K m_k)(s) ds
+    - ``mtilde_hook(basis, k, t)``  -> int_0^t (K m_k)(s) ds, for a scalar t
+      or elementwise over an array of t
     - ``eval_ts_hook(t_sorted, s)`` -> K(t_i, s) for an ascending array of t
 
     ``dt_smooth`` gives K1(t, s) with the diagonal factor (t - s)^singularity
     divided out; quadratures near the diagonal use it so the singular factor
-    is handled analytically.
+    is handled analytically.  ``k1_empirical`` and ``k_mk`` call ``dt_eval``
+    and ``dt_smooth`` with a scalar t and an array s; the shipped kernels'
+    derivatives broadcast over s (a scalar s gives a scalar).
     """
 
     name: str
@@ -129,6 +132,10 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
 # fractional Brownian motion kernel, H > 1/2
 
 
+# t values per psi evaluation in the fBm M~ hook
+_MTILDE_BLOCK = 16
+
+
 def _check_hurst(hurst: float):
     if not 0.5 < hurst < 1.0:
         raise DomainError("Hurst index must lie in (1/2, 1)")
@@ -154,8 +161,6 @@ def fbm_k1(hurst: float, horizon: float) -> float:
     )
 
 
-
-
 def fbm_kernel(hurst: float, t: float, s: float, rule: QuadratureRule = DEFAULT_RULE) -> float:
     """fBm Volterra kernel K(t, s) for 0 < s <= t."""
     _check_hurst(hurst)
@@ -171,11 +176,15 @@ def fbm_kernel(hurst: float, t: float, s: float, rule: QuadratureRule = DEFAULT_
 
 
 def fbm_kernel_dt(hurst: float, t: float, s: float) -> float:
-    """dK/dt for the fBm kernel, 0 < s < t."""
+    """dK/dt for the fBm kernel, 0 < s < t; s may be an array."""
     _check_hurst(hurst)
-    if s <= 0 or t <= s:
+    return _fbm_dt(fbm_c_h(hurst) * (hurst - 0.5), hurst, t, s)
+
+
+def _fbm_dt(c: float, hurst: float, t: float, s):
+    # s stays as given: a scalar s keeps scalar pow, which numpy's array pow can differ from in the last bit
+    if np.any(np.asarray(s) <= 0) or np.any(t <= np.asarray(s)):
         raise DomainError("require 0 < s < t")
-    c = fbm_c_h(hurst) * (hurst - 0.5)
     return c * s ** (0.5 - hurst) * (t - s) ** (hurst - 1.5) * t ** (hurst - 0.5)
 
 
@@ -188,7 +197,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0, jacobi_nodes: int = 48) 
         return fbm_kernel(hurst, t, s)
 
     def dt_evaluate(t, s):
-        return fbm_kernel_dt(hurst, t, s)
+        return _fbm_dt(c, hurst, t, s)
 
     def dt_smooth_evaluate(t, s):
         return c * s ** (0.5 - hurst) * t ** (hurst - 0.5)
@@ -211,7 +220,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0, jacobi_nodes: int = 48) 
         )
         vals[0] = first
         if len(ts) > 1:
-            x, w = np.polynomial.legendre.leggauss(6)
+            x, w = _leggauss(6)
             lo, hi = ts[:-1], ts[1:]
             half = 0.5 * (hi - lo)
             mid = 0.5 * (hi + lo)
@@ -245,12 +254,21 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0, jacobi_nodes: int = 48) 
         return float(val[0]) if s.ndim == 0 else val
 
     def mtilde(basis, k, t):
-        # int_0^t s^(H-1/2) psi(s) ds, Gauss-Jacobi in the scaled variable
-        if t <= 0:
-            return 0.0
+        # int_0^t s^(H-1/2) psi(s) ds, Gauss-Jacobi in the scaled variable.
+        # psi runs on blocks of t values, which bounds its (block * nodes^2)
+        # temporaries; the per-t dot product and Python-float power keep each
+        # value equal to the scalar evaluation bit for bit.
         p = psi(basis, k)
         wnodes, ww = jacobi01(jacobi_nodes, 0.0, hurst - 0.5)
-        return float(t ** (hurst + 0.5) * np.dot(ww, p(t * wnodes)))
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.zeros(len(ts))  # 0 for t <= 0
+        live = np.nonzero(ts > 0)[0]
+        for start in range(0, len(live), _MTILDE_BLOCK):
+            rows = live[start : start + _MTILDE_BLOCK]
+            block = ts[rows]
+            vals = p(np.outer(block, wnodes).ravel()).reshape(len(rows), -1)
+            out[rows] = [x ** (hurst + 0.5) * np.dot(ww, v) for x, v in zip(block.tolist(), vals)]
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     spec = KernelSpec(
         name="fbm",
@@ -297,19 +315,25 @@ def grid_kernel_from_csv(path, name: str = "custom-grid") -> KernelSpec:
     adapted = bool(np.allclose(values[np.less.outer(t_grid, s_grid)], 0.0, atol=1e-12))
     h = float(np.min(np.diff(t_grid)))
 
+    def values(t, s):
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        out = interp(np.stack([t, s], axis=-1)).reshape(s.shape)
+        return np.where(s > t, 0.0, out) if adapted else out
+
     def evaluate(t, s):
-        if adapted and s > t:
-            return 0.0
-        return float(interp([[t, s]])[0])
+        return float(values(t, s))
 
     def diag_limit(s):
         return evaluate(min(s + 0.5 * h, horizon), s)
 
     def dt_evaluate(t, s):
-        lo, hi = max(t - 0.5 * h, s), min(t + 0.5 * h, horizon)
-        if hi <= lo:
-            return 0.0
-        return (evaluate(hi, s) - evaluate(lo, s)) / (hi - lo)
+        # difference quotient over [t - h/2, t + h/2] clipped to [s, horizon]; 0 where that is empty
+        s = np.asarray(s, dtype=float)
+        lo, hi = np.maximum(t - 0.5 * h, s), min(t + 0.5 * h, horizon)
+        width = hi - lo
+        nonempty = width > 0
+        out = np.where(nonempty, values(hi, s) - values(lo, s), 0.0) / np.where(nonempty, width, 1.0)
+        return out if out.ndim else float(out)
 
     return KernelSpec(
         name=name,
@@ -407,7 +431,11 @@ def k1_empirical(
     refine_tol: float = 1e-6,
     max_refinements: int = 3,
 ) -> float:
-    """sup over t of int_0^t K(T, s) K1(t, s) ds, on a refining t-grid."""
+    """sup over t of int_0^t K(T, s) K1(t, s) ds, on a refining t-grid.
+
+    The grid doubles until two successive grids agree to ``refine_tol``;
+    DomainError is raised when ``max_refinements`` doublings do not get there.
+    """
     if kernel.dt_eval is None:
         raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
     big_t = kernel.horizon if horizon is None else horizon
@@ -427,8 +455,7 @@ def k1_empirical(
             return 0.0
 
         def integrand(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            return k_upper(s) * np.array([kernel.dt_eval(t, si) for si in s])
+            return k_upper(s) * kernel.dt_eval(t, s)
 
         mid = 0.5 * t
         if g0 != 0.0:
@@ -438,8 +465,7 @@ def k1_empirical(
         if kernel.singularity is not None and kernel.dt_smooth is not None:
 
             def smooth(s):
-                s = np.atleast_1d(np.asarray(s, dtype=float))
-                return k_upper(s) * np.array([kernel.dt_smooth(t, si) for si in s])
+                return k_upper(s) * kernel.dt_smooth(t, s)
 
             high = quad_singular_smooth(smooth, mid, t, kernel.singularity, rule, endpoint="upper")
         elif kernel.singularity is not None:
@@ -454,10 +480,12 @@ def k1_empirical(
         n *= 2
         new = max(integral_at(t) for t in np.linspace(big_t / n, big_t, n))
         if abs(new - best) < refine_tol:
-            best = max(best, new)
-            break
+            return max(best, new)
         best = max(best, new)
-    return best
+    raise DomainError(
+        f"k1_empirical did not converge: {max_refinements} refinements of a "
+        f"{t_grid}-point grid left no two grids within {refine_tol}"
+    )
 
 
 def op_norm_bound(k0: float, k1: float) -> float:
@@ -492,7 +520,10 @@ def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
 def op_norm_estimate(
     kernel: KernelSpec, n_grid: int = 512, tol: float = 1e-8, max_iter: int = 5000
 ) -> float:
-    """Largest singular value of the discretized K*, by power iteration on A^T A."""
+    """Largest singular value of the discretized K*, by power iteration on A^T A.
+
+    Raises DomainError when ``max_iter`` iterations do not reach ``tol``.
+    """
     a = discretize_kstar(kernel, n_grid)
     b = a.T @ a
     rng = np.random.default_rng(12345)
@@ -509,7 +540,7 @@ def op_norm_estimate(
         if abs(lam_new - lam) <= tol * max(lam_new, 1.0):
             return math.sqrt(max(lam_new, 0.0))
         lam, v = lam_new, v_new
-    return math.sqrt(max(lam, 0.0))
+    raise DomainError(f"power iteration did not reach tol={tol} in {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +638,23 @@ def m_tilde(
     return rule.integrate(integrand, 0.0, t)
 
 
+def _mtilde_table(kernel: KernelSpec, basis: BasisFamily, modes: int, times) -> np.ndarray:
+    """M~_k(t_i) for k = 1..modes, shape (len(times), modes).
+
+    Each entry equals ``m_tilde(kernel, basis, k, t_i)`` bit for bit; a
+    kernel's ``mtilde_hook`` runs once per mode over all nonzero times.
+    """
+    times = np.asarray(times, dtype=float)
+    out = np.zeros((len(times), modes))
+    live = times != 0.0
+    for k in range(1, modes + 1):
+        if kernel.mtilde_hook is not None:
+            out[live, k - 1] = kernel.mtilde_hook(basis, k, times[live])
+        else:
+            out[live, k - 1] = [m_tilde(kernel, basis, k, t) for t in times[live]]
+    return out
+
+
 def k_mk(kernel: KernelSpec, basis: BasisFamily, k: int, s):
     """(K m_k)(s): the kernel image of a basis function, vectorized over s."""
     if kernel.kmk_hook is not None:
@@ -621,19 +669,14 @@ def k_mk(kernel: KernelSpec, basis: BasisFamily, k: int, s):
             return local
 
         def integrand(tau):
-            tau = np.atleast_1d(np.asarray(tau, dtype=float))
-            return np.asarray(basis.eval(k, tau), dtype=float) * np.array(
-                [kernel.dt_eval(x, ti) for ti in tau]
-            )
+            return np.asarray(basis.eval(k, tau), dtype=float) * kernel.dt_eval(x, tau)
 
         if kernel.singularity is not None and kernel.dt_smooth is not None:
             gam, g0 = kernel.singularity, kernel.origin_exponent
             # two-sided Jacobi weight tau^g0 (x - tau)^gam, both exponents exact
             v, w = jacobi01(min(rule.panels * rule.nodes, 96), gam, g0)
             tau = x * v
-            vals = np.asarray(basis.eval(k, tau), dtype=float) * np.array(
-                [kernel.dt_smooth(x, ti) for ti in tau]
-            )
+            vals = np.asarray(basis.eval(k, tau), dtype=float) * kernel.dt_smooth(x, tau)
             vals = vals * tau ** (-g0) if g0 != 0.0 else vals
             tail = x ** (g0 + gam + 1.0) * float(np.dot(w, vals))
         elif kernel.singularity is not None:

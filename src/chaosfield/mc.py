@@ -15,7 +15,7 @@ import numpy as np
 from .basis import BasisFamily
 from .chaos import ChaosExpansion, chaos_eval
 from .errors import ConfigurationError, DomainError
-from .kernels import KernelSpec, m_tilde
+from .kernels import KernelSpec, _mtilde_table
 from .multiindex import Truncation
 
 # mc_compare's roundoff floor, in units of eps * mean(|F(Z)| + |oracle|).
@@ -58,10 +58,7 @@ def synthesize_path(
     z_row = np.asarray(z_row, dtype=float)
     if z_row.shape[0] < trunc.modes:
         raise DomainError("sample row shorter than the mode count")
-    grid = np.asarray(grid, dtype=float)
-    mt = np.array(
-        [[m_tilde(kernel, basis, k, t) for k in range(1, trunc.modes + 1)] for t in grid]
-    )
+    mt = _mtilde_table(kernel, basis, trunc.modes, grid)
     return mt @ z_row[: trunc.modes]
 
 
@@ -69,10 +66,7 @@ def synthesize_paths(
     kernel: KernelSpec, basis: BasisFamily, trunc: Truncation, batch: SampleBatch, grid
 ) -> np.ndarray:
     """All batch paths at once; shape (n_samples, len(grid))."""
-    grid = np.asarray(grid, dtype=float)
-    mt = np.array(
-        [[m_tilde(kernel, basis, k, t) for k in range(1, trunc.modes + 1)] for t in grid]
-    )
+    mt = _mtilde_table(kernel, basis, trunc.modes, grid)
     return batch.z[:, : trunc.modes] @ mt.T
 
 

@@ -12,20 +12,18 @@ collocation, giving an independent check.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisFamily, QuadratureRule
+from .basis import BasisFamily, _leggauss, jacobi01
 from .chaos import ChaosExpansion
 from .errors import ConfigurationError, DomainError
 from .hermite import hermite_table
-from .basis import jacobi01
-from .kernels import KernelSpec, kmk_factor, m_tilde
-from .multiindex import Truncation, _tables, enumerate_multiindices, index_map
+from .kernels import KernelSpec, _mtilde_table, kmk_factor
+from .multiindex import Truncation, _tables, enumerate_multiindices
 
 
 @dataclass(frozen=True)
@@ -64,14 +62,17 @@ class PropagatorSolution:
         return sample_wick_exponential(self.mtilde[self._time_index(t)], z, self.trunc.max_order)
 
     def export_csv(self, path, sidecar_path) -> None:
-        """Write rows (t, alpha-id, coefficient) and an id -> multi-index sidecar."""
+        """Write rows (t, alpha-id, coefficient) and an id -> multi-index sidecar.
+
+        The rows are CSV with ``\\r\\n`` line ends and no quoting, since no
+        field (a float repr or an integer) holds a comma, quote or line break.
+        """
         alphas = enumerate_multiindices(self.trunc)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "alpha_id", "coefficient"])
-            for i, t in enumerate(self.times):
-                for j in range(len(alphas)):
-                    writer.writerow([repr(float(t)), j, repr(float(self.coeffs[i, j]))])
+            fh.write("t,alpha_id,coefficient\r\n")
+            for t, row in zip(self.times.tolist(), self.coeffs):
+                stamp = repr(t)
+                fh.write("".join(f"{stamp},{j},{c!r}\r\n" for j, c in enumerate(row.tolist())))
         sidecar = {str(j): [[k, a] for k, a in alpha.entries] for j, alpha in enumerate(alphas)}
         with open(sidecar_path, "w") as fh:
             json.dump(sidecar, fh, sort_keys=True)
@@ -86,14 +87,6 @@ def _check_interpretation(interpretation: str):
             "so the system is not triangular; only the Ito interpretation is solved"
         )
     raise ConfigurationError(f"unknown interpretation {interpretation!r}")
-
-
-def _mtilde_table(kernel: KernelSpec, basis: BasisFamily, modes: int, times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    out = np.empty((len(times), modes))
-    for k in range(1, modes + 1):
-        out[:, k - 1] = [m_tilde(kernel, basis, k, t) for t in times]
-    return out
 
 
 def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.ndarray:
@@ -180,7 +173,7 @@ class _CollocationGrid:
         self.panels = panels
         self.nodes = nodes
         self.edges = horizon * (np.arange(panels + 1) / panels) ** grading
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = _leggauss(nodes)
         self.ref_nodes = x
         lo, hi = self.edges[:-1], self.edges[1:]
         self.half = 0.5 * (hi - lo)
@@ -210,39 +203,33 @@ def _integration_matrix(
 
     v~ is the panelwise Lagrange interpolant of the node values v and
     m~(s) = s^gamma0 psi(s).  The first panel uses a Gauss-Jacobi rule for the
-    s^gamma0 weight; later panels use plain Gauss-Legendre.
+    s^gamma0 weight; later panels use plain Gauss-Legendre.  Each panel is one
+    batch: the sub-quadratures from its left edge up to each of its nodes and
+    up to its right edge share one psi call and one Lagrange evaluation.
     """
     p_count, q = grid.panels, grid.nodes
     n = p_count * q
-    xg, wg = np.polynomial.legendre.leggauss(sub_nodes)
-    vj, wj = jacobi01(sub_nodes, 0.0, gamma0) if gamma0 != 0.0 else (None, None)
+    xg, wg = _leggauss(sub_nodes)
     w = np.zeros((n, n))
-    full = np.zeros((p_count, q))  # full-panel integrals of each ell_j
-
-    def partial(p: int, upper: float) -> np.ndarray:
-        """Row of int_{a_p}^{upper} ell_j(s) m~(s) ds over local j."""
+    for p in range(p_count):
         a = grid.edges[p]
-        if upper <= a:
-            return np.zeros(q)
-        if p == 0 and gamma0 != 0.0 and a == 0.0:
-            s = upper * vj
-            weights = upper ** (gamma0 + 1.0) * wj
-            mt = np.asarray(psi(s), dtype=float)
+        # rows: int_a^{x_i} for the q nodes x_i, then int_a^{b} over the whole panel
+        upper = np.append(grid.panel_nodes[p], grid.edges[p + 1])
+        if p == 0 and gamma0 != 0.0:
+            vj, wj = jacobi01(sub_nodes, 0.0, gamma0)
+            s = np.outer(upper, vj)
+            weights = np.outer(upper ** (gamma0 + 1.0), wj)
+            mt = np.asarray(psi(s.ravel()), dtype=float).reshape(s.shape)
         else:
             half = 0.5 * (upper - a)
-            s = a + half * (xg + 1.0)
-            weights = half * wg
-            mt = s**gamma0 * np.asarray(psi(s), dtype=float)
-        l = _lagrange_eval(grid.panel_nodes[p], grid.bw[p], s)
-        return l @ (weights * mt)
-
-    for p in range(p_count):
-        full[p] = partial(p, grid.edges[p + 1])
-        for i in range(q):
-            row = p * q + i
-            w[row, p * q : (p + 1) * q] = partial(p, grid.panel_nodes[p, i])
-            for prev in range(p):
-                w[row, prev * q : (prev + 1) * q] = full[prev]
+            s = a + np.outer(half, xg + 1.0)
+            weights = np.outer(half, wg)
+            mt = s**gamma0 * np.asarray(psi(s.ravel()), dtype=float).reshape(s.shape)
+        l = _lagrange_eval(grid.panel_nodes[p], grid.bw[p], s.ravel()).reshape(q, q + 1, sub_nodes)
+        rows = np.einsum("jms,ms->mj", l, weights * mt)
+        block = slice(p * q, (p + 1) * q)
+        w[block, block] = rows[:q]
+        w[(p + 1) * q :, block] = rows[q]  # every later row spans this whole panel
     return w
 
 
@@ -267,6 +254,7 @@ def solve_picard(
     _check_interpretation(interpretation)
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
+    tables = _tables(trunc)  # checks the truncation's size before any quadrature
     times = np.asarray(grid, dtype=float)
     cgrid = _CollocationGrid(basis.horizon, panels * iterations, nodes, grading)
     w_k = []
@@ -274,25 +262,19 @@ def solve_picard(
         gamma0, psi = kmk_factor(kernel, basis, k)
         w_k.append(_integration_matrix(cgrid, gamma0, psi))
 
-    alphas = enumerate_multiindices(trunc)
-    imap = index_map(trunc)
-    n_nodes = len(cgrid.all_nodes)
-    u = np.zeros((len(alphas), n_nodes))
+    # grade by grade: u_alpha = sum_k sqrt(alpha_k) W_k u_{alpha - eps_k}, one matmul per (grade, mode)
+    u = np.zeros((len(tables.exponents), len(cgrid.all_nodes)))
     u[0] = 1.0
-    for j, alpha in enumerate(alphas):
-        if alpha.order() == 0:
-            continue
-        acc = np.zeros(n_nodes)
-        for k, a in alpha.entries:
-            prev = imap[alpha.sub_eps(k)]
-            acc += math.sqrt(a) * (w_k[k - 1] @ u[prev])
-        u[j] = acc
+    for grade in range(1, trunc.max_order + 1):
+        rows = np.nonzero(tables.orders == grade)[0]
+        for k in range(trunc.modes):
+            sel = rows[tables.down[rows, k] >= 0]
+            term = u[tables.down[sel, k]] @ w_k[k].T
+            term *= np.sqrt(tables.exponents[sel, k])[:, None]
+            u[sel] += term
 
     e = cgrid.interp_matrix(times)
     coeffs = (e @ u.T)
     mt = _mtilde_table(kernel, basis, trunc.modes, times)
     return PropagatorSolution(trunc, basis, kernel.name, times, coeffs, mt)
 
-
-def second_moment(sol: PropagatorSolution, t: float) -> float:
-    return sol.second_moment(t)

@@ -99,6 +99,20 @@ def test_fbm_command(capsys):
     assert payload["norm_estimate"] <= payload["norm_bound"]
 
 
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [("k1_empirical", {"refine_tol": 0.0, "max_refinements": 1}), ("op_norm_estimate", {"max_iter": 1})],
+)
+def test_fbm_non_convergence_exits_2(name, kwargs, monkeypatch, capsys):
+    import chaosfield.cli as cli
+
+    diagnostic = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **kw: diagnostic(*a, **{**kw, **kwargs}))
+    code, out = run(capsys, "fbm", "--hurst", "0.75", "--grid", "64")
+    assert code == 2
+    assert out == ""
+
+
 def test_fbm_bad_hurst(capsys):
     code, _ = run(capsys, "fbm", "--hurst", "0.4")
     assert code == 2

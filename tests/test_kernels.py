@@ -99,6 +99,14 @@ def test_k1_empirical_below_analytic_bound():
     assert emp <= fbm_k1(0.75, 1.0) + 1e-6
 
 
+def test_k1_empirical_raises_without_convergence():
+    kernel = fbm_kernel_spec(0.75, 1.0)
+    # no two grids agree to a zero tolerance
+    with pytest.raises(DomainError, match="did not converge"):
+        k1_empirical(kernel, t_grid=32, refine_tol=0.0, max_refinements=1)
+    assert k1_empirical(kernel, t_grid=32, max_refinements=1) <= fbm_k1(0.75, 1.0) + 1e-6
+
+
 def test_fbm_kstar_step_matches_kernel_difference():
     kernel = fbm_kernel_spec(0.75, 1.0)
     step = StepFunction((0.2, 0.6), (1.0,))
@@ -162,6 +170,13 @@ def test_op_norm_estimates():
     kernel = fbm_kernel_spec(0.75, 1.0)
     est = op_norm_estimate(kernel, 128)
     assert est <= op_norm_bound(0.0, fbm_k1(0.75, 1.0))
+
+
+def test_op_norm_estimate_raises_without_convergence():
+    # one power step compares against the starting value 0, so it cannot meet tol
+    for kernel in (brownian_kernel(1.0), fbm_kernel_spec(0.75, 1.0)):
+        with pytest.raises(DomainError, match="power iteration"):
+            op_norm_estimate(kernel, 64, max_iter=1)
 
 
 def test_hr_gram():

@@ -1,0 +1,292 @@
+"""The array-based kernel and quadrature layer against its scalar definitions.
+
+The reference functions below are the per-row, per-(t, k), per-alpha and
+per-node loops these routines were first written as.  M~ keeps the scalar
+arithmetic of each value and the CSV export its bytes, so both must agree
+exactly.  The integration matrices and Picard sum in another order, and
+k1_empirical takes numpy's array power where the loop took the scalar one,
+so they agree to rounding: tolerances are a few units of float64 epsilon,
+scaled by the number of terms a value sums.
+"""
+
+import csv
+import io
+import math
+
+import numpy as np
+import pytest
+
+from chaosfield.basis import BasisFamily, QuadratureRule, jacobi01, quad_singular, quad_singular_smooth
+from chaosfield.errors import DomainError
+from chaosfield.kernels import (
+    _mtilde_table,
+    brownian_kernel,
+    fbm_kernel_dt,
+    fbm_kernel_spec,
+    grid_kernel_from_csv,
+    k1_empirical,
+    kmk_factor,
+    m_tilde,
+)
+from chaosfield.multiindex import Truncation, enumerate_multiindices, index_map
+from chaosfield.sde import (
+    PropagatorSolution,
+    _CollocationGrid,
+    _integration_matrix,
+    _lagrange_eval,
+    solve_closed_form,
+    solve_picard,
+)
+
+EPS = float(np.finfo(float).eps)
+BASES = [BasisFamily("cosine", 1.0), BasisFamily("legendre", 1.0)]
+
+
+@pytest.fixture(scope="module")
+def grid_kernel(tmp_path_factory):
+    """An adapted kernel K(t, s) = 1 + (t - s)^2 on s <= t, tabulated on a CSV grid."""
+    nodes = np.linspace(0.0, 1.0, 21)
+    path = tmp_path_factory.mktemp("grid") / "kernel.csv"
+    with open(path, "w") as fh:
+        fh.write("t_s," + ",".join(repr(float(s)) for s in nodes) + "\n")
+        for t in nodes:
+            vals = [1.0 + float(t - s) ** 2 if s <= t else 0.0 for s in nodes]
+            fh.write(repr(float(t)) + "," + ",".join(repr(v) for v in vals) + "\n")
+    return grid_kernel_from_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def ref_integration_matrix(grid, gamma0, psi, sub_nodes=32):
+    """One quadrature per collocation row, as rows were first assembled."""
+    p_count, q = grid.panels, grid.nodes
+    n = p_count * q
+    xg, wg = np.polynomial.legendre.leggauss(sub_nodes)
+    vj, wj = jacobi01(sub_nodes, 0.0, gamma0) if gamma0 != 0.0 else (None, None)
+    w = np.zeros((n, n))
+    full = np.zeros((p_count, q))
+
+    def partial(p, upper):
+        a = grid.edges[p]
+        if upper <= a:
+            return np.zeros(q)
+        if p == 0 and gamma0 != 0.0 and a == 0.0:
+            s = upper * vj
+            weights = upper ** (gamma0 + 1.0) * wj
+            mt = np.asarray(psi(s), dtype=float)
+        else:
+            half = 0.5 * (upper - a)
+            s = a + half * (xg + 1.0)
+            weights = half * wg
+            mt = s**gamma0 * np.asarray(psi(s), dtype=float)
+        l = _lagrange_eval(grid.panel_nodes[p], grid.bw[p], s)
+        return l @ (weights * mt)
+
+    for p in range(p_count):
+        full[p] = partial(p, grid.edges[p + 1])
+        for i in range(q):
+            row = p * q + i
+            w[row, p * q : (p + 1) * q] = partial(p, grid.panel_nodes[p, i])
+            for prev in range(p):
+                w[row, prev * q : (prev + 1) * q] = full[prev]
+    return w
+
+
+def ref_fbm_mtilde(kernel, basis, k, t, jacobi_nodes=48):
+    """The fBm M~_k(t) as one scalar Gauss-Jacobi sum."""
+    if t <= 0:
+        return 0.0
+    hurst = kernel.params["hurst"]
+    _, psi = kmk_factor(kernel, basis, k)
+    wnodes, ww = jacobi01(jacobi_nodes, 0.0, hurst - 0.5)
+    return float(t ** (hurst + 0.5) * np.dot(ww, psi(t * wnodes)))
+
+
+def ref_picard_nodes(w_k, trunc):
+    """u_alpha at the collocation nodes by a loop over multi-indices."""
+    alphas = enumerate_multiindices(trunc)
+    imap = index_map(trunc)
+    u = np.zeros((len(alphas), w_k[0].shape[0]))
+    u[0] = 1.0
+    for j, alpha in enumerate(alphas):
+        if alpha.order() == 0:
+            continue
+        acc = np.zeros(u.shape[1])
+        for k, a in alpha.entries:
+            acc += math.sqrt(a) * (w_k[k - 1] @ u[imap[alpha.sub_eps(k)]])
+        u[j] = acc
+    return u
+
+
+def ref_k1_empirical(kernel, t_grid=256, refine_tol=1e-6, max_refinements=3):
+    """k1_empirical for a singular kernel with dt_smooth, its derivatives called node by node."""
+    big_t = kernel.horizon
+    rule = QuadratureRule(panels=6, nodes=12)
+    g0 = kernel.origin_exponent
+    s_fine = np.linspace(0.0, big_t, 1025)[1:]
+    phi_vals = np.array([kernel.eval(big_t, s) * s ** (-g0) for s in s_fine])
+
+    def k_upper(s):
+        return np.interp(s, s_fine, phi_vals) * s**g0
+
+    def integral_at(t):
+        def integrand(s):
+            s = np.atleast_1d(np.asarray(s, dtype=float))
+            return k_upper(s) * np.array([kernel.dt_eval(t, si) for si in s])
+
+        def smooth(s):
+            s = np.atleast_1d(np.asarray(s, dtype=float))
+            return k_upper(s) * np.array([kernel.dt_smooth(t, si) for si in s])
+
+        mid = 0.5 * t
+        low = quad_singular(integrand, 0.0, mid, 2.0 * g0, rule, endpoint="lower")
+        high = quad_singular_smooth(smooth, mid, t, kernel.singularity, rule, endpoint="upper")
+        return low + high
+
+    n = t_grid
+    best = max(integral_at(t) for t in np.linspace(big_t / n, big_t, n))
+    for _ in range(max_refinements):
+        n *= 2
+        new = max(integral_at(t) for t in np.linspace(big_t / n, big_t, n))
+        if abs(new - best) < refine_tol:
+            return max(best, new)
+        best = max(best, new)
+    return best
+
+
+def ref_export_csv(sol):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["t", "alpha_id", "coefficient"])
+    for i, t in enumerate(sol.times):
+        for j in range(sol.coeffs.shape[1]):
+            writer.writerow([repr(float(t)), j, repr(float(sol.coeffs[i, j]))])
+    return buf.getvalue().encode()
+
+
+# ---------------------------------------------------------------------------
+# integration matrices
+
+
+def _kernels(grid_kernel):
+    return [
+        ("brownian", brownian_kernel(1.0)),
+        ("fbm-0.55", fbm_kernel_spec(0.55, 1.0)),
+        ("fbm-0.95", fbm_kernel_spec(0.95, 1.0)),
+        ("grid", grid_kernel),
+    ]
+
+
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
+def test_integration_matrix_matches_row_loop(basis, grid_kernel):
+    cgrid = _CollocationGrid(1.0, 6, 5, 3.0)
+    for name, kernel in _kernels(grid_kernel):
+        for k in (1, 3):
+            gamma0, psi = kmk_factor(kernel, basis, k)
+            ref = ref_integration_matrix(cgrid, gamma0, psi)
+            got = _integration_matrix(cgrid, gamma0, psi)
+            assert np.array_equal(got == 0.0, ref == 0.0), name  # the same lower-triangular pattern
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (name, k)
+
+
+def test_integration_matrix_default_mesh_fbm():
+    # the solver's own mesh: 48 graded panels of 12 nodes
+    basis, kernel = BASES[0], fbm_kernel_spec(0.7, 1.0)
+    cgrid = _CollocationGrid(1.0, 48, 12, 3.0)
+    gamma0, psi = kmk_factor(kernel, basis, 2)
+    ref = ref_integration_matrix(cgrid, gamma0, psi)
+    got = _integration_matrix(cgrid, gamma0, psi)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# the M~ table
+
+
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
+def test_mtilde_table_bit_equal_to_scalar(basis, grid_kernel):
+    times = np.concatenate([np.linspace(0.0, 1.0, 37), [0.0, 1e-9, 0.5]])
+    for name, kernel in _kernels(grid_kernel) + [("fbm-0.75", fbm_kernel_spec(0.75, 1.0))]:
+        modes = 2 if name == "grid" else 5
+        grid = times[::4] if name == "grid" else times
+        table = _mtilde_table(kernel, basis, modes, grid)
+        scalar = np.array([[m_tilde(kernel, basis, k, t) for k in range(1, modes + 1)] for t in grid])
+        assert table.shape == (len(grid), modes)
+        assert np.array_equal(table, scalar), name
+        if name.startswith("fbm"):
+            ref = np.array([[ref_fbm_mtilde(kernel, basis, k, t) for k in range(1, modes + 1)] for t in grid])
+            assert np.array_equal(table, ref), name
+
+
+def test_mtilde_table_other_horizon():
+    basis, kernel = BasisFamily("cosine", 2.5), fbm_kernel_spec(0.8, 2.5)
+    times = np.linspace(0.0, 2.5, 53)
+    ref = np.array([[ref_fbm_mtilde(kernel, basis, k, t) for k in range(1, 4)] for t in times])
+    assert np.array_equal(_mtilde_table(kernel, basis, 3, times), ref)
+
+
+# ---------------------------------------------------------------------------
+# Picard
+
+
+@pytest.mark.parametrize("kernel", [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0)], ids=["brownian", "fbm"])
+@pytest.mark.parametrize("shape", [(1, 3), (3, 3), (4, 4)])
+def test_picard_grades_match_alpha_loop(kernel, shape):
+    basis, trunc = BASES[0], Truncation(*shape)
+    times = np.linspace(0.0, 1.0, 17)
+    panels, nodes = 8, 6
+    sol = solve_picard(kernel, basis, trunc, times, panels=panels, nodes=nodes)
+    cgrid = _CollocationGrid(1.0, panels, nodes, 3.0)
+    w_k = [_integration_matrix(cgrid, *kmk_factor(kernel, basis, k)) for k in range(1, trunc.modes + 1)]
+    ref = cgrid.interp_matrix(times) @ ref_picard_nodes(w_k, trunc).T
+    assert np.max(np.abs(sol.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(sol.mtilde, solve_closed_form(kernel, basis, trunc, times).mtilde)
+
+
+# ---------------------------------------------------------------------------
+# fBm derivatives and k1_empirical
+
+
+def test_shipped_derivatives_broadcast_over_s(grid_kernel):
+    s = np.linspace(0.05, 0.75, 15)
+    fbm = fbm_kernel_spec(0.7, 1.0)
+    for kernel, rel in ((grid_kernel, 0.0), (fbm, 8 * EPS)):  # fBm: three powers, each an ulp off at most
+        for fn in (kernel.dt_eval, kernel.dt_smooth):
+            if fn is None:
+                continue
+            arr = fn(0.8, s)
+            one_by_one = np.array([fn(0.8, float(x)) for x in s])
+            assert isinstance(fn(0.8, 0.3), float)
+            assert np.all(np.abs(arr - one_by_one) <= rel * np.abs(one_by_one))
+    with pytest.raises(DomainError):
+        fbm.dt_eval(0.5, np.array([0.1, 0.6]))
+    with pytest.raises(DomainError):
+        fbm_kernel_dt(0.7, 0.5, np.array([0.0, 0.2]))
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.72, 0.95])
+def test_k1_empirical_matches_node_loop(hurst):
+    kernel = fbm_kernel_spec(hurst, 1.0)
+    # every term of a value is positive and moves by at most an ulp per power it takes (three)
+    got = k1_empirical(kernel, t_grid=64)
+    assert got == pytest.approx(ref_k1_empirical(kernel, t_grid=64), rel=8 * EPS, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# CSV export
+
+
+def test_export_csv_bytes_match_csv_writer(tmp_path):
+    basis = BASES[1]
+    sol = solve_closed_form(fbm_kernel_spec(0.66, 1.0), basis, Truncation(3, 3), np.linspace(0.0, 1.0, 9))
+    odd = sol.coeffs.copy()
+    odd[1, :6] = [-0.0, 5e-324, 1e16, -1.5e-300, np.inf, np.nan]
+    times = sol.times.copy()
+    times[2] = 0.1 + 0.2  # a repr with 17 significant digits
+    special = PropagatorSolution(sol.trunc, basis, "fbm", times, odd, sol.mtilde)
+    for case in (sol, special):
+        path, sidecar = tmp_path / "sol.csv", tmp_path / "ids.json"
+        case.export_csv(path, sidecar)
+        assert path.read_bytes() == ref_export_csv(case)
