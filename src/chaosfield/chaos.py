@@ -56,10 +56,6 @@ class ChaosExpansion:
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
 
-    def order_shell_mass(self, n: int) -> float:
-        """Sum of squared coefficients at chaos order exactly n."""
-        return sum(c * c for a, c in self.coeffs.items() if a.order() == n)
-
     def __add__(self, other: "ChaosExpansion") -> "ChaosExpansion":
         if other.trunc != self.trunc:
             raise ConfigurationError("truncation mismatch in addition")

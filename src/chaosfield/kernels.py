@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .basis import (
     BasisFamily,
@@ -71,6 +71,13 @@ class KernelSpec:
     - ``mtilde_hook(basis, k, t)``  -> int_0^t (K m_k)(s) ds, for a scalar t
       or elementwise over an array of t
     - ``eval_ts_hook(t_sorted, s)`` -> K(t_i, s) for an ascending array of t
+
+    The fBm ``mtilde_hook`` memoises its quadrature per spec, keyed by
+    (basis, k, the float64 bytes of t), in a least-recently-used memo of
+    ``_MTILDE_MEMO_SIZE`` entries: at most 128 * len(t) * 8 bytes, 263 kB for
+    a 257-point grid.  The memo lives in the spec's closure, over immutable
+    values only, so it dies with the spec and cannot go stale; array callers
+    get a copy, and ``mtilde_hook.cache_info()`` reports its hits and misses.
 
     ``dt_smooth`` gives K1(t, s) with the diagonal factor (t - s)^singularity
     divided out; quadratures near the diagonal use it so the singular factor
@@ -134,6 +141,8 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
 
 # t values per psi evaluation in the fBm M~ hook
 _MTILDE_BLOCK = 16
+# (basis, mode, time grid) entries in each fBm spec's M~ memo
+_MTILDE_MEMO_SIZE = 128
 
 
 def _check_hurst(hurst: float):
@@ -143,6 +152,8 @@ def _check_hurst(hurst: float):
 
 def fbm_c_h(hurst: float) -> float:
     """Normalizing constant C_H of the fBm Volterra kernel."""
+    from scipy.special import gamma as gamma_fn
+
     _check_hurst(hurst)
     return math.sqrt(
         2.0 * hurst * gamma_fn(1.5 - hurst) / (gamma_fn(hurst + 0.5) * gamma_fn(2.0 - 2.0 * hurst))
@@ -151,6 +162,8 @@ def fbm_c_h(hurst: float) -> float:
 
 def fbm_k1(hurst: float, horizon: float) -> float:
     """Analytic bound K_1(T) for the fBm kernel operator."""
+    from scipy.special import gamma as gamma_fn
+
     _check_hurst(hurst)
     return (
         hurst
@@ -253,14 +266,15 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0, jacobi_nodes: int = 48) 
         val = np.atleast_1d(s) ** (hurst - 0.5) * np.atleast_1d(p(s))
         return float(val[0]) if s.ndim == 0 else val
 
-    def mtilde(basis, k, t):
+    @lru_cache(maxsize=_MTILDE_MEMO_SIZE)
+    def mtilde_quadrature(basis, k, t_bytes):
         # int_0^t s^(H-1/2) psi(s) ds, Gauss-Jacobi in the scaled variable.
         # psi runs on blocks of t values, which bounds its (block * nodes^2)
         # temporaries; the per-t dot product and Python-float power keep each
         # value equal to the scalar evaluation bit for bit.
         p = psi(basis, k)
         wnodes, ww = jacobi01(jacobi_nodes, 0.0, hurst - 0.5)
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        ts = np.frombuffer(t_bytes, dtype=float)
         out = np.zeros(len(ts))  # 0 for t <= 0
         live = np.nonzero(ts > 0)[0]
         for start in range(0, len(live), _MTILDE_BLOCK):
@@ -268,7 +282,15 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0, jacobi_nodes: int = 48) 
             block = ts[rows]
             vals = p(np.outer(block, wnodes).ravel()).reshape(len(rows), -1)
             out[rows] = [x ** (hurst + 0.5) * np.dot(ww, v) for x, v in zip(block.tolist(), vals)]
-        return float(out[0]) if np.ndim(t) == 0 else out
+        out.flags.writeable = False
+        return out
+
+    def mtilde(basis, k, t):
+        # memoised on the exact float64 bytes of t; callers get their own copy
+        out = mtilde_quadrature(basis, k, np.atleast_1d(np.asarray(t, dtype=float)).tobytes())
+        return float(out[0]) if np.ndim(t) == 0 else out.copy()
+
+    mtilde.cache_info = mtilde_quadrature.cache_info
 
     spec = KernelSpec(
         name="fbm",

@@ -2,6 +2,9 @@
 
 Sampling uses counter-based Philox streams keyed by (seed, sample index), so
 each sample row is reproducible independently of batch size or ordering.
+One generator is re-keyed per row: assigning its state resets the counter
+and buffers, so each row is the same stream a fresh generator keyed
+(seed, i) gives, without building a generator per row.
 """
 
 from __future__ import annotations
@@ -45,9 +48,14 @@ def sample_batch(seed: int, n: int, modes: int) -> SampleBatch:
     if n < 1 or modes < 1:
         raise DomainError("need n >= 1 and modes >= 1")
     z = np.empty((n, modes))
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    state = bits.state  # counter 0, empty buffer and uint32 cache: a fresh stream
+    key = state["state"]["key"]
     for i in range(n):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        z[i] = rng.standard_normal(modes)
+        key[1] = i
+        bits.state = state
+        rng.standard_normal(out=z[i])
     return SampleBatch(seed, z)
 
 
