@@ -1,16 +1,19 @@
 """Chaos expansions and the Wick algebra on truncated chaos spaces.
 
 A ChaosExpansion is a square-integrable random variable written in the
-Cameron-Martin basis xi_alpha, restricted to a finite truncation.  The Wick
-product, Wick exponential, Malliavin derivative and pointwise evaluation all
-act on the coefficients.
+Cameron-Martin basis xi_alpha, restricted to a finite truncation, and stored
+as one read-only coefficient vector in the truncation's enumeration order.
+The Wick product, Wick exponential, Malliavin derivative and pointwise
+evaluation all act on that vector; MultiIndex keys serve input and output.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,75 +26,89 @@ from .multiindex import (
     _log_factorial,
     _rank,
     _tables,
-    enumerate_multiindices,
     index_map,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ChaosExpansion:
-    """Finite map MultiIndex -> coefficient over a fixed truncation.
+    """Coefficient vector over a fixed truncation, in its enumeration order.
 
-    Absent keys mean zero.  Immutable: operations return new expansions.
+    ``ChaosExpansion(trunc, {alpha: c})`` puts each c at the row of alpha; a
+    key outside the truncation raises ConfigurationError.  Immutable: ``vec``
+    is read-only and operations return new expansions.
     """
 
     trunc: Truncation
-    coeffs: dict = field(default_factory=dict)
+    vec: np.ndarray
 
-    def __post_init__(self):
-        for alpha in self.coeffs:
-            if not self.trunc.contains(alpha):
-                raise ConfigurationError(f"index {alpha} outside truncation {self.trunc}")
+    def __init__(self, trunc: Truncation, coeffs: dict | None = None):
+        vec = np.zeros(len(_tables(trunc).exponents))  # checks the size budget before allocating
+        if coeffs:
+            imap = index_map(trunc)
+            try:
+                rows = [imap[alpha] for alpha in coeffs]
+            except KeyError as exc:
+                raise ConfigurationError(f"index {exc.args[0]} outside truncation {trunc}") from None
+            vec[rows] = list(coeffs.values())
+        vec.flags.writeable = False
+        self.__dict__.update(trunc=trunc, vec=vec)  # frozen: bypasses __setattr__
+
+    def __reduce__(self):
+        # the cached ``coeffs`` view cannot be pickled; it is rebuilt on use
+        return ChaosExpansion.from_dense, (self.trunc, self.vec)
+
+    def __eq__(self, other) -> bool:
+        same_space = isinstance(other, ChaosExpansion) and self.trunc == other.trunc
+        return same_space and np.array_equal(self.vec, other.vec)
+
+    @cached_property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only MultiIndex -> coefficient view of the nonzero entries, in enumeration order."""
+        alphas = _tables(self.trunc).alphas
+        rows = np.flatnonzero(self.vec)
+        return MappingProxyType(dict(zip([alphas[i] for i in rows.tolist()], self.vec[rows].tolist())))
 
     def get(self, alpha: MultiIndex) -> float:
-        return self.coeffs.get(alpha, 0.0)
+        row = index_map(self.trunc).get(alpha)
+        return 0.0 if row is None else float(self.vec[row])
 
     @property
     def mean(self) -> float:
-        return self.coeffs.get(MultiIndex.zero(), 0.0)
+        return float(self.vec[0])  # row 0 is the zero multi-index
 
     def norm_squared(self) -> float:
-        return sum(c * c for c in self.coeffs.values())
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
+        # square by square in enumeration order: np.dot would regroup the sum
+        return sum(c * c for c in self.vec[self.vec != 0].tolist())
 
     def __add__(self, other: "ChaosExpansion") -> "ChaosExpansion":
         if other.trunc != self.trunc:
             raise ConfigurationError("truncation mismatch in addition")
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, 0.0) + c
-        return ChaosExpansion(self.trunc, out)
+        return ChaosExpansion.from_dense(self.trunc, self.vec + other.vec)
 
     def __sub__(self, other: "ChaosExpansion") -> "ChaosExpansion":
         return self + other.scale(-1.0)
 
     def scale(self, c: float) -> "ChaosExpansion":
-        return ChaosExpansion(self.trunc, {a: c * v for a, v in self.coeffs.items()})
+        return ChaosExpansion.from_dense(self.trunc, c * self.vec)
 
     def dense(self) -> np.ndarray:
-        """Coefficients as a vector in enumeration order."""
-        imap = index_map(self.trunc)
-        out = np.zeros(self.trunc.size())
-        for a, c in self.coeffs.items():
-            out[imap[a]] = c
-        return out
+        """Writable copy of the coefficient vector."""
+        return self.vec.copy()
 
     @staticmethod
     def from_dense(trunc: Truncation, vec) -> "ChaosExpansion":
-        """Expansion holding the nonzero entries of ``vec``, in enumeration order."""
-        vec = np.asarray(vec, dtype=float)
+        """Expansion with a copy of ``vec`` as its coefficients, in enumeration order."""
+        vec = np.array(vec, dtype=float)
         if vec.shape != (trunc.size(),):
             raise ConfigurationError(f"dense vector shape {vec.shape}, expected ({trunc.size()},)")
-        alphas = _tables(trunc).alphas
-        rows = np.flatnonzero(vec)
-        return ChaosExpansion(trunc, dict(zip([alphas[i] for i in rows.tolist()], vec[rows].tolist())))
+        vec.flags.writeable = False
+        out = object.__new__(ChaosExpansion)
+        out.__dict__.update(trunc=trunc, vec=vec)
+        return out
 
     @staticmethod
     def constant(trunc: Truncation, c: float) -> "ChaosExpansion":
-        if c == 0.0:
-            return ChaosExpansion(trunc, {})
         return ChaosExpansion(trunc, {MultiIndex.zero(): float(c)})
 
     @staticmethod
@@ -160,15 +177,12 @@ class HValuedChaos:
         return HValuedChaos(trunc, np.zeros((trunc.size(), trunc.modes)), basis)
 
     def to_dict(self) -> dict:
-        alphas = enumerate_multiindices(self.trunc)
-        items = []
-        for i, alpha in enumerate(alphas):
-            for k in range(self.trunc.modes):
-                v = self.coeffs[i, k]
-                if v != 0.0:
-                    items.append(
-                        {"alpha": [[p, a] for p, a in alpha.entries], "k": k + 1, "value": float(v)}
-                    )
+        alphas = _tables(self.trunc).alphas
+        rows, ks = np.nonzero(self.coeffs)
+        items = [
+            {"alpha": [[p, a] for p, a in alphas[i].entries], "k": k + 1, "value": v}
+            for i, k, v in zip(rows.tolist(), ks.tolist(), self.coeffs[rows, ks].tolist())
+        ]
         return {
             "trunc": {"modes": self.trunc.modes, "max_order": self.trunc.max_order},
             "coeffs": items,
@@ -186,25 +200,17 @@ class HValuedChaos:
 
 
 def xi_alpha_eval(alpha: MultiIndex, z) -> float:
-    """Evaluate the basis element xi_alpha at a Gaussian sample z.
+    """Evaluate the basis element xi_alpha = prod_k H_{alpha_k}(z_k) / sqrt(alpha_k!).
 
-    xi_alpha(z) = prod_k H_{alpha_k}(z_k) / sqrt(alpha_k!).  z may be a vector
-    (one sample) or an (n, K) array of samples.
+    z may be a vector (one sample) or an (n, K) array of samples.  Evaluated on
+    the index set of alpha's own support, so 10 eps_40 needs no 40-mode tables.
     """
     z = np.asarray(z, dtype=float)
-    one_sample = z.ndim == 1
-    zz = z[None, :] if one_sample else z
-    if alpha.max_support > zz.shape[1]:
-        raise DimensionError(
-            f"support up to {alpha.max_support} exceeds sample length {zz.shape[1]}"
-        )
-    out = np.ones(zz.shape[0])
-    for k, a in alpha.entries:
-        h = hermite_table(a, zz[:, k - 1])[a]
-        out *= h / math.sqrt(math.factorial(a)) if a <= 170 else h * math.exp(
-            -0.5 * math.lgamma(a + 1)
-        )
-    return float(out[0]) if one_sample else out
+    if alpha.max_support > z.shape[-1]:
+        raise DimensionError(f"support up to {alpha.max_support} exceeds sample length {z.shape[-1]}")
+    packed = MultiIndex.from_dense([a for _, a in alpha.entries])
+    basis = ChaosExpansion.basis_element(Truncation(max(len(alpha.entries), 1), alpha.order()), packed)
+    return chaos_eval(basis, z[..., [k - 1 for k, _ in alpha.entries]])
 
 
 def wick_product(f: ChaosExpansion, g: ChaosExpansion, return_dropped: bool = False):
@@ -219,11 +225,10 @@ def wick_product(f: ChaosExpansion, g: ChaosExpansion, return_dropped: bool = Fa
         raise ConfigurationError("wick_product requires a shared truncation")
     tables = _tables(f.trunc)
     ia, ib, ig, factor = tables.wick_pairs
-    fd, gd = f.dense(), g.dense()
-    out = np.bincount(ig, weights=fd[ia] * gd[ib] * factor, minlength=len(fd))
+    out = np.bincount(ig, weights=f.vec[ia] * g.vec[ib] * factor, minlength=len(f.vec))
     result = ChaosExpansion.from_dense(f.trunc, out)
     if return_dropped:
-        return result, _dropped_mass(tables, fd, gd)
+        return result, _dropped_mass(tables, f.vec, g.vec)
     return result
 
 
@@ -265,10 +270,15 @@ def wick_exp_first_chaos(c, trunc: Truncation) -> ChaosExpansion:
 
 
 def truncate_expansion(f: ChaosExpansion, trunc: Truncation) -> ChaosExpansion:
-    """Project onto a (typically smaller) truncation, dropping outside terms."""
-    return ChaosExpansion(
-        trunc, {a: c for a, c in f.coeffs.items() if trunc.contains(a)}
-    )
+    """Project onto another (typically smaller) truncation, dropping outside terms."""
+    tables = _tables(trunc)
+    # trunc's exponent rows, padded to the wider mode count
+    rows = np.zeros((len(tables.exponents), max(f.trunc.modes, trunc.modes)), dtype=np.int64)
+    rows[:, : trunc.modes] = tables.exponents
+    inside = ~np.any(rows[:, f.trunc.modes :], axis=1) & (tables.orders <= f.trunc.max_order)
+    vec = np.zeros(len(rows))
+    vec[inside] = f.vec[_rank(rows[inside, : f.trunc.modes])]
+    return ChaosExpansion.from_dense(trunc, vec)
 
 
 def chaos_eval(f: ChaosExpansion, z):
@@ -281,20 +291,24 @@ def chaos_eval(f: ChaosExpansion, z):
     zz = z[None, :] if one_sample else z
     if not np.all(np.isfinite(zz)):
         raise DomainError("samples must be finite")
-    if any(a.max_support > zz.shape[1] for a in f.coeffs):
+    rows = np.flatnonzero(f.vec)
+    exponents = _tables(f.trunc).exponents[rows]
+    if np.any(exponents[:, zz.shape[1] :]):
         raise DimensionError("sample vector shorter than the expansion support")
     n_max = f.trunc.max_order
-    # normalized Hermite values H_n(z_k) / sqrt(n!), shape (N+1, n, K)
-    table = hermite_table(n_max, zz)
+    # normalized Hermite values H_n(z_k) / sqrt(n!), shape (N+1, K, n)
+    table = hermite_table(n_max, zz[:, : f.trunc.modes].T)
     for n in range(2, n_max + 1):
         table[n] /= math.sqrt(math.factorial(n)) if n <= 170 else math.exp(
             0.5 * math.lgamma(n + 1)
         )
+    # row by row, in enumeration order, each row's factors by ascending mode
     out = np.zeros(zz.shape[0])
-    for alpha, coef in f.coeffs.items():
+    for coef, row in zip(f.vec[rows].tolist(), exponents.tolist()):
         term = np.full(zz.shape[0], coef)
-        for k, a in alpha.entries:
-            term = term * table[a, :, k - 1]
+        for k, a in enumerate(row):
+            if a:
+                term *= table[a, k]
         out += term
     return float(out[0]) if one_sample else out
 
@@ -305,5 +319,5 @@ def malliavin_derivative(f: ChaosExpansion) -> HValuedChaos:
     Output coefficients D[beta, k] = sqrt(beta_k + 1) * f_{beta+eps_k}.
     """
     tables = _tables(f.trunc)
-    padded = np.append(f.dense(), 0.0)  # up = -1 reads the trailing zero
+    padded = np.append(f.vec, 0.0)  # up = -1 reads the trailing zero
     return HValuedChaos(f.trunc, np.sqrt(tables.exponents + 1) * padded[tables.up])

@@ -54,9 +54,7 @@ class ExperimentConfig:
     modes: int = 8
     order: int = 4
     grid: int = 256
-    seed: int = 12345
     out: str = "."
-    format: str = "json"
 
     def validate(self) -> None:
         if self.kernel not in ("brownian", "fbm"):
@@ -69,8 +67,6 @@ class ExperimentConfig:
             raise ConfigurationError("modes, order must be >= 1 and grid >= 2")
         if self.basis not in ("cosine", "legendre"):
             raise ConfigurationError(f"unknown basis {self.basis!r}")
-        if self.format not in ("json", "csv"):
-            raise ConfigurationError(f"unknown format {self.format!r}")
 
     def make_kernel(self):
         if self.kernel == "brownian":
@@ -229,9 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--modes", type=int)
         p.add_argument("--order", type=int)
         p.add_argument("--grid", type=int)
-        p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--format", choices=["json", "csv"])
 
     p = sub.add_parser("hermite", help="tabulate Hermite polynomials")
     p.add_argument("--n-max", type=int, default=5)

@@ -143,6 +143,8 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
 _MTILDE_BLOCK = 16
 # (basis, mode, time grid) entries in each fBm spec's M~ memo
 _MTILDE_MEMO_SIZE = 128
+# Gauss-Jacobi nodes of the fBm psi and M~ quadratures
+_JACOBI_NODES = 48
 
 
 def _check_hurst(hurst: float):
@@ -201,7 +203,7 @@ def _fbm_dt(c: float, hurst: float, t: float, s):
     return c * s ** (0.5 - hurst) * (t - s) ** (hurst - 1.5) * t ** (hurst - 0.5)
 
 
-def fbm_kernel_spec(hurst: float, horizon: float = 1.0, jacobi_nodes: int = 48) -> KernelSpec:
+def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
     """KernelSpec for fractional Brownian motion with Hurst index in (1/2, 1)."""
     _check_hurst(hurst)
     c = fbm_c_h(hurst) * (hurst - 0.5)
@@ -248,7 +250,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0, jacobi_nodes: int = 48) 
 
     def psi(basis: BasisFamily, k: int):
         """Smooth factor in (K m_k)(s) = s^(H - 1/2) psi(s); Beta-weight quadrature."""
-        v, w = jacobi01(jacobi_nodes, hurst - 1.5, 0.5 - hurst)
+        v, w = jacobi01(_JACOBI_NODES, hurst - 1.5, 0.5 - hurst)
 
         def values(s):
             s = np.asarray(s, dtype=float)
@@ -273,7 +275,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0, jacobi_nodes: int = 48) 
         # temporaries; the per-t dot product and Python-float power keep each
         # value equal to the scalar evaluation bit for bit.
         p = psi(basis, k)
-        wnodes, ww = jacobi01(jacobi_nodes, 0.0, hurst - 0.5)
+        wnodes, ww = jacobi01(_JACOBI_NODES, 0.0, hurst - 0.5)
         ts = np.frombuffer(t_bytes, dtype=float)
         out = np.zeros(len(ts))  # 0 for t <= 0
         live = np.nonzero(ts > 0)[0]

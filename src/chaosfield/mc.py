@@ -88,25 +88,22 @@ def _check_paths(x, y):
 
 def discrete_ito(x, y) -> float:
     """Left-point Riemann sum sum_i X(t_i) (Y(t_{i+1}) - Y(t_i))."""
-    x, y = _check_paths(x, y)
-    return float(np.sum(x[..., :-1] * np.diff(y, axis=-1), axis=-1))
+    return float(discrete_ito_batch(x, y))
 
 
 def discrete_strat(x, y) -> float:
     """Midpoint rule sum_i (X(t_i) + X(t_{i+1}))/2 * (Y(t_{i+1}) - Y(t_i))."""
-    x, y = _check_paths(x, y)
-    mid = 0.5 * (x[..., :-1] + x[..., 1:])
-    return float(np.sum(mid * np.diff(y, axis=-1), axis=-1))
+    return float(discrete_strat_batch(x, y))
 
 
 def discrete_ito_batch(x, y) -> np.ndarray:
     x, y = _check_paths(x, y)
-    return np.sum(x[:, :-1] * np.diff(y, axis=1), axis=1)
+    return np.sum(x[..., :-1] * np.diff(y, axis=-1), axis=-1)
 
 
 def discrete_strat_batch(x, y) -> np.ndarray:
     x, y = _check_paths(x, y)
-    return np.sum(0.5 * (x[:, :-1] + x[:, 1:]) * np.diff(y, axis=1), axis=1)
+    return np.sum(0.5 * (x[..., :-1] + x[..., 1:]) * np.diff(y, axis=-1), axis=-1)
 
 
 def mc_compare(

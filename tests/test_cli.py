@@ -176,3 +176,15 @@ def test_repeated_output_byte_identical(capsys):
     _, first = run(capsys, "integrate", "--modes", "3", "--order", "2")
     _, second = run(capsys, "integrate", "--modes", "3", "--order", "2")
     assert first == second
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--format", "csv")])
+def test_removed_flags_exit_2(flag, value, tmp_path, capsys):
+    # --seed and --format were never read; the flag and the config key are both refused
+    with pytest.raises(SystemExit) as exc:
+        main(["sde", flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: int(value) if value.isdigit() else value}))
+    code, _ = run(capsys, "sde", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2

@@ -216,3 +216,10 @@ def test_mc_compare_rejects_nonfinite_chaos_values(bad):
     f = ChaosExpansion(Truncation(1, 1), {MultiIndex.zero(): bad})
     with pytest.raises(DomainError):
         mc_compare(f, np.zeros(20), batch)
+
+
+def test_discrete_sums_of_one_path_are_row_0_of_the_batch():
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal((3, 257)), rng.standard_normal((3, 257))
+    assert discrete_ito(x[0], y[0]) == discrete_ito_batch(x, y)[0]
+    assert discrete_strat(x[0], y[0]) == discrete_strat_batch(x, y)[0]
