@@ -79,20 +79,23 @@ class BasisFamily:
             raise DomainError(f"t outside [0, {self.horizon}]")
         return np.clip(t, 0.0, self.horizon)
 
-    def eval(self, k: int, t):
-        """m_k(t); k >= 1."""
-        if k < 1:
+    def eval(self, k, t):
+        """m_k(t), k >= 1; for a sequence of modes, one row per mode: shape (len(k),) + shape(t)."""
+        ks = np.asarray(k)
+        modes = ks.reshape(-1)
+        if modes.min() < 1:
             raise DomainError("basis index k must be >= 1")
         t = self._check(t)
         big_t = self.horizon
         if self.kind == "cosine":
-            if k == 1:
-                return np.full_like(t, 1.0 / math.sqrt(big_t)) if t.ndim else 1.0 / math.sqrt(big_t)
-            val = math.sqrt(2.0 / big_t) * np.cos((k - 1) * math.pi * t / big_t)
+            val = math.sqrt(2.0 / big_t) * np.cos(np.multiply.outer((modes - 1) * math.pi, t) / big_t)
+            val[modes == 1] = 1.0 / math.sqrt(big_t)
         else:
-            x = 2.0 * t / big_t - 1.0
-            coef = [0.0] * (k - 1) + [1.0]
-            val = math.sqrt((2 * k - 1) / big_t) * np.polynomial.legendre.legval(x, coef)
+            # column j of the identity holds the Legendre coefficients of P_{modes[j] - 1}
+            coef = np.eye(modes.max())[:, modes - 1]
+            scale = np.sqrt((2 * modes - 1) / big_t).reshape((-1,) + (1,) * t.ndim)
+            val = scale * np.polynomial.legendre.legval(2.0 * t / big_t - 1.0, coef)
+        val = val if ks.ndim else val[0]
         return val if val.ndim else float(val)
 
     def antideriv(self, k: int, t):

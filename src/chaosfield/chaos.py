@@ -90,6 +90,8 @@ class ChaosExpansion:
         return self + other.scale(-1.0)
 
     def scale(self, c: float) -> "ChaosExpansion":
+        if not math.isfinite(c):
+            raise DomainError("scale factor must be finite")
         return ChaosExpansion.from_dense(self.trunc, c * self.vec)
 
     def dense(self) -> np.ndarray:
@@ -167,9 +169,6 @@ class HValuedChaos:
 
     def norm_squared(self) -> float:
         return float(np.sum(self.coeffs**2))
-
-    def row(self, alpha: MultiIndex) -> np.ndarray:
-        return self.coeffs[index_map(self.trunc)[alpha]]
 
     @staticmethod
     def zeros(trunc: Truncation, basis=None) -> "HValuedChaos":

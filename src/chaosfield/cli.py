@@ -131,7 +131,6 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     else:
         with open(args.integrand) as fh:
             eta = HValuedChaos.from_dict(json.load(fh), basis)
-        eta = HValuedChaos(eta.trunc, eta.coeffs, basis)
     if args.mode == "ito":
         result = ito_integral(eta)
     elif args.mode == "strat":

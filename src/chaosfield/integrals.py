@@ -16,7 +16,7 @@ import numpy as np
 from .basis import BasisFamily, QuadratureRule, DEFAULT_RULE
 from .chaos import ChaosExpansion, HValuedChaos, truncate_expansion
 from .errors import DomainError
-from .kernels import KernelSpec, kmk_factor
+from .kernels import KernelSpec
 from .multiindex import MultiIndex, Truncation, _tables, index_map
 
 
@@ -104,27 +104,13 @@ def kernel_pairing_matrix(
     rule: QuadratureRule = DEFAULT_RULE,
 ) -> np.ndarray:
     """Matrix C[j, k] = int_0^T m_{j+1}(t) (K m_{k+1})(t) dt."""
-    big_t = basis.horizon
-    c = np.empty((modes, modes))
-    for k in range(1, modes + 1):
-        gamma0, psi = kmk_factor(kernel, basis, k)
-
-        def column(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            mj = np.array([basis.eval(j, s) for j in range(1, modes + 1)])
-            return mj * np.asarray(psi(s), dtype=float)[None, :]
-
-        if gamma0 != 0.0:
-            # integrate each row of the matrix-valued integrand
-            # u = s^(gamma0+1) absorbs the s^gamma0 weight: s^gamma0 ds = p du
-            p = 1.0 / (gamma0 + 1.0)
-            u_max = big_t ** (gamma0 + 1.0)
-            xs, ws = rule.nodes_weights(0.0, u_max)
-            c[:, k - 1] = p * (column(xs**p) @ ws)
-        else:
-            xs, ws = rule.nodes_weights(0.0, big_t)
-            c[:, k - 1] = column(xs) @ ws
-    return c
+    ks = np.arange(1, modes + 1)
+    # u = s^(gamma0+1) absorbs the s^gamma0 weight, s^gamma0 ds = p du (p = 1, u = s when gamma0 = 0)
+    p = 1.0 / (kernel.gamma0 + 1.0)
+    xs, ws = rule.nodes_weights(0.0, basis.horizon ** (kernel.gamma0 + 1.0))
+    s = xs**p
+    mj = basis.eval(ks, s)
+    return p * np.stack([(mj * psi_k) @ ws for psi_k in kernel.psi(basis, ks, s)], axis=1)
 
 
 def field_ito_integral(

@@ -1,7 +1,9 @@
 """Volterra kernels and the operator K* they induce on L2((0, T)).
 
 A KernelSpec packages the pointwise kernel K(t, s), its diagonal limit
-K(s+, s), the t-derivative K1(t, s), and singularity metadata.  Shipped
+K(s+, s), the t-derivative K1(t, s), singularity metadata, and the
+mode-batched factorisation (K m_k)(s) = s^gamma0 psi_k(s) through which every
+pairing with a basis is computed.  Shipped
 kernels: the Brownian kernel (K* = identity), the fractional Brownian motion
 kernel for Hurst index H in (1/2, 1), and kernels interpolated from a CSV
 grid.
@@ -12,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -59,31 +61,33 @@ class StepFunction:
 
 @dataclass
 class KernelSpec:
-    """Volterra kernel with derivative data and singularity metadata.
+    """A Volterra kernel K(t, s) on [0, T]: the protocol a kernel constructor implements.
 
-    ``singularity`` is the algebraic exponent of K1(t, s) in (t - s) as
-    t -> s+ (None when K1 is regular there); ``origin_exponent`` the exponent
-    of K(t, s) in s as s -> 0.  Optional hooks supply exact expressions used
-    by integrators when available:
+    Required: ``name``, ``horizon``, ``adapted`` (K(t, s) = 0 for s > t),
+    ``eval(t, s)`` for scalars and ``diag_limit(s)`` = K(s+, s).  Optional
+    derivative data, which K*, ``k1_empirical`` and the derived ``psi`` need:
+    ``dt_eval(t, s)`` = K1(t, s) = dK/dt; ``dt_smooth(t, s)``, K1 with the
+    diagonal factor (t - s)^singularity divided out so that quadratures near
+    the diagonal treat it exactly; ``singularity``, the exponent of K1 in
+    (t - s) as t -> s+ (None when K1 is regular there); ``origin_exponent``,
+    the exponent of K(t, s) in s as s -> 0.  Both derivatives take a scalar t
+    and an array s and broadcast over s (a scalar s gives a scalar).
 
-    - ``kmk_hook(basis, k, s)``     -> values of (K m_k)(s)
-    - ``kmk_factor_hook(basis, k)`` -> (gamma0, psi) with (K m_k)(s) = s^gamma0 psi(s)
-    - ``mtilde_hook(basis, k, t)``  -> int_0^t (K m_k)(s) ds, for a scalar t
-      or elementwise over an array of t
-    - ``eval_ts_hook(t_sorted, s)`` -> K(t_i, s) for an ascending array of t
+    Every pairing with a basis goes through one factorisation
+    (K m_k)(s) = s^gamma0 psi_k(s), psi_k smooth at 0, and its antiderivative
+    M~_k(t) = int_0^t (K m_k)(s) ds = int K(t, s) m_k(s) ds:
 
-    The fBm ``mtilde_hook`` memoises its quadrature per spec, keyed by
-    (basis, k, the float64 bytes of t), in a least-recently-used memo of
-    ``_MTILDE_MEMO_SIZE`` entries: at most 128 * len(t) * 8 bytes, 263 kB for
-    a 257-point grid.  The memo lives in the spec's closure, over immutable
-    values only, so it dies with the spec and cannot go stale; array callers
-    get a copy, and ``mtilde_hook.cache_info()`` reports its hits and misses.
+    - ``gamma0``;
+    - ``psi(basis, ks, s)``: psi_k(s) for modes ks and a 1-D array s, shape (len(ks), len(s));
+    - ``mtilde(basis, k, t)``: M~_k elementwise over a 1-D array of t;
+    - ``eval_column(t_sorted, s)``: K(t_i, s) for an ascending array of t.
 
-    ``dt_smooth`` gives K1(t, s) with the diagonal factor (t - s)^singularity
-    divided out; quadratures near the diagonal use it so the singular factor
-    is handled analytically.  ``k1_empirical`` and ``k_mk`` call ``dt_eval``
-    and ``dt_smooth`` with a scalar t and an array s; the shipped kernels'
-    derivatives broadcast over s (a scalar s gives a scalar).
+    A constructor supplies those it has in exact or faster form.  Any it
+    leaves as None is derived once, at construction, by quadrature from
+    ``eval`` and ``dt_eval``: gamma0 = 0 and psi_k = K m_k =
+    K(s+, s) m_k(s) + int_0^s m_k(tau) K1(s, tau) dtau (needs ``dt_eval``),
+    M~_k from K(t, .) m_k (adapted kernels only), and ``eval_column`` from
+    one ``eval`` per t.
     """
 
     name: str
@@ -96,16 +100,70 @@ class KernelSpec:
     singularity: float = None
     origin_exponent: float = 0.0
     params: dict = field(default_factory=dict)
-    kmk_hook: object = None
-    kmk_factor_hook: object = None
-    mtilde_hook: object = None
-    eval_ts_hook: object = None
+    gamma0: float = 0.0
+    psi: object = None  # callable (basis, ks, s) -> (len(ks), len(s))
+    mtilde: object = None  # callable (basis, k, t) -> M~_k over an array of t
+    eval_column: object = None  # callable (t_sorted, s) -> K(t_i, s)
+
+    def __post_init__(self):
+        self.psi = self.psi or partial(_quadrature_psi, self)
+        self.mtilde = self.mtilde or partial(_quadrature_mtilde, self)
+        self.eval_column = self.eval_column or (
+            lambda t_sorted, s: np.array([self.eval(t, s) for t in np.atleast_1d(t_sorted)], dtype=float)
+        )
 
     def eval_ts(self, t_sorted, s: float):
         """K(t, s) for an ascending array of t values."""
-        if self.eval_ts_hook is not None:
-            return self.eval_ts_hook(t_sorted, s)
-        return np.array([self.eval(t, s) for t in np.atleast_1d(t_sorted)], dtype=float)
+        return self.eval_column(t_sorted, s)
+
+
+def _quadrature_psi(kernel: KernelSpec, basis: BasisFamily, ks, s) -> np.ndarray:
+    """(K m_k)(s) point by point, from the diagonal limit and a quadrature of K1."""
+    if kernel.dt_eval is None:
+        raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
+    rule = QuadratureRule(panels=4, nodes=12)
+
+    def scalar(k: int, x: float) -> float:
+        local = kernel.diag_limit(x) * float(np.asarray(basis.eval(k, x)))
+        if x <= 0:
+            return local
+
+        def integrand(tau):
+            return np.asarray(basis.eval(k, tau), dtype=float) * kernel.dt_eval(x, tau)
+
+        if kernel.singularity is not None and kernel.dt_smooth is not None:
+            gam, g0 = kernel.singularity, kernel.origin_exponent
+            # two-sided Jacobi weight tau^g0 (x - tau)^gam, both exponents exact
+            v, w = jacobi01(min(rule.panels * rule.nodes, 96), gam, g0)
+            tau = x * v
+            vals = np.asarray(basis.eval(k, tau), dtype=float) * kernel.dt_smooth(x, tau)
+            vals = vals * tau ** (-g0) if g0 != 0.0 else vals
+            tail = x ** (g0 + gam + 1.0) * float(np.dot(w, vals))
+        elif kernel.singularity is not None:
+            tail = quad_singular(integrand, 0.0, x, kernel.singularity, rule, endpoint="upper")
+        else:
+            tail = rule.integrate(integrand, 0.0, x)
+        return local + tail
+
+    points = np.asarray(s, dtype=float).tolist()
+    return np.array([[scalar(int(k), x) for x in points] for k in ks]).reshape(len(ks), len(points))
+
+
+def _quadrature_mtilde(kernel: KernelSpec, basis: BasisFamily, k: int, t) -> np.ndarray:
+    """M~_k(t_i) = int_0^{t_i} K(t_i, s) m_k(s) ds, one quadrature per t_i."""
+    if not kernel.adapted:
+        raise UnsupportedKernelError("generic m_tilde implemented for adapted kernels")
+
+    def one(x: float) -> float:
+        def integrand(s):
+            s = np.atleast_1d(np.asarray(s, dtype=float))
+            return np.array([kernel.eval(x, y) for y in s]) * np.asarray(basis.eval(k, s), dtype=float)
+
+        if kernel.origin_exponent != 0.0:
+            return quad_singular(integrand, 0.0, x, kernel.origin_exponent, DEFAULT_RULE)
+        return DEFAULT_RULE.integrate(integrand, 0.0, x)
+
+    return np.array([one(x) for x in np.asarray(t, dtype=float).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +176,7 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
     def evaluate(t, s):
         return 1.0 if s <= t else 0.0
 
-    spec = KernelSpec(
+    return KernelSpec(
         name="brownian",
         horizon=horizon,
         adapted=True,
@@ -127,19 +185,17 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
         dt_eval=lambda t, s: 0.0,
         singularity=None,
         origin_exponent=0.0,
+        psi=lambda basis, ks, s: basis.eval(ks, s),
+        mtilde=lambda basis, k, t: basis.antideriv(k, t),
+        eval_column=lambda t_sorted, s: (np.atleast_1d(t_sorted) >= s).astype(float),
     )
-    spec.kmk_hook = lambda basis, k, s: np.asarray(basis.eval(k, s), dtype=float)
-    spec.kmk_factor_hook = lambda basis, k: (0.0, lambda s: np.asarray(basis.eval(k, s), dtype=float))
-    spec.mtilde_hook = lambda basis, k, t: basis.antideriv(k, t)
-    spec.eval_ts_hook = lambda t_sorted, s: (np.atleast_1d(t_sorted) >= s).astype(float)
-    return spec
 
 
 # ---------------------------------------------------------------------------
 # fractional Brownian motion kernel, H > 1/2
 
 
-# t values per psi evaluation in the fBm M~ hook
+# t values per psi evaluation in the fBm M~ quadrature
 _MTILDE_BLOCK = 16
 # (basis, mode, time grid) entries in each fBm spec's M~ memo
 _MTILDE_MEMO_SIZE = 128
@@ -179,11 +235,14 @@ def fbm_k1(hurst: float, horizon: float) -> float:
 def fbm_kernel(hurst: float, t: float, s: float, rule: QuadratureRule = DEFAULT_RULE) -> float:
     """fBm Volterra kernel K(t, s) for 0 < s <= t."""
     _check_hurst(hurst)
+    return _fbm_kernel(fbm_c_h(hurst) * (hurst - 0.5), hurst, t, s, rule)
+
+
+def _fbm_kernel(c: float, hurst: float, t: float, s: float, rule: QuadratureRule) -> float:
     if s <= 0 or t < s:
         raise DomainError("require 0 < s <= t")
     if t == s:
         return 0.0
-    c = fbm_c_h(hurst) * (hurst - 0.5)
     inner = quad_singular_smooth(
         lambda tau: tau ** (hurst - 0.5), s, t, hurst - 1.5, rule
     )
@@ -204,12 +263,21 @@ def _fbm_dt(c: float, hurst: float, t: float, s):
 
 
 def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
-    """KernelSpec for fractional Brownian motion with Hurst index in (1/2, 1)."""
+    """KernelSpec for fractional Brownian motion with Hurst index in (1/2, 1).
+
+    psi is a Beta-weight quadrature batched over modes.  M~ memoises its
+    quadrature per spec, keyed by (basis, k, the float64 bytes of t), in a
+    least-recently-used memo of ``_MTILDE_MEMO_SIZE`` entries: at most
+    128 * len(t) * 8 bytes, 263 kB for a 257-point grid.  The memo lives in
+    the spec's closure, over immutable values only, so it dies with the spec
+    and cannot go stale; callers get a copy, and ``spec.mtilde.cache_info()``
+    reports its hits and misses.
+    """
     _check_hurst(hurst)
     c = fbm_c_h(hurst) * (hurst - 0.5)
 
     def evaluate(t, s):
-        return fbm_kernel(hurst, t, s)
+        return _fbm_kernel(c, hurst, t, s, DEFAULT_RULE)
 
     def dt_evaluate(t, s):
         return _fbm_dt(c, hurst, t, s)
@@ -217,7 +285,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
     def dt_smooth_evaluate(t, s):
         return c * s ** (0.5 - hurst) * t ** (hurst - 0.5)
 
-    def eval_ts(t_sorted, s):
+    def eval_column(t_sorted, s):
         # incremental in t: singular first segment, smooth continuation
         t_sorted = np.atleast_1d(np.asarray(t_sorted, dtype=float))
         out = np.zeros_like(t_sorted)
@@ -248,25 +316,10 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         out[above] = c * s ** (0.5 - hurst) * vals
         return out
 
-    def psi(basis: BasisFamily, k: int):
-        """Smooth factor in (K m_k)(s) = s^(H - 1/2) psi(s); Beta-weight quadrature."""
+    def psi(basis: BasisFamily, ks, s):
+        """Smooth factor in (K m_k)(s) = s^(H - 1/2) psi_k(s); Beta-weight quadrature."""
         v, w = jacobi01(_JACOBI_NODES, hurst - 1.5, 0.5 - hurst)
-
-        def values(s):
-            s = np.asarray(s, dtype=float)
-            scalar = s.ndim == 0
-            ss = np.atleast_1d(s)
-            mk = np.asarray(basis.eval(k, ss[:, None] * v[None, :]), dtype=float)
-            out = c * mk @ w
-            return float(out[0]) if scalar else out
-
-        return values
-
-    def kmk(basis, k, s):
-        p = psi(basis, k)
-        s = np.asarray(s, dtype=float)
-        val = np.atleast_1d(s) ** (hurst - 0.5) * np.atleast_1d(p(s))
-        return float(val[0]) if s.ndim == 0 else val
+        return c * basis.eval(ks, np.outer(s, v)) @ w
 
     @lru_cache(maxsize=_MTILDE_MEMO_SIZE)
     def mtilde_quadrature(basis, k, t_bytes):
@@ -274,7 +327,6 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         # psi runs on blocks of t values, which bounds its (block * nodes^2)
         # temporaries; the per-t dot product and Python-float power keep each
         # value equal to the scalar evaluation bit for bit.
-        p = psi(basis, k)
         wnodes, ww = jacobi01(_JACOBI_NODES, 0.0, hurst - 0.5)
         ts = np.frombuffer(t_bytes, dtype=float)
         out = np.zeros(len(ts))  # 0 for t <= 0
@@ -282,19 +334,18 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         for start in range(0, len(live), _MTILDE_BLOCK):
             rows = live[start : start + _MTILDE_BLOCK]
             block = ts[rows]
-            vals = p(np.outer(block, wnodes).ravel()).reshape(len(rows), -1)
+            vals = psi(basis, (k,), np.outer(block, wnodes).ravel()).reshape(len(rows), -1)
             out[rows] = [x ** (hurst + 0.5) * np.dot(ww, v) for x, v in zip(block.tolist(), vals)]
         out.flags.writeable = False
         return out
 
     def mtilde(basis, k, t):
         # memoised on the exact float64 bytes of t; callers get their own copy
-        out = mtilde_quadrature(basis, k, np.atleast_1d(np.asarray(t, dtype=float)).tobytes())
-        return float(out[0]) if np.ndim(t) == 0 else out.copy()
+        return mtilde_quadrature(basis, k, np.asarray(t, dtype=float).tobytes()).copy()
 
     mtilde.cache_info = mtilde_quadrature.cache_info
 
-    spec = KernelSpec(
+    return KernelSpec(
         name="fbm",
         horizon=horizon,
         adapted=True,
@@ -305,12 +356,11 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         singularity=hurst - 1.5,
         origin_exponent=0.5 - hurst,
         params={"hurst": hurst},
-        kmk_hook=kmk,
-        mtilde_hook=mtilde,
-        eval_ts_hook=eval_ts,
+        gamma0=hurst - 0.5,
+        psi=psi,
+        mtilde=mtilde,
+        eval_column=eval_column,
     )
-    spec.kmk_factor_hook = lambda basis, k: (hurst - 0.5, psi(basis, k))
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -635,88 +685,36 @@ def hr_gram(r: CovarianceFunction, times, psd_tol: float = 1e-10) -> np.ndarray:
 # kernel-basis pairings
 
 
-def m_tilde(
-    kernel: KernelSpec,
-    basis: BasisFamily,
-    k: int,
-    t: float,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> float:
+def m_tilde(kernel: KernelSpec, basis: BasisFamily, k: int, t: float) -> float:
     """M~_k(t) = int_0^t (K m_k)(s) ds = int K(t, s) m_k(s) ds."""
     if t == 0:
         return 0.0
-    if kernel.mtilde_hook is not None:
-        return kernel.mtilde_hook(basis, k, t)
-    if not kernel.adapted:
-        raise UnsupportedKernelError("generic m_tilde implemented for adapted kernels")
-
-    def integrand(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.array([kernel.eval(t, x) for x in s]) * np.asarray(
-            basis.eval(k, s), dtype=float
-        )
-
-    g0 = kernel.origin_exponent
-    if g0 != 0.0:
-        return quad_singular(integrand, 0.0, t, g0, rule)
-    return rule.integrate(integrand, 0.0, t)
+    return float(kernel.mtilde(basis, k, np.array([t], dtype=float))[0])
 
 
 def _mtilde_table(kernel: KernelSpec, basis: BasisFamily, modes: int, times) -> np.ndarray:
     """M~_k(t_i) for k = 1..modes, shape (len(times), modes).
 
-    Each entry equals ``m_tilde(kernel, basis, k, t_i)`` bit for bit; a
-    kernel's ``mtilde_hook`` runs once per mode over all nonzero times.
+    Each entry equals ``m_tilde(kernel, basis, k, t_i)`` bit for bit; the
+    kernel's M~ runs once per mode over all nonzero times.
     """
     times = np.asarray(times, dtype=float)
     out = np.zeros((len(times), modes))
     live = times != 0.0
     for k in range(1, modes + 1):
-        if kernel.mtilde_hook is not None:
-            out[live, k - 1] = kernel.mtilde_hook(basis, k, times[live])
-        else:
-            out[live, k - 1] = [m_tilde(kernel, basis, k, t) for t in times[live]]
+        out[live, k - 1] = kernel.mtilde(basis, k, times[live])
     return out
+
+
+def kmk_factor(kernel: KernelSpec, basis: BasisFamily, k: int):
+    """(gamma0, psi) with (K m_k)(s) = s^gamma0 * psi(s), psi smooth at 0 and taking a 1-D array s."""
+    return kernel.gamma0, lambda s: kernel.psi(basis, (k,), np.atleast_1d(np.asarray(s, dtype=float)))[0]
 
 
 def k_mk(kernel: KernelSpec, basis: BasisFamily, k: int, s):
     """(K m_k)(s): the kernel image of a basis function, vectorized over s."""
-    if kernel.kmk_hook is not None:
-        return kernel.kmk_hook(basis, k, s)
-    if kernel.dt_eval is None:
-        raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
-    rule = QuadratureRule(panels=4, nodes=12)
-
-    def scalar(x: float) -> float:
-        local = kernel.diag_limit(x) * float(np.asarray(basis.eval(k, x)))
-        if x <= 0:
-            return local
-
-        def integrand(tau):
-            return np.asarray(basis.eval(k, tau), dtype=float) * kernel.dt_eval(x, tau)
-
-        if kernel.singularity is not None and kernel.dt_smooth is not None:
-            gam, g0 = kernel.singularity, kernel.origin_exponent
-            # two-sided Jacobi weight tau^g0 (x - tau)^gam, both exponents exact
-            v, w = jacobi01(min(rule.panels * rule.nodes, 96), gam, g0)
-            tau = x * v
-            vals = np.asarray(basis.eval(k, tau), dtype=float) * kernel.dt_smooth(x, tau)
-            vals = vals * tau ** (-g0) if g0 != 0.0 else vals
-            tail = x ** (g0 + gam + 1.0) * float(np.dot(w, vals))
-        elif kernel.singularity is not None:
-            tail = quad_singular(integrand, 0.0, x, kernel.singularity, rule, endpoint="upper")
-        else:
-            tail = rule.integrate(integrand, 0.0, x)
-        return local + tail
-
+    gamma0, psi = kmk_factor(kernel, basis, k)
     s = np.asarray(s, dtype=float)
-    if s.ndim == 0:
-        return scalar(float(s))
-    return np.array([scalar(float(x)) for x in s])
-
-
-def kmk_factor(kernel: KernelSpec, basis: BasisFamily, k: int):
-    """(gamma0, psi) with (K m_k)(s) = s^gamma0 * psi(s) and psi smooth at 0."""
-    if kernel.kmk_factor_hook is not None:
-        return kernel.kmk_factor_hook(basis, k)
-    return 0.0, lambda s: k_mk(kernel, basis, k, s)
+    ss = np.atleast_1d(s)
+    val = ss**gamma0 * psi(ss)
+    return float(val[0]) if s.ndim == 0 else val

@@ -22,7 +22,7 @@ from .basis import BasisFamily, _leggauss, jacobi01
 from .chaos import ChaosExpansion
 from .errors import ConfigurationError, DomainError
 from .hermite import hermite_table
-from .kernels import KernelSpec, _mtilde_table, kmk_factor
+from .kernels import KernelSpec, _mtilde_table
 from .multiindex import Truncation, _tables, enumerate_multiindices
 
 
@@ -199,18 +199,20 @@ class _CollocationGrid:
 def _integration_matrix(
     grid: _CollocationGrid, gamma0: float, psi, sub_nodes: int = 32
 ) -> np.ndarray:
-    """Lower-triangular W with (W v)[m] = int_0^{x_m} v~(s) m~(s) ds.
+    """Lower-triangular W_k with (W_k v)[m] = int_0^{x_m} v~(s) m~_k(s) ds, for every mode.
 
     v~ is the panelwise Lagrange interpolant of the node values v and
-    m~(s) = s^gamma0 psi(s).  The first panel uses a Gauss-Jacobi rule for the
-    s^gamma0 weight; later panels use plain Gauss-Legendre.  Each panel is one
-    batch: the sub-quadratures from its left edge up to each of its nodes and
-    up to its right edge share one psi call and one Lagrange evaluation.
+    m~_k(s) = s^gamma0 psi_k(s), where ``psi(s)`` returns psi_k(s) for all
+    modes at once, shape (modes, len(s)).  The result is a list of one (n, n)
+    matrix per mode.
+    The first panel uses a Gauss-Jacobi rule for the s^gamma0 weight; later
+    panels use plain Gauss-Legendre.  Each panel is one batch: the
+    sub-quadratures from its left edge up to each of its nodes and up to its
+    right edge share one psi call and one Lagrange evaluation for all modes.
     """
     p_count, q = grid.panels, grid.nodes
     n = p_count * q
     xg, wg = _leggauss(sub_nodes)
-    w = np.zeros((n, n))
     for p in range(p_count):
         a = grid.edges[p]
         # rows: int_a^{x_i} for the q nodes x_i, then int_a^{b} over the whole panel
@@ -219,17 +221,20 @@ def _integration_matrix(
             vj, wj = jacobi01(sub_nodes, 0.0, gamma0)
             s = np.outer(upper, vj)
             weights = np.outer(upper ** (gamma0 + 1.0), wj)
-            mt = np.asarray(psi(s.ravel()), dtype=float).reshape(s.shape)
+            mt = psi(s.ravel()).reshape((-1,) + s.shape)
         else:
             half = 0.5 * (upper - a)
             s = a + np.outer(half, xg + 1.0)
             weights = np.outer(half, wg)
-            mt = s**gamma0 * np.asarray(psi(s.ravel()), dtype=float).reshape(s.shape)
+            mt = s**gamma0 * psi(s.ravel()).reshape((-1,) + s.shape)
+        if p == 0:
+            w = [np.zeros((n, n)) for _ in mt]
         l = _lagrange_eval(grid.panel_nodes[p], grid.bw[p], s.ravel()).reshape(q, q + 1, sub_nodes)
-        rows = np.einsum("jms,ms->mj", l, weights * mt)
         block = slice(p * q, (p + 1) * q)
-        w[block, block] = rows[:q]
-        w[(p + 1) * q :, block] = rows[q]  # every later row spans this whole panel
+        for w_mode, mt_mode in zip(w, mt):
+            rows = np.einsum("jms,ms->mj", l, weights * mt_mode)
+            w_mode[block, block] = rows[:q]
+            w_mode[(p + 1) * q :, block] = rows[q]  # every later row spans this whole panel
     return w
 
 
@@ -248,8 +253,8 @@ def solve_picard(
 
     Product-integration collocation: each u_alpha is represented by its values
     at graded composite Gauss-Legendre nodes, and the Volterra integral is a
-    precomputed lower-triangular matrix per mode.  ``iterations`` multiplies
-    the panel count for refinement studies.
+    precomputed lower-triangular matrix per mode, all modes built together.
+    ``iterations`` multiplies the panel count for refinement studies.
     """
     _check_interpretation(interpretation)
     if iterations < 1:
@@ -257,10 +262,8 @@ def solve_picard(
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
     times = np.asarray(grid, dtype=float)
     cgrid = _CollocationGrid(basis.horizon, panels * iterations, nodes, grading)
-    w_k = []
-    for k in range(1, trunc.modes + 1):
-        gamma0, psi = kmk_factor(kernel, basis, k)
-        w_k.append(_integration_matrix(cgrid, gamma0, psi))
+    modes = np.arange(1, trunc.modes + 1)
+    w_k = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
 
     # grade by grade: u_alpha = sum_k sqrt(alpha_k) W_k u_{alpha - eps_k}, one matmul per (grade, mode)
     u = np.zeros((len(tables.exponents), len(cgrid.all_nodes)))

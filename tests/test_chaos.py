@@ -14,7 +14,7 @@ from chaosfield.chaos import (
     xi_alpha_eval,
 )
 from chaosfield.errors import ConfigurationError, DimensionError, DomainError
-from chaosfield.multiindex import MultiIndex, Truncation
+from chaosfield.multiindex import MultiIndex, Truncation, index_map
 
 
 def test_constant_and_mean():
@@ -38,6 +38,13 @@ def test_arithmetic():
     assert h.get(MultiIndex.eps(1)) == 4.0
     assert h.get(MultiIndex.eps(2)) == -2.0
     assert (h - h).norm_squared() == 0.0
+
+
+@pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan])
+def test_scale_rejects_a_non_finite_factor(factor):
+    # inf * 0 would turn every zero coefficient into NaN
+    with pytest.raises(DomainError, match="finite"):
+        ChaosExpansion.constant(Truncation(2, 1), 1.0).scale(factor)
 
 
 def test_dense_roundtrip():
@@ -165,8 +172,9 @@ def test_malliavin_derivative_annihilates():
     f = ChaosExpansion.basis_element(trunc, MultiIndex.from_dense([2, 1]))
     d = malliavin_derivative(f)
     # D at beta = alpha - eps_k has weight sqrt(alpha_k)
-    assert d.row(MultiIndex.from_dense([1, 1]))[0] == pytest.approx(math.sqrt(2))
-    assert d.row(MultiIndex.from_dense([2, 0]))[1] == pytest.approx(1.0)
+    imap = index_map(d.trunc)
+    assert d.coeffs[imap[MultiIndex.from_dense([1, 1])], 0] == pytest.approx(math.sqrt(2))
+    assert d.coeffs[imap[MultiIndex.from_dense([2, 0])], 1] == pytest.approx(1.0)
     assert d.norm_squared() == pytest.approx(3.0)
 
 

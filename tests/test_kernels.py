@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from chaosfield.basis import BasisFamily
 from chaosfield.errors import DomainError, InvalidCovarianceError
 from chaosfield.kernels import (
+    KernelSpec,
     StepFunction,
     brownian_covariance,
     brownian_kernel,
@@ -121,20 +122,17 @@ def test_fbm_kstar_step_matches_kernel_difference():
     assert image(0.9) == 0.0
 
 
-def test_fbm_kmk_hook_matches_generic():
+def test_fbm_psi_matches_generic_factorisation():
     kernel = fbm_kernel_spec(0.75, 1.0)
     basis = BasisFamily("cosine", 1.0)
-    generic = kernel.__class__(**{
-        **kernel.__dict__,
-        "kmk_hook": None,
-        "kmk_factor_hook": None,
-        "mtilde_hook": None,
-    })
-    for k in (1, 3):
-        for s in (0.3, 0.8):
-            assert k_mk(kernel, basis, k, s) == pytest.approx(
-                k_mk(generic, basis, k, s), rel=1e-7, abs=1e-8
-            )
+    # the same spec without its own factorisation: psi = K m_k by quadrature of dt_eval and dt_smooth
+    generic = KernelSpec(**{**kernel.__dict__, "gamma0": 0.0, "psi": None, "mtilde": None, "eval_column": None})
+    s, ks = np.array([0.3, 0.8]), (1, 3)
+    exact = s**kernel.gamma0 * kernel.psi(basis, ks, s)
+    assert exact == pytest.approx(generic.psi(basis, ks, s), rel=1e-7, abs=1e-8)
+    for k in ks:
+        for x in s:
+            assert k_mk(kernel, basis, k, x) == pytest.approx(k_mk(generic, basis, k, x), rel=1e-7, abs=1e-8)
 
 
 def test_fbm_mtilde_first_mode_analytic():

@@ -1,7 +1,7 @@
 """The Monte Carlo hot path against the work it replaces.
 
 ``sample_batch`` re-keys one Philox generator per row; it must give the
-same bits as a fresh generator per row.  The fBm M~ hook memoises its
+same bits as a fresh generator per row.  The fBm M~ memoises its
 quadrature per (basis, mode, time grid); it must give the same bits as the
 unmemoised quadrature, never hand out its stored table, and never share an
 entry between different keys.
@@ -63,22 +63,22 @@ def test_memoised_table_bit_equal_to_unmemoised(basis):
     second = _mtilde_table(kernel, basis, 4, times)  # hits
     assert first.tobytes() == ref.tobytes()
     assert second.tobytes() == ref.tobytes()
-    info = kernel.mtilde_hook.cache_info()
+    info = kernel.mtilde.cache_info()
     assert (info.misses, info.hits) == (4, 4)
 
 
 def test_mutating_a_returned_table_leaves_the_memo_alone():
     kernel, times = fbm_kernel_spec(0.7, 1.0), np.linspace(0.1, 1.0, 10)
-    got = kernel.mtilde_hook(COSINE, 2, times)
+    got = kernel.mtilde(COSINE, 2, times)
     expected = got.copy()
     got[:] = -1.0
-    again = kernel.mtilde_hook(COSINE, 2, times)
+    again = kernel.mtilde(COSINE, 2, times)
     assert again.flags.writeable
     assert again.tobytes() == expected.tobytes()
     table = _mtilde_table(kernel, COSINE, 2, times)
     table *= 3.0
     assert _mtilde_table(kernel, COSINE, 2, times)[:, 1].tobytes() == expected.tobytes()
-    info = kernel.mtilde_hook.cache_info()
+    info = kernel.mtilde.cache_info()
     assert (info.misses, info.hits) == (2, 4)  # mode 2 once, mode 1 once (tables hold modes 1 and 2)
 
 
@@ -91,14 +91,14 @@ def test_memo_keys_never_shared():
         for basis in (COSINE, LEGENDRE):
             for grid in (times, shifted, times[:5]):
                 for k in (1, 2, 3):
-                    got = kernel.mtilde_hook(basis, k, grid)
+                    got = kernel.mtilde(basis, k, grid)
                     ref = np.array([ref_fbm_mtilde(kernel, basis, k, t) for t in grid])
                     assert got.tobytes() == ref.tobytes()
     # 2 bases x 3 grids x 3 modes per spec, each computed once in its own spec's memo
     for kernel in (low, high):
-        assert kernel.mtilde_hook.cache_info().misses == 18
-        assert kernel.mtilde_hook.cache_info().hits == 0
-    assert low.mtilde_hook(COSINE, 2, times).tobytes() != high.mtilde_hook(COSINE, 2, times).tobytes()
+        assert kernel.mtilde.cache_info().misses == 18
+        assert kernel.mtilde.cache_info().hits == 0
+    assert low.mtilde(COSINE, 2, times).tobytes() != high.mtilde(COSINE, 2, times).tobytes()
 
 
 def test_scalar_m_tilde_after_a_memo_hit():
@@ -109,7 +109,7 @@ def test_scalar_m_tilde_after_a_memo_hit():
         again = m_tilde(kernel, COSINE, k, 1.0)  # a hit on the one-point key
         assert type(again) is float
         assert first == again == table[-1, k - 1] == ref_fbm_mtilde(kernel, COSINE, k, 1.0)
-    info = kernel.mtilde_hook.cache_info()
+    info = kernel.mtilde.cache_info()
     assert (info.misses, info.hits) == (10, 5)
 
 
@@ -118,7 +118,7 @@ def test_repeated_path_synthesis_computes_mtilde_once():
     trunc = Truncation(6, 2)
     for seed in (1, 2, 3):
         synthesize_paths(kernel, COSINE, trunc, sample_batch(seed, 20, 6), grid)
-    info = kernel.mtilde_hook.cache_info()
+    info = kernel.mtilde.cache_info()
     assert (info.misses, info.hits) == (6, 12)
 
 
@@ -135,5 +135,5 @@ def test_sde_command_computes_each_mode_once(tmp_path, capsys, monkeypatch):
     assert cli.main(argv + ["--grid", "16", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     (kernel,) = specs
-    info = kernel.mtilde_hook.cache_info()
+    info = kernel.mtilde.cache_info()
     assert (info.misses, info.hits) == (3, 3)

@@ -183,10 +183,11 @@ def _kernels(grid_kernel):
 def test_integration_matrix_matches_row_loop(basis, grid_kernel):
     cgrid = _CollocationGrid(1.0, 6, 5, 3.0)
     for name, kernel in _kernels(grid_kernel):
-        for k in (1, 3):
+        modes = (1, 3)
+        batched = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
+        for k, got in zip(modes, batched):
             gamma0, psi = kmk_factor(kernel, basis, k)
             ref = ref_integration_matrix(cgrid, gamma0, psi)
-            got = _integration_matrix(cgrid, gamma0, psi)
             assert np.array_equal(got == 0.0, ref == 0.0), name  # the same lower-triangular pattern
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (name, k)
 
@@ -197,8 +198,34 @@ def test_integration_matrix_default_mesh_fbm():
     cgrid = _CollocationGrid(1.0, 48, 12, 3.0)
     gamma0, psi = kmk_factor(kernel, basis, 2)
     ref = ref_integration_matrix(cgrid, gamma0, psi)
-    got = _integration_matrix(cgrid, gamma0, psi)
+    (got,) = _integration_matrix(cgrid, gamma0, lambda s: kernel.psi(basis, (2,), s))
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# the mode-batched factorisation
+
+
+@pytest.mark.parametrize("name", ["brownian", "fbm-0.55", "fbm-0.95", "grid"])
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
+def test_batched_psi_and_mtilde_bit_equal_to_per_mode(basis, name, grid_kernel):
+    kernel = dict(_kernels(grid_kernel))[name]
+    modes = (1, 2) if name == "grid" else (1, 2, 3, 5, 8)
+    s = np.concatenate([np.linspace(0.0, 1.0, 9 if name == "grid" else 41), [1e-9, 0.37]])
+    batched = kernel.psi(basis, modes, s)
+    assert batched.shape == (len(modes), len(s))
+    times = s[s > 0.0]
+    for k, row in zip(modes, batched):
+        assert row.tobytes() == kernel.psi(basis, (k,), s)[0].tobytes(), k
+        assert row.tobytes() == kmk_factor(kernel, basis, k)[1](s).tobytes(), k
+        per_t = np.array([kernel.mtilde(basis, k, np.array([t]))[0] for t in times])
+        assert kernel.mtilde(basis, k, times).tobytes() == per_t.tobytes(), k
+    # the integration matrices of all modes, built together, against each mode built alone
+    cgrid = _CollocationGrid(1.0, 3, 4, 3.0)
+    together = _integration_matrix(cgrid, kernel.gamma0, lambda x: kernel.psi(basis, modes, x))
+    for k, got in zip(modes, together):
+        (alone,) = _integration_matrix(cgrid, kernel.gamma0, lambda x: kernel.psi(basis, (k,), x))
+        assert got.tobytes() == alone.tobytes(), k
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +266,8 @@ def test_picard_grades_match_alpha_loop(kernel, shape):
     panels, nodes = 8, 6
     sol = solve_picard(kernel, basis, trunc, times, panels=panels, nodes=nodes)
     cgrid = _CollocationGrid(1.0, panels, nodes, 3.0)
-    w_k = [_integration_matrix(cgrid, *kmk_factor(kernel, basis, k)) for k in range(1, trunc.modes + 1)]
+    modes = np.arange(1, trunc.modes + 1)
+    w_k = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
     ref = cgrid.interp_matrix(times) @ ref_picard_nodes(w_k, trunc).T
     assert np.max(np.abs(sol.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(sol.mtilde, solve_closed_form(kernel, basis, trunc, times).mtilde)

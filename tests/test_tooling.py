@@ -1,5 +1,10 @@
-"""Start-up cost and the shipped demos, each run in a fresh interpreter."""
+"""Start-up cost and the shipped demos, each run in a fresh interpreter, and
+the benchmark's per-layer span names against the library's public API."""
 
+import importlib
+import importlib.util
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +35,26 @@ def test_demo_runs(demo):
     proc = _run([str(demo)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_benchmark_per_layer_spans_name_traced_public_functions():
+    # ``bench/run.py --trace 1`` reports each span that BENCHMARK.json declares; a
+    # name no traced function carries any more leaves that metric without a value
+    loader = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    names = {n.rsplit(".", 1)[0] for n in declared if n.endswith((".calls", ".self_ms"))}
+    names = sorted(n for n in names if "." in n)  # drop the per-layer totals
+    assert names
+    for name in names:
+        layer, _, rest = name.partition(".")
+        assert layer in spans.LAYERS, name
+        module = importlib.import_module(f"chaosfield.{layer}")
+        if "." in rest:
+            cls_name, method = rest.split(".")
+            assert cls_name in spans.TRACED_CLASSES.get(layer, ()), name
+            assert not method.startswith("_"), name
+            assert inspect.isfunction(vars(getattr(module, cls_name)).get(method)), name
+        else:
+            assert spans._is_traced_function(module, rest, getattr(module, rest, None)), name
