@@ -70,8 +70,8 @@ class BasisFamily:
     def __post_init__(self):
         if self.kind not in ("cosine", "legendre"):
             raise DomainError(f"unknown basis kind {self.kind!r}")
-        if self.horizon <= 0:
-            raise DomainError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise DomainError("horizon must be positive and finite")
 
     def _check(self, t):
         t = np.asarray(t, dtype=float)
@@ -154,8 +154,11 @@ def quad_singular(
     f(tau) = (tau - a)^gamma * g(tau) with g smooth (endpoint="lower"), or
     (b - tau)^gamma * g(tau) (endpoint="upper"), gamma in (-1, 0].  The power
     substitution u = (distance)^(gamma+1) regularizes the integrand; Gauss
-    nodes never touch the endpoint.
+    nodes never touch the endpoint.  gamma = 0 means no singularity: the
+    result is ``rule.integrate(f, a, b)``.
     """
+    if gamma == 0.0:
+        return rule.integrate(f, a, b)
     if gamma <= -1.0:
         raise DomainError("exponent must be > -1 for an integrable singularity")
     if b <= a:
@@ -187,8 +190,11 @@ def quad_singular_smooth(
     Gauss-Jacobi quadrature with the weight v^gamma built in: the singular
     factor is exact and never reconstructed by subtraction, so the result
     converges spectrally in the number of nodes for analytic g, and stays
-    accurate when the endpoint sits far from zero.
+    accurate when the endpoint sits far from zero.  gamma = 0 means no
+    singularity: the result is ``rule.integrate(g, a, b)``.
     """
+    if gamma == 0.0:
+        return rule.integrate(g, a, b)
     if gamma <= -1.0:
         raise DomainError("exponent must be > -1 for an integrable singularity")
     if b <= a:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -20,7 +21,7 @@ import numpy as np
 from .basis import BasisFamily
 from .chaos import HValuedChaos
 from .errors import ChaosFieldError, ConfigurationError
-from .hermite import hermite
+from .hermite import hermite_table
 from .integrals import (
     admissibility_diagnostic,
     brownian_path_integrand,
@@ -61,8 +62,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown kernel {self.kernel!r}")
         if self.kernel == "fbm" and not 0.5 < self.hurst < 1.0:
             raise ConfigurationError("hurst must lie in (1/2, 1) for the fbm kernel")
-        if self.horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigurationError("horizon must be positive and finite")
         if self.modes < 1 or self.order < 1 or self.grid < 2:
             raise ConfigurationError("modes, order must be >= 1 and grid >= 2")
         if self.basis not in ("cosine", "legendre"):
@@ -115,10 +116,11 @@ def cmd_hermite(args: argparse.Namespace) -> int:
     if args.t_points < 1:
         raise ConfigurationError("t-points must be >= 1")
     ts = np.linspace(args.t_min, args.t_max, args.t_points)
+    table = hermite_table(args.n_max, ts)
     writer = csv.writer(sys.stdout)
     writer.writerow(["t"] + [f"H{n}" for n in range(args.n_max + 1)])
-    for t in ts:
-        writer.writerow([repr(float(t))] + [repr(float(hermite(n, t))) for n in range(args.n_max + 1)])
+    for t, row in zip(ts.tolist(), table.T.tolist()):
+        writer.writerow([repr(t)] + [repr(h) for h in row])
     return 0
 
 
@@ -183,13 +185,15 @@ def cmd_fbm(args: argparse.Namespace) -> int:
     horizon = args.horizon if args.horizon is not None else 1.0
     if not 0.5 < hurst < 1.0:
         raise ConfigurationError("hurst must lie in (1/2, 1)")
-    if horizon <= 0:
-        raise ConfigurationError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ConfigurationError("horizon must be positive and finite")
+    if args.grid < 1:
+        raise ConfigurationError("grid must be >= 1")
     kernel = fbm_kernel_spec(hurst, horizon)
     k1 = fbm_k1(hurst, horizon)
     emp = k1_empirical(kernel)
     bound = op_norm_bound(0.0, k1)
-    estimate = op_norm_estimate(kernel, args.grid or 512)
+    estimate = op_norm_estimate(kernel, args.grid)
     payload = {
         "c_h": fbm_c_h(hurst),
         "k1_analytic": k1,
@@ -247,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fbm", help="fBm kernel diagnostics")
     p.add_argument("--hurst", type=float)
     p.add_argument("--horizon", type=float)
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", type=int, default=512)
     p.set_defaults(func=cmd_fbm)
 
     p = sub.add_parser("verify", help="run a verification suite")

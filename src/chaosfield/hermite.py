@@ -6,25 +6,18 @@ import numpy as np
 
 
 def hermite(n: int, t):
-    """H_n(t) by the three-term recurrence.
-
-    H_0 = 1, H_1 = t, H_{n+1}(t) = t H_n(t) - n H_{n-1}(t).
-    Accepts scalars or arrays.
-    """
+    """H_n(t), row n of ``hermite_table``; accepts scalars or arrays."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    t = np.asarray(t, dtype=float)
-    h_prev = np.ones_like(t)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = t.copy()
-    for m in range(1, n):
-        h, h_prev = t * h - m * h_prev, h
+    h = hermite_table(n, t)[n]
     return h if h.ndim else float(h)
 
 
 def hermite_table(n_max: int, t):
-    """Array of H_n(t) for n = 0..n_max; shape (n_max + 1,) + t.shape."""
+    """Array of H_n(t) for n = 0..n_max; shape (n_max + 1,) + t.shape.
+
+    Three-term recurrence: H_0 = 1, H_1 = t, H_{n+1}(t) = t H_n(t) - n H_{n-1}(t).
+    """
     t = np.asarray(t, dtype=float)
     out = np.empty((n_max + 1,) + t.shape)
     out[0] = 1.0

@@ -66,12 +66,11 @@ class KernelSpec:
     Required: ``name``, ``horizon``, ``adapted`` (K(t, s) = 0 for s > t),
     ``eval(t, s)`` for scalars and ``diag_limit(s)`` = K(s+, s).  Optional
     derivative data, which K*, ``k1_empirical`` and the derived ``psi`` need:
-    ``dt_eval(t, s)`` = K1(t, s) = dK/dt; ``dt_smooth(t, s)``, K1 with the
-    diagonal factor (t - s)^singularity divided out so that quadratures near
-    the diagonal treat it exactly; ``singularity``, the exponent of K1 in
-    (t - s) as t -> s+ (None when K1 is regular there); ``origin_exponent``,
-    the exponent of K(t, s) in s as s -> 0.  Both derivatives take a scalar t
-    and an array s and broadcast over s (a scalar s gives a scalar).
+    ``dt_eval(t, s)`` = K1(t, s) = dK/dt; ``singularity``, the exponent of K1
+    in (t - s) as t -> s+ (0, the default, when K1 is regular there; None
+    reads as 0); ``origin_exponent``, the exponent of K(t, s) in s as s -> 0.
+    Both derivatives take a scalar t and an array s and broadcast over s (a
+    scalar s gives a scalar).
 
     Every pairing with a basis goes through one factorisation
     (K m_k)(s) = s^gamma0 psi_k(s), psi_k smooth at 0, and its antiderivative
@@ -80,14 +79,18 @@ class KernelSpec:
     - ``gamma0``;
     - ``psi(basis, ks, s)``: psi_k(s) for modes ks and a 1-D array s, shape (len(ks), len(s));
     - ``mtilde(basis, k, t)``: M~_k elementwise over a 1-D array of t;
-    - ``eval_column(t_sorted, s)``: K(t_i, s) for an ascending array of t.
+    - ``eval_column(t_sorted, s)``: K(t_i, s) for an ascending array of t;
+    - ``dt_smooth(t, s)``: K1 with the diagonal factor (t - s)^singularity
+      divided out, which every quadrature near the diagonal weights exactly.
 
     A constructor supplies those it has in exact or faster form.  Any it
-    leaves as None is derived once, at construction, by quadrature from
-    ``eval`` and ``dt_eval``: gamma0 = 0 and psi_k = K m_k =
-    K(s+, s) m_k(s) + int_0^s m_k(tau) K1(s, tau) dtau (needs ``dt_eval``),
-    M~_k from K(t, .) m_k (adapted kernels only), and ``eval_column`` from
-    one ``eval`` per t.
+    leaves as None is derived at construction from ``eval`` and ``dt_eval``
+    (``_DERIVED``): gamma0 = 0 and psi_k = K m_k = K(s+, s) m_k(s) +
+    int_0^s m_k(tau) K1(s, tau) dtau by quadrature, M~_k by quadrature of
+    K(t, .) m_k (adapted kernels only), ``eval_column`` from one ``eval``
+    per t, and ``dt_smooth`` = K1(t, s) (t - s)^(-singularity), which is K1
+    itself for a regular kernel.  A derived piece is bound to its spec, so a
+    copy (``dataclasses.replace``) derives its own again.
     """
 
     name: str
@@ -97,7 +100,7 @@ class KernelSpec:
     diag_limit: object  # callable (s,) -> float
     dt_eval: object = None  # callable (t, s) -> float
     dt_smooth: object = None  # callable (t, s) -> K1(t,s) * (t-s)^(-singularity)
-    singularity: float = None
+    singularity: float = 0.0
     origin_exponent: float = 0.0
     params: dict = field(default_factory=dict)
     gamma0: float = 0.0
@@ -106,15 +109,24 @@ class KernelSpec:
     eval_column: object = None  # callable (t_sorted, s) -> K(t_i, s)
 
     def __post_init__(self):
-        self.psi = self.psi or partial(_quadrature_psi, self)
-        self.mtilde = self.mtilde or partial(_quadrature_mtilde, self)
-        self.eval_column = self.eval_column or (
-            lambda t_sorted, s: np.array([self.eval(t, s) for t in np.atleast_1d(t_sorted)], dtype=float)
-        )
+        self.singularity = self.singularity or 0.0
+        for name, derive in _DERIVED.items():
+            piece = getattr(self, name)
+            if piece is None or getattr(piece, "func", None) is derive:
+                setattr(self, name, partial(derive, self))
 
     def eval_ts(self, t_sorted, s: float):
         """K(t, s) for an ascending array of t values."""
         return self.eval_column(t_sorted, s)
+
+
+def _smooth_by_division(kernel: KernelSpec, t, s):
+    """K1(t, s) (t - s)^(-singularity); x ** -0.0 is 1, so a regular kernel's K1 is returned bit for bit."""
+    return kernel.dt_eval(t, s) * (t - s) ** -kernel.singularity
+
+
+def _column_by_eval(kernel: KernelSpec, t_sorted, s) -> np.ndarray:
+    return np.array([kernel.eval(t, s) for t in np.atleast_1d(t_sorted)], dtype=float)
 
 
 def _quadrature_psi(kernel: KernelSpec, basis: BasisFamily, ks, s) -> np.ndarray:
@@ -122,28 +134,19 @@ def _quadrature_psi(kernel: KernelSpec, basis: BasisFamily, ks, s) -> np.ndarray
     if kernel.dt_eval is None:
         raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
     rule = QuadratureRule(panels=4, nodes=12)
+    gam, g0 = kernel.singularity, kernel.origin_exponent
 
     def scalar(k: int, x: float) -> float:
         local = kernel.diag_limit(x) * float(np.asarray(basis.eval(k, x)))
         if x <= 0:
             return local
-
-        def integrand(tau):
-            return np.asarray(basis.eval(k, tau), dtype=float) * kernel.dt_eval(x, tau)
-
-        if kernel.singularity is not None and kernel.dt_smooth is not None:
-            gam, g0 = kernel.singularity, kernel.origin_exponent
-            # two-sided Jacobi weight tau^g0 (x - tau)^gam, both exponents exact
-            v, w = jacobi01(min(rule.panels * rule.nodes, 96), gam, g0)
-            tau = x * v
-            vals = np.asarray(basis.eval(k, tau), dtype=float) * kernel.dt_smooth(x, tau)
-            vals = vals * tau ** (-g0) if g0 != 0.0 else vals
-            tail = x ** (g0 + gam + 1.0) * float(np.dot(w, vals))
-        elif kernel.singularity is not None:
-            tail = quad_singular(integrand, 0.0, x, kernel.singularity, rule, endpoint="upper")
-        else:
-            tail = rule.integrate(integrand, 0.0, x)
-        return local + tail
+        if not gam:
+            return local + rule.integrate(lambda tau: basis.eval(k, tau) * kernel.dt_eval(x, tau), 0.0, x)
+        # two-sided Jacobi weight tau^g0 (x - tau)^gam, both exponents exact
+        v, w = jacobi01(min(rule.panels * rule.nodes, 96), gam, g0)
+        tau = x * v
+        vals = basis.eval(k, tau) * kernel.dt_smooth(x, tau) * tau ** (-g0)
+        return local + x ** (g0 + gam + 1.0) * float(np.dot(w, vals))
 
     points = np.asarray(s, dtype=float).tolist()
     return np.array([[scalar(int(k), x) for x in points] for k in ks]).reshape(len(ks), len(points))
@@ -159,11 +162,18 @@ def _quadrature_mtilde(kernel: KernelSpec, basis: BasisFamily, k: int, t) -> np.
             s = np.atleast_1d(np.asarray(s, dtype=float))
             return np.array([kernel.eval(x, y) for y in s]) * np.asarray(basis.eval(k, s), dtype=float)
 
-        if kernel.origin_exponent != 0.0:
-            return quad_singular(integrand, 0.0, x, kernel.origin_exponent, DEFAULT_RULE)
-        return DEFAULT_RULE.integrate(integrand, 0.0, x)
+        return quad_singular(integrand, 0.0, x, kernel.origin_exponent, DEFAULT_RULE)
 
     return np.array([one(x) for x in np.asarray(t, dtype=float).tolist()])
+
+
+# how KernelSpec derives each factorisation piece a constructor leaves out
+_DERIVED = {
+    "dt_smooth": _smooth_by_division,
+    "psi": _quadrature_psi,
+    "mtilde": _quadrature_mtilde,
+    "eval_column": _column_by_eval,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +193,6 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
         eval=evaluate,
         diag_limit=lambda s: 1.0,
         dt_eval=lambda t, s: 0.0,
-        singularity=None,
-        origin_exponent=0.0,
         psi=lambda basis, ks, s: basis.eval(ks, s),
         mtilde=lambda basis, k, t: basis.antideriv(k, t),
         eval_column=lambda t_sorted, s: (np.atleast_1d(t_sorted) >= s).astype(float),
@@ -416,8 +424,6 @@ def grid_kernel_from_csv(path, name: str = "custom-grid") -> KernelSpec:
         eval=evaluate,
         diag_limit=diag_limit,
         dt_eval=dt_evaluate,
-        singularity=None,
-        origin_exponent=0.0,
     )
 
 
@@ -467,28 +473,11 @@ def kstar_apply(kernel: KernelSpec, f, rule: QuadratureRule = DEFAULT_RULE):
         if s >= big_t:
             return local
 
-        if kernel.singularity is not None and kernel.dt_smooth is not None:
+        def smooth(t):
+            t = np.atleast_1d(np.asarray(t, dtype=float))
+            return np.array([float(np.asarray(f(ti))) * kernel.dt_smooth(ti, s) for ti in t])
 
-            def smooth(t):
-                t = np.atleast_1d(np.asarray(t, dtype=float))
-                return np.array(
-                    [float(np.asarray(f(ti))) * kernel.dt_smooth(ti, s) for ti in t]
-                )
-
-            tail = quad_singular_smooth(smooth, s, big_t, kernel.singularity, rule)
-        else:
-
-            def integrand(t):
-                t = np.atleast_1d(np.asarray(t, dtype=float))
-                return np.array(
-                    [float(np.asarray(f(ti))) * kernel.dt_eval(ti, s) for ti in t]
-                )
-
-            if kernel.singularity is not None:
-                tail = quad_singular(integrand, s, big_t, kernel.singularity, rule)
-            else:
-                tail = rule.integrate(integrand, s, big_t)
-        return local + tail
+        return local + quad_singular_smooth(smooth, s, big_t, kernel.singularity, rule)
 
     return apply
 
@@ -531,22 +520,12 @@ def k1_empirical(
         def integrand(s):
             return k_upper(s) * kernel.dt_eval(t, s)
 
+        def smooth(s):
+            return k_upper(s) * kernel.dt_smooth(t, s)
+
         mid = 0.5 * t
-        if g0 != 0.0:
-            low = quad_singular(integrand, 0.0, mid, 2.0 * g0, rule, endpoint="lower")
-        else:
-            low = rule.integrate(integrand, 0.0, mid)
-        if kernel.singularity is not None and kernel.dt_smooth is not None:
-
-            def smooth(s):
-                return k_upper(s) * kernel.dt_smooth(t, s)
-
-            high = quad_singular_smooth(smooth, mid, t, kernel.singularity, rule, endpoint="upper")
-        elif kernel.singularity is not None:
-            high = quad_singular(integrand, mid, t, kernel.singularity, rule, endpoint="upper")
-        else:
-            high = rule.integrate(integrand, mid, t)
-        return low + high
+        low = quad_singular(integrand, 0.0, mid, 2.0 * g0, rule, endpoint="lower")
+        return low + quad_singular_smooth(smooth, mid, t, kernel.singularity, rule, endpoint="upper")
 
     n = t_grid
     best = max(integral_at(t) for t in np.linspace(big_t / n, big_t, n))
@@ -662,10 +641,7 @@ def covariance_from_kernel(
             [kernel.eval(t, x) * kernel.eval(s, x) for x in tau]
         )
 
-    g0 = kernel.origin_exponent
-    if g0 != 0.0:
-        return quad_singular(integrand, 0.0, upper, 2.0 * g0, rule)
-    return rule.integrate(integrand, 0.0, upper)
+    return quad_singular(integrand, 0.0, upper, 2.0 * kernel.origin_exponent, rule)
 
 
 def hr_gram(r: CovarianceFunction, times, psd_tol: float = 1e-10) -> np.ndarray:

@@ -115,3 +115,19 @@ def test_quad_singular_smooth_shifted_endpoint():
 def test_quad_singular_rejects_nonintegrable():
     with pytest.raises(DomainError):
         quad_singular(lambda t: t, 0.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("endpoint", ["lower", "upper"])
+@pytest.mark.parametrize("quad", [quad_singular, quad_singular_smooth])
+def test_exponent_zero_is_the_plain_rule(quad, endpoint):
+    # exponent 0 means no singularity: the composite rule itself, bit for bit
+    rule = QuadratureRule(panels=3, nodes=7)
+    f = lambda t: np.exp(-np.asarray(t)) * np.cos(5.0 * np.asarray(t))  # noqa: E731
+    for a, b in ((0.0, 1.0), (0.3, 2.2)):
+        assert quad(f, a, b, 0.0, rule, endpoint=endpoint) == rule.integrate(f, a, b)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf])
+def test_non_finite_horizon_rejected(horizon):
+    with pytest.raises(DomainError, match="finite"):
+        BasisFamily("cosine", horizon)

@@ -188,3 +188,22 @@ def test_removed_flags_exit_2(flag, value, tmp_path, capsys):
     cfg.write_text(json.dumps({flag[2:]: int(value) if value.isdigit() else value}))
     code, _ = run(capsys, "sde", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["sde", "fbm"])
+def test_non_finite_horizon_exits_2(command, horizon, tmp_path, capsys):
+    argv = [command, "--horizon", horizon]
+    if command == "sde":
+        argv += ["--modes", "2", "--order", "2", "--grid", "8", "--out", str(tmp_path)]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert not (tmp_path / "sde_solution.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "-5"])
+def test_fbm_grid_below_one_exits_2(grid, capsys):
+    code, out = run(capsys, "fbm", "--grid", grid)
+    assert code == 2
+    assert out == ""

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,3 +203,48 @@ def test_grid_kernel_from_csv(tmp_path):
     assert kernel.eval(0.85, 0.3) == pytest.approx(1.0)
     assert kernel.eval(0.3, 0.85) == 0.0
     assert kernel.diag_limit(0.5) == pytest.approx(1.0)
+
+
+def test_replace_rederives_the_derived_pieces():
+    # K(t, s) = a (1 + t - s) on s <= t: psi, M~, the column and dt_smooth all scale with a
+    def spec_parts(a):
+        return dict(
+            eval=lambda t, s: a * (1.0 + t - s) if s <= t else 0.0,
+            diag_limit=lambda s: a,
+            dt_eval=lambda t, s: a + 0.0 * np.asarray(s),
+        )
+
+    basis = BasisFamily("cosine", 1.0)
+    s, t = np.array([0.3, 0.8]), np.array([0.4, 1.0])
+    one = KernelSpec("affine", 1.0, True, **spec_parts(1.0))
+    two = replace(one, **spec_parts(2.0))
+    assert np.array_equal(two.eval_ts(t, 0.2), 2.0 * one.eval_ts(t, 0.2))
+    assert np.array_equal(two.psi(basis, (1, 3), s), 2.0 * one.psi(basis, (1, 3), s))
+    assert np.array_equal(two.mtilde(basis, 2, t), 2.0 * one.mtilde(basis, 2, t))
+    assert two.dt_smooth(0.5, 0.2) == 2.0
+    # what a constructor supplied stays as it was
+    fbm = fbm_kernel_spec(0.75, 1.0)
+    assert replace(fbm, name="copy").psi is fbm.psi
+
+
+def test_derived_dt_smooth_matches_the_shipped_fbm_spec():
+    # the fBm spec without its dt_smooth and factorisation, everything derived from eval and dt_eval
+    kernel = fbm_kernel_spec(0.7, 1.0)
+    basis = BasisFamily("cosine", 1.0)
+    derived = KernelSpec(
+        **{**kernel.__dict__, "gamma0": 0.0, "dt_smooth": None, "psi": None, "mtilde": None, "eval_column": None}
+    )
+    s, ks = np.array([0.3, 0.8]), (1, 3)
+    exact = s**kernel.gamma0 * kernel.psi(basis, ks, s)
+    np.testing.assert_allclose(derived.psi(basis, ks, s), exact, rtol=1e-13, atol=0.0)
+    f = lambda x: np.cos(2.0 * np.asarray(x))  # noqa: E731
+    for x in (0.1, 0.4, 0.9):
+        assert kstar_apply(derived, f)(x) == pytest.approx(kstar_apply(kernel, f)(x), rel=1e-13, abs=0.0)
+    assert k1_empirical(derived, t_grid=64) == pytest.approx(k1_empirical(kernel, t_grid=64), rel=1e-13, abs=0.0)
+
+
+def test_singularity_defaults_to_zero():
+    for singularity in ({}, {"singularity": None}):
+        spec = KernelSpec("flat", 1.0, True, lambda t, s: 1.0, lambda s: 1.0, lambda t, s: 0.0, **singularity)
+        assert spec.singularity == 0.0
+    assert brownian_kernel(1.0).singularity == 0.0

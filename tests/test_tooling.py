@@ -1,6 +1,8 @@
-"""Start-up cost and the shipped demos, each run in a fresh interpreter, and
-the benchmark's per-layer span names against the library's public API."""
+"""Start-up cost and the shipped demos, each run in a fresh interpreter, the
+benchmark's per-layer span names against the library's public API, and the
+kernel protocol's rule that no consumer branches on what a kernel supplied."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -58,3 +60,39 @@ def test_benchmark_per_layer_spans_name_traced_public_functions():
             assert inspect.isfunction(vars(getattr(module, cls_name)).get(method)), name
         else:
             assert spans._is_traced_function(module, rest, getattr(module, rest, None)), name
+
+
+DERIVED_OR_DEFAULTED = {"dt_smooth", "psi", "mtilde", "eval_column", "singularity"}
+
+
+def _none_checks_on_kernel_pieces(tree):
+    # (line, attribute) of each comparison of a derived or defaulted KernelSpec piece with None
+    # outside KernelSpec.__post_init__, the one place that fills them in
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Compare) and scope[-2:] != ("KernelSpec", "__post_init__"):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Constant) and x.value is None for x in sides):
+                pieces = [x.attr for x in sides if isinstance(x, ast.Attribute)]
+                found.extend((node.lineno, a) for a in pieces if a in DERIVED_OR_DEFAULTED)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_no_consumer_checks_a_derived_kernel_piece_for_none():
+    # KernelSpec derives dt_smooth, psi, mtilde and eval_column and defaults singularity to 0,
+    # so a None check on one of them elsewhere is a branch on what a kernel supplied
+    found = {
+        path.name: hits
+        for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
+        if (hits := _none_checks_on_kernel_pieces(ast.parse(path.read_text())))
+    }
+    assert found == {}
+    # the check sees such a comparison
+    assert _none_checks_on_kernel_pieces(ast.parse("if k.dt_smooth is not None and k.singularity != None: pass"))
