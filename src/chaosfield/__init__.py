@@ -32,7 +32,6 @@ from .integrals import (
     strat_via_trace,
 )
 from .kernels import (
-    CovarianceFunction,
     KernelSpec,
     StepFunction,
     brownian_covariance,
@@ -56,11 +55,10 @@ from .kernels import (
 )
 from .mc import (
     SampleBatch,
-    discrete_ito,
-    discrete_strat,
+    discrete_ito_batch,
+    discrete_strat_batch,
     mc_compare,
     sample_batch,
-    synthesize_path,
     synthesize_paths,
 )
 from .multiindex import MultiIndex, Truncation, enumerate_multiindices, index_map

@@ -132,30 +132,12 @@ def inner_product(f, g, rule: QuadratureRule = DEFAULT_RULE, horizon: float = 1.
     return rule.integrate(lambda t: np.asarray(f(t)) * np.asarray(g(t)), 0.0, horizon)
 
 
-def localize_coeff(f, t: float, k: int, basis: BasisFamily, rule: QuadratureRule = DEFAULT_RULE) -> float:
-    """(f * chi_t, m_k) = int_0^t f(s) m_k(s) ds."""
-    if t < 0 or t > basis.horizon + 1e-12:
-        raise DomainError(f"t outside [0, {basis.horizon}]")
-    if t == 0:
-        return 0.0
-    return rule.integrate(lambda s: np.asarray(f(s)) * np.asarray(basis.eval(k, s)), 0.0, t)
+def quad_singular(f, a: float, b: float, gamma: float, rule: QuadratureRule = DEFAULT_RULE) -> float:
+    """Integrate f over [a, b] where f(tau) = (tau - a)^gamma * g(tau), g smooth, gamma in (-1, 0].
 
-
-def quad_singular(
-    f,
-    a: float,
-    b: float,
-    gamma: float,
-    rule: QuadratureRule = DEFAULT_RULE,
-    endpoint: str = "lower",
-) -> float:
-    """Integrate f over [a, b] where f has an algebraic endpoint singularity.
-
-    f(tau) = (tau - a)^gamma * g(tau) with g smooth (endpoint="lower"), or
-    (b - tau)^gamma * g(tau) (endpoint="upper"), gamma in (-1, 0].  The power
-    substitution u = (distance)^(gamma+1) regularizes the integrand; Gauss
-    nodes never touch the endpoint.  gamma = 0 means no singularity: the
-    result is ``rule.integrate(f, a, b)``.
+    The power substitution u = (tau - a)^(gamma+1) regularizes the integrand;
+    Gauss nodes never touch the endpoint.  gamma = 0 means no singularity:
+    the result is ``rule.integrate(f, a, b)``.
     """
     if gamma == 0.0:
         return rule.integrate(f, a, b)
@@ -164,17 +146,9 @@ def quad_singular(
     if b <= a:
         return 0.0
     p = 1.0 / (gamma + 1.0)
-    u_max = (b - a) ** (gamma + 1.0)
-    if endpoint == "lower":
-        def h(u):
-            return np.asarray(f(a + u**p), dtype=float) * u ** (p - 1.0)
-    elif endpoint == "upper":
-        def h(u):
-            return np.asarray(f(b - u**p), dtype=float) * u ** (p - 1.0)
-    else:
-        raise ValueError("endpoint must be 'lower' or 'upper'")
-    xs, ws = rule.nodes_weights(0.0, u_max)
-    return float(p * np.dot(ws, h(xs)))
+    xs, ws = rule.nodes_weights(0.0, (b - a) ** (gamma + 1.0))
+    h = np.asarray(f(a + xs**p), dtype=float) * xs ** (p - 1.0)
+    return float(p * np.dot(ws, h))
 
 
 def quad_singular_smooth(

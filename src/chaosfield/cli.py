@@ -115,6 +115,8 @@ def cmd_hermite(args: argparse.Namespace) -> int:
         raise ConfigurationError("n-max must be non-negative")
     if args.t_points < 1:
         raise ConfigurationError("t-points must be >= 1")
+    if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
+        raise ConfigurationError("t-min and t-max must be finite")
     ts = np.linspace(args.t_min, args.t_max, args.t_points)
     table = hermite_table(args.n_max, ts)
     writer = csv.writer(sys.stdout)

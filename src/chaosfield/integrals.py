@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisFamily, QuadratureRule, DEFAULT_RULE
+from .basis import BasisFamily, DEFAULT_RULE
 from .chaos import ChaosExpansion, HValuedChaos, truncate_expansion
 from .errors import DomainError
 from .kernels import KernelSpec
@@ -72,18 +72,16 @@ def strat_via_trace(eta: HValuedChaos) -> ChaosExpansion:
 
 
 @lru_cache(maxsize=256)
-def _localization_gram(basis: BasisFamily, modes: int, t: float, rule: QuadratureRule) -> np.ndarray:
+def _localization_gram(basis: BasisFamily, modes: int, t: float) -> np.ndarray:
     """Gram matrix G[j, k] = int_0^t m_{j+1}(s) m_{k+1}(s) ds."""
     if t == 0.0:
         return np.zeros((modes, modes))
-    xs, ws = rule.nodes_weights(0.0, t)
+    xs, ws = DEFAULT_RULE.nodes_weights(0.0, t)
     vals = np.array([basis.eval(k, xs) for k in range(1, modes + 1)])
     return (vals * ws) @ vals.T
 
 
-def localize_integrand(
-    eta: HValuedChaos, t: float, rule: QuadratureRule = DEFAULT_RULE
-) -> HValuedChaos:
+def localize_integrand(eta: HValuedChaos, t: float) -> HValuedChaos:
     """Multiply the integrand by the indicator of [0, t], in coefficients.
 
     New coefficients eta'[alpha, j] = sum_k eta[alpha, k] (m_k chi_t, m_j).
@@ -93,29 +91,22 @@ def localize_integrand(
         raise DomainError("localization needs the integrand's basis reference")
     if t < 0 or t > basis.horizon + 1e-12:
         raise DomainError(f"t outside [0, {basis.horizon}]")
-    gram = _localization_gram(basis, eta.trunc.modes, float(min(t, basis.horizon)), rule)
+    gram = _localization_gram(basis, eta.trunc.modes, float(min(t, basis.horizon)))
     return HValuedChaos(eta.trunc, eta.coeffs @ gram.T, basis)
 
 
-def kernel_pairing_matrix(
-    kernel: KernelSpec,
-    basis: BasisFamily,
-    modes: int,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> np.ndarray:
+def kernel_pairing_matrix(kernel: KernelSpec, basis: BasisFamily, modes: int) -> np.ndarray:
     """Matrix C[j, k] = int_0^T m_{j+1}(t) (K m_{k+1})(t) dt."""
     ks = np.arange(1, modes + 1)
     # u = s^(gamma0+1) absorbs the s^gamma0 weight, s^gamma0 ds = p du (p = 1, u = s when gamma0 = 0)
     p = 1.0 / (kernel.gamma0 + 1.0)
-    xs, ws = rule.nodes_weights(0.0, basis.horizon ** (kernel.gamma0 + 1.0))
+    xs, ws = DEFAULT_RULE.nodes_weights(0.0, basis.horizon ** (kernel.gamma0 + 1.0))
     s = xs**p
     mj = basis.eval(ks, s)
     return p * np.stack([(mj * psi_k) @ ws for psi_k in kernel.psi(basis, ks, s)], axis=1)
 
 
-def field_ito_integral(
-    eta: HValuedChaos, kernel: KernelSpec, rule: QuadratureRule = DEFAULT_RULE
-) -> ChaosExpansion:
+def field_ito_integral(eta: HValuedChaos, kernel: KernelSpec) -> ChaosExpansion:
     """Ito integral against the Gaussian field with kernel K: B(K* eta).
 
     Rows are transformed by eta~[alpha, k] = int eta_alpha(t) (K m_k)(t) dt,
@@ -124,7 +115,7 @@ def field_ito_integral(
     basis = eta.basis
     if basis is None:
         raise DomainError("field integration needs the integrand's basis reference")
-    c = kernel_pairing_matrix(kernel, basis, eta.trunc.modes, rule)
+    c = kernel_pairing_matrix(kernel, basis, eta.trunc.modes)
     transformed = HValuedChaos(eta.trunc, eta.coeffs @ c, basis)
     return ito_integral(transformed)
 
@@ -154,9 +145,7 @@ def admissibility_diagnostic(eta: HValuedChaos) -> AdmissibilityReport:
     return AdmissibilityReport(weighted, ratio)
 
 
-def brownian_path_integrand(
-    trunc: Truncation, basis: BasisFamily, rule: QuadratureRule = DEFAULT_RULE
-) -> HValuedChaos:
+def brownian_path_integrand(trunc: Truncation, basis: BasisFamily) -> HValuedChaos:
     """The truncated Brownian path W_K(t) = sum_k M_k(t) xi_k as an integrand.
 
     Coefficients eta[eps_k, j] = (M_k, m_j).
@@ -164,7 +153,7 @@ def brownian_path_integrand(
     modes = trunc.modes
     imap = index_map(trunc)  # checks the truncation's size before allocating
     coeffs = np.zeros((trunc.size(), modes))
-    xs, ws = rule.nodes_weights(0.0, basis.horizon)
+    xs, ws = DEFAULT_RULE.nodes_weights(0.0, basis.horizon)
     m_vals = np.array([basis.eval(j, xs) for j in range(1, modes + 1)])
     for k in range(1, modes + 1):
         big_m = np.asarray(basis.antideriv(k, xs), dtype=float)

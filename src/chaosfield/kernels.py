@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 from .basis import (
     BasisFamily,
     QuadratureRule,
-    DEFAULT_RULE,
     _leggauss,
     jacobi01,
     quad_singular,
@@ -102,7 +101,6 @@ class KernelSpec:
     dt_smooth: object = None  # callable (t, s) -> K1(t,s) * (t-s)^(-singularity)
     singularity: float = 0.0
     origin_exponent: float = 0.0
-    params: dict = field(default_factory=dict)
     gamma0: float = 0.0
     psi: object = None  # callable (basis, ks, s) -> (len(ks), len(s))
     mtilde: object = None  # callable (basis, k, t) -> M~_k over an array of t
@@ -162,7 +160,7 @@ def _quadrature_mtilde(kernel: KernelSpec, basis: BasisFamily, k: int, t) -> np.
             s = np.atleast_1d(np.asarray(s, dtype=float))
             return np.array([kernel.eval(x, y) for y in s]) * np.asarray(basis.eval(k, s), dtype=float)
 
-        return quad_singular(integrand, 0.0, x, kernel.origin_exponent, DEFAULT_RULE)
+        return quad_singular(integrand, 0.0, x, kernel.origin_exponent)
 
     return np.array([one(x) for x in np.asarray(t, dtype=float).tolist()])
 
@@ -240,20 +238,18 @@ def fbm_k1(hurst: float, horizon: float) -> float:
     )
 
 
-def fbm_kernel(hurst: float, t: float, s: float, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def fbm_kernel(hurst: float, t: float, s: float) -> float:
     """fBm Volterra kernel K(t, s) for 0 < s <= t."""
     _check_hurst(hurst)
-    return _fbm_kernel(fbm_c_h(hurst) * (hurst - 0.5), hurst, t, s, rule)
+    return _fbm_kernel(fbm_c_h(hurst) * (hurst - 0.5), hurst, t, s)
 
 
-def _fbm_kernel(c: float, hurst: float, t: float, s: float, rule: QuadratureRule) -> float:
+def _fbm_kernel(c: float, hurst: float, t: float, s: float) -> float:
     if s <= 0 or t < s:
         raise DomainError("require 0 < s <= t")
     if t == s:
         return 0.0
-    inner = quad_singular_smooth(
-        lambda tau: tau ** (hurst - 0.5), s, t, hurst - 1.5, rule
-    )
+    inner = quad_singular_smooth(lambda tau: tau ** (hurst - 0.5), s, t, hurst - 1.5)
     return c * s ** (0.5 - hurst) * inner
 
 
@@ -285,7 +281,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
     c = fbm_c_h(hurst) * (hurst - 0.5)
 
     def evaluate(t, s):
-        return _fbm_kernel(c, hurst, t, s, DEFAULT_RULE)
+        return _fbm_kernel(c, hurst, t, s)
 
     def dt_evaluate(t, s):
         return _fbm_dt(c, hurst, t, s)
@@ -363,7 +359,6 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         dt_smooth=dt_smooth_evaluate,
         singularity=hurst - 1.5,
         origin_exponent=0.5 - hurst,
-        params={"hurst": hurst},
         gamma0=hurst - 0.5,
         psi=psi,
         mtilde=mtilde,
@@ -375,7 +370,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
 # grid-interpolated kernels
 
 
-def grid_kernel_from_csv(path, name: str = "custom-grid") -> KernelSpec:
+def grid_kernel_from_csv(path) -> KernelSpec:
     """Kernel interpolated bilinearly from a CSV matrix.
 
     Layout: first row holds the s-grid (first cell blank or a label), first
@@ -418,7 +413,7 @@ def grid_kernel_from_csv(path, name: str = "custom-grid") -> KernelSpec:
         return out if out.ndim else float(out)
 
     return KernelSpec(
-        name=name,
+        name="custom-grid",
         horizon=horizon,
         adapted=adapted,
         eval=evaluate,
@@ -462,7 +457,7 @@ def kstar_apply_step(kernel: KernelSpec, step: StepFunction):
     return apply
 
 
-def kstar_apply(kernel: KernelSpec, f, rule: QuadratureRule = DEFAULT_RULE):
+def kstar_apply(kernel: KernelSpec, f):
     """K* f for continuous f: s -> K(s+, s) f(s) + int_s^T f(t) K1(t, s) dt."""
     if kernel.dt_eval is None:
         raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
@@ -477,7 +472,7 @@ def kstar_apply(kernel: KernelSpec, f, rule: QuadratureRule = DEFAULT_RULE):
             t = np.atleast_1d(np.asarray(t, dtype=float))
             return np.array([float(np.asarray(f(ti))) * kernel.dt_smooth(ti, s) for ti in t])
 
-        return local + quad_singular_smooth(smooth, s, big_t, kernel.singularity, rule)
+        return local + quad_singular_smooth(smooth, s, big_t, kernel.singularity)
 
     return apply
 
@@ -487,12 +482,7 @@ def kstar_apply(kernel: KernelSpec, f, rule: QuadratureRule = DEFAULT_RULE):
 
 
 def k1_empirical(
-    kernel: KernelSpec,
-    horizon: float = None,
-    t_grid: int = 256,
-    rule: QuadratureRule = None,
-    refine_tol: float = 1e-6,
-    max_refinements: int = 3,
+    kernel: KernelSpec, t_grid: int = 256, refine_tol: float = 1e-6, max_refinements: int = 3
 ) -> float:
     """sup over t of int_0^t K(T, s) K1(t, s) ds, on a refining t-grid.
 
@@ -501,8 +491,8 @@ def k1_empirical(
     """
     if kernel.dt_eval is None:
         raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
-    big_t = kernel.horizon if horizon is None else horizon
-    rule = rule or QuadratureRule(panels=6, nodes=12)
+    big_t = kernel.horizon
+    rule = QuadratureRule(panels=6, nodes=12)
 
     # cache K(T, .) through an interpolated smooth factor phi(s) = K(T,s) * s^(-g0)
     g0 = kernel.origin_exponent
@@ -524,7 +514,7 @@ def k1_empirical(
             return k_upper(s) * kernel.dt_smooth(t, s)
 
         mid = 0.5 * t
-        low = quad_singular(integrand, 0.0, mid, 2.0 * g0, rule, endpoint="lower")
+        low = quad_singular(integrand, 0.0, mid, 2.0 * g0, rule)
         return low + quad_singular_smooth(smooth, mid, t, kernel.singularity, rule, endpoint="upper")
 
     n = t_grid
@@ -570,12 +560,11 @@ def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
     return a
 
 
-def op_norm_estimate(
-    kernel: KernelSpec, n_grid: int = 512, tol: float = 1e-8, max_iter: int = 5000
-) -> float:
+def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512, max_iter: int = 5000) -> float:
     """Largest singular value of the discretized K*, by power iteration on A^T A.
 
-    Raises DomainError when ``max_iter`` iterations do not reach ``tol``.
+    Iteration stops when the eigenvalue estimate changes by at most 1e-8
+    relative; DomainError is raised when ``max_iter`` iterations do not get there.
     """
     a = discretize_kstar(kernel, n_grid)
     b = a.T @ a
@@ -590,44 +579,33 @@ def op_norm_estimate(
             return 0.0
         v_new = w / nw
         lam_new = float(v_new @ (b @ v_new))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1.0):
+        if abs(lam_new - lam) <= 1e-8 * max(lam_new, 1.0):
             return math.sqrt(max(lam_new, 0.0))
         lam, v = lam_new, v_new
-    raise DomainError(f"power iteration did not reach tol={tol} in {max_iter} iterations")
+    raise DomainError(f"power iteration did not reach tol=1e-08 in {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------
 # covariance functions
 
 
-@dataclass(frozen=True)
-class CovarianceFunction:
-    """Symmetric positive-semidefinite covariance R(t, s)."""
-
-    fn: object
-    name: str = "custom"
-
-    def __call__(self, t, s):
-        return self.fn(t, s)
+def brownian_covariance():
+    """R(t, s) = min(t, s) as a callable."""
+    return np.minimum
 
 
-def brownian_covariance() -> CovarianceFunction:
-    return CovarianceFunction(lambda t, s: np.minimum(t, s), "brownian")
-
-
-def fbm_covariance(hurst: float) -> CovarianceFunction:
+def fbm_covariance(hurst: float):
+    """R(t, s) = (|t|^2H + |s|^2H - |t - s|^2H) / 2 as a callable."""
     _check_hurst(hurst)
 
     def r(t, s):
         h2 = 2.0 * hurst
         return 0.5 * (np.abs(t) ** h2 + np.abs(s) ** h2 - np.abs(t - s) ** h2)
 
-    return CovarianceFunction(r, f"fbm(H={hurst})")
+    return r
 
 
-def covariance_from_kernel(
-    kernel: KernelSpec, t: float, s: float, rule: QuadratureRule = DEFAULT_RULE
-) -> float:
+def covariance_from_kernel(kernel: KernelSpec, t: float, s: float) -> float:
     """E X(t) X(s) = int_0^min(t,s) K(t, tau) K(s, tau) d tau for adapted kernels."""
     if not kernel.adapted:
         raise UnsupportedKernelError("covariance formula requires an adapted kernel")
@@ -641,18 +619,21 @@ def covariance_from_kernel(
             [kernel.eval(t, x) * kernel.eval(s, x) for x in tau]
         )
 
-    return quad_singular(integrand, 0.0, upper, 2.0 * kernel.origin_exponent, rule)
+    return quad_singular(integrand, 0.0, upper, 2.0 * kernel.origin_exponent)
 
 
-def hr_gram(r: CovarianceFunction, times, psd_tol: float = 1e-10) -> np.ndarray:
-    """Gram matrix G_ij = R(t_i, t_j) with a positive-semidefiniteness check."""
+def hr_gram(r, times) -> np.ndarray:
+    """Gram matrix G_ij = R(t_i, t_j) of a covariance callable R, checked to be symmetric and PSD.
+
+    PSD allows a minimum eigenvalue down to -1e-10 max(1, max |G_ij|).
+    """
     times = np.asarray(times, dtype=float)
     g = np.array([[float(r(ti, tj)) for tj in times] for ti in times])
     if not np.allclose(g, g.T, atol=1e-12):
         raise InvalidCovarianceError("covariance Gram matrix is not symmetric")
     eigmin = float(np.linalg.eigvalsh(g)[0])
     scale = max(1.0, float(np.max(np.abs(g))))
-    if eigmin < -psd_tol * scale:
+    if eigmin < -1e-10 * scale:
         raise InvalidCovarianceError(f"minimum eigenvalue {eigmin} below tolerance")
     return g
 

@@ -59,21 +59,15 @@ def sample_batch(seed: int, n: int, modes: int) -> SampleBatch:
     return SampleBatch(seed, z)
 
 
-def synthesize_path(
-    kernel: KernelSpec, basis: BasisFamily, trunc: Truncation, z_row, grid
-) -> np.ndarray:
-    """Truncated associated process X(t_i) = sum_{k <= K} M~_k(t_i) z_k."""
-    z_row = np.asarray(z_row, dtype=float)
-    if z_row.shape[0] < trunc.modes:
-        raise DomainError("sample row shorter than the mode count")
-    mt = _mtilde_table(kernel, basis, trunc.modes, grid)
-    return mt @ z_row[: trunc.modes]
-
-
 def synthesize_paths(
     kernel: KernelSpec, basis: BasisFamily, trunc: Truncation, batch: SampleBatch, grid
 ) -> np.ndarray:
-    """All batch paths at once; shape (n_samples, len(grid))."""
+    """Truncated associated process X(t_i) = sum_{k <= K} M~_k(t_i) z_k for each batch row.
+
+    Shape (n_samples, len(grid)); a batch with fewer columns than modes raises DomainError.
+    """
+    if batch.modes < trunc.modes:
+        raise DomainError("sample rows shorter than the mode count")
     mt = _mtilde_table(kernel, basis, trunc.modes, grid)
     return batch.z[:, : trunc.modes] @ mt.T
 
@@ -86,36 +80,23 @@ def _check_paths(x, y):
     return x, y
 
 
-def discrete_ito(x, y) -> float:
-    """Left-point Riemann sum sum_i X(t_i) (Y(t_{i+1}) - Y(t_i))."""
-    return float(discrete_ito_batch(x, y))
-
-
-def discrete_strat(x, y) -> float:
-    """Midpoint rule sum_i (X(t_i) + X(t_{i+1}))/2 * (Y(t_{i+1}) - Y(t_i))."""
-    return float(discrete_strat_batch(x, y))
-
-
 def discrete_ito_batch(x, y) -> np.ndarray:
+    """Left-point Riemann sum sum_i X(t_i) (Y(t_{i+1}) - Y(t_i)) along the last axis."""
     x, y = _check_paths(x, y)
     return np.sum(x[..., :-1] * np.diff(y, axis=-1), axis=-1)
 
 
 def discrete_strat_batch(x, y) -> np.ndarray:
+    """Midpoint rule sum_i (X(t_i) + X(t_{i+1}))/2 * (Y(t_{i+1}) - Y(t_i)) along the last axis."""
     x, y = _check_paths(x, y)
     return np.sum(0.5 * (x[..., :-1] + x[..., 1:]) * np.diff(y, axis=-1), axis=-1)
 
 
-def mc_compare(
-    chaos_result: ChaosExpansion,
-    oracle_values,
-    batch: SampleBatch,
-    sigma_tolerance: float = 3.0,
-) -> dict:
+def mc_compare(chaos_result: ChaosExpansion, oracle_values, batch: SampleBatch) -> dict:
     """Compare chaos_eval(F, Z) against per-sample oracle values.
 
     The statistic is the mean difference d = F(Z) - oracle, and the gate is
-    |mean d| <= max(sigma_tolerance * stderr, roundoff_floor) with
+    |mean d| <= max(3 * stderr, roundoff_floor) with
 
         roundoff_floor = ROUNDOFF_FACTOR * eps * mean(|F(Z)| + |oracle|),
 
@@ -131,10 +112,14 @@ def mc_compare(
     its two parts.  Non-finite chaos or oracle values raise DomainError.
     Pairwise summation keeps the reduction deterministic.
     """
+    return _compare_values(chaos_eval(chaos_result, batch.z), oracle_values, batch)
+
+
+def _compare_values(values, oracle_values, batch: SampleBatch) -> dict:
+    """``mc_compare``'s report for per-sample values F(Z) already computed on ``batch``."""
     oracle_values = np.asarray(oracle_values, dtype=float)
     if oracle_values.shape != (batch.n_samples,):
         raise ConfigurationError("oracle values must be one per sample")
-    values = chaos_eval(chaos_result, batch.z)
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(oracle_values))):
         raise DomainError("chaos and oracle values must be finite")
     diffs = values - oracle_values
@@ -142,7 +127,7 @@ def mc_compare(
     stderr = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs))) if len(diffs) > 1 else 0.0
     magnitude = float(np.mean(np.abs(values) + np.abs(oracle_values)))
     floor = ROUNDOFF_FACTOR * float(np.finfo(float).eps) * magnitude
-    tolerance = max(sigma_tolerance * stderr, floor)
+    tolerance = max(3.0 * stderr, floor)
     return {
         "statistic": mean,
         "stderr": stderr,

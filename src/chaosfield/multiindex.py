@@ -96,10 +96,6 @@ class MultiIndex:
         """log(alpha!) = sum_k log(alpha_k!)."""
         return sum(math.lgamma(a + 1) for _, a in self.entries)
 
-    def factorial_sqrt_log(self) -> float:
-        """(1/2) log(alpha!), so that exp of it equals sqrt(alpha!)."""
-        return 0.5 * self.factorial_log()
-
     def add(self, other: "MultiIndex") -> "MultiIndex":
         """Entrywise sum alpha + beta."""
         merged = dict(self.entries)

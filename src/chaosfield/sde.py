@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import BasisFamily, _leggauss, jacobi01
 from .chaos import ChaosExpansion
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .hermite import hermite_table
 from .kernels import KernelSpec, _mtilde_table
 from .multiindex import Truncation, _tables, enumerate_multiindices
@@ -78,22 +78,11 @@ class PropagatorSolution:
             json.dump(sidecar, fh, sort_keys=True)
 
 
-def _check_interpretation(interpretation: str):
-    if interpretation == "ito":
-        return
-    if interpretation == "stratonovich":
-        raise ConfigurationError(
-            "the Stratonovich form couples each coefficient to higher-order ones, "
-            "so the system is not triangular; only the Ito interpretation is solved"
-        )
-    raise ConfigurationError(f"unknown interpretation {interpretation!r}")
-
-
 def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.ndarray:
     """Truncated Wick exponential sum_{|alpha| <= N} prod_k c_k^{a_k} H_{a_k}(z_k)/a_k!.
 
     Dynamic programming over modes keeps the cost linear in K instead of
-    enumerating the index set.
+    enumerating the index set.  Non-finite samples or M~ values raise DomainError.
     """
     c = np.asarray(mtilde_row, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -101,6 +90,8 @@ def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.nda
     zz = z[None, :] if one_sample else z
     if zz.shape[1] < len(c):
         raise DomainError("sample vector shorter than the mode count")
+    if not (np.all(np.isfinite(zz)) and np.all(np.isfinite(c))):
+        raise DomainError("samples and M~ values must be finite")
     n = zz.shape[0]
     dp = np.zeros((max_order + 1, n))
     dp[0] = 1.0
@@ -117,14 +108,9 @@ def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.nda
 
 
 def solve_closed_form(
-    kernel: KernelSpec,
-    basis: BasisFamily,
-    trunc: Truncation,
-    grid,
-    interpretation: str = "ito",
+    kernel: KernelSpec, basis: BasisFamily, trunc: Truncation, grid
 ) -> PropagatorSolution:
     """Wick-exponential solution u_alpha(t) = prod_k M~_k(t)^{alpha_k} / sqrt(alpha!)."""
-    _check_interpretation(interpretation)
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
     times = np.asarray(grid, dtype=float)
     mt = _mtilde_table(kernel, basis, trunc.modes, times)
@@ -142,6 +128,10 @@ def solve_closed_form(
 
 # ---------------------------------------------------------------------------
 # Picard / collocation solver
+
+
+# Gauss nodes of each sub-quadrature in the Picard integration matrices
+_SUB_NODES = 32
 
 
 def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
@@ -166,13 +156,13 @@ def _lagrange_eval(nodes: np.ndarray, bw: np.ndarray, x: np.ndarray) -> np.ndarr
 
 
 class _CollocationGrid:
-    """Graded composite Gauss-Legendre collocation mesh on [0, T]."""
+    """Composite Gauss-Legendre collocation mesh on [0, T], panel edges graded as T (p / panels)^3."""
 
-    def __init__(self, horizon: float, panels: int, nodes: int, grading: float):
+    def __init__(self, horizon: float, panels: int, nodes: int):
         self.horizon = horizon
         self.panels = panels
         self.nodes = nodes
-        self.edges = horizon * (np.arange(panels + 1) / panels) ** grading
+        self.edges = horizon * (np.arange(panels + 1) / panels) ** 3.0
         x, w = _leggauss(nodes)
         self.ref_nodes = x
         lo, hi = self.edges[:-1], self.edges[1:]
@@ -196,9 +186,7 @@ class _CollocationGrid:
         return out
 
 
-def _integration_matrix(
-    grid: _CollocationGrid, gamma0: float, psi, sub_nodes: int = 32
-) -> np.ndarray:
+def _integration_matrix(grid: _CollocationGrid, gamma0: float, psi) -> np.ndarray:
     """Lower-triangular W_k with (W_k v)[m] = int_0^{x_m} v~(s) m~_k(s) ds, for every mode.
 
     v~ is the panelwise Lagrange interpolant of the node values v and
@@ -212,13 +200,13 @@ def _integration_matrix(
     """
     p_count, q = grid.panels, grid.nodes
     n = p_count * q
-    xg, wg = _leggauss(sub_nodes)
+    xg, wg = _leggauss(_SUB_NODES)
     for p in range(p_count):
         a = grid.edges[p]
         # rows: int_a^{x_i} for the q nodes x_i, then int_a^{b} over the whole panel
         upper = np.append(grid.panel_nodes[p], grid.edges[p + 1])
         if p == 0 and gamma0 != 0.0:
-            vj, wj = jacobi01(sub_nodes, 0.0, gamma0)
+            vj, wj = jacobi01(_SUB_NODES, 0.0, gamma0)
             s = np.outer(upper, vj)
             weights = np.outer(upper ** (gamma0 + 1.0), wj)
             mt = psi(s.ravel()).reshape((-1,) + s.shape)
@@ -229,7 +217,7 @@ def _integration_matrix(
             mt = s**gamma0 * psi(s.ravel()).reshape((-1,) + s.shape)
         if p == 0:
             w = [np.zeros((n, n)) for _ in mt]
-        l = _lagrange_eval(grid.panel_nodes[p], grid.bw[p], s.ravel()).reshape(q, q + 1, sub_nodes)
+        l = _lagrange_eval(grid.panel_nodes[p], grid.bw[p], s.ravel()).reshape(q, q + 1, _SUB_NODES)
         block = slice(p * q, (p + 1) * q)
         for w_mode, mt_mode in zip(w, mt):
             rows = np.einsum("jms,ms->mj", l, weights * mt_mode)
@@ -243,25 +231,20 @@ def solve_picard(
     basis: BasisFamily,
     trunc: Truncation,
     grid,
-    iterations: int = 1,
-    interpretation: str = "ito",
     panels: int = 48,
     nodes: int = 12,
-    grading: float = 3.0,
 ) -> PropagatorSolution:
     """Solve the triangular coefficient system by induction on |alpha|.
 
     Product-integration collocation: each u_alpha is represented by its values
     at graded composite Gauss-Legendre nodes, and the Volterra integral is a
     precomputed lower-triangular matrix per mode, all modes built together.
-    ``iterations`` multiplies the panel count for refinement studies.
+    Only the Ito interpretation is solved: the Stratonovich form couples each
+    coefficient to higher-order ones, so its system is not triangular.
     """
-    _check_interpretation(interpretation)
-    if iterations < 1:
-        raise ConfigurationError("iterations must be >= 1")
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
     times = np.asarray(grid, dtype=float)
-    cgrid = _CollocationGrid(basis.horizon, panels * iterations, nodes, grading)
+    cgrid = _CollocationGrid(basis.horizon, panels, nodes)
     modes = np.arange(1, trunc.modes + 1)
     w_k = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
 

@@ -32,6 +32,7 @@ from .kernels import (
     op_norm_estimate,
 )
 from .mc import (
+    _compare_values,
     discrete_strat_batch,
     mc_compare,
     sample_batch,
@@ -80,9 +81,10 @@ def _w_squared_coeffs(trunc: Truncation, basis: BasisFamily) -> ChaosExpansion:
     return ChaosExpansion(Truncation(modes, max(trunc.max_order, 2)), coeffs)
 
 
-def hermite_orthogonality_error(n_max: int = 10, quad_points: int = 40) -> float:
-    """max over n, m of |E[H_n H_m] - n! delta_nm| / sqrt(n! m!) by quadrature."""
-    x, w = np.polynomial.hermite_e.hermegauss(quad_points)
+def hermite_orthogonality_error(n_max: int = 10) -> float:
+    """max over n, m of |E[H_n H_m] - n! delta_nm| / sqrt(n! m!), by 40-point
+    Gauss-Hermite quadrature."""
+    x, w = np.polynomial.hermite_e.hermegauss(40)
     w = w / math.sqrt(2.0 * math.pi)
     h = np.array([hermite(n, x) for n in range(n_max + 1)])
     gram = (h * w) @ h.T
@@ -127,7 +129,8 @@ def suite_algebra() -> dict:
     return _wrap("algebra", checks)
 
 
-def suite_integrals(modes: int = 16) -> dict:
+def suite_integrals() -> dict:
+    modes = 16
     basis = BasisFamily("cosine", 1.0)
     trunc = Truncation(modes, 2)
     eta = brownian_path_integrand(trunc, basis)
@@ -199,7 +202,8 @@ def suite_fbm() -> dict:
     return _wrap("fbm", checks)
 
 
-def suite_mc(seed: int = 20260824, n_samples: int = 10000) -> dict:
+def suite_mc() -> dict:
+    seed, n_samples = 20260824, 10000
     basis = BasisFamily("cosine", 1.0)
     kernel = brownian_kernel(1.0)
     checks = []
@@ -220,17 +224,8 @@ def suite_mc(seed: int = 20260824, n_samples: int = 10000) -> dict:
     batch = sample_batch(seed + 1, n_samples, 8)
     mt = sol.mtilde[0]
     oracle = np.exp(batch.z @ mt - 0.5 * float(np.sum(mt**2)))
-    diffs = sol.sample(1.0, batch.z) - oracle
-    mean = float(np.mean(diffs))
-    stderr = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs)))
-    checks.append(
-        {
-            "name": "sde-sample-vs-lognormal",
-            "pass": bool(abs(mean) <= 3.0 * stderr),
-            "value": abs(mean),
-            "tolerance": 3.0 * stderr,
-        }
-    )
+    lognormal_report = _compare_values(sol.sample(1.0, batch.z), oracle, batch)
+    checks.append(_mc_check("sde-sample-vs-lognormal", lognormal_report))
     return _wrap("mc", checks)
 
 

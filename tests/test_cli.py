@@ -207,3 +207,10 @@ def test_fbm_grid_below_one_exits_2(grid, capsys):
     code, out = run(capsys, "fbm", "--grid", grid)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--t-min", "nan"), ("--t-max", "inf")])
+def test_hermite_non_finite_range_exits_2(flag, value, capsys):
+    code, out = run(capsys, "hermite", flag, value, "--t-points", "2", "--n-max", "2")
+    assert code == 2
+    assert out == ""

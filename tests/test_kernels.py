@@ -183,10 +183,8 @@ def test_hr_gram():
     assert g[0, 2] == 0.25
     assert np.all(np.linalg.eigvalsh(g) >= -1e-12)
     bad = lambda t, s: -1.0 if t != s else 0.0  # noqa: E731
-    from chaosfield.kernels import CovarianceFunction
-
     with pytest.raises(InvalidCovarianceError):
-        hr_gram(CovarianceFunction(bad), [0.0, 1.0])
+        hr_gram(bad, [0.0, 1.0])
 
 
 def test_grid_kernel_from_csv(tmp_path):

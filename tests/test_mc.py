@@ -9,14 +9,12 @@ from chaosfield.chaos import ChaosExpansion, chaos_eval
 from chaosfield.errors import ConfigurationError, DomainError
 from chaosfield.kernels import brownian_kernel, fbm_covariance, fbm_kernel_spec
 from chaosfield.mc import (
-    discrete_ito,
+    SampleBatch,
     discrete_ito_batch,
-    discrete_strat,
     discrete_strat_batch,
     mc_compare,
     report_json,
     sample_batch,
-    synthesize_path,
     synthesize_paths,
 )
 from chaosfield.multiindex import MultiIndex, Truncation
@@ -52,7 +50,7 @@ def test_sample_batch_rejects_bad_shape():
 def test_synthesize_path_zero_sample():
     kernel = brownian_kernel(1.0)
     basis = BasisFamily("cosine", 1.0)
-    path = synthesize_path(kernel, basis, Truncation(4, 1), np.zeros(4), [0.0, 0.5, 1.0])
+    path = synthesize_paths(kernel, basis, Truncation(4, 1), SampleBatch(0, np.zeros((1, 4))), [0.0, 0.5, 1.0])
     assert np.allclose(path, 0.0)
 
 
@@ -61,20 +59,14 @@ def test_synthesize_path_brownian_endpoint():
     kernel = brownian_kernel(1.0)
     basis = BasisFamily("cosine", 1.0)
     z = np.array([1.7, -0.3, 0.4, 2.0])
-    path = synthesize_path(kernel, basis, Truncation(4, 1), z, [1.0])
-    assert path[0] == pytest.approx(1.7, abs=1e-12)
+    path = synthesize_paths(kernel, basis, Truncation(4, 1), SampleBatch(0, z[None]), [1.0])
+    assert path[0, 0] == pytest.approx(1.7, abs=1e-12)
 
 
-def test_synthesize_paths_matches_single():
-    kernel = fbm_kernel_spec(0.75, 1.0)
+def test_synthesize_paths_rejects_a_batch_narrower_than_the_modes():
     basis = BasisFamily("cosine", 1.0)
-    trunc = Truncation(3, 1)
-    batch = sample_batch(5, 4, 3)
-    grid = np.linspace(0.0, 1.0, 9)
-    all_paths = synthesize_paths(kernel, basis, trunc, batch, grid)
-    for i in range(4):
-        single = synthesize_path(kernel, basis, trunc, batch.z[i], grid)
-        assert np.allclose(all_paths[i], single, atol=1e-12)
+    with pytest.raises(DomainError, match="mode count"):
+        synthesize_paths(brownian_kernel(1.0), basis, Truncation(4, 1), sample_batch(0, 3, 2), [0.5, 1.0])
 
 
 def test_synthesized_variance_tracks_covariance():
@@ -94,33 +86,22 @@ def test_discrete_integrators_deterministic_cases():
     grid = np.linspace(0.0, 1.0, 101)
     y = grid.copy()
     # int_0^1 t dt = 1/2: midpoint rule is exact, left point has O(h) bias
-    assert discrete_strat(grid, y) == pytest.approx(0.5, abs=1e-14)
-    assert discrete_ito(grid, y) == pytest.approx(0.5 - 0.005, abs=1e-14)
+    assert discrete_strat_batch(grid, y) == pytest.approx(0.5, abs=1e-14)
+    assert discrete_ito_batch(grid, y) == pytest.approx(0.5 - 0.005, abs=1e-14)
 
 
 def test_discrete_integrator_identity():
     # sum x dx relations: strat gives (x_N^2 - x_0^2)/2 exactly by telescoping
     rng = np.random.default_rng(2)
     x = np.cumsum(rng.standard_normal(200))
-    assert discrete_strat(x, x) == pytest.approx((x[-1] ** 2 - x[0] ** 2) / 2, rel=1e-12)
+    assert discrete_strat_batch(x, x) == pytest.approx((x[-1] ** 2 - x[0] ** 2) / 2, rel=1e-12)
     qv = float(np.sum(np.diff(x) ** 2))
-    assert discrete_ito(x, x) == pytest.approx((x[-1] ** 2 - x[0] ** 2) / 2 - qv / 2, rel=1e-12)
-
-
-def test_discrete_batch_matches_scalar():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((6, 30))
-    y = rng.standard_normal((6, 30))
-    ito = discrete_ito_batch(x, y)
-    strat = discrete_strat_batch(x, y)
-    for i in range(6):
-        assert ito[i] == pytest.approx(discrete_ito(x[i], y[i]), rel=1e-12)
-        assert strat[i] == pytest.approx(discrete_strat(x[i], y[i]), rel=1e-12)
+    assert discrete_ito_batch(x, x) == pytest.approx((x[-1] ** 2 - x[0] ** 2) / 2 - qv / 2, rel=1e-12)
 
 
 def test_paths_shape_mismatch_rejected():
     with pytest.raises(ConfigurationError):
-        discrete_ito(np.zeros(5), np.zeros(6))
+        discrete_ito_batch(np.zeros(5), np.zeros(6))
 
 
 def test_mc_compare_exact_match_passes():
@@ -221,5 +202,5 @@ def test_mc_compare_rejects_nonfinite_chaos_values(bad):
 def test_discrete_sums_of_one_path_are_row_0_of_the_batch():
     rng = np.random.default_rng(4)
     x, y = rng.standard_normal((3, 257)), rng.standard_normal((3, 257))
-    assert discrete_ito(x[0], y[0]) == discrete_ito_batch(x, y)[0]
-    assert discrete_strat(x[0], y[0]) == discrete_strat_batch(x, y)[0]
+    assert discrete_ito_batch(x[0], y[0]) == discrete_ito_batch(x, y)[0]
+    assert discrete_strat_batch(x[0], y[0]) == discrete_strat_batch(x, y)[0]

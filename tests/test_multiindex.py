@@ -28,7 +28,6 @@ def test_from_dense_roundtrip():
 def test_factorial_log():
     a = MultiIndex.from_dense([3, 2])
     assert a.factorial_log() == pytest.approx(math.log(6) + math.log(2))
-    assert a.factorial_sqrt_log() == pytest.approx(0.5 * (math.log(6) + math.log(2)))
 
 
 def test_add_sub():

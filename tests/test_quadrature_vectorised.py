@@ -95,13 +95,15 @@ def ref_integration_matrix(grid, gamma0, psi, sub_nodes=32):
 
 
 def ref_fbm_mtilde(kernel, basis, k, t, jacobi_nodes=48):
-    """The fBm M~_k(t) as one scalar Gauss-Jacobi sum."""
+    """The fBm M~_k(t) = t^(gamma0+1) int_0^1 v^gamma0 psi_k(t v) dv as one scalar Gauss-Jacobi sum.
+
+    gamma0 = H - 1/2 is exact for H in (1/2, 1), so gamma0 + 1 is the same float as H + 1/2.
+    """
     if t <= 0:
         return 0.0
-    hurst = kernel.params["hurst"]
-    _, psi = kmk_factor(kernel, basis, k)
-    wnodes, ww = jacobi01(jacobi_nodes, 0.0, hurst - 0.5)
-    return float(t ** (hurst + 0.5) * np.dot(ww, psi(t * wnodes)))
+    gamma0, psi = kmk_factor(kernel, basis, k)
+    wnodes, ww = jacobi01(jacobi_nodes, 0.0, gamma0)
+    return float(t ** (gamma0 + 1.0) * np.dot(ww, psi(t * wnodes)))
 
 
 def ref_picard_nodes(w_k, trunc):
@@ -141,7 +143,7 @@ def ref_k1_empirical(kernel, t_grid=256, refine_tol=1e-6, max_refinements=3):
             return k_upper(s) * np.array([kernel.dt_smooth(t, si) for si in s])
 
         mid = 0.5 * t
-        low = quad_singular(integrand, 0.0, mid, 2.0 * g0, rule, endpoint="lower")
+        low = quad_singular(integrand, 0.0, mid, 2.0 * g0, rule)
         high = quad_singular_smooth(smooth, mid, t, kernel.singularity, rule, endpoint="upper")
         return low + high
 
@@ -181,7 +183,7 @@ def _kernels(grid_kernel):
 
 @pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
 def test_integration_matrix_matches_row_loop(basis, grid_kernel):
-    cgrid = _CollocationGrid(1.0, 6, 5, 3.0)
+    cgrid = _CollocationGrid(1.0, 6, 5)
     for name, kernel in _kernels(grid_kernel):
         modes = (1, 3)
         batched = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
@@ -195,7 +197,7 @@ def test_integration_matrix_matches_row_loop(basis, grid_kernel):
 def test_integration_matrix_default_mesh_fbm():
     # the solver's own mesh: 48 graded panels of 12 nodes
     basis, kernel = BASES[0], fbm_kernel_spec(0.7, 1.0)
-    cgrid = _CollocationGrid(1.0, 48, 12, 3.0)
+    cgrid = _CollocationGrid(1.0, 48, 12)
     gamma0, psi = kmk_factor(kernel, basis, 2)
     ref = ref_integration_matrix(cgrid, gamma0, psi)
     (got,) = _integration_matrix(cgrid, gamma0, lambda s: kernel.psi(basis, (2,), s))
@@ -221,7 +223,7 @@ def test_batched_psi_and_mtilde_bit_equal_to_per_mode(basis, name, grid_kernel):
         per_t = np.array([kernel.mtilde(basis, k, np.array([t]))[0] for t in times])
         assert kernel.mtilde(basis, k, times).tobytes() == per_t.tobytes(), k
     # the integration matrices of all modes, built together, against each mode built alone
-    cgrid = _CollocationGrid(1.0, 3, 4, 3.0)
+    cgrid = _CollocationGrid(1.0, 3, 4)
     together = _integration_matrix(cgrid, kernel.gamma0, lambda x: kernel.psi(basis, modes, x))
     for k, got in zip(modes, together):
         (alone,) = _integration_matrix(cgrid, kernel.gamma0, lambda x: kernel.psi(basis, (k,), x))
@@ -265,7 +267,7 @@ def test_picard_grades_match_alpha_loop(kernel, shape):
     times = np.linspace(0.0, 1.0, 17)
     panels, nodes = 8, 6
     sol = solve_picard(kernel, basis, trunc, times, panels=panels, nodes=nodes)
-    cgrid = _CollocationGrid(1.0, panels, nodes, 3.0)
+    cgrid = _CollocationGrid(1.0, panels, nodes)
     modes = np.arange(1, trunc.modes + 1)
     w_k = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
     ref = cgrid.interp_matrix(times) @ ref_picard_nodes(w_k, trunc).T

@@ -6,7 +6,7 @@ import pytest
 
 from chaosfield.basis import BasisFamily
 from chaosfield.chaos import chaos_eval
-from chaosfield.errors import ConfigurationError, DomainError
+from chaosfield.errors import DomainError
 from chaosfield.kernels import brownian_kernel, fbm_kernel_spec
 from chaosfield.multiindex import MultiIndex, Truncation
 from chaosfield.sde import (
@@ -71,8 +71,8 @@ def test_picard_refinement_consistency():
     trunc = Truncation(3, 2)
     grid = np.linspace(0.0, 1.0, 17)
     kernel = fbm_kernel_spec(0.75, 1.0)
-    coarse = solve_picard(kernel, BASIS, trunc, grid, iterations=1)
-    fine = solve_picard(kernel, BASIS, trunc, grid, iterations=2)
+    coarse = solve_picard(kernel, BASIS, trunc, grid)
+    fine = solve_picard(kernel, BASIS, trunc, grid, panels=96)
     assert np.max(np.abs(coarse.coeffs - fine.coeffs)) < 1e-9
 
 
@@ -104,15 +104,17 @@ def test_sample_wick_exponential_scalar():
     assert val == pytest.approx(math.exp(0.5 * 1.2 - 0.125), rel=1e-12)
 
 
-def test_stratonovich_interpretation_rejected():
-    with pytest.raises(ConfigurationError):
-        solve_closed_form(
-            brownian_kernel(1.0), BASIS, Truncation(2, 2), [0.0, 1.0], interpretation="stratonovich"
-        )
-    with pytest.raises(ConfigurationError):
-        solve_picard(
-            brownian_kernel(1.0), BASIS, Truncation(2, 2), [0.0, 1.0], interpretation="stratonovich"
-        )
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_wick_exponential_rejects_non_finite_input(bad):
+    c, z = np.array([0.5, -0.2]), np.array([[1.2, 0.3], [0.1, -0.7]])
+    z_bad, c_bad = z.copy(), c.copy()
+    z_bad[1, 1], c_bad[0] = bad, bad
+    for args in ((c, z_bad), (c, z_bad[1]), (c_bad, z)):
+        with pytest.raises(DomainError, match="finite"):
+            sample_wick_exponential(*args, 3)
+    sol = solve_closed_form(brownian_kernel(1.0), BASIS, Truncation(2, 3), [1.0])
+    with pytest.raises(DomainError, match="finite"):
+        sol.sample(1.0, z_bad)
 
 
 def test_export_csv(tmp_path):

@@ -1,6 +1,8 @@
 """Start-up cost and the shipped demos, each run in a fresh interpreter, the
-benchmark's per-layer span names against the library's public API, and the
-kernel protocol's rule that no consumer branches on what a kernel supplied."""
+benchmark's per-layer span names against the library's public API, the
+kernel protocol's rule that no consumer branches on what a kernel supplied,
+and the rule that every defaulted parameter of a public function is set by
+some call."""
 
 import ast
 import importlib
@@ -96,3 +98,47 @@ def test_no_consumer_checks_a_derived_kernel_piece_for_none():
     assert found == {}
     # the check sees such a comparison
     assert _none_checks_on_kernel_pieces(ast.parse("if k.dt_smooth is not None and k.singularity != None: pass"))
+
+
+CALLERS = ("src", "bench", "demos", "tests")
+
+
+def _defaulted_parameters(tree):
+    # {function: {parameter: position, or None if keyword-only}} of each public module-level function
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            params = {a.arg: positional.index(a) for a in positional[len(positional) - len(args.defaults) :]}
+            params.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
+            found.setdefault(node.name, {}).update(params)
+    return found
+
+
+def _unset_defaults(defined, call_trees):
+    # (function, parameter) of each defaulted parameter that no call sets, by keyword or by position
+    set_by_a_call = set()
+    for tree in call_trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            params = defined.get(name, {})
+            set_by_a_call.update((name, kw.arg) for kw in node.keywords if kw.arg in params)
+            set_by_a_call.update((name, p) for p, i in params.items() if i is not None and i < len(node.args))
+    return sorted((f, p) for f, params in defined.items() for p in params if (f, p) not in set_by_a_call)
+
+
+def test_every_defaulted_parameter_of_a_public_function_is_set_by_some_call():
+    # a default that no caller overrides is a constant dressed as an option
+    defined = {}
+    for path in sorted((ROOT / "src" / "chaosfield").glob("*.py")):
+        for name, params in _defaulted_parameters(ast.parse(path.read_text())).items():
+            defined.setdefault(name, {}).update(params)
+    calls = [ast.parse(path.read_text()) for sub in CALLERS for path in sorted((ROOT / sub).rglob("*.py"))]
+    assert _unset_defaults(defined, calls) == []
+    # the check sees an unset default, and a keyword or a positional argument past it sets it
+    sample = _defaulted_parameters(ast.parse("def f(a, b=1, *, c=2): pass"))
+    assert _unset_defaults(sample, [ast.parse("f(0)")]) == [("f", "b"), ("f", "c")]
+    assert _unset_defaults(sample, [ast.parse("m.f(0, 1, c=3)")]) == []
