@@ -32,29 +32,47 @@ def jacobi01(n: int, a: float, b: float):
     return (x + 1.0) / 2.0, w * 2.0 ** (-(a + b + 1.0))
 
 
+def _dot_rows(w, vals):
+    """sum_i w[..., i] vals[..., i]; each row is np.dot's sum, whatever the batch around it."""
+    return np.matmul(np.asarray(vals, dtype=float)[..., None, :], w[..., :, None])[..., 0, 0]
+
+
+def _on_live_rows(total, live):
+    """``total`` where the interval is non-empty, exactly 0 elsewhere; a float for scalar endpoints."""
+    out = np.where(live, total, 0.0)
+    return out if out.ndim else float(out)
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite Gauss-Legendre rule: ``panels`` equal panels of ``nodes`` points."""
+    """Composite Gauss-Legendre rule: ``panels`` equal panels of ``nodes`` points.
+
+    Like the quadratures below, it takes endpoints that broadcast: one node
+    table of shape broadcast(a, b).shape + (n,), one integrand call, one sum
+    over the last axis.  An empty interval (b <= a) gives exactly 0; its
+    nodes sit at its endpoint, and f is not called when all rows are empty.
+    """
 
     panels: int = 8
     nodes: int = 16
 
-    def nodes_weights(self, a: float, b: float):
+    def nodes_weights(self, a, b):
         """Nodes and weights on [a, b]; exact for degree <= 2*nodes-1 per panel."""
         x, w = _leggauss(self.nodes)
-        edges = np.linspace(a, b, self.panels + 1)
-        lo, hi = edges[:-1], edges[1:]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        xs = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        ws = (half[:, None] * w[None, :]).ravel()
-        return xs, ws
+        a, b = np.expand_dims(a, -1), np.expand_dims(b, -1)
+        edges = a + np.arange(self.panels + 1) * ((b - a) / self.panels)  # np.linspace's arithmetic, row by row
+        edges[..., -1] = b[..., 0]
+        lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        shape = edges.shape[:-1] + (-1,)
+        return (mid + half * x).reshape(shape), (half * w).reshape(shape)
 
-    def integrate(self, f, a: float, b: float) -> float:
-        if b == a:
-            return 0.0
-        xs, ws = self.nodes_weights(a, b)
-        return float(np.dot(ws, np.asarray(f(xs), dtype=float)))
+    def integrate(self, f, a, b):
+        live = np.greater(b, a)
+        if not np.any(live):
+            return _on_live_rows(0.0, live)
+        xs, ws = self.nodes_weights(a, np.maximum(a, b))
+        return _on_live_rows(_dot_rows(ws, f(xs)), live)
 
 
 DEFAULT_RULE = QuadratureRule()
@@ -75,7 +93,8 @@ class BasisFamily:
 
     def _check(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-12) or np.any(t > self.horizon + 1e-12):
+        # one pass of positive tests, so NaN fails it
+        if not np.all((t >= -1e-12) & (t <= self.horizon + 1e-12)):
             raise DomainError(f"t outside [0, {self.horizon}]")
         return np.clip(t, 0.0, self.horizon)
 
@@ -132,53 +151,55 @@ def inner_product(f, g, rule: QuadratureRule = DEFAULT_RULE, horizon: float = 1.
     return rule.integrate(lambda t: np.asarray(f(t)) * np.asarray(g(t)), 0.0, horizon)
 
 
-def quad_singular(f, a: float, b: float, gamma: float, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def quad_singular(f, a, b, gamma: float, rule: QuadratureRule = DEFAULT_RULE):
     """Integrate f over [a, b] where f(tau) = (tau - a)^gamma * g(tau), g smooth, gamma in (-1, 0].
 
     The power substitution u = (tau - a)^(gamma+1) regularizes the integrand;
     Gauss nodes never touch the endpoint.  gamma = 0 means no singularity:
-    the result is ``rule.integrate(f, a, b)``.
+    the result is ``rule.integrate(f, a, b)``.  Endpoints broadcast as in
+    ``QuadratureRule``.
     """
     if gamma == 0.0:
         return rule.integrate(f, a, b)
     if gamma <= -1.0:
         raise DomainError("exponent must be > -1 for an integrable singularity")
-    if b <= a:
-        return 0.0
+    live = np.greater(b, a)
+    if not np.any(live):
+        return _on_live_rows(0.0, live)
     p = 1.0 / (gamma + 1.0)
-    xs, ws = rule.nodes_weights(0.0, (b - a) ** (gamma + 1.0))
-    h = np.asarray(f(a + xs**p), dtype=float) * xs ** (p - 1.0)
-    return float(p * np.dot(ws, h))
+    xs, ws = rule.nodes_weights(0.0, np.maximum(b - a, 0.0) ** (gamma + 1.0))
+    h = np.asarray(f(np.expand_dims(a, -1) + xs**p), dtype=float) * xs ** (p - 1.0)
+    return _on_live_rows(p * _dot_rows(ws, h), live)
 
 
 def quad_singular_smooth(
     g,
-    a: float,
-    b: float,
+    a,
+    b,
     gamma: float,
     rule: QuadratureRule = DEFAULT_RULE,
     endpoint: str = "lower",
-) -> float:
+):
     """Integrate (distance)^gamma * g(tau) over [a, b], g the smooth cofactor.
 
     Gauss-Jacobi quadrature with the weight v^gamma built in: the singular
     factor is exact and never reconstructed by subtraction, so the result
     converges spectrally in the number of nodes for analytic g, and stays
     accurate when the endpoint sits far from zero.  gamma = 0 means no
-    singularity: the result is ``rule.integrate(g, a, b)``.
+    singularity: the result is ``rule.integrate(g, a, b)``.  Endpoints
+    broadcast as in ``QuadratureRule``.
     """
     if gamma == 0.0:
         return rule.integrate(g, a, b)
     if gamma <= -1.0:
         raise DomainError("exponent must be > -1 for an integrable singularity")
-    if b <= a:
-        return 0.0
-    n = min(rule.panels * rule.nodes, 96)
-    v, w = jacobi01(n, 0.0, gamma)
-    if endpoint == "lower":
-        pos = a + (b - a) * v
-    elif endpoint == "upper":
-        pos = b - (b - a) * v
-    else:
+    if endpoint not in ("lower", "upper"):
         raise ValueError("endpoint must be 'lower' or 'upper'")
-    return float((b - a) ** (gamma + 1.0) * np.dot(w, np.asarray(g(pos), dtype=float)))
+    live = np.greater(b, a)
+    if not np.any(live):
+        return _on_live_rows(0.0, live)
+    v, w = jacobi01(min(rule.panels * rule.nodes, 96), 0.0, gamma)
+    length = np.maximum(b - a, 0.0)
+    step = np.expand_dims(length, -1) * v
+    pos = np.expand_dims(a, -1) + step if endpoint == "lower" else np.expand_dims(b, -1) - step
+    return _on_live_rows(length ** (gamma + 1.0) * _dot_rows(w, g(pos)), live)

@@ -78,8 +78,11 @@ class ChaosExpansion:
         return float(self.vec[0])  # row 0 is the zero multi-index
 
     def norm_squared(self) -> float:
-        # square by square in enumeration order: np.dot would regroup the sum
-        return sum(c * c for c in self.vec[self.vec != 0].tolist())
+        # left to right in enumeration order: np.dot regroups, and the built-in sum compensates on Python >= 3.12
+        total = 0.0
+        for c in self.vec[self.vec != 0].tolist():
+            total += c * c
+        return total
 
     def __add__(self, other: "ChaosExpansion") -> "ChaosExpansion":
         if other.trunc != self.trunc:

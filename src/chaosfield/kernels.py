@@ -21,7 +21,9 @@ import numpy as np
 from .basis import (
     BasisFamily,
     QuadratureRule,
+    _dot_rows,
     _leggauss,
+    _on_live_rows,
     jacobi01,
     quad_singular,
     quad_singular_smooth,
@@ -63,13 +65,14 @@ class KernelSpec:
     """A Volterra kernel K(t, s) on [0, T]: the protocol a kernel constructor implements.
 
     Required: ``name``, ``horizon``, ``adapted`` (K(t, s) = 0 for s > t),
-    ``eval(t, s)`` for scalars and ``diag_limit(s)`` = K(s+, s).  Optional
-    derivative data, which K*, ``k1_empirical`` and the derived ``psi`` need:
+    ``eval(t, s)`` and ``diag_limit(s)`` = K(s+, s).  Optional derivative
+    data, which K*, ``k1_empirical`` and the derived ``psi`` need:
     ``dt_eval(t, s)`` = K1(t, s) = dK/dt; ``singularity``, the exponent of K1
     in (t - s) as t -> s+ (0, the default, when K1 is regular there; None
     reads as 0); ``origin_exponent``, the exponent of K(t, s) in s as s -> 0.
-    Both derivatives take a scalar t and an array s and broadcast over s (a
-    scalar s gives a scalar).
+    Every callable takes arrays: ``eval``, ``dt_eval`` and ``dt_smooth``
+    broadcast over t and s, ``diag_limit`` over s, so each integral below is
+    one call on a whole node table.
 
     Every pairing with a basis goes through one factorisation
     (K m_k)(s) = s^gamma0 psi_k(s), psi_k smooth at 0, and its antiderivative
@@ -86,8 +89,8 @@ class KernelSpec:
     leaves as None is derived at construction from ``eval`` and ``dt_eval``
     (``_DERIVED``): gamma0 = 0 and psi_k = K m_k = K(s+, s) m_k(s) +
     int_0^s m_k(tau) K1(s, tau) dtau by quadrature, M~_k by quadrature of
-    K(t, .) m_k (adapted kernels only), ``eval_column`` from one ``eval``
-    per t, and ``dt_smooth`` = K1(t, s) (t - s)^(-singularity), which is K1
+    K(t, .) m_k (adapted kernels only), ``eval_column`` as ``eval`` on the
+    column, and ``dt_smooth`` = K1(t, s) (t - s)^(-singularity), which is K1
     itself for a regular kernel.  A derived piece is bound to its spec, so a
     copy (``dataclasses.replace``) derives its own again.
     """
@@ -95,9 +98,9 @@ class KernelSpec:
     name: str
     horizon: float
     adapted: bool
-    eval: object  # callable (t, s) -> float
-    diag_limit: object  # callable (s,) -> float
-    dt_eval: object = None  # callable (t, s) -> float
+    eval: object  # callable (t, s) -> K(t, s)
+    diag_limit: object  # callable (s,) -> K(s+, s)
+    dt_eval: object = None  # callable (t, s) -> K1(t, s)
     dt_smooth: object = None  # callable (t, s) -> K1(t,s) * (t-s)^(-singularity)
     singularity: float = 0.0
     origin_exponent: float = 0.0
@@ -124,45 +127,34 @@ def _smooth_by_division(kernel: KernelSpec, t, s):
 
 
 def _column_by_eval(kernel: KernelSpec, t_sorted, s) -> np.ndarray:
-    return np.array([kernel.eval(t, s) for t in np.atleast_1d(t_sorted)], dtype=float)
+    return kernel.eval(np.atleast_1d(np.asarray(t_sorted, dtype=float)), s)
 
 
 def _quadrature_psi(kernel: KernelSpec, basis: BasisFamily, ks, s) -> np.ndarray:
-    """(K m_k)(s) point by point, from the diagonal limit and a quadrature of K1."""
+    """(K m_k)(s) from the diagonal limit and a quadrature of K1, one node table for all s."""
     if kernel.dt_eval is None:
         raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
     rule = QuadratureRule(panels=4, nodes=12)
     gam, g0 = kernel.singularity, kernel.origin_exponent
-
-    def scalar(k: int, x: float) -> float:
-        local = kernel.diag_limit(x) * float(np.asarray(basis.eval(k, x)))
-        if x <= 0:
-            return local
-        if not gam:
-            return local + rule.integrate(lambda tau: basis.eval(k, tau) * kernel.dt_eval(x, tau), 0.0, x)
-        # two-sided Jacobi weight tau^g0 (x - tau)^gam, both exponents exact
-        v, w = jacobi01(min(rule.panels * rule.nodes, 96), gam, g0)
-        tau = x * v
-        vals = basis.eval(k, tau) * kernel.dt_smooth(x, tau) * tau ** (-g0)
-        return local + x ** (g0 + gam + 1.0) * float(np.dot(w, vals))
-
-    points = np.asarray(s, dtype=float).tolist()
-    return np.array([[scalar(int(k), x) for x in points] for k in ks]).reshape(len(ks), len(points))
+    s = np.asarray(s, dtype=float)
+    local = kernel.diag_limit(s) * basis.eval(ks, s)
+    if not gam:
+        return local + rule.integrate(lambda tau: basis.eval(ks, tau) * kernel.dt_eval(s[:, None], tau), 0.0, s)
+    # two-sided Jacobi weight tau^g0 (x - tau)^gam, both exponents exact
+    v, w = jacobi01(min(rule.panels * rule.nodes, 96), gam, g0)
+    live = s > 0
+    x = np.where(live, s, 1.0)  # s = 0 has no integral, and K1 is singular there
+    tau = x[:, None] * v
+    vals = basis.eval(ks, tau) * kernel.dt_smooth(x[:, None], tau) * tau ** (-g0)
+    return local + np.where(live, x ** (g0 + gam + 1.0) * _dot_rows(w, vals), 0.0)
 
 
 def _quadrature_mtilde(kernel: KernelSpec, basis: BasisFamily, k: int, t) -> np.ndarray:
-    """M~_k(t_i) = int_0^{t_i} K(t_i, s) m_k(s) ds, one quadrature per t_i."""
+    """M~_k(t_i) = int_0^{t_i} K(t_i, s) m_k(s) ds, one quadrature for all t_i."""
     if not kernel.adapted:
         raise UnsupportedKernelError("generic m_tilde implemented for adapted kernels")
-
-    def one(x: float) -> float:
-        def integrand(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            return np.array([kernel.eval(x, y) for y in s]) * np.asarray(basis.eval(k, s), dtype=float)
-
-        return quad_singular(integrand, 0.0, x, kernel.origin_exponent)
-
-    return np.array([one(x) for x in np.asarray(t, dtype=float).tolist()])
+    t = np.asarray(t, dtype=float)
+    return quad_singular(lambda s: kernel.eval(t[..., None], s) * basis.eval(k, s), 0.0, t, kernel.origin_exponent)
 
 
 # how KernelSpec derives each factorisation piece a constructor leaves out
@@ -181,19 +173,15 @@ _DERIVED = {
 def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
     """K(t, s) = chi_{[0,t]}(s): the associated process is Brownian motion."""
 
-    def evaluate(t, s):
-        return 1.0 if s <= t else 0.0
-
     return KernelSpec(
         name="brownian",
         horizon=horizon,
         adapted=True,
-        eval=evaluate,
+        eval=lambda t, s: np.where(s <= t, 1.0, 0.0),
         diag_limit=lambda s: 1.0,
         dt_eval=lambda t, s: 0.0,
         psi=lambda basis, ks, s: basis.eval(ks, s),
         mtilde=lambda basis, k, t: basis.antideriv(k, t),
-        eval_column=lambda t_sorted, s: (np.atleast_1d(t_sorted) >= s).astype(float),
     )
 
 
@@ -238,17 +226,15 @@ def fbm_k1(hurst: float, horizon: float) -> float:
     )
 
 
-def fbm_kernel(hurst: float, t: float, s: float) -> float:
-    """fBm Volterra kernel K(t, s) for 0 < s <= t."""
+def fbm_kernel(hurst: float, t, s):
+    """fBm Volterra kernel K(t, s) for 0 < s <= t, broadcast over t and s."""
     _check_hurst(hurst)
     return _fbm_kernel(fbm_c_h(hurst) * (hurst - 0.5), hurst, t, s)
 
 
-def _fbm_kernel(c: float, hurst: float, t: float, s: float) -> float:
-    if s <= 0 or t < s:
+def _fbm_kernel(c: float, hurst: float, t, s):
+    if np.any(np.less_equal(s, 0)) or np.any(np.less(t, s)):
         raise DomainError("require 0 < s <= t")
-    if t == s:
-        return 0.0
     inner = quad_singular_smooth(lambda tau: tau ** (hurst - 0.5), s, t, hurst - 1.5)
     return c * s ** (0.5 - hurst) * inner
 
@@ -279,12 +265,6 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
     """
     _check_hurst(hurst)
     c = fbm_c_h(hurst) * (hurst - 0.5)
-
-    def evaluate(t, s):
-        return _fbm_kernel(c, hurst, t, s)
-
-    def dt_evaluate(t, s):
-        return _fbm_dt(c, hurst, t, s)
 
     def dt_smooth_evaluate(t, s):
         return c * s ** (0.5 - hurst) * t ** (hurst - 0.5)
@@ -353,9 +333,9 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         name="fbm",
         horizon=horizon,
         adapted=True,
-        eval=evaluate,
+        eval=partial(_fbm_kernel, c, hurst),
         diag_limit=lambda s: 0.0,
-        dt_eval=dt_evaluate,
+        dt_eval=partial(_fbm_dt, c, hurst),
         dt_smooth=dt_smooth_evaluate,
         singularity=hurst - 1.5,
         origin_exponent=0.5 - hurst,
@@ -397,16 +377,12 @@ def grid_kernel_from_csv(path) -> KernelSpec:
         out = interp(np.stack([t, s], axis=-1)).reshape(s.shape)
         return np.where(s > t, 0.0, out) if adapted else out
 
-    def evaluate(t, s):
-        return float(values(t, s))
-
     def diag_limit(s):
-        return evaluate(min(s + 0.5 * h, horizon), s)
+        return values(np.minimum(s + 0.5 * h, horizon), s)
 
     def dt_evaluate(t, s):
         # difference quotient over [t - h/2, t + h/2] clipped to [s, horizon]; 0 where that is empty
-        s = np.asarray(s, dtype=float)
-        lo, hi = np.maximum(t - 0.5 * h, s), min(t + 0.5 * h, horizon)
+        lo, hi = np.maximum(t - 0.5 * h, s), np.minimum(t + 0.5 * h, horizon)
         width = hi - lo
         nonempty = width > 0
         out = np.where(nonempty, values(hi, s) - values(lo, s), 0.0) / np.where(nonempty, width, 1.0)
@@ -416,7 +392,7 @@ def grid_kernel_from_csv(path) -> KernelSpec:
         name="custom-grid",
         horizon=horizon,
         adapted=adapted,
-        eval=evaluate,
+        eval=values,
         diag_limit=diag_limit,
         dt_eval=dt_evaluate,
     )
@@ -430,49 +406,42 @@ def kstar_apply_step(kernel: KernelSpec, step: StepFunction):
     """K* applied to a step function; valid for adapted kernels.
 
     On s in (s_i, s_{i+1}]:
-        a_i K(s_{i+1}, s) + sum_{k>i} a_k (K(s_{k+1}, s) - K(s_k, s));
-    zero outside (s_0, s_N].
+        a_i K(s_{i+1}, s) + sum_{k>i} a_k (K(s_{k+1}, s) - K(s_k, s)),
+    which is sum_k a_k (K(s_{k+1}, s) - K(s_k, s)) with K(s_k, s) = 0 for
+    s_k < s; zero outside (0, s_N].  The image broadcasts over s.
     """
     if not kernel.adapted:
         raise UnsupportedKernelError("step-function formula requires an adapted kernel")
     breaks = np.asarray(step.breaks, dtype=float)
     values = np.asarray(step.values, dtype=float)
 
-    def k_at(t: float, s: float) -> float:
-        return kernel.eval(t, s) if t >= s else 0.0
-
-    def apply(s: float) -> float:
-        if s <= 0.0 or s > breaks[-1]:
-            return 0.0
-        if s <= breaks[0]:
-            # below the support: only the nonlocal part survives
-            kvals = np.array([k_at(b, s) for b in breaks])
-            return float(np.dot(values, np.diff(kvals)))
-        i = int(np.searchsorted(breaks, s, side="left")) - 1
-        upper = np.array([k_at(b, s) for b in breaks[i + 1 :]])
-        out = values[i] * upper[0]
-        out += float(np.dot(values[i + 1 :], np.diff(upper)))
-        return float(out)
+    def apply(s):
+        s = np.asarray(s, dtype=float)
+        inside = (s > 0.0) & (s <= breaks[-1])
+        x = np.where(inside, s, kernel.horizon)[..., None]  # outside rows are masked below
+        kvals = np.where(breaks >= x, kernel.eval(np.maximum(breaks, x), x), 0.0)
+        return _on_live_rows(_dot_rows(values, np.diff(kvals)), inside)
 
     return apply
 
 
 def kstar_apply(kernel: KernelSpec, f):
-    """K* f for continuous f: s -> K(s+, s) f(s) + int_s^T f(t) K1(t, s) dt."""
+    """K* f for continuous f: s -> K(s+, s) f(s) + int_s^T f(t) K1(t, s) dt, broadcast over s.
+
+    f takes arrays.
+    """
     if kernel.dt_eval is None:
         raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
-    big_t = kernel.horizon
 
-    def apply(s: float) -> float:
-        local = kernel.diag_limit(s) * float(np.asarray(f(s)))
-        if s >= big_t:
-            return local
-
-        def smooth(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            return np.array([float(np.asarray(f(ti))) * kernel.dt_smooth(ti, s) for ti in t])
-
-        return local + quad_singular_smooth(smooth, s, big_t, kernel.singularity)
+    def apply(s):
+        live = np.less(s, kernel.horizon)
+        # K1 may be singular on the diagonal: a row with nothing to integrate takes s = T/2, and reads 0 below
+        x = np.where(live, s, 0.5 * kernel.horizon)
+        integral = quad_singular_smooth(
+            lambda t: f(t) * kernel.dt_smooth(t, x[..., None]), x, kernel.horizon, kernel.singularity
+        )
+        out = kernel.diag_limit(s) * np.asarray(f(s), dtype=float) + _on_live_rows(integral, live)
+        return out if out.ndim else float(out)
 
     return apply
 
@@ -497,31 +466,26 @@ def k1_empirical(
     # cache K(T, .) through an interpolated smooth factor phi(s) = K(T,s) * s^(-g0)
     g0 = kernel.origin_exponent
     s_fine = np.linspace(0.0, big_t, 1025)[1:]
-    phi_vals = np.array([kernel.eval(big_t, s) * s ** (-g0) for s in s_fine])
+    phi_vals = kernel.eval(big_t, s_fine) * s_fine ** (-g0)
 
     def k_upper(s):
-        s = np.asarray(s, dtype=float)
         return np.interp(s, s_fine, phi_vals) * s**g0
 
-    def integral_at(t: float) -> float:
-        if t <= 0:
-            return 0.0
-
-        def integrand(s):
-            return k_upper(s) * kernel.dt_eval(t, s)
-
-        def smooth(s):
-            return k_upper(s) * kernel.dt_smooth(t, s)
-
-        mid = 0.5 * t
-        low = quad_singular(integrand, 0.0, mid, 2.0 * g0, rule)
-        return low + quad_singular_smooth(smooth, mid, t, kernel.singularity, rule, endpoint="upper")
+    def sup_on_grid(n: int) -> float:
+        # int_0^t = int_0^{t/2} (singular at 0) + int_{t/2}^t (singular at t), for all t at once
+        t = np.linspace(big_t / n, big_t, n)
+        x, mid = t[:, None], 0.5 * t
+        low = quad_singular(lambda s: k_upper(s) * kernel.dt_eval(x, s), 0.0, mid, 2.0 * g0, rule)
+        high = quad_singular_smooth(
+            lambda s: k_upper(s) * kernel.dt_smooth(x, s), mid, t, kernel.singularity, rule, endpoint="upper"
+        )
+        return float(np.max(low + high))
 
     n = t_grid
-    best = max(integral_at(t) for t in np.linspace(big_t / n, big_t, n))
+    best = sup_on_grid(n)
     for _ in range(max_refinements):
         n *= 2
-        new = max(integral_at(t) for t in np.linspace(big_t / n, big_t, n))
+        new = sup_on_grid(n)
         if abs(new - best) < refine_tol:
             return max(best, new)
         best = max(best, new)
@@ -605,30 +569,29 @@ def fbm_covariance(hurst: float):
     return r
 
 
-def covariance_from_kernel(kernel: KernelSpec, t: float, s: float) -> float:
-    """E X(t) X(s) = int_0^min(t,s) K(t, tau) K(s, tau) d tau for adapted kernels."""
+def covariance_from_kernel(kernel: KernelSpec, t, s):
+    """E X(t) X(s) = int_0^min(t,s) K(t, tau) K(s, tau) d tau for adapted kernels, broadcast over t and s.
+
+    It is 0 where min(t, s) <= 0.
+    """
     if not kernel.adapted:
         raise UnsupportedKernelError("covariance formula requires an adapted kernel")
-    upper = min(t, s)
-    if upper <= 0:
-        return 0.0
-
-    def integrand(tau):
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        return np.array(
-            [kernel.eval(t, x) * kernel.eval(s, x) for x in tau]
-        )
-
-    return quad_singular(integrand, 0.0, upper, 2.0 * kernel.origin_exponent)
+    live = np.minimum(t, s) > 0
+    # K(t, .) may be singular at 0: a row with nothing to integrate takes t = s = T, and reads 0 below
+    x, y = (np.where(live, v, kernel.horizon)[..., None] for v in (t, s))
+    g0 = kernel.origin_exponent
+    cov = quad_singular(lambda tau: kernel.eval(x, tau) * kernel.eval(y, tau), 0.0, np.minimum(x, y)[..., 0], 2.0 * g0)
+    return _on_live_rows(cov, live)
 
 
 def hr_gram(r, times) -> np.ndarray:
     """Gram matrix G_ij = R(t_i, t_j) of a covariance callable R, checked to be symmetric and PSD.
 
-    PSD allows a minimum eigenvalue down to -1e-10 max(1, max |G_ij|).
+    R broadcasts over its two arguments.  PSD allows a minimum eigenvalue
+    down to -1e-10 max(1, max |G_ij|).
     """
     times = np.asarray(times, dtype=float)
-    g = np.array([[float(r(ti, tj)) for tj in times] for ti in times])
+    g = np.asarray(r(times[:, None], times[None, :]), dtype=float)
     if not np.allclose(g, g.T, atol=1e-12):
         raise InvalidCovarianceError("covariance Gram matrix is not symmetric")
     eigmin = float(np.linalg.eigvalsh(g)[0])

@@ -29,10 +29,14 @@ ROUNDOFF_FACTOR = 8.0
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Reproducible (n, K) matrix of iid standard normals."""
+    """Reproducible (n, K) matrix of iid standard normals; any other ``z`` raises DomainError."""
 
     seed: int
     z: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.z) != 2 or 0 in np.shape(self.z) or not np.all(np.isfinite(self.z)):
+            raise DomainError("z must be a finite 2-D array with at least one row and one column")
 
     @property
     def n_samples(self) -> int:

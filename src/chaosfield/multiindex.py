@@ -90,11 +90,17 @@ class MultiIndex:
 
     def order(self) -> int:
         """|alpha| = sum of the entries."""
-        return sum(a for _, a in self.entries)
+        total = 0
+        for _, a in self.entries:
+            total += a
+        return total
 
     def factorial_log(self) -> float:
-        """log(alpha!) = sum_k log(alpha_k!)."""
-        return sum(math.lgamma(a + 1) for _, a in self.entries)
+        """log(alpha!) = sum_k log(alpha_k!), left to right (the built-in sum compensates on Python >= 3.12)."""
+        total = 0.0
+        for _, a in self.entries:
+            total += math.lgamma(a + 1)
+        return total
 
     def add(self, other: "MultiIndex") -> "MultiIndex":
         """Entrywise sum alpha + beta."""

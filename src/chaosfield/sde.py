@@ -44,7 +44,7 @@ class PropagatorSolution:
 
     def _time_index(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-10:
+        if not abs(self.times[i] - t) <= 1e-10:  # NaN fails it too
             raise DomainError(f"time {t} not on the solution grid")
         return i
 

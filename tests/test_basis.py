@@ -61,6 +61,11 @@ def test_domain_checks():
         basis.eval(0, 0.5)
     with pytest.raises(DomainError):
         basis.eval(1, 1.5)
+    for bad in (math.nan, math.inf, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError):
+            basis.eval(1, bad)
+        with pytest.raises(DomainError):
+            basis.antideriv(2, bad)
     with pytest.raises(DomainError):
         BasisFamily("fourier", 1.0)
 

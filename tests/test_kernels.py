@@ -182,7 +182,7 @@ def test_hr_gram():
     g = hr_gram(brownian_covariance(), [0.25, 0.5, 1.0])
     assert g[0, 2] == 0.25
     assert np.all(np.linalg.eigvalsh(g) >= -1e-12)
-    bad = lambda t, s: -1.0 if t != s else 0.0  # noqa: E731
+    bad = lambda t, s: np.where(t != s, -1.0, 0.0)  # noqa: E731
     with pytest.raises(InvalidCovarianceError):
         hr_gram(bad, [0.0, 1.0])
 
@@ -207,7 +207,7 @@ def test_replace_rederives_the_derived_pieces():
     # K(t, s) = a (1 + t - s) on s <= t: psi, M~, the column and dt_smooth all scale with a
     def spec_parts(a):
         return dict(
-            eval=lambda t, s: a * (1.0 + t - s) if s <= t else 0.0,
+            eval=lambda t, s: np.where(s <= t, a * (1.0 + t - s), 0.0),
             diag_limit=lambda s: a,
             dt_eval=lambda t, s: a + 0.0 * np.asarray(s),
         )
@@ -236,8 +236,10 @@ def test_derived_dt_smooth_matches_the_shipped_fbm_spec():
     exact = s**kernel.gamma0 * kernel.psi(basis, ks, s)
     np.testing.assert_allclose(derived.psi(basis, ks, s), exact, rtol=1e-13, atol=0.0)
     f = lambda x: np.cos(2.0 * np.asarray(x))  # noqa: E731
-    for x in (0.1, 0.4, 0.9):
-        assert kstar_apply(derived, f)(x) == pytest.approx(kstar_apply(kernel, f)(x), rel=1e-13, abs=0.0)
+    points = np.array([0.1, 0.4, 0.9, 1.0])  # at s = T only the local term is left, and that is 0 for fBm
+    np.testing.assert_allclose(kstar_apply(derived, f)(points), kstar_apply(kernel, f)(points), rtol=1e-13, atol=0.0)
+    one_by_one = [kstar_apply(derived, f)(x) for x in points.tolist()]
+    assert one_by_one == pytest.approx(kstar_apply(derived, f)(points), rel=1e-13)
     assert k1_empirical(derived, t_grid=64) == pytest.approx(k1_empirical(kernel, t_grid=64), rel=1e-13, abs=0.0)
 
 

@@ -47,6 +47,18 @@ def test_sample_batch_rejects_bad_shape():
         sample_batch(0, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "z",
+    [np.zeros(4), np.zeros((2, 2, 2)), np.zeros((0, 4)), np.zeros((3, 0)), [[0.1, np.nan]], [[np.inf]]],
+    ids=["1-D", "3-D", "no-rows", "no-columns", "nan", "inf"],
+)
+def test_sample_batch_rejects_a_z_that_is_not_a_finite_nonempty_matrix(z):
+    # a 1-D z used to die in synthesize_paths (IndexError on .modes) and to count as
+    # 4 samples in mc_compare while chaos_eval read it as one sample of 4 modes
+    with pytest.raises(DomainError, match="2-D"):
+        SampleBatch(0, z)
+
+
 def test_synthesize_path_zero_sample():
     kernel = brownian_kernel(1.0)
     basis = BasisFamily("cosine", 1.0)

@@ -6,7 +6,10 @@ arithmetic of each value and the CSV export its bytes, so both must agree
 exactly.  The integration matrices and Picard sum in another order, and
 k1_empirical takes numpy's array power where the loop took the scalar one,
 so they agree to rounding: tolerances are a few units of float64 epsilon,
-scaled by the number of terms a value sums.
+scaled by the number of terms a value sums.  Quadratures and kernel
+integrals take arrays of endpoints; each row agrees with the scalar call to
+a few ulp, since numpy's array power can differ from the scalar one in the
+last bit.
 """
 
 import csv
@@ -21,6 +24,8 @@ from chaosfield.errors import DomainError
 from chaosfield.kernels import (
     _mtilde_table,
     brownian_kernel,
+    covariance_from_kernel,
+    fbm_kernel,
     fbm_kernel_dt,
     fbm_kernel_spec,
     grid_kernel_from_csv,
@@ -320,3 +325,73 @@ def test_export_csv_bytes_match_csv_writer(tmp_path):
         path, sidecar = tmp_path / "sol.csv", tmp_path / "ids.json"
         case.export_csv(path, sidecar)
         assert path.read_bytes() == ref_export_csv(case)
+
+
+# ---------------------------------------------------------------------------
+# one array convention: every quadrature and kernel integral broadcasts
+
+
+def _within_ulps(batched, scalar, ulps=4):
+    scalar = np.asarray(scalar, dtype=float)
+    return batched.shape == scalar.shape and np.all(np.abs(batched - scalar) <= ulps * EPS * np.abs(scalar))
+
+
+QUADRATURES = {
+    "integrate": lambda f, a, b, rule: rule.integrate(f, a, b),
+    "quad_singular": lambda f, a, b, rule: quad_singular(f, a, b, -0.4, rule),
+    "quad_singular_smooth-lower": lambda f, a, b, rule: quad_singular_smooth(f, a, b, -0.7, rule),
+    "quad_singular_smooth-upper": lambda f, a, b, rule: quad_singular_smooth(f, a, b, -0.7, rule, endpoint="upper"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURES))
+def test_array_quadrature_agrees_with_scalar_calls_row_by_row(name):
+    quad, rule = QUADRATURES[name], QuadratureRule(panels=6, nodes=12)
+    calls = []
+
+    def f(t):
+        calls.append(np.shape(t))
+        return 1.0 + np.asarray(t) ** 2
+
+    a = np.array([[0.0], [0.3], [1.1], [2.0]])
+    b = np.array([0.0, 0.5, 1.1, 2.4, 3.0])  # b <= a on some rows: empty intervals
+    batched = quad(f, a, b, rule)
+    assert batched.shape == (4, 5) and len(calls) == 1
+    scalar = [[quad(f, float(x), float(y), rule) for y in b] for x in a[:, 0]]
+    assert all(isinstance(v, float) for row in scalar for v in row)
+    assert _within_ulps(batched, scalar)
+    empty = b[None, :] <= a
+    assert np.all(batched[empty] == 0.0) and np.all(batched[~empty] > 0.0)
+    # every interval empty: exactly 0, and the integrand is not called
+    calls.clear()
+    assert quad(f, 1.0, 0.5, rule) == 0.0 and np.array_equal(quad(f, b, 0.0, rule), np.zeros(5))
+    assert not calls
+
+
+def test_nodes_weights_rows_equal_the_scalar_tables():
+    rule = QuadratureRule(panels=5, nodes=7)
+    a, b = np.array([0.0, 0.2, 0.7]), np.array([1.0, 0.2, 3.5])
+    xs, ws = rule.nodes_weights(a, b)
+    assert xs.shape == ws.shape == (3, 35)
+    for i in range(3):
+        x1, w1 = rule.nodes_weights(float(a[i]), float(b[i]))
+        assert xs[i].tobytes() == x1.tobytes() and ws[i].tobytes() == w1.tobytes()
+
+
+def test_fbm_kernel_on_arrays_agrees_with_scalar_calls():
+    hurst = 0.7
+    t = np.array([0.2, 0.55, 1.0])[:, None]
+    s = t * np.array([0.01, 0.3, 0.9, 1.0])  # s = t on the diagonal, where K = 0
+    batched = fbm_kernel(hurst, t, s)
+    scalar = [[fbm_kernel(hurst, float(x), float(y)) for y in row] for x, row in zip(t[:, 0], s)]
+    assert _within_ulps(batched, scalar)
+    assert np.all(batched[:, -1] == 0.0)
+
+
+@pytest.mark.parametrize("kernel", [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0)], ids=["brownian", "fbm"])
+def test_covariance_on_arrays_agrees_with_scalar_calls(kernel):
+    t = np.array([0.0, 0.25, 0.6, 1.0])
+    batched = covariance_from_kernel(kernel, t[:, None], t[None, :])
+    scalar = [[covariance_from_kernel(kernel, float(x), float(y)) for y in t] for x in t]
+    assert _within_ulps(batched, scalar)
+    assert np.all(batched[0] == 0.0) and np.all(batched[:, 0] == 0.0)

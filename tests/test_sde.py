@@ -48,6 +48,11 @@ def test_off_grid_time_rejected():
     sol = solve_closed_form(brownian_kernel(1.0), BASIS, Truncation(2, 2), [0.0, 1.0])
     with pytest.raises(DomainError):
         sol.at(0.37)
+    # NaN is on no grid: it used to select the row of t = 0
+    for read in (sol.at, sol.second_moment, lambda t: sol.sample(t, np.zeros(2))):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                read(bad)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """Start-up cost and the shipped demos, each run in a fresh interpreter, the
 benchmark's per-layer span names against the library's public API, the
 kernel protocol's rule that no consumer branches on what a kernel supplied,
-and the rule that every defaulted parameter of a public function is set by
-some call."""
+the rule that every defaulted parameter of a public function is set by
+some call, and the rule that the library never calls the built-in sum."""
 
 import ast
 import importlib
@@ -142,3 +142,21 @@ def test_every_defaulted_parameter_of_a_public_function_is_set_by_some_call():
     sample = _defaulted_parameters(ast.parse("def f(a, b=1, *, c=2): pass"))
     assert _unset_defaults(sample, [ast.parse("f(0)")]) == [("f", "b"), ("f", "c")]
     assert _unset_defaults(sample, [ast.parse("m.f(0, 1, c=3)")]) == []
+
+
+def _builtin_sum_calls(tree):
+    # line of each call of the built-in sum; np.sum and method calls are attributes, not names
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    return [n.lineno for n in calls if n.func.id == "sum"]
+
+
+def test_library_makes_no_builtin_sum_call():
+    # from Python 3.12 on the built-in sum of floats is compensated, so it would tie results to the Python version
+    found = {
+        path.name: hits
+        for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
+        if (hits := _builtin_sum_calls(ast.parse(path.read_text())))
+    }
+    assert found == {}
+    # the check sees such a call, and leaves np.sum and array methods alone
+    assert _builtin_sum_calls(ast.parse("x = sum(v)\ny = np.sum(v) + v.sum()")) == [1]
