@@ -22,7 +22,7 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # one op uses about 6 keys; each new Hurst index brings new ones
 def jacobi01(n: int, a: float, b: float):
     """Nodes/weights for int_0^1 (1-v)^a v^b f(v) dv = sum w_i f(v_i)."""
     from scipy.special import roots_jacobi

@@ -260,15 +260,18 @@ def wick_exp_first_chaos(c, trunc: Truncation) -> ChaosExpansion:
         raise ConfigurationError(f"coefficient vector must have length {trunc.modes}")
     if not np.all(np.isfinite(c)):
         raise DomainError("first-chaos coefficients must be finite")
-    tables = _tables(trunc)
-    # powers[k, a] = c_k ** a; the column a = 0 is exactly 1
-    powers = np.array(
-        [[1.0] + [c[k] ** a for a in range(1, trunc.max_order + 1)] for k in range(trunc.modes)]
-    )
-    v = np.ones(len(tables.exponents))
-    for k in range(trunc.modes):
-        v *= powers[k, tables.exponents[:, k]]
-    return ChaosExpansion.from_dense(trunc, v * tables.inv_sqrt_factorial)
+    return ChaosExpansion.from_dense(trunc, _wick_exp_rows(c[None, :], _tables(trunc))[0])
+
+
+def _wick_exp_rows(c: np.ndarray, tables) -> np.ndarray:
+    """Rows c_i^alpha / sqrt(alpha!) over a truncation's index set: shape (n, S) for c of shape (n, K)."""
+    powers = np.ones((tables.trunc.max_order + 1,) + c.shape)  # powers[a] = c ** a; a = 0 is exactly 1
+    for a in range(1, tables.trunc.max_order + 1):
+        powers[a] = c**a
+    rows = np.ones((len(c), len(tables.exponents)))
+    for k in range(c.shape[1]):
+        rows *= powers[tables.exponents[:, k], :, k].T
+    return rows * tables.inv_sqrt_factorial
 
 
 def truncate_expansion(f: ChaosExpansion, trunc: Truncation) -> ChaosExpansion:

@@ -77,7 +77,7 @@ def _localization_gram(basis: BasisFamily, modes: int, t: float) -> np.ndarray:
     if t == 0.0:
         return np.zeros((modes, modes))
     xs, ws = DEFAULT_RULE.nodes_weights(0.0, t)
-    vals = np.array([basis.eval(k, xs) for k in range(1, modes + 1)])
+    vals = basis.eval(np.arange(1, modes + 1), xs)
     return (vals * ws) @ vals.T
 
 
@@ -154,7 +154,7 @@ def brownian_path_integrand(trunc: Truncation, basis: BasisFamily) -> HValuedCha
     imap = index_map(trunc)  # checks the truncation's size before allocating
     coeffs = np.zeros((trunc.size(), modes))
     xs, ws = DEFAULT_RULE.nodes_weights(0.0, basis.horizon)
-    m_vals = np.array([basis.eval(j, xs) for j in range(1, modes + 1)])
+    m_vals = basis.eval(np.arange(1, modes + 1), xs)
     for k in range(1, modes + 1):
         big_m = np.asarray(basis.antideriv(k, xs), dtype=float)
         coeffs[imap[MultiIndex.eps(k)]] = m_vals @ (ws * big_m)

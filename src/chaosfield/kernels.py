@@ -29,6 +29,7 @@ from .basis import (
     quad_singular_smooth,
 )
 from .errors import DomainError, InvalidCovarianceError, UnsupportedKernelError
+from .multiindex import _check_table_size
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +179,8 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
         horizon=horizon,
         adapted=True,
         eval=lambda t, s: np.where(s <= t, 1.0, 0.0),
-        diag_limit=lambda s: 1.0,
-        dt_eval=lambda t, s: 0.0,
+        diag_limit=lambda s: np.ones(np.shape(s)),
+        dt_eval=lambda t, s: np.zeros(np.broadcast_shapes(np.shape(t), np.shape(s))),
         psi=lambda basis, ks, s: basis.eval(ks, s),
         mtilde=lambda basis, k, t: basis.antideriv(k, t),
     )
@@ -334,7 +335,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         horizon=horizon,
         adapted=True,
         eval=partial(_fbm_kernel, c, hurst),
-        diag_limit=lambda s: 0.0,
+        diag_limit=lambda s: np.zeros(np.shape(s)),
         dt_eval=partial(_fbm_dt, c, hurst),
         dt_smooth=dt_smooth_evaluate,
         singularity=hurst - 1.5,
@@ -512,6 +513,7 @@ def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
     """
     if not kernel.adapted:
         raise UnsupportedKernelError("discretization implemented for adapted kernels")
+    _check_table_size(n_grid * n_grid, f"the {n_grid} x {n_grid} K* matrix")
     big_t = kernel.horizon
     edges = np.linspace(0.0, big_t, n_grid + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])

@@ -13,15 +13,13 @@ collocation, giving an independent check.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisFamily, _leggauss, jacobi01
-from .chaos import ChaosExpansion
+from .chaos import ChaosExpansion, _wick_exp_rows
 from .errors import DomainError
-from .hermite import hermite_table
 from .kernels import KernelSpec, _mtilde_table
 from .multiindex import Truncation, _tables, enumerate_multiindices
 
@@ -81,30 +79,25 @@ class PropagatorSolution:
 def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.ndarray:
     """Truncated Wick exponential sum_{|alpha| <= N} prod_k c_k^{a_k} H_{a_k}(z_k)/a_k!.
 
-    Dynamic programming over modes keeps the cost linear in K instead of
-    enumerating the index set.  Non-finite samples or M~ values raise DomainError.
+    By the Hermite generating function the order-n part is
+    q_n = |c|^n H_n(y/|c|)/n! with y = <c, z>, so one projection and the
+    recurrence q_{n+1} = (y q_n - |c|^2 q_{n-1})/(n+1) give the sum at any
+    order.  Non-finite samples or M~ values raise DomainError.
     """
     c = np.asarray(mtilde_row, dtype=float)
     z = np.asarray(z, dtype=float)
-    one_sample = z.ndim == 1
-    zz = z[None, :] if one_sample else z
-    if zz.shape[1] < len(c):
+    if z.shape[-1] < len(c):
         raise DomainError("sample vector shorter than the mode count")
-    if not (np.all(np.isfinite(zz)) and np.all(np.isfinite(c))):
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(c))):
         raise DomainError("samples and M~ values must be finite")
-    n = zz.shape[0]
-    dp = np.zeros((max_order + 1, n))
-    dp[0] = 1.0
-    for k in range(len(c)):
-        table = hermite_table(max_order, zz[:, k])
-        powers = np.array([c[k] ** a / math.factorial(a) for a in range(max_order + 1)])
-        new = np.zeros_like(dp)
-        for order in range(max_order + 1):
-            for a in range(order + 1):
-                new[order] += dp[order - a] * powers[a] * table[a]
-        dp = new
-    out = dp.sum(axis=0)
-    return float(out[0]) if one_sample else out
+    y = z[..., : len(c)] @ c
+    s2 = float(c @ c)
+    q_prev, q = np.zeros_like(y), np.ones_like(y)  # q_{-1} = 0 makes the first step q_1 = y
+    out = q
+    for n in range(max_order):
+        q_prev, q = q, (y * q - s2 * q_prev) / (n + 1)
+        out = out + q
+    return out if out.ndim else float(out)
 
 
 def solve_closed_form(
@@ -114,16 +107,7 @@ def solve_closed_form(
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
     times = np.asarray(grid, dtype=float)
     mt = _mtilde_table(kernel, basis, trunc.modes, times)
-    e = tables.exponents
-    coeffs = np.ones((len(times), len(e)))
-    for k in range(trunc.modes):
-        # powers[a] = M~_k(t) ** a; the row a = 0 is exactly 1
-        powers = np.ones((trunc.max_order + 1, len(times)))
-        for a in range(1, trunc.max_order + 1):
-            powers[a] = mt[:, k] ** a
-        coeffs *= powers[e[:, k]].T
-    coeffs *= tables.inv_sqrt_factorial
-    return PropagatorSolution(trunc, basis, kernel.name, times, coeffs, mt)
+    return PropagatorSolution(trunc, basis, kernel.name, times, _wick_exp_rows(mt, tables), mt)
 
 
 # ---------------------------------------------------------------------------

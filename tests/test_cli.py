@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chaosfield.cli import main
+from chaosfield.multiindex import MAX_TABLE_ENTRIES
 
 
 def run(capsys, *argv):
@@ -205,6 +206,14 @@ def test_non_finite_horizon_exits_2(command, horizon, tmp_path, capsys):
 @pytest.mark.parametrize("grid", ["0", "-5"])
 def test_fbm_grid_below_one_exits_2(grid, capsys):
     code, out = run(capsys, "fbm", "--grid", grid)
+    assert code == 2
+    assert out == ""
+
+
+def test_fbm_grid_over_the_table_budget_exits_2(capsys):
+    # the grid x grid K* matrix is checked against the table budget before it is allocated
+    assert 4472**2 <= MAX_TABLE_ENTRIES < 4473**2
+    code, out = run(capsys, "fbm", "--grid", "4473")
     assert code == 2
     assert out == ""
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from chaosfield.basis import BasisFamily
-from chaosfield.errors import DomainError, InvalidCovarianceError
+from chaosfield.basis import BasisFamily, jacobi01
+from chaosfield.errors import ConfigurationError, DomainError, InvalidCovarianceError
 from chaosfield.kernels import (
     KernelSpec,
     StepFunction,
@@ -29,6 +29,8 @@ from chaosfield.kernels import (
     op_norm_bound,
     op_norm_estimate,
 )
+from chaosfield.multiindex import Truncation
+from chaosfield.sde import solve_picard
 
 
 def test_step_function():
@@ -169,6 +171,9 @@ def test_op_norm_estimates():
     kernel = fbm_kernel_spec(0.75, 1.0)
     est = op_norm_estimate(kernel, 128)
     assert est <= op_norm_bound(0.0, fbm_k1(0.75, 1.0))
+    # 4473^2 entries are over the table budget: refused before the matrix is allocated
+    with pytest.raises(ConfigurationError, match="K\\* matrix"):
+        op_norm_estimate(kernel, 4473)
 
 
 def test_op_norm_estimate_raises_without_convergence():
@@ -201,6 +206,11 @@ def test_grid_kernel_from_csv(tmp_path):
     assert kernel.eval(0.85, 0.3) == pytest.approx(1.0)
     assert kernel.eval(0.3, 0.85) == 0.0
     assert kernel.diag_limit(0.5) == pytest.approx(1.0)
+    # every shipped kernel's diag_limit and dt_eval return arrays of the broadcast shape
+    s, t = np.array([0.2, 0.3, 0.5]), np.array([[0.6], [1.0]])
+    for spec in (brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0), kernel):
+        assert isinstance(spec.diag_limit(s), np.ndarray) and spec.diag_limit(s).shape == (3,)
+        assert isinstance(spec.dt_eval(t, s), np.ndarray) and spec.dt_eval(t, s).shape == (2, 3)
 
 
 def test_replace_rederives_the_derived_pieces():
@@ -248,3 +258,14 @@ def test_singularity_defaults_to_zero():
         spec = KernelSpec("flat", 1.0, True, lambda t, s: 1.0, lambda s: 1.0, lambda t, s: 0.0, **singularity)
         assert spec.singularity == 0.0
     assert brownian_kernel(1.0).singularity == 0.0
+
+
+def test_jacobi_rule_cache_stays_bounded_across_hurst_indices():
+    # each fBm Picard solve asks for Gauss-Jacobi rules keyed by its own H; the cache evicts the oldest
+    jacobi01.cache_clear()
+    basis = BasisFamily("cosine", 1.0)
+    for hurst in np.linspace(0.55, 0.95, 30):
+        solve_picard(fbm_kernel_spec(hurst, 1.0), basis, Truncation(2, 1), [1.0], panels=4, nodes=4)
+    info = jacobi01.cache_info()
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize

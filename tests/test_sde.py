@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chaosfield.basis import BasisFamily
-from chaosfield.chaos import chaos_eval
+from chaosfield.chaos import chaos_eval, wick_exp_first_chaos
 from chaosfield.errors import DomainError
 from chaosfield.kernels import brownian_kernel, fbm_kernel_spec
 from chaosfield.multiindex import MultiIndex, Truncation
@@ -64,6 +64,9 @@ def test_picard_matches_closed_form(kernel):
     closed = solve_closed_form(kernel, BASIS, trunc, grid)
     picard = solve_picard(kernel, BASIS, trunc, grid)
     assert np.max(np.abs(closed.coeffs - picard.coeffs)) < 1e-8
+    # each row is the Wick exponential of that time's M~, bit for bit
+    for row, mt in zip(closed.coeffs, closed.mtilde):
+        assert np.array_equal(row, wick_exp_first_chaos(mt, trunc).vec)
 
 
 def test_picard_zero_order_row_is_one():
@@ -91,22 +94,35 @@ def test_second_moment_monotone_in_order():
     assert values[-1] == pytest.approx(math.e, abs=1e-2)
 
 
-def test_sample_matches_chaos_eval():
-    trunc = Truncation(4, 5)
-    sol = solve_closed_form(brownian_kernel(1.0), BASIS, trunc, [0.7])
-    rng = np.random.default_rng(9)
-    z = rng.standard_normal((20, 4))
-    direct = chaos_eval(sol.at(0.7), z)
-    fast = sol.sample(0.7, z)
+@pytest.mark.parametrize(
+    "modes, order, t, z_shape",
+    [
+        (4, 5, 0.7, (20, 4)),
+        (16, 3, 0.7, (20, 16)),
+        (4, 20, 0.7, (20, 4)),
+        (4, 5, 0.0, (20, 4)),  # M~(0) = 0: only the order-0 term is left
+        (4, 5, 0.7, (20, 7)),  # columns past the mode count are not read
+        (4, 5, 0.7, (4,)),  # one sample gives a float
+        (4, 0, 0.7, (20, 4)),
+    ],
+    ids=["4-5", "16-3", "4-20", "c-zero", "extra-columns", "one-sample", "order-0"],
+)
+def test_sample_matches_chaos_eval(modes, order, t, z_shape):
+    sol = solve_closed_form(brownian_kernel(1.0), BASIS, Truncation(modes, order), [0.0, 0.7])
+    z = np.random.default_rng(9).standard_normal(z_shape)
+    direct = chaos_eval(sol.at(t), z)
+    fast = sol.sample(t, z)
+    assert type(fast) is type(direct)
     assert fast == pytest.approx(direct, rel=1e-12)
 
 
 def test_sample_wick_exponential_scalar():
     c = np.array([0.5])
     z = np.array([1.2])
-    # sum_{n<=N} c^n H_n(z) / n! with N large approximates exp(cz - c^2/2)
-    val = sample_wick_exponential(c, z, 40)
-    assert val == pytest.approx(math.exp(0.5 * 1.2 - 0.125), rel=1e-12)
+    # sum_{n<=N} c^n H_n(z) / n! with N large approximates exp(cz - c^2/2); 200! overflows a float
+    for order in (40, 200):
+        val = sample_wick_exponential(c, z, order)
+        assert val == pytest.approx(math.exp(0.5 * 1.2 - 0.125), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
