@@ -117,6 +117,39 @@ class BasisFamily:
         val = val if ks.ndim else val[0]
         return val if val.ndim else float(val)
 
+    def _rows(self, top: int, t) -> np.ndarray:
+        """m_1..m_top at t, shape (top,) + shape(t), by the family's three-term recurrence.
+
+        Cosine: one cos(pi t / T), the arithmetic of ``eval(2, t)``, then
+        cos(j theta) = 2 cos(theta) cos((j-1) theta) - cos((j-2) theta).
+        Legendre: Bonnet's j P_j = (2j-1) x P_{j-1} - (j-1) P_{j-2}.  Row k
+        depends only on t, never on ``top``; it differs from ``eval(k, t)`` by
+        rounding that grows as k^2 eps.
+        """
+        t = self._check(t)
+        big_t = self.horizon
+        out = np.empty((top,) + t.shape)
+        out[0] = 1.0
+        if self.kind == "cosine":
+            if top > 1:
+                out[1] = np.cos(math.pi * t / big_t)
+                two_x = 2.0 * out[1]
+            for j in range(2, top):
+                np.multiply(two_x, out[j - 1], out=out[j])
+                out[j] -= out[j - 2]
+            out[0] = 1.0 / math.sqrt(big_t)
+            out[1:] *= math.sqrt(2.0 / big_t)
+        else:
+            x = 2.0 * t / big_t - 1.0
+            if top > 1:
+                out[1] = x
+            for j in range(2, top):
+                np.multiply((2 * j - 1) * x, out[j - 1], out=out[j])
+                out[j] -= (j - 1) * out[j - 2]
+                out[j] /= j
+            out *= np.sqrt((2 * np.arange(1, top + 1) - 1) / big_t).reshape((-1,) + (1,) * t.ndim)
+        return out
+
     def antideriv(self, k: int, t):
         """M_k(t) = int_0^t m_k(s) ds in closed form."""
         if k < 1:

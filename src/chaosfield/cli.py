@@ -192,10 +192,10 @@ def cmd_fbm(args: argparse.Namespace) -> int:
     if args.grid < 1:
         raise ConfigurationError("grid must be >= 1")
     kernel = fbm_kernel_spec(hurst, horizon)
+    estimate = op_norm_estimate(kernel, args.grid)  # first: it refuses an over-budget grid before any quadrature
     k1 = fbm_k1(hurst, horizon)
     emp = k1_empirical(kernel)
     bound = op_norm_bound(0.0, k1)
-    estimate = op_norm_estimate(kernel, args.grid)
     payload = {
         "c_h": fbm_c_h(hurst),
         "k1_analytic": k1,

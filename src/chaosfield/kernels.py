@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from collections import OrderedDict, namedtuple
+from functools import partial
 
 import numpy as np
 
@@ -81,8 +82,10 @@ class KernelSpec:
 
     - ``gamma0``;
     - ``psi(basis, ks, s)``: psi_k(s) for modes ks and a 1-D array s, shape (len(ks), len(s));
-    - ``mtilde(basis, k, t)``: M~_k elementwise over a 1-D array of t;
-    - ``eval_column(t_sorted, s)``: K(t_i, s) for an ascending array of t;
+    - ``mtilde(basis, k, t)``: M~_k elementwise over a 1-D array of t; for a
+      sequence of modes k, one row per mode, shape (len(k), len(t));
+    - ``eval_column(t_sorted, s)``: K(t_i, s) for an ascending array of t; for
+      a 1-D array s, one row per s, shape (len(s), len(t_sorted));
     - ``dt_smooth(t, s)``: K1 with the diagonal factor (t - s)^singularity
       divided out, which every quadrature near the diagonal weights exactly.
 
@@ -107,8 +110,8 @@ class KernelSpec:
     origin_exponent: float = 0.0
     gamma0: float = 0.0
     psi: object = None  # callable (basis, ks, s) -> (len(ks), len(s))
-    mtilde: object = None  # callable (basis, k, t) -> M~_k over an array of t
-    eval_column: object = None  # callable (t_sorted, s) -> K(t_i, s)
+    mtilde: object = None  # callable (basis, k, t) -> M~_k over an array of t, one row per mode of a sequence k
+    eval_column: object = None  # callable (t_sorted, s) -> K(t_i, s), one row per s of an array s
 
     def __post_init__(self):
         self.singularity = self.singularity or 0.0
@@ -117,8 +120,8 @@ class KernelSpec:
             if piece is None or getattr(piece, "func", None) is derive:
                 setattr(self, name, partial(derive, self))
 
-    def eval_ts(self, t_sorted, s: float):
-        """K(t, s) for an ascending array of t values."""
+    def eval_ts(self, t_sorted, s):
+        """K(t, s) for an ascending array of t values; for a 1-D array s, one row per s."""
         return self.eval_column(t_sorted, s)
 
 
@@ -128,7 +131,13 @@ def _smooth_by_division(kernel: KernelSpec, t, s):
 
 
 def _column_by_eval(kernel: KernelSpec, t_sorted, s) -> np.ndarray:
+    s = s if np.ndim(s) == 0 else np.asarray(s, dtype=float)[:, None]
     return kernel.eval(np.atleast_1d(np.asarray(t_sorted, dtype=float)), s)
+
+
+def _stack_modes(row, k):
+    """``row(k)`` for an int k; for a sequence of modes, one row per mode stacked."""
+    return row(k) if np.ndim(k) == 0 else np.array([row(int(j)) for j in k])
 
 
 def _quadrature_psi(kernel: KernelSpec, basis: BasisFamily, ks, s) -> np.ndarray:
@@ -150,12 +159,16 @@ def _quadrature_psi(kernel: KernelSpec, basis: BasisFamily, ks, s) -> np.ndarray
     return local + np.where(live, x ** (g0 + gam + 1.0) * _dot_rows(w, vals), 0.0)
 
 
-def _quadrature_mtilde(kernel: KernelSpec, basis: BasisFamily, k: int, t) -> np.ndarray:
+def _quadrature_mtilde(kernel: KernelSpec, basis: BasisFamily, k, t) -> np.ndarray:
     """M~_k(t_i) = int_0^{t_i} K(t_i, s) m_k(s) ds, one quadrature for all t_i."""
     if not kernel.adapted:
         raise UnsupportedKernelError("generic m_tilde implemented for adapted kernels")
     t = np.asarray(t, dtype=float)
-    return quad_singular(lambda s: kernel.eval(t[..., None], s) * basis.eval(k, s), 0.0, t, kernel.origin_exponent)
+
+    def row(j):
+        return quad_singular(lambda s: kernel.eval(t[..., None], s) * basis.eval(j, s), 0.0, t, kernel.origin_exponent)
+
+    return _stack_modes(row, k)
 
 
 # how KernelSpec derives each factorisation piece a constructor leaves out
@@ -182,7 +195,7 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
         diag_limit=lambda s: np.ones(np.shape(s)),
         dt_eval=lambda t, s: np.zeros(np.broadcast_shapes(np.shape(t), np.shape(s))),
         psi=lambda basis, ks, s: basis.eval(ks, s),
-        mtilde=lambda basis, k, t: basis.antideriv(k, t),
+        mtilde=lambda basis, k, t: _stack_modes(lambda j: basis.antideriv(j, t), k),
     )
 
 
@@ -190,12 +203,17 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
 # fractional Brownian motion kernel, H > 1/2
 
 
-# t values per psi evaluation in the fBm M~ quadrature
-_MTILDE_BLOCK = 16
+# (mode, t) pairs per psi evaluation in the fBm M~ quadrature: its temporaries,
+# pairs * nodes^2 floats, stay near 1 MB.  Bigger ones (4.7 MB at 16 modes x 16 t)
+# left later 2000 x 257 path syntheses and Stratonovich sums with about 1000 more
+# minor page faults each (glibc malloc).
+_MTILDE_BLOCK = 64
 # (basis, mode, time grid) entries in each fBm spec's M~ memo
 _MTILDE_MEMO_SIZE = 128
-# Gauss-Jacobi nodes of the fBm psi and M~ quadratures
+# Gauss-Jacobi nodes of the fBm psi, M~ and K* first-segment quadratures
 _JACOBI_NODES = 48
+# what an fBm spec's ``mtilde.cache_info()`` reports, as functools.lru_cache does
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def _check_hurst(hurst: float):
@@ -256,13 +274,15 @@ def _fbm_dt(c: float, hurst: float, t: float, s):
 def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
     """KernelSpec for fractional Brownian motion with Hurst index in (1/2, 1).
 
-    psi is a Beta-weight quadrature batched over modes.  M~ memoises its
+    psi is a Beta-weight quadrature batched over modes, the basis values of
+    every mode from one ``BasisFamily._rows`` recurrence.  M~ memoises its
     quadrature per spec, keyed by (basis, k, the float64 bytes of t), in a
     least-recently-used memo of ``_MTILDE_MEMO_SIZE`` entries: at most
-    128 * len(t) * 8 bytes, 263 kB for a 257-point grid.  The memo lives in
+    128 * len(t) * 8 bytes, 263 kB for a 257-point grid.  A call computes
+    all the modes it misses in one pass.  The memo lives in
     the spec's closure, over immutable values only, so it dies with the spec
     and cannot go stale; callers get a copy, and ``spec.mtilde.cache_info()``
-    reports its hits and misses.
+    reports its hits and misses, one per requested mode.
     """
     _check_hurst(hurst)
     c = fbm_c_h(hurst) * (hurst - 0.5)
@@ -271,64 +291,92 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         return c * s ** (0.5 - hurst) * t ** (hurst - 0.5)
 
     def eval_column(t_sorted, s):
-        # incremental in t: singular first segment, smooth continuation
+        # incremental in t: a singular first segment, then Gauss segments summed along t.
+        # The scalar factors take Python-float powers, which numpy's array power can
+        # differ from in the last bit, so each row equals the scalar-s column bit for bit.
         t_sorted = np.atleast_1d(np.asarray(t_sorted, dtype=float))
-        out = np.zeros_like(t_sorted)
-        above = t_sorted > s
-        if not np.any(above):
-            return out
-        ts = t_sorted[above]
-        vals = np.empty_like(ts)
-        first = quad_singular_smooth(
-            lambda tau: tau ** (hurst - 0.5),
-            s,
-            ts[0],
-            hurst - 1.5,
-            QuadratureRule(panels=4, nodes=12),
-        )
-        vals[0] = first
-        if len(ts) > 1:
-            x, w = _leggauss(6)
-            lo, hi = ts[:-1], ts[1:]
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            nodes = mid[:, None] + half[:, None] * x[None, :]
-            seg = np.sum(
-                (nodes - s) ** (hurst - 1.5) * nodes ** (hurst - 0.5) * w[None, :],
-                axis=1,
-            ) * half
-            vals[1:] = first + np.cumsum(seg)
-        out[above] = c * s ** (0.5 - hurst) * vals
-        return out
+        ss = np.atleast_1d(np.asarray(s, dtype=float))
+        above = t_sorted > ss[:, None]
+        out = np.zeros(above.shape)
+        live = np.nonzero(above.any(axis=1))[0]
+        if len(live):
+            sl, start = ss[live], np.argmax(above[live], axis=1)
+            # the first segment (s, t_start]: quad_singular_smooth's Gauss-Jacobi sum, row by row
+            gamma = hurst - 1.5
+            v, w = jacobi01(_JACOBI_NODES, 0.0, gamma)
+            length = t_sorted[start] - sl
+            inner = _dot_rows(w, (sl[:, None] + length[:, None] * v) ** (hurst - 0.5))
+            first = np.array([x ** (gamma + 1.0) for x in length.tolist()]) * inner
+            vals = np.zeros((len(live), len(t_sorted)))
+            if len(t_sorted) > 1:
+                xg, wg = _leggauss(6)
+                lo, hi = t_sorted[:-1], t_sorted[1:]
+                half = 0.5 * (hi - lo)
+                mid = 0.5 * (hi + lo)
+                nodes = mid[:, None] + half[:, None] * xg[None, :]
+                counted = np.arange(len(t_sorted) - 1) >= start[:, None]  # the segments above s
+                dist = np.where(counted[..., None], nodes - sl[:, None, None], 1.0)
+                seg = np.sum(dist ** (hurst - 1.5) * nodes ** (hurst - 0.5) * wg, axis=-1) * half
+                # leading zeros add exactly, so each partial sum keeps the bits of the sum from its first segment
+                vals[:, 1:] = np.cumsum(np.where(counted, seg, 0.0), axis=1)
+            scale = np.array([c * x ** (0.5 - hurst) for x in sl.tolist()])
+            out[live] = np.where(above[live], scale[:, None] * (first[:, None] + vals), 0.0)
+        return out if np.ndim(s) else out[0]
 
     def psi(basis: BasisFamily, ks, s):
         """Smooth factor in (K m_k)(s) = s^(H - 1/2) psi_k(s); Beta-weight quadrature."""
+        modes = np.asarray(ks)
+        if modes.min() < 1:
+            raise DomainError("basis index k must be >= 1")
         v, w = jacobi01(_JACOBI_NODES, hurst - 1.5, 0.5 - hurst)
-        return c * basis.eval(ks, np.outer(s, v)) @ w
+        rows = basis._rows(int(modes.max()), np.outer(s, v))
+        if not np.array_equal(modes, np.arange(1, len(rows) + 1)):
+            rows = rows[modes - 1]
+        rows *= c  # in place: these (modes, len(s), nodes) tables are the largest temporaries of an fBm run
+        return rows @ w
 
-    @lru_cache(maxsize=_MTILDE_MEMO_SIZE)
-    def mtilde_quadrature(basis, k, t_bytes):
-        # int_0^t s^(H-1/2) psi(s) ds, Gauss-Jacobi in the scaled variable.
-        # psi runs on blocks of t values, which bounds its (block * nodes^2)
-        # temporaries; the per-t dot product and Python-float power keep each
-        # value equal to the scalar evaluation bit for bit.
+    def mtilde_quadrature(basis, modes, ts):
+        # int_0^t s^(H-1/2) psi_k(s) ds, Gauss-Jacobi in the scaled variable,
+        # every mode from one psi pass per block of t values; the per-t dot product and
+        # Python-float power keep each value equal to the scalar evaluation bit for bit.
         wnodes, ww = jacobi01(_JACOBI_NODES, 0.0, hurst - 0.5)
-        ts = np.frombuffer(t_bytes, dtype=float)
-        out = np.zeros(len(ts))  # 0 for t <= 0
+        out = np.zeros((len(modes), len(ts)))  # 0 for t <= 0
         live = np.nonzero(ts > 0)[0]
-        for start in range(0, len(live), _MTILDE_BLOCK):
-            rows = live[start : start + _MTILDE_BLOCK]
+        step = max(1, _MTILDE_BLOCK // len(modes))
+        for start in range(0, len(live), step):
+            rows = live[start : start + step]
             block = ts[rows]
-            vals = psi(basis, (k,), np.outer(block, wnodes).ravel()).reshape(len(rows), -1)
-            out[rows] = [x ** (hurst + 0.5) * np.dot(ww, v) for x, v in zip(block.tolist(), vals)]
-        out.flags.writeable = False
+            vals = psi(basis, modes, np.outer(block, wnodes).ravel()).reshape(len(modes), len(rows), -1)
+            powers = [x ** (hurst + 0.5) for x in block.tolist()]
+            for mode_out, mode_vals in zip(out, vals):
+                mode_out[rows] = [p * np.dot(ww, v) for p, v in zip(powers, mode_vals)]
         return out
 
-    def mtilde(basis, k, t):
-        # memoised on the exact float64 bytes of t; callers get their own copy
-        return mtilde_quadrature(basis, k, np.asarray(t, dtype=float).tobytes()).copy()
+    memo = OrderedDict()  # (basis, mode, t bytes) -> M~ row, least recently used first
+    stats = {"hits": 0, "misses": 0}
 
-    mtilde.cache_info = mtilde_quadrature.cache_info
+    def mtilde(basis, k, t):
+        # memoised per mode on the exact float64 bytes of t; callers get their own copy
+        ts = np.asarray(t, dtype=float).ravel()
+        t_key = ts.tobytes()
+        keys = [(basis, int(j), t_key) for j in np.atleast_1d(k)]
+        rows = {key: memo[key] for key in keys if key in memo}
+        missing = [key for key in keys if key not in rows]
+        stats["hits"] += len(keys) - len(missing)
+        stats["misses"] += len(missing)
+        if missing:
+            # one array per entry, so an evicted entry frees its own row
+            table = mtilde_quadrature(basis, [j for _, j, _ in missing], ts)
+            rows.update((key, row.copy()) for key, row in zip(missing, table))
+        for key in keys:
+            memo[key] = rows[key]
+            memo.move_to_end(key)
+        while len(memo) > _MTILDE_MEMO_SIZE:
+            memo.popitem(last=False)
+        out = np.array([rows[key] for key in keys])
+        return out if np.ndim(k) else out[0]
+
+    mtilde.cache_info = lambda: _CacheInfo(stats["hits"], stats["misses"], _MTILDE_MEMO_SIZE, len(memo))
 
     return KernelSpec(
         name="fbm",
@@ -505,11 +553,16 @@ def op_norm_bound(k0: float, k1: float) -> float:
     return math.sqrt(k1)
 
 
+# rows of K* per eval_ts call: the fBm block's (rows, n, 6) temporaries stay under 1 MB for n <= 512
+_KSTAR_BLOCK = 32
+
+
 def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
     """Matrix of K* restricted to step functions on a uniform n-cell grid.
 
     Row i gives (K* f)(s_i) at cell midpoints for f piecewise constant on the
-    cells; this is the step-function formula evaluated cellwise.
+    cells; this is the step-function formula evaluated cellwise, one
+    ``eval_ts`` call per block of ``_KSTAR_BLOCK`` rows.
     """
     if not kernel.adapted:
         raise UnsupportedKernelError("discretization implemented for adapted kernels")
@@ -518,11 +571,10 @@ def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
     edges = np.linspace(0.0, big_t, n_grid + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     a = np.zeros((n_grid, n_grid))
-    for i, s in enumerate(mids):
-        kvals = kernel.eval_ts(edges[i + 1 :], s)
-        a[i, i] = kvals[0]
-        if len(kvals) > 1:
-            a[i, i + 1 :] = np.diff(kvals)
+    for i in range(0, n_grid, _KSTAR_BLOCK):
+        rows = slice(i, min(i + _KSTAR_BLOCK, n_grid))
+        # K(t, s_r) = 0 for t < s_r, so row r's differences start with a[r, r] = K(edges[r + 1], s_r) - 0
+        a[rows, i:] = np.diff(kernel.eval_ts(edges[i + 1 :], mids[rows]), axis=1, prepend=0.0)
     return a
 
 
@@ -618,13 +670,12 @@ def _mtilde_table(kernel: KernelSpec, basis: BasisFamily, modes: int, times) -> 
     """M~_k(t_i) for k = 1..modes, shape (len(times), modes).
 
     Each entry equals ``m_tilde(kernel, basis, k, t_i)`` bit for bit; the
-    kernel's M~ runs once per mode over all nonzero times.
+    kernel's M~ runs once, for all modes over all nonzero times.
     """
     times = np.asarray(times, dtype=float)
     out = np.zeros((len(times), modes))
     live = times != 0.0
-    for k in range(1, modes + 1):
-        out[live, k - 1] = kernel.mtilde(basis, k, times[live])
+    out[live] = kernel.mtilde(basis, range(1, modes + 1), times[live]).T
     return out
 
 

@@ -86,6 +86,8 @@ def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.nda
     """
     c = np.asarray(mtilde_row, dtype=float)
     z = np.asarray(z, dtype=float)
+    if z.ndim == 0:
+        raise DomainError("a sample needs a mode axis: shape (K,) or (n, K)")
     if z.shape[-1] < len(c):
         raise DomainError("sample vector shorter than the mode count")
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(c))):

@@ -55,6 +55,42 @@ def test_cosine_first_mode_constant():
     assert basis.antideriv(1, 4.0) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("kind", ["cosine", "legendre"])
+@pytest.mark.parametrize("horizon", [1.0, 2.5])
+def test_recurrence_rows_match_direct_evaluation(kind, horizon):
+    # the three-term recurrence loses about k^2 eps against np.cos / legval, relative to sup |m_k|
+    basis = BasisFamily(kind, horizon)
+    t = np.linspace(0.0, horizon, 100_001)
+    modes = np.arange(1, 65)
+    rows = basis._rows(64, t)
+    assert rows.shape == (64, len(t))
+    direct = basis.eval(modes, t)
+    sup = np.sqrt((2.0 if kind == "cosine" else 2 * modes - 1) / horizon)
+    err = np.max(np.abs(rows - direct), axis=1)
+    assert np.all(err <= 2.0 * modes**2 * np.finfo(float).eps * sup)
+    assert rows[0].tobytes() == direct[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["cosine", "legendre"])
+def test_recurrence_row_independent_of_top(kind):
+    basis = BasisFamily(kind, 1.0)
+    t = np.random.default_rng(4).uniform(0.0, 1.0, (7, 9))
+    full = basis._rows(20, t)
+    assert full.shape == (20, 7, 9)
+    for top in range(1, 20):
+        assert basis._rows(top, t).tobytes() == full[:top].tobytes(), top
+
+
+@pytest.mark.parametrize("horizon", [1.0, 2.5])
+def test_recurrence_keeps_the_bits_of_cosine_mode_two(horizon):
+    basis = BasisFamily("cosine", horizon)
+    t = np.linspace(0.0, horizon, 1001)
+    assert basis._rows(8, t)[1].tobytes() == basis.eval(2, t).tobytes()
+    assert basis._rows(2, t)[1].tobytes() == basis.eval([1, 2], t)[1].tobytes()
+    with pytest.raises(DomainError):
+        basis._rows(3, np.array([0.5, horizon + 0.1]))
+
+
 def test_domain_checks():
     basis = BasisFamily("cosine", 1.0)
     with pytest.raises(DomainError):

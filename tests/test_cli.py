@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from chaosfield import cli
 from chaosfield.cli import main
 from chaosfield.multiindex import MAX_TABLE_ENTRIES
 
@@ -210,8 +211,13 @@ def test_fbm_grid_below_one_exits_2(grid, capsys):
     assert out == ""
 
 
-def test_fbm_grid_over_the_table_budget_exits_2(capsys):
+def test_fbm_grid_over_the_table_budget_exits_2(capsys, monkeypatch):
     # the grid x grid K* matrix is checked against the table budget before it is allocated
+    # and before any other quadrature of the command
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("k1_empirical ran before the grid was checked")
+
+    monkeypatch.setattr(cli, "k1_empirical", no_quadrature)
     assert 4472**2 <= MAX_TABLE_ENTRIES < 4473**2
     code, out = run(capsys, "fbm", "--grid", "4473")
     assert code == 2

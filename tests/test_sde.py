@@ -138,6 +138,13 @@ def test_sample_wick_exponential_rejects_non_finite_input(bad):
         sol.sample(1.0, z_bad)
 
 
+def test_sample_wick_exponential_rejects_a_sample_without_mode_axis():
+    with pytest.raises(DomainError, match="mode axis"):
+        sample_wick_exponential(np.array([0.5]), np.array(1.2), 3)
+    with pytest.raises(DomainError, match="shorter"):
+        sample_wick_exponential(np.array([0.5, 0.1]), np.array([1.2]), 3)
+
+
 def test_export_csv(tmp_path):
     trunc = Truncation(2, 2)
     sol = solve_closed_form(brownian_kernel(1.0), BASIS, trunc, [0.0, 1.0])
