@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import BasisFamily, _leggauss, jacobi01
 from .chaos import ChaosExpansion, _wick_exp_rows
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .kernels import KernelSpec, _mtilde_table
 from .multiindex import Truncation, _tables, enumerate_multiindices
 
@@ -116,7 +116,7 @@ def solve_closed_form(
 # Picard / collocation solver
 
 
-# Gauss nodes of each sub-quadrature in the Picard integration matrices
+# Gauss nodes of each sub-quadrature in the Picard integration operator
 _SUB_NODES = 32
 
 
@@ -145,17 +145,13 @@ class _CollocationGrid:
     """Composite Gauss-Legendre collocation mesh on [0, T], panel edges graded as T (p / panels)^3."""
 
     def __init__(self, horizon: float, panels: int, nodes: int):
-        self.horizon = horizon
         self.panels = panels
         self.nodes = nodes
         self.edges = horizon * (np.arange(panels + 1) / panels) ** 3.0
-        x, w = _leggauss(nodes)
-        self.ref_nodes = x
+        x, _ = _leggauss(nodes)
         lo, hi = self.edges[:-1], self.edges[1:]
-        self.half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        self.panel_nodes = mid[:, None] + self.half[:, None] * x[None, :]
-        self.all_nodes = self.panel_nodes.ravel()
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        self.panel_nodes = mid[:, None] + half[:, None] * x[None, :]
         self.bw = [_barycentric_weights(self.panel_nodes[p]) for p in range(panels)]
 
     def interp_matrix(self, times: np.ndarray) -> np.ndarray:
@@ -173,23 +169,25 @@ class _CollocationGrid:
 
 
 def _integration_matrix(grid: _CollocationGrid, gamma0: float, psi) -> np.ndarray:
-    """Lower-triangular W_k with (W_k v)[m] = int_0^{x_m} v~(s) m~_k(s) ds, for every mode.
+    """The Volterra operator v -> int_0^{x_m} v~(s) m~_k(s) ds, every mode, as per-panel blocks.
 
     v~ is the panelwise Lagrange interpolant of the node values v and
     m~_k(s) = s^gamma0 psi_k(s), where ``psi(s)`` returns psi_k(s) for all
-    modes at once, shape (modes, len(s)).  The result is a list of one (n, n)
-    matrix per mode.
+    modes at once, shape (modes, len(s)).  The result has shape
+    (modes, panels, nodes, nodes + 1): [k, p, j, m] weights node j of panel p
+    in the integral from the panel's left edge up to its node m, and column
+    m = nodes in the integral over the whole panel, which every later panel adds.
     The first panel uses a Gauss-Jacobi rule for the s^gamma0 weight; later
     panels use plain Gauss-Legendre.  Each panel is one batch: the
     sub-quadratures from its left edge up to each of its nodes and up to its
     right edge share one psi call and one Lagrange evaluation for all modes.
     """
-    p_count, q = grid.panels, grid.nodes
-    n = p_count * q
+    q = grid.nodes
     xg, wg = _leggauss(_SUB_NODES)
-    for p in range(p_count):
+    blocks = []
+    for p in range(grid.panels):
         a = grid.edges[p]
-        # rows: int_a^{x_i} for the q nodes x_i, then int_a^{b} over the whole panel
+        # columns: int_a^{x_i} for the q nodes x_i, then int_a^{b} over the whole panel
         upper = np.append(grid.panel_nodes[p], grid.edges[p + 1])
         if p == 0 and gamma0 != 0.0:
             vj, wj = jacobi01(_SUB_NODES, 0.0, gamma0)
@@ -201,15 +199,9 @@ def _integration_matrix(grid: _CollocationGrid, gamma0: float, psi) -> np.ndarra
             s = a + np.outer(half, xg + 1.0)
             weights = np.outer(half, wg)
             mt = s**gamma0 * psi(s.ravel()).reshape((-1,) + s.shape)
-        if p == 0:
-            w = [np.zeros((n, n)) for _ in mt]
         l = _lagrange_eval(grid.panel_nodes[p], grid.bw[p], s.ravel()).reshape(q, q + 1, _SUB_NODES)
-        block = slice(p * q, (p + 1) * q)
-        for w_mode, mt_mode in zip(w, mt):
-            rows = np.einsum("jms,ms->mj", l, weights * mt_mode)
-            w_mode[block, block] = rows[:q]
-            w_mode[(p + 1) * q :, block] = rows[q]  # every later row spans this whole panel
-    return w
+        blocks.append(np.einsum("jms,kms->kjm", l, weights * mt))
+    return np.stack(blocks, axis=1)
 
 
 def solve_picard(
@@ -224,29 +216,31 @@ def solve_picard(
 
     Product-integration collocation: each u_alpha is represented by its values
     at graded composite Gauss-Legendre nodes, and the Volterra integral is a
-    precomputed lower-triangular matrix per mode, all modes built together.
+    precomputed block per panel and mode plus the panel's whole-span row,
+    all modes built together.
     Only the Ito interpretation is solved: the Stratonovich form couples each
     coefficient to higher-order ones, so its system is not triangular.
     """
+    if panels < 1 or nodes < 1:
+        raise ConfigurationError("panels and nodes must be >= 1")
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
     times = np.asarray(grid, dtype=float)
+    mt = _mtilde_table(kernel, basis, trunc.modes, times)  # checks the times before the operator is built
     cgrid = _CollocationGrid(basis.horizon, panels, nodes)
     modes = np.arange(1, trunc.modes + 1)
-    w_k = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
+    ops = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
 
-    # grade by grade: u_alpha = sum_k sqrt(alpha_k) W_k u_{alpha - eps_k}, one matmul per (grade, mode)
-    u = np.zeros((len(tables.exponents), len(cgrid.all_nodes)))
+    # grade by grade: u_alpha = sum_k sqrt(alpha_k) W_k u_{alpha - eps_k}, one product per (grade, mode)
+    u = np.zeros((len(tables.exponents), panels, nodes))
     u[0] = 1.0
     for grade in range(1, trunc.max_order + 1):
         rows = np.nonzero(tables.orders == grade)[0]
         for k in range(trunc.modes):
             sel = rows[tables.down[rows, k] >= 0]
-            term = u[tables.down[sel, k]] @ w_k[k].T
-            term *= np.sqrt(tables.exponents[sel, k])[:, None]
-            u[sel] += term
+            out = u[tables.down[sel, k]].transpose(1, 0, 2) @ ops[k]  # (panels, len(sel), nodes + 1)
+            out[1:, :, :nodes] += np.cumsum(out[:-1, :, nodes:], axis=0)  # the whole panels before p
+            u[sel] += np.sqrt(tables.exponents[sel, k])[:, None, None] * out[..., :nodes].transpose(1, 0, 2)
 
-    e = cgrid.interp_matrix(times)
-    coeffs = (e @ u.T)
-    mt = _mtilde_table(kernel, basis, trunc.modes, times)
+    coeffs = cgrid.interp_matrix(times) @ u.reshape(len(u), -1).T
     return PropagatorSolution(trunc, basis, kernel.name, times, coeffs, mt)
 

@@ -3,7 +3,7 @@
 The reference functions below are the per-row, per-(t, k), per-alpha and
 per-node loops these routines were first written as.  M~ keeps the scalar
 arithmetic of each value and the CSV export its bytes, so both must agree
-exactly.  The integration matrices and Picard sum in another order, and
+exactly.  The integration operator and Picard sum in another order, and
 k1_empirical takes numpy's array power where the loop took the scalar one,
 so they agree to rounding: tolerances are a few units of float64 epsilon,
 scaled by the number of terms a value sums.  Quadratures and kernel
@@ -96,6 +96,17 @@ def ref_integration_matrix(grid, gamma0, psi, sub_nodes=32):
             w[row, p * q : (p + 1) * q] = partial(p, grid.panel_nodes[p, i])
             for prev in range(p):
                 w[row, prev * q : (prev + 1) * q] = full[prev]
+    return w
+
+
+def _dense(ops_k):
+    """The (n, n) matrix of one mode's block operator: each panel's block, and below it its whole-panel row."""
+    panels, q = ops_k.shape[:2]
+    w = np.zeros((panels * q, panels * q))
+    for p in range(panels):
+        block = slice(p * q, (p + 1) * q)
+        w[block, block] = ops_k[p, :, :q].T
+        w[(p + 1) * q :, block] = ops_k[p, :, q]
     return w
 
 
@@ -192,7 +203,9 @@ def test_integration_matrix_matches_row_loop(basis, grid_kernel):
     for name, kernel in _kernels(grid_kernel):
         modes = (1, 3)
         batched = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
-        for k, got in zip(modes, batched):
+        assert batched.shape == (len(modes), 6, 5, 6)
+        for k, ops_k in zip(modes, batched):
+            got = _dense(ops_k)
             gamma0, psi = kmk_factor(kernel, basis, k)
             ref = ref_integration_matrix(cgrid, gamma0, psi)
             assert np.array_equal(got == 0.0, ref == 0.0), name  # the same lower-triangular pattern
@@ -205,7 +218,9 @@ def test_integration_matrix_default_mesh_fbm():
     cgrid = _CollocationGrid(1.0, 48, 12)
     gamma0, psi = kmk_factor(kernel, basis, 2)
     ref = ref_integration_matrix(cgrid, gamma0, psi)
-    (got,) = _integration_matrix(cgrid, gamma0, lambda s: kernel.psi(basis, (2,), s))
+    (ops_k,) = _integration_matrix(cgrid, gamma0, lambda s: kernel.psi(basis, (2,), s))
+    got = _dense(ops_k)
+    assert np.array_equal(got == 0.0, ref == 0.0)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -227,7 +242,7 @@ def test_batched_psi_and_mtilde_bit_equal_to_per_mode(basis, name, grid_kernel):
         assert row.tobytes() == kmk_factor(kernel, basis, k)[1](s).tobytes(), k
         per_t = np.array([kernel.mtilde(basis, k, np.array([t]))[0] for t in times])
         assert kernel.mtilde(basis, k, times).tobytes() == per_t.tobytes(), k
-    # the integration matrices of all modes, built together, against each mode built alone
+    # the integration operators of all modes, built together, against each mode built alone
     cgrid = _CollocationGrid(1.0, 3, 4)
     together = _integration_matrix(cgrid, kernel.gamma0, lambda x: kernel.psi(basis, modes, x))
     for k, got in zip(modes, together):
@@ -274,7 +289,7 @@ def test_picard_grades_match_alpha_loop(kernel, shape):
     sol = solve_picard(kernel, basis, trunc, times, panels=panels, nodes=nodes)
     cgrid = _CollocationGrid(1.0, panels, nodes)
     modes = np.arange(1, trunc.modes + 1)
-    w_k = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
+    w_k = [_dense(ops_k) for ops_k in _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))]
     ref = cgrid.interp_matrix(times) @ ref_picard_nodes(w_k, trunc).T
     assert np.max(np.abs(sol.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(sol.mtilde, solve_closed_form(kernel, basis, trunc, times).mtilde)

@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chaosfield.basis import BasisFamily
 from chaosfield.chaos import chaos_eval, wick_exp_first_chaos
-from chaosfield.errors import DomainError
+from chaosfield import sde
+from chaosfield.errors import ConfigurationError, DomainError
 from chaosfield.kernels import brownian_kernel, fbm_kernel_spec
 from chaosfield.multiindex import MultiIndex, Truncation
 from chaosfield.sde import (
@@ -82,6 +84,39 @@ def test_picard_refinement_consistency():
     coarse = solve_picard(kernel, BASIS, trunc, grid)
     fine = solve_picard(kernel, BASIS, trunc, grid, panels=96)
     assert np.max(np.abs(coarse.coeffs - fine.coeffs)) < 1e-9
+
+
+@pytest.mark.parametrize("panels, nodes", [(0, 12), (-1, 12), (48, 0)])
+def test_picard_rejects_an_empty_mesh(panels, nodes):
+    with pytest.raises(ConfigurationError):
+        solve_picard(brownian_kernel(1.0), BASIS, Truncation(2, 2), [0.0, 1.0], panels=panels, nodes=nodes)
+
+
+@pytest.mark.parametrize(
+    "kernel, bad",
+    [(brownian_kernel(1.0), 1.5), (brownian_kernel(1.0), math.nan), (fbm_kernel_spec(0.75, 1.0), 1.5)],
+    ids=["brownian-late", "brownian-nan", "fbm-late"],
+)
+def test_picard_checks_the_times_before_building_the_operator(monkeypatch, kernel, bad):
+    def unreachable(*args):
+        raise AssertionError("integration operator built before the times were checked")
+
+    monkeypatch.setattr(sde, "_integration_matrix", unreachable)
+    with pytest.raises(DomainError):
+        solve_picard(kernel, BASIS, Truncation(2, 2), [0.0, bad])
+
+
+def test_picard_peak_memory():
+    # eight dense (576, 576) integration matrices alone would take 21 MB
+    args = (brownian_kernel(1.0), BASIS, Truncation(8, 4), np.linspace(0.0, 1.0, 257))
+    solve_picard(*args)  # warm the index tables
+    tracemalloc.start()
+    try:
+        solve_picard(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6, peak
 
 
 def test_second_moment_monotone_in_order():
