@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -214,6 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report["pass"] else 1
 
 
+@functools.lru_cache(maxsize=None)  # parsing does not change the parser, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaosfield",

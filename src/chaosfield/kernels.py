@@ -358,6 +358,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
     def mtilde(basis, k, t):
         # memoised per mode on the exact float64 bytes of t; callers get their own copy
         ts = np.asarray(t, dtype=float).ravel()
+        basis._check(ts)  # validates only: a NaN or negative t raises, and the quadrature keeps the unclipped ts
         t_key = ts.tobytes()
         keys = [(basis, int(j), t_key) for j in np.atleast_1d(k)]
         rows = {key: memo[key] for key in keys if key in memo}

@@ -64,16 +64,19 @@ class PropagatorSolution:
 
         The rows are CSV with ``\\r\\n`` line ends and no quoting, since no
         field (a float repr or an integer) holds a comma, quote or line break.
+        The repr of a row's list is each float's repr joined by ", ".
         """
         alphas = enumerate_multiindices(self.trunc)
+        ids = [f",{j}," for j in range(len(alphas))]
         with open(path, "w", newline="") as fh:
             fh.write("t,alpha_id,coefficient\r\n")
             for t, row in zip(self.times.tolist(), self.coeffs):
                 stamp = repr(t)
-                fh.write("".join(f"{stamp},{j},{c!r}\r\n" for j, c in enumerate(row.tolist())))
+                values = repr(row.tolist())[1:-1].split(", ")
+                fh.write("".join([f"{stamp}{j}{c}\r\n" for j, c in zip(ids, values)]))
         sidecar = {str(j): [[k, a] for k, a in alpha.entries] for j, alpha in enumerate(alphas)}
         with open(sidecar_path, "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True)
+            fh.write(json.dumps(sidecar, sort_keys=True))
 
 
 def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.ndarray:
@@ -120,14 +123,11 @@ def solve_closed_form(
 _SUB_NODES = 32
 
 
-def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
+def _lagrange_eval(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix L[j, m] = ell_j(x_m) for the Lagrange basis on ``nodes``, by the barycentric formula."""
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
-    return 1.0 / np.prod(diff, axis=1)
-
-
-def _lagrange_eval(nodes: np.ndarray, bw: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix L[j, m] = ell_j(x_m) for the Lagrange basis on ``nodes``."""
+    bw = 1.0 / np.prod(diff, axis=1)
     x = np.atleast_1d(x)
     d = x[None, :] - nodes[:, None]
     exact = d == 0.0
@@ -142,30 +142,36 @@ def _lagrange_eval(nodes: np.ndarray, bw: np.ndarray, x: np.ndarray) -> np.ndarr
 
 
 class _CollocationGrid:
-    """Composite Gauss-Legendre collocation mesh on [0, T], panel edges graded as T (p / panels)^3."""
+    """Composite Gauss-Legendre collocation mesh on [0, T], panel edges graded as T (p / panels)^3.
+
+    Every panel is an affine image of the reference panel [-1, 1] with the
+    Gauss-Legendre nodes ``ref_nodes``, so one Lagrange table on those nodes
+    serves all panels.
+    """
 
     def __init__(self, horizon: float, panels: int, nodes: int):
         self.panels = panels
         self.nodes = nodes
         self.edges = horizon * (np.arange(panels + 1) / panels) ** 3.0
-        x, _ = _leggauss(nodes)
+        self.ref_nodes, _ = _leggauss(nodes)
         lo, hi = self.edges[:-1], self.edges[1:]
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        self.panel_nodes = mid[:, None] + half[:, None] * x[None, :]
-        self.bw = [_barycentric_weights(self.panel_nodes[p]) for p in range(panels)]
+        self.panel_nodes = mid[:, None] + half[:, None] * self.ref_nodes[None, :]
 
     def interp_matrix(self, times: np.ndarray) -> np.ndarray:
         """E[i, m] mapping node values to values at ``times`` panelwise."""
-        n = self.panels * self.nodes
-        out = np.zeros((len(times), n))
+        q = self.nodes
         idx = np.clip(np.searchsorted(self.edges, times, side="right") - 1, 0, self.panels - 1)
-        for p in range(self.panels):
-            sel = np.nonzero(idx == p)[0]
-            if len(sel) == 0:
-                continue
-            l = _lagrange_eval(self.panel_nodes[p], self.bw[p], times[sel])
-            out[sel, p * self.nodes : (p + 1) * self.nodes] = l.T
-        return out
+        lo, hi = self.edges[idx], self.edges[idx + 1]
+        out = np.zeros((len(times), self.panels, q))
+        out[np.arange(len(times)), idx] = _lagrange_eval(self.ref_nodes, 2.0 * (times - lo) / (hi - lo) - 1.0).T
+        return out.reshape(len(times), -1)
+
+
+# panels of psi-table points per psi call: an fBm call's (modes, points, 48) temporaries
+# stay near 1 MB (8 panels of 32 points: 0.6 MB at 6 modes); one call for all 48 panels
+# took a warm fBm (6, 4) solve's traced peak from 3.2 to 5.7 MB
+_PSI_BLOCK = 8
 
 
 def _integration_matrix(grid: _CollocationGrid, gamma0: float, psi) -> np.ndarray:
@@ -178,30 +184,45 @@ def _integration_matrix(grid: _CollocationGrid, gamma0: float, psi) -> np.ndarra
     in the integral from the panel's left edge up to its node m, and column
     m = nodes in the integral over the whole panel, which every later panel adds.
     The first panel uses a Gauss-Jacobi rule for the s^gamma0 weight; later
-    panels use plain Gauss-Legendre.  Each panel is one batch: the
-    sub-quadratures from its left edge up to each of its nodes and up to its
-    right edge share one psi call and one Lagrange evaluation for all modes.
+    panels use plain Gauss-Legendre.
+
+    All is built in panel coordinates.  The sub-quadrature from a panel's
+    left edge up to reference point x_m has its nodes at
+    xi = -1 + (x_m + 1)(xg + 1)/2 in every panel, so one Lagrange table on
+    the collocation nodes serves all panels.  psi is evaluated only at the
+    nodes of each panel's whole-panel rule, and one Lagrange table on those
+    nodes interpolates it to the other sub-nodes; s^gamma0 is exact at each.
     """
-    q = grid.nodes
-    xg, wg = _leggauss(_SUB_NODES)
-    blocks = []
-    for p in range(grid.panels):
-        a = grid.edges[p]
-        # columns: int_a^{x_i} for the q nodes x_i, then int_a^{b} over the whole panel
-        upper = np.append(grid.panel_nodes[p], grid.edges[p + 1])
-        if p == 0 and gamma0 != 0.0:
-            vj, wj = jacobi01(_SUB_NODES, 0.0, gamma0)
-            s = np.outer(upper, vj)
-            weights = np.outer(upper ** (gamma0 + 1.0), wj)
-            mt = psi(s.ravel()).reshape((-1,) + s.shape)
-        else:
-            half = 0.5 * (upper - a)
-            s = a + np.outer(half, xg + 1.0)
-            weights = np.outer(half, wg)
-            mt = s**gamma0 * psi(s.ravel()).reshape((-1,) + s.shape)
-        l = _lagrange_eval(grid.panel_nodes[p], grid.bw[p], s.ravel()).reshape(q, q + 1, _SUB_NODES)
-        blocks.append(np.einsum("jms,kms->kjm", l, weights * mt))
-    return np.stack(blocks, axis=1)
+    q, sub = grid.nodes, _SUB_NODES
+    xg, wg = _leggauss(sub)
+    frac = np.append(0.5 * (grid.ref_nodes + 1.0), 1.0)  # (x_m - a) / (b - a), the whole panel last
+    # the sub-nodes in reference coordinates; the whole-panel row is the rule's own nodes, exactly
+    xi = np.vstack([frac[:q, None] * (xg + 1.0) - 1.0, xg])
+    first = 1 if gamma0 != 0.0 else 0  # the panels from here on take Gauss-Legendre
+    a, b = grid.edges[first:-1], grid.edges[first + 1 :]
+    half = 0.5 * (b - a)[:, None, None]
+    s = a[:, None, None] + half * (xi + 1.0)  # (panels - first, q + 1, sub)
+    if first:
+        vj, wj = jacobi01(sub, 0.0, gamma0)
+    # psi on the table only: the first panel's Gauss-Jacobi nodes b_0 vj if it has them, then the whole-panel nodes
+    points = np.concatenate(([grid.edges[1] * vj] if first else []) + [s[:, q].ravel()])
+    step = _PSI_BLOCK * sub
+    table = np.concatenate([psi(points[i : i + step]) for i in range(0, len(points), step)], axis=1)
+    modes = len(table)
+    # the mode axis stays a batch axis in every product, so each mode's bits do not depend on the others
+    lt = _lagrange_eval(xg, xi.ravel())
+    mt = s**gamma0 * (table[:, first * sub :].reshape(modes, len(s), sub) @ lt).reshape((modes,) + s.shape)
+    l = _lagrange_eval(grid.ref_nodes, xi.ravel()).reshape(q, q + 1, sub)
+    out = np.empty((modes, grid.panels, q, q + 1))
+    out[:, first:] = np.einsum("jms,kpms->kpjm", l, half * np.outer(frac, wg) * mt)
+    if first:
+        # Gauss-Jacobi for the s^gamma0 weight on [0, upper_m], upper_m = b_0 frac_m: nodes upper_m vj
+        xi0 = 2.0 * np.outer(frac, vj) - 1.0  # the last row is the table's own nodes 2 vj - 1
+        mt0 = (table[:, None, :sub] @ _lagrange_eval(2.0 * vj - 1.0, xi0.ravel())).reshape(modes, q + 1, sub)
+        l0 = _lagrange_eval(grid.ref_nodes, xi0.ravel()).reshape(q, q + 1, sub)
+        upper = np.append(grid.panel_nodes[0], grid.edges[1])
+        out[:, 0] = np.einsum("jms,kms->kjm", l0, np.outer(upper ** (gamma0 + 1.0), wj) * mt0)
+    return out
 
 
 def solve_picard(

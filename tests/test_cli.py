@@ -175,9 +175,13 @@ def test_config_invalid_values(capsys):
 
 
 def test_repeated_output_byte_identical(capsys):
+    # one parser serves every call, a refused one in between included
     _, first = run(capsys, "integrate", "--modes", "3", "--order", "2")
+    with pytest.raises(SystemExit):
+        main(["integrate", "--mode", "bogus"])
     _, second = run(capsys, "integrate", "--modes", "3", "--order", "2")
     assert first == second
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--format", "csv")])

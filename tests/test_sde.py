@@ -9,7 +9,7 @@ from chaosfield.basis import BasisFamily
 from chaosfield.chaos import chaos_eval, wick_exp_first_chaos
 from chaosfield import sde
 from chaosfield.errors import ConfigurationError, DomainError
-from chaosfield.kernels import brownian_kernel, fbm_kernel_spec
+from chaosfield.kernels import brownian_kernel, fbm_kernel_spec, m_tilde
 from chaosfield.multiindex import MultiIndex, Truncation
 from chaosfield.sde import (
     sample_wick_exponential,
@@ -92,11 +92,11 @@ def test_picard_rejects_an_empty_mesh(panels, nodes):
         solve_picard(brownian_kernel(1.0), BASIS, Truncation(2, 2), [0.0, 1.0], panels=panels, nodes=nodes)
 
 
-@pytest.mark.parametrize(
-    "kernel, bad",
-    [(brownian_kernel(1.0), 1.5), (brownian_kernel(1.0), math.nan), (fbm_kernel_spec(0.75, 1.0), 1.5)],
-    ids=["brownian-late", "brownian-nan", "fbm-late"],
-)
+BAD_TIMES = [(kernel, bad) for kernel in (brownian_kernel(1.0), fbm_kernel_spec(0.75, 1.0)) for bad in (1.5, math.nan, -0.1)]
+BAD_TIME_IDS = [f"{kernel}-{bad}" for kernel in ("brownian", "fbm") for bad in ("late", "nan", "negative")]
+
+
+@pytest.mark.parametrize("kernel, bad", BAD_TIMES, ids=BAD_TIME_IDS)
 def test_picard_checks_the_times_before_building_the_operator(monkeypatch, kernel, bad):
     def unreachable(*args):
         raise AssertionError("integration operator built before the times were checked")
@@ -106,17 +106,36 @@ def test_picard_checks_the_times_before_building_the_operator(monkeypatch, kerne
         solve_picard(kernel, BASIS, Truncation(2, 2), [0.0, bad])
 
 
-def test_picard_peak_memory():
-    # eight dense (576, 576) integration matrices alone would take 21 MB
-    args = (brownian_kernel(1.0), BASIS, Truncation(8, 4), np.linspace(0.0, 1.0, 257))
-    solve_picard(*args)  # warm the index tables
+@pytest.mark.parametrize("kernel, bad", BAD_TIMES, ids=BAD_TIME_IDS)
+def test_closed_form_and_m_tilde_reject_a_time_off_the_horizon(kernel, bad):
+    # fBm M~ once returned 0 for a NaN or negative t
+    with pytest.raises(DomainError):
+        solve_closed_form(kernel, BASIS, Truncation(2, 2), [0.5, bad])
+    with pytest.raises(DomainError):
+        m_tilde(kernel, BASIS, 2, bad)
+
+
+def _peak_of_a_warm_picard_solve(kernel, shape, points):
+    args = (kernel, BASIS, Truncation(*shape), np.linspace(0.0, 1.0, points))
+    solve_picard(*args)  # warm the index tables and the M~ memo
     tracemalloc.start()
     try:
         solve_picard(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_picard_peak_memory():
+    # eight dense (576, 576) integration matrices alone would take 21 MB
+    peak = _peak_of_a_warm_picard_solve(brownian_kernel(1.0), (8, 4), 257)
     assert peak <= 10e6, peak
+
+
+def test_picard_peak_memory_fbm():
+    # one psi call over every table point would peak at 5.7 MB: psi runs in blocks of panels
+    peak = _peak_of_a_warm_picard_solve(fbm_kernel_spec(0.7, 1.0), (6, 4), 129)
+    assert peak <= 4e6, peak
 
 
 def test_second_moment_monotone_in_order():
