@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -21,7 +22,7 @@ import numpy as np
 
 from .basis import BasisFamily
 from .chaos import HValuedChaos
-from .errors import ChaosFieldError, ConfigurationError
+from .errors import ChaosFieldError, ConfigurationError, DomainError
 from .hermite import hermite_table
 from .integrals import (
     admissibility_diagnostic,
@@ -59,6 +60,14 @@ class ExperimentConfig:
     out: str = "."
 
     def validate(self) -> None:
+        for name in ("modes", "order", "grid"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, not {value!r}")
+        for name in ("hurst", "horizon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{name} must be a real number, not {value!r}")
         if self.kernel not in ("brownian", "fbm"):
             raise ConfigurationError(f"unknown kernel {self.kernel!r}")
         if self.kernel == "fbm" and not 0.5 < self.hurst < 1.0:
@@ -102,8 +111,16 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _json_text(payload: dict) -> str:
+    """The payload as JSON; NaN or infinity, which JSON cannot hold, raises DomainError."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not finite: {exc}") from None
+
+
 def _emit(payload: dict, out_path: str = None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = _json_text(payload)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -167,10 +184,8 @@ def cmd_sde(args: argparse.Namespace) -> int:
     discrepancy = float(np.max(np.abs(closed.coeffs - picard.coeffs)))
     r_tt = covariance_from_kernel(kernel, cfg.horizon, cfg.horizon)
     second = closed.second_moment(cfg.horizon)
-    os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, "sde_solution.csv")
     sidecar_path = os.path.join(cfg.out, "sde_alpha_ids.json")
-    closed.export_csv(csv_path, sidecar_path)
     payload = {
         "kernel": cfg.kernel,
         "closed_vs_picard_max_discrepancy": discrepancy,
@@ -179,7 +194,10 @@ def cmd_sde(args: argparse.Namespace) -> int:
         "solution_csv": csv_path,
         "alpha_ids_json": sidecar_path,
     }
-    _emit(payload)
+    text = _json_text(payload)  # before any file is written, so a refused result leaves none
+    os.makedirs(cfg.out, exist_ok=True)
+    closed.export_csv(csv_path, sidecar_path)
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -278,8 +278,9 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
     every mode from one ``BasisFamily._rows`` recurrence.  M~ memoises its
     quadrature per spec, keyed by (basis, k, the float64 bytes of t), in a
     least-recently-used memo of ``_MTILDE_MEMO_SIZE`` entries: at most
-    128 * len(t) * 8 bytes, 263 kB for a 257-point grid.  A call computes
-    all the modes it misses in one pass.  The memo lives in
+    128 * len(t) * 8 bytes, 263 kB for a 257-point grid.  A call that misses
+    checks t and computes all the modes it misses in one pass; a hit needs
+    no check, since only checked times are stored.  The memo lives in
     the spec's closure, over immutable values only, so it dies with the spec
     and cannot go stale; callers get a copy, and ``spec.mtilde.cache_info()``
     reports its hits and misses, one per requested mode.
@@ -337,7 +338,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
 
     def mtilde_quadrature(basis, modes, ts):
         # int_0^t s^(H-1/2) psi_k(s) ds, Gauss-Jacobi in the scaled variable,
-        # every mode from one psi pass per block of t values; the per-t dot product and
+        # every mode from one psi pass per block of t values; the per-row dot product and
         # Python-float power keep each value equal to the scalar evaluation bit for bit.
         wnodes, ww = jacobi01(_JACOBI_NODES, 0.0, hurst - 0.5)
         out = np.zeros((len(modes), len(ts)))  # 0 for t <= 0
@@ -347,9 +348,8 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
             rows = live[start : start + step]
             block = ts[rows]
             vals = psi(basis, modes, np.outer(block, wnodes).ravel()).reshape(len(modes), len(rows), -1)
-            powers = [x ** (hurst + 0.5) for x in block.tolist()]
-            for mode_out, mode_vals in zip(out, vals):
-                mode_out[rows] = [p * np.dot(ww, v) for p, v in zip(powers, mode_vals)]
+            powers = np.array([x ** (hurst + 0.5) for x in block.tolist()])
+            out[:, rows] = powers * _dot_rows(ww, vals)
         return out
 
     memo = OrderedDict()  # (basis, mode, t bytes) -> M~ row, least recently used first
@@ -358,17 +358,19 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
     def mtilde(basis, k, t):
         # memoised per mode on the exact float64 bytes of t; callers get their own copy
         ts = np.asarray(t, dtype=float).ravel()
-        basis._check(ts)  # validates only: a NaN or negative t raises, and the quadrature keeps the unclipped ts
         t_key = ts.tobytes()
         keys = [(basis, int(j), t_key) for j in np.atleast_1d(k)]
         rows = {key: memo[key] for key in keys if key in memo}
         missing = [key for key in keys if key not in rows]
-        stats["hits"] += len(keys) - len(missing)
-        stats["misses"] += len(missing)
         if missing:
+            # only checked times are ever stored, so a hit needs no check: a NaN or negative t
+            # raises here, and the quadrature keeps the unclipped ts
+            basis._check(ts)
             # one array per entry, so an evicted entry frees its own row
             table = mtilde_quadrature(basis, [j for _, j, _ in missing], ts)
             rows.update((key, row.copy()) for key, row in zip(missing, table))
+        stats["hits"] += len(keys) - len(missing)  # a refused call counts nothing
+        stats["misses"] += len(missing)
         for key in keys:
             memo[key] = rows[key]
             memo.move_to_end(key)

@@ -4,7 +4,14 @@ Sampling uses counter-based Philox streams keyed by (seed, sample index), so
 each sample row is reproducible independently of batch size or ordering.
 One generator is re-keyed per row: assigning its state resets the counter
 and buffers, so each row is the same stream a fresh generator keyed
-(seed, i) gives, without building a generator per row.
+(seed, i) gives, without building a generator per row.  The state dict
+holds Python ints, not numpy arrays: numpy's Philox state setter reads the
+counter, key and buffer element by element, and a Python int converts
+without the numpy-scalar round trip an array element costs on every row.
+
+The discrete-time estimators sum in blocks of ``_ROW_BLOCK`` rows, so their
+per-block temporaries stay in cache instead of costing fresh (n, grid)
+arrays per call; each row's pairwise sum is unchanged, so are the bits.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ from .multiindex import Truncation
 # Measured |mean d| is at most 0.33 and mean |d_i| at most 1.3 of these
 # units on exactly agreeing Stratonovich batches (Brownian and fBm paths).
 ROUNDOFF_FACTOR = 8.0
+
+# Rows per block of the discrete-time estimators: a 64 x 257 block of float64 is 132 kB.
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -52,14 +62,17 @@ def sample_batch(seed: int, n: int, modes: int) -> SampleBatch:
     if n < 1 or modes < 1:
         raise DomainError("need n >= 1 and modes >= 1")
     z = np.empty((n, modes))
-    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))  # refuses a seed outside uint64
     rng = np.random.Generator(bits)
     state = bits.state  # counter 0, empty buffer and uint32 cache: a fresh stream
+    for name in ("counter", "key"):
+        state["state"][name] = state["state"][name].tolist()
+    state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
-    for i in range(n):
+    for i, row in enumerate(z):
         key[1] = i
         bits.state = state
-        rng.standard_normal(out=z[i])
+        rng.standard_normal(out=row)
     return SampleBatch(seed, z)
 
 
@@ -84,16 +97,36 @@ def _check_paths(x, y):
     return x, y
 
 
-def discrete_ito_batch(x, y) -> np.ndarray:
-    """Left-point Riemann sum sum_i X(t_i) (Y(t_{i+1}) - Y(t_i)) along the last axis."""
+def _row_sums(term, x, y):
+    """sum of term(x_rows, y_rows) along the last axis, ``_ROW_BLOCK`` rows at a time.
+
+    Leading axes of any rank are flattened into rows; a 1-D path gives a numpy scalar.
+    """
     x, y = _check_paths(x, y)
-    return np.sum(x[..., :-1] * np.diff(y, axis=-1), axis=-1)
+    lead = x.shape[:-1]
+    x2 = x.reshape(math.prod(lead), x.shape[-1])
+    y2 = y.reshape(x2.shape)
+    out = np.empty(len(x2))
+    for start in range(0, len(x2), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        np.sum(term(x2[rows], y2[rows]), axis=-1, out=out[rows])
+    return out.reshape(lead)[()]
+
+
+def discrete_ito_batch(x, y) -> np.ndarray:
+    """Left-point Riemann sum sum_i X(t_i) (Y(t_{i+1}) - Y(t_i)) along the last axis.
+
+    Summed in row blocks; each row has the bits of the one-shot sum.
+    """
+    return _row_sums(lambda x, y: x[:, :-1] * np.diff(y, axis=-1), x, y)
 
 
 def discrete_strat_batch(x, y) -> np.ndarray:
-    """Midpoint rule sum_i (X(t_i) + X(t_{i+1}))/2 * (Y(t_{i+1}) - Y(t_i)) along the last axis."""
-    x, y = _check_paths(x, y)
-    return np.sum(0.5 * (x[..., :-1] + x[..., 1:]) * np.diff(y, axis=-1), axis=-1)
+    """Midpoint rule sum_i (X(t_i) + X(t_{i+1}))/2 * (Y(t_{i+1}) - Y(t_i)) along the last axis.
+
+    Summed in row blocks; each row has the bits of the one-shot sum.
+    """
+    return _row_sums(lambda x, y: 0.5 * (x[:, :-1] + x[:, 1:]) * np.diff(y, axis=-1), x, y)
 
 
 def mc_compare(chaos_result: ChaosExpansion, oracle_values, batch: SampleBatch) -> dict:

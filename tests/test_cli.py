@@ -174,6 +174,31 @@ def test_config_invalid_values(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "values",
+    [{"modes": "8"}, {"modes": 8.5}, {"modes": True}, {"hurst": None}, {"horizon": "1"}],
+    ids=["modes-str", "modes-float", "modes-bool", "hurst-null", "horizon-str"],
+)
+def test_config_wrong_types_exit_2(values, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code, out = run(capsys, "sde", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert not (tmp_path / "sde_solution.csv").exists()
+
+
+def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys):
+    # exp(R(T, T)) overflows at this horizon; Infinity is not JSON
+    out_dir = tmp_path / "out"
+    argv = ["sde", "--horizon", "1e300", "--modes", "2", "--order", "2", "--grid", "8", "--out", str(out_dir)]
+    with np.errstate(over="ignore"):
+        code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_repeated_output_byte_identical(capsys):
     # one parser serves every call, a refused one in between included
     _, first = run(capsys, "integrate", "--modes", "3", "--order", "2")

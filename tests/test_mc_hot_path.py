@@ -1,19 +1,23 @@
 """The Monte Carlo hot path against the work it replaces.
 
 ``sample_batch`` re-keys one Philox generator per row; it must give the
-same bits as a fresh generator per row.  The fBm M~ memoises its
-quadrature per (basis, mode, time grid); it must give the same bits as the
-unmemoised quadrature, never hand out its stored table, and never share an
-entry between different keys.
+same bits as a fresh generator per row.  The discrete-time estimators sum
+in row blocks; they must give the same bits as the one-shot sums.  The fBm
+M~ memoises its quadrature per (basis, mode, time grid); it must give the
+same bits as the unmemoised quadrature, never hand out its stored table,
+and never share an entry between different keys.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chaosfield import cli
 from chaosfield.basis import BasisFamily
+from chaosfield.errors import DomainError
 from chaosfield.kernels import _mtilde_table, fbm_kernel_spec, m_tilde
-from chaosfield.mc import sample_batch, synthesize_paths
+from chaosfield.mc import discrete_ito_batch, discrete_strat_batch, sample_batch, synthesize_paths
 from chaosfield.multiindex import Truncation
 from test_quadrature_vectorised import ref_fbm_mtilde
 
@@ -48,6 +52,73 @@ def test_sample_batch_row_same_for_any_batch_size(seed):
     for n in (1, 2, 17, 299):
         assert np.array_equal(sample_batch(seed, n, 7).z, large[:n])
     assert np.array_equal(sample_batch(seed, 300, 3).z, large[:, :3])
+
+
+def test_sample_batch_numpy_seed_same_bits_as_int():
+    assert sample_batch(np.uint64(5), 40, 6).z.tobytes() == sample_batch(5, 40, 6).z.tobytes()
+
+
+def test_sample_batch_negative_seed_refused():
+    # numpy refuses a key outside uint64 before any row is drawn
+    with pytest.raises(OverflowError):
+        sample_batch(-1, 4, 3)
+
+
+# ---------------------------------------------------------------------------
+# discrete-time estimators in row blocks
+
+
+def ref_ito(x, y):
+    return np.sum(x[..., :-1] * np.diff(y, axis=-1), axis=-1)
+
+
+def ref_strat(x, y):
+    return np.sum(0.5 * (x[..., :-1] + x[..., 1:]) * np.diff(y, axis=-1), axis=-1)
+
+
+ESTIMATORS = [(discrete_ito_batch, ref_ito), (discrete_strat_batch, ref_strat)]
+
+
+def brownian_paths(shape, seed=11):
+    steps = np.random.default_rng(seed).standard_normal(shape) * 0.0625
+    return np.cumsum(steps, axis=-1), np.cumsum(steps[..., ::-1], axis=-1)
+
+
+@pytest.mark.parametrize("estimator, ref", ESTIMATORS, ids=["ito", "strat"])
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 2000])
+def test_blocked_sums_bit_equal_to_one_shot(estimator, ref, rows):
+    x, y = brownian_paths((rows, 257))
+    got = estimator(x, y)
+    assert got.shape == (rows,)
+    assert got.tobytes() == ref(x, y).tobytes()
+    assert estimator(x, x).tobytes() == ref(x, x).tobytes()
+
+
+@pytest.mark.parametrize("estimator, ref", ESTIMATORS, ids=["ito", "strat"])
+def test_blocked_sums_keep_the_shape_contract(estimator, ref):
+    x, y = brownian_paths((3, 5, 257))
+    got = estimator(x, y)
+    assert got.shape == (3, 5)
+    assert got.tobytes() == ref(x, y).tobytes()
+    one = estimator(x[0, 0], y[0, 0])  # a 1-D path gives a numpy scalar, not a 0-d array
+    assert type(one) is np.float64
+    assert one == got[0, 0] == ref(x[0, 0], y[0, 0])
+    empty = estimator(np.zeros((0, 257)), np.zeros((0, 257)))
+    assert empty.shape == (0,)
+    point = estimator(x[0, :, :1], y[0, :, :1])  # a 1-point grid has no increments
+    assert point.tobytes() == np.zeros(5).tobytes()
+
+
+def test_strat_sum_peak_memory_stays_in_row_blocks():
+    x, _ = brownian_paths((2000, 257))
+    discrete_strat_batch(x, x)  # warm
+    tracemalloc.start()
+    try:
+        discrete_strat_batch(x, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000  # one shot: four 2000 x 256 temporaries, 8.3 MB
 
 
 # ---------------------------------------------------------------------------
@@ -137,3 +208,45 @@ def test_sde_command_computes_each_mode_once(tmp_path, capsys, monkeypatch):
     (kernel,) = specs
     info = kernel.mtilde.cache_info()
     assert (info.misses, info.hits) == (3, 3)
+
+
+def test_memo_hit_skips_the_time_check(monkeypatch):
+    kernel, grid = fbm_kernel_spec(0.75, 1.0), np.linspace(0.0, 1.0, 33)
+    warm = _mtilde_table(kernel, COSINE, 4, grid)
+    calls = []
+    check = BasisFamily._check
+
+    def counting_check(self, t):
+        calls.append(t)
+        return check(self, t)
+
+    monkeypatch.setattr(BasisFamily, "_check", counting_check)
+    assert _mtilde_table(kernel, COSINE, 4, grid).tobytes() == warm.tobytes()
+    assert calls == []
+    info = kernel.mtilde.cache_info()
+    assert (info.misses, info.hits) == (4, 4)
+    _mtilde_table(kernel, COSINE, 5, grid)  # mode 5 misses: the times are checked again
+    assert len(calls) >= 1
+    info = kernel.mtilde.cache_info()
+    assert (info.misses, info.hits) == (5, 8)
+
+
+@pytest.mark.parametrize("t", [float("nan"), -0.1])
+def test_bad_time_refused_on_a_warm_spec(t):
+    kernel = fbm_kernel_spec(0.75, 1.0)
+    _mtilde_table(kernel, COSINE, 3, np.linspace(0.0, 1.0, 9))
+    m_tilde(kernel, COSINE, 1, 0.5)
+    before = kernel.mtilde.cache_info()
+    with pytest.raises(DomainError):
+        m_tilde(kernel, COSINE, 1, t)
+    with pytest.raises(DomainError):
+        kernel.mtilde(COSINE, [1, 2], np.array([0.5, t]))
+    assert kernel.mtilde.cache_info() == before  # a refused call counts and stores nothing
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.63, 0.75, 0.9, 0.95])
+def test_mtilde_quadrature_bit_equal_to_scalar_sum(hurst):
+    kernel, times = fbm_kernel_spec(hurst, 1.0), np.linspace(0.0, 1.0, 65)
+    got = kernel.mtilde(COSINE, range(1, 9), times)
+    ref = np.array([[ref_fbm_mtilde(kernel, COSINE, k, t) for t in times] for k in range(1, 9)])
+    assert got.tobytes() == ref.tobytes()
