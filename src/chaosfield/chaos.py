@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -133,11 +134,12 @@ class ChaosExpansion:
 
     @staticmethod
     def from_dict(d: dict) -> "ChaosExpansion":
-        trunc = Truncation(d["trunc"]["modes"], d["trunc"]["max_order"])
-        coeffs = {
-            MultiIndex(tuple((int(k), int(a)) for k, a in item["alpha"])): float(item["value"])
-            for item in d["coeffs"]
-        }
+        """Inverse of ``to_dict``; a malformed ``d`` raises ConfigurationError."""
+        trunc, items = _read_trunc_and_items(d)
+        coeffs = {}
+        for item in items:
+            alpha, value = _fields(item, ("alpha", "value"), "a coefficient")
+            coeffs[_read_alpha(alpha, trunc)] = _read_value(value)
         return ChaosExpansion(trunc, coeffs)
 
     def to_json(self) -> str:
@@ -192,13 +194,61 @@ class HValuedChaos:
 
     @staticmethod
     def from_dict(d: dict, basis=None) -> "HValuedChaos":
-        trunc = Truncation(d["trunc"]["modes"], d["trunc"]["max_order"])
+        """Inverse of ``to_dict``; a malformed ``d`` raises ConfigurationError."""
+        trunc, items = _read_trunc_and_items(d)
         imap = index_map(trunc)  # checks the truncation's size before allocating
         arr = np.zeros((trunc.size(), trunc.modes))
-        for item in d["coeffs"]:
-            alpha = MultiIndex(tuple((int(k), int(a)) for k, a in item["alpha"]))
-            arr[imap[alpha], int(item["k"]) - 1] = float(item["value"])
+        for item in items:
+            alpha, k, value = _fields(item, ("alpha", "k", "value"), "a coefficient")
+            row = imap[_read_alpha(alpha, trunc)]
+            if not (_is_int(k) and 1 <= k <= trunc.modes):
+                raise ConfigurationError(f"k must be an integer in 1..{trunc.modes}, not {k!r}")
+            arr[row, k - 1] = _read_value(value)
         return HValuedChaos(trunc, arr, basis)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _fields(d, keys: tuple, what: str) -> list:
+    """The values of ``keys`` in the JSON object ``d``, which must hold exactly those keys."""
+    if not isinstance(d, dict) or set(d) != set(keys):
+        got = sorted(map(str, d)) if isinstance(d, dict) else type(d).__name__
+        raise ConfigurationError(f"{what} must be an object with keys {sorted(keys)}, not {got}")
+    return [d[key] for key in keys]
+
+
+def _read_trunc_and_items(d) -> tuple:
+    """(Truncation, list of coefficient items) of a ``to_dict`` object."""
+    trunc, items = _fields(d, ("trunc", "coeffs"), "a chaos object")
+    modes, max_order = _fields(trunc, ("modes", "max_order"), "trunc")
+    if not (_is_int(modes) and _is_int(max_order) and modes >= 1 and max_order >= 0):
+        raise ConfigurationError(f"trunc needs integers modes >= 1 and max_order >= 0, not {modes!r}, {max_order!r}")
+    if not isinstance(items, list):
+        raise ConfigurationError(f"coeffs must be a list, not {type(items).__name__}")
+    return Truncation(modes, max_order), items
+
+
+def _read_alpha(pairs, trunc: Truncation) -> MultiIndex:
+    """A multi-index given as [[position, value], ...], which must lie in ``trunc``."""
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(_is_int(v) for v in p) for p in pairs
+    ):
+        raise ConfigurationError(f"alpha must be a list of [position, value] integer pairs, not {pairs!r}")
+    try:
+        alpha = MultiIndex(tuple((k, a) for k, a in pairs))
+    except ValueError as exc:
+        raise ConfigurationError(f"alpha {pairs!r}: {exc}") from None
+    if not trunc.contains(alpha):
+        raise ConfigurationError(f"alpha {pairs!r} outside truncation {trunc}")
+    return alpha
+
+
+def _read_value(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"a coefficient value must be a number, not {value!r}")
+    return float(value)
 
 
 def xi_alpha_eval(alpha: MultiIndex, z) -> float:
@@ -290,32 +340,61 @@ def chaos_eval(f: ChaosExpansion, z):
     """Evaluate sum_alpha f_alpha xi_alpha(z).
 
     z may be a single sample of length >= K or an (n_samples, K') array.
+    Samples are evaluated in zero-padded blocks of one width, so a sample's
+    value does not depend on the rest of the batch; see ``_IndexTables.eval_plan``
+    for how each block is summed.
     """
     z = np.asarray(z, dtype=float)
     one_sample = z.ndim == 1
     zz = z[None, :] if one_sample else z
+    if zz.ndim != 2:
+        raise DimensionError(f"samples must be a vector or an (n, K) array, not of shape {z.shape}")
     if not np.all(np.isfinite(zz)):
         raise DomainError("samples must be finite")
-    rows = np.flatnonzero(f.vec)
-    exponents = _tables(f.trunc).exponents[rows]
-    if np.any(exponents[:, zz.shape[1] :]):
+    tables = _tables(f.trunc)
+    modes, n_max = f.trunc.modes, f.trunc.max_order
+    used = min(zz.shape[1], modes)
+    if used < modes and np.any(f.vec[np.any(tables.exponents[:, used:], axis=1)]):
         raise DimensionError("sample vector shorter than the expansion support")
-    n_max = f.trunc.max_order
-    # normalized Hermite values H_n(z_k) / sqrt(n!), shape (N+1, K, n)
-    table = hermite_table(n_max, zz[:, : f.trunc.modes].T)
-    for n in range(2, n_max + 1):
-        table[n] /= math.sqrt(math.factorial(n)) if n <= 170 else math.exp(
-            0.5 * math.lgamma(n + 1)
-        )
-    # row by row, in enumeration order, each row's factors by ascending mode
-    out = np.zeros(zz.shape[0])
-    for coef, row in zip(f.vec[rows].tolist(), exponents.tolist()):
-        term = np.full(zz.shape[0], coef)
-        for k, a in enumerate(row):
-            if a:
-                term *= table[a, k]
-        out += term
+    halves, blocks, pairs, width = tables.eval_plan
+    coeffs = f.vec[pairs]
+    grades = [
+        (coeffs[offset : offset + rows * (stop - start)].reshape(rows, stop - start), rows, start, stop)
+        for offset, rows, start, stop in blocks
+    ]
+    # H_n / sqrt(n!), dividing as math does up to 170! and by lgamma beyond
+    divisors = np.array(
+        [math.sqrt(math.factorial(n)) if n <= 170 else math.exp(0.5 * math.lgamma(n + 1)) for n in range(n_max + 1)]
+    )[:, None, None]
+    xa, xb, y = (np.empty((rows, width)) for rows in (halves[0][0], halves[1][0], halves[1][0]))
+    out = np.empty(len(zz))
+    for begin in range(0, len(zz), width):
+        n = min(width, len(zz) - begin)
+        zt = np.zeros((modes, width))  # modes past the samples' columns carry zero coefficients
+        zt[:used, :n] = zz[begin : begin + n, :used].T
+        table = hermite_table(n_max, zt)
+        table /= divisors
+        table = table.reshape(-1, width)
+        _basis_values(halves[0], table, xa)
+        _basis_values(halves[1], table, xb)
+        # grade 0 of A is alpha_A = 0, whose basis value is exactly 1: its block is the first column of C
+        y[:] = grades[0][0]
+        for c, rows, start, stop in grades[1:]:
+            y[:rows] += c @ xa[start:stop]
+        y *= xb
+        values = y.sum(axis=0)
+        # every table row is a basis value of one half, and an overflowed one leaves no value finite
+        if not np.all(np.isfinite(values)) and not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
+            raise DomainError("basis values of the samples overflow")
+        out[begin : begin + n] = values[:n]
     return float(out[0]) if one_sample else out
+
+
+def _basis_values(half, table: np.ndarray, out: np.ndarray) -> None:
+    """Write xi_alpha(z) over one half's index set into ``out``, a row per alpha, by ``_half_plan``'s (rows, grades)."""
+    out[0] = 1.0
+    for start, stop, parents, table_rows in half[1]:
+        np.multiply(out[parents], table[table_rows], out=out[start:stop])
 
 
 def malliavin_derivative(f: ChaosExpansion) -> HValuedChaos:

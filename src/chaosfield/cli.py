@@ -41,7 +41,7 @@ from .kernels import (
     op_norm_bound,
     op_norm_estimate,
 )
-from .multiindex import Truncation
+from .multiindex import Truncation, _check_table_size
 from .sde import solve_closed_form, solve_picard
 from .verify import run_suite
 
@@ -135,8 +135,11 @@ def cmd_hermite(args: argparse.Namespace) -> int:
         raise ConfigurationError("t-points must be >= 1")
     if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
         raise ConfigurationError("t-min and t-max must be finite")
+    _check_table_size((args.n_max + 1) * args.t_points, "the Hermite table")
     ts = np.linspace(args.t_min, args.t_max, args.t_points)
     table = hermite_table(args.n_max, ts)
+    if not np.all(np.isfinite(table)):
+        raise DomainError("Hermite values overflow: the table is not finite")
     writer = csv.writer(sys.stdout)
     writer.writerow(["t"] + [f"H{n}" for n in range(args.n_max + 1)])
     for t, row in zip(ts.tolist(), table.T.tolist()):
@@ -178,6 +181,7 @@ def cmd_sde(args: argparse.Namespace) -> int:
     kernel = cfg.make_kernel()
     basis = cfg.make_basis()
     trunc = cfg.truncation()
+    _check_table_size((cfg.grid + 1) * trunc.size(), "the solution on the time grid")
     grid = np.linspace(0.0, cfg.horizon, cfg.grid + 1)
     closed = solve_closed_form(kernel, basis, trunc, grid)
     picard = solve_picard(kernel, basis, trunc, grid)

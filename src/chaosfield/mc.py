@@ -33,8 +33,9 @@ from .multiindex import Truncation
 # units on exactly agreeing Stratonovich batches (Brownian and fBm paths).
 ROUNDOFF_FACTOR = 8.0
 
-# Rows per block of the discrete-time estimators: a 64 x 257 block of float64 is 132 kB.
-_ROW_BLOCK = 64
+# Rows per block of the discrete-time estimators: a 128 x 257 block of float64 is 263 kB,
+# above numpy's 256 kB threshold for reusing a temporary in place.
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)

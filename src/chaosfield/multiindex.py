@@ -27,6 +27,13 @@ from .errors import ConfigurationError
 # or run for hours (C(50, 10) = 1.0e10 indices at (40, 10)).
 MAX_TABLE_ENTRIES = 20_000_000
 
+# Samples per block of chaos_eval.  The last block is zero-padded to this
+# width, so every sample goes through products of one shape and its value
+# does not depend on the other samples of the batch.  At (8, 4) a block's
+# basis values are 70 x 256 float64, 143 kB; 1024 columns were slower
+# (2-vCPU Xeon, numpy 2.4, glibc malloc), from page faults on every call.
+_EVAL_BLOCK = 256
+
 
 @dataclass(frozen=True, slots=True)
 class MultiIndex:
@@ -208,6 +215,30 @@ def _rank(rows: np.ndarray) -> np.ndarray:
     return below[suffix[:, 0], modes] + below[suffix[:, 1:], np.arange(modes - 1, 0, -1)].sum(axis=1)
 
 
+def _half_plan(modes: int, offset: int, trunc: Truncation) -> tuple:
+    """(rows, grades) for the basis values of modes offset+1..offset+modes of ``trunc``.
+
+    Rows follow the enumeration of I(modes, N).  Each row of grade g >= 1 is
+    its parent, alpha with its last nonzero entry a (at position j) zeroed,
+    times row a * K + offset + j of the (N+1)·K Hermite table;
+    grades[g - 1] = (start, stop, parents, table_rows) of grade g.
+    """
+    if modes == 0:
+        return 1, ()
+    exps = _exponents(modes, trunc.max_order)
+    rows = np.arange(len(exps))
+    last = modes - 1 - np.argmax(exps[:, ::-1] != 0, axis=1)
+    a = exps[rows, last]
+    parent = exps.copy()
+    parent[rows, last] = 0
+    parents, table_rows = _rank(parent), a * trunc.modes + offset + last
+    grades = []
+    for g in range(1, trunc.max_order + 1):
+        start, stop = math.comb(g - 1 + modes, modes), math.comb(g + modes, modes)
+        grades.append((start, stop, parents[start:stop], table_rows[start:stop]))
+    return len(exps), tuple(grades)
+
+
 def _log_factorial(rows: np.ndarray) -> np.ndarray:
     """log(alpha!) per row, summed position by position as ``MultiIndex.factorial_log`` does."""
     lgamma = np.array([math.lgamma(a + 1) for a in range(int(rows.max(initial=0)) + 1)])
@@ -272,6 +303,41 @@ class _IndexTables:
         ia, ib, ig = _rank(alpha), _rank(beta), _rank(alpha + beta)
         lf = self.log_factorial
         return ia, ib, ig, np.exp(0.5 * (lf[ig] - lf[ia] - lf[ib]))
+
+    @cached_property
+    def eval_plan(self):
+        """(halves, blocks, pairs, width): how ``chaos_eval`` sums an expansion over a block of samples.
+
+        The modes split into A = 1..ceil(K/2) and B = the rest, and each alpha
+        into one pair (alpha_A, alpha_B), so that
+        F(z) = sum_b xi_b(z_B) sum_a C[b, a] xi_a(z_A).  C is stored as one
+        block per grade g of A: its rows are the multi-indices of B of order
+        up to N - g, its columns those of A of order g, and ``pairs`` lists the
+        coefficient row of each entry, block after block.  ``halves`` holds
+        ``_half_plan`` of A and of B; ``blocks`` holds (offset in ``pairs``,
+        rows, start, stop of grade g in A) per grade; ``width`` is the number
+        of samples per block.
+        """
+        modes, top = self.trunc.modes, self.trunc.max_order
+        ka = (modes + 1) // 2
+        kb = modes - ka
+        # every per-block array has at most this many rows of samples
+        column = max(math.comb(top + ka, ka), math.comb(top + kb, kb), (top + 1) * modes)
+        _check_table_size(column, f"a sample of chaos_eval on {self.trunc}")
+        halves = (_half_plan(ka, 0, self.trunc), _half_plan(kb, ka, self.trunc))
+        blocks, offset = [], 0
+        for g in range(top + 1):
+            start, stop = (math.comb(g - 1 + ka, ka) if g else 0), math.comb(g + ka, ka)
+            rows = math.comb(top - g + kb, kb)
+            blocks.append((offset, rows, start, stop))
+            offset += rows * (stop - start)
+        e = self.exponents
+        rank_a = _rank(e[:, :ka])
+        rank_b = _rank(e[:, ka:]) if kb else np.zeros(len(e), dtype=np.int64)
+        offsets, starts, stops = np.array([(b[0], b[2], b[3]) for b in blocks]).T[:, e[:, :ka].sum(axis=1)]
+        pairs = np.empty(len(e), dtype=np.int64)
+        pairs[offsets + rank_b * (stops - starts) + rank_a - starts] = np.arange(len(e))
+        return halves, tuple(blocks), pairs, min(_EVAL_BLOCK, MAX_TABLE_ENTRIES // column)
 
     @cached_property
     def alphas(self) -> tuple:

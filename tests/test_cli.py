@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,3 +259,84 @@ def test_hermite_non_finite_range_exits_2(flag, value, capsys):
     code, out = run(capsys, "hermite", flag, value, "--t-points", "2", "--n-max", "2")
     assert code == 2
     assert out == ""
+
+
+def test_hermite_overflowing_table_exits_2(capsys):
+    # H_400(1e200) overflows to inf, and H_n - n H_{n-1} of two infinities is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run(capsys, "hermite", "--n-max", "400", "--t-min", "1e200", "--t-max", "1e200", "--t-points", "1")
+    assert code == 2
+    assert out == ""
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hermite_table_over_the_budget_exits_2_before_allocating(capsys):
+    # (n_max + 1) x t_points = 1e10 entries, 74.5 GiB of float64
+    (code, out), peak = peak_bytes(lambda: run(capsys, "hermite", "--n-max", "99999", "--t-points", "100000"))
+    assert code == 2
+    assert out == ""
+    assert peak < 1_000_000
+
+
+def test_sde_grid_over_the_budget_exits_2_before_allocating(tmp_path, capsys):
+    # (grid + 1) x S = 20 000 001 x 495 solution entries at the default (8, 4)
+    argv = ["sde", "--grid", "20000000", "--out", str(tmp_path)]
+    (code, out), peak = peak_bytes(lambda: run(capsys, *argv))
+    assert code == 2
+    assert out == ""
+    assert peak < 1_000_000
+    assert not (tmp_path / "sde_solution.csv").exists()
+
+
+GOOD_INTEGRAND = {"trunc": {"modes": 2, "max_order": 1}, "coeffs": [{"alpha": [], "k": 1, "value": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "integrand",
+    [
+        [GOOD_INTEGRAND],  # a list, not an object
+        {"coeffs": GOOD_INTEGRAND["coeffs"]},  # no trunc
+        {**GOOD_INTEGRAND, "extra": 1},
+        {**GOOD_INTEGRAND, "trunc": {"modes": 2}},
+        {**GOOD_INTEGRAND, "trunc": {"modes": "2", "max_order": 1}},
+        {**GOOD_INTEGRAND, "trunc": {"modes": 0, "max_order": 1}},
+        {**GOOD_INTEGRAND, "trunc": {"modes": 2, "max_order": -1}},
+        {**GOOD_INTEGRAND, "coeffs": {"alpha": [], "k": 1, "value": 1.0}},
+        {**GOOD_INTEGRAND, "coeffs": [{"alpha": [], "value": 1.0}]},  # no k
+        {**GOOD_INTEGRAND, "coeffs": [[[], 1, 1.0]]},
+        {**GOOD_INTEGRAND, "coeffs": [{"alpha": [], "k": 0, "value": 1.0}]},
+        {**GOOD_INTEGRAND, "coeffs": [{"alpha": [], "k": 3, "value": 1.0}]},
+        {**GOOD_INTEGRAND, "coeffs": [{"alpha": [], "k": 1.5, "value": 1.0}]},
+        {**GOOD_INTEGRAND, "coeffs": [{"alpha": [], "k": True, "value": 1.0}]},
+        {**GOOD_INTEGRAND, "coeffs": [{"alpha": [], "k": 1, "value": "1.0"}]},
+        {**GOOD_INTEGRAND, "coeffs": [{"alpha": [[3, 1]], "k": 1, "value": 1.0}]},  # mode 3 of 2
+        {**GOOD_INTEGRAND, "coeffs": [{"alpha": [[1, 2]], "k": 1, "value": 1.0}]},  # order 2 of 1
+        {**GOOD_INTEGRAND, "coeffs": [{"alpha": [[2, 1], [1, 1]], "k": 1, "value": 1.0}]},  # positions not increasing
+        {**GOOD_INTEGRAND, "coeffs": [{"alpha": [[1, 0]], "k": 1, "value": 1.0}]},  # a stored zero
+        {**GOOD_INTEGRAND, "coeffs": [{"alpha": [1, 1], "k": 1, "value": 1.0}]},
+        {**GOOD_INTEGRAND, "coeffs": [{"alpha": [[1, 1.0]], "k": 1, "value": 1.0}]},
+    ],
+)
+def test_integrate_malformed_integrand_exits_2(integrand, tmp_path, capsys):
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps(integrand))
+    code, out = run(capsys, "integrate", "--integrand", str(path), "--modes", "2", "--order", "1")
+    assert code == 2
+    assert out == ""
+
+
+def test_integrate_the_well_formed_integrand_exits_0(tmp_path, capsys):
+    # the malformed integrands above are each one change away from this one
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps(GOOD_INTEGRAND))
+    code, out = run(capsys, "integrate", "--integrand", str(path), "--modes", "2", "--order", "1")
+    assert code == 0
+    assert json.loads(out)["norm_squared"] == pytest.approx(1.0, abs=1e-12)
