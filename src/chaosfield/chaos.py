@@ -404,4 +404,4 @@ def malliavin_derivative(f: ChaosExpansion) -> HValuedChaos:
     """
     tables = _tables(f.trunc)
     padded = np.append(f.vec, 0.0)  # up = -1 reads the trailing zero
-    return HValuedChaos(f.trunc, np.sqrt(tables.exponents + 1) * padded[tables.up])
+    return HValuedChaos(f.trunc, tables.root_up * padded[tables.up])

@@ -28,21 +28,18 @@ def ito_integral(eta: HValuedChaos) -> ChaosExpansion:
     """
     trunc = eta.trunc
     out_trunc = Truncation(trunc.modes, trunc.max_order + 1)
-    tables = _tables(out_trunc)
-    rows = trunc.size()  # the rows of (K, N) are the first rows of (K, N + 1)
-    weights = np.sqrt(tables.exponents[:rows] + 1) * eta.coeffs
+    up = _tables(out_trunc).up[: trunc.size()]  # the rows of (K, N) are the first rows of (K, N + 1)
     # bincount adds in (alpha, k) order, the order of the defining sum
-    out = np.bincount(tables.up[:rows].ravel(), weights=weights.ravel(), minlength=out_trunc.size())
+    weights = _tables(trunc).root_up * eta.coeffs
+    out = np.bincount(up.ravel(), weights=weights.ravel(), minlength=out_trunc.size())
     return ChaosExpansion.from_dense(out_trunc, out)
 
 
 def malliavin_trace(eta: HValuedChaos) -> ChaosExpansion:
     """Trace term sum_alpha (eta_alpha, D xi_alpha): coefficient at beta is
     sum_k sqrt(beta_k + 1) eta[beta + eps_k, k]."""
-    tables = _tables(eta.trunc)
-    valid = tables.down >= 0
-    weights = np.sqrt(tables.exponents) * eta.coeffs
-    out = np.bincount(tables.down[valid], weights=weights[valid], minlength=eta.trunc.size())
+    dst, src, w = _tables(eta.trunc).trace_plan
+    out = np.bincount(dst, weights=eta.coeffs.ravel()[src] * w, minlength=eta.trunc.size())
     return ChaosExpansion.from_dense(eta.trunc, out)
 
 
@@ -55,13 +52,8 @@ def strat_integral(eta: HValuedChaos) -> ChaosExpansion:
     The output is kept on the input truncation (K, N); creation terms of
     order N + 1 fall outside and are dropped.
     """
-    tables = _tables(eta.trunc)
-    e = tables.exponents
-    # per (alpha, k) the creation term comes before the annihilation term
-    targets = np.stack([tables.up, tables.down], axis=-1)
-    weights = np.stack([np.sqrt(e + 1) * eta.coeffs, np.sqrt(e) * eta.coeffs], axis=-1)
-    valid = targets >= 0
-    out = np.bincount(targets[valid], weights=weights[valid], minlength=eta.trunc.size())
+    dst, src, w = _tables(eta.trunc).strat_plan
+    out = np.bincount(dst, weights=eta.coeffs.ravel()[src] * w, minlength=eta.trunc.size())
     return ChaosExpansion.from_dense(eta.trunc, out)
 
 

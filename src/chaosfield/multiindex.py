@@ -7,7 +7,8 @@ space.  Only the non-zero entries are stored, as a sorted tuple of
 
 ``MultiIndex`` is for input and output.  The chaos operators work on the
 rows of a truncation's index tables (``_tables``): the exponent matrix, the
-row of alpha + eps_k, and the per-row factorial weights.
+row of alpha + eps_k, the per-row factorial weights and the gather plans of
+the integrals.
 """
 
 from __future__ import annotations
@@ -248,6 +249,17 @@ def _log_factorial(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gather_plan(targets: np.ndarray, weights: np.ndarray) -> tuple:
+    """(dst, src, w) over the entries of (S, K, terms) arrays whose target is >= 0, in row-major order.
+
+    src is each term's flat (alpha, k) position in an S x K coefficient array, so
+    a sum over the plan is ``np.bincount(dst, weights=coeffs.ravel()[src] * w)``.
+    """
+    valid = targets >= 0
+    src = np.nonzero(valid.reshape(-1, valid.shape[-1]))[0].astype(np.int32)
+    return targets[valid], src, weights[valid]
+
+
 class _IndexTables:
     """Index tables of one truncation I(K, N); rows follow the enumeration order.
 
@@ -289,6 +301,24 @@ class _IndexTables:
         rows, ks = np.nonzero(self.up >= 0)
         down[self.up[rows, ks], ks] = rows
         return down
+
+    @cached_property
+    def root_up(self) -> np.ndarray:
+        """root_up[i, k] = sqrt(alpha_{k+1} + 1), the creation weight of alpha_i + eps_{k+1}."""
+        return np.sqrt(self.exponents + 1)
+
+    @cached_property
+    def strat_plan(self) -> tuple:
+        """``_gather_plan`` of the Stratonovich sum: per (alpha, k), the creation term
+        sqrt(alpha_k + 1) onto alpha + eps_k, then the annihilation term sqrt(alpha_k)
+        onto alpha - eps_k; terms that leave the truncation are left out."""
+        targets = np.stack([self.up, self.down], axis=-1)
+        return _gather_plan(targets, np.stack([self.root_up, np.sqrt(self.exponents)], axis=-1))
+
+    @cached_property
+    def trace_plan(self) -> tuple:
+        """``_gather_plan`` of the Malliavin trace: sqrt(alpha_k) onto alpha - eps_k."""
+        return _gather_plan(self.down[..., None], np.sqrt(self.exponents)[..., None])
 
     @cached_property
     def wick_pairs(self):

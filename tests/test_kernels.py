@@ -25,6 +25,7 @@ from chaosfield.kernels import (
     k_mk,
     kstar_apply,
     kstar_apply_step,
+    discretize_kstar,
     m_tilde,
     op_norm_bound,
     op_norm_estimate,
@@ -174,6 +175,35 @@ def test_op_norm_estimates():
     # 4473^2 entries are over the table budget: refused before the matrix is allocated
     with pytest.raises(ConfigurationError, match="K\\* matrix"):
         op_norm_estimate(kernel, 4473)
+
+
+def ref_op_norm_estimate(kernel, n_grid=512, max_iter=5000):
+    """The power iteration as first written: two products by A^T A per iteration."""
+    a = discretize_kstar(kernel, n_grid)
+    b = a.T @ a
+    rng = np.random.default_rng(12345)
+    v = rng.standard_normal(n_grid)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(max_iter):
+        w = b @ v
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v_new = w / nw
+        lam_new = float(v_new @ (b @ v_new))
+        if abs(lam_new - lam) <= 1e-8 * max(lam_new, 1.0):
+            return math.sqrt(max(lam_new, 0.0))
+        lam, v = lam_new, v_new
+    raise DomainError("power iteration did not converge")
+
+
+@pytest.mark.parametrize("horizon", [0.7, 1.0, 2.5])
+def test_op_norm_estimate_bit_equal_to_two_product_loop(horizon):
+    kernels = [brownian_kernel(horizon)] + [fbm_kernel_spec(h, horizon) for h in (0.55, 0.63, 0.75, 0.9, 0.95)]
+    for kernel in kernels:
+        for n_grid in (128, 256):
+            assert op_norm_estimate(kernel, n_grid) == ref_op_norm_estimate(kernel, n_grid)
 
 
 def test_op_norm_estimate_raises_without_convergence():

@@ -193,6 +193,45 @@ def ref_k1_empirical(kernel, t_grid=256, refine_tol=1e-6, max_refinements=3):
     return best
 
 
+def ref_k1_full_grids(kernel, grid, t_grid=256, refine_tol=1e-6, max_refinements=3):
+    """k1_empirical as first written: every doubling evaluates its whole t-grid ``grid(n, T)``."""
+    big_t = kernel.horizon
+    rule = QuadratureRule(panels=6, nodes=12)
+    g0 = kernel.origin_exponent
+    s_fine = np.linspace(0.0, big_t, 1025)[1:]
+    phi_vals = kernel.eval(big_t, s_fine) * s_fine ** (-g0)
+
+    def k_upper(s):
+        return np.interp(s, s_fine, phi_vals) * s**g0
+
+    def sup_on_grid(n):
+        t = grid(n, big_t)
+        x, mid = t[:, None], 0.5 * t
+        low = quad_singular(lambda s: k_upper(s) * kernel.dt_eval(x, s), 0.0, mid, 2.0 * g0, rule)
+        high = quad_singular_smooth(
+            lambda s: k_upper(s) * kernel.dt_smooth(x, s), mid, t, kernel.singularity, rule, endpoint="upper"
+        )
+        return float(np.max(low + high))
+
+    n = t_grid
+    best = sup_on_grid(n)
+    for _ in range(max_refinements):
+        n *= 2
+        new = sup_on_grid(n)
+        if abs(new - best) < refine_tol:
+            return max(best, new)
+        best = max(best, new)
+    raise DomainError("k1_empirical did not converge")
+
+
+def linspace_grid(n, big_t):
+    return np.linspace(big_t / n, big_t, n)
+
+
+def arange_grid(n, big_t):
+    return big_t * np.arange(1, n + 1) / n
+
+
 def ref_export_csv(sol):
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
@@ -368,6 +407,24 @@ def test_k1_empirical_matches_node_loop(hurst):
     # every term of a value is positive and moves by at most an ulp per power it takes (three)
     got = k1_empirical(kernel, t_grid=64)
     assert got == pytest.approx(ref_k1_empirical(kernel, t_grid=64), rel=8 * EPS, abs=0.0)
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.63, 0.75, 0.9, 0.95])
+def test_k1_empirical_matches_full_grid_loop(hurst):
+    # each doubling evaluates only its odd points: the sup is the full grid's, bit for bit
+    for horizon in (0.7, 1.0, 2.5):
+        kernel = fbm_kernel_spec(hurst, horizon)
+        assert k1_empirical(kernel) == ref_k1_full_grids(kernel, arange_grid)
+    # at T = 1 and 2.5 the grids equal the linspace grids the loop first used
+    for horizon in (1.0, 2.5):
+        kernel = fbm_kernel_spec(hurst, horizon)
+        assert k1_empirical(kernel) == ref_k1_full_grids(kernel, linspace_grid)
+    # refinements that go past the first doubling, and ones that cannot converge
+    kernel = fbm_kernel_spec(hurst, 1.0)
+    args = dict(t_grid=16, refine_tol=1e-9, max_refinements=6)
+    assert k1_empirical(kernel, **args) == ref_k1_full_grids(kernel, arange_grid, **args)
+    with pytest.raises(DomainError):
+        k1_empirical(kernel, t_grid=16, refine_tol=0.0, max_refinements=2)
 
 
 # ---------------------------------------------------------------------------
