@@ -187,22 +187,11 @@ def inner_product(f, g, rule: QuadratureRule = DEFAULT_RULE, horizon: float = 1.
 def quad_singular(f, a, b, gamma: float, rule: QuadratureRule = DEFAULT_RULE):
     """Integrate f over [a, b] where f(tau) = (tau - a)^gamma * g(tau), g smooth, gamma in (-1, 0].
 
-    The power substitution u = (tau - a)^(gamma+1) regularizes the integrand;
-    Gauss nodes never touch the endpoint.  gamma = 0 means no singularity:
-    the result is ``rule.integrate(f, a, b)``.  Endpoints broadcast as in
-    ``QuadratureRule``.
+    ``quad_singular_smooth`` on g = f (tau - a)^(-gamma): the singular factor
+    is divided out of f and weighted exactly again.  The library calls
+    ``quad_singular_smooth`` with its cofactor directly.
     """
-    if gamma == 0.0:
-        return rule.integrate(f, a, b)
-    if gamma <= -1.0:
-        raise DomainError("exponent must be > -1 for an integrable singularity")
-    live = np.greater(b, a)
-    if not np.any(live):
-        return _on_live_rows(0.0, live)
-    p = 1.0 / (gamma + 1.0)
-    xs, ws = rule.nodes_weights(0.0, np.maximum(b - a, 0.0) ** (gamma + 1.0))
-    h = np.asarray(f(np.expand_dims(a, -1) + xs**p), dtype=float) * xs ** (p - 1.0)
-    return _on_live_rows(p * _dot_rows(ws, h), live)
+    return quad_singular_smooth(lambda tau: f(tau) * (tau - np.expand_dims(a, -1)) ** -gamma, a, b, gamma, rule)
 
 
 def quad_singular_smooth(

@@ -26,7 +26,6 @@ from .basis import (
     _leggauss,
     _on_live_rows,
     jacobi01,
-    quad_singular,
     quad_singular_smooth,
 )
 from .errors import DomainError, InvalidCovarianceError, UnsupportedKernelError
@@ -164,9 +163,10 @@ def _quadrature_mtilde(kernel: KernelSpec, basis: BasisFamily, k, t) -> np.ndarr
     if not kernel.adapted:
         raise UnsupportedKernelError("generic m_tilde implemented for adapted kernels")
     t = np.asarray(t, dtype=float)
+    g0 = kernel.origin_exponent
 
     def row(j):
-        return quad_singular(lambda s: kernel.eval(t[..., None], s) * basis.eval(j, s), 0.0, t, kernel.origin_exponent)
+        return quad_singular_smooth(lambda s: kernel.eval(t[..., None], s) * basis.eval(j, s) * s**-g0, 0.0, t, g0)
 
     return _stack_modes(row, k)
 
@@ -520,15 +520,16 @@ def k1_empirical(
     s_fine = np.linspace(0.0, big_t, 1025)[1:]
     phi_vals = kernel.eval(big_t, s_fine) * s_fine ** (-g0)
 
-    def k_upper(s):
-        return np.interp(s, s_fine, phi_vals) * s**g0
+    def phi(s):
+        return np.interp(s, s_fine, phi_vals)
 
     def sup_at(t: np.ndarray) -> float:
-        # int_0^t = int_0^{t/2} (singular at 0) + int_{t/2}^t (singular at t), for all t at once
+        # int_0^t = int_0^{t/2} (singular at 0) + int_{t/2}^t (singular at t), for all t at once;
+        # the lower half weights s^(2 g0) exactly: K(T, s) K1(t, s) s^(-2 g0) = phi(s) s^(-g0) K1(t, s)
         x, mid = t[:, None], 0.5 * t
-        low = quad_singular(lambda s: k_upper(s) * kernel.dt_eval(x, s), 0.0, mid, 2.0 * g0, rule)
+        low = quad_singular_smooth(lambda s: phi(s) * s**-g0 * kernel.dt_eval(x, s), 0.0, mid, 2.0 * g0, rule)
         high = quad_singular_smooth(
-            lambda s: k_upper(s) * kernel.dt_smooth(x, s), mid, t, kernel.singularity, rule, endpoint="upper"
+            lambda s: phi(s) * s**g0 * kernel.dt_smooth(x, s), mid, t, kernel.singularity, rule, endpoint="upper"
         )
         return float(np.max(low + high))
 
@@ -638,8 +639,10 @@ def covariance_from_kernel(kernel: KernelSpec, t, s):
     live = np.minimum(t, s) > 0
     # K(t, .) may be singular at 0: a row with nothing to integrate takes t = s = T, and reads 0 below
     x, y = (np.where(live, v, kernel.horizon)[..., None] for v in (t, s))
-    g0 = kernel.origin_exponent
-    cov = quad_singular(lambda tau: kernel.eval(x, tau) * kernel.eval(y, tau), 0.0, np.minimum(x, y)[..., 0], 2.0 * g0)
+    gamma = 2.0 * kernel.origin_exponent  # K(t, tau) K(s, tau) behaves like tau^gamma at 0
+    cov = quad_singular_smooth(
+        lambda tau: kernel.eval(x, tau) * kernel.eval(y, tau) * tau**-gamma, 0.0, np.minimum(x, y)[..., 0], gamma
+    )
     return _on_live_rows(cov, live)
 
 

@@ -180,14 +180,17 @@ def _exponents(modes: int, max_order: int) -> np.ndarray:
     """
     size = math.comb(max_order + modes, modes)
     _check_table_size(size * modes, f"truncation ({modes}, {max_order})")
-    # grades[n]: the rows of order n over the last positions built so far
-    grades = [np.array([[n]], dtype=np.int32) for n in range(max_order + 1)]
-    for _ in range(modes - 1):
-        grades = [
-            np.concatenate([np.insert(grades[n - first], 0, first, axis=1) for first in range(n, -1, -1)])
-            for n in range(max_order + 1)
-        ]
-    return np.concatenate(grades)
+    orders = np.arange(max_order + 1)
+    table, order = orders[:, None].astype(np.int32), orders  # I(1, max_order) and each row's order
+    for j in range(1, modes):
+        # grade n over j + 1 positions is, for first = n..0, first followed by the rows of order
+        # n - first over j positions: together, the first C(n + j, j) rows of the table, in order
+        ends = [math.comb(n + j, j) for n in range(max_order + 1)]
+        take = np.concatenate([np.arange(end) for end in ends])
+        grade = np.repeat(orders, ends)
+        table = np.concatenate(((grade - order[take])[:, None], table[take]), axis=1, dtype=np.int32)
+        order = grade
+    return table
 
 
 def _below(top: int, modes: int) -> np.ndarray:

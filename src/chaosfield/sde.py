@@ -65,7 +65,11 @@ class PropagatorSolution:
         The rows are CSV with ``\\r\\n`` line ends and no quoting, since no
         field (a float repr or an integer) holds a comma, quote or line break.
         The repr of a row's list is each float's repr joined by ", ".
+        A non-finite time or coefficient raises DomainError before either
+        file is opened.
         """
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.coeffs))):
+            raise DomainError("solution times and coefficients must be finite to export")
         alphas = enumerate_multiindices(self.trunc)
         ids = [f",{j}," for j in range(len(alphas))]
         with open(path, "w", newline="") as fh:

@@ -102,6 +102,33 @@ def test_fbm_command(capsys):
     assert payload["norm_estimate"] <= payload["norm_bound"]
 
 
+def finite_payload(out):
+    # stdout parses as JSON without NaN or Infinity tokens, and every number in it is finite
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    payload = json.loads(out, parse_constant=refuse)
+    numbers = [v for v in payload.values() if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    assert numbers and all(math.isfinite(v) for v in numbers)
+    return payload
+
+
+@pytest.mark.parametrize("hurst", ["0.995", "0.999"])
+def test_fbm_near_hurst_one_exits_0_with_finite_payload(hurst, capsys):
+    code, out = run(capsys, "fbm", "--hurst", hurst, "--grid", "128")
+    assert code == 0
+    assert finite_payload(out)["pass"] is True
+
+
+@pytest.mark.parametrize("hurst", ["0.995", "0.999"])
+def test_sde_fbm_near_hurst_one_exits_0_with_finite_payload(hurst, tmp_path, capsys):
+    argv = ["sde", "--kernel", "fbm", "--hurst", hurst, "--basis", "cosine", "--modes", "4", "--order", "3"]
+    code, out = run(capsys, *argv, "--grid", "64", "--out", str(tmp_path))
+    assert code == 0
+    payload = finite_payload(out)
+    assert payload["exp_covariance_at_horizon"] == pytest.approx(math.e, rel=1e-4)
+
+
 @pytest.mark.parametrize(
     "name, kwargs",
     [("k1_empirical", {"refine_tol": 0.0, "max_refinements": 1}), ("op_norm_estimate", {"max_iter": 1})],

@@ -160,6 +160,15 @@ def test_covariance_from_kernel():
     )
 
 
+@pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9, 0.99, 0.995, 0.999])
+def test_fbm_covariance_from_kernel_up_to_hurst_near_one(hurst):
+    # the weight tau^(1 - 2H) is exact in the Gauss-Jacobi rule, so no node reaches tau = 0 as H -> 1
+    kernel, analytic = fbm_kernel_spec(hurst, 1.0), fbm_covariance(hurst)
+    for t in (0.25, 0.5, 1.0):
+        for s in (0.25, 0.5, 1.0):
+            assert covariance_from_kernel(kernel, t, s) == pytest.approx(analytic(t, s), abs=1e-4)
+
+
 def test_op_norm_bound():
     assert op_norm_bound(0.0, 1.5) == pytest.approx(math.sqrt(1.5))
     assert op_norm_bound(1.0, 1.5) == pytest.approx(math.sqrt(5.0))

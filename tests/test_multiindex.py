@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from chaosfield.errors import ConfigurationError
-from chaosfield.multiindex import MultiIndex, Truncation, enumerate_multiindices, index_map
+from chaosfield.multiindex import MultiIndex, Truncation, _exponents, enumerate_multiindices, index_map
 
 
 def test_zero_and_eps():
@@ -64,6 +65,27 @@ def test_index_map_consistent():
     imap = index_map(trunc)
     for i, a in enumerate(enumerate_multiindices(trunc)):
         assert imap[a] == i
+
+
+def ref_exponents(modes, max_order):
+    """The exponent table by prepending each first entry to the rows of the positions after it."""
+    grades = [np.array([[n]], dtype=np.int32) for n in range(max_order + 1)]
+    for _ in range(modes - 1):
+        grades = [
+            np.concatenate([np.insert(grades[n - first], 0, first, axis=1) for first in range(n, -1, -1)])
+            for n in range(max_order + 1)
+        ]
+    return np.concatenate(grades)
+
+
+def test_exponents_match_the_prepending_recursion():
+    # every (K, N) with K <= 16, N <= 8 and at most 200 000 table entries
+    cases = [(k, n) for k in range(1, 17) for n in range(9) if math.comb(n + k, k) * k <= 200_000]
+    assert len(cases) > 100
+    for modes, max_order in cases:
+        got, want = _exponents(modes, max_order), ref_exponents(modes, max_order)
+        assert np.array_equal(got, want), (modes, max_order)
+        assert got.dtype == np.int32 and got.flags.c_contiguous, (modes, max_order)
 
 
 def test_contains():

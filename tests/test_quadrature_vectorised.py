@@ -169,16 +169,17 @@ def ref_k1_empirical(kernel, t_grid=256, refine_tol=1e-6, max_refinements=3):
         return np.interp(s, s_fine, phi_vals) * s**g0
 
     def integral_at(t):
-        def integrand(s):
+        def cofactor(s):
+            # K(T, s) K1(t, s) with the weight s^(2 g0) divided out
             s = np.atleast_1d(np.asarray(s, dtype=float))
-            return k_upper(s) * np.array([kernel.dt_eval(t, si) for si in s])
+            return np.interp(s, s_fine, phi_vals) * s**-g0 * np.array([kernel.dt_eval(t, si) for si in s])
 
         def smooth(s):
             s = np.atleast_1d(np.asarray(s, dtype=float))
             return k_upper(s) * np.array([kernel.dt_smooth(t, si) for si in s])
 
         mid = 0.5 * t
-        low = quad_singular(integrand, 0.0, mid, 2.0 * g0, rule)
+        low = quad_singular_smooth(cofactor, 0.0, mid, 2.0 * g0, rule)
         high = quad_singular_smooth(smooth, mid, t, kernel.singularity, rule, endpoint="upper")
         return low + high
 
@@ -207,7 +208,9 @@ def ref_k1_full_grids(kernel, grid, t_grid=256, refine_tol=1e-6, max_refinements
     def sup_on_grid(n):
         t = grid(n, big_t)
         x, mid = t[:, None], 0.5 * t
-        low = quad_singular(lambda s: k_upper(s) * kernel.dt_eval(x, s), 0.0, mid, 2.0 * g0, rule)
+        low = quad_singular_smooth(
+            lambda s: np.interp(s, s_fine, phi_vals) * s**-g0 * kernel.dt_eval(x, s), 0.0, mid, 2.0 * g0, rule
+        )
         high = quad_singular_smooth(
             lambda s: k_upper(s) * kernel.dt_smooth(x, s), mid, t, kernel.singularity, rule, endpoint="upper"
         )
@@ -435,7 +438,7 @@ def test_export_csv_bytes_match_csv_writer(tmp_path):
     basis = BASES[1]
     sol = solve_closed_form(fbm_kernel_spec(0.66, 1.0), basis, Truncation(3, 3), np.linspace(0.0, 1.0, 9))
     odd = sol.coeffs.copy()
-    odd[1, :6] = [-0.0, 5e-324, 1e16, -1.5e-300, np.inf, np.nan]
+    odd[1, :6] = [-0.0, 5e-324, 1e16, -1.5e-300, np.finfo(float).max, 1e-5]  # non-finite values are refused
     times = sol.times.copy()
     times[2] = 0.1 + 0.2  # a repr with 17 significant digits
     special = PropagatorSolution(sol.trunc, basis, "fbm", times, odd, sol.mtilde)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -211,3 +212,14 @@ def test_export_csv(tmp_path):
     ids = json.loads(sidecar.read_text())
     assert ids["0"] == []  # zero multi-index
     assert len(ids) == trunc.size()
+
+
+@pytest.mark.parametrize("field, bad", [("coeffs", math.inf), ("coeffs", math.nan), ("times", math.nan)])
+def test_export_csv_refuses_non_finite_values_and_writes_nothing(field, bad, tmp_path):
+    sol = solve_closed_form(brownian_kernel(1.0), BASIS, Truncation(2, 2), [0.0, 1.0])
+    values = getattr(sol, field).copy()
+    values.flat[-1] = bad
+    csv_path, sidecar = tmp_path / "sol.csv", tmp_path / "ids.json"
+    with pytest.raises(DomainError, match="finite"):
+        dataclasses.replace(sol, **{field: values}).export_csv(csv_path, sidecar)
+    assert list(tmp_path.iterdir()) == []

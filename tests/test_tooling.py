@@ -2,7 +2,8 @@
 benchmark's per-layer span names against the library's public API, the
 kernel protocol's rule that no consumer branches on what a kernel supplied,
 the rule that every defaulted parameter of a public function is set by
-some call, and the rule that the library never calls the built-in sum."""
+some call, and the rules that the library never calls the built-in sum or
+quad_singular."""
 
 import ast
 import importlib
@@ -160,3 +161,23 @@ def test_library_makes_no_builtin_sum_call():
     assert found == {}
     # the check sees such a call, and leaves np.sum and array methods alone
     assert _builtin_sum_calls(ast.parse("x = sum(v)\ny = np.sum(v) + v.sum()")) == [1]
+
+
+def _quad_singular_calls(tree):
+    # line of each call of quad_singular, by its bare name or as a module attribute
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    return [n.lineno for n in calls if "quad_singular" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+
+def test_library_makes_no_quad_singular_call():
+    # quad_singular divides out the singular factor that Gauss-Jacobi weights back in, an extra
+    # power per node; library callers pass quad_singular_smooth their cofactor directly
+    found = {
+        path.name: hits
+        for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
+        if (hits := _quad_singular_calls(ast.parse(path.read_text())))
+    }
+    assert found == {}
+    # the check sees either spelling, and leaves quad_singular_smooth alone
+    sample = "a = quad_singular(f, 0, 1, -0.5)\nb = basis.quad_singular(f, 0, 1, -0.5)\nc = quad_singular_smooth(g, 0, 1, -0.5)"
+    assert _quad_singular_calls(ast.parse(sample)) == [1, 2]
