@@ -1,6 +1,6 @@
 """Stochastic integration with respect to Gaussian fields via chaos expansion."""
 
-from .basis import BasisFamily, QuadratureRule, inner_product, quad_singular
+from .basis import BasisFamily, QuadratureRule, quad_singular
 from .chaos import (
     ChaosExpansion,
     HValuedChaos,
@@ -9,7 +9,6 @@ from .chaos import (
     truncate_expansion,
     wick_exp_first_chaos,
     wick_product,
-    xi_alpha_eval,
 )
 from .errors import (
     ChaosFieldError,
@@ -26,14 +25,12 @@ from .integrals import (
     brownian_path_integrand,
     field_ito_integral,
     ito_integral,
-    localize_integrand,
     malliavin_trace,
     strat_integral,
     strat_via_trace,
 )
 from .kernels import (
     KernelSpec,
-    StepFunction,
     brownian_covariance,
     brownian_kernel,
     covariance_from_kernel,
@@ -47,8 +44,6 @@ from .kernels import (
     hr_gram,
     k1_empirical,
     k_mk,
-    kstar_apply,
-    kstar_apply_step,
     m_tilde,
     op_norm_bound,
     op_norm_estimate,

@@ -179,11 +179,6 @@ class BasisFamily:
         return val if np.asarray(val).ndim else float(val)
 
 
-def inner_product(f, g, rule: QuadratureRule = DEFAULT_RULE, horizon: float = 1.0) -> float:
-    """Quadrature approximation of int_0^T f(t) g(t) dt."""
-    return rule.integrate(lambda t: np.asarray(f(t)) * np.asarray(g(t)), 0.0, horizon)
-
-
 def quad_singular(f, a, b, gamma: float, rule: QuadratureRule = DEFAULT_RULE):
     """Integrate f over [a, b] where f(tau) = (tau - a)^gamma * g(tau), g smooth, gamma in (-1, 0].
 

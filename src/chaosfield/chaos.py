@@ -251,20 +251,6 @@ def _read_value(value) -> float:
     return float(value)
 
 
-def xi_alpha_eval(alpha: MultiIndex, z) -> float:
-    """Evaluate the basis element xi_alpha = prod_k H_{alpha_k}(z_k) / sqrt(alpha_k!).
-
-    z may be a vector (one sample) or an (n, K) array of samples.  Evaluated on
-    the index set of alpha's own support, so 10 eps_40 needs no 40-mode tables.
-    """
-    z = np.asarray(z, dtype=float)
-    if alpha.max_support > z.shape[-1]:
-        raise DimensionError(f"support up to {alpha.max_support} exceeds sample length {z.shape[-1]}")
-    packed = MultiIndex.from_dense([a for _, a in alpha.entries])
-    basis = ChaosExpansion.basis_element(Truncation(max(len(alpha.entries), 1), alpha.order()), packed)
-    return chaos_eval(basis, z[..., [k - 1 for k, _ in alpha.entries]])
-
-
 def wick_product(f: ChaosExpansion, g: ChaosExpansion, return_dropped: bool = False):
     """Wick product on the shared truncation.
 

@@ -68,10 +68,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigurationError(f"{name} must be a real number, not {value!r}")
+        if not isinstance(self.out, str):
+            raise ConfigurationError(f"out must be a string, not {self.out!r}")
         if self.kernel not in ("brownian", "fbm"):
             raise ConfigurationError(f"unknown kernel {self.kernel!r}")
-        if self.kernel == "fbm" and not 0.5 < self.hurst < 1.0:
-            raise ConfigurationError("hurst must lie in (1/2, 1) for the fbm kernel")
+        if not 0.5 < self.hurst < 1.0:
+            raise ConfigurationError("hurst must lie in (1/2, 1)")
         if not 0 < self.horizon < math.inf:
             raise ConfigurationError("horizon must be positive and finite")
         if self.modes < 1 or self.order < 1 or self.grid < 2:
@@ -97,6 +99,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"a config file must hold a JSON object, not {type(data).__name__}")
         known = {f.name for f in fields(ExperimentConfig)}
         unknown = set(data) - known
         if unknown:
@@ -244,6 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stochastic integration via Wiener chaos expansion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix abbreviations: integrate's --out would otherwise read as --out-file
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_config_flags(p):
         p.add_argument("--config", help="JSON config file")
@@ -253,34 +259,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--basis", choices=["cosine", "legendre"])
         p.add_argument("--modes", type=int)
         p.add_argument("--order", type=int)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--out")
 
-    p = sub.add_parser("hermite", help="tabulate Hermite polynomials")
+    p = add_command("hermite", help="tabulate Hermite polynomials")
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--t-min", type=float, default=-2.0)
     p.add_argument("--t-max", type=float, default=2.0)
     p.add_argument("--t-points", type=int, default=9)
     p.set_defaults(func=cmd_hermite)
 
-    p = sub.add_parser("integrate", help="chaos-space stochastic integral")
+    p = add_command("integrate", help="chaos-space stochastic integral")
     add_config_flags(p)
     p.add_argument("--integrand", default="w-path", help="'w-path' or a JSON file")
     p.add_argument("--mode", choices=["ito", "strat", "field-ito"], default="ito")
     p.add_argument("--out-file", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_integrate)
 
-    p = sub.add_parser("sde", help="solve the linear Wick SDE")
+    p = add_command("sde", help="solve the linear Wick SDE")
     add_config_flags(p)
+    p.add_argument("--grid", type=int)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_sde)
 
-    p = sub.add_parser("fbm", help="fBm kernel diagnostics")
+    p = add_command("fbm", help="fBm kernel diagnostics")
     p.add_argument("--hurst", type=float)
     p.add_argument("--horizon", type=float)
     p.add_argument("--grid", type=int, default=512)
     p.set_defaults(func=cmd_fbm)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = add_command("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
     p.set_defaults(func=cmd_verify)
 
@@ -295,7 +301,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ChaosFieldError, OSError, json.JSONDecodeError) as exc:
+    except (ChaosFieldError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,11 +9,10 @@ operator); the Stratonovich integral adds the Malliavin trace term
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisFamily, DEFAULT_RULE
+from .basis import BasisFamily, DEFAULT_RULE, jacobi01
 from .chaos import ChaosExpansion, HValuedChaos, truncate_expansion
 from .errors import DomainError
 from .kernels import KernelSpec
@@ -63,39 +62,23 @@ def strat_via_trace(eta: HValuedChaos) -> ChaosExpansion:
     return ito + malliavin_trace(eta)
 
 
-@lru_cache(maxsize=256)
-def _localization_gram(basis: BasisFamily, modes: int, t: float) -> np.ndarray:
-    """Gram matrix G[j, k] = int_0^t m_{j+1}(s) m_{k+1}(s) ds."""
-    if t == 0.0:
-        return np.zeros((modes, modes))
-    xs, ws = DEFAULT_RULE.nodes_weights(0.0, t)
-    vals = basis.eval(np.arange(1, modes + 1), xs)
-    return (vals * ws) @ vals.T
-
-
-def localize_integrand(eta: HValuedChaos, t: float) -> HValuedChaos:
-    """Multiply the integrand by the indicator of [0, t], in coefficients.
-
-    New coefficients eta'[alpha, j] = sum_k eta[alpha, k] (m_k chi_t, m_j).
-    """
-    basis = eta.basis
-    if basis is None:
-        raise DomainError("localization needs the integrand's basis reference")
-    if t < 0 or t > basis.horizon + 1e-12:
-        raise DomainError(f"t outside [0, {basis.horizon}]")
-    gram = _localization_gram(basis, eta.trunc.modes, float(min(t, basis.horizon)))
-    return HValuedChaos(eta.trunc, eta.coeffs @ gram.T, basis)
-
-
 def kernel_pairing_matrix(kernel: KernelSpec, basis: BasisFamily, modes: int) -> np.ndarray:
-    """Matrix C[j, k] = int_0^T m_{j+1}(t) (K m_{k+1})(t) dt."""
+    """Matrix C[j, k] = int_0^T m_{j+1}(t) (K m_{k+1})(t) dt = int_0^T t^gamma0 m_{j+1}(t) psi_{k+1}(t) dt.
+
+    For gamma0 != 0 the weight t^gamma0 is exact in a Gauss-Jacobi rule of 96
+    nodes, the count ``quad_singular_smooth`` takes for the default rule, so
+    no node sits at the singular endpoint; gamma0 = 0 takes the default
+    composite rule.
+    """
     ks = np.arange(1, modes + 1)
-    # u = s^(gamma0+1) absorbs the s^gamma0 weight, s^gamma0 ds = p du (p = 1, u = s when gamma0 = 0)
-    p = 1.0 / (kernel.gamma0 + 1.0)
-    xs, ws = DEFAULT_RULE.nodes_weights(0.0, basis.horizon ** (kernel.gamma0 + 1.0))
-    s = xs**p
+    g0, big_t = kernel.gamma0, basis.horizon
+    if g0:
+        v, w = jacobi01(96, 0.0, g0)
+        s, ws = big_t * v, big_t ** (g0 + 1.0) * w
+    else:
+        s, ws = DEFAULT_RULE.nodes_weights(0.0, big_t)
     mj = basis.eval(ks, s)
-    return p * np.stack([(mj * psi_k) @ ws for psi_k in kernel.psi(basis, ks, s)], axis=1)
+    return np.stack([(mj * psi_k) @ ws for psi_k in kernel.psi(basis, ks, s)], axis=1)
 
 
 def field_ito_integral(eta: HValuedChaos, kernel: KernelSpec) -> ChaosExpansion:

@@ -28,33 +28,8 @@ from .basis import (
     jacobi01,
     quad_singular_smooth,
 )
-from .errors import DomainError, InvalidCovarianceError, UnsupportedKernelError
+from .errors import ConfigurationError, DomainError, InvalidCovarianceError, UnsupportedKernelError
 from .multiindex import _check_table_size
-
-
-# ---------------------------------------------------------------------------
-# step functions
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Piecewise-constant function: value values[i] on (breaks[i], breaks[i+1]]."""
-
-    breaks: tuple
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.breaks) != len(self.values) + 1:
-            raise ValueError("need one more breakpoint than values")
-        if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        idx = np.searchsorted(self.breaks, s, side="left") - 1
-        inside = (idx >= 0) & (idx < len(self.values)) & (s > self.breaks[0])
-        vals = np.where(inside, np.take(self.values, np.clip(idx, 0, len(self.values) - 1)), 0.0)
-        return vals if vals.ndim else float(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +42,7 @@ class KernelSpec:
 
     Required: ``name``, ``horizon``, ``adapted`` (K(t, s) = 0 for s > t),
     ``eval(t, s)`` and ``diag_limit(s)`` = K(s+, s).  Optional derivative
-    data, which K*, ``k1_empirical`` and the derived ``psi`` need:
+    data, which ``k1_empirical`` and the derived ``psi`` need:
     ``dt_eval(t, s)`` = K1(t, s) = dK/dt; ``singularity``, the exponent of K1
     in (t - s) as t -> s+ (0, the default, when K1 is regular there; None
     reads as 0); ``origin_exponent``, the exponent of K(t, s) in s as s -> 0.
@@ -113,6 +88,8 @@ class KernelSpec:
     eval_column: object = None  # callable (t_sorted, s) -> K(t_i, s), one row per s of an array s
 
     def __post_init__(self):
+        if not 0 < self.horizon < math.inf:
+            raise DomainError("horizon must be positive and finite")
         self.singularity = self.singularity or 0.0
         for name, derive in _DERIVED.items():
             piece = getattr(self, name)
@@ -252,8 +229,9 @@ def fbm_kernel(hurst: float, t, s):
 
 
 def _fbm_kernel(c: float, hurst: float, t, s):
-    if np.any(np.less_equal(s, 0)) or np.any(np.less(t, s)):
-        raise DomainError("require 0 < s <= t")
+    # one pass of positive tests, so NaN fails it
+    if not np.all(np.greater(s, 0) & np.less_equal(s, t) & np.less(t, math.inf)):
+        raise DomainError("require 0 < s <= t < inf")
     inner = quad_singular_smooth(lambda tau: tau ** (hurst - 0.5), s, t, hurst - 1.5)
     return c * s ** (0.5 - hurst) * inner
 
@@ -266,8 +244,8 @@ def fbm_kernel_dt(hurst: float, t: float, s: float) -> float:
 
 def _fbm_dt(c: float, hurst: float, t: float, s):
     # s stays as given: a scalar s keeps scalar pow, which numpy's array pow can differ from in the last bit
-    if np.any(np.asarray(s) <= 0) or np.any(t <= np.asarray(s)):
-        raise DomainError("require 0 < s < t")
+    if not np.all(np.greater(s, 0) & np.less(s, t) & np.less(t, math.inf)):  # positive tests, so NaN fails
+        raise DomainError("require 0 < s < t < inf")
     return c * s ** (0.5 - hurst) * (t - s) ** (hurst - 1.5) * t ** (hurst - 0.5)
 
 
@@ -451,54 +429,6 @@ def grid_kernel_from_csv(path) -> KernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# the operator K*
-
-
-def kstar_apply_step(kernel: KernelSpec, step: StepFunction):
-    """K* applied to a step function; valid for adapted kernels.
-
-    On s in (s_i, s_{i+1}]:
-        a_i K(s_{i+1}, s) + sum_{k>i} a_k (K(s_{k+1}, s) - K(s_k, s)),
-    which is sum_k a_k (K(s_{k+1}, s) - K(s_k, s)) with K(s_k, s) = 0 for
-    s_k < s; zero outside (0, s_N].  The image broadcasts over s.
-    """
-    if not kernel.adapted:
-        raise UnsupportedKernelError("step-function formula requires an adapted kernel")
-    breaks = np.asarray(step.breaks, dtype=float)
-    values = np.asarray(step.values, dtype=float)
-
-    def apply(s):
-        s = np.asarray(s, dtype=float)
-        inside = (s > 0.0) & (s <= breaks[-1])
-        x = np.where(inside, s, kernel.horizon)[..., None]  # outside rows are masked below
-        kvals = np.where(breaks >= x, kernel.eval(np.maximum(breaks, x), x), 0.0)
-        return _on_live_rows(_dot_rows(values, np.diff(kvals)), inside)
-
-    return apply
-
-
-def kstar_apply(kernel: KernelSpec, f):
-    """K* f for continuous f: s -> K(s+, s) f(s) + int_s^T f(t) K1(t, s) dt, broadcast over s.
-
-    f takes arrays.
-    """
-    if kernel.dt_eval is None:
-        raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
-
-    def apply(s):
-        live = np.less(s, kernel.horizon)
-        # K1 may be singular on the diagonal: a row with nothing to integrate takes s = T/2, and reads 0 below
-        x = np.where(live, s, 0.5 * kernel.horizon)
-        integral = quad_singular_smooth(
-            lambda t: f(t) * kernel.dt_smooth(t, x[..., None]), x, kernel.horizon, kernel.singularity
-        )
-        out = kernel.diag_limit(s) * np.asarray(f(s), dtype=float) + _on_live_rows(integral, live)
-        return out if out.ndim else float(out)
-
-    return apply
-
-
-# ---------------------------------------------------------------------------
 # diagnostics: K1 bound, operator norms
 
 
@@ -571,6 +501,8 @@ def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
     """
     if not kernel.adapted:
         raise UnsupportedKernelError("discretization implemented for adapted kernels")
+    if n_grid < 1:
+        raise ConfigurationError(f"n_grid must be >= 1, not {n_grid}")
     _check_table_size(n_grid * n_grid, f"the {n_grid} x {n_grid} K* matrix")
     big_t = kernel.horizon
     edges = np.linspace(0.0, big_t, n_grid + 1)
@@ -636,6 +568,8 @@ def covariance_from_kernel(kernel: KernelSpec, t, s):
     """
     if not kernel.adapted:
         raise UnsupportedKernelError("covariance formula requires an adapted kernel")
+    if not np.all(np.isfinite(t) & np.isfinite(s)):
+        raise DomainError("t and s must be finite")
     live = np.minimum(t, s) > 0
     # K(t, .) may be singular at 0: a row with nothing to integrate takes t = s = T, and reads 0 below
     x, y = (np.where(live, v, kernel.horizon)[..., None] for v in (t, s))

@@ -16,7 +16,6 @@ arrays per call; each row's pairwise sum is unchanged, so are the bits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -62,8 +61,10 @@ def sample_batch(seed: int, n: int, modes: int) -> SampleBatch:
     """Draw an (n, modes) batch; row i comes from the Philox stream (seed, i)."""
     if n < 1 or modes < 1:
         raise DomainError("need n >= 1 and modes >= 1")
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), not {seed!r}")
     z = np.empty((n, modes))
-    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))  # refuses a seed outside uint64
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bits)
     state = bits.state  # counter 0, empty buffer and uint32 cache: a fresh stream
     for name in ("counter", "key"):
@@ -175,9 +176,3 @@ def _compare_values(values, oracle_values, batch: SampleBatch) -> dict:
         "seed": batch.seed,
         "n": batch.n_samples,
     }
-
-
-def report_json(report: dict) -> str:
-    """Deterministic JSON serialization of an mc_compare report."""
-    ordered = {k: report[k] for k in ("statistic", "stderr", "tolerance", "pass", "seed", "n")}
-    return json.dumps(ordered)

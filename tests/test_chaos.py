@@ -11,9 +11,9 @@ from chaosfield.chaos import (
     truncate_expansion,
     wick_exp_first_chaos,
     wick_product,
-    xi_alpha_eval,
 )
 from chaosfield.errors import ConfigurationError, DimensionError, DomainError
+from chaosfield.hermite import hermite
 from chaosfield.multiindex import MultiIndex, Truncation, index_map
 
 
@@ -116,11 +116,11 @@ def test_wick_exp_is_exponential_under_wick_product():
 
 def test_xi_alpha_eval_hermite():
     z = np.array([1.3, -0.4])
-    alpha = MultiIndex.single(1, 2)
+    xi = ChaosExpansion.basis_element(Truncation(2, 2), MultiIndex.single(1, 2))
     # H_2(z)/sqrt(2!) = (z^2 - 1)/sqrt(2)
-    assert xi_alpha_eval(alpha, z) == pytest.approx((1.3**2 - 1) / math.sqrt(2))
+    assert chaos_eval(xi, z) == pytest.approx((1.3**2 - 1) / math.sqrt(2))
     with pytest.raises(DimensionError):
-        xi_alpha_eval(MultiIndex.eps(5), z)
+        chaos_eval(ChaosExpansion.basis_element(Truncation(5, 1), MultiIndex.eps(5)), z)
 
 
 def test_chaos_eval_matches_sum():
@@ -133,7 +133,11 @@ def test_chaos_eval_matches_sum():
     }
     f = ChaosExpansion(trunc, coeffs)
     z = rng.standard_normal((5, 2))
-    direct = sum(c * xi_alpha_eval(a, z) for a, c in coeffs.items())
+    # xi_alpha(z) = prod_k H_{alpha_k}(z_k) / sqrt(alpha_k!)
+    direct = sum(
+        c * math.prod(hermite(n, z[:, k - 1]) / math.sqrt(math.factorial(n)) for k, n in a.entries)
+        for a, c in coeffs.items()
+    )
     assert chaos_eval(f, z) == pytest.approx(direct)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from chaosfield import chaos, multiindex
-from chaosfield.chaos import ChaosExpansion, chaos_eval, wick_exp_first_chaos, xi_alpha_eval
+from chaosfield.chaos import ChaosExpansion, chaos_eval, wick_exp_first_chaos
 from chaosfield.errors import ConfigurationError, DimensionError, DomainError
 from chaosfield.hermite import hermite_table
 from chaosfield.multiindex import MultiIndex, Truncation, _EVAL_BLOCK, _IndexTables, _tables
@@ -122,10 +122,6 @@ def test_empty_batch():
 
 
 def test_zero_index_on_a_zero_column_sample():
-    # xi_alpha_eval packs the zero multi-index into Truncation(1, 0) and passes no columns
-    z = np.random.default_rng(8).standard_normal((5, 3))
-    assert np.array_equal(xi_alpha_eval(MultiIndex.zero(), z), np.ones(5))
-    assert xi_alpha_eval(MultiIndex.zero(), z[0]) == 1.0
     f = ChaosExpansion.constant(Truncation(1, 0), 2.5)
     assert np.array_equal(chaos_eval(f, np.zeros((4, 0))), np.full(4, 2.5))
     assert chaos_eval(f, np.zeros(0)) == 2.5

@@ -164,8 +164,9 @@ def test_verify_unknown_suite(capsys):
 @pytest.mark.parametrize("command", ["sde", "integrate"])
 def test_oversized_truncation_exits_2(command, tmp_path, capsys):
     # (40, 10) holds C(50, 10) = 1.0e10 multi-indices
+    argv = [command, "--modes", "40", "--order", "10"] + (["--out", str(tmp_path)] if command == "sde" else [])
     start = time.perf_counter()
-    code, _ = run(capsys, command, "--modes", "40", "--order", "10", "--out", str(tmp_path))
+    code, _ = run(capsys, *argv)
     assert code == 2
     assert time.perf_counter() - start < 1.0
 
@@ -204,8 +205,11 @@ def test_config_invalid_values(capsys):
 
 @pytest.mark.parametrize(
     "values",
-    [{"modes": "8"}, {"modes": 8.5}, {"modes": True}, {"hurst": None}, {"horizon": "1"}],
-    ids=["modes-str", "modes-float", "modes-bool", "hurst-null", "horizon-str"],
+    [{"modes": "8"}, {"modes": 8.5}, {"modes": True}, {"hurst": None}, {"horizon": "1"}]
+    # a file that is not a JSON object
+    + [5, None, math.nan, [[1]], ["kernel"], "abc"],
+    ids=["modes-str", "modes-float", "modes-bool", "hurst-null", "horizon-str"]
+    + ["int", "null", "nan", "nested-list", "key-list", "str"],
 )
 def test_config_wrong_types_exit_2(values, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -214,6 +218,36 @@ def test_config_wrong_types_exit_2(values, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert not (tmp_path / "sde_solution.csv").exists()
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    code, out = run(capsys, "sde", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", [5, None])
+def test_config_out_that_is_not_a_string_exits_2(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": value, "modes": 2, "order": 1, "grid": 4}))
+    code, out = run(capsys, "sde", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("hurst", ["7", "0.5", "nan"])
+def test_hurst_outside_the_open_interval_exits_2_for_every_kernel(hurst, tmp_path, capsys):
+    argv = ["sde", "--kernel", "brownian", "--hurst", hurst, "--modes", "2", "--order", "1", "--grid", "4"]
+    code, out = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    code, out = run(capsys, "integrate", "--kernel", "brownian", "--hurst", hurst, "--modes", "2", "--order", "1")
+    assert code == 2
+    assert out == ""
 
 
 def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -247,6 +281,16 @@ def test_removed_flags_exit_2(flag, value, tmp_path, capsys):
     cfg.write_text(json.dumps({flag[2:]: int(value) if value.isdigit() else value}))
     code, _ = run(capsys, "sde", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--grid", "8"), ("--out", "x")])
+def test_integrate_refuses_the_sde_only_flags(flag, value, tmp_path, monkeypatch):
+    # integrate reads neither; --out is no abbreviation of --out-file either
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--modes", "2", "--order", "1", flag, value])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("horizon", ["nan", "inf"])

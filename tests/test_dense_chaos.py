@@ -22,9 +22,7 @@ from chaosfield.chaos import (
     chaos_eval,
     truncate_expansion,
     wick_exp_first_chaos,
-    xi_alpha_eval,
 )
-from chaosfield.hermite import hermite
 from chaosfield.integrals import ito_integral
 from chaosfield.multiindex import MultiIndex, Truncation, _tables, enumerate_multiindices
 
@@ -135,22 +133,3 @@ def test_truncate_expansion_to_fewer_modes_matches_dict_reference():
     assert list(g.coeffs) == keys_in_order(small, ref)
     # and back up: terms outside the smaller truncation come back as zeros
     assert truncate_expansion(g, big).coeffs == ref
-
-
-def test_xi_alpha_eval_is_chaos_eval_of_the_basis_element():
-    trunc = Truncation(3, 5)
-    z = np.random.default_rng(3).standard_normal((50, 4))
-    for alpha in enumerate_multiindices(trunc):
-        basis = ChaosExpansion.basis_element(trunc, alpha)
-        assert np.array_equal(xi_alpha_eval(alpha, z), chaos_eval(basis, z))
-        assert xi_alpha_eval(alpha, z[7]) == chaos_eval(basis, z[7])
-
-
-def test_xi_alpha_eval_of_a_sparse_index_far_out():
-    # the index set of (40, 10) is over the table budget; alpha's own support is one mode
-    z = np.random.default_rng(5).standard_normal((20, 40))
-    got = xi_alpha_eval(MultiIndex.single(40, 10), z)
-    assert got == pytest.approx(hermite(10, z[:, 39]) / math.sqrt(math.factorial(10)), rel=1e-14)
-    alpha = MultiIndex.from_dense([0] * 29 + [2] + [0] * 9 + [3])
-    want = hermite(2, z[:, 29]) / math.sqrt(2) * hermite(3, z[:, 39]) / math.sqrt(6)
-    assert xi_alpha_eval(alpha, z) == pytest.approx(want, rel=1e-14)

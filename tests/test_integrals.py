@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from chaosfield.basis import BasisFamily
 from chaosfield.chaos import ChaosExpansion, HValuedChaos
-from chaosfield.errors import DomainError
 from chaosfield.integrals import (
     admissibility_diagnostic,
     brownian_path_integrand,
     field_ito_integral,
     ito_integral,
-    localize_integrand,
+    kernel_pairing_matrix,
     malliavin_trace,
     strat_integral,
     strat_via_trace,
@@ -108,30 +108,6 @@ def test_trace_of_brownian_path():
     assert trace.get(MultiIndex.zero()) == pytest.approx(float(np.sum(mt**2)) / 2.0, abs=1e-12)
 
 
-def test_localize_endpoints():
-    basis = BasisFamily("cosine", 1.0)
-    trunc = Truncation(3, 1)
-    rng = np.random.default_rng(5)
-    eta = HValuedChaos(trunc, rng.standard_normal((trunc.size(), 3)), basis)
-    full = localize_integrand(eta, 1.0)
-    assert np.allclose(full.coeffs, eta.coeffs, atol=1e-12)
-    none = localize_integrand(eta, 0.0)
-    assert np.allclose(none.coeffs, 0.0)
-    with pytest.raises(DomainError):
-        localize_integrand(eta, 2.0)
-
-
-def test_localize_deterministic_against_closed_form():
-    basis = BasisFamily("cosine", 1.0)
-    trunc = Truncation(3, 1)
-    eta = _deterministic(trunc, basis, [1.0, 0.0, 0.0])
-    cut = localize_integrand(eta, 0.5)
-    # (m_1 chi_{1/2}, m_j) = M_j(1/2) * m_1 since m_1 is constant
-    for j in range(1, 4):
-        expected = basis.antideriv(j, 0.5)
-        assert cut.coeffs[0, j - 1] == pytest.approx(expected, abs=1e-12)
-
-
 def test_field_ito_brownian_reduces_to_ito():
     basis = BasisFamily("cosine", 1.0)
     trunc = Truncation(3, 2)
@@ -159,6 +135,20 @@ def test_field_ito_indicator_variance_matches_covariance():
     assert variance == pytest.approx(truncated, abs=1e-3)
     # the truncated variance approaches R(t, t) from below as modes grow
     assert variance == pytest.approx(covariance_from_kernel(kernel, t, t), abs=1e-2)
+
+
+@pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("kind", ["cosine", "legendre"])
+def test_fbm_pairing_matrix_matches_a_160_node_gauss_jacobi_rule(kind, hurst):
+    # C[j, k] = int_0^T t^gamma0 m_j(t) psi_k(t) dt with the weight t^gamma0 exact in the reference rule
+    basis = BasisFamily(kind, 1.0)
+    kernel = fbm_kernel_spec(hurst, 1.0)
+    x, w = roots_jacobi(160, 0.0, kernel.gamma0)
+    s, ws = (x + 1.0) / 2.0, w * 2.0 ** (-(kernel.gamma0 + 1.0))
+    for modes in (4, 8, 16, 32):
+        ks = np.arange(1, modes + 1)
+        ref = (basis.eval(ks, s) * ws) @ kernel.psi(basis, ks, s).T
+        np.testing.assert_allclose(kernel_pairing_matrix(kernel, basis, modes), ref, rtol=0.0, atol=1e-12)
 
 
 def test_admissibility_diagnostic():

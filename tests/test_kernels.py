@@ -9,7 +9,6 @@ from chaosfield.basis import BasisFamily, jacobi01
 from chaosfield.errors import ConfigurationError, DomainError, InvalidCovarianceError
 from chaosfield.kernels import (
     KernelSpec,
-    StepFunction,
     brownian_covariance,
     brownian_kernel,
     covariance_from_kernel,
@@ -23,8 +22,6 @@ from chaosfield.kernels import (
     hr_gram,
     k1_empirical,
     k_mk,
-    kstar_apply,
-    kstar_apply_step,
     discretize_kstar,
     m_tilde,
     op_norm_bound,
@@ -32,32 +29,6 @@ from chaosfield.kernels import (
 )
 from chaosfield.multiindex import Truncation
 from chaosfield.sde import solve_picard
-
-
-def test_step_function():
-    f = StepFunction((0.0, 0.5, 1.0), (2.0, -1.0))
-    assert f(0.25) == 2.0
-    assert f(0.5) == 2.0  # right-continuous break ownership: (0, 0.5]
-    assert f(0.75) == -1.0
-    assert f(0.0) == 0.0
-    assert f(1.5) == 0.0
-    with pytest.raises(ValueError):
-        StepFunction((0.0, 1.0), (1.0, 2.0))
-
-
-def test_brownian_kstar_identity_on_steps():
-    kernel = brownian_kernel(1.0)
-    step = StepFunction((0.0, 0.3, 0.7, 1.0), (1.0, -2.0, 0.5))
-    image = kstar_apply_step(kernel, step)
-    for s in (0.1, 0.3, 0.5, 0.9):
-        assert image(s) == pytest.approx(step(s), abs=1e-14)
-
-
-def test_brownian_kstar_apply_identity():
-    kernel = brownian_kernel(1.0)
-    image = kstar_apply(kernel, lambda s: np.cos(3.0 * np.asarray(s)))
-    for s in (0.2, 0.8):
-        assert image(s) == pytest.approx(math.cos(3.0 * s), abs=1e-13)
 
 
 def test_fbm_c_h_value():
@@ -112,20 +83,6 @@ def test_k1_empirical_raises_without_convergence():
     assert k1_empirical(kernel, t_grid=32, max_refinements=1) <= fbm_k1(0.75, 1.0) + 1e-6
 
 
-def test_fbm_kstar_step_matches_kernel_difference():
-    kernel = fbm_kernel_spec(0.75, 1.0)
-    step = StepFunction((0.2, 0.6), (1.0,))
-    image = kstar_apply_step(kernel, step)
-    # (K* chi_(a,b])(s) = K(b, s) - K(a, s) for s <= a, K(b, s) on (a, b]
-    s = 0.1
-    assert image(s) == pytest.approx(
-        fbm_kernel(0.75, 0.6, s) - fbm_kernel(0.75, 0.2, s), rel=1e-8
-    )
-    s = 0.4
-    assert image(s) == pytest.approx(fbm_kernel(0.75, 0.6, s), rel=1e-8)
-    assert image(0.9) == 0.0
-
-
 def test_fbm_psi_matches_generic_factorisation():
     kernel = fbm_kernel_spec(0.75, 1.0)
     basis = BasisFamily("cosine", 1.0)
@@ -167,6 +124,38 @@ def test_fbm_covariance_from_kernel_up_to_hurst_near_one(hurst):
     for t in (0.25, 0.5, 1.0):
         for s in (0.25, 0.5, 1.0):
             assert covariance_from_kernel(kernel, t, s) == pytest.approx(analytic(t, s), abs=1e-4)
+
+
+@pytest.mark.parametrize("kernel", [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0)], ids=["brownian", "fbm"])
+def test_covariance_from_kernel_refuses_non_finite_times(kernel):
+    for t, s in ((math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, -math.inf), (np.array([0.5, math.nan]), 0.5)):
+        with pytest.raises(DomainError, match="finite"):
+            covariance_from_kernel(kernel, t, s)
+    # the documented 0 where min(t, s) <= 0 stays
+    assert covariance_from_kernel(kernel, 0.0, 0.5) == 0.0
+    assert covariance_from_kernel(kernel, -1.0, 0.5) == 0.0
+
+
+def test_fbm_kernel_and_its_derivative_refuse_nan_and_inf():
+    for t, s in ((math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (np.array([1.0, math.nan]), 0.5)):
+        with pytest.raises(DomainError):
+            fbm_kernel(0.7, t, s)
+        with pytest.raises(DomainError):
+            fbm_kernel_dt(0.7, t, s)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+def test_kernel_spec_refuses_a_horizon_that_is_not_positive_and_finite(horizon):
+    with pytest.raises(DomainError, match="horizon"):
+        fbm_kernel_spec(0.7, horizon)
+    with pytest.raises(DomainError, match="horizon"):
+        brownian_kernel(horizon)
+
+
+@pytest.mark.parametrize("n_grid", [0, -3])
+def test_op_norm_estimate_refuses_a_grid_below_one(n_grid):
+    with pytest.raises(ConfigurationError, match="n_grid"):
+        op_norm_estimate(brownian_kernel(1.0), n_grid)
 
 
 def test_op_norm_bound():
@@ -284,11 +273,6 @@ def test_derived_dt_smooth_matches_the_shipped_fbm_spec():
     s, ks = np.array([0.3, 0.8]), (1, 3)
     exact = s**kernel.gamma0 * kernel.psi(basis, ks, s)
     np.testing.assert_allclose(derived.psi(basis, ks, s), exact, rtol=1e-13, atol=0.0)
-    f = lambda x: np.cos(2.0 * np.asarray(x))  # noqa: E731
-    points = np.array([0.1, 0.4, 0.9, 1.0])  # at s = T only the local term is left, and that is 0 for fBm
-    np.testing.assert_allclose(kstar_apply(derived, f)(points), kstar_apply(kernel, f)(points), rtol=1e-13, atol=0.0)
-    one_by_one = [kstar_apply(derived, f)(x) for x in points.tolist()]
-    assert one_by_one == pytest.approx(kstar_apply(derived, f)(points), rel=1e-13)
     assert k1_empirical(derived, t_grid=64) == pytest.approx(k1_empirical(kernel, t_grid=64), rel=1e-13, abs=0.0)
 
 

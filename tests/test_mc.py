@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from chaosfield.mc import (
     discrete_ito_batch,
     discrete_strat_batch,
     mc_compare,
-    report_json,
     sample_batch,
     synthesize_paths,
 )
@@ -45,6 +43,13 @@ def test_sample_batch_rejects_bad_shape():
         sample_batch(0, 0, 1)
     with pytest.raises(DomainError):
         sample_batch(0, 1, 0)
+
+
+@pytest.mark.parametrize("seed", [2**64, math.nan])
+def test_sample_batch_refuses_a_seed_outside_uint64(seed):
+    with pytest.raises(DomainError, match="seed"):
+        sample_batch(seed, 2, 2)
+    assert sample_batch(2**64 - 1, 2, 2).z.shape == (2, 2)
 
 
 @pytest.mark.parametrize(
@@ -140,19 +145,6 @@ def test_mc_compare_shape_check():
     f = ChaosExpansion(Truncation(1, 0))
     with pytest.raises(ConfigurationError):
         mc_compare(f, np.zeros(9), batch)
-
-
-def test_report_json_deterministic():
-    batch = sample_batch(3, 100, 2)
-    f = ChaosExpansion(Truncation(2, 1), {MultiIndex.eps(2): -1.0})
-    oracle = -batch.z[:, 1] + 1e-4
-    a = report_json(mc_compare(f, oracle, batch))
-    b = report_json(mc_compare(f, oracle, batch))
-    assert a == b
-    parsed = json.loads(a)
-    assert list(parsed) == ["statistic", "stderr", "tolerance", "pass", "seed", "n"]
-    assert isinstance(parsed["statistic"], float)
-    assert isinstance(parsed["pass"], bool)
 
 
 def test_strat_sum_matches_chaos_oracle():
