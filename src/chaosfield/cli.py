@@ -68,8 +68,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigurationError(f"{name} must be a real number, not {value!r}")
-        if not isinstance(self.out, str):
-            raise ConfigurationError(f"out must be a string, not {self.out!r}")
+        if not isinstance(self.out, str) or not self.out:  # "" would fail in os.makedirs after the solve
+            raise ConfigurationError(f"out must be a non-empty string, not {self.out!r}")
         if self.kernel not in ("brownian", "fbm"):
             raise ConfigurationError(f"unknown kernel {self.kernel!r}")
         if not 0.5 < self.hurst < 1.0:

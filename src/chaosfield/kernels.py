@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from collections import OrderedDict, namedtuple
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -180,14 +180,15 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
 # fractional Brownian motion kernel, H > 1/2
 
 
-# (mode, t) pairs per psi evaluation in the fBm M~ quadrature: its temporaries,
-# pairs * nodes^2 floats, stay near 1 MB.  Bigger ones (4.7 MB at 16 modes x 16 t)
-# left later 2000 x 257 path syntheses and Stratonovich sums with about 1000 more
+# (mode, t) pairs per basis evaluation in the fBm M~ sum: its temporaries,
+# pairs * nodes floats, stay near 1 MB.  Bigger ones (4.7 MB) left later
+# 2000 x 257 path syntheses and Stratonovich sums with about 1000 more
 # minor page faults each (glibc malloc).
-_MTILDE_BLOCK = 64
+_MTILDE_BLOCK = 3072
 # (basis, mode, time grid) entries in each fBm spec's M~ memo
 _MTILDE_MEMO_SIZE = 128
-# Gauss-Jacobi nodes of the fBm psi, M~ and K* first-segment quadratures
+# nodes of the fBm psi and K* first-segment Gauss-Jacobi rules and of M~'s own Gauss rule;
+# 32 left M~ of cosine modes 17-32 off by up to 1.5e-3
 _JACOBI_NODES = 48
 # what an fBm spec's ``mtilde.cache_info()`` reports, as functools.lru_cache does
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -249,12 +250,51 @@ def _fbm_dt(c: float, hurst: float, t: float, s):
     return c * s ** (0.5 - hurst) * (t - s) ** (hurst - 1.5) * t ** (hurst - 0.5)
 
 
+def _gauss_rule_of(x, w, n: int):
+    """The n-point Gauss rule of the discrete measure sum_i w_i delta(x_i), w > 0.
+
+    Discretized Stieltjes procedure (Gautschi 2004, 2.2) for the orthonormal
+    recurrence, then Golub-Welsch (Math. Comp. 23, 1969): the nodes are the
+    eigenvalues of the Jacobi matrix, the weights the mass times the squared
+    first eigenvector entries.
+    """
+    a, b = np.zeros(n), np.zeros(n)
+    mass = float(np.sum(w))
+    # u = sqrt(w) p_j(x), p_j the j-th orthonormal polynomial, so each inner product is a plain dot
+    u_prev, u = np.zeros_like(x), np.sqrt(w / mass)
+    for j in range(n):
+        r = x * u
+        a[j] = np.dot(r, u)
+        if j + 1 < n:
+            r -= a[j] * u
+            r -= b[j] * u_prev
+            b[j + 1] = math.sqrt(np.dot(r, r))
+            u_prev, u = u, r / b[j + 1]
+    nodes, vectors = np.linalg.eigh(np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1))
+    return nodes, mass * vectors[0] ** 2
+
+
+def _fbm_mtilde_rule(hurst: float):
+    """(rho, lam), the Gauss rule of the fBm M~ weight in rho = s/t: M~_k(t) = c t^(H+1/2) sum_l lam_l m_k(t rho_l).
+
+    The weight's moments are B(m + 3/2 - H, H - 1/2) / (m + H + 1/2).  psi's
+    rule (v, w) and the outer rule (y, ww) are each exact to degree 2n - 1, so
+    the measure sum_ij ww_i w_j delta(y_i v_j) has the weight's first 2n
+    moments, and its n-point Gauss rule is the weight's own.
+    """
+    v, w = jacobi01(_JACOBI_NODES, hurst - 1.5, 0.5 - hurst)
+    y, ww = jacobi01(_JACOBI_NODES, 0.0, hurst - 0.5)
+    return _gauss_rule_of(np.outer(y, v).ravel(), np.outer(ww, w).ravel(), _JACOBI_NODES)
+
+
 def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
     """KernelSpec for fractional Brownian motion with Hurst index in (1/2, 1).
 
     psi is a Beta-weight quadrature batched over modes, the basis values of
-    every mode from one ``BasisFamily._rows`` recurrence.  M~ memoises its
-    quadrature per spec, keyed by (basis, k, the float64 bytes of t), in a
+    every mode from one ``BasisFamily._rows`` recurrence.  M~ is one sum over
+    the Gauss rule of its own weight (``_fbm_mtilde_rule``), built on the
+    spec's first M~ miss: 48 basis values per (mode, t).  M~ memoises that
+    sum per spec, keyed by (basis, k, the float64 bytes of t), in a
     least-recently-used memo of ``_MTILDE_MEMO_SIZE`` entries: at most
     128 * len(t) * 8 bytes, 263 kB for a 257-point grid.  A call that misses
     checks t and computes all the modes it misses in one pass; a hit needs
@@ -314,20 +354,28 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         rows *= c  # in place: these (modes, len(s), nodes) tables are the largest temporaries of an fBm run
         return rows @ w
 
+    @cache
+    def mtilde_rule():
+        rho, lam = _fbm_mtilde_rule(hurst)
+        return rho, c * lam
+
     def mtilde_quadrature(basis, modes, ts):
-        # int_0^t s^(H-1/2) psi_k(s) ds, Gauss-Jacobi in the scaled variable,
-        # every mode from one psi pass per block of t values; the per-row dot product and
-        # Python-float power keep each value equal to the scalar evaluation bit for bit.
-        wnodes, ww = jacobi01(_JACOBI_NODES, 0.0, hurst - 0.5)
+        # t^(H+1/2) sum_l c lam_l m_k(t rho_l), every mode from one basis recurrence per block of
+        # t values; the per-row dot product and Python-float power keep each value equal to the
+        # scalar sum bit for bit
+        modes = np.asarray(modes)
+        if modes.min() < 1:
+            raise DomainError("basis index k must be >= 1")
+        rho, weights = mtilde_rule()
+        top = int(modes.max())
         out = np.zeros((len(modes), len(ts)))  # 0 for t <= 0
         live = np.nonzero(ts > 0)[0]
-        step = max(1, _MTILDE_BLOCK // len(modes))
+        step = max(1, _MTILDE_BLOCK // top)
         for start in range(0, len(live), step):
             rows = live[start : start + step]
             block = ts[rows]
-            vals = psi(basis, modes, np.outer(block, wnodes).ravel()).reshape(len(modes), len(rows), -1)
             powers = np.array([x ** (hurst + 0.5) for x in block.tolist()])
-            out[:, rows] = powers * _dot_rows(ww, vals)
+            out[:, rows] = powers * _dot_rows(weights, basis._rows(top, np.outer(block, rho)))[modes - 1]
         return out
 
     memo = OrderedDict()  # (basis, mode, t bytes) -> M~ row, least recently used first

@@ -17,6 +17,7 @@ arrays per call; each row's pairwise sum is unchanged, so are the bits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,9 @@ def sample_batch(seed: int, n: int, modes: int) -> SampleBatch:
     """Draw an (n, modes) batch; row i comes from the Philox stream (seed, i)."""
     if n < 1 or modes < 1:
         raise DomainError("need n >= 1 and modes >= 1")
+    # a float seed would be truncated into a key, and a bool would pass for 0 or 1
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise DomainError(f"seed must be an integer, not {seed!r}")
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must lie in [0, 2**64), not {seed!r}")
     z = np.empty((n, modes))

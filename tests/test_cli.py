@@ -239,6 +239,20 @@ def test_config_out_that_is_not_a_string_exits_2(value, tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_empty_out_exits_2_before_any_work(where, tmp_path, monkeypatch, capsys):
+    # it used to solve the whole problem and then fail in os.makedirs("")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "solve_closed_form", lambda *args: pytest.fail("solved before refusing"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": "" if where == "file" else ".", "modes": 2, "order": 1, "grid": 4}))
+    argv = ["sde", "--config", str(cfg)] + (["--out", ""] if where == "flag" else [])
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("hurst", ["7", "0.5", "nan"])
 def test_hurst_outside_the_open_interval_exits_2_for_every_kernel(hurst, tmp_path, capsys):
     argv = ["sde", "--kernel", "brownian", "--hurst", hurst, "--modes", "2", "--order", "1", "--grid", "4"]

@@ -52,6 +52,14 @@ def test_sample_batch_refuses_a_seed_outside_uint64(seed):
     assert sample_batch(2**64 - 1, 2, 2).z.shape == (2, 2)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(2.0)], ids=["float", "bool", "numpy-float"])
+def test_sample_batch_refuses_a_seed_that_is_not_an_integer(seed):
+    # 1.5 used to be truncated into the key, and returned the rows of seed 1
+    with pytest.raises(DomainError, match="integer"):
+        sample_batch(seed, 2, 2)
+    assert sample_batch(np.int64(2), 2, 2).z.tobytes() == sample_batch(2, 2, 2).z.tobytes()
+
+
 @pytest.mark.parametrize(
     "z",
     [np.zeros(4), np.zeros((2, 2, 2)), np.zeros((0, 4)), np.zeros((3, 0)), [[0.1, np.nan]], [[np.inf]]],

@@ -19,7 +19,7 @@ from chaosfield.errors import DomainError
 from chaosfield.kernels import _mtilde_table, fbm_kernel_spec, m_tilde
 from chaosfield.mc import discrete_ito_batch, discrete_strat_batch, sample_batch, synthesize_paths
 from chaosfield.multiindex import Truncation
-from test_quadrature_vectorised import ref_fbm_mtilde
+from test_quadrature_vectorised import ref_fbm_mtilde_sum
 
 COSINE, LEGENDRE = BasisFamily("cosine", 1.0), BasisFamily("legendre", 1.0)
 
@@ -129,7 +129,7 @@ def test_strat_sum_peak_memory_stays_in_row_blocks():
 def test_memoised_table_bit_equal_to_unmemoised(basis):
     kernel = fbm_kernel_spec(0.75, 1.0)
     times = np.concatenate([np.linspace(0.0, 1.0, 33), [1e-9, 0.5]])
-    ref = np.array([[ref_fbm_mtilde(kernel, basis, k, t) for k in range(1, 5)] for t in times])
+    ref = np.array([[ref_fbm_mtilde_sum(kernel, basis, k, t) for k in range(1, 5)] for t in times])
     first = _mtilde_table(kernel, basis, 4, times)  # misses
     second = _mtilde_table(kernel, basis, 4, times)  # hits
     assert first.tobytes() == ref.tobytes()
@@ -163,7 +163,7 @@ def test_memo_keys_never_shared():
             for grid in (times, shifted, times[:5]):
                 for k in (1, 2, 3):
                     got = kernel.mtilde(basis, k, grid)
-                    ref = np.array([ref_fbm_mtilde(kernel, basis, k, t) for t in grid])
+                    ref = np.array([ref_fbm_mtilde_sum(kernel, basis, k, t) for t in grid])
                     assert got.tobytes() == ref.tobytes()
     # 2 bases x 3 grids x 3 modes per spec, each computed once in its own spec's memo
     for kernel in (low, high):
@@ -179,7 +179,7 @@ def test_scalar_m_tilde_after_a_memo_hit():
         first = m_tilde(kernel, COSINE, k, 1.0)
         again = m_tilde(kernel, COSINE, k, 1.0)  # a hit on the one-point key
         assert type(again) is float
-        assert first == again == table[-1, k - 1] == ref_fbm_mtilde(kernel, COSINE, k, 1.0)
+        assert first == again == table[-1, k - 1] == ref_fbm_mtilde_sum(kernel, COSINE, k, 1.0)
     info = kernel.mtilde.cache_info()
     assert (info.misses, info.hits) == (10, 5)
 
@@ -244,9 +244,18 @@ def test_bad_time_refused_on_a_warm_spec(t):
     assert kernel.mtilde.cache_info() == before  # a refused call counts and stores nothing
 
 
+@pytest.mark.parametrize("modes", [0, [0, 1], [2, -1]])
+def test_mode_below_one_refused(modes):
+    # a mode below 1 would otherwise index the basis rows from the end
+    kernel = fbm_kernel_spec(0.75, 1.0)
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        kernel.mtilde(COSINE, modes, np.linspace(0.0, 1.0, 5))
+    assert kernel.mtilde.cache_info().misses == 0
+
+
 @pytest.mark.parametrize("hurst", [0.55, 0.63, 0.75, 0.9, 0.95])
 def test_mtilde_quadrature_bit_equal_to_scalar_sum(hurst):
     kernel, times = fbm_kernel_spec(hurst, 1.0), np.linspace(0.0, 1.0, 65)
     got = kernel.mtilde(COSINE, range(1, 9), times)
-    ref = np.array([[ref_fbm_mtilde(kernel, COSINE, k, t) for t in times] for k in range(1, 9)])
+    ref = np.array([[ref_fbm_mtilde_sum(kernel, COSINE, k, t) for t in times] for k in range(1, 9)])
     assert got.tobytes() == ref.tobytes()

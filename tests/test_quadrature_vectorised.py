@@ -15,6 +15,7 @@ last bit.
 import csv
 import io
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ import pytest
 from chaosfield.basis import BasisFamily, QuadratureRule, jacobi01, quad_singular, quad_singular_smooth
 from chaosfield.errors import DomainError
 from chaosfield.kernels import (
+    _fbm_mtilde_rule,
     _mtilde_table,
     brownian_kernel,
     covariance_from_kernel,
+    fbm_c_h,
     fbm_kernel,
     fbm_kernel_dt,
     fbm_kernel_spec,
@@ -130,15 +133,35 @@ def _dense(ops_k):
 
 
 def ref_fbm_mtilde(kernel, basis, k, t, jacobi_nodes=48):
-    """The fBm M~_k(t) = t^(gamma0+1) int_0^1 v^gamma0 psi_k(t v) dv as one scalar Gauss-Jacobi sum.
+    """The fBm M~_k(t) = t^(gamma0+1) int_0^1 v^gamma0 psi_k(t v) dv by the product of psi's and this outer rule.
 
-    gamma0 = H - 1/2 is exact for H in (1/2, 1), so gamma0 + 1 is the same float as H + 1/2.
+    One value per mode of a sequence k.  gamma0 = H - 1/2 is exact for H in
+    (1/2, 1), so gamma0 + 1 is the same float as H + 1/2.  The library sums
+    over the Gauss rule of this product measure; this is its accuracy reference.
+    """
+    ks = np.atleast_1d(k)
+    if t <= 0:
+        return 0.0 if np.ndim(k) == 0 else np.zeros(len(ks))
+    wnodes, ww = jacobi01(jacobi_nodes, 0.0, kernel.gamma0)
+    vals = t ** (kernel.gamma0 + 1.0) * (kernel.psi(basis, ks, t * wnodes) @ ww)
+    return vals if np.ndim(k) else float(vals[0])
+
+
+ref_mtilde_rule = lru_cache(_fbm_mtilde_rule)
+
+
+def ref_fbm_mtilde_sum(kernel, basis, k, t):
+    """The fBm M~_k(t) = t^(H+1/2) sum_l c lam_l m_k(t rho_l) as one scalar sum over the rule of its weight.
+
+    c = C_H (H - 1/2).  gamma0 = H - 1/2 is exact for H in (1/2, 1), so
+    gamma0 + 1/2 is the same float as H.
     """
     if t <= 0:
         return 0.0
-    gamma0, psi = kmk_factor(kernel, basis, k)
-    wnodes, ww = jacobi01(jacobi_nodes, 0.0, gamma0)
-    return float(t ** (gamma0 + 1.0) * np.dot(ww, psi(t * wnodes)))
+    hurst = kernel.gamma0 + 0.5
+    rho, lam = ref_mtilde_rule(hurst)
+    c = fbm_c_h(hurst) * (hurst - 0.5)
+    return float(t ** (hurst + 0.5) * np.dot(c * lam, basis._rows(k, t * rho)[k - 1]))
 
 
 def ref_picard_nodes(w_k, trunc):
@@ -353,15 +376,41 @@ def test_mtilde_table_bit_equal_to_scalar(basis, grid_kernel):
         assert table.shape == (len(grid), modes)
         assert np.array_equal(table, scalar), name
         if name.startswith("fbm"):
-            ref = np.array([[ref_fbm_mtilde(kernel, basis, k, t) for k in range(1, modes + 1)] for t in grid])
+            ref = np.array([[ref_fbm_mtilde_sum(kernel, basis, k, t) for k in range(1, modes + 1)] for t in grid])
             assert np.array_equal(table, ref), name
 
 
 def test_mtilde_table_other_horizon():
     basis, kernel = BasisFamily("cosine", 2.5), fbm_kernel_spec(0.8, 2.5)
     times = np.linspace(0.0, 2.5, 53)
-    ref = np.array([[ref_fbm_mtilde(kernel, basis, k, t) for k in range(1, 4)] for t in times])
+    ref = np.array([[ref_fbm_mtilde_sum(kernel, basis, k, t) for k in range(1, 4)] for t in times])
     assert np.array_equal(_mtilde_table(kernel, basis, 3, times), ref)
+
+
+FBM_HURSTS = [0.51, 0.6, 0.75, 0.9, 0.99, 0.999]
+
+
+@pytest.mark.parametrize("hurst", FBM_HURSTS)
+def test_mtilde_rule_moments(hurst):
+    """The rule integrates rho^m, m = 0..95, against the weight's closed-form moments."""
+    from scipy.special import beta
+
+    rho, lam = _fbm_mtilde_rule(hurst)
+    assert np.all((rho > 0) & (rho < 1))
+    assert np.all(lam > 0)
+    m = np.arange(96)
+    exact = beta(m + 1.5 - hurst, hurst - 0.5) / (m + hurst + 0.5)
+    got = np.array([np.dot(lam, rho**j) for j in m])
+    np.testing.assert_allclose(got, exact, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("hurst", FBM_HURSTS)
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
+def test_mtilde_table_near_the_product_rule(basis, hurst):
+    kernel, times, modes = fbm_kernel_spec(hurst, 1.0), np.linspace(0.0, 1.0, 257), range(1, 33)
+    table = _mtilde_table(kernel, basis, len(modes), times)
+    ref = np.array([ref_fbm_mtilde(kernel, basis, modes, t) for t in times])
+    assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
