@@ -78,6 +78,14 @@ class QuadratureRule:
 DEFAULT_RULE = QuadratureRule()
 
 
+def _check_modes(k) -> np.ndarray:
+    """Basis indices k as an integer array, each >= 1: a float mode such as 1.5 is refused, not truncated."""
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu" or ks.min() < 1:
+        raise DomainError(f"basis index k must be >= 1 and an integer, not {k!r}")
+    return ks
+
+
 @dataclass(frozen=True)
 class BasisFamily:
     """Orthonormal basis {m_k} of L2((0, T)) with closed-form antiderivatives M_k."""
@@ -100,10 +108,8 @@ class BasisFamily:
 
     def eval(self, k, t):
         """m_k(t), k >= 1; for a sequence of modes, one row per mode: shape (len(k),) + shape(t)."""
-        ks = np.asarray(k)
+        ks = _check_modes(k)
         modes = ks.reshape(-1)
-        if modes.min() < 1:
-            raise DomainError("basis index k must be >= 1")
         t = self._check(t)
         big_t = self.horizon
         if self.kind == "cosine":
@@ -126,6 +132,7 @@ class BasisFamily:
         depends only on t, never on ``top``; it differs from ``eval(k, t)`` by
         rounding that grows as k^2 eps.
         """
+        _check_modes(top)
         t = self._check(t)
         big_t = self.horizon
         out = np.empty((top,) + t.shape)
@@ -152,8 +159,7 @@ class BasisFamily:
 
     def antideriv(self, k: int, t):
         """M_k(t) = int_0^t m_k(s) ds in closed form."""
-        if k < 1:
-            raise DomainError("basis index k must be >= 1")
+        _check_modes(k)
         t = self._check(t)
         big_t = self.horizon
         if self.kind == "cosine":
@@ -189,15 +195,8 @@ def quad_singular(f, a, b, gamma: float, rule: QuadratureRule = DEFAULT_RULE):
     return quad_singular_smooth(lambda tau: f(tau) * (tau - np.expand_dims(a, -1)) ** -gamma, a, b, gamma, rule)
 
 
-def quad_singular_smooth(
-    g,
-    a,
-    b,
-    gamma: float,
-    rule: QuadratureRule = DEFAULT_RULE,
-    endpoint: str = "lower",
-):
-    """Integrate (distance)^gamma * g(tau) over [a, b], g the smooth cofactor.
+def quad_singular_smooth(g, a, b, gamma: float, rule: QuadratureRule = DEFAULT_RULE):
+    """Integrate (tau - a)^gamma * g(tau) over [a, b], g the smooth cofactor.
 
     Gauss-Jacobi quadrature with the weight v^gamma built in: the singular
     factor is exact and never reconstructed by subtraction, so the result
@@ -210,13 +209,10 @@ def quad_singular_smooth(
         return rule.integrate(g, a, b)
     if gamma <= -1.0:
         raise DomainError("exponent must be > -1 for an integrable singularity")
-    if endpoint not in ("lower", "upper"):
-        raise ValueError("endpoint must be 'lower' or 'upper'")
     live = np.greater(b, a)
     if not np.any(live):
         return _on_live_rows(0.0, live)
     v, w = jacobi01(min(rule.panels * rule.nodes, 96), 0.0, gamma)
     length = np.maximum(b - a, 0.0)
-    step = np.expand_dims(length, -1) * v
-    pos = np.expand_dims(a, -1) + step if endpoint == "lower" else np.expand_dims(b, -1) - step
+    pos = np.expand_dims(a, -1) + np.expand_dims(length, -1) * v
     return _on_live_rows(length ** (gamma + 1.0) * _dot_rows(w, g(pos)), live)

@@ -15,13 +15,14 @@ import csv
 import math
 from dataclasses import dataclass
 from collections import OrderedDict, namedtuple
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
 from .basis import (
     BasisFamily,
     QuadratureRule,
+    _check_modes,
     _dot_rows,
     _leggauss,
     _on_live_rows,
@@ -113,7 +114,7 @@ def _column_by_eval(kernel: KernelSpec, t_sorted, s) -> np.ndarray:
 
 def _stack_modes(row, k):
     """``row(k)`` for an int k; for a sequence of modes, one row per mode stacked."""
-    return row(k) if np.ndim(k) == 0 else np.array([row(int(j)) for j in k])
+    return row(k) if np.ndim(k) == 0 else np.array([row(int(j)) for j in _check_modes(k)])
 
 
 def _quadrature_psi(kernel: KernelSpec, basis: BasisFamily, ks, s) -> np.ndarray:
@@ -190,6 +191,8 @@ _MTILDE_MEMO_SIZE = 128
 # nodes of the fBm psi and K* first-segment Gauss-Jacobi rules and of M~'s own Gauss rule;
 # 32 left M~ of cosine modes 17-32 off by up to 1.5e-3
 _JACOBI_NODES = 48
+# terms of each series of the fBm kernel; 2^-60 is below float64 rounding
+_SERIES_TERMS = 60
 # what an fBm spec's ``mtilde.cache_info()`` reports, as functools.lru_cache does
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -229,12 +232,39 @@ def fbm_kernel(hurst: float, t, s):
     return _fbm_kernel(fbm_c_h(hurst) * (hurst - 0.5), hurst, t, s)
 
 
+@lru_cache(maxsize=64)  # a few floats per Hurst index, like jacobi01's rules
+def _fbm_series(hurst: float):
+    """B(a, b) and the coefficients (1-a)_n/n!/(n+b), (1-b)_n/n!/(n+a) of ``_fbm_kernel``'s two series, n < 60."""
+    a, b = hurst - 0.5, 1.0 - 2.0 * hurst
+    n = np.arange(_SERIES_TERMS, dtype=float)
+
+    def coefficients(p, q):  # successive terms of (p)_n / n! differ by the factor (p + n) / (n + 1)
+        return np.cumprod(np.r_[1.0, (p + n[:-1]) / (n[:-1] + 1.0)]) / (n + q)
+
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b), coefficients(1.0 - a, b), coefficients(1.0 - b, a)
+
+
 def _fbm_kernel(c: float, hurst: float, t, s):
+    """K(t, s) = c s^a F(s/t), F(rho) = int_0^(1-rho) w^(a-1) (1-w)^(b-1) dw, a = H - 1/2, b = 1 - 2H.
+
+    F is an incomplete Beta function (Decreusefond and Ustunel, Potential
+    Anal. 10, 1999), summed by the series that converges like 2^-n on each
+    half of (0, 1]: for rho <= 1/2, F = B(a, b) - sum_n (1-a)_n/n! rho^(n+b)/(n+b);
+    for rho > 1/2, F = sum_n (1-b)_n/n! x^(a+n)/(a+n), x = 1 - rho = (t - s)/t,
+    whose difference t - s is exact there.
+    """
     # one pass of positive tests, so NaN fails it
     if not np.all(np.greater(s, 0) & np.less_equal(s, t) & np.less(t, math.inf)):
         raise DomainError("require 0 < s <= t < inf")
-    inner = quad_singular_smooth(lambda tau: tau ** (hurst - 0.5), s, t, hurst - 1.5)
-    return c * s ** (0.5 - hurst) * inner
+    beta, low, high = _fbm_series(hurst)
+    near = np.less_equal(s, 0.5 * t)  # rho <= 1/2
+    x = np.where(near, s / t, (t - s) / t)
+    column = (-1,) + (1,) * near.ndim
+    coef = np.where(near, low.reshape(column), high.reshape(column))  # each point's own series, one Horner pass
+    power = x ** np.where(near, 1.0 - 2.0 * hurst, hurst - 0.5)  # x^b or x^a
+    series = power * np.polynomial.polynomial.polyval(x, coef, tensor=False)
+    val = c * s ** (hurst - 0.5) * np.where(near, beta - series, series)
+    return val if val.ndim else float(val)
 
 
 def fbm_kernel_dt(hurst: float, t: float, s: float) -> float:
@@ -344,9 +374,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
 
     def psi(basis: BasisFamily, ks, s):
         """Smooth factor in (K m_k)(s) = s^(H - 1/2) psi_k(s); Beta-weight quadrature."""
-        modes = np.asarray(ks)
-        if modes.min() < 1:
-            raise DomainError("basis index k must be >= 1")
+        modes = _check_modes(ks)
         v, w = jacobi01(_JACOBI_NODES, hurst - 1.5, 0.5 - hurst)
         rows = basis._rows(int(modes.max()), np.outer(s, v))
         if not np.array_equal(modes, np.arange(1, len(rows) + 1)):
@@ -364,8 +392,6 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         # t values; the per-row dot product and Python-float power keep each value equal to the
         # scalar sum bit for bit
         modes = np.asarray(modes)
-        if modes.min() < 1:
-            raise DomainError("basis index k must be >= 1")
         rho, weights = mtilde_rule()
         top = int(modes.max())
         out = np.zeros((len(modes), len(ts)))  # 0 for t <= 0
@@ -385,7 +411,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         # memoised per mode on the exact float64 bytes of t; callers get their own copy
         ts = np.asarray(t, dtype=float).ravel()
         t_key = ts.tobytes()
-        keys = [(basis, int(j), t_key) for j in np.atleast_1d(k)]
+        keys = [(basis, int(j), t_key) for j in _check_modes(np.atleast_1d(k))]  # 1.5 is refused, not read as 1
         rows = {key: memo[key] for key in keys if key in memo}
         missing = [key for key in keys if key not in rows]
         if missing:
@@ -485,31 +511,28 @@ def k1_empirical(
 ) -> float:
     """sup over t of int_0^t K(T, s) K1(t, s) ds, on a refining t-grid.
 
-    The grid doubles until two successive grids agree to ``refine_tol``;
-    DomainError is raised when ``max_refinements`` doublings do not get there.
+    Each integral is one 72-node Gauss-Jacobi sum over s = t v whose weight
+    s^(2 g0) (t - s)^singularity holds both endpoint powers exactly; the
+    cofactor is phi(s) s^(-g0) ``dt_smooth``(t, s), with phi(s) = K(T, s) s^(-g0)
+    interpolated linearly on 1 024 points s_i = T (i/1024)^2, graded toward 0,
+    where phi may have a power cusp.  The grid doubles until two successive
+    grids agree to ``refine_tol``; DomainError is raised when
+    ``max_refinements`` doublings do not get there.
     """
     if kernel.dt_eval is None:
         raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
     big_t = kernel.horizon
-    rule = QuadratureRule(panels=6, nodes=12)
-
-    # cache K(T, .) through an interpolated smooth factor phi(s) = K(T,s) * s^(-g0)
-    g0 = kernel.origin_exponent
-    s_fine = np.linspace(0.0, big_t, 1025)[1:]
+    g0, gam = kernel.origin_exponent, kernel.singularity
+    s_fine = big_t * (np.arange(1, 1025) / 1024) ** 2
     phi_vals = kernel.eval(big_t, s_fine) * s_fine ** (-g0)
-
-    def phi(s):
-        return np.interp(s, s_fine, phi_vals)
+    v, w = jacobi01(72, gam, 2.0 * g0)
 
     def sup_at(t: np.ndarray) -> float:
-        # int_0^t = int_0^{t/2} (singular at 0) + int_{t/2}^t (singular at t), for all t at once;
-        # the lower half weights s^(2 g0) exactly: K(T, s) K1(t, s) s^(-2 g0) = phi(s) s^(-g0) K1(t, s)
-        x, mid = t[:, None], 0.5 * t
-        low = quad_singular_smooth(lambda s: phi(s) * s**-g0 * kernel.dt_eval(x, s), 0.0, mid, 2.0 * g0, rule)
-        high = quad_singular_smooth(
-            lambda s: phi(s) * s**g0 * kernel.dt_smooth(x, s), mid, t, kernel.singularity, rule, endpoint="upper"
-        )
-        return float(np.max(low + high))
+        # int_0^t K(T, s) K1(t, s) ds = t^(1 + gam + 2 g0) sum_i w_i cofactor(t v_i), for all t at once
+        x = t[:, None]
+        s = x * v
+        vals = np.interp(s, s_fine, phi_vals) * s**-g0 * kernel.dt_smooth(x, s)
+        return float(np.max(t ** (1.0 + gam + 2.0 * g0) * _dot_rows(w, vals)))
 
     # grid n is T i / n, i = 1..n: its points are the even points of grid 2n,
     # so each doubling evaluates only the odd ones

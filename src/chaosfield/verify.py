@@ -185,18 +185,19 @@ def suite_fbm() -> dict:
     ]
     for hurst in (0.6, 0.75, 0.9):
         kernel = fbm_kernel_spec(hurst, 1.0)
-        emp = k1_empirical(kernel)
-        bound = fbm_k1(hurst, 1.0)
-        checks.append(_check(f"k1-empirical-h{hurst}", emp, bound + 1e-6))
+        # the sup over t of int_0^t K(T, s) K1(t, s) ds = d/dt R(T, t) is 2H (T/2)^(2H-1), at t = T/2;
+        # k1_empirical is off by 1.0e-6 / 4.9e-6 / 7.2e-6 at these H
+        exact = 2.0 * hurst * 0.5 ** (2.0 * hurst - 1.0)
+        checks.append(_check(f"k1-empirical-h{hurst}", abs(k1_empirical(kernel) - exact), 1e-5))
         est = op_norm_estimate(kernel, 512)
-        checks.append(_check(f"op-norm-h{hurst}", est, op_norm_bound(0.0, bound)))
+        checks.append(_check(f"op-norm-h{hurst}", est, op_norm_bound(0.0, fbm_k1(hurst, 1.0))))
     est_b = op_norm_estimate(brownian_kernel(1.0), 512)
     checks.append(_check("op-norm-brownian", abs(est_b - 1.0), 1e-6))
     kernel = fbm_kernel_spec(0.7, 1.0)
     analytic = fbm_covariance(0.7)
     ts = np.linspace(0.2, 1.0, 5)
     cov_err = np.max(np.abs(covariance_from_kernel(kernel, ts[:, None], ts) - analytic(ts[:, None], ts)))
-    checks.append(_check("covariance-vs-analytic-h07", cov_err, 1e-4))
+    checks.append(_check("covariance-vs-analytic-h07", cov_err, 2e-5))  # 1.43e-5 measured
     return _wrap("fbm", checks)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chaosfield import cli
+from chaosfield.basis import jacobi01
 from chaosfield.cli import main
 from chaosfield.multiindex import MAX_TABLE_ENTRIES
 
@@ -425,3 +426,21 @@ def test_integrate_the_well_formed_integrand_exits_0(tmp_path, capsys):
     code, out = run(capsys, "integrate", "--integrand", str(path), "--modes", "2", "--order", "1")
     assert code == 0
     assert json.loads(out)["norm_squared"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, rules",
+    [
+        (["fbm", "--hurst", "0.6123", "--grid", "64"], 2),
+        (["sde", "--kernel", "fbm", "--hurst", "0.6321", "--modes", "4", "--order", "3", "--grid", "32"], 4),
+    ],
+    ids=["fbm", "sde-fbm"],
+)
+def test_fbm_commands_build_few_gauss_jacobi_rules(argv, rules, capsys, tmp_path):
+    # fbm: eval_column's first-segment rule and k1_empirical's; sde: the two behind M~'s own rule (psi shares
+    # one), the Picard integration matrix's and the covariance's.  K(t, s) itself is a series and builds none.
+    jacobi01.cache_clear()
+    extra = ["--out", str(tmp_path)] if argv[0] == "sde" else []
+    code, _ = run(capsys, *argv, *extra)
+    assert code == 0
+    assert jacobi01.cache_info().misses == rules

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from chaosfield.basis import BasisFamily, jacobi01
 from chaosfield.errors import ConfigurationError, DomainError, InvalidCovarianceError
@@ -292,3 +293,86 @@ def test_jacobi_rule_cache_stays_bounded_across_hurst_indices():
     info = jacobi01.cache_info()
     assert info.misses > info.maxsize
     assert info.currsize <= info.maxsize
+
+
+def split_quadrature_kernel(hurst, t, s):
+    """K(t, s) by quadrature apart from the series: Gauss-Jacobi on [s, 2s], 32-node Gauss on doubling panels above."""
+    x, w = roots_jacobi(20, 0.0, hurst - 1.5)  # weight (1 + x)^(H - 3/2) on [-1, 1]
+    top = min(2.0 * s, t)
+    half = 0.5 * (top - s)
+    total = half ** (hurst - 0.5) * np.dot(w, (s + half * (x + 1.0)) ** (hurst - 0.5))
+    xg, wg = np.polynomial.legendre.leggauss(32)
+    lo = top
+    while lo < t:
+        hi = min(2.0 * lo, t)
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        u = mid + half * xg
+        total += half * np.dot(wg, (u - s) ** (hurst - 1.5) * u ** (hurst - 0.5))
+        lo = hi
+    return fbm_c_h(hurst) * (hurst - 0.5) * s ** (0.5 - hurst) * total
+
+
+# relative error of the series against the split quadrature; at H = 0.9999 the rho <= 1/2 series
+# subtracts two terms of size 1/(2 - 2H), and 1.5e-13 was measured there
+@pytest.mark.parametrize(
+    "hurst, rel",
+    [(0.5001, 1e-13), (0.51, 1e-13), (0.6, 1e-13), (0.75, 1e-13), (0.9, 1e-13), (0.999, 1e-13), (0.9999, 3e-13)],
+)
+def test_fbm_kernel_series_matches_a_split_quadrature(hurst, rel):
+    # s / t from 1e-10 to 1 - 1e-6, and 1/2 and its two neighbours, where the series switch
+    ratios = np.concatenate([np.geomspace(1e-10, 1.0 - 1e-6, 60), [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]])
+    for t in (0.7, 1.0, 2.5):
+        s = t * ratios
+        ref = np.array([split_quadrature_kernel(hurst, t, float(x)) for x in s])
+        np.testing.assert_allclose(fbm_kernel(hurst, t, s), ref, rtol=rel, atol=0.0)
+    # a scalar pair gives a float, and K vanishes on the diagonal
+    assert type(fbm_kernel(hurst, 1.0, 0.3)) is float
+    assert fbm_kernel(hurst, 0.8, 0.8) == 0.0
+
+
+@pytest.mark.parametrize("hurst, atol", [(0.6, 1e-8), (0.75, 6e-9)])  # 9.1e-9 and 5.2e-9 measured
+def test_fbm_eval_column_agrees_with_the_series_on_the_kstar_grid(hurst, atol):
+    # discretize_kstar reads K* from eval_column's incremental Gauss sums, not from eval's series
+    kernel = fbm_kernel_spec(hurst, 1.0)
+    edges = np.linspace(0.0, 1.0, 513)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    t, s = edges[None, 1:], mids[:, None]
+    series = np.where(t > s, kernel.eval(np.maximum(t, s), s), 0.0)
+    np.testing.assert_allclose(kernel.eval_column(edges[1:], mids), series, rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.6, 0.75, 0.9, 0.99, 0.999, 0.9999])
+def test_k1_empirical_matches_the_closed_form(hurst):
+    # int_0^t K(T, s) K1(t, s) ds = d/dt R(T, t) = H (t^(2H-1) + (T-t)^(2H-1)), largest at t = T/2;
+    # the interpolated K(T, .) leaves at most 7.0e-6 relative (H = 0.9, T = 2.5)
+    for horizon in (0.7, 1.0, 2.5):
+        exact = 2.0 * hurst * (0.5 * horizon) ** (2.0 * hurst - 1.0)
+        assert k1_empirical(fbm_kernel_spec(hurst, horizon)) == pytest.approx(exact, rel=1e-5, abs=0.0)
+
+
+# R(1, 1) - 1 with the kernel by one 96-node Gauss-Jacobi rule per value, which the series replaced
+QUADRATURE_KERNEL_COVARIANCE_ERROR = {
+    0.55: 7.12e-6, 0.6: 9.70e-6, 0.75: 1.93e-5, 0.9: 3.26e-5, 0.99: 4.30e-5, 0.999: 4.43e-5, 0.9999: 4.44e-5
+}
+
+
+@pytest.mark.parametrize("hurst", sorted(QUADRATURE_KERNEL_COVARIANCE_ERROR))
+def test_fbm_covariance_at_the_horizon_no_worse_than_the_quadrature_kernel(hurst):
+    err = abs(covariance_from_kernel(fbm_kernel_spec(hurst, 1.0), 1.0, 1.0) - 1.0)
+    assert err <= QUADRATURE_KERNEL_COVARIANCE_ERROR[hurst]
+
+
+@pytest.mark.parametrize("mode", [1.5, [1, 2.5], True])
+@pytest.mark.parametrize("kernel", [fbm_kernel_spec(0.7, 1.0), brownian_kernel(1.0)], ids=["fbm", "brownian"])
+def test_kernel_pairings_refuse_a_non_integer_mode(kernel, mode):
+    # the fBm memo keyed int(1.5) = 1 and returned mode 1's M~; Brownian read antideriv's (k - 1) pi at k = 1.5
+    basis = BasisFamily("cosine", 1.0)
+    with pytest.raises(DomainError, match="integer"):
+        kernel.mtilde(basis, mode, np.array([0.5]))
+    with pytest.raises(DomainError, match="integer"):
+        kernel.psi(basis, np.atleast_1d(mode), np.array([0.3]))
+    if np.ndim(mode) == 0:
+        with pytest.raises(DomainError, match="integer"):
+            m_tilde(kernel, basis, mode, 0.5)
+    if kernel.name == "fbm":
+        assert kernel.mtilde.cache_info().misses == 0

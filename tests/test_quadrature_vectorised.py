@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from chaosfield.basis import BasisFamily, QuadratureRule, jacobi01, quad_singular, quad_singular_smooth
+from chaosfield.basis import BasisFamily, QuadratureRule, _dot_rows, jacobi01, quad_singular, quad_singular_smooth
 from chaosfield.errors import DomainError
 from chaosfield.kernels import (
     _fbm_mtilde_rule,
@@ -180,31 +180,24 @@ def ref_picard_nodes(w_k, trunc):
     return u
 
 
-def ref_k1_empirical(kernel, t_grid=256, refine_tol=1e-6, max_refinements=3):
-    """k1_empirical for a singular kernel with dt_smooth, its derivatives called node by node."""
-    big_t = kernel.horizon
-    rule = QuadratureRule(panels=6, nodes=12)
-    g0 = kernel.origin_exponent
-    s_fine = np.linspace(0.0, big_t, 1025)[1:]
-    phi_vals = np.array([kernel.eval(big_t, s) * s ** (-g0) for s in s_fine])
+def _k1_table(kernel):
+    """phi(s) = K(T, s) s^(-g0) on k1_empirical's graded table s_i = T (i/1024)^2."""
+    big_t, g0 = kernel.horizon, kernel.origin_exponent
+    s_fine = big_t * (np.arange(1, 1025) / 1024) ** 2
+    return s_fine, kernel.eval(big_t, s_fine) * s_fine ** (-g0)
 
-    def k_upper(s):
-        return np.interp(s, s_fine, phi_vals) * s**g0
+
+def ref_k1_empirical(kernel, t_grid=256, refine_tol=1e-6, max_refinements=3):
+    """k1_empirical for a singular kernel with dt_smooth: one Gauss-Jacobi sum per t, dt_smooth called node by node."""
+    big_t, g0, gam = kernel.horizon, kernel.origin_exponent, kernel.singularity
+    s_fine, phi_vals = _k1_table(kernel)
+    v, w = jacobi01(72, gam, 2.0 * g0)
 
     def integral_at(t):
-        def cofactor(s):
-            # K(T, s) K1(t, s) with the weight s^(2 g0) divided out
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            return np.interp(s, s_fine, phi_vals) * s**-g0 * np.array([kernel.dt_eval(t, si) for si in s])
-
-        def smooth(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            return k_upper(s) * np.array([kernel.dt_smooth(t, si) for si in s])
-
-        mid = 0.5 * t
-        low = quad_singular_smooth(cofactor, 0.0, mid, 2.0 * g0, rule)
-        high = quad_singular_smooth(smooth, mid, t, kernel.singularity, rule, endpoint="upper")
-        return low + high
+        # K(T, s) K1(t, s) with the weight s^(2 g0) (t - s)^gam divided out, at the nodes s = t v
+        s = t * v
+        cofactor = np.interp(s, s_fine, phi_vals) * s**-g0 * np.array([kernel.dt_smooth(t, si) for si in s])
+        return t ** (1.0 + gam + 2.0 * g0) * np.dot(w, cofactor)
 
     n = t_grid
     best = max(integral_at(t) for t in np.linspace(big_t / n, big_t, n))
@@ -219,25 +212,16 @@ def ref_k1_empirical(kernel, t_grid=256, refine_tol=1e-6, max_refinements=3):
 
 def ref_k1_full_grids(kernel, grid, t_grid=256, refine_tol=1e-6, max_refinements=3):
     """k1_empirical as first written: every doubling evaluates its whole t-grid ``grid(n, T)``."""
-    big_t = kernel.horizon
-    rule = QuadratureRule(panels=6, nodes=12)
-    g0 = kernel.origin_exponent
-    s_fine = np.linspace(0.0, big_t, 1025)[1:]
-    phi_vals = kernel.eval(big_t, s_fine) * s_fine ** (-g0)
-
-    def k_upper(s):
-        return np.interp(s, s_fine, phi_vals) * s**g0
+    big_t, g0, gam = kernel.horizon, kernel.origin_exponent, kernel.singularity
+    s_fine, phi_vals = _k1_table(kernel)
+    v, w = jacobi01(72, gam, 2.0 * g0)
 
     def sup_on_grid(n):
         t = grid(n, big_t)
-        x, mid = t[:, None], 0.5 * t
-        low = quad_singular_smooth(
-            lambda s: np.interp(s, s_fine, phi_vals) * s**-g0 * kernel.dt_eval(x, s), 0.0, mid, 2.0 * g0, rule
-        )
-        high = quad_singular_smooth(
-            lambda s: k_upper(s) * kernel.dt_smooth(x, s), mid, t, kernel.singularity, rule, endpoint="upper"
-        )
-        return float(np.max(low + high))
+        x = t[:, None]
+        s = x * v
+        vals = np.interp(s, s_fine, phi_vals) * s**-g0 * kernel.dt_smooth(x, s)
+        return float(np.max(t ** (1.0 + gam + 2.0 * g0) * _dot_rows(w, vals)))
 
     n = t_grid
     best = sup_on_grid(n)
@@ -510,7 +494,6 @@ QUADRATURES = {
     "integrate": lambda f, a, b, rule: rule.integrate(f, a, b),
     "quad_singular": lambda f, a, b, rule: quad_singular(f, a, b, -0.4, rule),
     "quad_singular_smooth-lower": lambda f, a, b, rule: quad_singular_smooth(f, a, b, -0.7, rule),
-    "quad_singular_smooth-upper": lambda f, a, b, rule: quad_singular_smooth(f, a, b, -0.7, rule, endpoint="upper"),
 }
 
 
