@@ -18,6 +18,7 @@ from collections import OrderedDict, namedtuple
 from functools import cache, lru_cache, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import (
     BasisFamily,
@@ -59,8 +60,8 @@ class KernelSpec:
     - ``psi(basis, ks, s)``: psi_k(s) for modes ks and a 1-D array s, shape (len(ks), len(s));
     - ``mtilde(basis, k, t)``: M~_k elementwise over a 1-D array of t; for a
       sequence of modes k, one row per mode, shape (len(k), len(t));
-    - ``eval_column(t_sorted, s)``: K(t_i, s) for an ascending array of t; for
-      a 1-D array s, one row per s, shape (len(s), len(t_sorted));
+    - ``kstar(horizon, n_grid)``: the n_grid x n_grid matrix of K* on step
+      functions of the uniform grid of [0, horizon] (``discretize_kstar``);
     - ``dt_smooth(t, s)``: K1 with the diagonal factor (t - s)^singularity
       divided out, which every quadrature near the diagonal weights exactly.
 
@@ -68,8 +69,8 @@ class KernelSpec:
     leaves as None is derived at construction from ``eval`` and ``dt_eval``
     (``_DERIVED``): gamma0 = 0 and psi_k = K m_k = K(s+, s) m_k(s) +
     int_0^s m_k(tau) K1(s, tau) dtau by quadrature, M~_k by quadrature of
-    K(t, .) m_k (adapted kernels only), ``eval_column`` as ``eval`` on the
-    column, and ``dt_smooth`` = K1(t, s) (t - s)^(-singularity), which is K1
+    K(t, .) m_k (adapted kernels only), K* as the differences of ``eval_ts``
+    columns, and ``dt_smooth`` = K1(t, s) (t - s)^(-singularity), which is K1
     itself for a regular kernel.  A derived piece is bound to its spec, so a
     copy (``dataclasses.replace``) derives its own again.
     """
@@ -86,7 +87,7 @@ class KernelSpec:
     gamma0: float = 0.0
     psi: object = None  # callable (basis, ks, s) -> (len(ks), len(s))
     mtilde: object = None  # callable (basis, k, t) -> M~_k over an array of t, one row per mode of a sequence k
-    eval_column: object = None  # callable (t_sorted, s) -> K(t_i, s), one row per s of an array s
+    kstar: object = None  # callable (horizon, n_grid) -> the (n_grid, n_grid) K* matrix
 
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
@@ -98,8 +99,18 @@ class KernelSpec:
                 setattr(self, name, partial(derive, self))
 
     def eval_ts(self, t_sorted, s):
-        """K(t, s) for an ascending array of t values; for a 1-D array s, one row per s."""
-        return self.eval_column(t_sorted, s)
+        """K(t, s) for an ascending array of t values; for a 1-D array s, one row per s.
+
+        An adapted kernel reads 0 for s > t without calling ``eval`` there.
+        """
+        t = np.atleast_1d(np.asarray(t_sorted, dtype=float))
+        ss = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
+        if self.adapted:
+            below = ss <= t
+            out = np.where(below, self.eval(np.where(below, t, ss), ss), 0.0)
+        else:
+            out = self.eval(t, ss)
+        return out if np.ndim(s) else out[0]
 
 
 def _smooth_by_division(kernel: KernelSpec, t, s):
@@ -107,9 +118,25 @@ def _smooth_by_division(kernel: KernelSpec, t, s):
     return kernel.dt_eval(t, s) * (t - s) ** -kernel.singularity
 
 
-def _column_by_eval(kernel: KernelSpec, t_sorted, s) -> np.ndarray:
-    s = s if np.ndim(s) == 0 else np.asarray(s, dtype=float)[:, None]
-    return kernel.eval(np.atleast_1d(np.asarray(t_sorted, dtype=float)), s)
+# rows of K* per block: the block's temporaries stay under 1 MB for n_grid <= 512
+_KSTAR_BLOCK = 32
+
+
+def _kstar_grid(horizon: float, n_grid: int):
+    """The cell edges t_j = j T / n and midpoints s_r of the uniform K* grid."""
+    edges = np.linspace(0.0, horizon, n_grid + 1)
+    return edges, 0.5 * (edges[:-1] + edges[1:])
+
+
+def _kstar_by_columns(kernel: KernelSpec, horizon: float, n_grid: int) -> np.ndarray:
+    """K* as the differences along t of ``eval_ts`` columns, one call per block of rows."""
+    edges, mids = _kstar_grid(horizon, n_grid)
+    a = np.zeros((n_grid, n_grid))
+    for i in range(0, n_grid, _KSTAR_BLOCK):
+        rows = slice(i, min(i + _KSTAR_BLOCK, n_grid))
+        # K(t, s_r) = 0 for t < s_r, so row r's differences start with a[r, r] = K(edges[r + 1], s_r) - 0
+        a[rows, i:] = np.diff(kernel.eval_ts(edges[i + 1 :], mids[rows]), axis=1, prepend=0.0)
+    return a
 
 
 def _stack_modes(row, k):
@@ -154,7 +181,7 @@ _DERIVED = {
     "dt_smooth": _smooth_by_division,
     "psi": _quadrature_psi,
     "mtilde": _quadrature_mtilde,
-    "eval_column": _column_by_eval,
+    "kstar": _kstar_by_columns,
 }
 
 
@@ -339,38 +366,37 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
     def dt_smooth_evaluate(t, s):
         return c * s ** (0.5 - hurst) * t ** (hurst - 0.5)
 
-    def eval_column(t_sorted, s):
-        # incremental in t: a singular first segment, then Gauss segments summed along t.
-        # The scalar factors take Python-float powers, which numpy's array power can
-        # differ from in the last bit, so each row equals the scalar-s column bit for bit.
-        t_sorted = np.atleast_1d(np.asarray(t_sorted, dtype=float))
-        ss = np.atleast_1d(np.asarray(s, dtype=float))
-        above = t_sorted > ss[:, None]
-        out = np.zeros(above.shape)
-        live = np.nonzero(above.any(axis=1))[0]
-        if len(live):
-            sl, start = ss[live], np.argmax(above[live], axis=1)
-            # the first segment (s, t_start]: quad_singular_smooth's Gauss-Jacobi sum, row by row
-            gamma = hurst - 1.5
-            v, w = jacobi01(_JACOBI_NODES, 0.0, gamma)
-            length = t_sorted[start] - sl
-            inner = _dot_rows(w, (sl[:, None] + length[:, None] * v) ** (hurst - 0.5))
-            first = np.array([x ** (gamma + 1.0) for x in length.tolist()]) * inner
-            vals = np.zeros((len(live), len(t_sorted)))
-            if len(t_sorted) > 1:
-                xg, wg = _leggauss(6)
-                lo, hi = t_sorted[:-1], t_sorted[1:]
-                half = 0.5 * (hi - lo)
-                mid = 0.5 * (hi + lo)
-                nodes = mid[:, None] + half[:, None] * xg[None, :]
-                counted = np.arange(len(t_sorted) - 1) >= start[:, None]  # the segments above s
-                dist = np.where(counted[..., None], nodes - sl[:, None, None], 1.0)
-                seg = np.sum(dist ** (hurst - 1.5) * nodes ** (hurst - 0.5) * wg, axis=-1) * half
-                # leading zeros add exactly, so each partial sum keeps the bits of the sum from its first segment
-                vals[:, 1:] = np.cumsum(np.where(counted, seg, 0.0), axis=1)
-            scale = np.array([c * x ** (0.5 - hurst) for x in sl.tolist()])
-            out[live] = np.where(above[live], scale[:, None] * (first[:, None] + vals), 0.0)
-        return out if np.ndim(s) else out[0]
+    def kstar(horizon, n_grid):
+        # Cell j's Gauss node x_q sits at t_jq = (j + 1/2 + x_q/2) h, (j - r + x_q/2) h above row r's
+        # midpoint s_r, so the singular factor depends on the offset j - r alone.  Above the diagonal,
+        # a[r, j] = c s_r^(1/2 - H) sum_q D[j - r, q] P[j, q], D[d, q] = ((d + x_q/2) h)^(H - 3/2) and
+        # P[j, q] = w_q t_jq^(H - 1/2) h/2: six Toeplitz-times-column-scale products per block of rows.
+        h = horizon / n_grid
+        edges, mids = _kstar_grid(horizon, n_grid)
+        xg, wg = _leggauss(6)
+        # offsets[q, n + d] = D[d, q] for d = 1..n-1 and 0 for d <= 0, so row r of block q is a window of it
+        offsets = np.zeros((6, 2 * n_grid))
+        offsets[:, n_grid + 1 :] = ((np.arange(1, n_grid) + 0.5 * xg[:, None]) * h) ** (hurst - 1.5)
+        toeplitz = sliding_window_view(offsets, n_grid, axis=1)  # [q, n - r, j] = D[j - r, q]
+        smooth = wg[:, None] * ((np.arange(n_grid) + 0.5 + 0.5 * xg[:, None]) * h) ** (hurst - 0.5) * (0.5 * h)
+        # the scalar factors take Python-float powers, which numpy's array power can differ from in the last bit
+        scale = np.array([c * x ** (0.5 - hurst) for x in mids.tolist()])
+        a = np.zeros((n_grid, n_grid))
+        term = np.empty((_KSTAR_BLOCK, n_grid))
+        for i in range(0, n_grid, _KSTAR_BLOCK):
+            stop = min(i + _KSTAR_BLOCK, n_grid)
+            block, tmp, windows = a[i:stop, i:], term[: stop - i, i:], toeplitz[:, n_grid - i : n_grid - stop : -1, i:]
+            np.multiply(windows[0], smooth[0, i:], out=block)
+            for q in range(1, 6):
+                block += np.multiply(windows[q], smooth[q, i:], out=tmp)
+            block *= scale[i:stop, None]
+        # the diagonal cell (s_r, t_{r+1}]: Gauss-Jacobi for the (t - s_r)^(H - 3/2) weight
+        gamma = hurst - 1.5
+        v, w = jacobi01(_JACOBI_NODES, 0.0, gamma)
+        length = edges[1:] - mids
+        inner = _dot_rows(w, (mids[:, None] + length[:, None] * v) ** (hurst - 0.5))
+        np.fill_diagonal(a, scale * (np.array([x ** (gamma + 1.0) for x in length.tolist()]) * inner))
+        return a
 
     def psi(basis: BasisFamily, ks, s):
         """Smooth factor in (K m_k)(s) = s^(H - 1/2) psi_k(s); Beta-weight quadrature."""
@@ -446,7 +472,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         gamma0=hurst - 0.5,
         psi=psi,
         mtilde=mtilde,
-        eval_column=eval_column,
+        kstar=kstar,
     )
 
 
@@ -559,31 +585,19 @@ def op_norm_bound(k0: float, k1: float) -> float:
     return math.sqrt(k1)
 
 
-# rows of K* per eval_ts call: the fBm block's (rows, n, 6) temporaries stay under 1 MB for n <= 512
-_KSTAR_BLOCK = 32
-
-
 def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
     """Matrix of K* restricted to step functions on a uniform n-cell grid.
 
-    Row i gives (K* f)(s_i) at cell midpoints for f piecewise constant on the
-    cells; this is the step-function formula evaluated cellwise, one
-    ``eval_ts`` call per block of ``_KSTAR_BLOCK`` rows.
+    Row r gives (K* f)(s_r) at the cell midpoint s_r for f piecewise constant
+    on the cells (t_j, t_{j+1}], t_j = j T / n: entry (r, j) is
+    K(t_{j+1}, s_r) - K(t_j, s_r), from the kernel's ``kstar``.
     """
     if not kernel.adapted:
         raise UnsupportedKernelError("discretization implemented for adapted kernels")
     if n_grid < 1:
         raise ConfigurationError(f"n_grid must be >= 1, not {n_grid}")
     _check_table_size(n_grid * n_grid, f"the {n_grid} x {n_grid} K* matrix")
-    big_t = kernel.horizon
-    edges = np.linspace(0.0, big_t, n_grid + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    a = np.zeros((n_grid, n_grid))
-    for i in range(0, n_grid, _KSTAR_BLOCK):
-        rows = slice(i, min(i + _KSTAR_BLOCK, n_grid))
-        # K(t, s_r) = 0 for t < s_r, so row r's differences start with a[r, r] = K(edges[r + 1], s_r) - 0
-        a[rows, i:] = np.diff(kernel.eval_ts(edges[i + 1 :], mids[rows]), axis=1, prepend=0.0)
-    return a
+    return kernel.kstar(kernel.horizon, n_grid)
 
 
 def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512, max_iter: int = 5000) -> float:
@@ -606,7 +620,7 @@ def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512, max_iter: int = 5000
         v = w / nw
         w = b @ v  # the Rayleigh quotient's product is the next iteration's
         lam_new = float(v @ w)
-        if abs(lam_new - lam) <= 1e-8 * max(lam_new, 1.0):
+        if abs(lam_new - lam) <= 1e-8 * lam_new:
             return math.sqrt(max(lam_new, 0.0))
         lam = lam_new
     raise DomainError(f"power iteration did not reach tol=1e-08 in {max_iter} iterations")

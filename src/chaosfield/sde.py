@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,6 +179,21 @@ class _CollocationGrid:
 _PSI_BLOCK = 8
 
 
+@lru_cache(maxsize=8)  # one key per (nodes, sub) in use; the default mesh's tables take 0.15 MB
+def _sub_node_tables(nodes: int, sub: int):
+    """(frac, xi, lt, l) of ``_integration_matrix``: they depend on the two node counts only, so they are read-only."""
+    ref_nodes, _ = _leggauss(nodes)
+    xg, _ = _leggauss(sub)
+    frac = np.append(0.5 * (ref_nodes + 1.0), 1.0)  # (x_m - a) / (b - a), the whole panel last
+    # the sub-nodes in reference coordinates; the whole-panel row is the rule's own nodes, exactly
+    xi = np.vstack([frac[:nodes, None] * (xg + 1.0) - 1.0, xg])
+    lt = _lagrange_eval(xg, xi.ravel())
+    l = _lagrange_eval(ref_nodes, xi.ravel()).reshape(nodes, nodes + 1, sub)
+    for table in (frac, xi, lt, l):
+        table.flags.writeable = False
+    return frac, xi, lt, l
+
+
 def _integration_matrix(grid: _CollocationGrid, gamma0: float, psi) -> np.ndarray:
     """The Volterra operator v -> int_0^{x_m} v~(s) m~_k(s) ds, every mode, as per-panel blocks.
 
@@ -198,10 +214,8 @@ def _integration_matrix(grid: _CollocationGrid, gamma0: float, psi) -> np.ndarra
     nodes interpolates it to the other sub-nodes; s^gamma0 is exact at each.
     """
     q, sub = grid.nodes, _SUB_NODES
-    xg, wg = _leggauss(sub)
-    frac = np.append(0.5 * (grid.ref_nodes + 1.0), 1.0)  # (x_m - a) / (b - a), the whole panel last
-    # the sub-nodes in reference coordinates; the whole-panel row is the rule's own nodes, exactly
-    xi = np.vstack([frac[:q, None] * (xg + 1.0) - 1.0, xg])
+    _, wg = _leggauss(sub)
+    frac, xi, lt, l = _sub_node_tables(q, sub)
     first = 1 if gamma0 != 0.0 else 0  # the panels from here on take Gauss-Legendre
     a, b = grid.edges[first:-1], grid.edges[first + 1 :]
     half = 0.5 * (b - a)[:, None, None]
@@ -214,9 +228,7 @@ def _integration_matrix(grid: _CollocationGrid, gamma0: float, psi) -> np.ndarra
     table = np.concatenate([psi(points[i : i + step]) for i in range(0, len(points), step)], axis=1)
     modes = len(table)
     # the mode axis stays a batch axis in every product, so each mode's bits do not depend on the others
-    lt = _lagrange_eval(xg, xi.ravel())
     mt = s**gamma0 * (table[:, first * sub :].reshape(modes, len(s), sub) @ lt).reshape((modes,) + s.shape)
-    l = _lagrange_eval(grid.ref_nodes, xi.ravel()).reshape(q, q + 1, sub)
     out = np.empty((modes, grid.panels, q, q + 1))
     out[:, first:] = np.einsum("jms,kpms->kpjm", l, half * np.outer(frac, wg) * mt)
     if first:

@@ -437,7 +437,7 @@ def test_integrate_the_well_formed_integrand_exits_0(tmp_path, capsys):
     ids=["fbm", "sde-fbm"],
 )
 def test_fbm_commands_build_few_gauss_jacobi_rules(argv, rules, capsys, tmp_path):
-    # fbm: eval_column's first-segment rule and k1_empirical's; sde: the two behind M~'s own rule (psi shares
+    # fbm: K*'s diagonal-cell rule and k1_empirical's; sde: the two behind M~'s own rule (psi shares
     # one), the Picard integration matrix's and the covariance's.  K(t, s) itself is a series and builds none.
     jacobi01.cache_clear()
     extra = ["--out", str(tmp_path)] if argv[0] == "sde" else []

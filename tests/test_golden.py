@@ -11,6 +11,9 @@ rounding on any machine).
 Regenerate after a deliberate change, and name each moved field in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints each number that moved as ``file: old -> new`` (or that a file's
+text changed, appeared or went) and writes nothing when nothing moved.
 """
 
 import contextlib
@@ -128,15 +131,42 @@ def test_cli_output_matches_golden(name, tmp_path, recorded_environment):
             assert numbers_agree(got.decode(), want.decode()), fname
 
 
+def moved(fname: str, old: bytes | None, new: bytes | None) -> list[str]:
+    """One line per number that moved between two versions of a golden file, ``file: old -> new``."""
+    if old == new:
+        return []
+    if old is None or new is None:
+        return [f"{fname}: {'added' if old is None else 'removed'}"]
+    before, after = old.decode(), new.decode()
+    if _NUMBER.split(before) != _NUMBER.split(after):
+        return [f"{fname}: text changed"]
+    pairs = zip(_NUMBER.findall(before), _NUMBER.findall(after))
+    return [f"{fname}: {a} -> {b}" for a, b in pairs if a != b]
+
+
+def test_moved_names_each_number_that_moved():
+    assert moved("f", b'{"x": 1.0, "y": 2}', b'{"x": 1.0, "y": 2}') == []
+    assert moved("f", b'{"x": 1.0, "y": 2, "z": 3}', b'{"x": 1.5, "y": 2, "z": 4}') == ["f: 1.0 -> 1.5", "f: 3 -> 4"]
+    assert moved("f", b'{"x": 1.0}', b'{"w": 1.0}') == ["f: text changed"]
+    assert moved("f", None, b"1") == ["f: added"] and moved("f", b"1", None) == ["f: removed"]
+
+
 def regenerate() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    for stale in GOLDEN.glob("*"):
-        stale.unlink()
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
-            for fname, data in run_case(name, Path(tmp)).items():
-                (GOLDEN / fname).write_bytes(data)
-    ENV_FILE.write_text(json.dumps(environment(), sort_keys=True, indent=2) + "\n")
+        files = {fname: data for name in sorted(CASES) for fname, data in run_case(name, Path(tmp)).items()}
+    files[ENV_FILE.name] = (json.dumps(environment(), sort_keys=True, indent=2) + "\n").encode()
+    old = {path.name: path.read_bytes() for path in GOLDEN.glob("*")}
+    names = sorted(old.keys() | files.keys())
+    lines = [line for fname in names for line in moved(fname, old.get(fname), files.get(fname))]
+    if not lines:
+        print("nothing moved")
+        return
+    print("\n".join(lines))
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in old.keys() - files.keys():
+        (GOLDEN / stale).unlink()
+    for fname, data in files.items():
+        (GOLDEN / fname).write_bytes(data)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,15 @@
 
 fBm M~ computes every requested mode in one psi pass; each row must equal
 the per-mode call bit for bit and the memo must count one hit or miss per
-mode.  ``discretize_kstar`` evaluates K(t, s) for a block of rows s in one
-``eval_ts`` call; the matrix must equal the column-by-column loop it was
-first written as, bit for bit, since ``norm_estimate`` reads its bits.
+mode.  ``discretize_kstar`` reads K* from the kernel's ``kstar``: the derived
+one evaluates K(t, s) for a block of rows s in one ``eval_ts`` call and must
+equal the column-by-column loop it was first written as, bit for bit, since
+``norm_estimate`` reads its bits.  fBm builds K* from tables of cell offsets,
+with no cumulative sum to difference: its diagonal keeps the column loop's
+bits, and the cells above it agree with the loop to roundoff.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,12 +118,29 @@ def test_other_kernels_stack_their_per_mode_rows(name, grid_kernel):
 # K* in row blocks
 
 
-@pytest.mark.parametrize("n_grid", [1, 2, 127, 256])
+def ref_fbm_kstar(hurst, horizon, n_grid):
+    return ref_discretize_kstar(lambda t, s: ref_fbm_column(hurst, t, s), horizon, n_grid)
+
+
+# above the diagonal the offset build and the differenced cumulative sums differ by roundoff:
+# at most 2.5e-14 of max|A| was measured (H 0.95, n 256)
+KSTAR_REL = 4e-14
+
+
+def assert_kstar_agrees(got, ref):
+    """The diagonal and the zeros below it bit for bit; the cells above within KSTAR_REL of max|A|."""
+    assert np.tril(got).tobytes() == np.tril(ref).tobytes()
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=KSTAR_REL * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n_grid", [1, 2, 127, 256, 3 * _KSTAR_BLOCK + 5])
 @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
 def test_fbm_kstar_bit_equal_to_column_loop(hurst, n_grid):
-    kernel = fbm_kernel_spec(hurst, 1.0)
-    ref = ref_discretize_kstar(lambda t, s: ref_fbm_column(hurst, t, s), 1.0, n_grid)
-    assert discretize_kstar(kernel, n_grid).tobytes() == ref.tobytes()
+    # the diagonal and the zeros below it keep the column loop's bits; above it the offset build
+    # has no cumulative sum to difference, so it agrees with the loop to roundoff
+    for horizon in (1.0, 2.5):
+        got = discretize_kstar(fbm_kernel_spec(hurst, horizon), n_grid)
+        assert_kstar_agrees(got, ref_fbm_kstar(hurst, horizon, n_grid))
 
 
 @pytest.mark.parametrize("n_grid", [1, 2, 127, 256])
@@ -130,8 +152,21 @@ def test_brownian_and_grid_kstar_bit_equal_to_column_loop(n_grid, grid_kernel):
 
 def test_kstar_other_horizon_spans_several_blocks():
     n_grid = 3 * _KSTAR_BLOCK + 5
-    ref = ref_discretize_kstar(lambda t, s: ref_fbm_column(0.8, t, s), 2.5, n_grid)
-    assert discretize_kstar(fbm_kernel_spec(0.8, 2.5), n_grid).tobytes() == ref.tobytes()
+    assert_kstar_agrees(discretize_kstar(fbm_kernel_spec(0.8, 2.5), n_grid), ref_fbm_kstar(0.8, 2.5, n_grid))
+
+
+def test_fbm_kstar_temporaries_stay_near_1_mb():
+    n_grid = 512
+    kernel = fbm_kernel_spec(0.7, 1.0)
+    discretize_kstar(kernel, 8)  # the Gauss-Jacobi rule is cached from here on
+    tracemalloc.start()
+    try:
+        a = discretize_kstar(kernel, n_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.shape == (n_grid, n_grid)
+    assert peak < a.nbytes + 2**20, peak
 
 
 @pytest.mark.parametrize("name", ["brownian", "fbm", "grid"])
@@ -144,6 +179,7 @@ def test_eval_ts_with_an_array_of_s_equals_per_s_calls(name, grid_kernel):
     for row, x in zip(got, s):
         assert row.tobytes() == kernel.eval_ts(t, x).tobytes(), x
     if name == "fbm":
+        # the column of eval's series, 0 where t <= s
         for x in s:
-            assert kernel.eval_ts(t, x).tobytes() == ref_fbm_column(0.7, t, x).tobytes(), x
+            assert kernel.eval_ts(t, x).tobytes() == np.where(t > x, kernel.eval(np.maximum(t, x), x), 0.0).tobytes(), x
         assert kernel.eval_ts(t[:0], s).shape == (len(s), 0)

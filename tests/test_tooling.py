@@ -65,7 +65,7 @@ def test_benchmark_per_layer_spans_name_traced_public_functions():
             assert spans._is_traced_function(module, rest, getattr(module, rest, None)), name
 
 
-DERIVED_OR_DEFAULTED = {"dt_smooth", "psi", "mtilde", "eval_column", "singularity"}
+DERIVED_OR_DEFAULTED = {"dt_smooth", "psi", "mtilde", "kstar", "singularity"}
 
 
 def _none_checks_on_kernel_pieces(tree):
@@ -89,7 +89,7 @@ def _none_checks_on_kernel_pieces(tree):
 
 
 def test_no_consumer_checks_a_derived_kernel_piece_for_none():
-    # KernelSpec derives dt_smooth, psi, mtilde and eval_column and defaults singularity to 0,
+    # KernelSpec derives dt_smooth, psi, mtilde and kstar and defaults singularity to 0,
     # so a None check on one of them elsewhere is a branch on what a kernel supplied
     found = {
         path.name: hits
