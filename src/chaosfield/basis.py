@@ -22,14 +22,39 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
+def _golub_welsch(diag, offdiag, mass: float):
+    """The Gauss rule of a measure of total ``mass`` from its Jacobi matrix.
+
+    Golub and Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric tridiagonal matrix with ``diag`` on its diagonal and
+    ``offdiag`` beside it, the weights the mass times the squared first
+    entries of its unit eigenvectors.
+    """
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1))
+    return nodes, mass * vectors[0] ** 2
+
+
 @lru_cache(maxsize=64)  # one op uses about 6 keys; each new Hurst index brings new ones
 def jacobi01(n: int, a: float, b: float):
-    """Nodes/weights for int_0^1 (1-v)^a v^b f(v) dv = sum w_i f(v_i)."""
-    from scipy.special import roots_jacobi
+    """Nodes/weights for int_0^1 (1-v)^a v^b f(v) dv = sum w_i f(v_i).
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        x, w = roots_jacobi(n, a, b)
-    return (x + 1.0) / 2.0, w * 2.0 ** (-(a + b + 1.0))
+    Golub-Welsch on the Jacobi matrix of the Jacobi polynomials P_k^(a, b) on
+    [-1, 1], x = 2v - 1, from their closed-form recurrence (Gautschi,
+    Orthogonal Polynomials, 2004, Table 1.1).  The k = 0 diagonal entry and
+    the k = 1 off-diagonal entry are written cancelled: their textbook forms
+    are 0/0 at a + b = 0 and at a + b = -1, and psi's rule has a + b = -1 up
+    to rounding.
+    """
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    with np.errstate(invalid="ignore", divide="ignore"):  # entry k = 0 of each is replaced or dropped
+        diag = (b - a) * (b + a) / (s * (s + 2.0))
+        beta = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    diag[0] = (b - a) / (a + b + 2.0)
+    beta[1:2] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    mass = math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))  # B(a + 1, b + 1)
+    x, w = _golub_welsch(diag, np.sqrt(beta[1:]), mass)
+    return (x + 1.0) / 2.0, w
 
 
 def _dot_rows(w, vals):

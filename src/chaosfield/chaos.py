@@ -222,12 +222,10 @@ def _fields(d, keys: tuple, what: str) -> list:
 def _read_trunc_and_items(d) -> tuple:
     """(Truncation, list of coefficient items) of a ``to_dict`` object."""
     trunc, items = _fields(d, ("trunc", "coeffs"), "a chaos object")
-    modes, max_order = _fields(trunc, ("modes", "max_order"), "trunc")
-    if not (_is_int(modes) and _is_int(max_order) and modes >= 1 and max_order >= 0):
-        raise ConfigurationError(f"trunc needs integers modes >= 1 and max_order >= 0, not {modes!r}, {max_order!r}")
+    trunc = Truncation(*_fields(trunc, ("modes", "max_order"), "trunc"))  # refuses non-integers and bad ranges
     if not isinstance(items, list):
         raise ConfigurationError(f"coeffs must be a list, not {type(items).__name__}")
-    return Truncation(modes, max_order), items
+    return trunc, items
 
 
 def _read_alpha(pairs, trunc: Truncation) -> MultiIndex:

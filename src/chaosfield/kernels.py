@@ -25,6 +25,7 @@ from .basis import (
     QuadratureRule,
     _check_modes,
     _dot_rows,
+    _golub_welsch,
     _leggauss,
     _on_live_rows,
     jacobi01,
@@ -231,24 +232,20 @@ def _check_hurst(hurst: float):
 
 def fbm_c_h(hurst: float) -> float:
     """Normalizing constant C_H of the fBm Volterra kernel."""
-    from scipy.special import gamma as gamma_fn
-
     _check_hurst(hurst)
     return math.sqrt(
-        2.0 * hurst * gamma_fn(1.5 - hurst) / (gamma_fn(hurst + 0.5) * gamma_fn(2.0 - 2.0 * hurst))
+        2.0 * hurst * math.gamma(1.5 - hurst) / (math.gamma(hurst + 0.5) * math.gamma(2.0 - 2.0 * hurst))
     )
 
 
 def fbm_k1(hurst: float, horizon: float) -> float:
     """Analytic bound K_1(T) for the fBm kernel operator."""
-    from scipy.special import gamma as gamma_fn
-
     _check_hurst(hurst)
     return (
         hurst
         * (2.0 * hurst - 1.0)
-        * gamma_fn(hurst - 0.5)
-        / gamma_fn(hurst + 0.5)
+        * math.gamma(hurst - 0.5)
+        / math.gamma(hurst + 0.5)
         * horizon ** (2.0 * hurst - 1.0)
     )
 
@@ -311,9 +308,8 @@ def _gauss_rule_of(x, w, n: int):
     """The n-point Gauss rule of the discrete measure sum_i w_i delta(x_i), w > 0.
 
     Discretized Stieltjes procedure (Gautschi 2004, 2.2) for the orthonormal
-    recurrence, then Golub-Welsch (Math. Comp. 23, 1969): the nodes are the
-    eigenvalues of the Jacobi matrix, the weights the mass times the squared
-    first eigenvector entries.
+    recurrence, whose coefficients make the Jacobi matrix ``_golub_welsch``
+    takes.
     """
     a, b = np.zeros(n), np.zeros(n)
     mass = float(np.sum(w))
@@ -327,8 +323,7 @@ def _gauss_rule_of(x, w, n: int):
             r -= b[j] * u_prev
             b[j + 1] = math.sqrt(np.dot(r, r))
             u_prev, u = u, r / b[j + 1]
-    nodes, vectors = np.linalg.eigh(np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1))
-    return nodes, mass * vectors[0] ** 2
+    return _golub_welsch(a, b[1:], mass)
 
 
 def _fbm_mtilde_rule(hurst: float):
@@ -484,16 +479,30 @@ def grid_kernel_from_csv(path) -> KernelSpec:
     """Kernel interpolated bilinearly from a CSV matrix.
 
     Layout: first row holds the s-grid (first cell blank or a label), first
-    column the t-grid, cell (i, j) the value K(t_i, s_j).
+    column the t-grid, cell (i, j) the value K(t_i, s_j).  The file is checked
+    before anything is built: an empty file, a ragged row, a cell that is not
+    a finite number, or a grid of fewer than two increasing points raises
+    ConfigurationError.
     """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
-    s_grid = np.array([float(x) for x in rows[0][1:]])
-    t_grid = np.array([float(r[0]) for r in rows[1:]])
-    values = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
-    if values.shape != (len(t_grid), len(s_grid)):
-        raise ValueError("grid CSV shape mismatch")
-    from scipy.interpolate import RegularGridInterpolator
+    if not rows:
+        raise ConfigurationError(f"grid CSV {path} is empty")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ConfigurationError(f"grid CSV {path}: every row must have the header's {width} cells")
+    try:
+        s_grid = np.array([float(x) for x in rows[0][1:]])
+        table = np.array([[float(x) for x in r] for r in rows[1:]]).reshape(-1, width)
+    except ValueError as exc:
+        raise ConfigurationError(f"grid CSV {path}: {exc}") from None
+    if not (np.all(np.isfinite(s_grid)) and np.all(np.isfinite(table))):
+        raise ConfigurationError(f"grid CSV {path}: every grid point and value must be finite")
+    t_grid, values = table[:, 0], table[:, 1:]
+    for name, grid in (("t", t_grid), ("s", s_grid)):
+        if len(grid) < 2 or not np.all(np.diff(grid) > 0):
+            raise ConfigurationError(f"grid CSV {path}: the {name}-grid needs at least two increasing points")
+    from scipy.interpolate import RegularGridInterpolator  # the library's one scipy use
 
     interp = RegularGridInterpolator(
         (t_grid, s_grid), values, bounds_error=False, fill_value=None

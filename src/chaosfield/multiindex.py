@@ -14,6 +14,7 @@ the integrals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -153,10 +154,10 @@ class Truncation:
     max_order: int
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError("modes must be a positive integer")
-        if self.max_order < 0:
-            raise ValueError("max_order must be non-negative")
+        for name, low in (("modes", 1), ("max_order", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigurationError(f"{name} must be an integer >= {low}, not {value!r}")
 
     def size(self) -> int:
         return math.comb(self.max_order + self.modes, self.modes)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta, roots_jacobi
 
 from chaosfield.basis import (
     BasisFamily,
     QuadratureRule,
+    jacobi01,
     quad_singular,
     quad_singular_smooth,
 )
@@ -121,6 +123,47 @@ def test_quadrature_polynomial_exact():
     rule = QuadratureRule(panels=2, nodes=4)
     val = rule.integrate(lambda t: 3.0 * t**2, 0.0, 2.0)
     assert val == pytest.approx(8.0, rel=1e-14)
+
+
+def _library_rules(hurst):
+    """(n, a, b) of each jacobi01 rule the library builds for Hurst index H."""
+    return [
+        (48, hurst - 1.5, 0.5 - hurst),  # psi's Beta weight: a + b = -1 up to rounding
+        (48, 0.0, hurst - 0.5),  # the outer rule of M~'s weight
+        (48, 0.0, hurst - 1.5),  # K*'s diagonal cell
+        (96, 0.0, 0.5 - hurst),  # quad_singular_smooth at the origin exponent
+        (96, 0.0, 1.0 - 2.0 * hurst),  # the covariance
+        (96, 0.0, hurst - 0.5),  # the pairing matrix C
+        (72, hurst - 1.5, 1.0 - 2.0 * hurst),  # k1_empirical
+        (32, 0.0, hurst - 0.5),  # Picard's first panel
+    ]
+
+
+JACOBI_RULES = [rule for hurst in (0.51, 0.6, 0.75, 0.9, 0.999) for rule in _library_rules(hurst)] + [
+    (48, -0.25, -0.75),  # a + b = -1 exactly, where the textbook k = 1 off-diagonal entry is 0/0
+    (48, 0.3, -0.3),  # a + b = 0, where the textbook k = 0 diagonal entry is 0/0
+    (1, 0.0, 0.1),
+    (1, -0.4, -0.6),
+    (2, 0.0, 0.1),
+    (2, -0.4, -0.6),
+]
+
+
+@pytest.mark.parametrize("n, a, b", JACOBI_RULES)
+def test_jacobi01_integrates_the_weights_moments(n, a, b):
+    # sum w v^m = B(b + m + 1, a + 1) for m < 2n, each moment the last times (b + m) / (a + b + m + 1)
+    v, w = jacobi01(n, a, b)
+    m = np.arange(1, 2 * n)
+    exact = beta(b + 1.0, a + 1.0) * np.cumprod(np.r_[1.0, (b + m) / (a + b + m + 1.0)])
+    got = np.array([np.dot(w, v**k) for k in range(2 * n)])
+    assert np.max(np.abs(got / exact - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, a, b", JACOBI_RULES)
+def test_jacobi01_nodes_match_scipy(n, a, b):
+    with np.errstate(invalid="ignore"):  # scipy's own recurrence is 0/0 at a + b = -1
+        x, _ = roots_jacobi(n, a, b)
+    assert np.max(np.abs(jacobi01(n, a, b)[0] - (x + 1.0) / 2.0)) <= 1e-14
 
 
 def test_quad_singular_beta_integral():

@@ -26,7 +26,6 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
-import scipy.special  # noqa: F401  imported here, so the over-budget fbm cases do not count its import
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,12 +1,12 @@
 """Golden CLI outputs: stdout, CSV and sidecar of a fixed command set, pinned in tests/golden.
 
-Every case runs in-process.  When numpy's and scipy's versions, numpy's SIMD
-features and the BLAS thread count match the ones recorded with the files,
-each output must match byte for byte (a matrix product can split its sums
-differently over another number of threads); elsewhere the text around the
-numbers must match and each number must agree to 1e-13 relative, or 1e-13
-absolute for the roundoff-sized ones (an identity's error of 4e-16 is
-rounding on any machine).
+Every case runs in-process, and none of them loads scipy.  When numpy's
+version, numpy's SIMD features and the BLAS thread count match the ones
+recorded with the files, each output must match byte for byte (a matrix
+product can split its sums differently over another number of threads);
+elsewhere the text around the numbers must match and each number must agree
+to 1e-13 relative, or 1e-13 absolute for the roundoff-sized ones (an
+identity's error of 4e-16 is rounding on any machine).
 
 Regenerate after a deliberate change, and name each moved field in CHANGES.md:
 
@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from chaosfield.cli import main
 
@@ -66,12 +65,12 @@ def blas_threads() -> int:
 
 
 def environment() -> dict:
-    """What the bits of the outputs depend on besides the code: library versions, SIMD dispatch and BLAS threads."""
+    """What the bits of the outputs depend on besides the code: numpy's version, SIMD dispatch and BLAS threads."""
     try:
         simd = np.show_config(mode="dicts")["SIMD Extensions"]
     except (TypeError, KeyError):  # numpy < 1.25 cannot report it: compare numbers, not bytes
         simd = None
-    return {"numpy": np.__version__, "scipy": scipy.__version__, "simd": simd, "blas_threads": blas_threads()}
+    return {"numpy": np.__version__, "simd": simd, "blas_threads": blas_threads()}
 
 
 def run_case(name: str, workdir: Path) -> dict:

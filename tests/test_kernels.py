@@ -252,6 +252,55 @@ def test_grid_kernel_from_csv(tmp_path):
         assert isinstance(spec.dt_eval(t, s), np.ndarray) and spec.dt_eval(t, s).shape == (2, 3)
 
 
+def _grid_csv(tmp_path, text):
+    path = tmp_path / "kernel.csv"
+    path.write_text(text)
+    return path
+
+
+# a well-formed adapted table, which each case below breaks in one way
+GOOD_GRID = "t_s,0.0,0.5,1.0\n0.0,1,0,0\n0.5,1,1,0\n1.0,1,1,1\n"
+
+
+def test_grid_kernel_refuses_an_empty_file(tmp_path):
+    # rows[0] raised IndexError
+    with pytest.raises(ConfigurationError, match="empty"):
+        grid_kernel_from_csv(_grid_csv(tmp_path, "\n\n"))
+
+
+def test_grid_kernel_refuses_a_ragged_row(tmp_path):
+    with pytest.raises(ConfigurationError, match="cells"):
+        grid_kernel_from_csv(_grid_csv(tmp_path, GOOD_GRID.replace("0.5,1,1,0", "0.5,1,1")))
+
+
+def test_grid_kernel_refuses_a_cell_that_is_not_a_number(tmp_path):
+    with pytest.raises(ConfigurationError, match="could not convert"):
+        grid_kernel_from_csv(_grid_csv(tmp_path, GOOD_GRID.replace("0.5,1,1,0", "0.5,1,one,0")))
+
+
+@pytest.mark.parametrize("text", ["t_s,0.0\n0.0,1\n", "t_s,0.0,1.0\n1.0,1,1\n"], ids=["one-s-point", "one-t-point"])
+def test_grid_kernel_refuses_fewer_than_two_grid_points(tmp_path, text):
+    # np.min of an empty np.diff raised a zero-size error
+    with pytest.raises(ConfigurationError, match="at least two"):
+        grid_kernel_from_csv(_grid_csv(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "old, new", [("\n1.0,1,1,1", "\n0.5,1,1,1"), ("t_s,0.0,0.5,1.0", "t_s,0.0,1.0,0.5")], ids=["t-repeats", "s-decreases"]
+)
+def test_grid_kernel_refuses_a_grid_that_does_not_increase(tmp_path, old, new):
+    # scipy's interpolator raised ValueError
+    with pytest.raises(ConfigurationError, match="increasing"):
+        grid_kernel_from_csv(_grid_csv(tmp_path, GOOD_GRID.replace(old, new)))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_grid_kernel_refuses_a_value_that_is_not_finite(tmp_path, cell):
+    # a NaN cell was accepted, and K read NaN around it
+    with pytest.raises(ConfigurationError, match="finite"):
+        grid_kernel_from_csv(_grid_csv(tmp_path, GOOD_GRID.replace("0.5,1,1,0", f"0.5,1,{cell},0")))
+
+
 def test_replace_rederives_the_derived_pieces():
     # K(t, s) = a (1 + t - s) on s <= t: psi, M~, the column and dt_smooth all scale with a
     def spec_parts(a):

@@ -105,3 +105,33 @@ def test_oversized_truncation_raises_before_enumerating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_truncation_refuses_non_integer_modes():
+    # math.comb raised a bare TypeError from size()
+    with pytest.raises(ConfigurationError, match="modes"):
+        Truncation(2.5, 2)
+
+
+def test_truncation_refuses_non_integer_max_order():
+    # enumerating raised a bare TypeError from math.comb
+    with pytest.raises(ConfigurationError, match="max_order"):
+        Truncation(2, 1.5)
+
+
+@pytest.mark.parametrize("modes, max_order", [(True, 2), (2, False)])
+def test_truncation_refuses_bools(modes, max_order):
+    # True read as one mode
+    with pytest.raises(ConfigurationError):
+        Truncation(modes, max_order)
+
+
+@pytest.mark.parametrize("modes, max_order", [(0, 2), (-1, 2), (2, -1)])
+def test_truncation_refuses_values_out_of_range(modes, max_order):
+    with pytest.raises(ConfigurationError):
+        Truncation(modes, max_order)
+
+
+def test_truncation_takes_numpy_integers():
+    trunc = Truncation(np.int64(3), np.int32(2))
+    assert trunc == Truncation(3, 2) and trunc.size() == 10

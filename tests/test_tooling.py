@@ -1,9 +1,10 @@
-"""Start-up cost and the shipped demos, each run in a fresh interpreter, the
-benchmark's per-layer span names against the library's public API, the
-kernel protocol's rule that no consumer branches on what a kernel supplied,
-the rule that every defaulted parameter of a public function is set by
-some call, and the rules that the library never calls the built-in sum or
-quad_singular."""
+"""The commands that leave scipy unloaded and the shipped demos, each run in a
+fresh interpreter, the benchmark's per-layer span names against the
+library's public API, the kernel protocol's rule that no consumer branches
+on what a kernel supplied, the rule that every defaulted parameter of a
+public function is set by some call, the rules that the library never calls
+the built-in sum or quad_singular, and that it imports scipy only for the
+grid kernel."""
 
 import ast
 import importlib
@@ -27,12 +28,29 @@ def _run(argv):
     return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_import_leaves_scipy_special_and_interpolate_unloaded():
-    # scipy.special (gamma, Jacobi roots) and scipy.interpolate load on first use
-    code = "import sys, chaosfield; print(sorted(m for m in ('scipy.special', 'scipy.interpolate') if m in sys.modules))"
+# commands on the fBm and Brownian paths; --out keeps the sde files out of the tree
+SCIPY_FREE_COMMANDS = {
+    "fbm": ["fbm", "--grid", "64"],
+    "sde-fbm": ["sde", "--kernel", "fbm", "--modes", "4", "--order", "3", "--grid", "32", "--out", "{tmp}"],
+    "integrate-field-ito-fbm": ["integrate", "--mode", "field-ito", "--kernel", "fbm", "--modes", "4", "--order", "3"],
+    **{f"verify-{suite}": ["verify", "--suite", suite] for suite in ("fbm", "sde", "mc")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCIPY_FREE_COMMANDS))
+def test_command_leaves_scipy_unloaded(name, tmp_path):
+    # the Gauss rules come from numpy's eigh and the Gamma values from math: no module of scipy loads
+    argv = [arg.format(tmp=tmp_path) for arg in SCIPY_FREE_COMMANDS[name]]
+    code = (
+        "import contextlib, io, sys\n"
+        "from chaosfield.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     proc = _run(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "0 []"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -181,3 +199,35 @@ def test_library_makes_no_quad_singular_call():
     # the check sees either spelling, and leaves quad_singular_smooth alone
     sample = "a = quad_singular(f, 0, 1, -0.5)\nb = basis.quad_singular(f, 0, 1, -0.5)\nc = quad_singular_smooth(g, 0, 1, -0.5)"
     assert _quad_singular_calls(ast.parse(sample)) == [1, 2]
+
+
+def _scipy_imports(tree):
+    # (line, enclosing function) of each import of scipy or one of its modules
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_library_imports_scipy_only_for_the_grid_kernel():
+    # the Brownian and fBm paths run on numpy and math alone; RegularGridInterpolator is the one scipy use left
+    found = {
+        path.name: hits
+        for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
+        if (hits := [hit for hit in _scipy_imports(ast.parse(path.read_text())) if hit[1] != "grid_kernel_from_csv"])
+    }
+    assert found == {}
+    # the check sees each spelling at module level and inside a function, and leaves other modules alone
+    sample = "import scipy\nfrom scipy.special import gamma\ndef f():\n    import scipy.linalg as la\nimport numpy"
+    assert _scipy_imports(ast.parse(sample)) == [(1, None), (2, None), (4, "f")]
