@@ -187,18 +187,20 @@ def cmd_sde(args: argparse.Namespace) -> int:
     trunc = cfg.truncation()
     _check_table_size((cfg.grid + 1) * trunc.size(), "the solution on the time grid")
     grid = np.linspace(0.0, cfg.horizon, cfg.grid + 1)
-    closed = solve_closed_form(kernel, basis, trunc, grid)
-    picard = solve_picard(kernel, basis, trunc, grid)
-    discrepancy = float(np.max(np.abs(closed.coeffs - picard.coeffs)))
-    r_tt = covariance_from_kernel(kernel, cfg.horizon, cfg.horizon)
-    second = closed.second_moment(cfg.horizon)
+    # a value that overflows at a huge horizon is refused by _json_text below, with one message
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = solve_closed_form(kernel, basis, trunc, grid)
+        picard = solve_picard(kernel, basis, trunc, grid)
+        discrepancy = float(np.max(np.abs(closed.coeffs - picard.coeffs)))
+        second = closed.second_moment(cfg.horizon)
+        exp_cov = float(np.exp(covariance_from_kernel(kernel, cfg.horizon, cfg.horizon)))
     csv_path = os.path.join(cfg.out, "sde_solution.csv")
     sidecar_path = os.path.join(cfg.out, "sde_alpha_ids.json")
     payload = {
         "kernel": cfg.kernel,
         "closed_vs_picard_max_discrepancy": discrepancy,
         "second_moment_at_horizon": second,
-        "exp_covariance_at_horizon": float(np.exp(r_tt)),
+        "exp_covariance_at_horizon": exp_cov,
         "solution_csv": csv_path,
         "alpha_ids_json": sidecar_path,
     }

@@ -421,7 +421,10 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         for start in range(0, len(live), step):
             rows = live[start : start + step]
             block = ts[rows]
-            powers = np.array([x ** (hurst + 0.5) for x in block.tolist()])
+            try:
+                powers = np.array([x ** (hurst + 0.5) for x in block.tolist()])
+            except OverflowError:
+                raise DomainError(f"M~ overflows: t^(H + 1/2) is not finite for t = {float(block.max())!r}") from None
             out[:, rows] = powers * _dot_rows(weights, basis._rows(top, np.outer(block, rho)))[modes - 1]
         return out
 
@@ -599,39 +602,50 @@ def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
 
     Row r gives (K* f)(s_r) at the cell midpoint s_r for f piecewise constant
     on the cells (t_j, t_{j+1}], t_j = j T / n: entry (r, j) is
-    K(t_{j+1}, s_r) - K(t_j, s_r), from the kernel's ``kstar``.
+    K(t_{j+1}, s_r) - K(t_j, s_r), from the kernel's ``kstar``.  A matrix
+    with an entry that is not finite (the kernel's powers overflow at a huge
+    horizon) raises DomainError.
     """
     if not kernel.adapted:
         raise UnsupportedKernelError("discretization implemented for adapted kernels")
     if n_grid < 1:
         raise ConfigurationError(f"n_grid must be >= 1, not {n_grid}")
     _check_table_size(n_grid * n_grid, f"the {n_grid} x {n_grid} K* matrix")
-    return kernel.kstar(kernel.horizon, n_grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
+        a = kernel.kstar(kernel.horizon, n_grid)
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"the {n_grid} x {n_grid} K* matrix is not finite at horizon {kernel.horizon!r}")
+    return a
 
 
 def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512, max_iter: int = 5000) -> float:
     """Largest singular value of the discretized K*, by power iteration on A^T A.
 
     Iteration stops when the eigenvalue estimate changes by at most 1e-8
-    relative; DomainError is raised when ``max_iter`` iterations do not get there.
+    relative; DomainError is raised when ``max_iter`` iterations do not get
+    there, or at once when an iterate's norm or the estimate is not finite
+    (A^T A or the norm's sum of squares overflows).
     """
     a = discretize_kstar(kernel, n_grid)
-    b = a.T @ a
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(n_grid)
     v /= np.linalg.norm(v)
     lam = 0.0
-    w = b @ v
-    for _ in range(max_iter):
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        w = b @ v  # the Rayleigh quotient's product is the next iteration's
-        lam_new = float(v @ w)
-        if abs(lam_new - lam) <= 1e-8 * lam_new:
-            return math.sqrt(max(lam_new, 0.0))
-        lam = lam_new
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
+        b = a.T @ a
+        w = b @ v
+        for _ in range(max_iter):
+            nw = np.linalg.norm(w)
+            if nw == 0.0:
+                return 0.0
+            v = w / nw
+            w = b @ v  # the Rayleigh quotient's product is the next iteration's
+            lam_new = float(v @ w)
+            if not (math.isfinite(nw) and math.isfinite(lam_new)):
+                raise DomainError(f"power iteration on K*^T K* overflows: iterate norm {nw}, Rayleigh quotient {lam_new}")
+            if abs(lam_new - lam) <= 1e-8 * lam_new:
+                return math.sqrt(max(lam_new, 0.0))
+            lam = lam_new
     raise DomainError(f"power iteration did not reach tol=1e-08 in {max_iter} iterations")
 
 
@@ -668,9 +682,13 @@ def covariance_from_kernel(kernel: KernelSpec, t, s):
     # K(t, .) may be singular at 0: a row with nothing to integrate takes t = s = T, and reads 0 below
     x, y = (np.where(live, v, kernel.horizon)[..., None] for v in (t, s))
     gamma = 2.0 * kernel.origin_exponent  # K(t, tau) K(s, tau) behaves like tau^gamma at 0
-    cov = quad_singular_smooth(
-        lambda tau: kernel.eval(x, tau) * kernel.eval(y, tau) * tau**-gamma, 0.0, np.minimum(x, y)[..., 0], gamma
-    )
+    diagonal = np.array_equal(x, y)  # as for R(T, T): one evaluation serves both factors, with the same bits
+
+    def integrand(tau):
+        kx = kernel.eval(x, tau)
+        return kx * (kx if diagonal else kernel.eval(y, tau)) * tau**-gamma
+
+    cov = quad_singular_smooth(integrand, 0.0, np.minimum(x, y)[..., 0], gamma)
     return _on_live_rows(cov, live)
 
 

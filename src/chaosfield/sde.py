@@ -22,7 +22,7 @@ from .basis import BasisFamily, _leggauss, jacobi01
 from .chaos import ChaosExpansion, _wick_exp_rows
 from .errors import ConfigurationError, DomainError
 from .kernels import KernelSpec, _mtilde_table
-from .multiindex import Truncation, _tables, enumerate_multiindices
+from .multiindex import Truncation, _tables
 
 
 @dataclass(frozen=True)
@@ -65,23 +65,33 @@ class PropagatorSolution:
 
         The rows are CSV with ``\\r\\n`` line ends and no quoting, since no
         field (a float repr or an integer) holds a comma, quote or line break.
-        The repr of a row's list is each float's repr joined by ", ".
-        A non-finite time or coefficient raises DomainError before either
-        file is opened.
+        Each time's rows are one ``%`` call on the truncation's cached row
+        template (``_export_texts``), and ``%r`` is ``repr``, so every number
+        is its float's shortest round-trip repr.  A non-finite time or
+        coefficient raises DomainError before either file is opened.
         """
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.coeffs))):
             raise DomainError("solution times and coefficients must be finite to export")
-        alphas = enumerate_multiindices(self.trunc)
-        ids = [f",{j}," for j in range(len(alphas))]
+        template, sidecar = _export_texts(self.trunc)
         with open(path, "w", newline="") as fh:
             fh.write("t,alpha_id,coefficient\r\n")
-            for t, row in zip(self.times.tolist(), self.coeffs):
-                stamp = repr(t)
-                values = repr(row.tolist())[1:-1].split(", ")
-                fh.write("".join([f"{stamp}{j}{c}\r\n" for j, c in zip(ids, values)]))
-        sidecar = {str(j): [[k, a] for k, a in alpha.entries] for j, alpha in enumerate(alphas)}
+            for t, row in zip(self.times.tolist(), self.coeffs):  # one row at a time: no whole-table list
+                fh.write(template.replace("\0", repr(t)) % tuple(row.tolist()))
         with open(sidecar_path, "w") as fh:
-            fh.write(json.dumps(sidecar, sort_keys=True))
+            fh.write(sidecar)
+
+
+@lru_cache(maxsize=8)  # one key per truncation in use; at (6, 4) the two strings are 7.8 kB
+def _export_texts(trunc: Truncation) -> tuple:
+    """(row template, sidecar JSON) of ``export_csv``.
+
+    The template holds one ``\\0,j,%r\\r\\n`` line per alpha-id j; ``\\0`` stands
+    for the row's time.  The sidecar maps each id to its [k, alpha_k] pairs.
+    """
+    rows = _tables(trunc).exponents.tolist()
+    template = "".join([f"\0,{j},%r\r\n" for j in range(len(rows))])
+    sidecar = {str(j): [[k + 1, a] for k, a in enumerate(row) if a] for j, row in enumerate(rows)}
+    return template, json.dumps(sidecar, sort_keys=True)
 
 
 def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -269,11 +270,51 @@ def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys):
     # exp(R(T, T)) overflows at this horizon; Infinity is not JSON
     out_dir = tmp_path / "out"
     argv = ["sde", "--horizon", "1e300", "--modes", "2", "--order", "2", "--grid", "8", "--out", str(out_dir)]
-    with np.errstate(over="ignore"):
-        code, out = run(capsys, *argv)
+    code, out = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert not out_dir.exists()
+
+
+def run_refused(capsys, *argv):
+    """Run a command that must exit 2 with one line on stderr and no warning; return that line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kernel", "brownian", "--horizon", "1e300"], "result is not finite"),
+        (["--kernel", "brownian", "--horizon", "1000", "--modes", "2", "--order", "2", "--grid", "8"], "not finite"),
+        (["--kernel", "fbm", "--horizon", "1e300", "--modes", "2", "--order", "2", "--grid", "8"], "M~ overflows"),
+        (["--kernel", "fbm", "--horizon", "1e200", "--modes", "2", "--order", "2", "--grid", "8"], "not finite"),
+    ],
+)
+def test_sde_overflow_exits_2_with_one_line_and_no_warning(argv, message, tmp_path, capsys):
+    # exp(R(T, T)) overflows at horizon 1000; at 1e200 and 1e300 the coefficients do too
+    assert message in run_refused(capsys, "sde", *argv, "--out", str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "hurst, horizon, grid, message",
+    [
+        ("0.75", "1e300", "512", "512 x 512 K* matrix is not finite"),
+        ("0.75", "1e250", "512", "512 x 512 K* matrix is not finite"),
+        ("0.99", "1e200", "64", "power iteration on K*^T K* overflows"),
+    ],
+)
+def test_fbm_overflowing_kstar_exits_2_at_once_with_one_line(hurst, horizon, grid, message, capsys):
+    # named before any power iteration; it used to run all 5 000 on a NaN matrix and blame the tolerance,
+    # and at H 0.99 an overflowing iterate norm read as norm_estimate 0.0 with "pass": true
+    assert message in run_refused(capsys, "fbm", "--hurst", hurst, "--horizon", horizon, "--grid", grid)
 
 
 def test_repeated_output_byte_identical(capsys):

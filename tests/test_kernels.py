@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
-from chaosfield.basis import BasisFamily, jacobi01
+from chaosfield.basis import BasisFamily, _on_live_rows, jacobi01, quad_singular_smooth
 from chaosfield.errors import ConfigurationError, DomainError, InvalidCovarianceError
 from chaosfield.kernels import (
     KernelSpec,
@@ -203,6 +204,30 @@ def test_op_norm_estimate_bit_equal_to_two_product_loop(horizon):
     for kernel in kernels:
         for n_grid in (128, 256):
             assert op_norm_estimate(kernel, n_grid) == ref_op_norm_estimate(kernel, n_grid)
+
+
+@pytest.mark.parametrize("horizon", [1e250, 1e300])
+def test_discretize_kstar_refuses_an_overflowing_matrix_by_name(horizon):
+    # the offset powers overflow to inf, and inf * 0 is nan; no numpy warning escapes
+    kernel = fbm_kernel_spec(0.75, horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="K\\* matrix is not finite"):
+            discretize_kstar(kernel, 512)
+        with pytest.raises(DomainError, match="K\\* matrix is not finite"):
+            op_norm_estimate(kernel, 512)
+
+
+def test_op_norm_estimate_refuses_at_the_first_non_finite_iterate():
+    # a finite K* whose A^T A overflows: one iteration is enough to see it, so max_iter = 1 names the overflow
+    huge = replace(brownian_kernel(1.0), kstar=lambda horizon, n: np.full((n, n), 1e160))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            op_norm_estimate(huge, 16, max_iter=1)
+        # an iterate norm that overflows (|w|^2 past the float range) read as 0.0 before
+        with pytest.raises(DomainError, match="overflows: iterate norm inf"):
+            op_norm_estimate(fbm_kernel_spec(0.99, 1e200), 64)
 
 
 @pytest.mark.parametrize("hurst", [0.75, 0.9])
@@ -438,3 +463,56 @@ def test_kernel_pairings_refuse_a_non_integer_mode(kernel, mode):
             m_tilde(kernel, basis, mode, 0.5)
     if kernel.name == "fbm":
         assert kernel.mtilde.cache_info().misses == 0
+
+
+# ---------------------------------------------------------------------------
+# the covariance on and off its diagonal
+
+
+def ref_covariance_from_kernel(kernel, t, s):
+    """``covariance_from_kernel`` with two kernel evaluations on every row, as first written."""
+    live = np.minimum(t, s) > 0
+    x, y = (np.where(live, v, kernel.horizon)[..., None] for v in (t, s))
+    gamma = 2.0 * kernel.origin_exponent
+    cov = quad_singular_smooth(
+        lambda tau: kernel.eval(x, tau) * kernel.eval(y, tau) * tau**-gamma, 0.0, np.minimum(x, y)[..., 0], gamma
+    )
+    return _on_live_rows(cov, live)
+
+
+def _covariance_kernels(tmp_path):
+    grid = np.linspace(0.0, 1.0, 11)
+    path = tmp_path / "kernel.csv"
+    with open(path, "w") as fh:
+        fh.write("t_s," + ",".join(repr(float(s)) for s in grid) + "\n")
+        for t in grid:
+            fh.write(repr(float(t)) + "," + ",".join(repr(math.exp(s - t) if s <= t else 0.0) for s in grid) + "\n")
+    return [fbm_kernel_spec(h) for h in (0.51, 0.75, 0.99)] + [brownian_kernel(1.0), grid_kernel_from_csv(path)]
+
+
+# (t, s, kernel evaluations per call): equal after the live-row substitution means one
+DIAGONAL_CASES = [
+    (1.0, 1.0, 1),
+    (0.37, 0.37, 1),
+    (np.linspace(0.1, 1.0, 5), np.linspace(0.1, 1.0, 5), 1),  # equal arrays, distinct objects
+    (np.array([0.0, 0.5, -0.2]), np.array([0.3, 0.5, 0.4]), 1),  # the dead rows both read T
+    (np.array([[0.2], [0.6], [1.0]]), np.array([[0.2, 0.6, 1.0]]), 2),
+    (0.4, 0.9, 2),
+    (np.array([0.0, 0.5, 0.8]), np.array([0.3, 0.5, 0.6]), 2),  # a dead row and a live one off the diagonal
+]
+
+
+@pytest.mark.parametrize("t, s, calls", DIAGONAL_CASES)
+def test_covariance_from_kernel_evaluates_once_on_the_diagonal_with_the_same_bits(t, s, calls, tmp_path):
+    for kernel in _covariance_kernels(tmp_path):
+        got, want = covariance_from_kernel(kernel, t, s), ref_covariance_from_kernel(kernel, t, s)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want), kernel.name
+        count = []
+
+        def counted(tt, ss, inner=kernel.eval):
+            count.append(1)
+            return inner(tt, ss)
+
+        assert np.array_equal(covariance_from_kernel(replace(kernel, eval=counted), t, s), want)
+        assert len(count) == calls, kernel.name
