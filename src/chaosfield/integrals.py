@@ -9,6 +9,7 @@ operator); the Stratonovich integral adds the Malliavin trace term
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,17 +121,33 @@ def admissibility_diagnostic(eta: HValuedChaos) -> AdmissibilityReport:
     return AdmissibilityReport(weighted, ratio)
 
 
+@lru_cache(maxsize=8)  # one key per (basis, modes) in use; a K x K table, so no truncation is held
+def _path_pairing(basis: BasisFamily, modes: int) -> np.ndarray:
+    """P[k - 1, j - 1] = (M_k, m_j) for k, j = 1..modes, read-only.
+
+    It depends on the basis and the mode count alone, so every truncation
+    shares it.  An overflow (a huge horizon) raises DomainError, and nothing
+    is memoised.
+    """
+    xs, ws = DEFAULT_RULE.nodes_weights(0.0, basis.horizon)
+    m_vals = basis.eval(np.arange(1, modes + 1), xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
+        rows = [m_vals @ (ws * np.asarray(basis.antideriv(k, xs), dtype=float)) for k in range(1, modes + 1)]
+    pairing = np.array(rows)
+    if not np.all(np.isfinite(pairing)):
+        raise DomainError(f"the path pairing (M_k, m_j) overflows at horizon {basis.horizon!r}")
+    pairing.flags.writeable = False
+    return pairing
+
+
 def brownian_path_integrand(trunc: Truncation, basis: BasisFamily) -> HValuedChaos:
     """The truncated Brownian path W_K(t) = sum_k M_k(t) xi_k as an integrand.
 
-    Coefficients eta[eps_k, j] = (M_k, m_j).
+    Coefficients eta[eps_k, j] = (M_k, m_j), from the memoised pairing.
     """
     modes = trunc.modes
     imap = index_map(trunc)  # checks the truncation's size before allocating
+    pairing = _path_pairing(basis, modes)
     coeffs = np.zeros((trunc.size(), modes))
-    xs, ws = DEFAULT_RULE.nodes_weights(0.0, basis.horizon)
-    m_vals = basis.eval(np.arange(1, modes + 1), xs)
-    for k in range(1, modes + 1):
-        big_m = np.asarray(basis.antideriv(k, xs), dtype=float)
-        coeffs[imap[MultiIndex.eps(k)]] = m_vals @ (ws * big_m)
+    coeffs[[imap[MultiIndex.eps(k)] for k in range(1, modes + 1)]] = pairing
     return HValuedChaos(trunc, coeffs, basis)

@@ -59,8 +59,8 @@ class KernelSpec:
 
     - ``gamma0``;
     - ``psi(basis, ks, s)``: psi_k(s) for modes ks and a 1-D array s, shape (len(ks), len(s));
-    - ``mtilde(basis, k, t)``: M~_k elementwise over a 1-D array of t; for a
-      sequence of modes k, one row per mode, shape (len(k), len(t));
+    - ``mtilde(basis, ks, t)``: M~_k for a list of modes ks over a 1-D array
+      of checked times t, shape (len(ks), len(t));
     - ``kstar(horizon, n_grid)``: the n_grid x n_grid matrix of K* on step
       functions of the uniform grid of [0, horizon] (``discretize_kstar``);
     - ``dt_smooth(t, s)``: K1 with the diagonal factor (t - s)^singularity
@@ -74,6 +74,11 @@ class KernelSpec:
     columns, and ``dt_smooth`` = K1(t, s) (t - s)^(-singularity), which is K1
     itself for a regular kernel.  A derived piece is bound to its spec, so a
     copy (``dataclasses.replace``) derives its own again.
+
+    Whichever ``mtilde`` a spec ends up with, supplied or derived, is then
+    memoised (``_MtildeMemo``): ``spec.mtilde(basis, k, t)`` takes one int k
+    (one row) or a sequence of modes (one row per mode), and a copy starts
+    with an empty memo of its own.
     """
 
     name: str
@@ -87,17 +92,20 @@ class KernelSpec:
     origin_exponent: float = 0.0
     gamma0: float = 0.0
     psi: object = None  # callable (basis, ks, s) -> (len(ks), len(s))
-    mtilde: object = None  # callable (basis, k, t) -> M~_k over an array of t, one row per mode of a sequence k
+    mtilde: object = None  # callable (basis, ks, t) -> (len(ks), len(t)); memoised at construction
     kstar: object = None  # callable (horizon, n_grid) -> the (n_grid, n_grid) K* matrix
 
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
             raise DomainError("horizon must be positive and finite")
         self.singularity = self.singularity or 0.0
+        if isinstance(self.mtilde, _MtildeMemo):  # a copy's: memoise the same piece afresh
+            self.mtilde = self.mtilde.__wrapped__
         for name, derive in _DERIVED.items():
             piece = getattr(self, name)
             if piece is None or getattr(piece, "func", None) is derive:
                 setattr(self, name, partial(derive, self))
+        self.mtilde = _MtildeMemo(self.mtilde)
 
     def eval_ts(self, t_sorted, s):
         """K(t, s) for an ascending array of t values; for a 1-D array s, one row per s.
@@ -112,6 +120,58 @@ class KernelSpec:
         else:
             out = self.eval(t, ss)
         return out if np.ndim(s) else out[0]
+
+
+# (basis, mode, time grid) entries in each spec's M~ memo: at most 128 * len(t) * 8 bytes, 263 kB for 257 times
+_MTILDE_MEMO_SIZE = 128
+# what ``spec.mtilde.cache_info()`` reports, as functools.lru_cache does
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _MtildeMemo:
+    """A spec's M~ piece memoised per mode, keyed by (basis, mode, the float64 bytes of t).
+
+    M~_k(t) depends only on the kernel, the basis and the times, never on
+    samples, so a repeated grid (the two SDE solvers of one run, repeated
+    path synthesis) computes each mode once.  The memo holds the
+    ``_MTILDE_MEMO_SIZE`` most recently used rows.  A call that misses
+    checks t and computes all the modes it misses in one call of the piece;
+    a hit needs no check, since only checked times are stored.  Callers get
+    a copy, and ``cache_info()`` counts one hit or miss per requested mode;
+    a refused call counts and stores nothing.
+    """
+
+    def __init__(self, compute):
+        self.__wrapped__ = compute  # (basis, ks, ts) -> (len(ks), len(ts)), unmemoised
+        self._rows = OrderedDict()  # (basis, mode, t bytes) -> M~ row, least recently used first
+        self._hits = self._misses = 0
+
+    def __call__(self, basis, k, t):
+        ts = np.asarray(t, dtype=float).ravel()
+        t_key = ts.tobytes()
+        keys = [(basis, j, t_key) for j in _check_modes(np.atleast_1d(k)).tolist()]  # 1.5 is refused, not read as 1
+        memo = self._rows
+        rows = [memo.get(key) for key in keys]
+        missing = [key for key, row in zip(keys, rows) if row is None]
+        if missing:
+            # a NaN or negative t raises here; the piece gets the unclipped ts
+            basis._check(ts)
+            table = np.asarray(self.__wrapped__(basis, [j for _, j, _ in missing], ts), dtype=float)
+            # one array per entry, so an evicted entry frees its own row
+            computed = iter(table)
+            rows = [next(computed).copy() if row is None else row for row in rows]
+        self._hits += len(keys) - len(missing)
+        self._misses += len(missing)
+        for key, row in zip(keys, rows):
+            memo[key] = row
+            memo.move_to_end(key)
+        while len(memo) > _MTILDE_MEMO_SIZE:
+            memo.popitem(last=False)
+        out = np.array(rows)
+        return out if np.ndim(k) else out[0]
+
+    def cache_info(self):
+        return _CacheInfo(self._hits, self._misses, _MTILDE_MEMO_SIZE, len(self._rows))
 
 
 def _smooth_by_division(kernel: KernelSpec, t, s):
@@ -140,11 +200,6 @@ def _kstar_by_columns(kernel: KernelSpec, horizon: float, n_grid: int) -> np.nda
     return a
 
 
-def _stack_modes(row, k):
-    """``row(k)`` for an int k; for a sequence of modes, one row per mode stacked."""
-    return row(k) if np.ndim(k) == 0 else np.array([row(int(j)) for j in _check_modes(k)])
-
-
 def _quadrature_psi(kernel: KernelSpec, basis: BasisFamily, ks, s) -> np.ndarray:
     """(K m_k)(s) from the diagonal limit and a quadrature of K1, one node table for all s."""
     if kernel.dt_eval is None:
@@ -164,17 +219,16 @@ def _quadrature_psi(kernel: KernelSpec, basis: BasisFamily, ks, s) -> np.ndarray
     return local + np.where(live, x ** (g0 + gam + 1.0) * _dot_rows(w, vals), 0.0)
 
 
-def _quadrature_mtilde(kernel: KernelSpec, basis: BasisFamily, k, t) -> np.ndarray:
-    """M~_k(t_i) = int_0^{t_i} K(t_i, s) m_k(s) ds, one quadrature for all t_i."""
+def _quadrature_mtilde(kernel: KernelSpec, basis: BasisFamily, ks, t) -> np.ndarray:
+    """M~_k(t_i) = int_0^{t_i} K(t_i, s) m_k(s) ds, one quadrature for all t_i per mode k."""
     if not kernel.adapted:
         raise UnsupportedKernelError("generic m_tilde implemented for adapted kernels")
-    t = np.asarray(t, dtype=float)
     g0 = kernel.origin_exponent
 
     def row(j):
         return quad_singular_smooth(lambda s: kernel.eval(t[..., None], s) * basis.eval(j, s) * s**-g0, 0.0, t, g0)
 
-    return _stack_modes(row, k)
+    return np.array([row(j) for j in ks])
 
 
 # how KernelSpec derives each factorisation piece a constructor leaves out
@@ -201,7 +255,7 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
         diag_limit=lambda s: np.ones(np.shape(s)),
         dt_eval=lambda t, s: np.zeros(np.broadcast_shapes(np.shape(t), np.shape(s))),
         psi=lambda basis, ks, s: basis.eval(ks, s),
-        mtilde=lambda basis, k, t: _stack_modes(lambda j: basis.antideriv(j, t), k),
+        mtilde=lambda basis, ks, t: np.array([basis.antideriv(j, t) for j in ks]),
     )
 
 
@@ -214,15 +268,11 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
 # 2000 x 257 path syntheses and Stratonovich sums with about 1000 more
 # minor page faults each (glibc malloc).
 _MTILDE_BLOCK = 3072
-# (basis, mode, time grid) entries in each fBm spec's M~ memo
-_MTILDE_MEMO_SIZE = 128
 # nodes of the fBm psi and K* first-segment Gauss-Jacobi rules and of M~'s own Gauss rule;
 # 32 left M~ of cosine modes 17-32 off by up to 1.5e-3
 _JACOBI_NODES = 48
 # terms of each series of the fBm kernel; 2^-60 is below float64 rounding
 _SERIES_TERMS = 60
-# what an fBm spec's ``mtilde.cache_info()`` reports, as functools.lru_cache does
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def _check_hurst(hurst: float):
@@ -345,15 +395,9 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
     psi is a Beta-weight quadrature batched over modes, the basis values of
     every mode from one ``BasisFamily._rows`` recurrence.  M~ is one sum over
     the Gauss rule of its own weight (``_fbm_mtilde_rule``), built on the
-    spec's first M~ miss: 48 basis values per (mode, t).  M~ memoises that
-    sum per spec, keyed by (basis, k, the float64 bytes of t), in a
-    least-recently-used memo of ``_MTILDE_MEMO_SIZE`` entries: at most
-    128 * len(t) * 8 bytes, 263 kB for a 257-point grid.  A call that misses
-    checks t and computes all the modes it misses in one pass; a hit needs
-    no check, since only checked times are stored.  The memo lives in
-    the spec's closure, over immutable values only, so it dies with the spec
-    and cannot go stale; callers get a copy, and ``spec.mtilde.cache_info()``
-    reports its hits and misses, one per requested mode.
+    spec's first M~ miss: 48 basis values per (mode, t), all modes of a
+    block of t values from one recurrence.  ``KernelSpec`` memoises it, as
+    it does every spec's M~.
     """
     _check_hurst(hurst)
     c = fbm_c_h(hurst) * (hurst - 0.5)
@@ -428,35 +472,6 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
             out[:, rows] = powers * _dot_rows(weights, basis._rows(top, np.outer(block, rho)))[modes - 1]
         return out
 
-    memo = OrderedDict()  # (basis, mode, t bytes) -> M~ row, least recently used first
-    stats = {"hits": 0, "misses": 0}
-
-    def mtilde(basis, k, t):
-        # memoised per mode on the exact float64 bytes of t; callers get their own copy
-        ts = np.asarray(t, dtype=float).ravel()
-        t_key = ts.tobytes()
-        keys = [(basis, int(j), t_key) for j in _check_modes(np.atleast_1d(k))]  # 1.5 is refused, not read as 1
-        rows = {key: memo[key] for key in keys if key in memo}
-        missing = [key for key in keys if key not in rows]
-        if missing:
-            # only checked times are ever stored, so a hit needs no check: a NaN or negative t
-            # raises here, and the quadrature keeps the unclipped ts
-            basis._check(ts)
-            # one array per entry, so an evicted entry frees its own row
-            table = mtilde_quadrature(basis, [j for _, j, _ in missing], ts)
-            rows.update((key, row.copy()) for key, row in zip(missing, table))
-        stats["hits"] += len(keys) - len(missing)  # a refused call counts nothing
-        stats["misses"] += len(missing)
-        for key in keys:
-            memo[key] = rows[key]
-            memo.move_to_end(key)
-        while len(memo) > _MTILDE_MEMO_SIZE:
-            memo.popitem(last=False)
-        out = np.array([rows[key] for key in keys])
-        return out if np.ndim(k) else out[0]
-
-    mtilde.cache_info = lambda: _CacheInfo(stats["hits"], stats["misses"], _MTILDE_MEMO_SIZE, len(memo))
-
     return KernelSpec(
         name="fbm",
         horizon=horizon,
@@ -469,7 +484,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         origin_exponent=0.5 - hurst,
         gamma0=hurst - 0.5,
         psi=psi,
-        mtilde=mtilde,
+        mtilde=mtilde_quadrature,
         kstar=kstar,
     )
 
@@ -621,31 +636,36 @@ def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
 def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512, max_iter: int = 5000) -> float:
     """Largest singular value of the discretized K*, by power iteration on A^T A.
 
-    Iteration stops when the eigenvalue estimate changes by at most 1e-8
-    relative; DomainError is raised when ``max_iter`` iterations do not get
-    there, or at once when an iterate's norm or the estimate is not finite
-    (A^T A or the norm's sum of squares overflows).
+    A is first scaled by 2^-e, e the binary exponent of max |A_ij|, so that
+    A^T A cannot overflow at a huge horizon nor lose bits at a tiny one; a
+    power of two scales exactly, and so does the square root of its square,
+    so the estimate has the bits of the unscaled iteration wherever that
+    stays in range.  Iteration stops when the eigenvalue estimate changes by
+    at most 1e-8 relative; DomainError is raised when ``max_iter`` iterations
+    do not get there, or when the norm itself exceeds the float range.
     """
     a = discretize_kstar(kernel, n_grid)
+    e = int(np.frexp(max(a.max(), -a.min()))[1])  # max |A_ij| without an |A| temporary
+    a = np.ldexp(a, -e)
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(n_grid)
     v /= np.linalg.norm(v)
     lam = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
-        b = a.T @ a
-        w = b @ v
-        for _ in range(max_iter):
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            v = w / nw
-            w = b @ v  # the Rayleigh quotient's product is the next iteration's
-            lam_new = float(v @ w)
-            if not (math.isfinite(nw) and math.isfinite(lam_new)):
-                raise DomainError(f"power iteration on K*^T K* overflows: iterate norm {nw}, Rayleigh quotient {lam_new}")
-            if abs(lam_new - lam) <= 1e-8 * lam_new:
-                return math.sqrt(max(lam_new, 0.0))
-            lam = lam_new
+    b = a.T @ a
+    w = b @ v
+    for _ in range(max_iter):
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        w = b @ v  # the Rayleigh quotient's product is the next iteration's
+        lam_new = float(v @ w)
+        if abs(lam_new - lam) <= 1e-8 * lam_new:
+            try:
+                return math.ldexp(math.sqrt(max(lam_new, 0.0)), e)
+            except OverflowError:
+                raise DomainError(f"the K* norm overflows at horizon {kernel.horizon!r}") from None
+        lam = lam_new
     raise DomainError(f"power iteration did not reach tol=1e-08 in {max_iter} iterations")
 
 

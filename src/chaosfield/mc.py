@@ -9,9 +9,10 @@ holds Python ints, not numpy arrays: numpy's Philox state setter reads the
 counter, key and buffer element by element, and a Python int converts
 without the numpy-scalar round trip an array element costs on every row.
 
-The discrete-time estimators sum in blocks of ``_ROW_BLOCK`` rows, so their
-per-block temporaries stay in cache instead of costing fresh (n, grid)
-arrays per call; each row's pairwise sum is unchanged, so are the bits.
+The discrete-time estimators sum in blocks of ``_ROW_BLOCK`` rows, writing
+each block's terms into two buffers allocated once per call, so nothing
+(n, grid)-sized or block-sized is allocated per block; each row's pairwise
+sum is unchanged, so are the bits.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .multiindex import Truncation
 # units on exactly agreeing Stratonovich batches (Brownian and fBm paths).
 ROUNDOFF_FACTOR = 8.0
 
-# Rows per block of the discrete-time estimators: a 128 x 257 block of float64 is 263 kB,
-# above numpy's 256 kB threshold for reusing a temporary in place.
+# Rows per block of the discrete-time estimators: each of their two 128 x 256 float64 buffers is 262 kB.
 _ROW_BLOCK = 128
 
 
@@ -104,19 +104,37 @@ def _check_paths(x, y):
 
 
 def _row_sums(term, x, y):
-    """sum of term(x_rows, y_rows) along the last axis, ``_ROW_BLOCK`` rows at a time.
+    """sum of term(x_rows, y_rows, out, tmp) along the last axis, ``_ROW_BLOCK`` rows at a time.
 
-    Leading axes of any rank are flattened into rows; a 1-D path gives a numpy scalar.
+    ``term`` writes a block's terms into ``out`` through ``tmp``, two
+    (rows, n - 1) buffers allocated once per call.  Leading axes of any rank
+    are flattened into rows; a 1-D path gives a numpy scalar.
     """
     x, y = _check_paths(x, y)
     lead = x.shape[:-1]
     x2 = x.reshape(math.prod(lead), x.shape[-1])
     y2 = y.reshape(x2.shape)
     out = np.empty(len(x2))
+    terms, tmp = (np.empty((min(_ROW_BLOCK, len(x2)), max(x2.shape[1] - 1, 0))) for _ in range(2))
     for start in range(0, len(x2), _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        np.sum(term(x2[rows], y2[rows]), axis=-1, out=out[rows])
+        block = terms[: len(x2[rows])]
+        term(x2[rows], y2[rows], block, tmp[: len(block)])
+        np.sum(block, axis=-1, out=out[rows])
     return out.reshape(lead)[()]
+
+
+def _ito_terms(x, y, out, tmp):
+    # X(t_i) (Y(t_{i+1}) - Y(t_i)), np.diff's subtraction
+    np.subtract(y[:, 1:], y[:, :-1], out=out)
+    np.multiply(x[:, :-1], out, out=out)
+
+
+def _strat_terms(x, y, out, tmp):
+    # (0.5 (X(t_i) + X(t_{i+1}))) (Y(t_{i+1}) - Y(t_i)), in the one-shot expression's order
+    np.add(x[:, :-1], x[:, 1:], out=out)
+    np.multiply(0.5, out, out=out)
+    np.multiply(out, np.subtract(y[:, 1:], y[:, :-1], out=tmp), out=out)
 
 
 def discrete_ito_batch(x, y) -> np.ndarray:
@@ -124,7 +142,7 @@ def discrete_ito_batch(x, y) -> np.ndarray:
 
     Summed in row blocks; each row has the bits of the one-shot sum.
     """
-    return _row_sums(lambda x, y: x[:, :-1] * np.diff(y, axis=-1), x, y)
+    return _row_sums(_ito_terms, x, y)
 
 
 def discrete_strat_batch(x, y) -> np.ndarray:
@@ -132,7 +150,7 @@ def discrete_strat_batch(x, y) -> np.ndarray:
 
     Summed in row blocks; each row has the bits of the one-shot sum.
     """
-    return _row_sums(lambda x, y: 0.5 * (x[:, :-1] + x[:, 1:]) * np.diff(y, axis=-1), x, y)
+    return _row_sums(_strat_terms, x, y)
 
 
 def mc_compare(chaos_result: ChaosExpansion, oracle_values, batch: SampleBatch) -> dict:

@@ -303,18 +303,36 @@ def test_sde_overflow_exits_2_with_one_line_and_no_warning(argv, message, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode", ["ito", "strat", "field-ito"])
+@pytest.mark.parametrize("kernel", ["brownian", "fbm"])
+def test_integrate_overflowing_path_pairing_exits_2_with_one_line_and_no_warning(mode, kernel, capsys):
+    # the weight times M_k overflows at this horizon; it printed two numpy RuntimeWarnings before exit 2
+    argv = ["integrate", "--mode", mode, "--kernel", kernel, "--horizon", "1e300", "--modes", "3", "--order", "2"]
+    assert "path pairing (M_k, m_j) overflows" in run_refused(capsys, *argv)
+
+
 @pytest.mark.parametrize(
     "hurst, horizon, grid, message",
     [
         ("0.75", "1e300", "512", "512 x 512 K* matrix is not finite"),
         ("0.75", "1e250", "512", "512 x 512 K* matrix is not finite"),
-        ("0.99", "1e200", "64", "power iteration on K*^T K* overflows"),
     ],
 )
 def test_fbm_overflowing_kstar_exits_2_at_once_with_one_line(hurst, horizon, grid, message, capsys):
-    # named before any power iteration; it used to run all 5 000 on a NaN matrix and blame the tolerance,
-    # and at H 0.99 an overflowing iterate norm read as norm_estimate 0.0 with "pass": true
+    # named before any power iteration; it used to run all 5 000 on a NaN matrix and blame the tolerance
     assert message in run_refused(capsys, "fbm", "--hurst", hurst, "--horizon", horizon, "--grid", grid)
+
+
+def test_fbm_norm_at_a_huge_horizon_is_the_scaled_unit_norm(capsys):
+    # K*^T K* overflows at T = 1e200, H 0.99, but ||K*|| = T^(H - 1/2) ||K*_1|| is finite; it once read as 0.0
+    # with "pass": true, then was refused with exit 2
+    _, unit = run(capsys, "fbm", "--hurst", "0.99", "--grid", "64")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, "fbm", "--hurst", "0.99", "--horizon", "1e200", "--grid", "64")
+    assert code == 0
+    expected = json.loads(unit)["norm_estimate"] * 1e200**0.49
+    assert json.loads(out)["norm_estimate"] == pytest.approx(expected, rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 def test_repeated_output_byte_identical(capsys):

@@ -1,9 +1,10 @@
 """The mode- and row-batched kernel layer against the per-mode and per-column work it replaces.
 
 fBm M~ computes every requested mode in one psi pass; each row must equal
-the per-mode call bit for bit and the memo must count one hit or miss per
-mode.  ``discretize_kstar`` reads K* from the kernel's ``kstar``: the derived
-one evaluates K(t, s) for a block of rows s in one ``eval_ts`` call and must
+the per-mode call bit for bit.  Every spec's M~ memo, whichever kernel,
+must count one hit or miss per mode and evict the least recently used.
+``discretize_kstar`` reads K* from the kernel's ``kstar``: the derived one
+evaluates K(t, s) for a block of rows s in one ``eval_ts`` call and must
 equal the column-by-column loop it was first written as, bit for bit, since
 ``norm_estimate`` reads its bits.  fBm builds K* from tables of cell offsets,
 with no cumulative sum to difference: its diagonal keeps the column loop's
@@ -11,6 +12,7 @@ bits, and the cells above it agree with the loop to roundoff.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,13 +107,30 @@ def test_mtilde_memo_evicts_the_least_recently_used_mode():
 
 @pytest.mark.parametrize("name", ["brownian", "grid"])
 def test_other_kernels_stack_their_per_mode_rows(name, grid_kernel):
-    kernel = brownian_kernel(1.0) if name == "brownian" else grid_kernel
+    kernel = brownian_kernel(1.0) if name == "brownian" else replace(grid_kernel)  # a copy's memo starts empty
     times = np.linspace(0.1, 1.0, 7)
     for basis in BASES:
         got = kernel.mtilde(basis, (1, 2, 3), times)
         assert got.shape == (3, len(times))
         for k, row in zip((1, 2, 3), got):
             assert row.tobytes() == kernel.mtilde(basis, k, times).tobytes()
+            assert row.tobytes() == kernel.mtilde.__wrapped__(basis, [k], times)[0].tobytes()
+    info = kernel.mtilde.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (6, 6, 6)
+
+
+@pytest.mark.parametrize("name", ["brownian", "grid"])
+def test_other_kernels_memo_evicts_the_least_recently_used_mode(name, grid_kernel):
+    kernel = brownian_kernel(1.0) if name == "brownian" else replace(grid_kernel)
+    times, basis = np.linspace(0.0, 1.0, 5), BASES[1]
+    size = kernel.mtilde.cache_info().maxsize
+    kernel.mtilde(basis, range(1, size + 1), times)
+    kernel.mtilde(basis, 1, times)  # mode 1 becomes the most recent, so mode 2 is the oldest
+    kernel.mtilde(basis, size + 1, times)
+    assert kernel.mtilde.cache_info().currsize == size
+    kernel.mtilde(basis, [1, 2], times)
+    info = kernel.mtilde.cache_info()
+    assert (info.hits, info.misses) == (2, size + 2)
 
 
 # ---------------------------------------------------------------------------

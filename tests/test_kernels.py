@@ -218,16 +218,31 @@ def test_discretize_kstar_refuses_an_overflowing_matrix_by_name(horizon):
             op_norm_estimate(kernel, 512)
 
 
-def test_op_norm_estimate_refuses_at_the_first_non_finite_iterate():
-    # a finite K* whose A^T A overflows: one iteration is enough to see it, so max_iter = 1 names the overflow
+@pytest.mark.parametrize("hurst", [0.6, 0.75, 0.99])
+@pytest.mark.parametrize("n_grid", [64, 512])
+def test_op_norm_estimate_scales_out_a_huge_or_tiny_horizon(hurst, n_grid):
+    # A is scaled by a power of two before A^T A is formed: at T = 1 that is exact, so the unscaled
+    # iteration's bits are kept, and at T = 1e200 (where A^T A overflows at H 0.99) and 1e-200 the
+    # estimate is ||K*_1|| T^(H - 1/2), K*_T = T^(H - 1/2) K*_1 for the self-similar fBm kernel
+    unit = op_norm_estimate(fbm_kernel_spec(hurst, 1.0), n_grid)
+    assert unit == ref_op_norm_estimate(fbm_kernel_spec(hurst, 1.0), n_grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for horizon in (1e200, 1e-200):
+            got = op_norm_estimate(fbm_kernel_spec(hurst, horizon), n_grid)
+            assert got == pytest.approx(unit * horizon ** (hurst - 0.5), rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+def test_op_norm_estimate_of_a_matrix_whose_square_overflows():
+    # every entry 1e160: A^T A would hold 16e320, but ||A|| = 16e160 is finite
     huge = replace(brownian_kernel(1.0), kstar=lambda horizon, n: np.full((n, n), 1e160))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="overflows"):
-            op_norm_estimate(huge, 16, max_iter=1)
-        # an iterate norm that overflows (|w|^2 past the float range) read as 0.0 before
-        with pytest.raises(DomainError, match="overflows: iterate norm inf"):
-            op_norm_estimate(fbm_kernel_spec(0.99, 1e200), 64)
+        assert op_norm_estimate(huge, 16) == pytest.approx(16e160, rel=1e-15, abs=0.0)
+        # a norm past the float range is refused by name
+        beyond = replace(huge, kstar=lambda horizon, n: np.full((n, n), 1e307))
+        with pytest.raises(DomainError, match="K\\* norm overflows"):
+            op_norm_estimate(beyond, 64)
 
 
 @pytest.mark.parametrize("hurst", [0.75, 0.9])

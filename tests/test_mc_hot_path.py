@@ -2,23 +2,33 @@
 
 ``sample_batch`` re-keys one Philox generator per row; it must give the
 same bits as a fresh generator per row.  The discrete-time estimators sum
-in row blocks; they must give the same bits as the one-shot sums.  The fBm
-M~ memoises its quadrature per (basis, mode, time grid); it must give the
-same bits as the unmemoised quadrature, never hand out its stored table,
-and never share an entry between different keys.
+in row blocks; they must give the same bits as the one-shot sums.  Every kernel spec memoises its M~ per
+(basis, mode, time grid), and ``brownian_path_integrand`` its pairing
+(M_k, m_j) per (basis, modes); each memo must give the same bits as the
+work it saves, never hand out its stored table, never share an entry
+between different keys, and store nothing on a refused request.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chaosfield import cli
-from chaosfield.basis import BasisFamily
+from chaosfield.basis import DEFAULT_RULE, BasisFamily
 from chaosfield.errors import DomainError
-from chaosfield.kernels import _mtilde_table, fbm_kernel_spec, m_tilde
+from chaosfield.integrals import _path_pairing, brownian_path_integrand
+from chaosfield.kernels import (
+    KernelSpec,
+    _mtilde_table,
+    brownian_kernel,
+    fbm_kernel_spec,
+    grid_kernel_from_csv,
+    m_tilde,
+)
 from chaosfield.mc import discrete_ito_batch, discrete_strat_batch, sample_batch, synthesize_paths
-from chaosfield.multiindex import Truncation
+from chaosfield.multiindex import MultiIndex, Truncation, index_map
 from test_quadrature_vectorised import ref_fbm_mtilde_sum
 
 COSINE, LEGENDRE = BasisFamily("cosine", 1.0), BasisFamily("legendre", 1.0)
@@ -259,3 +269,164 @@ def test_mtilde_quadrature_bit_equal_to_scalar_sum(hurst):
     got = kernel.mtilde(COSINE, range(1, 9), times)
     ref = np.array([[ref_fbm_mtilde_sum(kernel, COSINE, k, t) for t in times] for k in range(1, 9)])
     assert got.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the M~ memo on every other kind of spec
+
+
+def write_grid_csv(path):
+    """K(t, s) = 1 + (t - s)^2 on s <= t, tabulated on 11 points of [0, 1]."""
+    nodes = np.linspace(0.0, 1.0, 11)
+    rows = ["t_s," + ",".join(repr(float(s)) for s in nodes)]
+    for t in nodes:
+        rows.append(repr(float(t)) + "," + ",".join(repr(1.0 + float(t - s) ** 2 if s <= t else 0.0) for s in nodes))
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def user_spec():
+    """A spec with an M~ of its own: K = 2 chi_[0, t], so M~_k = 2 M_k."""
+    return KernelSpec(
+        name="twice-brownian",
+        horizon=1.0,
+        adapted=True,
+        eval=lambda t, s: np.where(s <= t, 2.0, 0.0),
+        diag_limit=lambda s: np.full(np.shape(s), 2.0),
+        mtilde=lambda basis, ks, t: np.array([2.0 * basis.antideriv(j, t) for j in ks]),
+    )
+
+
+def make_spec(name, tmp_path):
+    """A fresh spec with an empty memo; "copy" is a ``replace`` copy of a warm grid spec."""
+    if name == "brownian":
+        return brownian_kernel(1.0)
+    grid = grid_kernel_from_csv(write_grid_csv(tmp_path / "kernel.csv"))
+    if name == "grid":
+        return grid
+    if name == "user":
+        return user_spec()
+    grid.mtilde(COSINE, [1, 2], np.linspace(0.0, 1.0, 5))
+    return replace(grid, name="copy")
+
+
+SPECS = ["brownian", "grid", "user", "copy"]
+TIMES = np.concatenate([np.linspace(0.0, 1.0, 17), [1e-9, 0.37]])
+
+
+@pytest.mark.parametrize("name", SPECS)
+@pytest.mark.parametrize("basis", [COSINE, LEGENDRE], ids=lambda b: b.kind)
+def test_every_memo_bit_equal_to_its_unmemoised_piece(name, basis, tmp_path):
+    kernel = make_spec(name, tmp_path)
+    assert kernel.mtilde.cache_info() == (0, 0, 128, 0)
+    ref = kernel.mtilde.__wrapped__(basis, [1, 2, 3, 4], TIMES)
+    first = _mtilde_table(kernel, basis, 4, TIMES)  # misses
+    second = _mtilde_table(kernel, basis, 4, TIMES)  # hits
+    live = TIMES != 0.0
+    for table in (first, second):
+        assert table[live].tobytes() == ref.T[live].tobytes()
+        assert not np.any(table[~live])
+    assert kernel.mtilde(basis, 3, TIMES[live]).tobytes() == ref[2, live].tobytes()  # the table's key: a hit
+    info = kernel.mtilde.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 5, 4)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_every_memo_survives_a_mutated_table(name, tmp_path):
+    kernel, times = make_spec(name, tmp_path), np.linspace(0.1, 1.0, 10)
+    got = kernel.mtilde(COSINE, 2, times)
+    expected = got.copy()
+    got[:] = -1.0
+    assert kernel.mtilde(COSINE, 2, times).tobytes() == expected.tobytes()
+    table = _mtilde_table(kernel, COSINE, 2, times)
+    table *= 3.0
+    assert _mtilde_table(kernel, COSINE, 2, times)[:, 1].tobytes() == expected.tobytes()
+    info = kernel.mtilde.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+
+
+@pytest.mark.parametrize("name", SPECS)
+@pytest.mark.parametrize("t", [float("nan"), -0.1, 1.5])
+def test_every_memo_stores_nothing_on_a_refused_time(name, t, tmp_path):
+    kernel = make_spec(name, tmp_path)
+    _mtilde_table(kernel, COSINE, 3, np.linspace(0.0, 1.0, 9))
+    before = kernel.mtilde.cache_info()
+    with pytest.raises(DomainError):
+        m_tilde(kernel, COSINE, 1, t)
+    with pytest.raises(DomainError):
+        kernel.mtilde(COSINE, [1, 2], np.array([0.5, t]))
+    assert kernel.mtilde.cache_info() == before
+
+
+def test_a_copy_memoises_apart_from_its_original(tmp_path):
+    original = make_spec("grid", tmp_path)
+    times = np.linspace(0.0, 1.0, 9)
+    original.mtilde(COSINE, [1, 2], times)
+    copy = replace(original, horizon=2.0)  # derived pieces are derived again, bound to the copy
+    assert copy.mtilde is not original.mtilde
+    assert copy.mtilde.__wrapped__.args == (copy,)
+    copy.mtilde(COSINE, [1, 2, 3], times)
+    assert (copy.mtilde.cache_info().misses, copy.mtilde.cache_info().hits) == (3, 0)
+    assert (original.mtilde.cache_info().misses, original.mtilde.cache_info().hits) == (2, 0)
+    # the user's own piece passes to a copy unmemoised, and is memoised afresh there
+    user = user_spec()
+    assert replace(user).mtilde.__wrapped__ is user.mtilde.__wrapped__
+
+
+def test_repeated_brownian_path_synthesis_computes_mtilde_once():
+    kernel, grid = brownian_kernel(1.0), np.linspace(0.0, 1.0, 65)
+    trunc = Truncation(6, 2)
+    paths = [synthesize_paths(kernel, COSINE, trunc, sample_batch(seed, 20, 6), grid) for seed in (1, 1, 2)]
+    assert paths[0].tobytes() == paths[1].tobytes()
+    info = kernel.mtilde.cache_info()
+    assert (info.misses, info.hits) == (6, 12)
+
+
+# ---------------------------------------------------------------------------
+# the Brownian path pairing memo
+
+
+def ref_path_integrand_coeffs(trunc, basis):
+    """eta[eps_k, j] = (M_k, m_j), one row per mode, as the integrand was first built."""
+    imap = index_map(trunc)
+    coeffs = np.zeros((trunc.size(), trunc.modes))
+    xs, ws = DEFAULT_RULE.nodes_weights(0.0, basis.horizon)
+    m_vals = basis.eval(np.arange(1, trunc.modes + 1), xs)
+    for k in range(1, trunc.modes + 1):
+        coeffs[imap[MultiIndex.eps(k)]] = m_vals @ (ws * np.asarray(basis.antideriv(k, xs), dtype=float))
+    return coeffs
+
+
+@pytest.mark.parametrize("basis", [COSINE, LEGENDRE, BasisFamily("cosine", 2.5)], ids=lambda b: f"{b.kind}-{b.horizon}")
+def test_path_integrand_hit_has_the_same_bits(basis):
+    trunc = Truncation(5, 3)
+    ref = ref_path_integrand_coeffs(trunc, basis)
+    first = brownian_path_integrand(trunc, basis)
+    hits = _path_pairing.cache_info().hits
+    second = brownian_path_integrand(trunc, basis)
+    assert _path_pairing.cache_info().hits == hits + 1
+    assert first.coeffs.tobytes() == second.coeffs.tobytes() == ref.tobytes()
+    # another truncation of the same mode count shares the pairing
+    other = Truncation(5, 1)
+    assert brownian_path_integrand(other, basis).coeffs.tobytes() == ref_path_integrand_coeffs(other, basis).tobytes()
+    assert _path_pairing.cache_info().hits == hits + 2
+
+
+def test_mutating_an_integrand_leaves_the_next_alone():
+    trunc = Truncation(4, 2)
+    eta = brownian_path_integrand(trunc, COSINE)
+    expected = eta.coeffs.copy()
+    eta.coeffs[:] = -1.0
+    again = brownian_path_integrand(trunc, COSINE)
+    assert again.coeffs is not eta.coeffs and again.coeffs.flags.writeable
+    assert again.coeffs.tobytes() == expected.tobytes()
+    assert not _path_pairing(COSINE, 4).flags.writeable
+
+
+def test_overflowing_path_pairing_is_refused_and_not_memoised():
+    huge = BasisFamily("cosine", 1e300)
+    size = _path_pairing.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(DomainError, match="path pairing"):
+            brownian_path_integrand(Truncation(3, 2), huge)
+    assert _path_pairing.cache_info().currsize == size

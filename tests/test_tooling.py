@@ -3,8 +3,8 @@ fresh interpreter, the benchmark's per-layer span names against the
 library's public API, the kernel protocol's rule that no consumer branches
 on what a kernel supplied, the rule that every defaulted parameter of a
 public function is set by some call, the rules that the library never calls
-the built-in sum or quad_singular, and that it imports scipy only for the
-grid kernel."""
+the built-in sum or quad_singular, that it imports scipy only for the
+grid kernel, and that every kernel spec's M~ goes through the one memo."""
 
 import ast
 import importlib
@@ -14,9 +14,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from chaosfield.kernels import KernelSpec, brownian_kernel, fbm_kernel_spec, grid_kernel_from_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = [ROOT / "demos" / name for name in ("demo_fbm_kernel.py", "demo_wick_calculus.py", "demo_wick_sde.py")]
@@ -231,3 +235,45 @@ def test_library_imports_scipy_only_for_the_grid_kernel():
     # the check sees each spelling at module level and inside a function, and leaves other modules alone
     sample = "import scipy\nfrom scipy.special import gamma\ndef f():\n    import scipy.linalg as la\nimport numpy"
     assert _scipy_imports(ast.parse(sample)) == [(1, None), (2, None), (4, "f")]
+
+
+def test_every_kernel_spec_exposes_its_mtilde_memo(tmp_path):
+    # the memo wraps every spec's M~, supplied or derived, so no kernel constructor can skip it
+    grid = tmp_path / "kernel.csv"
+    grid.write_text("t_s,0.0,1.0\n0.0,1.0,0.0\n1.0,1.0,1.0\n")
+    direct = KernelSpec(name="direct", horizon=1.0, adapted=True, eval=np.minimum, diag_limit=np.ones_like)
+    specs = [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0), grid_kernel_from_csv(grid), direct]
+    specs.append(replace(specs[1]))
+    for spec in specs:
+        assert spec.mtilde.cache_info() == (0, 0, 128, 0), spec.name
+    assert specs[-1].mtilde is not specs[1].mtilde
+
+
+def _memo_containers(tree):
+    # (line, enclosing class or function) of each OrderedDict built
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and scope is None:
+            scope = node.name
+        if isinstance(node, ast.Call):
+            if "OrderedDict" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_mtilde_memo_container_is_built_in_one_place():
+    # one memo for every kernel: a constructor that built a memo of its own would fork it again
+    found = {
+        path.name: [scope for _, scope in hits]
+        for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
+        if (hits := _memo_containers(ast.parse(path.read_text())))
+    }
+    assert found == {"kernels.py": ["_MtildeMemo"]}
+    # the check sees either spelling, and names the outermost scope
+    sample = "a = OrderedDict()\ndef f():\n    def g():\n        return collections.OrderedDict()"
+    assert _memo_containers(ast.parse(sample)) == [(1, None), (4, "f")]
