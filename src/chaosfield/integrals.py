@@ -15,9 +15,9 @@ import numpy as np
 
 from .basis import BasisFamily, DEFAULT_RULE, jacobi01
 from .chaos import ChaosExpansion, HValuedChaos, truncate_expansion
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .kernels import KernelSpec
-from .multiindex import MultiIndex, Truncation, _tables, index_map
+from .multiindex import Truncation, _tables
 
 
 def ito_integral(eta: HValuedChaos) -> ChaosExpansion:
@@ -143,11 +143,13 @@ def _path_pairing(basis: BasisFamily, modes: int) -> np.ndarray:
 def brownian_path_integrand(trunc: Truncation, basis: BasisFamily) -> HValuedChaos:
     """The truncated Brownian path W_K(t) = sum_k M_k(t) xi_k as an integrand.
 
-    Coefficients eta[eps_k, j] = (M_k, m_j), from the memoised pairing.
+    Coefficients eta[eps_k, j] = (M_k, m_j), from the memoised pairing, in the
+    grade-1 rows ``_tables(trunc).up[0]``.  The path lies in the first chaos,
+    so a truncation of order 0 raises ConfigurationError.
     """
-    modes = trunc.modes
-    imap = index_map(trunc)  # checks the truncation's size before allocating
-    pairing = _path_pairing(basis, modes)
-    coeffs = np.zeros((trunc.size(), modes))
-    coeffs[[imap[MultiIndex.eps(k)] for k in range(1, modes + 1)]] = pairing
+    if trunc.max_order < 1:
+        raise ConfigurationError("the Brownian path integrand lies in the first chaos: it needs order >= 1")
+    grade1 = _tables(trunc).up[0]  # checks the truncation's size before allocating
+    coeffs = np.zeros((trunc.size(), trunc.modes))
+    coeffs[grade1] = _path_pairing(basis, trunc.modes)
     return HValuedChaos(trunc, coeffs, basis)

@@ -516,17 +516,24 @@ def grid_kernel_from_csv(path) -> KernelSpec:
         raise ConfigurationError(f"grid CSV {path}: {exc}") from None
     if not (np.all(np.isfinite(s_grid)) and np.all(np.isfinite(table))):
         raise ConfigurationError(f"grid CSV {path}: every grid point and value must be finite")
-    t_grid, values = table[:, 0], table[:, 1:]
+    t_grid, grid_k = table[:, 0], table[:, 1:]
     for name, grid in (("t", t_grid), ("s", s_grid)):
         if len(grid) < 2 or not np.all(np.diff(grid) > 0):
             raise ConfigurationError(f"grid CSV {path}: the {name}-grid needs at least two increasing points")
+    horizon = float(max(t_grid[-1], s_grid[-1]))
+    adapted = bool(np.allclose(grid_k[np.less.outer(t_grid, s_grid)], 0.0, atol=1e-12))
+    if adapted:
+        # a cell that straddles the diagonal would mix the zero upper triangle into K(t, s) for t >= s:
+        # continue each column linearly in t from its first two values at t >= s, and zero s > t after
+        first = np.searchsorted(t_grid, s_grid)
+        cols = np.flatnonzero(first + 1 < len(t_grid))
+        a = first[cols]
+        slope = (grid_k[a + 1, cols] - grid_k[a, cols]) / (t_grid[a + 1] - t_grid[a])
+        line = grid_k[a, cols] + (t_grid[:, None] - t_grid[a]) * slope
+        grid_k[:, cols] = np.where(np.arange(len(t_grid))[:, None] < a, line, grid_k[:, cols])
     from scipy.interpolate import RegularGridInterpolator  # the library's one scipy use
 
-    interp = RegularGridInterpolator(
-        (t_grid, s_grid), values, bounds_error=False, fill_value=None
-    )
-    horizon = float(max(t_grid[-1], s_grid[-1]))
-    adapted = bool(np.allclose(values[np.less.outer(t_grid, s_grid)], 0.0, atol=1e-12))
+    interp = RegularGridInterpolator((t_grid, s_grid), grid_k, bounds_error=False, fill_value=None)
     h = float(np.min(np.diff(t_grid)))
 
     def values(t, s):
@@ -535,7 +542,7 @@ def grid_kernel_from_csv(path) -> KernelSpec:
         return np.where(s > t, 0.0, out) if adapted else out
 
     def diag_limit(s):
-        return values(np.minimum(s + 0.5 * h, horizon), s)
+        return values(s, s)
 
     def dt_evaluate(t, s):
         # difference quotient over [t - h/2, t + h/2] clipped to [s, horizon]; 0 where that is empty

@@ -13,6 +13,7 @@ collocation, giving an independent check.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,33 +66,215 @@ class PropagatorSolution:
 
         The rows are CSV with ``\\r\\n`` line ends and no quoting, since no
         field (a float repr or an integer) holds a comma, quote or line break.
-        Each time's rows are one ``%`` call on the truncation's cached row
-        template (``_export_texts``), and ``%r`` is ``repr``, so every number
-        is its float's shortest round-trip repr.  A non-finite time or
-        coefficient raises DomainError before either file is opened.
+        Every number is its float's ``repr``: times by ``repr`` itself, the
+        coefficients by ``_repr_fields`` in blocks of about ``_EXPORT_BLOCK``
+        values, each written as bytes.  A non-finite time or coefficient raises
+        DomainError before either file is opened.
         """
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.coeffs))):
             raise DomainError("solution times and coefficients must be finite to export")
-        template, sidecar = _export_texts(self.trunc)
-        with open(path, "w", newline="") as fh:
-            fh.write("t,alpha_id,coefficient\r\n")
-            for t, row in zip(self.times.tolist(), self.coeffs):  # one row at a time: no whole-table list
-                fh.write(template.replace("\0", repr(t)) % tuple(row.tolist()))
+        ids, sidecar = _export_texts(self.trunc)
+        rows = max(1, _EXPORT_BLOCK // len(ids))
+        with open(path, "wb") as fh:
+            fh.write(b"t,alpha_id,coefficient\r\n")
+            for i in range(0, len(self.times), rows):
+                fh.write(_csv_lines(self.times[i : i + rows], ids, self.coeffs[i : i + rows]))
         with open(sidecar_path, "w") as fh:
             fh.write(sidecar)
 
 
-@lru_cache(maxsize=8)  # one key per truncation in use; at (6, 4) the two strings are 7.8 kB
+@lru_cache(maxsize=8)  # one key per truncation in use; at (6, 4) the ids take 1 kB and the sidecar 7.8 kB
 def _export_texts(trunc: Truncation) -> tuple:
-    """(row template, sidecar JSON) of ``export_csv``.
+    """(ids, sidecar JSON) of ``export_csv``.
 
-    The template holds one ``\\0,j,%r\\r\\n`` line per alpha-id j; ``\\0`` stands
-    for the row's time.  The sidecar maps each id to its [k, alpha_k] pairs.
+    ``ids`` is a read-only uint8 array whose row j holds the bytes ``,j,``,
+    NUL-padded to a common width.  The sidecar maps each id to its
+    [k, alpha_k] pairs.
     """
     rows = _tables(trunc).exponents.tolist()
-    template = "".join([f"\0,{j},%r\r\n" for j in range(len(rows))])
+    ids = np.array([f",{j}," for j in range(len(rows))], dtype="S")
+    ids = ids.view(np.uint8).reshape(len(rows), -1)
+    ids.flags.writeable = False
     sidecar = {str(j): [[k + 1, a] for k, a in enumerate(row) if a] for j, row in enumerate(rows)}
-    return template, json.dumps(sidecar, sort_keys=True)
+    return ids, json.dumps(sidecar, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# repr's bytes for a block of floats at once
+
+
+_EXPORT_BLOCK = 4096  # values per block of export_csv: the block's temporaries stay under 1 MB
+_FIELD = 46  # bytes of a _repr_fields row: sign, 16 integer digits, point and 3 zeros, 17 fraction digits, exponent
+_EDGE = 2.0**-30  # a decision this close to its boundary goes to repr; the double-double error is below about 2^-45
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+_POW_MIN = -235  # the powers 10^k, k in [_POW_MIN, 267], cover 10^(16 - e) for every decade e of the fast range, +-1
+
+
+@lru_cache(maxsize=1)
+def _repr_tables():
+    """Read-only tables of ``_repr_fields``, 61 kB built in under 1 ms.
+
+    10^k as double-doubles (hi, lo) from exact integer arithmetic, with hi's
+    Veltkamp halves; 10^0..10^17 as int64; the 4-digit texts of 0..9999 as
+    uint32; per decpt clipped to [-4, 17], the digits before the point and,
+    if positional, the index of the point and its zeros in ``dots``; the
+    masks of the integer and fraction groups; the exponent text per decpt
+    in [-252, 253], '' where positional.
+    """
+    hi, lo, m = [], [], 1
+    for _ in range(-_POW_MIN):
+        m *= 10
+        h = 1 / m  # correctly rounded, as is every int / int
+        n, d = h.as_integer_ratio()  # d = 2^j, so 1/m - h = (d - n m) / (d m)
+        hi.append(h), lo.append(math.ldexp(float(d - n * m) / m, 1 - d.bit_length()))
+    hi.reverse(), lo.reverse()
+    m = 1
+    for _ in range(268):
+        hi.append(float(m)), lo.append(float(m - int(float(m))))
+        m *= 10
+    hi, lo = np.array(hi), np.array(lo)
+    c = hi * _SPLIT
+    hi_hi = c - (c - hi)
+    v = np.arange(10000, dtype=np.uint32)
+    quads = np.full(10000, 0x30303030, dtype=np.uint32)  # '0000'
+    for j in range(4):  # v's 4 digits, the first in the low byte
+        quads += v // 10 ** (3 - j) % 10 << 8 * j
+    # masks that keep the last n (high[n]) or the first n (low[n]) characters of a group
+    high, low = [2**32 - 2 ** (32 - 8 * n) for n in range(5)], [2 ** (8 * n) - 1 for n in range(5)]
+    # per digits before the point (0..16), the characters of each integer group; '0' if none
+    ip_masks = [[high[min(max(before - 12 + 4 * j, j // 3), 4)] for j in range(4)] for before in range(17)]
+    # per significant digits after the point (0..17), the characters of each group after the first digit
+    fr_masks = [[low[min(max(after - 1 - 4 * j, 0), 4)] for j in range(4)] for after in range(18)]
+    positional = [-4 < decpt <= 16 for decpt in range(-4, 18)]
+    before = [max(decpt, 0) if pos else 1 for decpt, pos in zip(range(-4, 18), positional)]
+    point = [4 + max(-decpt, 0) if pos else 0 for decpt, pos in zip(range(-4, 18), positional)]
+    dots = np.array([b"", b"0", b"00", b"000", b".", b".0", b".00", b".000"], dtype="S4").view(np.uint32)
+    exps = [b"" if -4 < decpt <= 16 else b"e%+03d" % (decpt - 1) for decpt in range(-252, 254)]
+    exps = np.array(exps, dtype="S8").view(np.uint64)
+    tables = (hi, lo, hi_hi, hi - hi_hi, 10 ** np.arange(18), quads)
+    tables += (np.array(before), np.array(point), np.array(ip_masks, np.uint32), np.array(fr_masks, np.uint32), dots, exps)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a: np.ndarray, t: np.ndarray) -> tuple:
+    """(y, frac, half): a 10^k = y + frac, y int64 and 0 <= frac < 1, and half a's rounding gap times 10^k, k = t + _POW_MIN.
+
+    Dekker's exact product of a and hi, plus a lo, with (hi, lo) the
+    double-double of 10^k: for y < 10^17 its error is below about 2^-45.
+    """
+    hi_t, lo_t, hi_hi, hi_lo = _repr_tables()[:4]
+    big = hi_t[t]
+    p = a * big  # integral: p >= 2^53 wherever y is in range
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    bh, bl = hi_hi[t], hi_lo[t]
+    low = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo_t[t]
+    whole = np.floor(low)
+    return p.astype(np.int64) + whole.astype(np.int64), low - whole, np.ldexp(big, np.frexp(a)[1] - 54)
+
+
+def _shortest_digits(a: np.ndarray) -> tuple:
+    """repr's digits of each a = |x| as (d, drop, e, fast): a ~ d 10^(e - 16), d in [10^16, 10^17) with ``drop`` trailing zeros.
+
+    repr is the shortest decimal that rounds back to a, and of those the
+    nearest (Steele & White, PLDI 1990).  For 1e-250 <= a <= 1e250 not a
+    power of two, y = a 10^(16 - e), e the decade from log10, is formed as a
+    double-double (Dekker, Numer. Math. 18, 1971); d is the nearest multiple
+    of 10^drop to y for the largest drop such that one lies strictly within
+    a's rounding half-gap, scaled like y.  A power of two has a narrower gap
+    below, so its nearest is not always repr's.  ``fast`` is False on every
+    other value and on any decision within ``_EDGE`` of its boundary (a tie,
+    an interval edge, a decade off, a carry into 10^17); a is overwritten there.
+    """
+    pow10 = _repr_tables()[4]
+    fast = (a >= 1e-250) & (a <= 1e250) & (a.view(np.int64) & (2**52 - 1) != 0)
+    a[~fast] = 3.0  # a stand-in inside the range
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y, frac, half = _scaled(a, 16 - _POW_MIN - e)
+    fast &= (y >= 10**16) & (y < 10**17)
+    # the integers strictly within half of y + frac are top - width .. top; an edge near one goes to repr
+    below, above = frac - half, frac + half
+    fast &= (np.abs(below - np.round(below)) > _EDGE) & (np.abs(above - np.round(above)) > _EDGE)
+    top = y + (np.ceil(above).astype(np.int64) - 1)
+    width = top - y - np.floor(below).astype(np.int64) - 1
+    # drop k digits while a multiple of 10^k lies in that range: width < 24, so past k = 2 the digits are 0
+    tens, hundreds = top // 10, top // 100
+    drop = (top - tens * 10 <= width).astype(np.int64)
+    two = top - hundreds * 100 <= width
+    drop += two
+    live = np.flatnonzero(two & fast)  # the stand-ins' 3 10^16 would count 14 zeros
+    rest = hundreds[live]
+    while live.size:
+        shifted = rest // 10
+        zero = rest == shifted * 10
+        live, rest = live[zero], shifted[zero]
+        drop[live] += 1
+    q = pow10[drop]
+    r = y - y // q * q
+    up = (2 * r - q) + 2.0 * frac  # > 0: the multiple above y is the nearer
+    d = y - r + q * (up > 0)
+    fast &= (np.abs(up) > _EDGE) & (d < 10**17)
+    return d, drop, e, fast
+
+
+def _put_groups(out: np.ndarray, v: np.ndarray, masks: np.ndarray) -> None:
+    """Write the last n = masks.shape[1] 4-digit groups of each v into the 4 n columns of ``out``, group j cut by masks[:, j]."""
+    quads = _repr_tables()[5]
+    for j in range(masks.shape[1]):  # group by group: no (len(v), n) temporaries
+        scale = 10 ** (4 * (masks.shape[1] - 1 - j))
+        group = v // scale
+        v = v - group * scale
+        out[:, 4 * j : 4 * j + 4] = (quads[group] & masks[:, j]).astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
+
+
+def _repr_fields(x: np.ndarray, out: np.ndarray) -> int:
+    """Write ``repr(x[i])`` into row i of ``out``, a zeroed (len(x), _FIELD) uint8 array, NUL where no byte.
+
+    The digits of ``_shortest_digits`` are laid out by repr's rules:
+    positional when -4 < decpt <= 16 (with '.0' when the value is integral),
+    else d.ddde+XX with at least two exponent digits.  Every other value is
+    written by ``repr`` itself; returns their count.
+    """
+    pow10, _, before_t, point_t, ip_masks, fr_masks, dots, exps = _repr_tables()[4:]
+    d, drop, e, fast = _shortest_digits(np.abs(x))
+    d[~fast] = 10**16
+    decpt = e + 1  # x ~ 0.ddd 10^decpt
+    form = np.clip(decpt, -4, 17) + 4
+    before = before_t[form]
+    scale = pow10[17 - before]
+    ip = d // scale
+    fr = (d - ip * scale) * pow10[before]  # the digits after the point, left-aligned in 17
+    after = 17 - drop - before  # the significant ones
+    point = np.maximum(point_t[form], 4 * (after > 0))  # '1e+16' has neither point nor fraction
+    f0 = fr // 10**16
+    out[:, 0] = 45 * np.signbit(x)
+    groups = 1 if before.max() <= 4 else 4  # most blocks' integer parts lie in the last group
+    _put_groups(out[:, 17 - 4 * groups : 17], ip, ip_masks[before, 4 - groups :])
+    out[:, 17:21] = dots[point].view(np.uint8).reshape(-1, 4)
+    out[:, 21] = (f0 + 48) * (point >= 4)
+    _put_groups(out[:, 22:38], fr - f0 * 10**16, fr_masks[np.clip(after, 0, 17)])
+    out[:, 38:46] = exps[decpt + 252].view(np.uint8).reshape(-1, 8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = np.array([repr(v) for v in x[slow].tolist()], dtype=f"S{_FIELD}")
+        out[slow] = texts.view(np.uint8).reshape(-1, _FIELD)
+    return slow.size
+
+
+def _csv_lines(times: np.ndarray, ids: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The bytes of the lines ``t,j,u_j(t)\\r\\n`` of a block of rows, as a uint8 array."""
+    stamps = np.array([repr(t) for t in times.tolist()], dtype="S")
+    wt, wid = stamps.itemsize, ids.shape[1]
+    lines = np.zeros((coeffs.size, wt + wid + _FIELD + 2), dtype=np.uint8)
+    grid = lines.reshape(len(times), len(ids), -1)
+    grid[:, :, :wt] = stamps.view(np.uint8).reshape(-1, 1, wt)
+    grid[:, :, wt : wt + wid] = ids
+    _repr_fields(np.asarray(coeffs, dtype=float).ravel(), lines[:, wt + wid : -2])
+    lines[:, -2:] = (13, 10)
+    return lines[lines != 0]
 
 
 def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.ndarray:

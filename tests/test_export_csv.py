@@ -1,9 +1,11 @@
 """The bytes of ``PropagatorSolution.export_csv`` against a reference writer.
 
-The reference is the row writer the template replaced: each row's list repr
-split on ", ", one f-string per coefficient, and a sidecar dict built from
-``enumerate_multiindices``.  ``%r`` is ``repr``, so the two agree by
-construction; these tests pin it on the values where ``repr`` changes form.
+The reference is a per-value row writer: each row's list repr split on
+", ", one f-string per coefficient, and a sidecar dict built from
+``enumerate_multiindices``.  The export writes the coefficients with numpy
+(``sde._repr_fields``), so these tests pin its bytes against ``repr`` on
+raw bit patterns, on the values where ``repr`` changes form, and on the
+edges of the numpy path's own decisions.
 """
 
 import json
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from chaosfield.basis import BasisFamily
 from chaosfield.multiindex import Truncation, enumerate_multiindices
+from chaosfield import sde
 from chaosfield.sde import PropagatorSolution, _export_texts
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -107,3 +110,94 @@ def test_second_export_of_a_truncation_reuses_the_cached_strings(tmp_path):
     assert all(a is b for a, b in zip(_export_texts(trunc), texts))
     assert rows == reference_rows(second.times, second.coeffs)
     assert sidecar == reference_sidecar(trunc)
+
+
+# ---------------------------------------------------------------------------
+# the numpy formatter against repr, value by value
+
+
+def formatted(values):
+    """The texts ``_repr_fields`` writes for ``values``."""
+    x = np.asarray(values, dtype=float)
+    out = np.zeros((len(x), sde._FIELD), dtype=np.uint8)
+    sde._repr_fields(x, out)
+    return [bytes(row[row != 0]).decode() for row in out]
+
+
+def fast_lanes(values):
+    return sde._shortest_digits(np.abs(np.asarray(values, dtype=float)))[3].tolist()
+
+
+BITS = st.integers(0, 2**64 - 1).map(lambda b: np.array(b, dtype=np.uint64).view(np.float64).item())
+
+
+@SETTINGS
+@given(st.lists(BITS.filter(np.isfinite), min_size=1, max_size=200))
+def test_raw_bit_patterns_format_as_repr(values):
+    # every exponent and both signs: subnormals, zeros and the extremes as well as the fast range
+    assert formatted(values) == [repr(v) for v in values]
+
+
+def test_bulk_values_format_as_repr():
+    rng = np.random.default_rng(20250)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    typical = rng.random(20_000) ** rng.integers(1, 30, 20_000)  # coefficient-like: all decades down to 1e-30
+    places = 10.0 ** rng.integers(1, 12, 20_000)
+    short = np.round(rng.random(20_000) * places) / places * 10.0 ** rng.integers(-8, 18, 20_000)  # few digits
+    for values in (bits[np.isfinite(bits)], typical, -typical, short):
+        assert formatted(values) == [repr(v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize(
+    "value, fast",
+    [
+        (9.999999999999999e-05, False),  # log10 rounds to -4.0: the decade guess is one off
+        (7.678447687145631e-239, False),  # a power of two: its nearest 16-digit candidate lies outside the lower half-gap
+        (1.0, False),
+        (0.5, False),
+        (1000000000000000.25, False),  # an exact tie between 1000000000000000.2 and .3
+        (2**53 + 2.0, False),  # 9007199254740994.0: the edges of its half-gap fall on integers
+        (123456789.0, True),  # positional with '.0'
+        (0.375, True),  # three digits: 14 trailing digits dropped
+        (1e-250, True),  # the low end of the fast range
+        (np.nextafter(1e-250, 1.0), True),
+        (np.nextafter(1e-250, 0.0), False),
+        (5e249, True),
+        (1e250, False),  # 1e250 reads as 10^250 in log10, one decade above its own
+        (np.nextafter(1e250, np.inf), False),
+        (0.0, False),
+        (5e-324, False),  # subnormals
+        (2.225073858507201e-308, False),
+        (1e16, False),  # exponent form from here: '1e+16'; the half-gap edges of integers past 2^53 fall on integers
+        (9999999999999998.0, False),
+        (4.4e19, True),  # exponent form, no point
+        (1.2345678901234567e20, True),
+        (1e-4, True),
+        (12345.678, True),  # more than one integer group
+        (1.2345678901234567e-123, True),  # a three-digit exponent
+    ],
+)
+def test_named_edges_format_as_repr_by_the_path_that_decides_them(value, fast):
+    values = [float(value), -float(value)]
+    assert formatted(values) == [repr(v) for v in values]
+    assert fast_lanes(values) == [fast, fast]
+
+
+def test_a_table_over_many_blocks_and_rows_wider_than_a_block(tmp_path, monkeypatch):
+    # blocks never split a time row: with 7 values a block, a 10-column row is a block of its own
+    values = np.array(SPECIAL + [-x for x in SPECIAL] + [0.1 * k for k in range(1, 23)])
+    trunc = Truncation(2, 3)
+    coeffs = np.resize(values, (9, trunc.size()))
+    for block in (7, 10, 23, 4096):
+        monkeypatch.setattr(sde, "_EXPORT_BLOCK", block)
+        sol = solution(trunc, np.linspace(0.0, 1.0, 9), coeffs)
+        rows, _ = export(sol, tmp_path)
+        assert rows == reference_rows(sol.times, sol.coeffs)
+
+
+def test_float32_coefficients_are_written_as_their_doubles(tmp_path):
+    trunc = Truncation(2, 3)
+    coeffs = np.linspace(-1.0, 1.0, 3 * trunc.size(), dtype=np.float32).reshape(3, -1) / 3
+    sol = PropagatorSolution(trunc, BasisFamily("cosine"), "brownian", np.array([0.0, 0.5, 1.0]), coeffs, np.zeros((3, 2)))
+    rows, _ = export(sol, tmp_path)
+    assert rows == reference_rows(sol.times, sol.coeffs)

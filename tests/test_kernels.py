@@ -292,6 +292,37 @@ def test_grid_kernel_from_csv(tmp_path):
         assert isinstance(spec.dt_eval(t, s), np.ndarray) and spec.dt_eval(t, s).shape == (2, 3)
 
 
+def test_grid_kernel_psi_matches_the_exact_kernel_near_the_diagonal(tmp_path):
+    # K = e^-(t - s) on s <= t, tabulated on 257 points: the bilinear cells across the diagonal mixed in the
+    # zero upper triangle, so K(0.1, 0.1) read 0.759 and psi was off by up to 0.28
+    grid = np.linspace(0.0, 1.0, 257)
+    path = tmp_path / "kernel.csv"
+    with open(path, "w") as fh:
+        fh.write("t_s," + ",".join(repr(float(s)) for s in grid) + "\n")
+        for t in grid:
+            fh.write(repr(float(t)) + "," + ",".join(repr(math.exp(s - t) if s <= t else 0.0) for s in grid) + "\n")
+    kernel = grid_kernel_from_csv(path)
+
+    def lower(t, s, value):
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        return np.where(s <= t, value(np.minimum(s - t, 0.0)), 0.0)
+
+    exact = KernelSpec(
+        name="exp",
+        horizon=1.0,
+        adapted=True,
+        eval=lambda t, s: lower(t, s, np.exp),
+        diag_limit=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        dt_eval=lambda t, s: lower(t, s, lambda x: -np.exp(x)),
+    )
+    s = np.array([0.1, 0.5, 0.9])
+    assert kernel.eval(s, s) == pytest.approx(1.0, abs=1e-4)
+    assert kernel.eval(s - 0.01, s).tolist() == [0.0, 0.0, 0.0]
+    for basis in (BasisFamily("cosine"), BasisFamily("legendre")):
+        ks = np.arange(1, 5)
+        assert np.max(np.abs(kernel.psi(basis, ks, s) - exact.psi(basis, ks, s))) < 1e-4
+
+
 def _grid_csv(tmp_path, text):
     path = tmp_path / "kernel.csv"
     path.write_text(text)

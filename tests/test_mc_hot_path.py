@@ -17,7 +17,7 @@ import pytest
 
 from chaosfield import cli
 from chaosfield.basis import DEFAULT_RULE, BasisFamily
-from chaosfield.errors import DomainError
+from chaosfield.errors import ConfigurationError, DomainError
 from chaosfield.integrals import _path_pairing, brownian_path_integrand
 from chaosfield.kernels import (
     KernelSpec,
@@ -421,6 +421,12 @@ def test_mutating_an_integrand_leaves_the_next_alone():
     assert again.coeffs is not eta.coeffs and again.coeffs.flags.writeable
     assert again.coeffs.tobytes() == expected.tobytes()
     assert not _path_pairing(COSINE, 4).flags.writeable
+
+
+def test_path_integrand_of_an_order_zero_truncation_is_refused():
+    # the path lies in the first chaos, which order 0 leaves out: a bare KeyError before
+    with pytest.raises(ConfigurationError, match="first chaos"):
+        brownian_path_integrand(Truncation(3, 0), COSINE)
 
 
 def test_overflowing_path_pairing_is_refused_and_not_memoised():

@@ -4,7 +4,8 @@ library's public API, the kernel protocol's rule that no consumer branches
 on what a kernel supplied, the rule that every defaulted parameter of a
 public function is set by some call, the rules that the library never calls
 the built-in sum or quad_singular, that it imports scipy only for the
-grid kernel, and that every kernel spec's M~ goes through the one memo."""
+grid kernel, that every kernel spec's M~ goes through the one memo, and
+that the sde CSV's coefficients come from the numpy formatter, not repr."""
 
 import ast
 import importlib
@@ -20,7 +21,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chaosfield import sde
+from chaosfield.basis import BasisFamily
 from chaosfield.kernels import KernelSpec, brownian_kernel, fbm_kernel_spec, grid_kernel_from_csv
+from chaosfield.multiindex import Truncation
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = [ROOT / "demos" / name for name in ("demo_fbm_kernel.py", "demo_wick_calculus.py", "demo_wick_sde.py")]
@@ -277,3 +281,21 @@ def test_the_mtilde_memo_container_is_built_in_one_place():
     # the check sees either spelling, and names the outermost scope
     sample = "a = OrderedDict()\ndef f():\n    def g():\n        return collections.OrderedDict()"
     assert _memo_containers(ast.parse(sample)) == [(1, None), (4, "f")]
+
+
+def test_export_writes_almost_every_coefficient_by_numpy(tmp_path, monkeypatch):
+    # repr writes the same bytes, so no golden CSV tells a change that sends every value to it;
+    # on an fBm (6, 4) table on 129 times only the t = 0 zeros and the power-of-two u_0 = 1 need repr
+    times = np.linspace(0.0, 1.0, 129)
+    sol = sde.solve_closed_form(fbm_kernel_spec(0.7, 1.0), BasisFamily("cosine"), Truncation(6, 4), times)
+    fields, counts = sde._repr_fields, []
+
+    def counted(x, out):
+        counts.append((fields(x, out), len(x)))
+        return counts[-1][0]
+
+    monkeypatch.setattr(sde, "_repr_fields", counted)
+    sol.export_csv(tmp_path / "u.csv", tmp_path / "ids.json")
+    by_repr, values = np.sum(counts, axis=0)
+    assert values == sol.coeffs.size
+    assert by_repr <= 0.05 * values
