@@ -524,11 +524,13 @@ def grid_kernel_from_csv(path) -> KernelSpec:
     adapted = bool(np.allclose(grid_k[np.less.outer(t_grid, s_grid)], 0.0, atol=1e-12))
     if adapted:
         # a cell that straddles the diagonal would mix the zero upper triangle into K(t, s) for t >= s:
-        # continue each column linearly in t from its first two values at t >= s, and zero s > t after
+        # continue each column linearly in t from its first two values at t >= s, as a constant if it has
+        # only one (the last column when s_grid ends at t_grid's end), and zero s > t after
         first = np.searchsorted(t_grid, s_grid)
-        cols = np.flatnonzero(first + 1 < len(t_grid))
+        cols = np.flatnonzero(first < len(t_grid))
         a = first[cols]
-        slope = (grid_k[a + 1, cols] - grid_k[a, cols]) / (t_grid[a + 1] - t_grid[a])
+        b = np.minimum(a + 1, len(t_grid) - 1)
+        slope = (grid_k[b, cols] - grid_k[a, cols]) / (t_grid[b] - t_grid[a] + (b == a))  # 0 / 1 where b == a
         line = grid_k[a, cols] + (t_grid[:, None] - t_grid[a]) * slope
         grid_k[:, cols] = np.where(np.arange(len(t_grid))[:, None] < a, line, grid_k[:, cols])
     from scipy.interpolate import RegularGridInterpolator  # the library's one scipy use

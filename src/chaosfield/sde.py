@@ -187,7 +187,8 @@ def _shortest_digits(a: np.ndarray) -> tuple:
     a's rounding half-gap, scaled like y.  A power of two has a narrower gap
     below, so its nearest is not always repr's.  ``fast`` is False on every
     other value and on any decision within ``_EDGE`` of its boundary (a tie,
-    an interval edge, a decade off, a carry into 10^17); a is overwritten there.
+    a decade off, a carry into 10^17, an integer at an interval edge that is
+    a multiple of 10^(drop + 1)); a is overwritten there.
     """
     pow10 = _repr_tables()[4]
     fast = (a >= 1e-250) & (a <= 1e250) & (a.view(np.int64) & (2**52 - 1) != 0)
@@ -195,11 +196,10 @@ def _shortest_digits(a: np.ndarray) -> tuple:
     e = np.floor(np.log10(a)).astype(np.int64)
     y, frac, half = _scaled(a, 16 - _POW_MIN - e)
     fast &= (y >= 10**16) & (y < 10**17)
-    # the integers strictly within half of y + frac are top - width .. top; an edge near one goes to repr
+    # the integers strictly within half of y + frac, less any within _EDGE of an edge, are top - width .. top
     below, above = frac - half, frac + half
-    fast &= (np.abs(below - np.round(below)) > _EDGE) & (np.abs(above - np.round(above)) > _EDGE)
-    top = y + (np.ceil(above).astype(np.int64) - 1)
-    width = top - y - np.floor(below).astype(np.int64) - 1
+    top = y + (np.ceil(above - _EDGE).astype(np.int64) - 1)
+    width = top - y - np.floor(below + _EDGE).astype(np.int64) - 1
     # drop k digits while a multiple of 10^k lies in that range: width < 24, so past k = 2 the digits are 0
     tens, hundreds = top // 10, top // 100
     drop = (top - tens * 10 <= width).astype(np.int64)
@@ -212,6 +212,13 @@ def _shortest_digits(a: np.ndarray) -> tuple:
         zero = rest == shifted * 10
         live, rest = live[zero], shifted[zero]
         drop[live] += 1
+    # an integer within _EDGE of an edge may or may not lie inside: it goes to repr only if it would add a digit to drop
+    ends = np.round(below), np.round(above)
+    hit = np.flatnonzero((np.abs(below - ends[0]) <= _EDGE) | (np.abs(above - ends[1]) <= _EDGE))
+    if hit.size:
+        tenfold = pow10[np.minimum(drop[hit] + 1, 17)]  # drop 17 is a carry into 10^17, refused below
+        for edge, end in ((below, ends[0]), (above, ends[1])):
+            fast[hit] &= (np.abs(edge[hit] - end[hit]) > _EDGE) | ((y[hit] + end[hit].astype(np.int64)) % tenfold != 0)
     q = pow10[drop]
     r = y - y // q * q
     up = (2 * r - q) + 2.0 * frac  # > 0: the multiple above y is the nearer
@@ -339,18 +346,29 @@ def _lagrange_eval(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _CollocationGrid:
-    """Composite Gauss-Legendre collocation mesh on [0, T], panel edges graded as T (p / panels)^3.
+_RATIO = 0.2  # sigma, the ratio of each geometric layer's outer edge to the next one's
 
-    Every panel is an affine image of the reference panel [-1, 1] with the
-    Gauss-Legendre nodes ``ref_nodes``, so one Lagrange table on those nodes
-    serves all panels.
+
+class _CollocationGrid:
+    """Composite Gauss-Legendre collocation mesh on [0, T]: equal panels, the first split geometrically.
+
+    With h = T / uniform the edges are 0, h sigma^layers, ..., h sigma, h, 2h,
+    ..., T (sigma = ``_RATIO``), so there are uniform + layers panels, and the
+    last edge is T exactly.  For fBm u_alpha(t) carries the power
+    t^((H + 1/2)|alpha|) at the origin, which the geometric layers resolve
+    exponentially in their count, where an algebraically graded mesh resolves
+    it only algebraically (the hp idea of Brunner and Schoetzau, SIAM J.
+    Numer. Anal. 44, 2006).  Every panel is an affine image of the reference
+    panel [-1, 1] with the Gauss-Legendre nodes ``ref_nodes``, so one Lagrange
+    table on those nodes serves all panels.
     """
 
-    def __init__(self, horizon: float, panels: int, nodes: int):
-        self.panels = panels
+    def __init__(self, horizon: float, uniform: int, layers: int, nodes: int):
+        self.panels = uniform + layers
         self.nodes = nodes
-        self.edges = horizon * (np.arange(panels + 1) / panels) ** 3.0
+        h = horizon / uniform
+        self.edges = np.concatenate(([0.0], h * _RATIO ** np.arange(layers, 0, -1), h * np.arange(1, uniform + 1)))
+        self.edges[-1] = horizon
         self.ref_nodes, _ = _leggauss(nodes)
         lo, hi = self.edges[:-1], self.edges[1:]
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
@@ -367,12 +385,12 @@ class _CollocationGrid:
 
 
 # panels of psi-table points per psi call: an fBm call's (modes, points, 48) temporaries
-# stay near 1 MB (8 panels of 32 points: 0.6 MB at 6 modes); one call for all 48 panels
-# took a warm fBm (6, 4) solve's traced peak from 3.2 to 5.7 MB
+# stay near 1 MB (8 panels of 32 points: 0.6 MB at 6 modes); one call for all 18 panels of
+# the default mesh takes a warm fBm (6, 4) solve's traced peak from 1.9 to 2.1 MB
 _PSI_BLOCK = 8
 
 
-@lru_cache(maxsize=8)  # one key per (nodes, sub) in use; the default mesh's tables take 0.15 MB
+@lru_cache(maxsize=8)  # one key per (nodes, sub) in use; the default mesh's tables take 0.29 MB
 def _sub_node_tables(nodes: int, sub: int):
     """(frac, xi, lt, l) of ``_integration_matrix``: they depend on the two node counts only, so they are read-only."""
     ref_nodes, _ = _leggauss(nodes)
@@ -439,29 +457,33 @@ def solve_picard(
     basis: BasisFamily,
     trunc: Truncation,
     grid,
-    panels: int = 48,
-    nodes: int = 12,
+    *,
+    uniform: int = 6,
+    layers: int = 12,
+    nodes: int = 20,
 ) -> PropagatorSolution:
     """Solve the triangular coefficient system by induction on |alpha|.
 
     Product-integration collocation: each u_alpha is represented by its values
-    at graded composite Gauss-Legendre nodes, and the Volterra integral is a
-    precomputed block per panel and mode plus the panel's whole-span row,
-    all modes built together.
+    at the ``nodes`` Gauss-Legendre nodes of each panel of ``_CollocationGrid``
+    (``uniform`` equal panels, the first split into ``layers`` geometric ones),
+    and the Volterra integral is a precomputed block per panel and mode plus
+    the panel's whole-span row, all modes built together.  A count below 1
+    raises ConfigurationError.
     Only the Ito interpretation is solved: the Stratonovich form couples each
     coefficient to higher-order ones, so its system is not triangular.
     """
-    if panels < 1 or nodes < 1:
-        raise ConfigurationError("panels and nodes must be >= 1")
+    if min(uniform, layers, nodes) < 1:
+        raise ConfigurationError("uniform, layers and nodes must be >= 1")
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
     times = np.asarray(grid, dtype=float)
     mt = _mtilde_table(kernel, basis, trunc.modes, times)  # checks the times before the operator is built
-    cgrid = _CollocationGrid(basis.horizon, panels, nodes)
+    cgrid = _CollocationGrid(basis.horizon, uniform, layers, nodes)
     modes = np.arange(1, trunc.modes + 1)
     ops = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
 
     # grade by grade: u_alpha = sum_k sqrt(alpha_k) W_k u_{alpha - eps_k}, one product per (grade, mode)
-    u = np.zeros((len(tables.exponents), panels, nodes))
+    u = np.zeros((len(tables.exponents), cgrid.panels, nodes))
     u[0] = 1.0
     for grade in range(1, trunc.max_order + 1):
         rows = np.nonzero(tables.orders == grade)[0]

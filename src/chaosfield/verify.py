@@ -168,7 +168,7 @@ def suite_sde() -> dict:
         closed = solve_closed_form(kernel, basis, trunc, grid)
         picard = solve_picard(kernel, basis, trunc, grid)
         disc = float(np.max(np.abs(closed.coeffs - picard.coeffs)))
-        checks.append(_check(f"closed-vs-picard-{name}", disc, 1e-8))
+        checks.append(_check(f"closed-vs-picard-{name}", disc, 1e-11))
     sol = solve_closed_form(
         brownian_kernel(1.0), basis, Truncation(8, 8), np.array([0.0, 1.0])
     )

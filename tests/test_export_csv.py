@@ -156,7 +156,7 @@ def test_bulk_values_format_as_repr():
         (1.0, False),
         (0.5, False),
         (1000000000000000.25, False),  # an exact tie between 1000000000000000.2 and .3
-        (2**53 + 2.0, False),  # 9007199254740994.0: the edges of its half-gap fall on integers
+        (2**53 + 2.0, True),  # 9007199254740994.0: its half-gap's edges fall on integers, but none a multiple of 100
         (123456789.0, True),  # positional with '.0'
         (0.375, True),  # three digits: 14 trailing digits dropped
         (1e-250, True),  # the low end of the fast range
@@ -168,7 +168,8 @@ def test_bulk_values_format_as_repr():
         (0.0, False),
         (5e-324, False),  # subnormals
         (2.225073858507201e-308, False),
-        (1e16, False),  # exponent form from here: '1e+16'; the half-gap edges of integers past 2^53 fall on integers
+        (1e16, True),  # exponent form from here: '1e+16'; 1e16 +- 1 sit on the edges and add no digit to drop
+        (18014398509481992.0, False),  # 2^54 + 8: its lower edge, 18014398509481990, would add a digit, and repr takes it
         (9999999999999998.0, False),
         (4.4e19, True),  # exponent form, no point
         (1.2345678901234567e20, True),
@@ -181,6 +182,18 @@ def test_named_edges_format_as_repr_by_the_path_that_decides_them(value, fast):
     values = [float(value), -float(value)]
     assert formatted(values) == [repr(v) for v in values]
     assert fast_lanes(values) == [fast, fast]
+
+
+def test_integer_valued_doubles_past_2_53_take_no_slow_path():
+    # an edge integer that adds no digit to drop cannot change repr: these once all went to repr
+    values = np.array([9007199254740994.0, 1e16, -1e16, 2.0**53 + 4.0, 123456789012345678.0 / 10])
+    out = np.zeros((len(values), sde._FIELD), dtype=np.uint8)
+    assert sde._repr_fields(values, out) == 0
+    assert [bytes(row[row != 0]).decode() for row in out] == [repr(v) for v in values.tolist()]
+    # integers below 2^53 whose edges fall on integers too: about half of them took the slow path
+    ints = np.floor(np.random.default_rng(7).uniform(1.0, 2.0**53, 5000))
+    assert formatted(ints) == [repr(v) for v in ints.tolist()]
+    assert all(fast_lanes(ints))
 
 
 def test_a_table_over_many_blocks_and_rows_wider_than_a_block(tmp_path, monkeypatch):

@@ -30,7 +30,7 @@ from chaosfield.kernels import (
     op_norm_estimate,
 )
 from chaosfield.multiindex import Truncation
-from chaosfield.sde import solve_picard
+from chaosfield.sde import solve_closed_form, solve_picard
 
 
 def test_fbm_c_h_value():
@@ -292,35 +292,68 @@ def test_grid_kernel_from_csv(tmp_path):
         assert isinstance(spec.dt_eval(t, s), np.ndarray) and spec.dt_eval(t, s).shape == (2, 3)
 
 
-def test_grid_kernel_psi_matches_the_exact_kernel_near_the_diagonal(tmp_path):
-    # K = e^-(t - s) on s <= t, tabulated on 257 points: the bilinear cells across the diagonal mixed in the
-    # zero upper triangle, so K(0.1, 0.1) read 0.759 and psi was off by up to 0.28
-    grid = np.linspace(0.0, 1.0, 257)
-    path = tmp_path / "kernel.csv"
+def _lower(t, s, value):
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    return np.where(s <= t, value(np.minimum(s - t, 0.0)), 0.0)
+
+
+# K = e^-(t - s) on s <= t, and the same kernel tabulated on a grid of [0, 1] by _exp_grid_kernel
+EXACT_EXP = KernelSpec(
+    name="exp",
+    horizon=1.0,
+    adapted=True,
+    eval=lambda t, s: _lower(t, s, np.exp),
+    diag_limit=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+    dt_eval=lambda t, s: _lower(t, s, lambda x: -np.exp(x)),
+)
+
+
+def _exp_grid_kernel(tmp_path, points):
+    grid = np.linspace(0.0, 1.0, points)
+    path = tmp_path / f"kernel-{points}.csv"
     with open(path, "w") as fh:
         fh.write("t_s," + ",".join(repr(float(s)) for s in grid) + "\n")
         for t in grid:
             fh.write(repr(float(t)) + "," + ",".join(repr(math.exp(s - t) if s <= t else 0.0) for s in grid) + "\n")
-    kernel = grid_kernel_from_csv(path)
+    return grid_kernel_from_csv(path)
 
-    def lower(t, s, value):
-        t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-        return np.where(s <= t, value(np.minimum(s - t, 0.0)), 0.0)
 
-    exact = KernelSpec(
-        name="exp",
-        horizon=1.0,
-        adapted=True,
-        eval=lambda t, s: lower(t, s, np.exp),
-        diag_limit=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        dt_eval=lambda t, s: lower(t, s, lambda x: -np.exp(x)),
-    )
+def test_grid_kernel_psi_matches_the_exact_kernel_near_the_diagonal(tmp_path):
+    # on 257 points the bilinear cells across the diagonal mixed in the zero upper triangle,
+    # so K(0.1, 0.1) read 0.759 and psi was off by up to 0.28
+    kernel = _exp_grid_kernel(tmp_path, 257)
     s = np.array([0.1, 0.5, 0.9])
     assert kernel.eval(s, s) == pytest.approx(1.0, abs=1e-4)
     assert kernel.eval(s - 0.01, s).tolist() == [0.0, 0.0, 0.0]
     for basis in (BasisFamily("cosine"), BasisFamily("legendre")):
         ks = np.arange(1, 5)
-        assert np.max(np.abs(kernel.psi(basis, ks, s) - exact.psi(basis, ks, s))) < 1e-4
+        assert np.max(np.abs(kernel.psi(basis, ks, s) - EXACT_EXP.psi(basis, ks, s))) < 1e-4
+
+
+def test_grid_kernel_psi_matches_the_exact_kernel_up_to_the_horizon(tmp_path):
+    # the last column (s = T) has one value at t >= s and is continued as a constant; skipped, its cell
+    # [T - h, T] mixed in the zero upper triangle: K(s, s) read 0.75 and psi was off by up to 1.6 there
+    kernel, h = _exp_grid_kernel(tmp_path, 257), 1.0 / 256
+    s = np.linspace(0.0, 1.0, 2001)
+    assert np.max(np.abs(kernel.diag_limit(s) - 1.0)) < 2e-3  # 9.7e-4 measured, O(h) in the last cell
+    for basis in (BasisFamily("cosine"), BasisFamily("legendre")):
+        err = np.max(np.abs(kernel.psi(basis, np.arange(1, 5), s) - EXACT_EXP.psi(basis, np.arange(1, 5), s)), axis=0)
+        assert np.max(err[s <= 1.0 - h]) < 2e-5, basis.kind  # 7.2e-6 / 1.1e-5 measured
+        assert np.max(err) < 1e-2, basis.kind  # 3.4e-3 / 6.2e-3 measured, in the last cell
+
+
+def test_grid_kernel_picard_gap_shrinks_with_the_grid(tmp_path):
+    # closed form against Picard, Truncation(4, 3) on 33 times: 3.1e-4 / 2.1e-5 / 3.1e-6 (cosine) and
+    # 5.6e-6 (Legendre, 257) measured; with the last column skipped 3.0e-4 / 2.3e-4 / 7.7e-4, no shrinkage
+    trunc, times = Truncation(4, 3), np.linspace(0.0, 1.0, 33)
+    kernels = [_exp_grid_kernel(tmp_path, points) for points in (17, 65, 257)]
+    for basis in (BasisFamily("cosine"), BasisFamily("legendre")):
+        gaps = []
+        for kernel in kernels:
+            closed = solve_closed_form(kernel, basis, trunc, times)
+            gaps.append(np.max(np.abs(closed.coeffs - solve_picard(kernel, basis, trunc, times).coeffs)))
+        assert gaps[0] > 3 * gaps[1] > 9 * gaps[2], (basis.kind, gaps)  # each 4x grid: 3.7x or more
+        assert gaps[2] < 1e-5, (basis.kind, gaps)
 
 
 def _grid_csv(tmp_path, text):
@@ -422,7 +455,7 @@ def test_jacobi_rule_cache_stays_bounded_across_hurst_indices():
     jacobi01.cache_clear()
     basis = BasisFamily("cosine", 1.0)
     for hurst in np.linspace(0.55, 0.95, 30):
-        solve_picard(fbm_kernel_spec(hurst, 1.0), basis, Truncation(2, 1), [1.0], panels=4, nodes=4)
+        solve_picard(fbm_kernel_spec(hurst, 1.0), basis, Truncation(2, 1), [1.0], uniform=2, layers=2, nodes=4)
     info = jacobi01.cache_info()
     assert info.misses > info.maxsize
     assert info.currsize <= info.maxsize

@@ -267,7 +267,7 @@ def _kernels(grid_kernel):
 
 @pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
 def test_integration_matrix_matches_row_loop(basis, grid_kernel):
-    cgrid = _CollocationGrid(1.0, 6, 5)
+    cgrid = _CollocationGrid(1.0, 3, 3, 5)  # 6 panels: 2 equal ones, the first split into 4
     for name, kernel in _kernels(grid_kernel):
         modes = (1, 3)
         batched = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
@@ -283,9 +283,9 @@ def test_integration_matrix_matches_row_loop(basis, grid_kernel):
 
 
 def test_integration_matrix_default_mesh_fbm():
-    # the solver's own mesh: 48 graded panels of 12 nodes
+    # the solver's own mesh: 6 equal panels, the first split into 12 geometric layers, 20 nodes each
     basis, kernel = BASES[0], fbm_kernel_spec(0.7, 1.0)
-    cgrid = _CollocationGrid(1.0, 48, 12)
+    cgrid = _CollocationGrid(1.0, 6, 12, 20)
     gamma0, psi = kmk_factor(kernel, basis, 2)
     ref = ref_integration_matrix(cgrid, gamma0, psi)
     (ops_k,) = _integration_matrix(cgrid, gamma0, lambda s: kernel.psi(basis, (2,), s))
@@ -297,7 +297,7 @@ def test_integration_matrix_default_mesh_fbm():
 @pytest.mark.parametrize("kernel", [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0)], ids=["brownian", "fbm"])
 def test_integration_matrix_on_one_panel(kernel):
     # for fBm the first panel's Gauss-Jacobi rule is then the whole operator
-    basis, cgrid = BASES[1], _CollocationGrid(1.0, 1, 6)
+    basis, cgrid = BASES[1], _CollocationGrid(1.0, 1, 0, 6)
     (ops_k,) = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, (2,), s))
     gamma0, psi = kmk_factor(kernel, basis, 2)
     ref = ref_integration_matrix(cgrid, gamma0, psi)
@@ -308,15 +308,15 @@ def test_integration_matrix_on_one_panel(kernel):
 
 @pytest.mark.parametrize("kernel", [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0)], ids=["brownian", "fbm"])
 def test_integration_matrix_asks_psi_only_for_the_whole_panel_nodes(kernel):
-    # 48 panels x 32 sub-nodes, against 48 x 13 x 32 when every sub-quadrature called psi
-    basis, cgrid, asked = BASES[0], _CollocationGrid(1.0, 48, 12), []
+    # 18 panels x 32 sub-nodes, against 18 x 21 x 32 when every sub-quadrature called psi
+    basis, cgrid, asked = BASES[0], _CollocationGrid(1.0, 6, 12, 20), []
 
     def counting_psi(s):
         asked.append(len(s))
         return kernel.psi(basis, (1, 2, 3), s)
 
     _integration_matrix(cgrid, kernel.gamma0, counting_psi)
-    assert sum(asked) == 48 * _SUB_NODES == 1536
+    assert sum(asked) == 18 * _SUB_NODES == 576
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def test_batched_psi_and_mtilde_bit_equal_to_per_mode(basis, name, grid_kernel):
         per_t = np.array([kernel.mtilde(basis, k, np.array([t]))[0] for t in times])
         assert kernel.mtilde(basis, k, times).tobytes() == per_t.tobytes(), k
     # the integration operators of all modes, built together, against each mode built alone
-    cgrid = _CollocationGrid(1.0, 3, 4)
+    cgrid = _CollocationGrid(1.0, 2, 1, 4)
     together = _integration_matrix(cgrid, kernel.gamma0, lambda x: kernel.psi(basis, modes, x))
     for k, got in zip(modes, together):
         (alone,) = _integration_matrix(cgrid, kernel.gamma0, lambda x: kernel.psi(basis, (k,), x))
@@ -406,9 +406,9 @@ def test_mtilde_table_near_the_product_rule(basis, hurst):
 def test_picard_grades_match_alpha_loop(kernel, shape):
     basis, trunc = BASES[0], Truncation(*shape)
     times = np.linspace(0.0, 1.0, 17)
-    panels, nodes = 8, 6
-    sol = solve_picard(kernel, basis, trunc, times, panels=panels, nodes=nodes)
-    cgrid = _CollocationGrid(1.0, panels, nodes)
+    uniform, layers, nodes = 4, 4, 6
+    sol = solve_picard(kernel, basis, trunc, times, uniform=uniform, layers=layers, nodes=nodes)
+    cgrid = _CollocationGrid(1.0, uniform, layers, nodes)
     modes = np.arange(1, trunc.modes + 1)
     w_k = [_dense(ops_k) for ops_k in _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))]
     ref = cgrid.interp_matrix(times) @ ref_picard_nodes(w_k, trunc).T

@@ -66,10 +66,27 @@ def test_picard_matches_closed_form(kernel):
     grid = np.linspace(0.0, 1.0, 33)
     closed = solve_closed_form(kernel, BASIS, trunc, grid)
     picard = solve_picard(kernel, BASIS, trunc, grid)
-    assert np.max(np.abs(closed.coeffs - picard.coeffs)) < 1e-8
+    assert np.max(np.abs(closed.coeffs - picard.coeffs)) < 1e-11
     # each row is the Wick exponential of that time's M~, bit for bit
     for row, mt in zip(closed.coeffs, closed.mtilde):
         assert np.array_equal(row, wick_exp_first_chaos(mt, trunc).vec)
+
+
+SWEEP_HURSTS = (0.51, 0.55, 0.75, 0.95, 0.999)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [brownian_kernel(1.0)] + [fbm_kernel_spec(h, 1.0) for h in SWEEP_HURSTS],
+    ids=["brownian"] + [f"fbm-{h}" for h in SWEEP_HURSTS],
+)
+@pytest.mark.parametrize("kind", ["cosine", "legendre"])
+def test_picard_matches_closed_form_across_hurst_indices(kernel, kind):
+    # on the old 48-panel graded mesh fBm stalled near 1e-8 (7.6e-9 at H 0.55, Legendre); 2.5e-12 measured here
+    basis, trunc, grid = BasisFamily(kind, 1.0), Truncation(8, 4), np.linspace(0.0, 1.0, 129)
+    closed = solve_closed_form(kernel, basis, trunc, grid)
+    picard = solve_picard(kernel, basis, trunc, grid)
+    assert np.max(np.abs(closed.coeffs - picard.coeffs)) <= 1e-11
 
 
 def test_picard_zero_order_row_is_one():
@@ -83,14 +100,25 @@ def test_picard_refinement_consistency():
     grid = np.linspace(0.0, 1.0, 17)
     kernel = fbm_kernel_spec(0.75, 1.0)
     coarse = solve_picard(kernel, BASIS, trunc, grid)
-    fine = solve_picard(kernel, BASIS, trunc, grid, panels=96)
-    assert np.max(np.abs(coarse.coeffs - fine.coeffs)) < 1e-9
+    fine = solve_picard(kernel, BASIS, trunc, grid, uniform=9, layers=16)
+    assert np.max(np.abs(coarse.coeffs - fine.coeffs)) < 1e-12
 
 
-@pytest.mark.parametrize("panels, nodes", [(0, 12), (-1, 12), (48, 0)])
-def test_picard_rejects_an_empty_mesh(panels, nodes):
+@pytest.mark.parametrize("horizon, uniform, layers", [(1.0, 6, 12), (0.7, 3, 5), (2.5, 7, 1), (1e-3, 1, 20)])
+def test_collocation_mesh_edges(horizon, uniform, layers):
+    grid = sde._CollocationGrid(horizon, uniform, layers, 4)
+    h = horizon / uniform
+    assert grid.panels == uniform + layers == len(grid.edges) - 1
+    assert np.all(np.diff(grid.edges) > 0)
+    assert grid.edges[0] == 0.0 and grid.edges[-1] == horizon
+    assert grid.edges[1] == pytest.approx(h * sde._RATIO**layers, rel=1e-15)
+    np.testing.assert_allclose(grid.edges[layers + 1 :], h * np.arange(1, uniform + 1), rtol=1e-15)
+
+
+@pytest.mark.parametrize("name, value", [(name, value) for name in ("uniform", "layers", "nodes") for value in (0, -1)])
+def test_picard_rejects_an_empty_mesh(name, value):
     with pytest.raises(ConfigurationError):
-        solve_picard(brownian_kernel(1.0), BASIS, Truncation(2, 2), [0.0, 1.0], panels=panels, nodes=nodes)
+        solve_picard(brownian_kernel(1.0), BASIS, Truncation(2, 2), [0.0, 1.0], **{name: value})
 
 
 BAD_TIMES = [(kernel, bad) for kernel in (brownian_kernel(1.0), fbm_kernel_spec(0.75, 1.0)) for bad in (1.5, math.nan, -0.1)]
@@ -128,13 +156,13 @@ def _peak_of_a_warm_picard_solve(kernel, shape, points):
 
 
 def test_picard_peak_memory():
-    # eight dense (576, 576) integration matrices alone would take 21 MB
+    # eight dense (360, 360) integration matrices alone would take 8.3 MB; 4.1 MB measured
     peak = _peak_of_a_warm_picard_solve(brownian_kernel(1.0), (8, 4), 257)
     assert peak <= 10e6, peak
 
 
 def test_picard_peak_memory_fbm():
-    # one psi call over every table point would peak at 5.7 MB: psi runs in blocks of panels
+    # psi runs in blocks of panels: 1.9 MB measured, 2.1 MB with one psi call over every table point
     peak = _peak_of_a_warm_picard_solve(fbm_kernel_spec(0.7, 1.0), (6, 4), 129)
     assert peak <= 4e6, peak
 
