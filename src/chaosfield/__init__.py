@@ -31,7 +31,6 @@ from .integrals import (
 )
 from .kernels import (
     KernelSpec,
-    brownian_covariance,
     brownian_kernel,
     covariance_from_kernel,
     fbm_c_h,
@@ -43,7 +42,6 @@ from .kernels import (
     grid_kernel_from_csv,
     hr_gram,
     k1_empirical,
-    k_mk,
     m_tilde,
     op_norm_bound,
     op_norm_estimate,

@@ -9,7 +9,6 @@ evaluation all act on that vector; MultiIndex keys serve input and output.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -117,10 +116,6 @@ class ChaosExpansion:
     def constant(trunc: Truncation, c: float) -> "ChaosExpansion":
         return ChaosExpansion(trunc, {MultiIndex.zero(): float(c)})
 
-    @staticmethod
-    def basis_element(trunc: Truncation, alpha: MultiIndex) -> "ChaosExpansion":
-        return ChaosExpansion(trunc, {alpha: 1.0})
-
     def to_dict(self) -> dict:
         return {
             "trunc": {"modes": self.trunc.modes, "max_order": self.trunc.max_order},
@@ -141,13 +136,6 @@ class ChaosExpansion:
             alpha, value = _fields(item, ("alpha", "value"), "a coefficient")
             coeffs[_read_alpha(alpha, trunc)] = _read_value(value)
         return ChaosExpansion(trunc, coeffs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str) -> "ChaosExpansion":
-        return ChaosExpansion.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)
@@ -174,11 +162,6 @@ class HValuedChaos:
 
     def norm_squared(self) -> float:
         return float(np.sum(self.coeffs**2))
-
-    @staticmethod
-    def zeros(trunc: Truncation, basis=None) -> "HValuedChaos":
-        _tables(trunc)  # checks the truncation's size before allocating
-        return HValuedChaos(trunc, np.zeros((trunc.size(), trunc.modes)), basis)
 
     def to_dict(self) -> dict:
         alphas = _tables(self.trunc).alphas

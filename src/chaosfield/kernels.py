@@ -533,14 +533,18 @@ def grid_kernel_from_csv(path) -> KernelSpec:
         slope = (grid_k[b, cols] - grid_k[a, cols]) / (t_grid[b] - t_grid[a] + (b == a))  # 0 / 1 where b == a
         line = grid_k[a, cols] + (t_grid[:, None] - t_grid[a]) * slope
         grid_k[:, cols] = np.where(np.arange(len(t_grid))[:, None] < a, line, grid_k[:, cols])
-    from scipy.interpolate import RegularGridInterpolator  # the library's one scipy use
-
-    interp = RegularGridInterpolator((t_grid, s_grid), grid_k, bounds_error=False, fill_value=None)
     h = float(np.min(np.diff(t_grid)))
 
     def values(t, s):
         t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-        out = interp(np.stack([t, s], axis=-1)).reshape(s.shape)
+        # bilinear on the cell holding (t, s), continued linearly outside the grid; the corner terms are
+        # added from 0.0 in RegularGridInterpolator's order, so the bits equal its "linear" method's
+        i = np.clip(np.searchsorted(t_grid, t, side="right") - 1, 0, len(t_grid) - 2)
+        j = np.clip(np.searchsorted(s_grid, s, side="right") - 1, 0, len(s_grid) - 2)
+        y0 = (t - t_grid[i]) / (t_grid[i + 1] - t_grid[i])
+        y1 = (s - s_grid[j]) / (s_grid[j + 1] - s_grid[j])
+        out = 0.0 + grid_k[i, j] * (1 - y0) * (1 - y1) + grid_k[i, j + 1] * (1 - y0) * y1
+        out = out + grid_k[i + 1, j] * y0 * (1 - y1) + grid_k[i + 1, j + 1] * y0 * y1
         return np.where(s > t, 0.0, out) if adapted else out
 
     def diag_limit(s):
@@ -682,11 +686,6 @@ def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512, max_iter: int = 5000
 # covariance functions
 
 
-def brownian_covariance():
-    """R(t, s) = min(t, s) as a callable."""
-    return np.minimum
-
-
 def fbm_covariance(hurst: float):
     """R(t, s) = (|t|^2H + |s|^2H - |t - s|^2H) / 2 as a callable."""
     _check_hurst(hurst)
@@ -765,12 +764,3 @@ def _mtilde_table(kernel: KernelSpec, basis: BasisFamily, modes: int, times) -> 
 def kmk_factor(kernel: KernelSpec, basis: BasisFamily, k: int):
     """(gamma0, psi) with (K m_k)(s) = s^gamma0 * psi(s), psi smooth at 0 and taking a 1-D array s."""
     return kernel.gamma0, lambda s: kernel.psi(basis, (k,), np.atleast_1d(np.asarray(s, dtype=float)))[0]
-
-
-def k_mk(kernel: KernelSpec, basis: BasisFamily, k: int, s):
-    """(K m_k)(s): the kernel image of a basis function, vectorized over s."""
-    gamma0, psi = kmk_factor(kernel, basis, k)
-    s = np.asarray(s, dtype=float)
-    ss = np.atleast_1d(s)
-    val = ss**gamma0 * psi(ss)
-    return float(val[0]) if s.ndim == 0 else val

@@ -104,34 +104,12 @@ class MultiIndex:
             total += a
         return total
 
-    def factorial_log(self) -> float:
-        """log(alpha!) = sum_k log(alpha_k!), left to right (the built-in sum compensates on Python >= 3.12)."""
-        total = 0.0
-        for _, a in self.entries:
-            total += math.lgamma(a + 1)
-        return total
-
     def add(self, other: "MultiIndex") -> "MultiIndex":
         """Entrywise sum alpha + beta."""
         merged = dict(self.entries)
         for k, a in other.entries:
             merged[k] = merged.get(k, 0) + a
         return MultiIndex(tuple(sorted(merged.items())))
-
-    def sub_eps(self, k: int):
-        """alpha - eps_k, or None when alpha_k = 0 (coefficient is zero downstream)."""
-        out = []
-        found = False
-        for pos, a in self.entries:
-            if pos == k:
-                found = True
-                if a > 1:
-                    out.append((pos, a - 1))
-            else:
-                out.append((pos, a))
-        if not found:
-            return None
-        return MultiIndex(tuple(out))
 
     def add_eps(self, k: int) -> "MultiIndex":
         return self.add(MultiIndex.eps(k))
@@ -245,7 +223,7 @@ def _half_plan(modes: int, offset: int, trunc: Truncation) -> tuple:
 
 
 def _log_factorial(rows: np.ndarray) -> np.ndarray:
-    """log(alpha!) per row, summed position by position as ``MultiIndex.factorial_log`` does."""
+    """log(alpha!) per row: sum_k lgamma(alpha_k + 1), added position by position from k = 1."""
     lgamma = np.array([math.lgamma(a + 1) for a in range(int(rows.max(initial=0)) + 1)])
     out = np.zeros(len(rows))
     for k in range(rows.shape[1]):

@@ -384,12 +384,6 @@ class _CollocationGrid:
         return out.reshape(len(times), -1)
 
 
-# panels of psi-table points per psi call: an fBm call's (modes, points, 48) temporaries
-# stay near 1 MB (8 panels of 32 points: 0.6 MB at 6 modes); one call for all 18 panels of
-# the default mesh takes a warm fBm (6, 4) solve's traced peak from 1.9 to 2.1 MB
-_PSI_BLOCK = 8
-
-
 @lru_cache(maxsize=8)  # one key per (nodes, sub) in use; the default mesh's tables take 0.29 MB
 def _sub_node_tables(nodes: int, sub: int):
     """(frac, xi, lt, l) of ``_integration_matrix``: they depend on the two node counts only, so they are read-only."""
@@ -435,8 +429,7 @@ def _integration_matrix(grid: _CollocationGrid, gamma0: float, psi) -> np.ndarra
         vj, wj = jacobi01(sub, 0.0, gamma0)
     # psi on the table only: the first panel's Gauss-Jacobi nodes b_0 vj if it has them, then the whole-panel nodes
     points = np.concatenate(([grid.edges[1] * vj] if first else []) + [s[:, q].ravel()])
-    step = _PSI_BLOCK * sub
-    table = np.concatenate([psi(points[i : i + step]) for i in range(0, len(points), step)], axis=1)
+    table = psi(points)
     modes = len(table)
     # the mode axis stays a batch axis in every product, so each mode's bits do not depend on the others
     mt = s**gamma0 * (table[:, first * sub :].reshape(modes, len(s), sub) @ lt).reshape((modes,) + s.shape)

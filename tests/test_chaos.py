@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -59,7 +60,7 @@ def test_json_roundtrip():
     f = ChaosExpansion(
         trunc, {MultiIndex.zero(): 1.0, MultiIndex.eps(1).add_eps(3): 0.25}
     )
-    g = ChaosExpansion.from_json(f.to_json())
+    g = ChaosExpansion.from_dict(json.loads(json.dumps(f.to_dict())))
     assert g.trunc == trunc
     assert g.coeffs == f.coeffs
 
@@ -67,8 +68,8 @@ def test_json_roundtrip():
 def test_wick_product_basis_rule():
     # xi_alpha wick xi_beta = sqrt((a+b)!/(a!b!)) xi_{alpha+beta}
     trunc = Truncation(1, 5)
-    f = ChaosExpansion.basis_element(trunc, MultiIndex.single(1, 2))
-    g = ChaosExpansion.basis_element(trunc, MultiIndex.single(1, 3))
+    f = ChaosExpansion(trunc, {MultiIndex.single(1, 2): 1.0})
+    g = ChaosExpansion(trunc, {MultiIndex.single(1, 3): 1.0})
     prod = wick_product(f, g)
     expected = math.sqrt(math.factorial(5) / (math.factorial(2) * math.factorial(3)))
     assert prod.get(MultiIndex.single(1, 5)) == pytest.approx(expected, rel=1e-14)
@@ -84,7 +85,7 @@ def test_wick_product_mean_multiplicative():
 
 def test_wick_product_dropped_mass():
     trunc = Truncation(1, 1)
-    f = ChaosExpansion.basis_element(trunc, MultiIndex.eps(1))
+    f = ChaosExpansion(trunc, {MultiIndex.eps(1): 1.0})
     prod, dropped = wick_product(f, f, return_dropped=True)
     # xi_1 wick xi_1 = sqrt(2) xi_{2 eps_1}, entirely outside order 1
     assert prod.coeffs == {}
@@ -116,11 +117,11 @@ def test_wick_exp_is_exponential_under_wick_product():
 
 def test_xi_alpha_eval_hermite():
     z = np.array([1.3, -0.4])
-    xi = ChaosExpansion.basis_element(Truncation(2, 2), MultiIndex.single(1, 2))
+    xi = ChaosExpansion(Truncation(2, 2), {MultiIndex.single(1, 2): 1.0})
     # H_2(z)/sqrt(2!) = (z^2 - 1)/sqrt(2)
     assert chaos_eval(xi, z) == pytest.approx((1.3**2 - 1) / math.sqrt(2))
     with pytest.raises(DimensionError):
-        chaos_eval(ChaosExpansion.basis_element(Truncation(5, 1), MultiIndex.eps(5)), z)
+        chaos_eval(ChaosExpansion(Truncation(5, 1), {MultiIndex.eps(5): 1.0}), z)
 
 
 def test_chaos_eval_matches_sum():
@@ -166,14 +167,9 @@ def test_chaos_eval_rejects_nonfinite_samples(bad):
         chaos_eval(f, z[2])
 
 
-def test_hvalued_zeros_rejects_oversized_truncation():
-    with pytest.raises(ConfigurationError):
-        HValuedChaos.zeros(Truncation(40, 10))
-
-
 def test_malliavin_derivative_annihilates():
     trunc = Truncation(2, 3)
-    f = ChaosExpansion.basis_element(trunc, MultiIndex.from_dense([2, 1]))
+    f = ChaosExpansion(trunc, {MultiIndex.from_dense([2, 1]): 1.0})
     d = malliavin_derivative(f)
     # D at beta = alpha - eps_k has weight sqrt(alpha_k)
     imap = index_map(d.trunc)

@@ -22,7 +22,7 @@ from chaosfield.chaos import (
     wick_product,
 )
 from chaosfield.integrals import ito_integral, malliavin_trace, strat_integral, strat_via_trace
-from chaosfield.multiindex import Truncation, enumerate_multiindices, index_map
+from chaosfield.multiindex import MultiIndex, Truncation, enumerate_multiindices, index_map
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 # zero or 0.01 <= |x| <= 2: products of a few coefficients stay far from underflow
@@ -59,6 +59,23 @@ def ref_ito(eta):
     )
 
 
+def sub_eps(alpha, k):
+    """alpha - eps_k, or None when alpha_k = 0."""
+    if alpha.get(k) == 0:
+        return None
+    dense = list(alpha.dense(alpha.max_support))
+    dense[k - 1] -= 1
+    return MultiIndex.from_dense(dense)
+
+
+def factorial_log(alpha):
+    """log(alpha!) = sum_k log(alpha_k!), added left to right."""
+    total = 0.0
+    for _, a in alpha.entries:
+        total += math.lgamma(a + 1)
+    return total
+
+
 def ref_trace(eta):
     trunc = eta.trunc
     out = {}
@@ -68,7 +85,7 @@ def ref_trace(eta):
             v = row[k - 1]
             if v == 0.0:
                 continue
-            beta = alpha.sub_eps(k)
+            beta = sub_eps(alpha, k)
             out[beta] = out.get(beta, 0.0) + math.sqrt(a) * v
     return ChaosExpansion(trunc, {a: c for a, c in out.items() if c != 0.0})
 
@@ -87,7 +104,7 @@ def ref_strat(eta):
                 out[up] = out.get(up, 0.0) + math.sqrt(up.get(k)) * v
             a = alpha.get(k)
             if a >= 1:
-                down = alpha.sub_eps(k)
+                down = sub_eps(alpha, k)
                 out[down] = out.get(down, 0.0) + math.sqrt(a) * v
     return ChaosExpansion(trunc, {a: c for a, c in out.items() if c != 0.0})
 
@@ -98,7 +115,7 @@ def ref_malliavin(f):
     imap = index_map(trunc)
     for alpha, coef in f.coeffs.items():
         for k, a in alpha.entries:
-            out[imap[alpha.sub_eps(k)], k - 1] += math.sqrt(a) * coef
+            out[imap[sub_eps(alpha, k)], k - 1] += math.sqrt(a) * coef
     return out
 
 
@@ -107,10 +124,10 @@ def ref_wick(f, g):
     n_max = f.trunc.max_order
     out, dropped = {}, {}
     for alpha, fa in f.coeffs.items():
-        la = alpha.factorial_log()
+        la = factorial_log(alpha)
         for beta, gb in g.coeffs.items():
             gamma = alpha.add(beta)
-            factor = math.exp(0.5 * (gamma.factorial_log() - la - beta.factorial_log()))
+            factor = math.exp(0.5 * (factorial_log(gamma) - la - factorial_log(beta)))
             target = out if gamma.order() <= n_max else dropped
             target[gamma] = target.get(gamma, 0.0) + fa * gb * factor
     result = ChaosExpansion(f.trunc, {a: c for a, c in out.items() if c != 0.0})

@@ -47,7 +47,7 @@ def test_deterministic_integrand_first_chaos():
 
 def test_zero_integrand():
     trunc = Truncation(2, 2)
-    eta = HValuedChaos.zeros(trunc)
+    eta = HValuedChaos(trunc, np.zeros((trunc.size(), trunc.modes)))
     assert ito_integral(eta).coeffs == {}
     assert strat_integral(eta).coeffs == {}
 

@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import RegularGridInterpolator
 from scipy.special import roots_jacobi
 
 from chaosfield.basis import BasisFamily, _on_live_rows, jacobi01, quad_singular_smooth
 from chaosfield.errors import ConfigurationError, DomainError, InvalidCovarianceError
 from chaosfield.kernels import (
     KernelSpec,
-    brownian_covariance,
     brownian_kernel,
     covariance_from_kernel,
     fbm_c_h,
@@ -23,7 +23,7 @@ from chaosfield.kernels import (
     grid_kernel_from_csv,
     hr_gram,
     k1_empirical,
-    k_mk,
+    kmk_factor,
     discretize_kstar,
     m_tilde,
     op_norm_bound,
@@ -94,8 +94,8 @@ def test_fbm_psi_matches_generic_factorisation():
     exact = s**kernel.gamma0 * kernel.psi(basis, ks, s)
     assert exact == pytest.approx(generic.psi(basis, ks, s), rel=1e-7, abs=1e-8)
     for k in ks:
-        for x in s:
-            assert k_mk(kernel, basis, k, x) == pytest.approx(k_mk(generic, basis, k, x), rel=1e-7, abs=1e-8)
+        (g_exact, psi_exact), (g_generic, psi_generic) = kmk_factor(kernel, basis, k), kmk_factor(generic, basis, k)
+        assert s**g_exact * psi_exact(s) == pytest.approx(s**g_generic * psi_generic(s), rel=1e-7, abs=1e-8)
 
 
 def test_fbm_mtilde_first_mode_analytic():
@@ -263,7 +263,7 @@ def test_op_norm_estimate_raises_without_convergence():
 
 
 def test_hr_gram():
-    g = hr_gram(brownian_covariance(), [0.25, 0.5, 1.0])
+    g = hr_gram(np.minimum, [0.25, 0.5, 1.0])
     assert g[0, 2] == 0.25
     assert np.all(np.linalg.eigvalsh(g) >= -1e-12)
     bad = lambda t, s: np.where(t != s, -1.0, 0.0)  # noqa: E731
@@ -290,6 +290,29 @@ def test_grid_kernel_from_csv(tmp_path):
     for spec in (brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0), kernel):
         assert isinstance(spec.diag_limit(s), np.ndarray) and spec.diag_limit(s).shape == (3,)
         assert isinstance(spec.dt_eval(t, s), np.ndarray) and spec.dt_eval(t, s).shape == (2, 3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_grid_kernel_interpolant_equals_scipy_bit_for_bit(tmp_path, seed):
+    # scipy's RegularGridInterpolator (linear, extrapolating) is the reference only: on a random
+    # rectilinear grid the interpolant matches it at random points, every node, the last node and
+    # points outside the grid on every side
+    rng = np.random.default_rng(seed)
+    t_grid, s_grid = (np.append(0.0, np.cumsum(rng.uniform(0.01, 1.0, rng.integers(1, 12)))) for _ in range(2))
+    table = rng.standard_normal((len(t_grid), len(s_grid)))
+    path = tmp_path / "kernel.csv"
+    with open(path, "w") as fh:
+        fh.write("t_s," + ",".join(repr(float(s)) for s in s_grid) + "\n")
+        for t, row in zip(t_grid, table):
+            fh.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    kernel = grid_kernel_from_csv(path)
+    assert not kernel.adapted  # so the table is interpolated as written
+    nodes_t, nodes_s = (g.ravel() for g in np.meshgrid(t_grid, s_grid, indexing="ij"))
+    spread_t, spread_s = (rng.uniform(-0.5 * g[-1], 1.5 * g[-1], 2000) for g in (t_grid, s_grid))
+    t = np.concatenate([spread_t, nodes_t, t_grid[-1:], [-1.0, t_grid[-1] + 1.0, 0.5 * t_grid[-1]]])
+    s = np.concatenate([spread_s, nodes_s, s_grid[-1:], [0.5 * s_grid[-1], -1.0, s_grid[-1] + 1.0]])
+    reference = RegularGridInterpolator((t_grid, s_grid), table, bounds_error=False, fill_value=None)
+    assert kernel.eval(t, s).tobytes() == reference(np.stack([t, s], axis=-1)).tobytes()
 
 
 def _lower(t, s, value):

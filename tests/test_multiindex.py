@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from chaosfield.errors import ConfigurationError
-from chaosfield.multiindex import MultiIndex, Truncation, _exponents, enumerate_multiindices, index_map
+from chaosfield.multiindex import (
+    MultiIndex,
+    Truncation,
+    _exponents,
+    _log_factorial,
+    _tables,
+    enumerate_multiindices,
+    index_map,
+)
 
 
 def test_zero_and_eps():
@@ -27,18 +35,21 @@ def test_from_dense_roundtrip():
 
 
 def test_factorial_log():
-    a = MultiIndex.from_dense([3, 2])
-    assert a.factorial_log() == pytest.approx(math.log(6) + math.log(2))
+    assert _log_factorial(np.array([[3, 2], [0, 4]])) == pytest.approx([math.log(6) + math.log(2), math.log(24)])
 
 
 def test_add_sub():
     a = MultiIndex.from_dense([1, 1])
     b = a.add_eps(1)
     assert b.dense(2) == (2, 1)
-    assert b.sub_eps(1) == a
-    assert a.sub_eps(3) is None
     c = a.add(MultiIndex.from_dense([0, 2, 1]))
     assert c.dense(3) == (1, 3, 1)
+    # the index tables' alpha - eps_k: row of b minus eps_1 is a's, and a has no eps_3 to take
+    trunc = Truncation(3, 3)
+    imap = index_map(trunc)
+    down = _tables(trunc).down
+    assert down[imap[b], 0] == imap[a]
+    assert down[imap[a], 2] == -1
 
 
 def test_truncation_size():

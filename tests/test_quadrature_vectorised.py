@@ -46,6 +46,7 @@ from chaosfield.sde import (
     solve_closed_form,
     solve_picard,
 )
+from test_chaos_tables import sub_eps
 
 EPS = float(np.finfo(float).eps)
 BASES = [BasisFamily("cosine", 1.0), BasisFamily("legendre", 1.0)]
@@ -175,7 +176,7 @@ def ref_picard_nodes(w_k, trunc):
             continue
         acc = np.zeros(u.shape[1])
         for k, a in alpha.entries:
-            acc += math.sqrt(a) * (w_k[k - 1] @ u[imap[alpha.sub_eps(k)]])
+            acc += math.sqrt(a) * (w_k[k - 1] @ u[imap[sub_eps(alpha, k)]])
         u[j] = acc
     return u
 

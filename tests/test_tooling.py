@@ -3,9 +3,10 @@ fresh interpreter, the benchmark's per-layer span names against the
 library's public API, the kernel protocol's rule that no consumer branches
 on what a kernel supplied, the rule that every defaulted parameter of a
 public function is set by some call, the rules that the library never calls
-the built-in sum or quad_singular, that it imports scipy only for the
-grid kernel, that every kernel spec's M~ goes through the one memo, and
-that the sde CSV's coefficients come from the numpy formatter, not repr."""
+the built-in sum or quad_singular, that it imports no scipy and declares
+exactly its third-party imports as runtime dependencies, that every kernel
+spec's M~ goes through the one memo, and that the sde CSV's coefficients
+come from the numpy formatter, not repr."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -59,6 +61,28 @@ def test_command_leaves_scipy_unloaded(name, tmp_path):
     proc = _run(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
+
+
+def test_grid_kernel_leaves_scipy_unloaded(tmp_path):
+    # the grid kernel's bilinear interpolant is numpy's searchsorted and four corner terms: building
+    # one from a CSV, its psi, M~ and a closed-form solve load no module of scipy
+    grid = np.linspace(0.0, 1.0, 9).tolist()
+    lines = ["t_s," + ",".join(map(repr, grid))]
+    lines += [f"{t!r}," + ",".join(repr(1.0 + s - t if s <= t else 0.0) for s in grid) for t in grid]
+    (tmp_path / "kernel.csv").write_text("\n".join(lines) + "\n")
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from chaosfield import BasisFamily, Truncation, grid_kernel_from_csv, solve_closed_form\n"
+        f"kernel = grid_kernel_from_csv({str(tmp_path / 'kernel.csv')!r})\n"
+        "basis, t = BasisFamily('cosine'), np.linspace(0.0, 1.0, 17)\n"
+        "values = [kernel.psi(basis, [1, 2], t), kernel.mtilde(basis, [1, 2], t)]\n"
+        "values.append(solve_closed_form(kernel, basis, Truncation(2, 2), t).coeffs)\n"
+        "print(all(np.all(np.isfinite(v)) for v in values), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = _run(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True []"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -209,36 +233,41 @@ def test_library_makes_no_quad_singular_call():
     assert _quad_singular_calls(ast.parse(sample)) == [1, 2]
 
 
-def _scipy_imports(tree):
-    # (line, enclosing function) of each import of scipy or one of its modules
+def _top_level_imports(tree):
+    # (line, top-level package) of each absolute import, at module level or inside a function
     found = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = node.name
-        names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
-        if isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module or ""]
-        if any(name.split(".")[0] == "scipy" for name in names):
-            found.append((node.lineno, scope))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, None)
-    return found
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return sorted(found)
 
 
-def test_library_imports_scipy_only_for_the_grid_kernel():
-    # the Brownian and fBm paths run on numpy and math alone; RegularGridInterpolator is the one scipy use left
-    found = {
-        path.name: hits
+def _library_imports():
+    return {
+        path.name: _top_level_imports(ast.parse(path.read_text()))
         for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
-        if (hits := [hit for hit in _scipy_imports(ast.parse(path.read_text())) if hit[1] != "grid_kernel_from_csv"])
     }
-    assert found == {}
-    # the check sees each spelling at module level and inside a function, and leaves other modules alone
-    sample = "import scipy\nfrom scipy.special import gamma\ndef f():\n    import scipy.linalg as la\nimport numpy"
-    assert _scipy_imports(ast.parse(sample)) == [(1, None), (2, None), (4, "f")]
+
+
+def test_library_imports_no_scipy():
+    # the library runs on numpy and the standard library alone; scipy is a reference for the tests only
+    found = [(name, line) for name, imports in _library_imports().items() for line, pkg in imports if pkg == "scipy"]
+    assert found == []
+    # the check sees each spelling at module level and inside a function, and leaves relative imports alone
+    sample = "import scipy\nfrom scipy.special import gamma\ndef f():\n    import scipy.linalg as la\nfrom .kernels import x"
+    assert _top_level_imports(ast.parse(sample)) == [(1, "scipy"), (2, "scipy"), (4, "scipy")]
+
+
+def test_runtime_dependencies_are_the_library_third_party_imports():
+    # pyproject.toml's runtime dependencies are exactly the packages the library imports beyond the
+    # standard library, so a new import cannot ship undeclared and a dropped one cannot linger
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
+    imported = {pkg for imports in _library_imports().values() for _, pkg in imports}
+    assert declared == imported - set(sys.stdlib_module_names) == {"numpy"}
 
 
 def test_every_kernel_spec_exposes_its_mtilde_memo(tmp_path):
