@@ -210,34 +210,34 @@ class BasisFamily:
         return val if np.asarray(val).ndim else float(val)
 
 
-def quad_singular(f, a, b, gamma: float, rule: QuadratureRule = DEFAULT_RULE):
+def quad_singular(f, a, b, gamma: float):
     """Integrate f over [a, b] where f(tau) = (tau - a)^gamma * g(tau), g smooth, gamma in (-1, 0].
 
     ``quad_singular_smooth`` on g = f (tau - a)^(-gamma): the singular factor
     is divided out of f and weighted exactly again.  The library calls
     ``quad_singular_smooth`` with its cofactor directly.
     """
-    return quad_singular_smooth(lambda tau: f(tau) * (tau - np.expand_dims(a, -1)) ** -gamma, a, b, gamma, rule)
+    return quad_singular_smooth(lambda tau: f(tau) * (tau - np.expand_dims(a, -1)) ** -gamma, a, b, gamma)
 
 
-def quad_singular_smooth(g, a, b, gamma: float, rule: QuadratureRule = DEFAULT_RULE):
+def quad_singular_smooth(g, a, b, gamma: float):
     """Integrate (tau - a)^gamma * g(tau) over [a, b], g the smooth cofactor.
 
-    Gauss-Jacobi quadrature with the weight v^gamma built in: the singular
-    factor is exact and never reconstructed by subtraction, so the result
-    converges spectrally in the number of nodes for analytic g, and stays
-    accurate when the endpoint sits far from zero.  gamma = 0 means no
-    singularity: the result is ``rule.integrate(g, a, b)``.  Endpoints
-    broadcast as in ``QuadratureRule``.
+    96-node Gauss-Jacobi quadrature with the weight v^gamma built in: the
+    singular factor is exact and never reconstructed by subtraction, so the
+    result converges spectrally in the number of nodes for analytic g, and
+    stays accurate when the endpoint sits far from zero.  gamma = 0 means no
+    singularity: the result is ``DEFAULT_RULE.integrate(g, a, b)``.
+    Endpoints broadcast as in ``QuadratureRule``.
     """
     if gamma == 0.0:
-        return rule.integrate(g, a, b)
+        return DEFAULT_RULE.integrate(g, a, b)
     if gamma <= -1.0:
         raise DomainError("exponent must be > -1 for an integrable singularity")
     live = np.greater(b, a)
     if not np.any(live):
         return _on_live_rows(0.0, live)
-    v, w = jacobi01(min(rule.panels * rule.nodes, 96), 0.0, gamma)
+    v, w = jacobi01(96, 0.0, gamma)
     length = np.maximum(b - a, 0.0)
     pos = np.expand_dims(a, -1) + np.expand_dims(length, -1) * v
     return _on_live_rows(length ** (gamma + 1.0) * _dot_rows(w, g(pos)), live)

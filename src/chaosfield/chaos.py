@@ -97,10 +97,6 @@ class ChaosExpansion:
             raise DomainError("scale factor must be finite")
         return ChaosExpansion.from_dense(self.trunc, c * self.vec)
 
-    def dense(self) -> np.ndarray:
-        """Writable copy of the coefficient vector."""
-        return self.vec.copy()
-
     @staticmethod
     def from_dense(trunc: Truncation, vec) -> "ChaosExpansion":
         """Expansion with a copy of ``vec`` as its coefficients, in enumeration order."""
@@ -159,9 +155,6 @@ class HValuedChaos:
             )
         if not np.all(np.isfinite(self.coeffs)):
             raise DomainError("integrand coefficients must be finite")
-
-    def norm_squared(self) -> float:
-        return float(np.sum(self.coeffs**2))
 
     def to_dict(self) -> dict:
         alphas = _tables(self.trunc).alphas
@@ -232,23 +225,19 @@ def _read_value(value) -> float:
     return float(value)
 
 
-def wick_product(f: ChaosExpansion, g: ChaosExpansion, return_dropped: bool = False):
+def wick_product(f: ChaosExpansion, g: ChaosExpansion) -> ChaosExpansion:
     """Wick product on the shared truncation.
 
     out(gamma) = sum_{alpha+beta=gamma} f_alpha g_beta sqrt((alpha+beta)!/(alpha! beta!)).
-    Terms whose order exceeds the truncation are dropped; with
-    ``return_dropped`` the squared mass of the dropped coefficients is
-    returned alongside.
+    Terms whose order exceeds the truncation are dropped; ``_dropped_mass``
+    gives their squared mass.
     """
     if f.trunc != g.trunc:
         raise ConfigurationError("wick_product requires a shared truncation")
     tables = _tables(f.trunc)
     ia, ib, ig, factor = tables.wick_pairs
     out = np.bincount(ig, weights=f.vec[ia] * g.vec[ib] * factor, minlength=len(f.vec))
-    result = ChaosExpansion.from_dense(f.trunc, out)
-    if return_dropped:
-        return result, _dropped_mass(tables, f.vec, g.vec)
-    return result
+    return ChaosExpansion.from_dense(f.trunc, out)
 
 
 def _dropped_mass(tables, fd: np.ndarray, gd: np.ndarray) -> float:

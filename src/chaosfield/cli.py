@@ -153,6 +153,8 @@ def cmd_hermite(args: argparse.Namespace) -> int:
 
 def cmd_integrate(args: argparse.Namespace) -> int:
     cfg = load_config(args)
+    if args.mode != "field-ito" and cfg.kernel != "brownian":
+        raise ConfigurationError(f"--mode {args.mode} is the Brownian integral; the {cfg.kernel} kernel takes field-ito")
     basis = cfg.make_basis()
     trunc = cfg.truncation()
     if args.integrand == "w-path":

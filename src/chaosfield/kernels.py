@@ -572,9 +572,14 @@ def grid_kernel_from_csv(path) -> KernelSpec:
 # diagnostics: K1 bound, operator norms
 
 
-def k1_empirical(
-    kernel: KernelSpec, t_grid: int = 256, refine_tol: float = 1e-6, max_refinements: int = 3
-) -> float:
+# k1_empirical's t-grid: _K1_GRID points, doubled up to _K1_REFINEMENTS times
+# until two successive grids agree to _K1_TOL
+_K1_GRID = 256
+_K1_TOL = 1e-6
+_K1_REFINEMENTS = 3
+
+
+def k1_empirical(kernel: KernelSpec) -> float:
     """sup over t of int_0^t K(T, s) K1(t, s) ds, on a refining t-grid.
 
     Each integral is one 72-node Gauss-Jacobi sum over s = t v whose weight
@@ -582,8 +587,8 @@ def k1_empirical(
     cofactor is phi(s) s^(-g0) ``dt_smooth``(t, s), with phi(s) = K(T, s) s^(-g0)
     interpolated linearly on 1 024 points s_i = T (i/1024)^2, graded toward 0,
     where phi may have a power cusp.  The grid doubles until two successive
-    grids agree to ``refine_tol``; DomainError is raised when
-    ``max_refinements`` doublings do not get there.
+    grids agree to ``_K1_TOL``; DomainError is raised when
+    ``_K1_REFINEMENTS`` doublings do not get there.
     """
     if kernel.dt_eval is None:
         raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
@@ -602,17 +607,17 @@ def k1_empirical(
 
     # grid n is T i / n, i = 1..n: its points are the even points of grid 2n,
     # so each doubling evaluates only the odd ones
-    n = t_grid
+    n = _K1_GRID
     best = sup_at(big_t * np.arange(1, n + 1) / n)
-    for _ in range(max_refinements):
+    for _ in range(_K1_REFINEMENTS):
         n *= 2
         new = max(best, sup_at(big_t * np.arange(1, n + 1, 2) / n))
-        if abs(new - best) < refine_tol:
+        if abs(new - best) < _K1_TOL:
             return new
         best = new
     raise DomainError(
-        f"k1_empirical did not converge: {max_refinements} refinements of a "
-        f"{t_grid}-point grid left no two grids within {refine_tol}"
+        f"k1_empirical did not converge: {_K1_REFINEMENTS} refinements of a "
+        f"{_K1_GRID}-point grid left no two grids within {_K1_TOL}"
     )
 
 
@@ -646,7 +651,10 @@ def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
     return a
 
 
-def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512, max_iter: int = 5000) -> float:
+_POWER_ITERATIONS = 5000  # op_norm_estimate's cap
+
+
+def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512) -> float:
     """Largest singular value of the discretized K*, by power iteration on A^T A.
 
     A is first scaled by 2^-e, e the binary exponent of max |A_ij|, so that
@@ -654,7 +662,7 @@ def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512, max_iter: int = 5000
     power of two scales exactly, and so does the square root of its square,
     so the estimate has the bits of the unscaled iteration wherever that
     stays in range.  Iteration stops when the eigenvalue estimate changes by
-    at most 1e-8 relative; DomainError is raised when ``max_iter`` iterations
+    at most 1e-8 relative; DomainError is raised when ``_POWER_ITERATIONS`` iterations
     do not get there, or when the norm itself exceeds the float range.
     """
     a = discretize_kstar(kernel, n_grid)
@@ -666,7 +674,7 @@ def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512, max_iter: int = 5000
     lam = 0.0
     b = a.T @ a
     w = b @ v
-    for _ in range(max_iter):
+    for _ in range(_POWER_ITERATIONS):
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
@@ -679,7 +687,7 @@ def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512, max_iter: int = 5000
             except OverflowError:
                 raise DomainError(f"the K* norm overflows at horizon {kernel.horizon!r}") from None
         lam = lam_new
-    raise DomainError(f"power iteration did not reach tol=1e-08 in {max_iter} iterations")
+    raise DomainError(f"power iteration did not reach tol=1e-08 in {_POWER_ITERATIONS} iterations")
 
 
 # ---------------------------------------------------------------------------

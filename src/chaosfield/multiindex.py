@@ -73,20 +73,6 @@ class MultiIndex:
             return MultiIndex(())
         return MultiIndex(((k, n),))
 
-    @staticmethod
-    def from_dense(values) -> "MultiIndex":
-        """Build from a dense sequence (alpha_1, alpha_2, ...)."""
-        return MultiIndex(tuple((k + 1, int(a)) for k, a in enumerate(values) if a))
-
-    def dense(self, length: int):
-        """Dense tuple of the first ``length`` entries."""
-        out = [0] * length
-        for k, a in self.entries:
-            if k > length:
-                raise ValueError(f"support position {k} exceeds length {length}")
-            out[k - 1] = a
-        return tuple(out)
-
     def get(self, k: int) -> int:
         for pos, a in self.entries:
             if pos == k:
@@ -113,11 +99,6 @@ class MultiIndex:
 
     def add_eps(self, k: int) -> "MultiIndex":
         return self.add(MultiIndex.eps(k))
-
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        return "+".join(f"{a}e{k}" if a > 1 else f"e{k}" for k, a in self.entries)
 
 
 @dataclass(frozen=True)

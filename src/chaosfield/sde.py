@@ -20,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import BasisFamily, _leggauss, jacobi01
-from .chaos import ChaosExpansion, _wick_exp_rows
-from .errors import ConfigurationError, DomainError
+from .chaos import _wick_exp_rows
+from .errors import DomainError
 from .kernels import KernelSpec, _mtilde_table
 from .multiindex import Truncation, _tables
 
@@ -47,10 +47,6 @@ class PropagatorSolution:
         if not abs(self.times[i] - t) <= 1e-10:  # NaN fails it too
             raise DomainError(f"time {t} not on the solution grid")
         return i
-
-    def at(self, t: float) -> ChaosExpansion:
-        """Solution at a grid time as a ChaosExpansion."""
-        return ChaosExpansion.from_dense(self.trunc, self.coeffs[self._time_index(t)])
 
     def second_moment(self, t: float) -> float:
         """E u(t)^2 = sum_alpha u_alpha(t)^2 within the truncation."""
@@ -346,7 +342,13 @@ def _lagrange_eval(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-_RATIO = 0.2  # sigma, the ratio of each geometric layer's outer edge to the next one's
+# solve_picard's mesh: _UNIFORM equal panels, the first split into _LAYERS geometric
+# layers of ratio _RATIO (sigma, each layer's outer edge over the next one's), _NODES
+# Gauss-Legendre nodes a panel
+_UNIFORM = 6
+_LAYERS = 12
+_RATIO = 0.2
+_NODES = 20
 
 
 class _CollocationGrid:
@@ -450,32 +452,26 @@ def solve_picard(
     basis: BasisFamily,
     trunc: Truncation,
     grid,
-    *,
-    uniform: int = 6,
-    layers: int = 12,
-    nodes: int = 20,
 ) -> PropagatorSolution:
     """Solve the triangular coefficient system by induction on |alpha|.
 
     Product-integration collocation: each u_alpha is represented by its values
-    at the ``nodes`` Gauss-Legendre nodes of each panel of ``_CollocationGrid``
-    (``uniform`` equal panels, the first split into ``layers`` geometric ones),
+    at the ``_NODES`` Gauss-Legendre nodes of each panel of ``_CollocationGrid``
+    (``_UNIFORM`` equal panels, the first split into ``_LAYERS`` geometric ones),
     and the Volterra integral is a precomputed block per panel and mode plus
-    the panel's whole-span row, all modes built together.  A count below 1
-    raises ConfigurationError.
+    the panel's whole-span row, all modes built together.
     Only the Ito interpretation is solved: the Stratonovich form couples each
     coefficient to higher-order ones, so its system is not triangular.
     """
-    if min(uniform, layers, nodes) < 1:
-        raise ConfigurationError("uniform, layers and nodes must be >= 1")
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
     times = np.asarray(grid, dtype=float)
     mt = _mtilde_table(kernel, basis, trunc.modes, times)  # checks the times before the operator is built
-    cgrid = _CollocationGrid(basis.horizon, uniform, layers, nodes)
+    cgrid = _CollocationGrid(basis.horizon, _UNIFORM, _LAYERS, _NODES)
     modes = np.arange(1, trunc.modes + 1)
     ops = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
 
     # grade by grade: u_alpha = sum_k sqrt(alpha_k) W_k u_{alpha - eps_k}, one product per (grade, mode)
+    nodes = cgrid.nodes
     u = np.zeros((len(tables.exponents), cgrid.panels, nodes))
     u[0] = 1.0
     for grade in range(1, trunc.max_order + 1):

@@ -81,9 +81,10 @@ def _w_squared_coeffs(trunc: Truncation, basis: BasisFamily) -> ChaosExpansion:
     return ChaosExpansion(Truncation(modes, max(trunc.max_order, 2)), coeffs)
 
 
-def hermite_orthogonality_error(n_max: int = 10) -> float:
-    """max over n, m of |E[H_n H_m] - n! delta_nm| / sqrt(n! m!), by 40-point
+def hermite_orthogonality_error() -> float:
+    """max over n, m <= 10 of |E[H_n H_m] - n! delta_nm| / sqrt(n! m!), by 40-point
     Gauss-Hermite quadrature."""
+    n_max = 10
     x, w = np.polynomial.hermite_e.hermegauss(40)
     w = w / math.sqrt(2.0 * math.pi)
     h = np.array([hermite(n, x) for n in range(n_max + 1)])
@@ -98,12 +99,13 @@ def hermite_orthogonality_error(n_max: int = 10) -> float:
     return float(np.max(np.abs(gram - target) / scale))
 
 
-def wick_hermite_error(total_max: int = 12) -> float:
-    """max error in H_n(xi_1) wick H_m(xi_1) = H_{n+m}(xi_1), coefficientwise.
+def wick_hermite_error() -> float:
+    """max error in H_n(xi_1) wick H_m(xi_1) = H_{n+m}(xi_1), n + m <= 12, coefficientwise.
 
     In normalized coordinates H_n(xi_1) = sqrt(n!) xi_{n eps_1}, and the Wick
     product reproduces sqrt((n+m)!) xi_{(n+m) eps_1} exactly.
     """
+    total_max = 12
     trunc = Truncation(1, total_max)
     worst = 0.0
     for n in range(total_max + 1):

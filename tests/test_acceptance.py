@@ -75,13 +75,13 @@ def _max_coeff_diff(a, b):
 
 def test_criterion_01_hermite_orthogonality():
     start = time.time()
-    err = hermite_orthogonality_error(10)
+    err = hermite_orthogonality_error()
     elapsed = time.time() - start
     _report(1, "hermite-orthogonality", err <= 1e-8 and elapsed < 1.0)
 
 
 def test_criterion_02_wick_identity():
-    err = wick_hermite_error(12)
+    err = wick_hermite_error()
     _report(2, "wick-hermite-identity", err <= 1e-12)
 
 
@@ -150,7 +150,7 @@ def test_criterion_08_wick_sde():
     for kernel in (brownian_kernel(1.0), fbm_kernel_spec(0.75, 1.0)):
         closed = solve_closed_form(kernel, basis, trunc, grid)
         picard = solve_picard(kernel, basis, trunc, grid)
-        picard_ok &= float(np.max(np.abs(closed.coeffs - picard.coeffs))) <= 1e-8
+        picard_ok &= float(np.max(np.abs(closed.coeffs - picard.coeffs))) <= 1e-11
 
     kernel = brownian_kernel(1.0)
     deep = solve_closed_form(kernel, basis, Truncation(8, 8), [1.0])

@@ -6,6 +6,7 @@ from scipy.special import beta, roots_jacobi
 
 from chaosfield.basis import (
     BasisFamily,
+    DEFAULT_RULE,
     QuadratureRule,
     jacobi01,
     quad_singular,
@@ -199,11 +200,10 @@ def test_quad_singular_rejects_nonintegrable():
     ids=["quad_singular-lower", "quad_singular_smooth-lower"],
 )
 def test_exponent_zero_is_the_plain_rule(quad):
-    # exponent 0 means no singularity: the composite rule itself, bit for bit
-    rule = QuadratureRule(panels=3, nodes=7)
+    # exponent 0 means no singularity: the default composite rule itself, bit for bit
     f = lambda t: np.exp(-np.asarray(t)) * np.cos(5.0 * np.asarray(t))  # noqa: E731
     for a, b in ((0.0, 1.0), (0.3, 2.2)):
-        assert quad(f, a, b, 0.0, rule) == rule.integrate(f, a, b)
+        assert quad(f, a, b, 0.0) == DEFAULT_RULE.integrate(f, a, b)
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf])

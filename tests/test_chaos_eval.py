@@ -106,7 +106,7 @@ def test_columns_past_the_mode_count_are_not_read():
 
 def test_short_sample_is_enough_for_the_support_and_refused_past_it():
     trunc = Truncation(6, 3)
-    f = ChaosExpansion(trunc, {MultiIndex.from_dense([1, 0, 2]): 0.5, MultiIndex.zero(): 1.5})
+    f = ChaosExpansion(trunc, {MultiIndex(((1, 1), (3, 2))): 0.5, MultiIndex.zero(): 1.5})
     z = np.random.default_rng(6).standard_normal((30, 3))
     assert_close_to_ref(f, z)
     with pytest.raises(DimensionError):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chaosfield import cli
+from chaosfield import cli, kernels
 from chaosfield.basis import jacobi01
 from chaosfield.cli import main
 from chaosfield.multiindex import MAX_TABLE_ENTRIES
@@ -88,7 +88,7 @@ def test_sde_command(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["closed_vs_picard_max_discrepancy"] < 1e-8
+    assert payload["closed_vs_picard_max_discrepancy"] <= 1e-11
     assert payload["second_moment_at_horizon"] == pytest.approx(math.e, abs=5e-2)
     assert (tmp_path / "sde_solution.csv").exists()
     assert (tmp_path / "sde_alpha_ids.json").exists()
@@ -132,14 +132,12 @@ def test_sde_fbm_near_hurst_one_exits_0_with_finite_payload(hurst, tmp_path, cap
 
 
 @pytest.mark.parametrize(
-    "name, kwargs",
-    [("k1_empirical", {"refine_tol": 0.0, "max_refinements": 1}), ("op_norm_estimate", {"max_iter": 1})],
+    "diagnostic, kwargs",  # kwargs: the kernels constants that keep the diagnostic from converging
+    [("k1_empirical", {"_K1_TOL": 0.0, "_K1_REFINEMENTS": 1}), ("op_norm_estimate", {"_POWER_ITERATIONS": 1})],
 )
-def test_fbm_non_convergence_exits_2(name, kwargs, monkeypatch, capsys):
-    import chaosfield.cli as cli
-
-    diagnostic = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *a, **kw: diagnostic(*a, **{**kw, **kwargs}))
+def test_fbm_non_convergence_exits_2(diagnostic, kwargs, monkeypatch, capsys):
+    for name, value in kwargs.items():
+        monkeypatch.setattr(kernels, name, value)
     code, out = run(capsys, "fbm", "--hurst", "0.75", "--grid", "64")
     assert code == 2
     assert out == ""
@@ -306,9 +304,26 @@ def test_sde_overflow_exits_2_with_one_line_and_no_warning(argv, message, tmp_pa
 @pytest.mark.parametrize("mode", ["ito", "strat", "field-ito"])
 @pytest.mark.parametrize("kernel", ["brownian", "fbm"])
 def test_integrate_overflowing_path_pairing_exits_2_with_one_line_and_no_warning(mode, kernel, capsys):
-    # the weight times M_k overflows at this horizon; it printed two numpy RuntimeWarnings before exit 2
+    # the weight times M_k overflows at this horizon; it printed two numpy RuntimeWarnings before exit 2.
+    # ito and strat refuse the fBm kernel before any pairing is built
     argv = ["integrate", "--mode", mode, "--kernel", kernel, "--horizon", "1e300", "--modes", "3", "--order", "2"]
-    assert "path pairing (M_k, m_j) overflows" in run_refused(capsys, *argv)
+    refused = kernel == "fbm" and mode != "field-ito"
+    message = "is the Brownian integral" if refused else "path pairing (M_k, m_j) overflows"
+    assert message in run_refused(capsys, *argv)
+
+
+@pytest.mark.parametrize("mode", ["ito", "strat"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_integrate_ito_and_strat_refuse_a_non_brownian_kernel(mode, where, tmp_path, capsys):
+    # both integrate against Brownian motion; they printed the Brownian integral whatever the kernel
+    argv = ["integrate", "--mode", mode, "--modes", "2", "--order", "1"]
+    if where == "flag":
+        argv += ["--kernel", "fbm"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"kernel": "fbm"}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    message = f"configuration error: --mode {mode} is the Brownian integral; the fbm kernel takes field-ito\n"
+    assert run_refused(capsys, *argv) == message
 
 
 @pytest.mark.parametrize(

@@ -109,9 +109,6 @@ def test_vector_and_view_are_read_only():
         f.coeffs[MultiIndex.eps(1)] = 5.0
     with pytest.raises(AttributeError):
         f.vec = np.zeros(6)
-    d = f.dense()
-    d[1] = 7.0
-    assert f.vec[1] == 1.0
 
 
 def test_zeros_drop_out_of_the_view_and_nan_stays():

@@ -41,6 +41,7 @@ CASES = {
         ]
         for mode in ("ito", "strat", "field-ito")
         for kernel in ("brownian", "fbm")
+        if kernel == "brownian" or mode == "field-ito"  # ito and strat refuse any other kernel
         for basis in ("cosine", "legendre")
     },
     **{

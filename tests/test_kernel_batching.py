@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chaosfield.basis import BasisFamily, QuadratureRule, _leggauss, quad_singular_smooth
+from chaosfield.basis import BasisFamily, _dot_rows, _leggauss, jacobi01
 from chaosfield.kernels import (
     _KSTAR_BLOCK,
     brownian_kernel,
@@ -40,9 +40,10 @@ def ref_fbm_column(hurst, t_sorted, s):
         return out
     ts = t_sorted[above]
     vals = np.empty_like(ts)
-    first = quad_singular_smooth(
-        lambda tau: tau ** (hurst - 0.5), s, ts[0], hurst - 1.5, QuadratureRule(panels=4, nodes=12)
-    )
+    # the first segment by 48-node Gauss-Jacobi with the weight (tau - s)^(H - 3/2) built in
+    gamma, length = hurst - 1.5, ts[0] - s
+    v, w = jacobi01(48, 0.0, gamma)
+    first = length ** (gamma + 1.0) * _dot_rows(w, (s + length * v) ** (hurst - 0.5))
     vals[0] = first
     if len(ts) > 1:
         x, w = _leggauss(6)

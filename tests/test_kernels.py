@@ -9,6 +9,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.special import roots_jacobi
 
 from chaosfield.basis import BasisFamily, _on_live_rows, jacobi01, quad_singular_smooth
+from chaosfield import kernels, sde
 from chaosfield.errors import ConfigurationError, DomainError, InvalidCovarianceError
 from chaosfield.kernels import (
     KernelSpec,
@@ -77,12 +78,15 @@ def test_k1_empirical_below_analytic_bound():
     assert emp <= fbm_k1(0.75, 1.0) + 1e-6
 
 
-def test_k1_empirical_raises_without_convergence():
+def test_k1_empirical_raises_without_convergence(monkeypatch):
     kernel = fbm_kernel_spec(0.75, 1.0)
+    monkeypatch.setattr(kernels, "_K1_GRID", 32)
+    monkeypatch.setattr(kernels, "_K1_REFINEMENTS", 1)
+    assert k1_empirical(kernel) <= fbm_k1(0.75, 1.0) + 1e-6
     # no two grids agree to a zero tolerance
+    monkeypatch.setattr(kernels, "_K1_TOL", 0.0)
     with pytest.raises(DomainError, match="did not converge"):
-        k1_empirical(kernel, t_grid=32, refine_tol=0.0, max_refinements=1)
-    assert k1_empirical(kernel, t_grid=32, max_refinements=1) <= fbm_k1(0.75, 1.0) + 1e-6
+        k1_empirical(kernel)
 
 
 def test_fbm_psi_matches_generic_factorisation():
@@ -255,11 +259,12 @@ def test_op_norm_estimate_matches_the_largest_singular_value_on_short_horizons(h
         assert op_norm_estimate(kernel, 128) == pytest.approx(svd, rel=1e-9, abs=0.0), horizon
 
 
-def test_op_norm_estimate_raises_without_convergence():
+def test_op_norm_estimate_raises_without_convergence(monkeypatch):
     # one power step compares against the starting value 0, so it cannot meet tol
+    monkeypatch.setattr(kernels, "_POWER_ITERATIONS", 1)
     for kernel in (brownian_kernel(1.0), fbm_kernel_spec(0.75, 1.0)):
         with pytest.raises(DomainError, match="power iteration"):
-            op_norm_estimate(kernel, 64, max_iter=1)
+            op_norm_estimate(kernel, 64)
 
 
 def test_hr_gram():
@@ -453,7 +458,7 @@ def test_replace_rederives_the_derived_pieces():
     assert discretize_kstar(replace(fbm, horizon=2.5), 16).tobytes() == other.tobytes()
 
 
-def test_derived_dt_smooth_matches_the_shipped_fbm_spec():
+def test_derived_dt_smooth_matches_the_shipped_fbm_spec(monkeypatch):
     # the fBm spec without its dt_smooth and factorisation, everything derived from eval and dt_eval
     kernel = fbm_kernel_spec(0.7, 1.0)
     basis = BasisFamily("cosine", 1.0)
@@ -463,7 +468,8 @@ def test_derived_dt_smooth_matches_the_shipped_fbm_spec():
     s, ks = np.array([0.3, 0.8]), (1, 3)
     exact = s**kernel.gamma0 * kernel.psi(basis, ks, s)
     np.testing.assert_allclose(derived.psi(basis, ks, s), exact, rtol=1e-13, atol=0.0)
-    assert k1_empirical(derived, t_grid=64) == pytest.approx(k1_empirical(kernel, t_grid=64), rel=1e-13, abs=0.0)
+    monkeypatch.setattr(kernels, "_K1_GRID", 64)
+    assert k1_empirical(derived) == pytest.approx(k1_empirical(kernel), rel=1e-13, abs=0.0)
 
 
 def test_singularity_defaults_to_zero():
@@ -473,12 +479,14 @@ def test_singularity_defaults_to_zero():
     assert brownian_kernel(1.0).singularity == 0.0
 
 
-def test_jacobi_rule_cache_stays_bounded_across_hurst_indices():
+def test_jacobi_rule_cache_stays_bounded_across_hurst_indices(monkeypatch):
     # each fBm Picard solve asks for Gauss-Jacobi rules keyed by its own H; the cache evicts the oldest
+    for name, value in (("_UNIFORM", 2), ("_LAYERS", 2), ("_NODES", 4)):
+        monkeypatch.setattr(sde, name, value)
     jacobi01.cache_clear()
     basis = BasisFamily("cosine", 1.0)
     for hurst in np.linspace(0.55, 0.95, 30):
-        solve_picard(fbm_kernel_spec(hurst, 1.0), basis, Truncation(2, 1), [1.0], uniform=2, layers=2, nodes=4)
+        solve_picard(fbm_kernel_spec(hurst, 1.0), basis, Truncation(2, 1), [1.0])
     info = jacobi01.cache_info()
     assert info.misses > info.maxsize
     assert info.currsize <= info.maxsize

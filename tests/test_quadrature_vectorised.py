@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from chaosfield import kernels, sde
 from chaosfield.basis import BasisFamily, QuadratureRule, _dot_rows, jacobi01, quad_singular, quad_singular_smooth
 from chaosfield.errors import DomainError
 from chaosfield.kernels import (
@@ -404,12 +405,14 @@ def test_mtilde_table_near_the_product_rule(basis, hurst):
 
 @pytest.mark.parametrize("kernel", [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0)], ids=["brownian", "fbm"])
 @pytest.mark.parametrize("shape", [(1, 3), (3, 3), (4, 4)])
-def test_picard_grades_match_alpha_loop(kernel, shape):
+def test_picard_grades_match_alpha_loop(kernel, shape, monkeypatch):
     basis, trunc = BASES[0], Truncation(*shape)
     times = np.linspace(0.0, 1.0, 17)
-    uniform, layers, nodes = 4, 4, 6
-    sol = solve_picard(kernel, basis, trunc, times, uniform=uniform, layers=layers, nodes=nodes)
-    cgrid = _CollocationGrid(1.0, uniform, layers, nodes)
+    mesh = {"_UNIFORM": 4, "_LAYERS": 4, "_NODES": 6}
+    for name, value in mesh.items():
+        monkeypatch.setattr(sde, name, value)
+    sol = solve_picard(kernel, basis, trunc, times)
+    cgrid = _CollocationGrid(1.0, *mesh.values())
     modes = np.arange(1, trunc.modes + 1)
     w_k = [_dense(ops_k) for ops_k in _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))]
     ref = cgrid.interp_matrix(times) @ ref_picard_nodes(w_k, trunc).T
@@ -439,15 +442,16 @@ def test_shipped_derivatives_broadcast_over_s(grid_kernel):
 
 
 @pytest.mark.parametrize("hurst", [0.55, 0.72, 0.95])
-def test_k1_empirical_matches_node_loop(hurst):
+def test_k1_empirical_matches_node_loop(hurst, monkeypatch):
     kernel = fbm_kernel_spec(hurst, 1.0)
     # every term of a value is positive and moves by at most an ulp per power it takes (three)
-    got = k1_empirical(kernel, t_grid=64)
+    monkeypatch.setattr(kernels, "_K1_GRID", 64)
+    got = k1_empirical(kernel)
     assert got == pytest.approx(ref_k1_empirical(kernel, t_grid=64), rel=8 * EPS, abs=0.0)
 
 
 @pytest.mark.parametrize("hurst", [0.55, 0.63, 0.75, 0.9, 0.95])
-def test_k1_empirical_matches_full_grid_loop(hurst):
+def test_k1_empirical_matches_full_grid_loop(hurst, monkeypatch):
     # each doubling evaluates only its odd points: the sup is the full grid's, bit for bit
     for horizon in (0.7, 1.0, 2.5):
         kernel = fbm_kernel_spec(hurst, horizon)
@@ -458,10 +462,13 @@ def test_k1_empirical_matches_full_grid_loop(hurst):
         assert k1_empirical(kernel) == ref_k1_full_grids(kernel, linspace_grid)
     # refinements that go past the first doubling, and ones that cannot converge
     kernel = fbm_kernel_spec(hurst, 1.0)
-    args = dict(t_grid=16, refine_tol=1e-9, max_refinements=6)
-    assert k1_empirical(kernel, **args) == ref_k1_full_grids(kernel, arange_grid, **args)
+    for name, value in (("_K1_GRID", 16), ("_K1_TOL", 1e-9), ("_K1_REFINEMENTS", 6)):
+        monkeypatch.setattr(kernels, name, value)
+    assert k1_empirical(kernel) == ref_k1_full_grids(kernel, arange_grid, t_grid=16, refine_tol=1e-9, max_refinements=6)
+    monkeypatch.setattr(kernels, "_K1_TOL", 0.0)
+    monkeypatch.setattr(kernels, "_K1_REFINEMENTS", 2)
     with pytest.raises(DomainError):
-        k1_empirical(kernel, t_grid=16, refine_tol=0.0, max_refinements=2)
+        k1_empirical(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +498,10 @@ def _within_ulps(batched, scalar, ulps=4):
     return batched.shape == scalar.shape and np.all(np.abs(batched - scalar) <= ulps * EPS * np.abs(scalar))
 
 
-QUADRATURES = {
+QUADRATURES = {  # the singular quadratures take no rule: 96 Gauss-Jacobi nodes
     "integrate": lambda f, a, b, rule: rule.integrate(f, a, b),
-    "quad_singular": lambda f, a, b, rule: quad_singular(f, a, b, -0.4, rule),
-    "quad_singular_smooth-lower": lambda f, a, b, rule: quad_singular_smooth(f, a, b, -0.7, rule),
+    "quad_singular": lambda f, a, b, rule: quad_singular(f, a, b, -0.4),
+    "quad_singular_smooth-lower": lambda f, a, b, rule: quad_singular_smooth(f, a, b, -0.7),
 }
 
 

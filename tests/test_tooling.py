@@ -151,7 +151,8 @@ def test_no_consumer_checks_a_derived_kernel_piece_for_none():
     assert _none_checks_on_kernel_pieces(ast.parse("if k.dt_smooth is not None and k.singularity != None: pass"))
 
 
-CALLERS = ("src", "bench", "demos", "tests")
+# a test that needs another value monkeypatches a module constant; a call from a test sets no option
+CALLERS = ("src", "bench", "demos")
 
 
 def _defaulted_parameters(tree):
