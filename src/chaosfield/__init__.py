@@ -39,6 +39,7 @@ from .kernels import (
     fbm_kernel,
     fbm_kernel_dt,
     fbm_kernel_spec,
+    grid_kernel,
     grid_kernel_from_csv,
     hr_gram,
     k1_empirical,

@@ -93,8 +93,8 @@ class ExperimentConfig:
         return Truncation(self.modes, self.order)
 
 
-def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Build the config with flag > file > default precedence."""
+def load_config(args: argparse.Namespace) -> tuple:
+    """(config, the keys a flag or the file gave), with flag > file > default precedence."""
     values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -112,7 +112,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             values[f.name] = flag
     cfg = ExperimentConfig(**values)
     cfg.validate()
-    return cfg
+    return cfg, set(values)
 
 
 def _json_text(payload: dict) -> str:
@@ -152,9 +152,11 @@ def cmd_hermite(args: argparse.Namespace) -> int:
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
-    cfg = load_config(args)
+    cfg, given = load_config(args)
     if args.mode != "field-ito" and cfg.kernel != "brownian":
         raise ConfigurationError(f"--mode {args.mode} is the Brownian integral; the {cfg.kernel} kernel takes field-ito")
+    if "hurst" in given and cfg.kernel != "fbm":
+        raise ConfigurationError(f"hurst is the fbm kernel's Hurst index; the {cfg.kernel} kernel takes none")
     basis = cfg.make_basis()
     trunc = cfg.truncation()
     if args.integrand == "w-path":
@@ -183,7 +185,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def cmd_sde(args: argparse.Namespace) -> int:
-    cfg = load_config(args)
+    cfg, _ = load_config(args)
     kernel = cfg.make_kernel()
     basis = cfg.make_basis()
     trunc = cfg.truncation()

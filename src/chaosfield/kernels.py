@@ -3,19 +3,17 @@
 A KernelSpec packages the pointwise kernel K(t, s), its diagonal limit
 K(s+, s), the t-derivative K1(t, s), singularity metadata, and the
 mode-batched factorisation (K m_k)(s) = s^gamma0 psi_k(s) through which every
-pairing with a basis is computed.  Shipped
-kernels: the Brownian kernel (K* = identity), the fractional Brownian motion
-kernel for Hurst index H in (1/2, 1), and kernels interpolated from a CSV
-grid.
+pairing with a basis is computed.  Shipped kernels subclass it: the Brownian
+kernel (K* = identity), the fractional Brownian motion kernel for Hurst index
+H in (1/2, 1), and kernels interpolated from a table or a CSV grid.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from collections import OrderedDict, namedtuple
-from functools import cache, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,73 +37,39 @@ from .multiindex import _check_table_size
 # kernel specification
 
 
-@dataclass
 class KernelSpec:
-    """A Volterra kernel K(t, s) on [0, T]: the protocol a kernel constructor implements.
+    """A Volterra kernel K(t, s) on [0, T]: the base class every kernel subclasses.
 
-    Required: ``name``, ``horizon``, ``adapted`` (K(t, s) = 0 for s > t),
-    ``eval(t, s)`` and ``diag_limit(s)`` = K(s+, s).  Optional derivative
-    data, which ``k1_empirical`` and the derived ``psi`` need:
-    ``dt_eval(t, s)`` = K1(t, s) = dK/dt; ``singularity``, the exponent of K1
-    in (t - s) as t -> s+ (0, the default, when K1 is regular there; None
-    reads as 0); ``origin_exponent``, the exponent of K(t, s) in s as s -> 0.
-    Every callable takes arrays: ``eval``, ``dt_eval`` and ``dt_smooth``
-    broadcast over t and s, ``diag_limit`` over s, so each integral below is
-    one call on a whole node table.
+    A subclass sets ``name`` and ``adapted`` (K(t, s) = 0 for s > t) and
+    defines ``eval(t, s)``, ``diag_limit(s)`` = K(s+, s) and, for
+    ``k1_empirical`` and the derived ``psi``, ``dt_eval(t, s)`` = K1(t, s) =
+    dK/dt.  ``singularity`` is the exponent of K1 in (t - s) as t -> s+ (0
+    when K1 is regular there), ``origin_exponent`` that of K(t, s) in s as
+    s -> 0.  Every method takes arrays: ``eval``, ``dt_eval`` and
+    ``dt_smooth`` broadcast over t and s, ``diag_limit`` over s, so each
+    integral below is one call on a whole node table.
 
     Every pairing with a basis goes through one factorisation
     (K m_k)(s) = s^gamma0 psi_k(s), psi_k smooth at 0, and its antiderivative
-    M~_k(t) = int_0^t (K m_k)(s) ds = int K(t, s) m_k(s) ds:
-
-    - ``gamma0``;
-    - ``psi(basis, ks, s)``: psi_k(s) for modes ks and a 1-D array s, shape (len(ks), len(s));
-    - ``mtilde(basis, ks, t)``: M~_k for a list of modes ks over a 1-D array
-      of checked times t, shape (len(ks), len(t));
-    - ``kstar(horizon, n_grid)``: the n_grid x n_grid matrix of K* on step
-      functions of the uniform grid of [0, horizon] (``discretize_kstar``);
-    - ``dt_smooth(t, s)``: K1 with the diagonal factor (t - s)^singularity
-      divided out, which every quadrature near the diagonal weights exactly.
-
-    A constructor supplies those it has in exact or faster form.  Any it
-    leaves as None is derived at construction from ``eval`` and ``dt_eval``
-    (``_DERIVED``): gamma0 = 0 and psi_k = K m_k = K(s+, s) m_k(s) +
-    int_0^s m_k(tau) K1(s, tau) dtau by quadrature, M~_k by quadrature of
-    K(t, .) m_k (adapted kernels only), K* as the differences of ``eval_ts``
-    columns, and ``dt_smooth`` = K1(t, s) (t - s)^(-singularity), which is K1
-    itself for a regular kernel.  A derived piece is bound to its spec, so a
-    copy (``dataclasses.replace``) derives its own again.
-
-    Whichever ``mtilde`` a spec ends up with, supplied or derived, is then
-    memoised (``_MtildeMemo``): ``spec.mtilde(basis, k, t)`` takes one int k
-    (one row) or a sequence of modes (one row per mode), and a copy starts
-    with an empty memo of its own.
+    M~_k(t) = int_0^t K(t, s) m_k(s) ds.  The base class derives each piece
+    (``gamma0`` = 0, ``psi``, ``_mtilde``, ``kstar`` and ``dt_smooth``) from
+    ``eval`` and ``dt_eval``; a subclass overrides those it has in exact or
+    faster form.  ``mtilde`` is ``_mtilde`` memoised per kernel object
+    (``_MtildeMemo``): ``kernel.mtilde(basis, k, t)`` takes one int k (one
+    row) or a sequence of modes (one row per mode).
     """
 
     name: str
-    horizon: float
     adapted: bool
-    eval: object  # callable (t, s) -> K(t, s)
-    diag_limit: object  # callable (s,) -> K(s+, s)
-    dt_eval: object = None  # callable (t, s) -> K1(t, s)
-    dt_smooth: object = None  # callable (t, s) -> K1(t,s) * (t-s)^(-singularity)
-    singularity: float = 0.0
-    origin_exponent: float = 0.0
-    gamma0: float = 0.0
-    psi: object = None  # callable (basis, ks, s) -> (len(ks), len(s))
-    mtilde: object = None  # callable (basis, ks, t) -> (len(ks), len(t)); memoised at construction
-    kstar: object = None  # callable (horizon, n_grid) -> the (n_grid, n_grid) K* matrix
+    singularity = 0.0
+    origin_exponent = 0.0
+    gamma0 = 0.0
 
-    def __post_init__(self):
-        if not 0 < self.horizon < math.inf:
+    def __init__(self, horizon: float):
+        if not 0 < horizon < math.inf:
             raise DomainError("horizon must be positive and finite")
-        self.singularity = self.singularity or 0.0
-        if isinstance(self.mtilde, _MtildeMemo):  # a copy's: memoise the same piece afresh
-            self.mtilde = self.mtilde.__wrapped__
-        for name, derive in _DERIVED.items():
-            piece = getattr(self, name)
-            if piece is None or getattr(piece, "func", None) is derive:
-                setattr(self, name, partial(derive, self))
-        self.mtilde = _MtildeMemo(self.mtilde)
+        self.horizon = horizon
+        self.mtilde = _MtildeMemo(self._mtilde)
 
     def eval_ts(self, t_sorted, s):
         """K(t, s) for an ascending array of t values; for a 1-D array s, one row per s.
@@ -120,6 +84,74 @@ class KernelSpec:
         else:
             out = self.eval(t, ss)
         return out if np.ndim(s) else out[0]
+
+    def dt_eval(self, t, s):
+        """K1(t, s) = dK/dt, which a kernel without derivative data leaves to this refusal."""
+        raise UnsupportedKernelError(f"kernel {self.name!r} lacks derivative data")
+
+    def dt_smooth(self, t, s):
+        """K1(t, s) (t - s)^(-singularity), which every quadrature near the diagonal weights exactly.
+
+        x ** -0.0 is 1, so a regular kernel's K1 is returned bit for bit.
+        """
+        return self.dt_eval(t, s) * (t - s) ** -self.singularity
+
+    def psi(self, basis: BasisFamily, ks, s) -> np.ndarray:
+        """psi_k(s) for modes ks and a 1-D array s, shape (len(ks), len(s)).
+
+        Derived: K m_k = K(s+, s) m_k(s) + int_0^s m_k(tau) K1(s, tau) dtau,
+        by quadrature on one node table for all s.
+        """
+        rule = QuadratureRule(panels=4, nodes=12)
+        gam, g0 = self.singularity, self.origin_exponent
+        s = np.asarray(s, dtype=float)
+        local = self.diag_limit(s) * basis.eval(ks, s)
+        if not gam:
+            return local + rule.integrate(lambda tau: basis.eval(ks, tau) * self.dt_eval(s[:, None], tau), 0.0, s)
+        # two-sided Jacobi weight tau^g0 (x - tau)^gam, both exponents exact
+        v, w = jacobi01(min(rule.panels * rule.nodes, 96), gam, g0)
+        live = s > 0
+        x = np.where(live, s, 1.0)  # s = 0 has no integral, and K1 is singular there
+        tau = x[:, None] * v
+        vals = basis.eval(ks, tau) * self.dt_smooth(x[:, None], tau) * tau ** (-g0)
+        return local + np.where(live, x ** (g0 + gam + 1.0) * _dot_rows(w, vals), 0.0)
+
+    def _mtilde(self, basis: BasisFamily, ks, t) -> np.ndarray:
+        """M~_k(t_i) for modes ks over a 1-D array of checked times t, shape (len(ks), len(t)).
+
+        Derived, for adapted kernels: one quadrature of K(t_i, .) m_k for all t_i per mode k.
+        """
+        if not self.adapted:
+            raise UnsupportedKernelError("generic m_tilde implemented for adapted kernels")
+        g0 = self.origin_exponent
+
+        def row(j):
+            return quad_singular_smooth(lambda s: self.eval(t[..., None], s) * basis.eval(j, s) * s**-g0, 0.0, t, g0)
+
+        return np.array([row(j) for j in ks])
+
+    def kstar(self, n_grid: int) -> np.ndarray:
+        """The n_grid x n_grid matrix of K* on step functions of the uniform grid of [0, T].
+
+        Derived: the differences along t of ``eval_ts`` columns, one call per block of rows.
+        """
+        edges, mids = _kstar_grid(self.horizon, n_grid)
+        a = np.zeros((n_grid, n_grid))
+        for i in range(0, n_grid, _KSTAR_BLOCK):
+            rows = slice(i, min(i + _KSTAR_BLOCK, n_grid))
+            # K(t, s_r) = 0 for t < s_r, so row r's differences start with a[r, r] = K(edges[r + 1], s_r) - 0
+            a[rows, i:] = np.diff(self.eval_ts(edges[i + 1 :], mids[rows]), axis=1, prepend=0.0)
+        return a
+
+
+# rows of K* per block: the block's temporaries stay under 1 MB for n_grid <= 512
+_KSTAR_BLOCK = 32
+
+
+def _kstar_grid(horizon: float, n_grid: int):
+    """The cell edges t_j = j T / n and midpoints s_r of the uniform K* grid."""
+    edges = np.linspace(0.0, horizon, n_grid + 1)
+    return edges, 0.5 * (edges[:-1] + edges[1:])
 
 
 # (basis, mode, time grid) entries in each spec's M~ memo: at most 128 * len(t) * 8 bytes, 263 kB for 257 times
@@ -174,89 +206,33 @@ class _MtildeMemo:
         return _CacheInfo(self._hits, self._misses, _MTILDE_MEMO_SIZE, len(self._rows))
 
 
-def _smooth_by_division(kernel: KernelSpec, t, s):
-    """K1(t, s) (t - s)^(-singularity); x ** -0.0 is 1, so a regular kernel's K1 is returned bit for bit."""
-    return kernel.dt_eval(t, s) * (t - s) ** -kernel.singularity
-
-
-# rows of K* per block: the block's temporaries stay under 1 MB for n_grid <= 512
-_KSTAR_BLOCK = 32
-
-
-def _kstar_grid(horizon: float, n_grid: int):
-    """The cell edges t_j = j T / n and midpoints s_r of the uniform K* grid."""
-    edges = np.linspace(0.0, horizon, n_grid + 1)
-    return edges, 0.5 * (edges[:-1] + edges[1:])
-
-
-def _kstar_by_columns(kernel: KernelSpec, horizon: float, n_grid: int) -> np.ndarray:
-    """K* as the differences along t of ``eval_ts`` columns, one call per block of rows."""
-    edges, mids = _kstar_grid(horizon, n_grid)
-    a = np.zeros((n_grid, n_grid))
-    for i in range(0, n_grid, _KSTAR_BLOCK):
-        rows = slice(i, min(i + _KSTAR_BLOCK, n_grid))
-        # K(t, s_r) = 0 for t < s_r, so row r's differences start with a[r, r] = K(edges[r + 1], s_r) - 0
-        a[rows, i:] = np.diff(kernel.eval_ts(edges[i + 1 :], mids[rows]), axis=1, prepend=0.0)
-    return a
-
-
-def _quadrature_psi(kernel: KernelSpec, basis: BasisFamily, ks, s) -> np.ndarray:
-    """(K m_k)(s) from the diagonal limit and a quadrature of K1, one node table for all s."""
-    if kernel.dt_eval is None:
-        raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
-    rule = QuadratureRule(panels=4, nodes=12)
-    gam, g0 = kernel.singularity, kernel.origin_exponent
-    s = np.asarray(s, dtype=float)
-    local = kernel.diag_limit(s) * basis.eval(ks, s)
-    if not gam:
-        return local + rule.integrate(lambda tau: basis.eval(ks, tau) * kernel.dt_eval(s[:, None], tau), 0.0, s)
-    # two-sided Jacobi weight tau^g0 (x - tau)^gam, both exponents exact
-    v, w = jacobi01(min(rule.panels * rule.nodes, 96), gam, g0)
-    live = s > 0
-    x = np.where(live, s, 1.0)  # s = 0 has no integral, and K1 is singular there
-    tau = x[:, None] * v
-    vals = basis.eval(ks, tau) * kernel.dt_smooth(x[:, None], tau) * tau ** (-g0)
-    return local + np.where(live, x ** (g0 + gam + 1.0) * _dot_rows(w, vals), 0.0)
-
-
-def _quadrature_mtilde(kernel: KernelSpec, basis: BasisFamily, ks, t) -> np.ndarray:
-    """M~_k(t_i) = int_0^{t_i} K(t_i, s) m_k(s) ds, one quadrature for all t_i per mode k."""
-    if not kernel.adapted:
-        raise UnsupportedKernelError("generic m_tilde implemented for adapted kernels")
-    g0 = kernel.origin_exponent
-
-    def row(j):
-        return quad_singular_smooth(lambda s: kernel.eval(t[..., None], s) * basis.eval(j, s) * s**-g0, 0.0, t, g0)
-
-    return np.array([row(j) for j in ks])
-
-
-# how KernelSpec derives each factorisation piece a constructor leaves out
-_DERIVED = {
-    "dt_smooth": _smooth_by_division,
-    "psi": _quadrature_psi,
-    "mtilde": _quadrature_mtilde,
-    "kstar": _kstar_by_columns,
-}
-
-
 # ---------------------------------------------------------------------------
 # Brownian kernel
 
 
+class _Brownian(KernelSpec):
+    name = "brownian"
+    adapted = True
+
+    def eval(self, t, s):
+        return np.where(s <= t, 1.0, 0.0)
+
+    def diag_limit(self, s):
+        return np.ones(np.shape(s))
+
+    def dt_eval(self, t, s):
+        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(s)))
+
+    def psi(self, basis, ks, s):
+        return basis.eval(ks, s)
+
+    def _mtilde(self, basis, ks, t):
+        return np.array([basis.antideriv(j, t) for j in ks])
+
+
 def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
     """K(t, s) = chi_{[0,t]}(s): the associated process is Brownian motion."""
-
-    return KernelSpec(
-        name="brownian",
-        horizon=horizon,
-        adapted=True,
-        eval=lambda t, s: np.where(s <= t, 1.0, 0.0),
-        diag_limit=lambda s: np.ones(np.shape(s)),
-        dt_eval=lambda t, s: np.zeros(np.broadcast_shapes(np.shape(t), np.shape(s))),
-        psi=lambda basis, ks, s: basis.eval(ks, s),
-        mtilde=lambda basis, ks, t: np.array([basis.antideriv(j, t) for j in ks]),
-    )
+    return _Brownian(horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -389,27 +365,47 @@ def _fbm_mtilde_rule(hurst: float):
     return _gauss_rule_of(np.outer(y, v).ravel(), np.outer(ww, w).ravel(), _JACOBI_NODES)
 
 
-def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
-    """KernelSpec for fractional Brownian motion with Hurst index in (1/2, 1).
+class _Fbm(KernelSpec):
+    """Fractional Brownian motion with Hurst index in (1/2, 1).
 
     psi is a Beta-weight quadrature batched over modes, the basis values of
     every mode from one ``BasisFamily._rows`` recurrence.  M~ is one sum over
     the Gauss rule of its own weight (``_fbm_mtilde_rule``), built on the
-    spec's first M~ miss: 48 basis values per (mode, t), all modes of a
+    kernel's first M~ miss: 48 basis values per (mode, t), all modes of a
     block of t values from one recurrence.  ``KernelSpec`` memoises it, as
-    it does every spec's M~.
+    it does every kernel's M~.
     """
-    _check_hurst(hurst)
-    c = fbm_c_h(hurst) * (hurst - 0.5)
 
-    def dt_smooth_evaluate(t, s):
-        return c * s ** (0.5 - hurst) * t ** (hurst - 0.5)
+    name = "fbm"
+    adapted = True
 
-    def kstar(horizon, n_grid):
+    def __init__(self, hurst: float, horizon: float):
+        _check_hurst(hurst)
+        super().__init__(horizon)
+        self.hurst = hurst
+        self.singularity = hurst - 1.5
+        self.origin_exponent = 0.5 - hurst
+        self.gamma0 = hurst - 0.5
+        self._c = fbm_c_h(hurst) * (hurst - 0.5)
+
+    def eval(self, t, s):
+        return _fbm_kernel(self._c, self.hurst, t, s)
+
+    def diag_limit(self, s):
+        return np.zeros(np.shape(s))
+
+    def dt_eval(self, t, s):
+        return _fbm_dt(self._c, self.hurst, t, s)
+
+    def dt_smooth(self, t, s):
+        return self._c * s ** (0.5 - self.hurst) * t ** (self.hurst - 0.5)
+
+    def kstar(self, n_grid):
         # Cell j's Gauss node x_q sits at t_jq = (j + 1/2 + x_q/2) h, (j - r + x_q/2) h above row r's
         # midpoint s_r, so the singular factor depends on the offset j - r alone.  Above the diagonal,
         # a[r, j] = c s_r^(1/2 - H) sum_q D[j - r, q] P[j, q], D[d, q] = ((d + x_q/2) h)^(H - 3/2) and
         # P[j, q] = w_q t_jq^(H - 1/2) h/2: six Toeplitz-times-column-scale products per block of rows.
+        hurst, c, horizon = self.hurst, self._c, self.horizon
         h = horizon / n_grid
         edges, mids = _kstar_grid(horizon, n_grid)
         xg, wg = _leggauss(6)
@@ -437,27 +433,27 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
         np.fill_diagonal(a, scale * (np.array([x ** (gamma + 1.0) for x in length.tolist()]) * inner))
         return a
 
-    def psi(basis: BasisFamily, ks, s):
+    def psi(self, basis: BasisFamily, ks, s):
         """Smooth factor in (K m_k)(s) = s^(H - 1/2) psi_k(s); Beta-weight quadrature."""
         modes = _check_modes(ks)
-        v, w = jacobi01(_JACOBI_NODES, hurst - 1.5, 0.5 - hurst)
+        v, w = jacobi01(_JACOBI_NODES, self.hurst - 1.5, 0.5 - self.hurst)
         rows = basis._rows(int(modes.max()), np.outer(s, v))
         if not np.array_equal(modes, np.arange(1, len(rows) + 1)):
             rows = rows[modes - 1]
-        rows *= c  # in place: these (modes, len(s), nodes) tables are the largest temporaries of an fBm run
+        rows *= self._c  # in place: these (modes, len(s), nodes) tables are the largest temporaries of an fBm run
         return rows @ w
 
-    @cache
-    def mtilde_rule():
-        rho, lam = _fbm_mtilde_rule(hurst)
-        return rho, c * lam
+    @cached_property
+    def _mtilde_rule(self):
+        rho, lam = _fbm_mtilde_rule(self.hurst)
+        return rho, self._c * lam
 
-    def mtilde_quadrature(basis, modes, ts):
+    def _mtilde(self, basis, modes, ts):
         # t^(H+1/2) sum_l c lam_l m_k(t rho_l), every mode from one basis recurrence per block of
         # t values; the per-row dot product and Python-float power keep each value equal to the
         # scalar sum bit for bit
         modes = np.asarray(modes)
-        rho, weights = mtilde_rule()
+        rho, weights = self._mtilde_rule
         top = int(modes.max())
         out = np.zeros((len(modes), len(ts)))  # 0 for t <= 0
         live = np.nonzero(ts > 0)[0]
@@ -466,41 +462,93 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
             rows = live[start : start + step]
             block = ts[rows]
             try:
-                powers = np.array([x ** (hurst + 0.5) for x in block.tolist()])
+                powers = np.array([x ** (self.hurst + 0.5) for x in block.tolist()])
             except OverflowError:
                 raise DomainError(f"M~ overflows: t^(H + 1/2) is not finite for t = {float(block.max())!r}") from None
             out[:, rows] = powers * _dot_rows(weights, basis._rows(top, np.outer(block, rho)))[modes - 1]
         return out
 
-    return KernelSpec(
-        name="fbm",
-        horizon=horizon,
-        adapted=True,
-        eval=partial(_fbm_kernel, c, hurst),
-        diag_limit=lambda s: np.zeros(np.shape(s)),
-        dt_eval=partial(_fbm_dt, c, hurst),
-        dt_smooth=dt_smooth_evaluate,
-        singularity=hurst - 1.5,
-        origin_exponent=0.5 - hurst,
-        gamma0=hurst - 0.5,
-        psi=psi,
-        mtilde=mtilde_quadrature,
-        kstar=kstar,
-    )
+
+def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
+    """The kernel of fractional Brownian motion with Hurst index in (1/2, 1)."""
+    return _Fbm(hurst, horizon)
 
 
 # ---------------------------------------------------------------------------
 # grid-interpolated kernels
 
 
+class _Grid(KernelSpec):
+    """K interpolated bilinearly from its values K(t_i, s_j) on a rectilinear grid."""
+
+    name = "custom-grid"
+
+    def __init__(self, t_grid, s_grid, values):
+        t_grid, s_grid, grid_k = (np.array(x, dtype=float) for x in (t_grid, s_grid, values))
+        if grid_k.shape != (len(t_grid), len(s_grid)):
+            raise ConfigurationError(f"the table's shape {grid_k.shape} is not (t points, s points)")
+        if not (np.all(np.isfinite(t_grid)) and np.all(np.isfinite(s_grid)) and np.all(np.isfinite(grid_k))):
+            raise ConfigurationError("every grid point and value must be finite")
+        for name, grid in (("t", t_grid), ("s", s_grid)):
+            if len(grid) < 2 or not np.all(np.diff(grid) > 0):
+                raise ConfigurationError(f"the {name}-grid needs at least two increasing points")
+        super().__init__(float(max(t_grid[-1], s_grid[-1])))
+        self.adapted = bool(np.allclose(grid_k[np.less.outer(t_grid, s_grid)], 0.0, atol=1e-12))
+        if self.adapted:
+            # a cell that straddles the diagonal would mix the zero upper triangle into K(t, s) for t >= s:
+            # continue each column linearly in t from its first two values at t >= s, as a constant if it has
+            # only one (the last column when s_grid ends at t_grid's end), and zero s > t after
+            first = np.searchsorted(t_grid, s_grid)
+            cols = np.flatnonzero(first < len(t_grid))
+            a = first[cols]
+            b = np.minimum(a + 1, len(t_grid) - 1)
+            slope = (grid_k[b, cols] - grid_k[a, cols]) / (t_grid[b] - t_grid[a] + (b == a))  # 0 / 1 where b == a
+            line = grid_k[a, cols] + (t_grid[:, None] - t_grid[a]) * slope
+            grid_k[:, cols] = np.where(np.arange(len(t_grid))[:, None] < a, line, grid_k[:, cols])
+        self._t, self._s, self._k, self._h = t_grid, s_grid, grid_k, float(np.min(np.diff(t_grid)))
+
+    def eval(self, t, s):
+        t_grid, s_grid, grid_k = self._t, self._s, self._k
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        # bilinear on the cell holding (t, s), continued linearly outside the grid; the corner terms are
+        # added from 0.0 in RegularGridInterpolator's order, so the bits equal its "linear" method's
+        i = np.clip(np.searchsorted(t_grid, t, side="right") - 1, 0, len(t_grid) - 2)
+        j = np.clip(np.searchsorted(s_grid, s, side="right") - 1, 0, len(s_grid) - 2)
+        y0 = (t - t_grid[i]) / (t_grid[i + 1] - t_grid[i])
+        y1 = (s - s_grid[j]) / (s_grid[j + 1] - s_grid[j])
+        out = 0.0 + grid_k[i, j] * (1 - y0) * (1 - y1) + grid_k[i, j + 1] * (1 - y0) * y1
+        out = out + grid_k[i + 1, j] * y0 * (1 - y1) + grid_k[i + 1, j + 1] * y0 * y1
+        return np.where(s > t, 0.0, out) if self.adapted else out
+
+    def diag_limit(self, s):
+        return self.eval(s, s)
+
+    def dt_eval(self, t, s):
+        # difference quotient over [t - h/2, t + h/2] clipped to [s, horizon]; 0 where that is empty
+        h = self._h
+        lo, hi = np.maximum(t - 0.5 * h, s), np.minimum(t + 0.5 * h, self.horizon)
+        width = hi - lo
+        nonempty = width > 0
+        out = np.where(nonempty, self.eval(hi, s) - self.eval(lo, s), 0.0) / np.where(nonempty, width, 1.0)
+        return out if out.ndim else float(out)
+
+
+def grid_kernel(t_grid, s_grid, values) -> KernelSpec:
+    """Kernel interpolated bilinearly from a table of K(t_i, s_j), adapted if the table is 0 for s_j > t_i.
+
+    A table not of shape (len(t_grid), len(s_grid)), a value that is not finite,
+    or a grid of fewer than two increasing points raises ConfigurationError.
+    """
+    return _Grid(t_grid, s_grid, values)
+
+
 def grid_kernel_from_csv(path) -> KernelSpec:
-    """Kernel interpolated bilinearly from a CSV matrix.
+    """``grid_kernel`` of a CSV matrix.
 
     Layout: first row holds the s-grid (first cell blank or a label), first
-    column the t-grid, cell (i, j) the value K(t_i, s_j).  The file is checked
-    before anything is built: an empty file, a ragged row, a cell that is not
-    a finite number, or a grid of fewer than two increasing points raises
-    ConfigurationError.
+    column the t-grid, cell (i, j) the value K(t_i, s_j).  An empty file, a
+    ragged row or a cell that is not a number raises ConfigurationError, as
+    does a table that ``grid_kernel`` refuses.
     """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
@@ -512,60 +560,9 @@ def grid_kernel_from_csv(path) -> KernelSpec:
     try:
         s_grid = np.array([float(x) for x in rows[0][1:]])
         table = np.array([[float(x) for x in r] for r in rows[1:]]).reshape(-1, width)
-    except ValueError as exc:
+        return _Grid(table[:, 0], s_grid, table[:, 1:])
+    except (ValueError, ConfigurationError) as exc:
         raise ConfigurationError(f"grid CSV {path}: {exc}") from None
-    if not (np.all(np.isfinite(s_grid)) and np.all(np.isfinite(table))):
-        raise ConfigurationError(f"grid CSV {path}: every grid point and value must be finite")
-    t_grid, grid_k = table[:, 0], table[:, 1:]
-    for name, grid in (("t", t_grid), ("s", s_grid)):
-        if len(grid) < 2 or not np.all(np.diff(grid) > 0):
-            raise ConfigurationError(f"grid CSV {path}: the {name}-grid needs at least two increasing points")
-    horizon = float(max(t_grid[-1], s_grid[-1]))
-    adapted = bool(np.allclose(grid_k[np.less.outer(t_grid, s_grid)], 0.0, atol=1e-12))
-    if adapted:
-        # a cell that straddles the diagonal would mix the zero upper triangle into K(t, s) for t >= s:
-        # continue each column linearly in t from its first two values at t >= s, as a constant if it has
-        # only one (the last column when s_grid ends at t_grid's end), and zero s > t after
-        first = np.searchsorted(t_grid, s_grid)
-        cols = np.flatnonzero(first < len(t_grid))
-        a = first[cols]
-        b = np.minimum(a + 1, len(t_grid) - 1)
-        slope = (grid_k[b, cols] - grid_k[a, cols]) / (t_grid[b] - t_grid[a] + (b == a))  # 0 / 1 where b == a
-        line = grid_k[a, cols] + (t_grid[:, None] - t_grid[a]) * slope
-        grid_k[:, cols] = np.where(np.arange(len(t_grid))[:, None] < a, line, grid_k[:, cols])
-    h = float(np.min(np.diff(t_grid)))
-
-    def values(t, s):
-        t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-        # bilinear on the cell holding (t, s), continued linearly outside the grid; the corner terms are
-        # added from 0.0 in RegularGridInterpolator's order, so the bits equal its "linear" method's
-        i = np.clip(np.searchsorted(t_grid, t, side="right") - 1, 0, len(t_grid) - 2)
-        j = np.clip(np.searchsorted(s_grid, s, side="right") - 1, 0, len(s_grid) - 2)
-        y0 = (t - t_grid[i]) / (t_grid[i + 1] - t_grid[i])
-        y1 = (s - s_grid[j]) / (s_grid[j + 1] - s_grid[j])
-        out = 0.0 + grid_k[i, j] * (1 - y0) * (1 - y1) + grid_k[i, j + 1] * (1 - y0) * y1
-        out = out + grid_k[i + 1, j] * y0 * (1 - y1) + grid_k[i + 1, j + 1] * y0 * y1
-        return np.where(s > t, 0.0, out) if adapted else out
-
-    def diag_limit(s):
-        return values(s, s)
-
-    def dt_evaluate(t, s):
-        # difference quotient over [t - h/2, t + h/2] clipped to [s, horizon]; 0 where that is empty
-        lo, hi = np.maximum(t - 0.5 * h, s), np.minimum(t + 0.5 * h, horizon)
-        width = hi - lo
-        nonempty = width > 0
-        out = np.where(nonempty, values(hi, s) - values(lo, s), 0.0) / np.where(nonempty, width, 1.0)
-        return out if out.ndim else float(out)
-
-    return KernelSpec(
-        name="custom-grid",
-        horizon=horizon,
-        adapted=adapted,
-        eval=values,
-        diag_limit=diag_limit,
-        dt_eval=dt_evaluate,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +587,6 @@ def k1_empirical(kernel: KernelSpec) -> float:
     grids agree to ``_K1_TOL``; DomainError is raised when
     ``_K1_REFINEMENTS`` doublings do not get there.
     """
-    if kernel.dt_eval is None:
-        raise UnsupportedKernelError(f"kernel {kernel.name!r} lacks derivative data")
     big_t = kernel.horizon
     g0, gam = kernel.origin_exponent, kernel.singularity
     s_fine = big_t * (np.arange(1, 1025) / 1024) ** 2
@@ -645,7 +640,7 @@ def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
         raise ConfigurationError(f"n_grid must be >= 1, not {n_grid}")
     _check_table_size(n_grid * n_grid, f"the {n_grid} x {n_grid} K* matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
-        a = kernel.kstar(kernel.horizon, n_grid)
+        a = kernel.kstar(n_grid)
     if not np.all(np.isfinite(a)):
         raise DomainError(f"the {n_grid} x {n_grid} K* matrix is not finite at horizon {kernel.horizon!r}")
     return a

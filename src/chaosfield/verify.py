@@ -27,6 +27,7 @@ from .kernels import (
     fbm_covariance,
     fbm_k1,
     fbm_kernel_spec,
+    grid_kernel,
     k1_empirical,
     op_norm_bound,
     op_norm_estimate,
@@ -171,12 +172,29 @@ def suite_sde() -> dict:
         picard = solve_picard(kernel, basis, trunc, grid)
         disc = float(np.max(np.abs(closed.coeffs - picard.coeffs)))
         checks.append(_check(f"closed-vs-picard-{name}", disc, 1e-11))
-    sol = solve_closed_form(
-        brownian_kernel(1.0), basis, Truncation(8, 8), np.array([0.0, 1.0])
-    )
-    checks.append(
-        _check("second-moment-vs-exp", abs(sol.second_moment(1.0) - math.e), 1e-3)
-    )
+    # K = e^-(t - s) tabulated on 65 points: M~_k(t) = c_k (cos wt + w sin wt - e^-t) / (1 + w^2),
+    # w = (k - 1) pi, c_1 = 1 and c_k = sqrt(2); the grid's own error, 2.1e-5 and 1.3e-5 measured
+    lag = grid[:, None] - grid  # t - s
+    kernel = grid_kernel(grid, grid, np.where(lag >= 0.0, np.exp(-np.maximum(lag, 0.0)), 0.0))
+    times = grid[::2]
+    closed = solve_closed_form(kernel, basis, Truncation(4, 3), times)
+    picard = solve_picard(kernel, basis, Truncation(4, 3), times)
+    checks.append(_check("closed-vs-picard-grid-exp", float(np.max(np.abs(closed.coeffs - picard.coeffs))), 5e-5))
+    w = np.arange(4)[:, None] * math.pi
+    exact = np.where(w > 0, math.sqrt(2.0), 1.0) * (np.cos(w * times) + w * np.sin(w * times) - np.exp(-times))
+    mt_err = float(np.max(np.abs(closed.mtilde.T - exact / (1.0 + w**2))))
+    checks.append(_check("mtilde-vs-exact-grid-exp", mt_err, 3e-5))
+    for name, kernel, trunc in (
+        ("brownian", brownian_kernel(1.0), Truncation(8, 8)),
+        ("fbm-h075", fbm_kernel_spec(0.75, 1.0), Truncation(8, 4)),
+    ):
+        sol = solve_closed_form(kernel, basis, trunc, np.array([0.0, 1.0]))
+        if name == "brownian":
+            checks.append(_check("second-moment-vs-exp", abs(sol.second_moment(1.0) - math.e), 1e-3))
+        # E u_N(1)^2 = sum_{n <= N} s^n / n!, s = sum_k M~_k(1)^2, holds to roundoff in the truncation
+        s = float(np.sum(sol.mtilde[1] ** 2))
+        identity = math.fsum(s**n / math.factorial(n) for n in range(trunc.max_order + 1))
+        checks.append(_check(f"second-moment-truncated-identity-{name}", abs(sol.second_moment(1.0) - identity), 1e-13))
     return _wrap("sde", checks)
 
 

@@ -286,6 +286,19 @@ def run_refused(capsys, *argv):
     return captured.err
 
 
+@pytest.mark.parametrize("where", ["flag", "file"])
+@pytest.mark.parametrize("mode", ["ito", "strat", "field-ito"])
+def test_integrate_refuses_a_hurst_index_the_kernel_does_not_read(mode, where, tmp_path, capsys):
+    # it was checked and then ignored: integrate --mode strat --hurst 0.6 printed the bytes of a run without it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hurst": 0.6} if where == "file" else {}))
+    argv = ["integrate", "--mode", mode, "--modes", "3", "--order", "2", "--config", str(cfg)]
+    line = run_refused(capsys, *argv, *(["--hurst", "0.6"] if where == "flag" else []))
+    assert line == "configuration error: hurst is the fbm kernel's Hurst index; the brownian kernel takes none\n"
+    # the fbm kernel reads it
+    assert run(capsys, *argv, "--kernel", "fbm", "--mode", "field-ito", "--hurst", "0.6")[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

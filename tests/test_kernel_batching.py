@@ -12,7 +12,6 @@ bits, and the cells above it agree with the loop to roundoff.
 """
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,7 +107,7 @@ def test_mtilde_memo_evicts_the_least_recently_used_mode():
 
 @pytest.mark.parametrize("name", ["brownian", "grid"])
 def test_other_kernels_stack_their_per_mode_rows(name, grid_kernel):
-    kernel = brownian_kernel(1.0) if name == "brownian" else replace(grid_kernel)  # a copy's memo starts empty
+    kernel = brownian_kernel(1.0) if name == "brownian" else grid_kernel  # each test's own: its memo starts empty
     times = np.linspace(0.1, 1.0, 7)
     for basis in BASES:
         got = kernel.mtilde(basis, (1, 2, 3), times)
@@ -122,7 +121,7 @@ def test_other_kernels_stack_their_per_mode_rows(name, grid_kernel):
 
 @pytest.mark.parametrize("name", ["brownian", "grid"])
 def test_other_kernels_memo_evicts_the_least_recently_used_mode(name, grid_kernel):
-    kernel = brownian_kernel(1.0) if name == "brownian" else replace(grid_kernel)
+    kernel = brownian_kernel(1.0) if name == "brownian" else grid_kernel
     times, basis = np.linspace(0.0, 1.0, 5), BASES[1]
     size = kernel.mtilde.cache_info().maxsize
     kernel.mtilde(basis, range(1, size + 1), times)

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from scipy.special import roots_jacobi
 
 from chaosfield.basis import BasisFamily, _on_live_rows, jacobi01, quad_singular_smooth
 from chaosfield import kernels, sde
-from chaosfield.errors import ConfigurationError, DomainError, InvalidCovarianceError
+from chaosfield.errors import ConfigurationError, DomainError, InvalidCovarianceError, UnsupportedKernelError
 from chaosfield.kernels import (
     KernelSpec,
     brownian_kernel,
@@ -21,6 +20,7 @@ from chaosfield.kernels import (
     fbm_kernel,
     fbm_kernel_dt,
     fbm_kernel_spec,
+    grid_kernel,
     grid_kernel_from_csv,
     hr_gram,
     k1_empirical,
@@ -92,14 +92,13 @@ def test_k1_empirical_raises_without_convergence(monkeypatch):
 def test_fbm_psi_matches_generic_factorisation():
     kernel = fbm_kernel_spec(0.75, 1.0)
     basis = BasisFamily("cosine", 1.0)
-    # the same spec without its own factorisation: psi = K m_k by quadrature of dt_eval and dt_smooth
-    generic = KernelSpec(**{**kernel.__dict__, "gamma0": 0.0, "psi": None, "mtilde": None, "kstar": None})
+    # the base class's psi on the fBm kernel: K m_k by quadrature of dt_eval and dt_smooth, gamma0 = 0
     s, ks = np.array([0.3, 0.8]), (1, 3)
-    exact = s**kernel.gamma0 * kernel.psi(basis, ks, s)
-    assert exact == pytest.approx(generic.psi(basis, ks, s), rel=1e-7, abs=1e-8)
-    for k in ks:
-        (g_exact, psi_exact), (g_generic, psi_generic) = kmk_factor(kernel, basis, k), kmk_factor(generic, basis, k)
-        assert s**g_exact * psi_exact(s) == pytest.approx(s**g_generic * psi_generic(s), rel=1e-7, abs=1e-8)
+    generic = KernelSpec.psi(kernel, basis, ks, s)
+    assert s**kernel.gamma0 * kernel.psi(basis, ks, s) == pytest.approx(generic, rel=1e-7, abs=1e-8)
+    for i, k in enumerate(ks):
+        gamma0, psi = kmk_factor(kernel, basis, k)
+        assert s**gamma0 * psi(s) == pytest.approx(generic[i], rel=1e-7, abs=1e-8)
 
 
 def test_fbm_mtilde_first_mode_analytic():
@@ -239,14 +238,15 @@ def test_op_norm_estimate_scales_out_a_huge_or_tiny_horizon(hurst, n_grid):
 
 def test_op_norm_estimate_of_a_matrix_whose_square_overflows():
     # every entry 1e160: A^T A would hold 16e320, but ||A|| = 16e160 is finite
-    huge = replace(brownian_kernel(1.0), kstar=lambda horizon, n: np.full((n, n), 1e160))
+    huge = brownian_kernel(1.0)
+    huge.kstar = lambda n: np.full((n, n), 1e160)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert op_norm_estimate(huge, 16) == pytest.approx(16e160, rel=1e-15, abs=0.0)
         # a norm past the float range is refused by name
-        beyond = replace(huge, kstar=lambda horizon, n: np.full((n, n), 1e307))
+        huge.kstar = lambda n: np.full((n, n), 1e307)
         with pytest.raises(DomainError, match="K\\* norm overflows"):
-            op_norm_estimate(beyond, 64)
+            op_norm_estimate(huge, 64)
 
 
 @pytest.mark.parametrize("hurst", [0.75, 0.9])
@@ -325,15 +325,22 @@ def _lower(t, s, value):
     return np.where(s <= t, value(np.minimum(s - t, 0.0)), 0.0)
 
 
-# K = e^-(t - s) on s <= t, and the same kernel tabulated on a grid of [0, 1] by _exp_grid_kernel
-EXACT_EXP = KernelSpec(
-    name="exp",
-    horizon=1.0,
-    adapted=True,
-    eval=lambda t, s: _lower(t, s, np.exp),
-    diag_limit=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-    dt_eval=lambda t, s: _lower(t, s, lambda x: -np.exp(x)),
-)
+class ExactExp(KernelSpec):
+    """K = e^-(t - s) on s <= t, and the same kernel tabulated on a grid of [0, 1] by _exp_grid_kernel."""
+
+    name, adapted = "exp", True
+
+    def eval(self, t, s):
+        return _lower(t, s, np.exp)
+
+    def diag_limit(self, s):
+        return np.ones_like(np.asarray(s, dtype=float))
+
+    def dt_eval(self, t, s):
+        return _lower(t, s, lambda x: -np.exp(x))
+
+
+EXACT_EXP = ExactExp(1.0)
 
 
 def _exp_grid_kernel(tmp_path, points):
@@ -433,38 +440,47 @@ def test_grid_kernel_refuses_a_value_that_is_not_finite(tmp_path, cell):
         grid_kernel_from_csv(_grid_csv(tmp_path, GOOD_GRID.replace("0.5,1,1,0", f"0.5,1,{cell},0")))
 
 
-def test_replace_rederives_the_derived_pieces():
-    # K(t, s) = a (1 + t - s) on s <= t: psi, M~, the column and dt_smooth all scale with a
-    def spec_parts(a):
-        return dict(
-            eval=lambda t, s: np.where(s <= t, a * (1.0 + t - s), 0.0),
-            diag_limit=lambda s: a,
-            dt_eval=lambda t, s: a + 0.0 * np.asarray(s),
-        )
+class Affine(KernelSpec):
+    """K(t, s) = a (1 + t - s) on s <= t, with no pieces of its own."""
 
+    name, adapted = "affine", True
+
+    def __init__(self, a):
+        super().__init__(1.0)
+        self.a = a
+
+    def eval(self, t, s):
+        return np.where(s <= t, self.a * (1.0 + t - s), 0.0)
+
+    def diag_limit(self, s):
+        return self.a
+
+    def dt_eval(self, t, s):
+        return self.a + 0.0 * np.asarray(s)
+
+
+def test_derived_pieces_read_their_own_kernel():
+    # psi, M~, K* and dt_smooth all scale with a: each is derived from the object's own eval and dt_eval
     basis = BasisFamily("cosine", 1.0)
     s, t = np.array([0.3, 0.8]), np.array([0.4, 1.0])
-    one = KernelSpec("affine", 1.0, True, **spec_parts(1.0))
-    two = replace(one, **spec_parts(2.0))
+    one, two = Affine(1.0), Affine(2.0)
     assert np.array_equal(two.eval_ts(t, 0.2), 2.0 * one.eval_ts(t, 0.2))
     assert np.array_equal(two.psi(basis, (1, 3), s), 2.0 * one.psi(basis, (1, 3), s))
     assert np.array_equal(two.mtilde(basis, 2, t), 2.0 * one.mtilde(basis, 2, t))
+    assert np.array_equal(discretize_kstar(two, 8), 2.0 * discretize_kstar(one, 8))
     assert two.dt_smooth(0.5, 0.2) == 2.0
-    # what a constructor supplied stays as it was
-    fbm = fbm_kernel_spec(0.75, 1.0)
-    assert replace(fbm, name="copy").psi is fbm.psi
-    # a supplied K* takes the horizon, so a copy with another horizon builds K* on its own grid
-    other = discretize_kstar(fbm_kernel_spec(0.75, 2.5), 16)
-    assert discretize_kstar(replace(fbm, horizon=2.5), 16).tobytes() == other.tobytes()
+    assert (one.singularity, one.origin_exponent, one.gamma0) == (0.0, 0.0, 0.0)
 
 
 def test_derived_dt_smooth_matches_the_shipped_fbm_spec(monkeypatch):
-    # the fBm spec without its dt_smooth and factorisation, everything derived from eval and dt_eval
+    # the fBm kernel with the base class's dt_smooth and factorisation, everything derived from eval and dt_eval
     kernel = fbm_kernel_spec(0.7, 1.0)
+
+    class Derived(type(kernel)):
+        dt_smooth, psi, _mtilde, kstar = KernelSpec.dt_smooth, KernelSpec.psi, KernelSpec._mtilde, KernelSpec.kstar
+
+    derived = Derived(0.7, 1.0)
     basis = BasisFamily("cosine", 1.0)
-    derived = KernelSpec(
-        **{**kernel.__dict__, "gamma0": 0.0, "dt_smooth": None, "psi": None, "mtilde": None, "kstar": None}
-    )
     s, ks = np.array([0.3, 0.8]), (1, 3)
     exact = s**kernel.gamma0 * kernel.psi(basis, ks, s)
     np.testing.assert_allclose(derived.psi(basis, ks, s), exact, rtol=1e-13, atol=0.0)
@@ -473,10 +489,53 @@ def test_derived_dt_smooth_matches_the_shipped_fbm_spec(monkeypatch):
 
 
 def test_singularity_defaults_to_zero():
-    for singularity in ({}, {"singularity": None}):
-        spec = KernelSpec("flat", 1.0, True, lambda t, s: 1.0, lambda s: 1.0, lambda t, s: 0.0, **singularity)
-        assert spec.singularity == 0.0
+    class Flat(KernelSpec):
+        name, adapted = "flat", True
+
+    assert Flat(1.0).singularity == 0.0
     assert brownian_kernel(1.0).singularity == 0.0
+
+
+def test_a_kernel_without_dt_eval_is_refused_where_k1_is_needed():
+    # the base class's dt_eval refuses, so the derived psi and k1_empirical name the missing piece
+    class NoDerivative(KernelSpec):
+        name, adapted = "no-derivative", True
+
+        def eval(self, t, s):
+            return np.where(s <= t, 1.0 + t - s, 0.0)
+
+        def diag_limit(self, s):
+            return np.ones(np.shape(s))
+
+    kernel = NoDerivative(1.0)
+    for call in (lambda: kernel.psi(BasisFamily("cosine", 1.0), (1, 2), np.array([0.5])), lambda: k1_empirical(kernel)):
+        with pytest.raises(UnsupportedKernelError, match="'no-derivative' lacks derivative data"):
+            call()
+    # what needs only eval still works
+    assert discretize_kstar(kernel, 4)[0, 0] == pytest.approx(1.125)
+
+
+def test_grid_kernel_from_a_table_equals_the_csv_kernel_bit_for_bit(tmp_path):
+    grid = np.linspace(0.0, 1.0, 17)
+    t, s = grid[:, None], grid
+    table = np.where(s <= t, np.exp(np.minimum(s - t, 0.0)), 0.0)
+    before = table.copy()
+    path = tmp_path / "kernel.csv"
+    path.write_text(
+        "t_s," + ",".join(map(repr, grid.tolist())) + "\n"
+        + "".join(repr(ti) + "," + ",".join(map(repr, row)) + "\n" for ti, row in zip(grid.tolist(), table.tolist()))
+    )
+    basis, x = BasisFamily("cosine", 1.0), np.linspace(0.0, 1.0, 41)
+    in_memory, from_csv = grid_kernel(grid, grid, table), grid_kernel_from_csv(path)
+    assert in_memory.psi(basis, (1, 2, 3), x).tobytes() == from_csv.psi(basis, (1, 2, 3), x).tobytes()
+    assert discretize_kstar(in_memory, 8).tobytes() == discretize_kstar(from_csv, 8).tobytes()
+    assert np.array_equal(table, before)  # the continuation across the diagonal works on a copy
+    with pytest.raises(ConfigurationError, match="shape"):
+        grid_kernel(grid, grid[:-1], table)
+    # a refusal from the table names the file it came from
+    path.write_text("t_s,0.0,1.0\n1.0,1,1\n0.0,1,0\n")
+    with pytest.raises(ConfigurationError, match="kernel.csv: the t-grid needs at least two increasing points"):
+        grid_kernel_from_csv(path)
 
 
 def test_jacobi_rule_cache_stays_bounded_across_hurst_indices(monkeypatch):
@@ -624,5 +683,6 @@ def test_covariance_from_kernel_evaluates_once_on_the_diagonal_with_the_same_bit
             count.append(1)
             return inner(tt, ss)
 
-        assert np.array_equal(covariance_from_kernel(replace(kernel, eval=counted), t, s), want)
+        kernel.eval = counted
+        assert np.array_equal(covariance_from_kernel(kernel, t, s), want)
         assert len(count) == calls, kernel.name

@@ -10,7 +10,6 @@ between different keys, and store nothing on a refused request.
 """
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,29 +284,33 @@ def write_grid_csv(path):
     return path
 
 
-def user_spec():
-    """A spec with an M~ of its own: K = 2 chi_[0, t], so M~_k = 2 M_k."""
-    return KernelSpec(
-        name="twice-brownian",
-        horizon=1.0,
-        adapted=True,
-        eval=lambda t, s: np.where(s <= t, 2.0, 0.0),
-        diag_limit=lambda s: np.full(np.shape(s), 2.0),
-        mtilde=lambda basis, ks, t: np.array([2.0 * basis.antideriv(j, t) for j in ks]),
-    )
+class TwiceBrownian(KernelSpec):
+    """A kernel with an M~ of its own: K = 2 chi_[0, t], so M~_k = 2 M_k."""
+
+    name, adapted = "twice-brownian", True
+
+    def eval(self, t, s):
+        return np.where(s <= t, 2.0, 0.0)
+
+    def diag_limit(self, s):
+        return np.full(np.shape(s), 2.0)
+
+    def _mtilde(self, basis, ks, t):
+        return np.array([2.0 * basis.antideriv(j, t) for j in ks])
 
 
 def make_spec(name, tmp_path):
-    """A fresh spec with an empty memo; "copy" is a ``replace`` copy of a warm grid spec."""
+    """A fresh spec with an empty memo; "copy" is a second kernel of a table whose first kernel's memo is warm."""
     if name == "brownian":
         return brownian_kernel(1.0)
-    grid = grid_kernel_from_csv(write_grid_csv(tmp_path / "kernel.csv"))
+    path = write_grid_csv(tmp_path / "kernel.csv")
+    grid = grid_kernel_from_csv(path)
     if name == "grid":
         return grid
     if name == "user":
-        return user_spec()
+        return TwiceBrownian(1.0)
     grid.mtilde(COSINE, [1, 2], np.linspace(0.0, 1.0, 5))
-    return replace(grid, name="copy")
+    return grid_kernel_from_csv(path)
 
 
 SPECS = ["brownian", "grid", "user", "copy"]
@@ -359,18 +362,19 @@ def test_every_memo_stores_nothing_on_a_refused_time(name, t, tmp_path):
 
 
 def test_a_copy_memoises_apart_from_its_original(tmp_path):
-    original = make_spec("grid", tmp_path)
+    # two kernels of one table, or two objects of one class, each memoise their own pieces
+    path = write_grid_csv(tmp_path / "kernel.csv")
+    original, copy = grid_kernel_from_csv(path), grid_kernel_from_csv(path)
     times = np.linspace(0.0, 1.0, 9)
     original.mtilde(COSINE, [1, 2], times)
-    copy = replace(original, horizon=2.0)  # derived pieces are derived again, bound to the copy
     assert copy.mtilde is not original.mtilde
-    assert copy.mtilde.__wrapped__.args == (copy,)
+    assert copy.mtilde.__wrapped__ == copy._mtilde  # the derived piece, bound to the copy
     copy.mtilde(COSINE, [1, 2, 3], times)
     assert (copy.mtilde.cache_info().misses, copy.mtilde.cache_info().hits) == (3, 0)
     assert (original.mtilde.cache_info().misses, original.mtilde.cache_info().hits) == (2, 0)
-    # the user's own piece passes to a copy unmemoised, and is memoised afresh there
-    user = user_spec()
-    assert replace(user).mtilde.__wrapped__ is user.mtilde.__wrapped__
+    # a subclass's own piece is memoised the same way
+    user = TwiceBrownian(1.0)
+    assert user.mtilde.__wrapped__ == user._mtilde and TwiceBrownian(1.0).mtilde is not user.mtilde
 
 
 def test_repeated_brownian_path_synthesis_computes_mtilde_once():

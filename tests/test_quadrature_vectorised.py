@@ -53,9 +53,9 @@ EPS = float(np.finfo(float).eps)
 BASES = [BasisFamily("cosine", 1.0), BasisFamily("legendre", 1.0)]
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def grid_kernel(tmp_path_factory):
-    """An adapted kernel K(t, s) = 1 + (t - s)^2 on s <= t, tabulated on a CSV grid."""
+    """An adapted kernel K(t, s) = 1 + (t - s)^2 on s <= t from a CSV grid; a fresh one, empty memo, per test."""
     nodes = np.linspace(0.0, 1.0, 21)
     path = tmp_path_factory.mktemp("grid") / "kernel.csv"
     with open(path, "w") as fh:

@@ -1,7 +1,7 @@
 """The commands that leave scipy unloaded and the shipped demos, each run in a
 fresh interpreter, the benchmark's per-layer span names against the
-library's public API, the kernel protocol's rule that no consumer branches
-on what a kernel supplied, the rule that every defaulted parameter of a
+library's public API, the kernel protocol's rule that the shipped kernels
+override only protocol methods and are named only in kernels.py, the rule that every defaulted parameter of a
 public function is set by some call, the rules that the library never calls
 the built-in sum or quad_singular, that it imports no scipy and declares
 exactly its third-party imports as runtime dependencies, that every kernel
@@ -17,7 +17,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ import pytest
 
 from chaosfield import sde
 from chaosfield.basis import BasisFamily
-from chaosfield.kernels import KernelSpec, brownian_kernel, fbm_kernel_spec, grid_kernel_from_csv
+from chaosfield.kernels import KernelSpec, brownian_kernel, fbm_kernel_spec, grid_kernel, grid_kernel_from_csv
 from chaosfield.multiindex import Truncation
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,40 +114,65 @@ def test_benchmark_per_layer_spans_name_traced_public_functions():
             assert spans._is_traced_function(module, rest, getattr(module, rest, None)), name
 
 
-DERIVED_OR_DEFAULTED = {"dt_smooth", "psi", "mtilde", "kstar", "singularity"}
+# what a kernel class may define: the protocol's attributes and methods; a private helper of its own is fine
+PROTOCOL = {"name", "adapted", "singularity", "origin_exponent", "gamma0", "__init__"} | {
+    "eval", "diag_limit", "dt_eval", "dt_smooth", "psi", "_mtilde", "kstar"
+}
+SHIPPED_KERNEL_CLASSES = {"_Brownian", "_Fbm", "_Grid"}
 
 
-def _none_checks_on_kernel_pieces(tree):
-    # (line, attribute) of each comparison of a derived or defaulted KernelSpec piece with None
-    # outside KernelSpec.__post_init__, the one place that fills them in
-    found = []
+def _beyond_the_protocol(cls):
+    # names a kernel class defines outside the protocol: a public one, or an override of another base member
+    dunder = {n for n in vars(cls) if n.startswith("__") and n.endswith("__")}
+    return sorted(
+        n for n in vars(cls) if n not in PROTOCOL | dunder and (not n.startswith("_") or n in vars(KernelSpec))
+    )
 
-    def visit(node, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = scope + (node.name,)
-        if isinstance(node, ast.Compare) and scope[-2:] != ("KernelSpec", "__post_init__"):
-            sides = [node.left, *node.comparators]
-            if any(isinstance(x, ast.Constant) and x.value is None for x in sides):
-                pieces = [x.attr for x in sides if isinstance(x, ast.Attribute)]
-                found.extend((node.lineno, a) for a in pieces if a in DERIVED_OR_DEFAULTED)
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
 
-    visit(tree, ())
+def _names_used(tree):
+    # every identifier a module names: variables, attributes and imported names
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     return found
 
 
-def test_no_consumer_checks_a_derived_kernel_piece_for_none():
-    # KernelSpec derives dt_smooth, psi, mtilde and kstar and defaults singularity to 0,
-    # so a None check on one of them elsewhere is a branch on what a kernel supplied
+def test_shipped_kernels_override_only_protocol_methods():
+    # each shipped kernel is its own KernelSpec subclass, overriding only the pieces it has in exact form
+    shipped = [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0), grid_kernel([0.0, 1.0], [0.0, 1.0], np.eye(2))]
+    classes = {type(kernel) for kernel in shipped}
+    assert {cls.__name__ for cls in classes} == SHIPPED_KERNEL_CLASSES
+    for cls in classes:
+        assert cls.__bases__ == (KernelSpec,), cls
+        assert _beyond_the_protocol(cls) == [], cls
+    # ... and no module outside kernels.py names those classes: consumers see only KernelSpec
     found = {
-        path.name: hits
-        for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
-        if (hits := _none_checks_on_kernel_pieces(ast.parse(path.read_text())))
+        str(path.relative_to(ROOT)): sorted(hits)
+        for sub in ("src", "bench", "demos", "tests")
+        for path in sorted((ROOT / sub).rglob("*.py"))
+        if path.name != "kernels.py" and (hits := _names_used(ast.parse(path.read_text())) & SHIPPED_KERNEL_CLASSES)
     }
     assert found == {}
-    # the check sees such a comparison
-    assert _none_checks_on_kernel_pieces(ast.parse("if k.dt_smooth is not None and k.singularity != None: pass"))
+
+    # the checks see a public method, an override of eval_ts and each spelling of a name
+    class Odd(KernelSpec):
+        def eval_ts(self, t, s):
+            pass
+
+        def extra(self):
+            pass
+
+        def _helper(self):
+            pass
+
+    assert _beyond_the_protocol(Odd) == ["eval_ts", "extra"]
+    sample = "from chaosfield.kernels import _Grid\nx = kernels._Fbm(0.7, 1.0)\ny = _Brownian"
+    assert _names_used(ast.parse(sample)) >= SHIPPED_KERNEL_CLASSES
 
 
 # a test that needs another value monkeypatches a module constant; a call from a test sets no option
@@ -272,12 +296,16 @@ def test_runtime_dependencies_are_the_library_third_party_imports():
 
 
 def test_every_kernel_spec_exposes_its_mtilde_memo(tmp_path):
-    # the memo wraps every spec's M~, supplied or derived, so no kernel constructor can skip it
+    # the memo wraps every kernel's M~, its own or derived, so no subclass can skip it
     grid = tmp_path / "kernel.csv"
     grid.write_text("t_s,0.0,1.0\n0.0,1.0,0.0\n1.0,1.0,1.0\n")
-    direct = KernelSpec(name="direct", horizon=1.0, adapted=True, eval=np.minimum, diag_limit=np.ones_like)
-    specs = [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0), grid_kernel_from_csv(grid), direct]
-    specs.append(replace(specs[1]))
+
+    class Direct(KernelSpec):
+        name, adapted = "direct", True
+        eval, diag_limit = staticmethod(np.minimum), staticmethod(np.ones_like)
+
+    specs = [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0), grid_kernel_from_csv(grid), Direct(1.0)]
+    specs.append(fbm_kernel_spec(0.7, 1.0))
     for spec in specs:
         assert spec.mtilde.cache_info() == (0, 0, 128, 0), spec.name
     assert specs[-1].mtilde is not specs[1].mtilde
