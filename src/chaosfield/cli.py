@@ -157,6 +157,8 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--mode {args.mode} is the Brownian integral; the {cfg.kernel} kernel takes field-ito")
     if "hurst" in given and cfg.kernel != "fbm":
         raise ConfigurationError(f"hurst is the fbm kernel's Hurst index; the {cfg.kernel} kernel takes none")
+    if refused := sorted(given & {"grid", "out"}):  # sde's keys, which a config file shared with it may hold
+        raise ConfigurationError(f"integrate reads no {refused[0]}")
     basis = cfg.make_basis()
     trunc = cfg.truncation()
     if args.integrand == "w-path":

@@ -1,9 +1,9 @@
 """Volterra kernels and the operator K* they induce on L2((0, T)).
 
-A KernelSpec packages the pointwise kernel K(t, s), its diagonal limit
-K(s+, s), the t-derivative K1(t, s), singularity metadata, and the
-mode-batched factorisation (K m_k)(s) = s^gamma0 psi_k(s) through which every
-pairing with a basis is computed.  Shipped kernels subclass it: the Brownian
+A KernelSpec packages the pointwise Volterra kernel K(t, s), 0 for s > t,
+its diagonal limit K(s+, s), the t-derivative K1(t, s), singularity
+metadata, and the mode-batched factorisation (K m_k)(s) = s^gamma0 psi_k(s)
+through which every pairing with a basis is computed.  Shipped kernels subclass it: the Brownian
 kernel (K* = identity), the fractional Brownian motion kernel for Hurst index
 H in (1/2, 1), and kernels interpolated from a table or a CSV grid.
 """
@@ -40,27 +40,26 @@ from .multiindex import _check_table_size
 class KernelSpec:
     """A Volterra kernel K(t, s) on [0, T]: the base class every kernel subclasses.
 
-    A subclass sets ``name`` and ``adapted`` (K(t, s) = 0 for s > t) and
-    defines ``eval(t, s)``, ``diag_limit(s)`` = K(s+, s) and, for
-    ``k1_empirical`` and the derived ``psi``, ``dt_eval(t, s)`` = K1(t, s) =
-    dK/dt.  ``singularity`` is the exponent of K1 in (t - s) as t -> s+ (0
-    when K1 is regular there), ``origin_exponent`` that of K(t, s) in s as
-    s -> 0.  Every method takes arrays: ``eval``, ``dt_eval`` and
+    K(t, s) = 0 for s > t.  A subclass sets ``name`` and defines
+    ``eval(t, s)``, with the diagonal value K(s, s) = K(s+, s) on the s <= t
+    side, and, for ``k1_empirical`` and the derived ``psi``, ``dt_eval(t, s)``
+    = K1(t, s) = dK/dt.  ``singularity`` is the exponent of K1 in (t - s) as
+    t -> s+ (0 when K1 is regular there), ``origin_exponent`` that of K(t, s)
+    in s as s -> 0.  Every method takes arrays: ``eval``, ``dt_eval`` and
     ``dt_smooth`` broadcast over t and s, ``diag_limit`` over s, so each
     integral below is one call on a whole node table.
 
     Every pairing with a basis goes through one factorisation
     (K m_k)(s) = s^gamma0 psi_k(s), psi_k smooth at 0, and its antiderivative
     M~_k(t) = int_0^t K(t, s) m_k(s) ds.  The base class derives each piece
-    (``gamma0`` = 0, ``psi``, ``_mtilde``, ``kstar`` and ``dt_smooth``) from
-    ``eval`` and ``dt_eval``; a subclass overrides those it has in exact or
-    faster form.  ``mtilde`` is ``_mtilde`` memoised per kernel object
-    (``_MtildeMemo``): ``kernel.mtilde(basis, k, t)`` takes one int k (one
-    row) or a sequence of modes (one row per mode).
+    (``diag_limit``, ``gamma0`` = 0, ``psi``, ``_mtilde``, ``kstar`` and
+    ``dt_smooth``) from ``eval`` and ``dt_eval``; a subclass overrides those
+    it has in exact or faster form.  ``mtilde`` is ``_mtilde`` memoised per
+    kernel object (``_MtildeMemo``): ``kernel.mtilde(basis, k, t)`` takes one
+    int k (one row) or a sequence of modes (one row per mode).
     """
 
     name: str
-    adapted: bool
     singularity = 0.0
     origin_exponent = 0.0
     gamma0 = 0.0
@@ -74,16 +73,17 @@ class KernelSpec:
     def eval_ts(self, t_sorted, s):
         """K(t, s) for an ascending array of t values; for a 1-D array s, one row per s.
 
-        An adapted kernel reads 0 for s > t without calling ``eval`` there.
+        It reads 0 for s > t without calling ``eval`` there.
         """
         t = np.atleast_1d(np.asarray(t_sorted, dtype=float))
         ss = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
-        if self.adapted:
-            below = ss <= t
-            out = np.where(below, self.eval(np.where(below, t, ss), ss), 0.0)
-        else:
-            out = self.eval(t, ss)
+        below = ss <= t
+        out = np.where(below, self.eval(np.where(below, t, ss), ss), 0.0)
         return out if np.ndim(s) else out[0]
+
+    def diag_limit(self, s):
+        """K(s+, s), which is K(s, s): ``eval`` puts the diagonal on the s <= t side."""
+        return self.eval(s, s)
 
     def dt_eval(self, t, s):
         """K1(t, s) = dK/dt, which a kernel without derivative data leaves to this refusal."""
@@ -119,10 +119,8 @@ class KernelSpec:
     def _mtilde(self, basis: BasisFamily, ks, t) -> np.ndarray:
         """M~_k(t_i) for modes ks over a 1-D array of checked times t, shape (len(ks), len(t)).
 
-        Derived, for adapted kernels: one quadrature of K(t_i, .) m_k for all t_i per mode k.
+        Derived: one quadrature of K(t_i, .) m_k for all t_i per mode k.
         """
-        if not self.adapted:
-            raise UnsupportedKernelError("generic m_tilde implemented for adapted kernels")
         g0 = self.origin_exponent
 
         def row(j):
@@ -212,13 +210,9 @@ class _MtildeMemo:
 
 class _Brownian(KernelSpec):
     name = "brownian"
-    adapted = True
 
     def eval(self, t, s):
         return np.where(s <= t, 1.0, 0.0)
-
-    def diag_limit(self, s):
-        return np.ones(np.shape(s))
 
     def dt_eval(self, t, s):
         return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(s)))
@@ -377,7 +371,6 @@ class _Fbm(KernelSpec):
     """
 
     name = "fbm"
-    adapted = True
 
     def __init__(self, hurst: float, horizon: float):
         _check_hurst(hurst)
@@ -390,9 +383,6 @@ class _Fbm(KernelSpec):
 
     def eval(self, t, s):
         return _fbm_kernel(self._c, self.hurst, t, s)
-
-    def diag_limit(self, s):
-        return np.zeros(np.shape(s))
 
     def dt_eval(self, t, s):
         return _fbm_dt(self._c, self.hurst, t, s)
@@ -479,7 +469,7 @@ def fbm_kernel_spec(hurst: float, horizon: float = 1.0) -> KernelSpec:
 
 
 class _Grid(KernelSpec):
-    """K interpolated bilinearly from its values K(t_i, s_j) on a rectilinear grid."""
+    """K interpolated bilinearly from its values K(t_i, s_j) on a rectilinear grid, 0 where s_j > t_i."""
 
     name = "custom-grid"
 
@@ -492,19 +482,21 @@ class _Grid(KernelSpec):
         for name, grid in (("t", t_grid), ("s", s_grid)):
             if len(grid) < 2 or not np.all(np.diff(grid) > 0):
                 raise ConfigurationError(f"the {name}-grid needs at least two increasing points")
+        upper = grid_k[np.less.outer(t_grid, s_grid)]
+        if np.any(np.abs(upper) > 1e-12):
+            worst = float(upper[np.argmax(np.abs(upper))])
+            raise ConfigurationError(f"K(t, s) must be 0 where s > t, but the table holds {worst!r} there")
         super().__init__(float(max(t_grid[-1], s_grid[-1])))
-        self.adapted = bool(np.allclose(grid_k[np.less.outer(t_grid, s_grid)], 0.0, atol=1e-12))
-        if self.adapted:
-            # a cell that straddles the diagonal would mix the zero upper triangle into K(t, s) for t >= s:
-            # continue each column linearly in t from its first two values at t >= s, as a constant if it has
-            # only one (the last column when s_grid ends at t_grid's end), and zero s > t after
-            first = np.searchsorted(t_grid, s_grid)
-            cols = np.flatnonzero(first < len(t_grid))
-            a = first[cols]
-            b = np.minimum(a + 1, len(t_grid) - 1)
-            slope = (grid_k[b, cols] - grid_k[a, cols]) / (t_grid[b] - t_grid[a] + (b == a))  # 0 / 1 where b == a
-            line = grid_k[a, cols] + (t_grid[:, None] - t_grid[a]) * slope
-            grid_k[:, cols] = np.where(np.arange(len(t_grid))[:, None] < a, line, grid_k[:, cols])
+        # a cell that straddles the diagonal would mix the zero upper triangle into K(t, s) for t >= s:
+        # continue each column linearly in t from its first two values at t >= s, as a constant if it has
+        # only one (the last column when s_grid ends at t_grid's end), and zero s > t after
+        first = np.searchsorted(t_grid, s_grid)
+        cols = np.flatnonzero(first < len(t_grid))
+        a = first[cols]
+        b = np.minimum(a + 1, len(t_grid) - 1)
+        slope = (grid_k[b, cols] - grid_k[a, cols]) / (t_grid[b] - t_grid[a] + (b == a))  # 0 / 1 where b == a
+        line = grid_k[a, cols] + (t_grid[:, None] - t_grid[a]) * slope
+        grid_k[:, cols] = np.where(np.arange(len(t_grid))[:, None] < a, line, grid_k[:, cols])
         self._t, self._s, self._k, self._h = t_grid, s_grid, grid_k, float(np.min(np.diff(t_grid)))
 
     def eval(self, t, s):
@@ -518,10 +510,7 @@ class _Grid(KernelSpec):
         y1 = (s - s_grid[j]) / (s_grid[j + 1] - s_grid[j])
         out = 0.0 + grid_k[i, j] * (1 - y0) * (1 - y1) + grid_k[i, j + 1] * (1 - y0) * y1
         out = out + grid_k[i + 1, j] * y0 * (1 - y1) + grid_k[i + 1, j + 1] * y0 * y1
-        return np.where(s > t, 0.0, out) if self.adapted else out
-
-    def diag_limit(self, s):
-        return self.eval(s, s)
+        return np.where(s > t, 0.0, out)
 
     def dt_eval(self, t, s):
         # difference quotient over [t - h/2, t + h/2] clipped to [s, horizon]; 0 where that is empty
@@ -534,10 +523,11 @@ class _Grid(KernelSpec):
 
 
 def grid_kernel(t_grid, s_grid, values) -> KernelSpec:
-    """Kernel interpolated bilinearly from a table of K(t_i, s_j), adapted if the table is 0 for s_j > t_i.
+    """Volterra kernel interpolated bilinearly from a table of K(t_i, s_j).
 
     A table not of shape (len(t_grid), len(s_grid)), a value that is not finite,
-    or a grid of fewer than two increasing points raises ConfigurationError.
+    a value above 1e-12 in magnitude where s_j > t_i, or a grid of fewer than
+    two increasing points raises ConfigurationError.
     """
     return _Grid(t_grid, s_grid, values)
 
@@ -577,7 +567,7 @@ _K1_REFINEMENTS = 3
 
 
 def k1_empirical(kernel: KernelSpec) -> float:
-    """sup over t of int_0^t K(T, s) K1(t, s) ds, on a refining t-grid.
+    """sup over t of int_0^t |K(T, s) K1(t, s)| ds, on a refining t-grid.
 
     Each integral is one 72-node Gauss-Jacobi sum over s = t v whose weight
     s^(2 g0) (t - s)^singularity holds both endpoint powers exactly; the
@@ -594,10 +584,10 @@ def k1_empirical(kernel: KernelSpec) -> float:
     v, w = jacobi01(72, gam, 2.0 * g0)
 
     def sup_at(t: np.ndarray) -> float:
-        # int_0^t K(T, s) K1(t, s) ds = t^(1 + gam + 2 g0) sum_i w_i cofactor(t v_i), for all t at once
+        # int_0^t |K(T, s) K1(t, s)| ds = t^(1 + gam + 2 g0) sum_i w_i |cofactor(t v_i)|, for all t at once
         x = t[:, None]
         s = x * v
-        vals = np.interp(s, s_fine, phi_vals) * s**-g0 * kernel.dt_smooth(x, s)
+        vals = np.abs(np.interp(s, s_fine, phi_vals) * s**-g0 * kernel.dt_smooth(x, s))
         return float(np.max(t ** (1.0 + gam + 2.0 * g0) * _dot_rows(w, vals)))
 
     # grid n is T i / n, i = 1..n: its points are the even points of grid 2n,
@@ -634,8 +624,6 @@ def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
     with an entry that is not finite (the kernel's powers overflow at a huge
     horizon) raises DomainError.
     """
-    if not kernel.adapted:
-        raise UnsupportedKernelError("discretization implemented for adapted kernels")
     if n_grid < 1:
         raise ConfigurationError(f"n_grid must be >= 1, not {n_grid}")
     _check_table_size(n_grid * n_grid, f"the {n_grid} x {n_grid} K* matrix")
@@ -701,12 +689,10 @@ def fbm_covariance(hurst: float):
 
 
 def covariance_from_kernel(kernel: KernelSpec, t, s):
-    """E X(t) X(s) = int_0^min(t,s) K(t, tau) K(s, tau) d tau for adapted kernels, broadcast over t and s.
+    """E X(t) X(s) = int_0^min(t,s) K(t, tau) K(s, tau) d tau, broadcast over t and s.
 
     It is 0 where min(t, s) <= 0.
     """
-    if not kernel.adapted:
-        raise UnsupportedKernelError("covariance formula requires an adapted kernel")
     if not np.all(np.isfinite(t) & np.isfinite(s)):
         raise DomainError("t and s must be finite")
     live = np.minimum(t, s) > 0

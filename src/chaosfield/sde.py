@@ -36,8 +36,6 @@ class PropagatorSolution:
     """
 
     trunc: Truncation
-    basis: BasisFamily
-    kernel_name: str
     times: np.ndarray
     coeffs: np.ndarray
     mtilde: np.ndarray
@@ -313,7 +311,7 @@ def solve_closed_form(
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
     times = np.asarray(grid, dtype=float)
     mt = _mtilde_table(kernel, basis, trunc.modes, times)
-    return PropagatorSolution(trunc, basis, kernel.name, times, _wick_exp_rows(mt, tables), mt)
+    return PropagatorSolution(trunc, times, _wick_exp_rows(mt, tables), mt)
 
 
 # ---------------------------------------------------------------------------
@@ -483,5 +481,5 @@ def solve_picard(
             u[sel] += np.sqrt(tables.exponents[sel, k])[:, None, None] * out[..., :nodes].transpose(1, 0, 2)
 
     coeffs = cgrid.interp_matrix(times) @ u.reshape(len(u), -1).T
-    return PropagatorSolution(trunc, basis, kernel.name, times, coeffs, mt)
+    return PropagatorSolution(trunc, times, coeffs, mt)
 

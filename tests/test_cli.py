@@ -385,13 +385,23 @@ def test_removed_flags_exit_2(flag, value, tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--grid", "8"), ("--out", "x")])
-def test_integrate_refuses_the_sde_only_flags(flag, value, tmp_path, monkeypatch):
-    # integrate reads neither; --out is no abbreviation of --out-file either
+@pytest.mark.parametrize(
+    "flag, value", [("--grid", "8"), ("--out", "x"), pytest.param("--config", '{"grid": 300, "out": "zzz"}', id="config")]
+)
+def test_integrate_refuses_the_sde_only_flags(flag, value, tmp_path, tmp_path_factory, monkeypatch, capsys):
+    # integrate reads neither, as a flag or as a config key; --out is no abbreviation of --out-file either
+    if flag == "--config":
+        config = tmp_path_factory.mktemp("config") / "cfg.json"
+        config.write_text(value)
+        value = str(config)
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["integrate", "--modes", "2", "--order", "1", flag, value])
-    assert exc.value.code == 2
+    try:
+        code = main(["integrate", "--modes", "2", "--order", "1", flag, value])
+    except SystemExit as exc:  # argparse refuses a flag the command does not take
+        code = exc.code
+    assert code == 2
+    if flag == "--config":
+        assert capsys.readouterr().err == "configuration error: integrate reads no grid\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosfield.basis import BasisFamily
 from chaosfield.multiindex import Truncation, enumerate_multiindices
 from chaosfield import sde
 from chaosfield.sde import PropagatorSolution, _export_texts
@@ -52,7 +51,7 @@ def reference_sidecar(trunc) -> bytes:
 
 def solution(trunc, times, coeffs) -> PropagatorSolution:
     times, coeffs = np.asarray(times, dtype=float), np.asarray(coeffs, dtype=float)
-    return PropagatorSolution(trunc, BasisFamily("cosine"), "brownian", times, coeffs, np.zeros((len(times), trunc.modes)))
+    return PropagatorSolution(trunc, times, coeffs, np.zeros((len(times), trunc.modes)))
 
 
 def export(sol, tmp_path):
@@ -211,6 +210,6 @@ def test_a_table_over_many_blocks_and_rows_wider_than_a_block(tmp_path, monkeypa
 def test_float32_coefficients_are_written_as_their_doubles(tmp_path):
     trunc = Truncation(2, 3)
     coeffs = np.linspace(-1.0, 1.0, 3 * trunc.size(), dtype=np.float32).reshape(3, -1) / 3
-    sol = PropagatorSolution(trunc, BasisFamily("cosine"), "brownian", np.array([0.0, 0.5, 1.0]), coeffs, np.zeros((3, 2)))
+    sol = PropagatorSolution(trunc, np.array([0.0, 0.5, 1.0]), coeffs, np.zeros((3, 2)))
     rows, _ = export(sol, tmp_path)
     assert rows == reference_rows(sol.times, sol.coeffs)

@@ -286,10 +286,13 @@ def test_grid_kernel_from_csv(tmp_path):
             vals = [1.0 if s <= t else 0.0 for s in grid]
             fh.write(repr(float(t)) + "," + ",".join(repr(v) for v in vals) + "\n")
     kernel = grid_kernel_from_csv(path)
-    assert kernel.adapted
     assert kernel.eval(0.85, 0.3) == pytest.approx(1.0)
     assert kernel.eval(0.3, 0.85) == 0.0
     assert kernel.diag_limit(0.5) == pytest.approx(1.0)
+    # the base class's diag_limit, K(s, s), reads what K(s+, s) is for Brownian motion and fBm on (0, T]
+    diag = np.array([1e-9, 0.3, 0.5, 1.0])
+    assert brownian_kernel(1.0).diag_limit(diag).tolist() == [1.0] * 4
+    assert fbm_kernel_spec(0.7, 1.0).diag_limit(diag).tolist() == [0.0] * 4
     # every shipped kernel's diag_limit and dt_eval return arrays of the broadcast shape
     s, t = np.array([0.2, 0.3, 0.5]), np.array([[0.6], [1.0]])
     for spec in (brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0), kernel):
@@ -300,24 +303,25 @@ def test_grid_kernel_from_csv(tmp_path):
 @pytest.mark.parametrize("seed", range(8))
 def test_grid_kernel_interpolant_equals_scipy_bit_for_bit(tmp_path, seed):
     # scipy's RegularGridInterpolator (linear, extrapolating) is the reference only: on a random
-    # rectilinear grid the interpolant matches it at random points, every node, the last node and
-    # points outside the grid on every side
+    # rectilinear grid and a random table that is 0 where s > t, the interpolant matches it on the
+    # table continued across the diagonal, and is 0 where s > t, at random points, every node, the
+    # last node and points outside the grid on every side
     rng = np.random.default_rng(seed)
     t_grid, s_grid = (np.append(0.0, np.cumsum(rng.uniform(0.01, 1.0, rng.integers(1, 12)))) for _ in range(2))
-    table = rng.standard_normal((len(t_grid), len(s_grid)))
+    table = np.where(np.less.outer(t_grid, s_grid), 0.0, rng.standard_normal((len(t_grid), len(s_grid))))
     path = tmp_path / "kernel.csv"
     with open(path, "w") as fh:
         fh.write("t_s," + ",".join(repr(float(s)) for s in s_grid) + "\n")
         for t, row in zip(t_grid, table):
             fh.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
     kernel = grid_kernel_from_csv(path)
-    assert not kernel.adapted  # so the table is interpolated as written
     nodes_t, nodes_s = (g.ravel() for g in np.meshgrid(t_grid, s_grid, indexing="ij"))
     spread_t, spread_s = (rng.uniform(-0.5 * g[-1], 1.5 * g[-1], 2000) for g in (t_grid, s_grid))
     t = np.concatenate([spread_t, nodes_t, t_grid[-1:], [-1.0, t_grid[-1] + 1.0, 0.5 * t_grid[-1]]])
     s = np.concatenate([spread_s, nodes_s, s_grid[-1:], [0.5 * s_grid[-1], -1.0, s_grid[-1] + 1.0]])
-    reference = RegularGridInterpolator((t_grid, s_grid), table, bounds_error=False, fill_value=None)
-    assert kernel.eval(t, s).tobytes() == reference(np.stack([t, s], axis=-1)).tobytes()
+    reference = RegularGridInterpolator((t_grid, s_grid), kernel._k, bounds_error=False, fill_value=None)
+    expected = np.where(s > t, 0.0, reference(np.stack([t, s], axis=-1)))
+    assert kernel.eval(t, s).tobytes() == expected.tobytes()
 
 
 def _lower(t, s, value):
@@ -328,13 +332,10 @@ def _lower(t, s, value):
 class ExactExp(KernelSpec):
     """K = e^-(t - s) on s <= t, and the same kernel tabulated on a grid of [0, 1] by _exp_grid_kernel."""
 
-    name, adapted = "exp", True
+    name = "exp"
 
     def eval(self, t, s):
         return _lower(t, s, np.exp)
-
-    def diag_limit(self, s):
-        return np.ones_like(np.asarray(s, dtype=float))
 
     def dt_eval(self, t, s):
         return _lower(t, s, lambda x: -np.exp(x))
@@ -375,6 +376,16 @@ def test_grid_kernel_psi_matches_the_exact_kernel_up_to_the_horizon(tmp_path):
         err = np.max(np.abs(kernel.psi(basis, np.arange(1, 5), s) - EXACT_EXP.psi(basis, np.arange(1, 5), s)), axis=0)
         assert np.max(err[s <= 1.0 - h]) < 2e-5, basis.kind  # 7.2e-6 / 1.1e-5 measured
         assert np.max(err) < 1e-2, basis.kind  # 3.4e-3 / 6.2e-3 measured, in the last cell
+
+
+def test_k1_empirical_bounds_a_negative_k1(tmp_path):
+    # K1 = -e^-(t - s) < 0: the sup of the signed integral sat at the grid's first point and halved
+    # with each doubling, so it never converged; the sup of int_0^t |K(T, s) K1(t, s)| ds is at
+    # t = T, (1 - e^-2) / 2.  0.41490 / 0.42803 / 0.43126 measured on 17 / 65 / 257 points
+    exact = (1.0 - math.exp(-2.0)) / 2.0
+    errors = [abs(k1_empirical(_exp_grid_kernel(tmp_path, points)) - exact) for points in (17, 65, 257)]
+    assert errors[0] > errors[1] > errors[2], errors
+    assert errors[2] < 2e-3, errors
 
 
 def test_grid_kernel_picard_gap_shrinks_with_the_grid(tmp_path):
@@ -440,10 +451,21 @@ def test_grid_kernel_refuses_a_value_that_is_not_finite(tmp_path, cell):
         grid_kernel_from_csv(_grid_csv(tmp_path, GOOD_GRID.replace("0.5,1,1,0", f"0.5,1,{cell},0")))
 
 
+def test_grid_kernel_refuses_a_table_that_is_not_volterra(tmp_path):
+    # a value where s > t was accepted, and the table interpolated as written; the message names the largest
+    with pytest.raises(ConfigurationError, match=r"^K\(t, s\) must be 0 where s > t, but the table holds -0\.5 there$"):
+        grid_kernel([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [[1.0, 0.25, -0.5], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(ConfigurationError, match=r"^grid CSV .*kernel\.csv: K\(t, s\) .* holds 0\.25 there$"):
+        grid_kernel_from_csv(_grid_csv(tmp_path, GOOD_GRID.replace("0.0,1,0,0", "0.0,1,0.25,0")))
+    # a value within 1e-12 of 0 is taken as 0
+    kernel = grid_kernel_from_csv(_grid_csv(tmp_path, GOOD_GRID.replace("0.0,1,0,0", "0.0,1,1e-13,0")))
+    assert kernel.eval(0.25, 0.75) == 0.0
+
+
 class Affine(KernelSpec):
     """K(t, s) = a (1 + t - s) on s <= t, with no pieces of its own."""
 
-    name, adapted = "affine", True
+    name = "affine"
 
     def __init__(self, a):
         super().__init__(1.0)
@@ -451,9 +473,6 @@ class Affine(KernelSpec):
 
     def eval(self, t, s):
         return np.where(s <= t, self.a * (1.0 + t - s), 0.0)
-
-    def diag_limit(self, s):
-        return self.a
 
     def dt_eval(self, t, s):
         return self.a + 0.0 * np.asarray(s)
@@ -490,7 +509,7 @@ def test_derived_dt_smooth_matches_the_shipped_fbm_spec(monkeypatch):
 
 def test_singularity_defaults_to_zero():
     class Flat(KernelSpec):
-        name, adapted = "flat", True
+        name = "flat"
 
     assert Flat(1.0).singularity == 0.0
     assert brownian_kernel(1.0).singularity == 0.0
@@ -499,13 +518,10 @@ def test_singularity_defaults_to_zero():
 def test_a_kernel_without_dt_eval_is_refused_where_k1_is_needed():
     # the base class's dt_eval refuses, so the derived psi and k1_empirical name the missing piece
     class NoDerivative(KernelSpec):
-        name, adapted = "no-derivative", True
+        name = "no-derivative"
 
         def eval(self, t, s):
             return np.where(s <= t, 1.0 + t - s, 0.0)
-
-        def diag_limit(self, s):
-            return np.ones(np.shape(s))
 
     kernel = NoDerivative(1.0)
     for call in (lambda: kernel.psi(BasisFamily("cosine", 1.0), (1, 2), np.array([0.5])), lambda: k1_empirical(kernel)):

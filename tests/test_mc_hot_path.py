@@ -287,13 +287,10 @@ def write_grid_csv(path):
 class TwiceBrownian(KernelSpec):
     """A kernel with an M~ of its own: K = 2 chi_[0, t], so M~_k = 2 M_k."""
 
-    name, adapted = "twice-brownian", True
+    name = "twice-brownian"
 
     def eval(self, t, s):
         return np.where(s <= t, 2.0, 0.0)
-
-    def diag_limit(self, s):
-        return np.full(np.shape(s), 2.0)
 
     def _mtilde(self, basis, ks, t):
         return np.array([2.0 * basis.antideriv(j, t) for j in ks])

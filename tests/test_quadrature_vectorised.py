@@ -482,7 +482,7 @@ def test_export_csv_bytes_match_csv_writer(tmp_path):
     odd[1, :6] = [-0.0, 5e-324, 1e16, -1.5e-300, np.finfo(float).max, 1e-5]  # non-finite values are refused
     times = sol.times.copy()
     times[2] = 0.1 + 0.2  # a repr with 17 significant digits
-    special = PropagatorSolution(sol.trunc, basis, "fbm", times, odd, sol.mtilde)
+    special = PropagatorSolution(sol.trunc, times, odd, sol.mtilde)
     for case in (sol, special):
         path, sidecar = tmp_path / "sol.csv", tmp_path / "ids.json"
         case.export_csv(path, sidecar)

@@ -1,7 +1,8 @@
 """The commands that leave scipy unloaded and the shipped demos, each run in a
 fresh interpreter, the benchmark's per-layer span names against the
-library's public API, the kernel protocol's rule that the shipped kernels
-override only protocol methods and are named only in kernels.py, the rule that every defaulted parameter of a
+library's public API, the kernel protocol's rules that the shipped kernels
+override only protocol methods, derive diag_limit and are named only in
+kernels.py and that no class assigns the retired ``adapted`` flag, the rule that every defaulted parameter of a
 public function is set by some call, the rules that the library never calls
 the built-in sum or quad_singular, that it imports no scipy and declares
 exactly its third-party imports as runtime dependencies, that every kernel
@@ -115,7 +116,7 @@ def test_benchmark_per_layer_spans_name_traced_public_functions():
 
 
 # what a kernel class may define: the protocol's attributes and methods; a private helper of its own is fine
-PROTOCOL = {"name", "adapted", "singularity", "origin_exponent", "gamma0", "__init__"} | {
+PROTOCOL = {"name", "singularity", "origin_exponent", "gamma0", "__init__"} | {
     "eval", "diag_limit", "dt_eval", "dt_smooth", "psi", "_mtilde", "kstar"
 }
 SHIPPED_KERNEL_CLASSES = {"_Brownian", "_Fbm", "_Grid"}
@@ -142,6 +143,21 @@ def _names_used(tree):
     return found
 
 
+def _adapted_assignments(tree):
+    # line of each assignment of ``adapted`` in a class: a class attribute, one of a tuple, or self.adapted
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    return sorted(
+        {
+            node.lineno
+            for cls in classes
+            for node in ast.walk(cls)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Store)
+            and "adapted" in (getattr(node, "id", None), getattr(node, "attr", None))
+        }
+    )
+
+
 def test_shipped_kernels_override_only_protocol_methods():
     # each shipped kernel is its own KernelSpec subclass, overriding only the pieces it has in exact form
     shipped = [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0), grid_kernel([0.0, 1.0], [0.0, 1.0], np.eye(2))]
@@ -150,6 +166,7 @@ def test_shipped_kernels_override_only_protocol_methods():
     for cls in classes:
         assert cls.__bases__ == (KernelSpec,), cls
         assert _beyond_the_protocol(cls) == [], cls
+        assert "diag_limit" not in vars(cls), cls  # K(s+, s) is K(s, s), which the base class reads from eval
     # ... and no module outside kernels.py names those classes: consumers see only KernelSpec
     found = {
         str(path.relative_to(ROOT)): sorted(hits)
@@ -158,8 +175,16 @@ def test_shipped_kernels_override_only_protocol_methods():
         if path.name != "kernels.py" and (hits := _names_used(ast.parse(path.read_text())) & SHIPPED_KERNEL_CLASSES)
     }
     assert found == {}
+    # every kernel is a Volterra kernel, so a leftover ``adapted = False`` would be ignored without a word
+    found = {
+        str(path.relative_to(ROOT)): hits
+        for sub in ("src", "bench", "demos", "tests")
+        for path in sorted((ROOT / sub).rglob("*.py"))
+        if (hits := _adapted_assignments(ast.parse(path.read_text())))
+    }
+    assert found == {}
 
-    # the checks see a public method, an override of eval_ts and each spelling of a name
+    # the checks see a public method, an override of eval_ts, each spelling of a name and of an adapted flag
     class Odd(KernelSpec):
         def eval_ts(self, t, s):
             pass
@@ -173,6 +198,9 @@ def test_shipped_kernels_override_only_protocol_methods():
     assert _beyond_the_protocol(Odd) == ["eval_ts", "extra"]
     sample = "from chaosfield.kernels import _Grid\nx = kernels._Fbm(0.7, 1.0)\ny = _Brownian"
     assert _names_used(ast.parse(sample)) >= SHIPPED_KERNEL_CLASSES
+    sample = "class A:\n    name, adapted = 'a', True\nclass B:\n    adapted: bool\n    def f(self):\n"
+    sample += "        self.adapted = False\n        return self.adapted\nadapted = True\n"
+    assert _adapted_assignments(ast.parse(sample)) == [2, 4, 6]
 
 
 # a test that needs another value monkeypatches a module constant; a call from a test sets no option
@@ -301,8 +329,8 @@ def test_every_kernel_spec_exposes_its_mtilde_memo(tmp_path):
     grid.write_text("t_s,0.0,1.0\n0.0,1.0,0.0\n1.0,1.0,1.0\n")
 
     class Direct(KernelSpec):
-        name, adapted = "direct", True
-        eval, diag_limit = staticmethod(np.minimum), staticmethod(np.ones_like)
+        name = "direct"
+        eval = staticmethod(lambda t, s: np.where(s <= t, 1.0, 0.0))
 
     specs = [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0), grid_kernel_from_csv(grid), Direct(1.0)]
     specs.append(fbm_kernel_spec(0.7, 1.0))
