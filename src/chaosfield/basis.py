@@ -126,8 +126,9 @@ class BasisFamily:
 
     def _check(self, t):
         t = np.asarray(t, dtype=float)
+        slack = 1e-12 * self.horizon  # relative, so a tiny horizon does not accept and clip t = 100 T
         # one pass of positive tests, so NaN fails it
-        if not np.all((t >= -1e-12) & (t <= self.horizon + 1e-12)):
+        if not np.all((t >= -slack) & (t <= self.horizon + slack)):
             raise DomainError(f"t outside [0, {self.horizon}]")
         return np.clip(t, 0.0, self.horizon)
 

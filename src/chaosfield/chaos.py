@@ -139,13 +139,11 @@ class HValuedChaos:
     """H-valued random integrand: coefficient array eta[alpha, k].
 
     Rows follow the enumeration order of ``trunc``; columns are basis modes
-    1..K.  ``basis`` is an optional BasisFamily reference carried along so
-    integrators know which m_k the columns refer to.
+    1..K of the basis the caller pairs them with.
     """
 
     trunc: Truncation
     coeffs: np.ndarray
-    basis: object = None
 
     def __post_init__(self):
         expected = (self.trunc.size(), self.trunc.modes)
@@ -169,7 +167,7 @@ class HValuedChaos:
         }
 
     @staticmethod
-    def from_dict(d: dict, basis=None) -> "HValuedChaos":
+    def from_dict(d: dict) -> "HValuedChaos":
         """Inverse of ``to_dict``; a malformed ``d`` raises ConfigurationError."""
         trunc, items = _read_trunc_and_items(d)
         imap = index_map(trunc)  # checks the truncation's size before allocating
@@ -180,7 +178,7 @@ class HValuedChaos:
             if not (_is_int(k) and 1 <= k <= trunc.modes):
                 raise ConfigurationError(f"k must be an integer in 1..{trunc.modes}, not {k!r}")
             arr[row, k - 1] = _read_value(value)
-        return HValuedChaos(trunc, arr, basis)
+        return HValuedChaos(trunc, arr)
 
 
 def _is_int(v) -> bool:

@@ -165,13 +165,13 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         eta = brownian_path_integrand(trunc, basis)
     else:
         with open(args.integrand) as fh:
-            eta = HValuedChaos.from_dict(json.load(fh), basis)
+            eta = HValuedChaos.from_dict(json.load(fh))
     if args.mode == "ito":
         result = ito_integral(eta)
     elif args.mode == "strat":
         result = strat_integral(eta)
     else:
-        result = field_ito_integral(eta, cfg.make_kernel())
+        result = field_ito_integral(eta, cfg.make_kernel(), basis)
     diag = admissibility_diagnostic(eta)
     payload = {
         "mode": args.mode,

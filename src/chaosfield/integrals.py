@@ -82,18 +82,14 @@ def kernel_pairing_matrix(kernel: KernelSpec, basis: BasisFamily, modes: int) ->
     return np.stack([(mj * psi_k) @ ws for psi_k in kernel.psi(basis, ks, s)], axis=1)
 
 
-def field_ito_integral(eta: HValuedChaos, kernel: KernelSpec) -> ChaosExpansion:
-    """Ito integral against the Gaussian field with kernel K: B(K* eta).
+def field_ito_integral(eta: HValuedChaos, kernel: KernelSpec, basis: BasisFamily) -> ChaosExpansion:
+    """Ito integral against the Gaussian field with kernel K: B(K* eta), eta's columns the modes of ``basis``.
 
     Rows are transformed by eta~[alpha, k] = int eta_alpha(t) (K m_k)(t) dt,
     then the white-noise Ito transform is applied.
     """
-    basis = eta.basis
-    if basis is None:
-        raise DomainError("field integration needs the integrand's basis reference")
     c = kernel_pairing_matrix(kernel, basis, eta.trunc.modes)
-    transformed = HValuedChaos(eta.trunc, eta.coeffs @ c, basis)
-    return ito_integral(transformed)
+    return ito_integral(HValuedChaos(eta.trunc, eta.coeffs @ c))
 
 
 @dataclass(frozen=True)
@@ -152,4 +148,4 @@ def brownian_path_integrand(trunc: Truncation, basis: BasisFamily) -> HValuedCha
     grade1 = _tables(trunc).up[0]  # checks the truncation's size before allocating
     coeffs = np.zeros((trunc.size(), trunc.modes))
     coeffs[grade1] = _path_pairing(basis, trunc.modes)
-    return HValuedChaos(trunc, coeffs, basis)
+    return HValuedChaos(trunc, coeffs)

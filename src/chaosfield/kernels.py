@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import OrderedDict, namedtuple
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -54,9 +53,8 @@ class KernelSpec:
     M~_k(t) = int_0^t K(t, s) m_k(s) ds.  The base class derives each piece
     (``diag_limit``, ``gamma0`` = 0, ``psi``, ``_mtilde``, ``kstar`` and
     ``dt_smooth``) from ``eval`` and ``dt_eval``; a subclass overrides those
-    it has in exact or faster form.  ``mtilde`` is ``_mtilde`` memoised per
-    kernel object (``_MtildeMemo``): ``kernel.mtilde(basis, k, t)`` takes one
-    int k (one row) or a sequence of modes (one row per mode).
+    it has in exact or faster form.  ``mtilde`` memoises ``_mtilde`` per kernel
+    object and request (basis, modes, time bytes): M~ never depends on samples.
     """
 
     name: str
@@ -68,7 +66,27 @@ class KernelSpec:
         if not 0 < horizon < math.inf:
             raise DomainError("horizon must be positive and finite")
         self.horizon = horizon
-        self.mtilde = _MtildeMemo(self._mtilde)
+        self._mtilde_memo = lru_cache(maxsize=32)(self._mtilde_request)  # at most 32 tables of len(ks) x len(t)
+
+    def __getstate__(self):  # a copy or an unpickled kernel memoises apart, in a memo bound to itself
+        return {key: value for key, value in vars(self).items() if key != "_mtilde_memo"}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        KernelSpec.__init__(self, self.horizon)
+
+    def mtilde(self, basis: BasisFamily, k, t) -> np.ndarray:
+        """Read-only M~_k(t) over the flattened t: one row for an int k, one per mode for a sequence."""
+        ks = _check_modes(k)  # 1.5 is refused, not read as 1
+        table = self._mtilde_memo(basis, tuple(ks.reshape(-1).tolist()), np.asarray(t, dtype=float).tobytes())
+        return table if ks.ndim else table[0]
+
+    def _mtilde_request(self, basis: BasisFamily, ks: tuple, t_bytes: bytes) -> np.ndarray:
+        t = np.frombuffer(t_bytes)
+        basis._check(t)  # a NaN or negative t raises here, so nothing is stored; the piece gets the unclipped t
+        table = np.asarray(self._mtilde(basis, ks, t), dtype=float)
+        table.flags.writeable = False  # every hit hands out this one table
+        return table
 
     def eval_ts(self, t_sorted, s):
         """K(t, s) for an ascending array of t values; for a 1-D array s, one row per s.
@@ -150,58 +168,6 @@ def _kstar_grid(horizon: float, n_grid: int):
     """The cell edges t_j = j T / n and midpoints s_r of the uniform K* grid."""
     edges = np.linspace(0.0, horizon, n_grid + 1)
     return edges, 0.5 * (edges[:-1] + edges[1:])
-
-
-# (basis, mode, time grid) entries in each spec's M~ memo: at most 128 * len(t) * 8 bytes, 263 kB for 257 times
-_MTILDE_MEMO_SIZE = 128
-# what ``spec.mtilde.cache_info()`` reports, as functools.lru_cache does
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _MtildeMemo:
-    """A spec's M~ piece memoised per mode, keyed by (basis, mode, the float64 bytes of t).
-
-    M~_k(t) depends only on the kernel, the basis and the times, never on
-    samples, so a repeated grid (the two SDE solvers of one run, repeated
-    path synthesis) computes each mode once.  The memo holds the
-    ``_MTILDE_MEMO_SIZE`` most recently used rows.  A call that misses
-    checks t and computes all the modes it misses in one call of the piece;
-    a hit needs no check, since only checked times are stored.  Callers get
-    a copy, and ``cache_info()`` counts one hit or miss per requested mode;
-    a refused call counts and stores nothing.
-    """
-
-    def __init__(self, compute):
-        self.__wrapped__ = compute  # (basis, ks, ts) -> (len(ks), len(ts)), unmemoised
-        self._rows = OrderedDict()  # (basis, mode, t bytes) -> M~ row, least recently used first
-        self._hits = self._misses = 0
-
-    def __call__(self, basis, k, t):
-        ts = np.asarray(t, dtype=float).ravel()
-        t_key = ts.tobytes()
-        keys = [(basis, j, t_key) for j in _check_modes(np.atleast_1d(k)).tolist()]  # 1.5 is refused, not read as 1
-        memo = self._rows
-        rows = [memo.get(key) for key in keys]
-        missing = [key for key, row in zip(keys, rows) if row is None]
-        if missing:
-            # a NaN or negative t raises here; the piece gets the unclipped ts
-            basis._check(ts)
-            table = np.asarray(self.__wrapped__(basis, [j for _, j, _ in missing], ts), dtype=float)
-            # one array per entry, so an evicted entry frees its own row
-            computed = iter(table)
-            rows = [next(computed).copy() if row is None else row for row in rows]
-        self._hits += len(keys) - len(missing)
-        self._misses += len(missing)
-        for key, row in zip(keys, rows):
-            memo[key] = row
-            memo.move_to_end(key)
-        while len(memo) > _MTILDE_MEMO_SIZE:
-            memo.popitem(last=False)
-        out = np.array(rows)
-        return out if np.ndim(k) else out[0]
-
-    def cache_info(self):
-        return _CacheInfo(self._hits, self._misses, _MTILDE_MEMO_SIZE, len(self._rows))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +332,7 @@ class _Fbm(KernelSpec):
     every mode from one ``BasisFamily._rows`` recurrence.  M~ is one sum over
     the Gauss rule of its own weight (``_fbm_mtilde_rule``), built on the
     kernel's first M~ miss: 48 basis values per (mode, t), all modes of a
-    block of t values from one recurrence.  ``KernelSpec`` memoises it, as
-    it does every kernel's M~.
+    block of t values from one recurrence.
     """
 
     name = "fbm"

@@ -73,12 +73,6 @@ class MultiIndex:
             return MultiIndex(())
         return MultiIndex(((k, n),))
 
-    def get(self, k: int) -> int:
-        for pos, a in self.entries:
-            if pos == k:
-                return a
-        return 0
-
     @property
     def max_support(self) -> int:
         return self.entries[-1][0] if self.entries else 0
@@ -97,9 +91,6 @@ class MultiIndex:
             merged[k] = merged.get(k, 0) + a
         return MultiIndex(tuple(sorted(merged.items())))
 
-    def add_eps(self, k: int) -> "MultiIndex":
-        return self.add(MultiIndex.eps(k))
-
 
 @dataclass(frozen=True)
 class Truncation:
@@ -113,16 +104,20 @@ class Truncation:
     max_order: int
 
     def __post_init__(self):
-        for name, low in (("modes", 1), ("max_order", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ConfigurationError(f"{name} must be an integer >= {low}, not {value!r}")
+        _check_integer("modes", self.modes, 1)
+        _check_integer("max_order", self.max_order, 0)
 
     def size(self) -> int:
         return math.comb(self.max_order + self.modes, self.modes)
 
     def contains(self, alpha: MultiIndex) -> bool:
         return alpha.max_support <= self.modes and alpha.order() <= self.max_order
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """Refuse a value that is not an integer >= low (2.5, ``True``) with ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigurationError(f"{name} must be an integer >= {low}, not {value!r}")
 
 
 def _check_table_size(entries: int, what: str) -> None:

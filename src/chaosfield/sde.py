@@ -23,7 +23,7 @@ from .basis import BasisFamily, _leggauss, jacobi01
 from .chaos import _wick_exp_rows
 from .errors import DomainError
 from .kernels import KernelSpec, _mtilde_table
-from .multiindex import Truncation, _tables
+from .multiindex import Truncation, _check_integer, _tables
 
 
 @dataclass(frozen=True)
@@ -284,8 +284,10 @@ def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.nda
     By the Hermite generating function the order-n part is
     q_n = |c|^n H_n(y/|c|)/n! with y = <c, z>, so one projection and the
     recurrence q_{n+1} = (y q_n - |c|^2 q_{n-1})/(n+1) give the sum at any
-    order.  Non-finite samples or M~ values raise DomainError.
+    order.  Non-finite samples or M~ values raise DomainError, and an order
+    that is not a non-negative integer ConfigurationError.
     """
+    _check_integer("max_order", max_order, 0)
     c = np.asarray(mtilde_row, dtype=float)
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:

@@ -78,7 +78,7 @@ def _w_squared_coeffs(trunc: Truncation, basis: BasisFamily) -> ChaosExpansion:
     for k in range(1, modes + 1):
         coeffs[MultiIndex.single(k, 2)] = mt[k - 1] ** 2 * math.sqrt(2.0) / 2.0
         for j in range(1, k):
-            coeffs[MultiIndex.eps(j).add_eps(k)] = mt[j - 1] * mt[k - 1]
+            coeffs[MultiIndex.eps(j).add(MultiIndex.eps(k))] = mt[j - 1] * mt[k - 1]
     return ChaosExpansion(Truncation(modes, max(trunc.max_order, 2)), coeffs)
 
 

@@ -64,7 +64,7 @@ def _square_coeffs(mt, s_k, trunc, subtract_s=True):
     for k in range(1, modes + 1):
         coeffs[MultiIndex.single(k, 2)] = mt[k - 1] ** 2 / math.sqrt(2.0)
         for j in range(1, k):
-            coeffs[MultiIndex.eps(j).add_eps(k)] = mt[j - 1] * mt[k - 1]
+            coeffs[MultiIndex.eps(j).add(MultiIndex.eps(k))] = mt[j - 1] * mt[k - 1]
     return ChaosExpansion(Truncation(modes, 2), coeffs)
 
 
@@ -217,7 +217,7 @@ def test_criterion_10_basis_independence():
         for k in range(1, 17):
             a[k - 1, k - 1] = f.get(MultiIndex.single(k, 2)) / math.sqrt(2.0)
             for j in range(1, k):
-                a[j - 1, k - 1] = a[k - 1, j - 1] = f.get(MultiIndex.eps(j).add_eps(k)) / 2.0
+                a[j - 1, k - 1] = a[k - 1, j - 1] = f.get(MultiIndex.eps(j).add(MultiIndex.eps(k))) / 2.0
         stats[kind] = (f.norm_squared(), 8.0 * float(np.trace(a @ a @ a)))
     norm_diff = abs(stats["cosine"][0] - stats["legendre"][0])
     third_diff = abs(stats["cosine"][1] - stats["legendre"][1])

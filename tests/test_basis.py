@@ -102,6 +102,20 @@ def test_domain_checks():
         BasisFamily("fourier", 1.0)
 
 
+@pytest.mark.parametrize("horizon", [1e-15, 1e15])
+def test_time_slack_scales_with_the_horizon(horizon):
+    # an absolute 1e-12 slack let BasisFamily("cosine", 1e-15) take t = 100 T, clipped to T
+    basis = BasisFamily("cosine", horizon)
+    for t in (100.0 * horizon, -0.1 * horizon):
+        with pytest.raises(DomainError):
+            basis.eval(2, t)
+        with pytest.raises(DomainError):
+            basis.antideriv(1, t)
+    t = horizon * (1.0 + 1e-13)
+    assert basis.eval(2, t) == basis.eval(2, horizon)
+    assert basis.antideriv(1, t) == basis.antideriv(1, horizon)
+
+
 @pytest.mark.parametrize("kind", ["cosine", "legendre"])
 @pytest.mark.parametrize("mode", [1.5, 2.0, True, np.float64(3.0), [1, 2.5]], ids=repr)
 def test_non_integer_mode_refused(kind, mode):

@@ -60,7 +60,7 @@ def test_dense_roundtrip():
 def test_json_roundtrip():
     trunc = Truncation(3, 2)
     f = ChaosExpansion(
-        trunc, {MultiIndex.zero(): 1.0, MultiIndex.eps(1).add_eps(3): 0.25}
+        trunc, {MultiIndex.zero(): 1.0, MultiIndex.eps(1).add(MultiIndex.eps(3)): 0.25}
     )
     g = ChaosExpansion.from_dict(json.loads(json.dumps(f.to_dict())))
     assert g.trunc == trunc

@@ -53,8 +53,8 @@ def ref_ito(eta):
             v = row[k - 1]
             if v == 0.0:
                 continue
-            gamma = alpha.add_eps(k)
-            out[gamma] = out.get(gamma, 0.0) + math.sqrt(gamma.get(k)) * v
+            gamma = alpha.add(MultiIndex.eps(k))
+            out[gamma] = out.get(gamma, 0.0) + math.sqrt(dict(gamma.entries).get(k, 0)) * v
     return ChaosExpansion(
         Truncation(trunc.modes, trunc.max_order + 1), {a: c for a, c in out.items() if c != 0.0}
     )
@@ -75,7 +75,7 @@ def dense(alpha, length):
 
 def sub_eps(alpha, k):
     """alpha - eps_k, or None when alpha_k = 0."""
-    if alpha.get(k) == 0:
+    if dict(alpha.entries).get(k, 0) == 0:
         return None
     values = list(dense(alpha, alpha.max_support))
     values[k - 1] -= 1
@@ -113,10 +113,10 @@ def ref_strat(eta):
             v = row[k - 1]
             if v == 0.0:
                 continue
-            up = alpha.add_eps(k)
+            up = alpha.add(MultiIndex.eps(k))
             if trunc.contains(up):
-                out[up] = out.get(up, 0.0) + math.sqrt(up.get(k)) * v
-            a = alpha.get(k)
+                out[up] = out.get(up, 0.0) + math.sqrt(dict(up.entries).get(k, 0)) * v
+            a = dict(alpha.entries).get(k, 0)
             if a >= 1:
                 down = sub_eps(alpha, k)
                 out[down] = out.get(down, 0.0) + math.sqrt(a) * v

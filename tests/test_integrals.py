@@ -25,16 +25,15 @@ from chaosfield.kernels import (
 from chaosfield.multiindex import MultiIndex, Truncation, index_map
 
 
-def _deterministic(trunc, basis, row):
+def _deterministic(trunc, row):
     coeffs = np.zeros((trunc.size(), trunc.modes))
     coeffs[0] = row
-    return HValuedChaos(trunc, coeffs, basis)
+    return HValuedChaos(trunc, coeffs)
 
 
 def test_deterministic_integrand_first_chaos():
     trunc = Truncation(3, 2)
-    basis = BasisFamily("cosine", 1.0)
-    eta = _deterministic(trunc, basis, [1.0, -2.0, 0.5])
+    eta = _deterministic(trunc, [1.0, -2.0, 0.5])
     out = ito_integral(eta)
     assert out.get(MultiIndex.eps(1)) == 1.0
     assert out.get(MultiIndex.eps(2)) == -2.0
@@ -81,7 +80,7 @@ def test_truncated_brownian_identities(kind):
         assert f.get(MultiIndex.single(k, 2)) == pytest.approx(expected, abs=1e-12)
         for j in range(1, k):
             expected = mt[j - 1] * mt[k - 1]
-            assert f.get(MultiIndex.eps(j).add_eps(k)) == pytest.approx(expected, abs=1e-12)
+            assert f.get(MultiIndex.eps(j).add(MultiIndex.eps(k))) == pytest.approx(expected, abs=1e-12)
     assert f.norm_squared() == pytest.approx(s_k**2 / 2.0, abs=1e-12)
 
     g = strat_integral(eta)
@@ -112,8 +111,8 @@ def test_field_ito_brownian_reduces_to_ito():
     basis = BasisFamily("cosine", 1.0)
     trunc = Truncation(3, 2)
     rng = np.random.default_rng(7)
-    eta = HValuedChaos(trunc, rng.standard_normal((trunc.size(), 3)), basis)
-    a = field_ito_integral(eta, brownian_kernel(1.0))
+    eta = HValuedChaos(trunc, rng.standard_normal((trunc.size(), 3)))
+    a = field_ito_integral(eta, brownian_kernel(1.0), basis)
     b = ito_integral(eta)
     err = max(abs(a.get(g) - b.get(g)) for g in set(a.coeffs) | set(b.coeffs))
     assert err < 1e-12
@@ -128,8 +127,8 @@ def test_field_ito_indicator_variance_matches_covariance():
     kernel = fbm_kernel_spec(0.75, 1.0)
     t = 0.6
     row = [basis.antideriv(j, t) for j in range(1, modes + 1)]
-    eta = _deterministic(trunc, basis, row)
-    out = field_ito_integral(eta, kernel)
+    eta = _deterministic(trunc, row)
+    out = field_ito_integral(eta, kernel, basis)
     variance = out.norm_squared()
     truncated = sum(m_tilde(kernel, basis, k, t) ** 2 for k in range(1, modes + 1))
     assert variance == pytest.approx(truncated, abs=1e-3)
@@ -153,8 +152,7 @@ def test_fbm_pairing_matrix_matches_a_160_node_gauss_jacobi_rule(kind, hurst):
 
 def test_admissibility_diagnostic():
     trunc = Truncation(2, 2)
-    basis = BasisFamily("cosine", 1.0)
-    det = _deterministic(trunc, basis, [1.0, 2.0])
+    det = _deterministic(trunc, [1.0, 2.0])
     report = admissibility_diagnostic(det)
     assert report.weighted_mass == 0.0
     assert report.tail_ratio == 0.0

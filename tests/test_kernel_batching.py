@@ -2,7 +2,7 @@
 
 fBm M~ computes every requested mode in one psi pass; each row must equal
 the per-mode call bit for bit.  Every spec's M~ memo, whichever kernel,
-must count one hit or miss per mode and evict the least recently used.
+must count one hit or miss per request and evict the least recently used.
 ``discretize_kstar`` reads K* from the kernel's ``kstar``: the derived one
 evaluates K(t, s) for a block of rows s in one ``eval_ts`` call and must
 equal the column-by-column loop it was first written as, bit for bit, since
@@ -79,30 +79,37 @@ def test_mtilde_of_all_modes_bit_equal_to_per_mode_calls(basis, hurst):
     modes = list(range(1, 9))
     together = fbm_kernel_spec(hurst, 1.0)
     got = together.mtilde(basis, modes, times)
-    assert got.shape == (len(modes), len(times)) and got.flags.writeable
-    assert (together.mtilde.cache_info().misses, together.mtilde.cache_info().hits) == (8, 0)
+    assert got.shape == (len(modes), len(times)) and not got.flags.writeable
+    assert (together._mtilde_memo.cache_info().misses, together._mtilde_memo.cache_info().hits) == (1, 0)
     alone = fbm_kernel_spec(hurst, 1.0)
     for k, row in zip(modes, got):
         assert row.tobytes() == alone.mtilde(basis, k, times).tobytes(), k
-    assert alone.mtilde.cache_info().misses == 8
-    # a second call over some stored modes computes only the missing ones
+    assert alone._mtilde_memo.cache_info().misses == 8
+    # a request for some stored modes and a new one is a request of its own, with the same rows
     again = together.mtilde(basis, [3, 9, 1], times)
     assert again[0].tobytes() == got[2].tobytes() and again[2].tobytes() == got[0].tobytes()
     assert again[1].tobytes() == alone.mtilde(basis, 9, times).tobytes()
-    info = together.mtilde.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 9, 9)
+    info = together._mtilde_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+
+
+def check_lru_eviction(kernel, basis):
+    # one request per mode fills the memo; re-reading mode 1 leaves mode 2's request the oldest
+    times = np.linspace(0.0, 1.0, 5)
+    size = kernel._mtilde_memo.cache_info().maxsize
+    for k in range(1, size + 1):
+        kernel.mtilde(basis, k, times)
+    kernel.mtilde(basis, 1, times)
+    kernel.mtilde(basis, size + 1, times)
+    assert kernel._mtilde_memo.cache_info().currsize == size
+    kernel.mtilde(basis, 1, times)
+    kernel.mtilde(basis, 2, times)
+    info = kernel._mtilde_memo.cache_info()
+    assert (info.hits, info.misses) == (2, size + 2)
 
 
 def test_mtilde_memo_evicts_the_least_recently_used_mode():
-    kernel, times, basis = fbm_kernel_spec(0.75, 1.0), np.linspace(0.0, 1.0, 5), BASES[0]
-    size = kernel.mtilde.cache_info().maxsize
-    kernel.mtilde(basis, range(1, size + 1), times)
-    kernel.mtilde(basis, 1, times)  # mode 1 becomes the most recent, so mode 2 is the oldest
-    kernel.mtilde(basis, size + 1, times)
-    assert kernel.mtilde.cache_info().currsize == size
-    kernel.mtilde(basis, [1, 2], times)
-    info = kernel.mtilde.cache_info()
-    assert (info.hits, info.misses) == (2, size + 2)
+    check_lru_eviction(fbm_kernel_spec(0.75, 1.0), BASES[0])
 
 
 @pytest.mark.parametrize("name", ["brownian", "grid"])
@@ -114,23 +121,14 @@ def test_other_kernels_stack_their_per_mode_rows(name, grid_kernel):
         assert got.shape == (3, len(times))
         for k, row in zip((1, 2, 3), got):
             assert row.tobytes() == kernel.mtilde(basis, k, times).tobytes()
-            assert row.tobytes() == kernel.mtilde.__wrapped__(basis, [k], times)[0].tobytes()
-    info = kernel.mtilde.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (6, 6, 6)
+            assert row.tobytes() == kernel._mtilde(basis, [k], times)[0].tobytes()
+    info = kernel._mtilde_memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (8, 0, 8)
 
 
 @pytest.mark.parametrize("name", ["brownian", "grid"])
 def test_other_kernels_memo_evicts_the_least_recently_used_mode(name, grid_kernel):
-    kernel = brownian_kernel(1.0) if name == "brownian" else grid_kernel
-    times, basis = np.linspace(0.0, 1.0, 5), BASES[1]
-    size = kernel.mtilde.cache_info().maxsize
-    kernel.mtilde(basis, range(1, size + 1), times)
-    kernel.mtilde(basis, 1, times)  # mode 1 becomes the most recent, so mode 2 is the oldest
-    kernel.mtilde(basis, size + 1, times)
-    assert kernel.mtilde.cache_info().currsize == size
-    kernel.mtilde(basis, [1, 2], times)
-    info = kernel.mtilde.cache_info()
-    assert (info.hits, info.misses) == (2, size + 2)
+    check_lru_eviction(brownian_kernel(1.0) if name == "brownian" else grid_kernel, BASES[1])
 
 
 # ---------------------------------------------------------------------------

@@ -647,7 +647,7 @@ def test_kernel_pairings_refuse_a_non_integer_mode(kernel, mode):
         with pytest.raises(DomainError, match="integer"):
             m_tilde(kernel, basis, mode, 0.5)
     if kernel.name == "fbm":
-        assert kernel.mtilde.cache_info().misses == 0
+        assert kernel._mtilde_memo.cache_info().misses == 0
 
 
 # ---------------------------------------------------------------------------

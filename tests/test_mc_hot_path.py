@@ -3,12 +3,14 @@
 ``sample_batch`` re-keys one Philox generator per row; it must give the
 same bits as a fresh generator per row.  The discrete-time estimators sum
 in row blocks; they must give the same bits as the one-shot sums.  Every kernel spec memoises its M~ per
-(basis, mode, time grid), and ``brownian_path_integrand`` its pairing
-(M_k, m_j) per (basis, modes); each memo must give the same bits as the
-work it saves, never hand out its stored table, never share an entry
+request (basis, modes, time grid), and ``brownian_path_integrand`` its
+pairing (M_k, m_j) per (basis, modes); each memo must give the same bits as
+the work it saves, hand out only read-only tables, never share an entry
 between different keys, and store nothing on a refused request.
 """
 
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -143,23 +145,29 @@ def test_memoised_table_bit_equal_to_unmemoised(basis):
     second = _mtilde_table(kernel, basis, 4, times)  # hits
     assert first.tobytes() == ref.tobytes()
     assert second.tobytes() == ref.tobytes()
-    info = kernel.mtilde.cache_info()
-    assert (info.misses, info.hits) == (4, 4)
+    info = kernel._mtilde_memo.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
-def test_mutating_a_returned_table_leaves_the_memo_alone():
-    kernel, times = fbm_kernel_spec(0.7, 1.0), np.linspace(0.1, 1.0, 10)
+def check_returned_tables(kernel):
+    # a hit hands out the stored table read-only; ``_mtilde_table`` copies it, so its caller may write
+    times = np.linspace(0.1, 1.0, 10)
     got = kernel.mtilde(COSINE, 2, times)
     expected = got.copy()
-    got[:] = -1.0
+    with pytest.raises(ValueError, match="read-only"):
+        got[:] = -1.0
     again = kernel.mtilde(COSINE, 2, times)
-    assert again.flags.writeable
+    assert not again.flags.writeable
     assert again.tobytes() == expected.tobytes()
     table = _mtilde_table(kernel, COSINE, 2, times)
     table *= 3.0
     assert _mtilde_table(kernel, COSINE, 2, times)[:, 1].tobytes() == expected.tobytes()
-    info = kernel.mtilde.cache_info()
-    assert (info.misses, info.hits) == (2, 4)  # mode 2 once, mode 1 once (tables hold modes 1 and 2)
+    info = kernel._mtilde_memo.cache_info()
+    assert (info.misses, info.hits) == (2, 2)  # the mode-2 request once, the modes-1-and-2 request once
+
+
+def test_mutating_a_returned_table_leaves_the_memo_alone():
+    check_returned_tables(fbm_kernel_spec(0.7, 1.0))
 
 
 def test_memo_keys_never_shared():
@@ -176,8 +184,8 @@ def test_memo_keys_never_shared():
                     assert got.tobytes() == ref.tobytes()
     # 2 bases x 3 grids x 3 modes per spec, each computed once in its own spec's memo
     for kernel in (low, high):
-        assert kernel.mtilde.cache_info().misses == 18
-        assert kernel.mtilde.cache_info().hits == 0
+        assert kernel._mtilde_memo.cache_info().misses == 18
+        assert kernel._mtilde_memo.cache_info().hits == 0
     assert low.mtilde(COSINE, 2, times).tobytes() != high.mtilde(COSINE, 2, times).tobytes()
 
 
@@ -189,8 +197,8 @@ def test_scalar_m_tilde_after_a_memo_hit():
         again = m_tilde(kernel, COSINE, k, 1.0)  # a hit on the one-point key
         assert type(again) is float
         assert first == again == table[-1, k - 1] == ref_fbm_mtilde_sum(kernel, COSINE, k, 1.0)
-    info = kernel.mtilde.cache_info()
-    assert (info.misses, info.hits) == (10, 5)
+    info = kernel._mtilde_memo.cache_info()
+    assert (info.misses, info.hits) == (6, 5)  # the table's request, then each mode's one-point request
 
 
 def test_repeated_path_synthesis_computes_mtilde_once():
@@ -198,12 +206,12 @@ def test_repeated_path_synthesis_computes_mtilde_once():
     trunc = Truncation(6, 2)
     for seed in (1, 2, 3):
         synthesize_paths(kernel, COSINE, trunc, sample_batch(seed, 20, 6), grid)
-    info = kernel.mtilde.cache_info()
-    assert (info.misses, info.hits) == (6, 12)
+    info = kernel._mtilde_memo.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_sde_command_computes_each_mode_once(tmp_path, capsys, monkeypatch):
-    # closed form and Picard share the grid, so each mode's quadrature runs once
+    # closed form and Picard share the grid, so M~ is computed once
     specs = []
 
     def recording_spec(*args, **kwargs):
@@ -215,8 +223,8 @@ def test_sde_command_computes_each_mode_once(tmp_path, capsys, monkeypatch):
     assert cli.main(argv + ["--grid", "16", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     (kernel,) = specs
-    info = kernel.mtilde.cache_info()
-    assert (info.misses, info.hits) == (3, 3)
+    info = kernel._mtilde_memo.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_memo_hit_skips_the_time_check(monkeypatch):
@@ -232,25 +240,30 @@ def test_memo_hit_skips_the_time_check(monkeypatch):
     monkeypatch.setattr(BasisFamily, "_check", counting_check)
     assert _mtilde_table(kernel, COSINE, 4, grid).tobytes() == warm.tobytes()
     assert calls == []
-    info = kernel.mtilde.cache_info()
-    assert (info.misses, info.hits) == (4, 4)
-    _mtilde_table(kernel, COSINE, 5, grid)  # mode 5 misses: the times are checked again
+    info = kernel._mtilde_memo.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    _mtilde_table(kernel, COSINE, 5, grid)  # five modes are a new request: the times are checked again
     assert len(calls) >= 1
-    info = kernel.mtilde.cache_info()
-    assert (info.misses, info.hits) == (5, 8)
+    info = kernel._mtilde_memo.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
 
 
 @pytest.mark.parametrize("t", [float("nan"), -0.1])
 def test_bad_time_refused_on_a_warm_spec(t):
-    kernel = fbm_kernel_spec(0.75, 1.0)
+    check_refused_time(fbm_kernel_spec(0.75, 1.0), t)
+
+
+def check_refused_time(kernel, t):
+    # lru_cache counts a refused request as a miss, but stores nothing
     _mtilde_table(kernel, COSINE, 3, np.linspace(0.0, 1.0, 9))
     m_tilde(kernel, COSINE, 1, 0.5)
-    before = kernel.mtilde.cache_info()
+    before = kernel._mtilde_memo.cache_info()
     with pytest.raises(DomainError):
         m_tilde(kernel, COSINE, 1, t)
     with pytest.raises(DomainError):
         kernel.mtilde(COSINE, [1, 2], np.array([0.5, t]))
-    assert kernel.mtilde.cache_info() == before  # a refused call counts and stores nothing
+    after = kernel._mtilde_memo.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses + 2, before.currsize)
 
 
 @pytest.mark.parametrize("modes", [0, [0, 1], [2, -1]])
@@ -259,7 +272,7 @@ def test_mode_below_one_refused(modes):
     kernel = fbm_kernel_spec(0.75, 1.0)
     with pytest.raises(DomainError, match="k must be >= 1"):
         kernel.mtilde(COSINE, modes, np.linspace(0.0, 1.0, 5))
-    assert kernel.mtilde.cache_info().misses == 0
+    assert kernel._mtilde_memo.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("hurst", [0.55, 0.63, 0.75, 0.9, 0.95])
@@ -318,60 +331,47 @@ TIMES = np.concatenate([np.linspace(0.0, 1.0, 17), [1e-9, 0.37]])
 @pytest.mark.parametrize("basis", [COSINE, LEGENDRE], ids=lambda b: b.kind)
 def test_every_memo_bit_equal_to_its_unmemoised_piece(name, basis, tmp_path):
     kernel = make_spec(name, tmp_path)
-    assert kernel.mtilde.cache_info() == (0, 0, 128, 0)
-    ref = kernel.mtilde.__wrapped__(basis, [1, 2, 3, 4], TIMES)
+    assert kernel._mtilde_memo.cache_info() == (0, 0, 32, 0)
+    ref = kernel._mtilde(basis, [1, 2, 3, 4], TIMES)
     first = _mtilde_table(kernel, basis, 4, TIMES)  # misses
     second = _mtilde_table(kernel, basis, 4, TIMES)  # hits
     live = TIMES != 0.0
     for table in (first, second):
         assert table[live].tobytes() == ref.T[live].tobytes()
         assert not np.any(table[~live])
-    assert kernel.mtilde(basis, 3, TIMES[live]).tobytes() == ref[2, live].tobytes()  # the table's key: a hit
-    info = kernel.mtilde.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (4, 5, 4)
+    assert kernel.mtilde(basis, 3, TIMES[live]).tobytes() == ref[2, live].tobytes()  # a request of its own
+    info = kernel._mtilde_memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
 @pytest.mark.parametrize("name", SPECS)
 def test_every_memo_survives_a_mutated_table(name, tmp_path):
-    kernel, times = make_spec(name, tmp_path), np.linspace(0.1, 1.0, 10)
-    got = kernel.mtilde(COSINE, 2, times)
-    expected = got.copy()
-    got[:] = -1.0
-    assert kernel.mtilde(COSINE, 2, times).tobytes() == expected.tobytes()
-    table = _mtilde_table(kernel, COSINE, 2, times)
-    table *= 3.0
-    assert _mtilde_table(kernel, COSINE, 2, times)[:, 1].tobytes() == expected.tobytes()
-    info = kernel.mtilde.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+    check_returned_tables(make_spec(name, tmp_path))
 
 
 @pytest.mark.parametrize("name", SPECS)
 @pytest.mark.parametrize("t", [float("nan"), -0.1, 1.5])
 def test_every_memo_stores_nothing_on_a_refused_time(name, t, tmp_path):
-    kernel = make_spec(name, tmp_path)
-    _mtilde_table(kernel, COSINE, 3, np.linspace(0.0, 1.0, 9))
-    before = kernel.mtilde.cache_info()
-    with pytest.raises(DomainError):
-        m_tilde(kernel, COSINE, 1, t)
-    with pytest.raises(DomainError):
-        kernel.mtilde(COSINE, [1, 2], np.array([0.5, t]))
-    assert kernel.mtilde.cache_info() == before
+    check_refused_time(make_spec(name, tmp_path), t)
 
 
 def test_a_copy_memoises_apart_from_its_original(tmp_path):
-    # two kernels of one table, or two objects of one class, each memoise their own pieces
+    # two kernels of one table, a copy, a deep copy or an unpickled kernel each memoise their own pieces
     path = write_grid_csv(tmp_path / "kernel.csv")
-    original, copy = grid_kernel_from_csv(path), grid_kernel_from_csv(path)
-    times = np.linspace(0.0, 1.0, 9)
-    original.mtilde(COSINE, [1, 2], times)
-    assert copy.mtilde is not original.mtilde
-    assert copy.mtilde.__wrapped__ == copy._mtilde  # the derived piece, bound to the copy
-    copy.mtilde(COSINE, [1, 2, 3], times)
-    assert (copy.mtilde.cache_info().misses, copy.mtilde.cache_info().hits) == (3, 0)
-    assert (original.mtilde.cache_info().misses, original.mtilde.cache_info().hits) == (2, 0)
+    original, times = grid_kernel_from_csv(path), np.linspace(0.0, 1.0, 9)
+    expected = original.mtilde(COSINE, [1, 2], times)
+    copies = [grid_kernel_from_csv(path), copy.copy(original), copy.deepcopy(original)]
+    copies.append(pickle.loads(pickle.dumps(original)))
+    for other in copies:
+        assert other._mtilde_memo is not original._mtilde_memo
+        assert other._mtilde_memo.__wrapped__ == other._mtilde_request  # bound to the copy
+        assert other.mtilde(COSINE, [1, 2], times).tobytes() == expected.tobytes()
+        assert other._mtilde_memo.cache_info() == (0, 1, 32, 1)
+    assert original._mtilde_memo.cache_info() == (0, 1, 32, 1)
     # a subclass's own piece is memoised the same way
     user = TwiceBrownian(1.0)
-    assert user.mtilde.__wrapped__ == user._mtilde and TwiceBrownian(1.0).mtilde is not user.mtilde
+    assert user._mtilde_memo.__wrapped__ == user._mtilde_request
+    assert TwiceBrownian(1.0)._mtilde_memo is not user._mtilde_memo
 
 
 def test_repeated_brownian_path_synthesis_computes_mtilde_once():
@@ -379,8 +379,8 @@ def test_repeated_brownian_path_synthesis_computes_mtilde_once():
     trunc = Truncation(6, 2)
     paths = [synthesize_paths(kernel, COSINE, trunc, sample_batch(seed, 20, 6), grid) for seed in (1, 1, 2)]
     assert paths[0].tobytes() == paths[1].tobytes()
-    info = kernel.mtilde.cache_info()
-    assert (info.misses, info.hits) == (6, 12)
+    info = kernel._mtilde_memo.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 # ---------------------------------------------------------------------------

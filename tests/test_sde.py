@@ -9,7 +9,7 @@ import pytest
 from chaosfield.basis import BasisFamily
 from chaosfield.chaos import ChaosExpansion, chaos_eval, wick_exp_first_chaos
 from chaosfield import sde
-from chaosfield.errors import DomainError
+from chaosfield.errors import ConfigurationError, DomainError
 from chaosfield.kernels import brownian_kernel, fbm_kernel_spec, m_tilde
 from chaosfield.multiindex import MultiIndex, Truncation
 from chaosfield.sde import (
@@ -49,7 +49,7 @@ def test_closed_form_brownian_coefficients():
         expected = 1.0 / math.sqrt(math.factorial(n))
         assert at1.get(MultiIndex.single(1, n)) == pytest.approx(expected, rel=1e-12)
     assert at1.get(MultiIndex.eps(2)) == pytest.approx(0.0, abs=1e-14)
-    assert at1.get(MultiIndex.eps(1).add_eps(2)) == pytest.approx(0.0, abs=1e-14)
+    assert at1.get(MultiIndex.eps(1).add(MultiIndex.eps(2))) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_off_grid_time_rejected():
@@ -227,6 +227,13 @@ def test_sample_wick_exponential_rejects_a_sample_without_mode_axis():
         sample_wick_exponential(np.array([0.5]), np.array(1.2), 3)
     with pytest.raises(DomainError, match="shorter"):
         sample_wick_exponential(np.array([0.5, 0.1]), np.array([1.2]), 3)
+
+
+@pytest.mark.parametrize("order", [-1, 2.5, True], ids=repr)
+def test_sample_wick_exponential_refuses_an_order_that_is_not_a_non_negative_integer(order):
+    # -1 summed no term and returned 1 for every sample; 2.5 raised a raw TypeError from range
+    with pytest.raises(ConfigurationError, match="max_order must be an integer >= 0"):
+        sample_wick_exponential(np.array([0.5]), np.array([[1.0], [2.0]]), order)
 
 
 def test_export_csv(tmp_path):

@@ -335,38 +335,51 @@ def test_every_kernel_spec_exposes_its_mtilde_memo(tmp_path):
     specs = [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0), grid_kernel_from_csv(grid), Direct(1.0)]
     specs.append(fbm_kernel_spec(0.7, 1.0))
     for spec in specs:
-        assert spec.mtilde.cache_info() == (0, 0, 128, 0), spec.name
-    assert specs[-1].mtilde is not specs[1].mtilde
+        assert spec._mtilde_memo.cache_info() == (0, 0, 32, 0), spec.name
+    assert specs[-1]._mtilde_memo is not specs[1]._mtilde_memo
 
 
-def _memo_containers(tree):
-    # (line, enclosing class or function) of each OrderedDict built
+def _memo_builders(tree):
+    # (line, callee, enclosing scope) of each OrderedDict or lru_cache call; a decorator belongs to the
+    # scope around the function it decorates, so a module-level @lru_cache(...) has the empty scope
     found = []
 
     def visit(node, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and scope is None:
-            scope = node.name
         if isinstance(node, ast.Call):
-            if "OrderedDict" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                found.append((node.lineno, scope))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if callee in ("OrderedDict", "lru_cache"):
+                found.append((node.lineno, callee, scope))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                visit(decorator, scope)
+            inner = f"{scope}.{node.name}" if scope else node.name
+            for child in ast.iter_child_nodes(node):
+                if child not in node.decorator_list:
+                    visit(child, inner)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
 
-    visit(tree, None)
+    visit(tree, "")
     return found
 
 
 def test_the_mtilde_memo_container_is_built_in_one_place():
     # one memo for every kernel: a constructor that built a memo of its own would fork it again
     found = {
-        path.name: [scope for _, scope in hits]
+        (path.name, callee, scope)
         for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
-        if (hits := _memo_containers(ast.parse(path.read_text())))
+        for _, callee, scope in _memo_builders(ast.parse(path.read_text()))
+        if scope or callee == "OrderedDict"
     }
-    assert found == {"kernels.py": ["_MtildeMemo"]}
-    # the check sees either spelling, and names the outermost scope
-    sample = "a = OrderedDict()\ndef f():\n    def g():\n        return collections.OrderedDict()"
-    assert _memo_containers(ast.parse(sample)) == [(1, None), (4, "f")]
+    assert found == {("kernels.py", "lru_cache", "KernelSpec.__init__")}
+    # the check sees either spelling at any depth, and leaves a module-level decorator alone
+    sample = (
+        "@lru_cache(maxsize=8)\ndef f():\n    return collections.OrderedDict()\n"
+        "class A:\n    def __init__(self):\n        self.m = functools.lru_cache(maxsize=4)(self.g)"
+    )
+    expected = [(1, "lru_cache", ""), (3, "OrderedDict", "f"), (6, "lru_cache", "A.__init__")]
+    assert _memo_builders(ast.parse(sample)) == expected
 
 
 def test_export_writes_almost_every_coefficient_by_numpy(tmp_path, monkeypatch):
