@@ -104,9 +104,9 @@ DEFAULT_RULE = QuadratureRule()
 
 
 def _check_modes(k) -> np.ndarray:
-    """Basis indices k as an integer array, each >= 1: a float mode such as 1.5 is refused, not truncated."""
+    """Basis indices k as a non-empty integer array, each >= 1: a float mode such as 1.5 is refused, not truncated."""
     ks = np.asarray(k)
-    if ks.dtype.kind not in "iu" or ks.min() < 1:
+    if ks.dtype.kind not in "iu" or not ks.size or ks.min() < 1:
         raise DomainError(f"basis index k must be >= 1 and an integer, not {k!r}")
     return ks
 
@@ -233,8 +233,8 @@ def quad_singular_smooth(g, a, b, gamma: float):
     """
     if gamma == 0.0:
         return DEFAULT_RULE.integrate(g, a, b)
-    if gamma <= -1.0:
-        raise DomainError("exponent must be > -1 for an integrable singularity")
+    if not -1.0 < gamma < math.inf:  # NaN fails it too
+        raise DomainError(f"exponent must be finite and > -1 for an integrable singularity, not {gamma!r}")
     live = np.greater(b, a)
     if not np.any(live):
         return _on_live_rows(0.0, live)

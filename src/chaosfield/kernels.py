@@ -29,7 +29,7 @@ from .basis import (
     quad_singular_smooth,
 )
 from .errors import ConfigurationError, DomainError, InvalidCovarianceError, UnsupportedKernelError
-from .multiindex import _check_table_size
+from .multiindex import _check_integer, _check_table_size
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +55,8 @@ class KernelSpec:
     ``dt_smooth``) from ``eval`` and ``dt_eval``; a subclass overrides those
     it has in exact or faster form.  ``mtilde`` memoises ``_mtilde`` per kernel
     object and request (basis, modes, time bytes): M~ never depends on samples.
+    The memo reads M~(t <= 0) as exactly 0, so ``_mtilde`` sees only t > 0;
+    every module reads M~ through ``mtilde``.
     """
 
     name: str
@@ -83,8 +85,12 @@ class KernelSpec:
 
     def _mtilde_request(self, basis: BasisFamily, ks: tuple, t_bytes: bytes) -> np.ndarray:
         t = np.frombuffer(t_bytes)
-        basis._check(t)  # a NaN or negative t raises here, so nothing is stored; the piece gets the unclipped t
-        table = np.asarray(self._mtilde(basis, ks, t), dtype=float)
+        basis._check(t)  # a NaN or negative t raises here, so nothing is stored
+        # M~(t <= 0) = 0 exactly, where Legendre's antiderivative leaves about 1e-17: the piece gets
+        # only the unclipped t > 0
+        live = t > 0
+        table = np.zeros((len(t), len(ks))).T  # time-major memory: its transpose is the solvers' C-ordered rows
+        table[:, live] = self._mtilde(basis, ks, t[live])
         table.flags.writeable = False  # every hit hands out this one table
         return table
 
@@ -135,7 +141,7 @@ class KernelSpec:
         return local + np.where(live, x ** (g0 + gam + 1.0) * _dot_rows(w, vals), 0.0)
 
     def _mtilde(self, basis: BasisFamily, ks, t) -> np.ndarray:
-        """M~_k(t_i) for modes ks over a 1-D array of checked times t, shape (len(ks), len(t)).
+        """M~_k(t_i) for modes ks over a 1-D array of checked times t > 0, shape (len(ks), len(t)).
 
         Derived: one quadrature of K(t_i, .) m_k for all t_i per mode k.
         """
@@ -410,11 +416,10 @@ class _Fbm(KernelSpec):
         modes = np.asarray(modes)
         rho, weights = self._mtilde_rule
         top = int(modes.max())
-        out = np.zeros((len(modes), len(ts)))  # 0 for t <= 0
-        live = np.nonzero(ts > 0)[0]
+        out = np.empty((len(modes), len(ts)))
         step = max(1, _MTILDE_BLOCK // top)
-        for start in range(0, len(live), step):
-            rows = live[start : start + step]
+        for start in range(0, len(ts), step):
+            rows = slice(start, start + step)
             block = ts[rows]
             try:
                 powers = np.array([x ** (self.hurst + 0.5) for x in block.tolist()])
@@ -589,8 +594,7 @@ def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
     with an entry that is not finite (the kernel's powers overflow at a huge
     horizon) raises DomainError.
     """
-    if n_grid < 1:
-        raise ConfigurationError(f"n_grid must be >= 1, not {n_grid}")
+    _check_integer("n_grid", n_grid, 1)
     _check_table_size(n_grid * n_grid, f"the {n_grid} x {n_grid} K* matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
         a = kernel.kstar(n_grid)
@@ -697,22 +701,7 @@ def hr_gram(r, times) -> np.ndarray:
 
 def m_tilde(kernel: KernelSpec, basis: BasisFamily, k: int, t: float) -> float:
     """M~_k(t) = int_0^t (K m_k)(s) ds = int K(t, s) m_k(s) ds."""
-    if t == 0:
-        return 0.0
-    return float(kernel.mtilde(basis, k, np.array([t], dtype=float))[0])
-
-
-def _mtilde_table(kernel: KernelSpec, basis: BasisFamily, modes: int, times) -> np.ndarray:
-    """M~_k(t_i) for k = 1..modes, shape (len(times), modes).
-
-    Each entry equals ``m_tilde(kernel, basis, k, t_i)`` bit for bit; the
-    kernel's M~ runs once, for all modes over all nonzero times.
-    """
-    times = np.asarray(times, dtype=float)
-    out = np.zeros((len(times), modes))
-    live = times != 0.0
-    out[live] = kernel.mtilde(basis, range(1, modes + 1), times[live]).T
-    return out
+    return float(kernel.mtilde(basis, k, [t])[0])
 
 
 def kmk_factor(kernel: KernelSpec, basis: BasisFamily, k: int):

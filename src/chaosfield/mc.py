@@ -18,7 +18,6 @@ sum is unchanged, so are the bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,8 @@ import numpy as np
 from .basis import BasisFamily
 from .chaos import ChaosExpansion, chaos_eval
 from .errors import ConfigurationError, DomainError
-from .kernels import KernelSpec, _mtilde_table
-from .multiindex import Truncation
+from .kernels import KernelSpec
+from .multiindex import Truncation, _check_integer
 
 # mc_compare's roundoff floor, in units of eps * mean(|F(Z)| + |oracle|).
 # Measured |mean d| is at most 0.33 and mean |d_i| at most 1.3 of these
@@ -60,12 +59,11 @@ class SampleBatch:
 
 def sample_batch(seed: int, n: int, modes: int) -> SampleBatch:
     """Draw an (n, modes) batch; row i comes from the Philox stream (seed, i)."""
-    if n < 1 or modes < 1:
-        raise DomainError("need n >= 1 and modes >= 1")
+    _check_integer("n", n, 1, DomainError)
+    _check_integer("modes", modes, 1, DomainError)
     # a float seed would be truncated into a key, and a bool would pass for 0 or 1
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise DomainError(f"seed must be an integer, not {seed!r}")
-    if not 0 <= seed < 2**64:
+    _check_integer("seed", seed, 0, DomainError)
+    if seed >= 2**64:
         raise DomainError(f"seed must lie in [0, 2**64), not {seed!r}")
     z = np.empty((n, modes))
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
@@ -91,8 +89,7 @@ def synthesize_paths(
     """
     if batch.modes < trunc.modes:
         raise DomainError("sample rows shorter than the mode count")
-    mt = _mtilde_table(kernel, basis, trunc.modes, grid)
-    return batch.z[:, : trunc.modes] @ mt.T
+    return batch.z[:, : trunc.modes] @ kernel.mtilde(basis, range(1, trunc.modes + 1), grid)
 
 
 def _check_paths(x, y):

@@ -114,10 +114,10 @@ class Truncation:
         return alpha.max_support <= self.modes and alpha.order() <= self.max_order
 
 
-def _check_integer(name: str, value, low: int) -> None:
-    """Refuse a value that is not an integer >= low (2.5, ``True``) with ConfigurationError."""
+def _check_integer(name: str, value, low: int, error: type = ConfigurationError) -> None:
+    """Refuse a value that is not an integer >= low (2.5, ``True``) with ``error``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ConfigurationError(f"{name} must be an integer >= {low}, not {value!r}")
+        raise error(f"{name} must be an integer >= {low}, not {value!r}")
 
 
 def _check_table_size(entries: int, what: str) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from .basis import BasisFamily, _leggauss, jacobi01
 from .chaos import _wick_exp_rows
 from .errors import DomainError
-from .kernels import KernelSpec, _mtilde_table
+from .kernels import KernelSpec
 from .multiindex import Truncation, _check_integer, _tables
 
 
@@ -312,7 +312,7 @@ def solve_closed_form(
     """Wick-exponential solution u_alpha(t) = prod_k M~_k(t)^{alpha_k} / sqrt(alpha!)."""
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
     times = np.asarray(grid, dtype=float)
-    mt = _mtilde_table(kernel, basis, trunc.modes, times)
+    mt = kernel.mtilde(basis, range(1, trunc.modes + 1), times).T.copy()  # writable, one C-ordered row per time
     return PropagatorSolution(trunc, times, _wick_exp_rows(mt, tables), mt)
 
 
@@ -465,7 +465,7 @@ def solve_picard(
     """
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
     times = np.asarray(grid, dtype=float)
-    mt = _mtilde_table(kernel, basis, trunc.modes, times)  # checks the times before the operator is built
+    mt = kernel.mtilde(basis, range(1, trunc.modes + 1), times).T.copy()  # checks the times before the operator is built
     cgrid = _CollocationGrid(basis.horizon, _UNIFORM, _LAYERS, _NODES)
     modes = np.arange(1, trunc.modes + 1)
     ops = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))

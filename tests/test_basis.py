@@ -208,6 +208,14 @@ def test_quad_singular_rejects_nonintegrable():
         quad_singular(lambda t: t, 0.0, 1.0, -1.0)
 
 
+@pytest.mark.parametrize("quad", [quad_singular, quad_singular_smooth], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+def test_quad_singular_refuses_an_exponent_that_is_not_finite_and_above_minus_one(quad, gamma):
+    # a NaN or infinite exponent would build a Gauss-Jacobi rule of NaNs and return NaN without a word
+    with pytest.raises(DomainError, match="exponent"):
+        quad(lambda t: np.ones_like(t), 0.0, 1.0, gamma)
+
+
 @pytest.mark.parametrize(
     "quad",
     [quad_singular, quad_singular_smooth],

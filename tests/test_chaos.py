@@ -15,7 +15,7 @@ from chaosfield.chaos import (
     wick_product,
 )
 from chaosfield.errors import ConfigurationError, DimensionError, DomainError
-from chaosfield.hermite import hermite
+from chaosfield.hermite import hermite, hermite_table
 from chaosfield.multiindex import MultiIndex, Truncation, _tables, index_map
 from test_chaos_tables import from_dense
 
@@ -196,3 +196,13 @@ def test_hvalued_json_roundtrip():
     eta2 = HValuedChaos.from_dict(eta.to_dict())
     assert np.array_equal(eta.coeffs, eta2.coeffs)
     assert np.sum(eta2.coeffs**2) == pytest.approx(1.0 + 4.0 + 0.25)
+
+
+@pytest.mark.parametrize(
+    "function, order", [(hermite, -1), (hermite, 2.5), (hermite_table, 2.5), (hermite_table, -2), (hermite, True)]
+)
+def test_hermite_refuses_an_order_that_is_not_a_non_negative_integer(function, order):
+    # refused by name, not left to Python's TypeError or numpy's negative-dimension ValueError
+    with pytest.raises(ConfigurationError, match="must be an integer >= 0"):
+        function(order, np.linspace(-1.0, 1.0, 5))
+    assert function(np.int64(2), 0.5) is not None

@@ -163,6 +163,15 @@ def test_op_norm_estimate_refuses_a_grid_below_one(n_grid):
         op_norm_estimate(brownian_kernel(1.0), n_grid)
 
 
+@pytest.mark.parametrize("estimate", [discretize_kstar, op_norm_estimate], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n_grid", [2.5, np.float64(4.0), True], ids=["float", "numpy-float", "bool"])
+def test_kstar_refuses_a_grid_that_is_not_an_integer(estimate, n_grid):
+    # refused by name like a grid below one, not left to np.linspace's TypeError; a bool is not a count
+    with pytest.raises(ConfigurationError, match="n_grid"):
+        estimate(brownian_kernel(1.0), n_grid)
+    assert estimate(brownian_kernel(1.0), np.int64(4)) is not None
+
+
 def test_op_norm_bound():
     assert op_norm_bound(0.0, 1.5) == pytest.approx(math.sqrt(1.5))
     assert op_norm_bound(1.0, 1.5) == pytest.approx(math.sqrt(5.0))

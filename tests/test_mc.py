@@ -45,6 +45,14 @@ def test_sample_batch_rejects_bad_shape():
         sample_batch(0, 1, 0)
 
 
+@pytest.mark.parametrize("n, modes", [(2.5, 3), (3, 2.5), (True, 3), (3, True), (np.float64(2.0), 3)])
+def test_sample_batch_refuses_a_count_that_is_not_an_integer(n, modes):
+    # refused like a count below one, not left to np.empty's TypeError; a bool is not a count
+    with pytest.raises(DomainError, match="must be an integer >= 1"):
+        sample_batch(1, n, modes)
+    assert sample_batch(1, np.int64(3), np.int64(2)).z.tobytes() == sample_batch(1, 3, 2).z.tobytes()
+
+
 @pytest.mark.parametrize("seed", [2**64, math.nan])
 def test_sample_batch_refuses_a_seed_outside_uint64(seed):
     with pytest.raises(DomainError, match="seed"):

@@ -6,7 +6,9 @@ in row blocks; they must give the same bits as the one-shot sums.  Every kernel 
 request (basis, modes, time grid), and ``brownian_path_integrand`` its
 pairing (M_k, m_j) per (basis, modes); each memo must give the same bits as
 the work it saves, hand out only read-only tables, never share an entry
-between different keys, and store nothing on a refused request.
+between different keys, and store nothing on a refused request.  The M~
+memo reads M~(t <= 0) as exactly 0 and passes a kernel's ``_mtilde`` only
+t > 0; the solvers and path synthesis read M~ through it alone.
 """
 
 import copy
@@ -22,7 +24,6 @@ from chaosfield.errors import ConfigurationError, DomainError
 from chaosfield.integrals import _path_pairing, brownian_path_integrand
 from chaosfield.kernels import (
     KernelSpec,
-    _mtilde_table,
     brownian_kernel,
     fbm_kernel_spec,
     grid_kernel_from_csv,
@@ -30,6 +31,7 @@ from chaosfield.kernels import (
 )
 from chaosfield.mc import discrete_ito_batch, discrete_strat_batch, sample_batch, synthesize_paths
 from chaosfield.multiindex import MultiIndex, Truncation, index_map
+from chaosfield.sde import solve_closed_form, solve_picard
 from test_quadrature_vectorised import ref_fbm_mtilde_sum
 
 COSINE, LEGENDRE = BasisFamily("cosine", 1.0), BasisFamily("legendre", 1.0)
@@ -141,16 +143,16 @@ def test_memoised_table_bit_equal_to_unmemoised(basis):
     kernel = fbm_kernel_spec(0.75, 1.0)
     times = np.concatenate([np.linspace(0.0, 1.0, 33), [1e-9, 0.5]])
     ref = np.array([[ref_fbm_mtilde_sum(kernel, basis, k, t) for k in range(1, 5)] for t in times])
-    first = _mtilde_table(kernel, basis, 4, times)  # misses
-    second = _mtilde_table(kernel, basis, 4, times)  # hits
-    assert first.tobytes() == ref.tobytes()
-    assert second.tobytes() == ref.tobytes()
+    first = kernel.mtilde(basis, range(1, 5), times)  # misses
+    second = kernel.mtilde(basis, range(1, 5), times)  # hits
+    assert first.T.tobytes() == ref.tobytes()
+    assert second.T.tobytes() == ref.tobytes()
     info = kernel._mtilde_memo.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
 def check_returned_tables(kernel):
-    # a hit hands out the stored table read-only; ``_mtilde_table`` copies it, so its caller may write
+    # a hit hands out the stored table read-only; a solution's M~ is a copy of it, so its caller may write
     times = np.linspace(0.1, 1.0, 10)
     got = kernel.mtilde(COSINE, 2, times)
     expected = got.copy()
@@ -159,11 +161,12 @@ def check_returned_tables(kernel):
     again = kernel.mtilde(COSINE, 2, times)
     assert not again.flags.writeable
     assert again.tobytes() == expected.tobytes()
-    table = _mtilde_table(kernel, COSINE, 2, times)
-    table *= 3.0
-    assert _mtilde_table(kernel, COSINE, 2, times)[:, 1].tobytes() == expected.tobytes()
+    solution = solve_closed_form(kernel, COSINE, Truncation(2, 1), times)
+    solution.mtilde[:] *= 3.0
+    assert solve_closed_form(kernel, COSINE, Truncation(2, 1), times).mtilde[:, 1].tobytes() == expected.tobytes()
+    assert kernel.mtilde(COSINE, [1, 2], times)[1].tobytes() == expected.tobytes()
     info = kernel._mtilde_memo.cache_info()
-    assert (info.misses, info.hits) == (2, 2)  # the mode-2 request once, the modes-1-and-2 request once
+    assert (info.misses, info.hits) == (2, 3)  # the mode-2 request once, the modes-1-and-2 request once
 
 
 def test_mutating_a_returned_table_leaves_the_memo_alone():
@@ -191,12 +194,12 @@ def test_memo_keys_never_shared():
 
 def test_scalar_m_tilde_after_a_memo_hit():
     kernel, grid = fbm_kernel_spec(0.75, 1.0), np.linspace(0.0, 1.0, 17)
-    table = _mtilde_table(kernel, COSINE, 5, grid)
+    table = kernel.mtilde(COSINE, range(1, 6), grid)
     for k in range(1, 6):
         first = m_tilde(kernel, COSINE, k, 1.0)
         again = m_tilde(kernel, COSINE, k, 1.0)  # a hit on the one-point key
         assert type(again) is float
-        assert first == again == table[-1, k - 1] == ref_fbm_mtilde_sum(kernel, COSINE, k, 1.0)
+        assert first == again == table[k - 1, -1] == ref_fbm_mtilde_sum(kernel, COSINE, k, 1.0)
     info = kernel._mtilde_memo.cache_info()
     assert (info.misses, info.hits) == (6, 5)  # the table's request, then each mode's one-point request
 
@@ -229,7 +232,7 @@ def test_sde_command_computes_each_mode_once(tmp_path, capsys, monkeypatch):
 
 def test_memo_hit_skips_the_time_check(monkeypatch):
     kernel, grid = fbm_kernel_spec(0.75, 1.0), np.linspace(0.0, 1.0, 33)
-    warm = _mtilde_table(kernel, COSINE, 4, grid)
+    warm = kernel.mtilde(COSINE, range(1, 5), grid)
     calls = []
     check = BasisFamily._check
 
@@ -238,11 +241,11 @@ def test_memo_hit_skips_the_time_check(monkeypatch):
         return check(self, t)
 
     monkeypatch.setattr(BasisFamily, "_check", counting_check)
-    assert _mtilde_table(kernel, COSINE, 4, grid).tobytes() == warm.tobytes()
+    assert kernel.mtilde(COSINE, range(1, 5), grid).tobytes() == warm.tobytes()
     assert calls == []
     info = kernel._mtilde_memo.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    _mtilde_table(kernel, COSINE, 5, grid)  # five modes are a new request: the times are checked again
+    kernel.mtilde(COSINE, range(1, 6), grid)  # five modes are a new request: the times are checked again
     assert len(calls) >= 1
     info = kernel._mtilde_memo.cache_info()
     assert (info.misses, info.hits) == (2, 1)
@@ -255,7 +258,7 @@ def test_bad_time_refused_on_a_warm_spec(t):
 
 def check_refused_time(kernel, t):
     # lru_cache counts a refused request as a miss, but stores nothing
-    _mtilde_table(kernel, COSINE, 3, np.linspace(0.0, 1.0, 9))
+    kernel.mtilde(COSINE, range(1, 4), np.linspace(0.0, 1.0, 9))
     m_tilde(kernel, COSINE, 1, 0.5)
     before = kernel._mtilde_memo.cache_info()
     with pytest.raises(DomainError):
@@ -269,6 +272,17 @@ def check_refused_time(kernel, t):
 @pytest.mark.parametrize("modes", [0, [0, 1], [2, -1]])
 def test_mode_below_one_refused(modes):
     # a mode below 1 would otherwise index the basis rows from the end
+    kernel = fbm_kernel_spec(0.75, 1.0)
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        kernel.mtilde(COSINE, modes, np.linspace(0.0, 1.0, 5))
+    assert kernel._mtilde_memo.cache_info().misses == 0
+
+
+def test_empty_mode_array_refused():
+    # an empty integer array has no minimum to compare with 1; it is refused like a mode below 1
+    modes = np.arange(1, 1)
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        COSINE.eval(modes, 0.5)
     kernel = fbm_kernel_spec(0.75, 1.0)
     with pytest.raises(DomainError, match="k must be >= 1"):
         kernel.mtilde(COSINE, modes, np.linspace(0.0, 1.0, 5))
@@ -298,7 +312,7 @@ def write_grid_csv(path):
 
 
 class TwiceBrownian(KernelSpec):
-    """A kernel with an M~ of its own: K = 2 chi_[0, t], so M~_k = 2 M_k."""
+    """A kernel with an M~ of its own: K = 2 chi_[0, t], so M~_k = 2 M_k, and no case for t <= 0."""
 
     name = "twice-brownian"
 
@@ -306,6 +320,7 @@ class TwiceBrownian(KernelSpec):
         return np.where(s <= t, 2.0, 0.0)
 
     def _mtilde(self, basis, ks, t):
+        assert np.all(t > 0), "the memo passes the piece only t > 0"
         return np.array([2.0 * basis.antideriv(j, t) for j in ks])
 
 
@@ -332,16 +347,51 @@ TIMES = np.concatenate([np.linspace(0.0, 1.0, 17), [1e-9, 0.37]])
 def test_every_memo_bit_equal_to_its_unmemoised_piece(name, basis, tmp_path):
     kernel = make_spec(name, tmp_path)
     assert kernel._mtilde_memo.cache_info() == (0, 0, 32, 0)
-    ref = kernel._mtilde(basis, [1, 2, 3, 4], TIMES)
-    first = _mtilde_table(kernel, basis, 4, TIMES)  # misses
-    second = _mtilde_table(kernel, basis, 4, TIMES)  # hits
-    live = TIMES != 0.0
+    live = TIMES > 0.0
+    ref = kernel._mtilde(basis, [1, 2, 3, 4], TIMES[live])  # the piece sees only t > 0
+    first = kernel.mtilde(basis, range(1, 5), TIMES)  # misses
+    second = kernel.mtilde(basis, range(1, 5), TIMES)  # hits
     for table in (first, second):
-        assert table[live].tobytes() == ref.T[live].tobytes()
-        assert not np.any(table[~live])
-    assert kernel.mtilde(basis, 3, TIMES[live]).tobytes() == ref[2, live].tobytes()  # a request of its own
+        assert table[:, live].tobytes() == ref.tobytes()
+        assert not np.any(table[:, ~live])
+    assert kernel.mtilde(basis, 3, TIMES[live]).tobytes() == ref[2].tobytes()  # a request of its own
     info = kernel._mtilde_memo.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+
+@pytest.mark.parametrize("name", ["brownian", "grid", "user"])
+def test_mtilde_at_time_zero_is_exactly_zero(name, tmp_path):
+    # Legendre's antiderivative at 0 is about 1e-17 for k >= 4; the memo, not each caller, reads M~(t <= 0) as 0
+    kernel, modes = make_spec(name, tmp_path), range(4, 9)
+    assert any(LEGENDRE.antideriv(k, 0.0) != 0.0 for k in modes)
+    grid = np.array([0.0, 0.25, 1.0])
+    for k in modes:
+        assert m_tilde(kernel, LEGENDRE, k, 0.0) == 0.0
+    assert not np.any(kernel.mtilde(LEGENDRE, modes, [0.0, -1e-13]))  # slack below 0 reads 0 too
+    assert not np.any(kernel.mtilde(LEGENDRE, modes, grid)[:, 0])
+    assert not np.any(solve_closed_form(kernel, LEGENDRE, Truncation(8, 2), grid).mtilde[0])
+    paths = synthesize_paths(kernel, LEGENDRE, Truncation(8, 2), sample_batch(5, 40, 8), grid)
+    assert not np.any(paths[:, 0]) and np.all(paths[:, 1:] != 0.0)
+
+
+@pytest.mark.parametrize("k", [1.5, 0, -3])
+def test_m_tilde_at_time_zero_checks_the_mode(k):
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        m_tilde(brownian_kernel(1.0), LEGENDRE, k, 0.0)
+
+
+@pytest.mark.parametrize("solve", [solve_closed_form, solve_picard])
+@pytest.mark.parametrize("modes, points", [(1, 9), (3, 1), (3, 9)])
+def test_solution_mtilde_is_a_c_ordered_copy(solve, modes, points):
+    # one row per time, each a contiguous vector for ``sample``; a one-mode or one-point view of the
+    # memo's table would pass for contiguous, so the copy is taken every time
+    kernel, grid = fbm_kernel_spec(0.7, 1.0), np.linspace(1.0 / points, 1.0, points)
+    mt = solve(kernel, COSINE, Truncation(modes, 2), grid).mtilde
+    assert mt.shape == (points, modes)
+    assert mt.flags.c_contiguous and mt.flags.writeable
+    table = kernel.mtilde(COSINE, range(1, modes + 1), grid)
+    assert not np.shares_memory(mt, table)
+    assert mt.tobytes() == table.T.tobytes()
 
 
 @pytest.mark.parametrize("name", SPECS)

@@ -25,7 +25,6 @@ from chaosfield.basis import BasisFamily, QuadratureRule, _dot_rows, jacobi01, q
 from chaosfield.errors import DomainError
 from chaosfield.kernels import (
     _fbm_mtilde_rule,
-    _mtilde_table,
     brownian_kernel,
     covariance_from_kernel,
     fbm_c_h,
@@ -357,7 +356,7 @@ def test_mtilde_table_bit_equal_to_scalar(basis, grid_kernel):
     for name, kernel in _kernels(grid_kernel) + [("fbm-0.75", fbm_kernel_spec(0.75, 1.0))]:
         modes = 2 if name == "grid" else 5
         grid = times[::4] if name == "grid" else times
-        table = _mtilde_table(kernel, basis, modes, grid)
+        table = kernel.mtilde(basis, range(1, modes + 1), grid).T
         scalar = np.array([[m_tilde(kernel, basis, k, t) for k in range(1, modes + 1)] for t in grid])
         assert table.shape == (len(grid), modes)
         assert np.array_equal(table, scalar), name
@@ -370,7 +369,7 @@ def test_mtilde_table_other_horizon():
     basis, kernel = BasisFamily("cosine", 2.5), fbm_kernel_spec(0.8, 2.5)
     times = np.linspace(0.0, 2.5, 53)
     ref = np.array([[ref_fbm_mtilde_sum(kernel, basis, k, t) for k in range(1, 4)] for t in times])
-    assert np.array_equal(_mtilde_table(kernel, basis, 3, times), ref)
+    assert np.array_equal(kernel.mtilde(basis, range(1, 4), times).T, ref)
 
 
 FBM_HURSTS = [0.51, 0.6, 0.75, 0.9, 0.99, 0.999]
@@ -394,7 +393,7 @@ def test_mtilde_rule_moments(hurst):
 @pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
 def test_mtilde_table_near_the_product_rule(basis, hurst):
     kernel, times, modes = fbm_kernel_spec(hurst, 1.0), np.linspace(0.0, 1.0, 257), range(1, 33)
-    table = _mtilde_table(kernel, basis, len(modes), times)
+    table = kernel.mtilde(basis, modes, times).T
     ref = np.array([ref_fbm_mtilde(kernel, basis, modes, t) for t in times])
     assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
 

@@ -6,8 +6,9 @@ kernels.py and that no class assigns the retired ``adapted`` flag, the rule that
 public function is set by some call, the rules that the library never calls
 the built-in sum or quad_singular, that it imports no scipy and declares
 exactly its third-party imports as runtime dependencies, that every kernel
-spec's M~ goes through the one memo, and that the sde CSV's coefficients
-come from the numpy formatter, not repr."""
+spec's M~ goes through the one memo, which no module but kernels.py gets
+round by a private kernels name or an M~ piece, and that the sde CSV's
+coefficients come from the numpy formatter, not repr."""
 
 import ast
 import importlib
@@ -380,6 +381,42 @@ def test_the_mtilde_memo_container_is_built_in_one_place():
     )
     expected = [(1, "lru_cache", ""), (3, "OrderedDict", "f"), (6, "lru_cache", "A.__init__")]
     assert _memo_builders(ast.parse(sample)) == expected
+
+
+# the ways round ``KernelSpec.mtilde`` to a kernel's M~: its piece, the memo, and the memo's miss
+MTILDE_BYPASSES = {"_mtilde", "_mtilde_memo", "_mtilde_request"}
+
+
+def _private_kernel_uses(tree):
+    # line of each private name imported from the kernels module or read off it, and of each call of an M~ bypass
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] == "kernels":
+            found += [node.lineno for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if getattr(node.value, "id", None) == "kernels":
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in MTILDE_BYPASSES:
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_only_kernels_py_reads_mtilde_around_the_memo():
+    # the memo decides M~(t <= 0) = 0; a module reading a private kernels helper or a piece would skip that
+    found = {
+        str(path.relative_to(ROOT)): hits
+        for sub in ("src", "demos")
+        for path in sorted((ROOT / sub).rglob("*.py"))
+        if path.name != "kernels.py" and (hits := _private_kernel_uses(ast.parse(path.read_text())))
+    }
+    assert found == {}
+    # the check sees each spelling, and leaves public names and other private calls alone
+    sample = (
+        "from .kernels import KernelSpec, _mtilde_table\nfrom chaosfield.kernels import _Fbm\n"
+        "from . import kernels\nx = kernels._MTILDE_BLOCK\ny = kernel._mtilde(basis, ks, t)\n"
+        "z = kernel._mtilde_memo(basis, ks, b)\nw = kernel.mtilde(basis, ks, t) + basis._check(t)\n"
+    )
+    assert _private_kernel_uses(ast.parse(sample)) == [1, 2, 4, 5, 6]
 
 
 def test_export_writes_almost_every_coefficient_by_numpy(tmp_path, monkeypatch):
