@@ -8,20 +8,19 @@ import numpy as np
 
 from chaosfield.kernels import (
     covariance_from_kernel,
-    fbm_covariance,
-    fbm_k1,
     fbm_kernel_spec,
     k1_empirical,
     op_norm_bound,
     op_norm_estimate,
 )
+from chaosfield.verify import fbm_covariance
 
 
 def main():
     hurst = 0.75
     kernel = fbm_kernel_spec(hurst, 1.0)
 
-    k1 = fbm_k1(hurst, 1.0)
+    k1 = kernel.k1_bound
     print("K1 analytic:", k1)
     print("K1 empirical:", k1_empirical(kernel))
     print("operator norm bound:", op_norm_bound(0.0, k1))

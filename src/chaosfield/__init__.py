@@ -34,8 +34,6 @@ from .kernels import (
     brownian_kernel,
     covariance_from_kernel,
     fbm_c_h,
-    fbm_covariance,
-    fbm_k1,
     fbm_kernel,
     fbm_kernel_dt,
     fbm_kernel_spec,

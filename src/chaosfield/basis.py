@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
+from .multiindex import _check_integer
 
 
 @lru_cache(maxsize=None)
@@ -80,6 +81,10 @@ class QuadratureRule:
 
     panels: int = 8
     nodes: int = 16
+
+    def __post_init__(self):
+        for name in ("panels", "nodes"):
+            _check_integer(name, getattr(self, name), 1)
 
     def nodes_weights(self, a, b):
         """Nodes and weights on [a, b]; exact for degree <= 2*nodes-1 per panel."""

@@ -34,8 +34,6 @@ from .integrals import (
 from .kernels import (
     brownian_kernel,
     covariance_from_kernel,
-    fbm_c_h,
-    fbm_k1,
     fbm_kernel_spec,
     k1_empirical,
     op_norm_bound,
@@ -218,26 +216,17 @@ def cmd_sde(args: argparse.Namespace) -> int:
 
 
 def cmd_fbm(args: argparse.Namespace) -> int:
-    hurst = args.hurst if args.hurst is not None else 0.75
-    horizon = args.horizon if args.horizon is not None else 1.0
-    if not 0.5 < hurst < 1.0:
-        raise ConfigurationError("hurst must lie in (1/2, 1)")
-    if not 0 < horizon < math.inf:
-        raise ConfigurationError("horizon must be positive and finite")
-    if args.grid < 1:
-        raise ConfigurationError("grid must be >= 1")
-    kernel = fbm_kernel_spec(hurst, horizon)
-    estimate = op_norm_estimate(kernel, args.grid)  # first: it refuses an over-budget grid before any quadrature
-    k1 = fbm_k1(hurst, horizon)
+    kernel = fbm_kernel_spec(args.hurst, args.horizon)  # refuses a bad Hurst index or horizon
+    estimate = op_norm_estimate(kernel, args.grid)  # first: it refuses a bad or over-budget grid before any quadrature
     emp = k1_empirical(kernel)
-    bound = op_norm_bound(0.0, k1)
+    bound = op_norm_bound(0.0, kernel.k1_bound)
     payload = {
-        "c_h": fbm_c_h(hurst),
-        "k1_analytic": k1,
+        "c_h": kernel.c_h,
+        "k1_analytic": kernel.k1_bound,
         "k1_empirical": emp,
         "norm_bound": bound,
         "norm_estimate": estimate,
-        "pass": bool(emp <= k1 + 1e-6 and estimate <= bound),
+        "pass": bool(emp <= kernel.k1_bound + 1e-6 and estimate <= bound),
     }
     _emit(payload)
     return 0 if payload["pass"] else 1
@@ -289,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sde)
 
     p = add_command("fbm", help="fBm kernel diagnostics")
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--horizon", type=float)
+    p.add_argument("--hurst", type=float, default=0.75)
+    p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=512)
     p.set_defaults(func=cmd_fbm)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -65,8 +66,9 @@ class KernelSpec:
     gamma0 = 0.0
 
     def __init__(self, horizon: float):
-        if not 0 < horizon < math.inf:
-            raise DomainError("horizon must be positive and finite")
+        # a bool is an Integral, so True would read as horizon 1
+        if isinstance(horizon, bool) or not isinstance(horizon, numbers.Real) or not 0 < horizon < math.inf:
+            raise DomainError(f"horizon must be a positive and finite real number, not {horizon!r}")
         self.horizon = horizon
         self._mtilde_memo = lru_cache(maxsize=32)(self._mtilde_request)  # at most 32 tables of len(ks) x len(t)
 
@@ -218,8 +220,8 @@ _SERIES_TERMS = 60
 
 
 def _check_hurst(hurst: float):
-    if not 0.5 < hurst < 1.0:
-        raise DomainError("Hurst index must lie in (1/2, 1)")
+    if not isinstance(hurst, numbers.Real) or not 0.5 < hurst < 1.0:  # a str is refused here, not by TypeError
+        raise DomainError(f"Hurst index must lie in (1/2, 1), not {hurst!r}")
 
 
 def fbm_c_h(hurst: float) -> float:
@@ -227,18 +229,6 @@ def fbm_c_h(hurst: float) -> float:
     _check_hurst(hurst)
     return math.sqrt(
         2.0 * hurst * math.gamma(1.5 - hurst) / (math.gamma(hurst + 0.5) * math.gamma(2.0 - 2.0 * hurst))
-    )
-
-
-def fbm_k1(hurst: float, horizon: float) -> float:
-    """Analytic bound K_1(T) for the fBm kernel operator."""
-    _check_hurst(hurst)
-    return (
-        hurst
-        * (2.0 * hurst - 1.0)
-        * math.gamma(hurst - 0.5)
-        / math.gamma(hurst + 0.5)
-        * horizon ** (2.0 * hurst - 1.0)
     )
 
 
@@ -350,7 +340,11 @@ class _Fbm(KernelSpec):
         self.singularity = hurst - 1.5
         self.origin_exponent = 0.5 - hurst
         self.gamma0 = hurst - 0.5
-        self._c = fbm_c_h(hurst) * (hurst - 0.5)
+        self.c_h = fbm_c_h(hurst)
+        self._c = self.c_h * (hurst - 0.5)
+        # the analytic bound K_1(T) that ``k1_empirical`` is checked against
+        k1_unit = hurst * (2.0 * hurst - 1.0) * math.gamma(hurst - 0.5) / math.gamma(hurst + 0.5)
+        self.k1_bound = k1_unit * horizon ** (2.0 * hurst - 1.0)
 
     def eval(self, t, s):
         return _fbm_kernel(self._c, self.hurst, t, s)
@@ -646,17 +640,6 @@ def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512) -> float:
 # covariance functions
 
 
-def fbm_covariance(hurst: float):
-    """R(t, s) = (|t|^2H + |s|^2H - |t - s|^2H) / 2 as a callable."""
-    _check_hurst(hurst)
-
-    def r(t, s):
-        h2 = 2.0 * hurst
-        return 0.5 * (np.abs(t) ** h2 + np.abs(s) ** h2 - np.abs(t - s) ** h2)
-
-    return r
-
-
 def covariance_from_kernel(kernel: KernelSpec, t, s):
     """E X(t) X(s) = int_0^min(t,s) K(t, tau) K(s, tau) d tau, broadcast over t and s.
 
@@ -682,9 +665,11 @@ def hr_gram(r, times) -> np.ndarray:
     """Gram matrix G_ij = R(t_i, t_j) of a covariance callable R, checked to be symmetric and PSD.
 
     R broadcasts over its two arguments.  PSD allows a minimum eigenvalue
-    down to -1e-10 max(1, max |G_ij|).
+    down to -1e-10 max(1, max |G_ij|).  Empty or non-1-D ``times`` raise DomainError.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size:
+        raise DomainError(f"times must be a non-empty 1-D array, not one of shape {times.shape}")
     g = np.asarray(r(times[:, None], times[None, :]), dtype=float)
     if not np.allclose(g, g.T, atol=1e-12):
         raise InvalidCovarianceError("covariance Gram matrix is not symmetric")

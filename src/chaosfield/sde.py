@@ -306,12 +306,20 @@ def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.nda
     return out if out.ndim else float(out)
 
 
+def _check_times(grid) -> np.ndarray:
+    """A solver's time grid as a float array, refused unless it is non-empty and 1-D."""
+    times = np.asarray(grid, dtype=float)
+    if times.ndim != 1 or not times.size:
+        raise DomainError(f"the time grid must be a non-empty 1-D array, not one of shape {times.shape}")
+    return times
+
+
 def solve_closed_form(
     kernel: KernelSpec, basis: BasisFamily, trunc: Truncation, grid
 ) -> PropagatorSolution:
     """Wick-exponential solution u_alpha(t) = prod_k M~_k(t)^{alpha_k} / sqrt(alpha!)."""
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
-    times = np.asarray(grid, dtype=float)
+    times = _check_times(grid)
     mt = kernel.mtilde(basis, range(1, trunc.modes + 1), times).T.copy()  # writable, one C-ordered row per time
     return PropagatorSolution(trunc, times, _wick_exp_rows(mt, tables), mt)
 
@@ -464,7 +472,7 @@ def solve_picard(
     coefficient to higher-order ones, so its system is not triangular.
     """
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
-    times = np.asarray(grid, dtype=float)
+    times = _check_times(grid)
     mt = kernel.mtilde(basis, range(1, trunc.modes + 1), times).T.copy()  # checks the times before the operator is built
     cgrid = _CollocationGrid(basis.horizon, _UNIFORM, _LAYERS, _NODES)
     modes = np.arange(1, trunc.modes + 1)

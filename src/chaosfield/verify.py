@@ -24,8 +24,6 @@ from .integrals import (
 from .kernels import (
     brownian_kernel,
     covariance_from_kernel,
-    fbm_covariance,
-    fbm_k1,
     fbm_kernel_spec,
     grid_kernel,
     k1_empirical,
@@ -198,10 +196,20 @@ def suite_sde() -> dict:
     return _wrap("sde", checks)
 
 
+def fbm_covariance(hurst: float):
+    """R(t, s) = (|t|^2H + |s|^2H - |t - s|^2H) / 2 as a callable: the fbm suite's analytic oracle."""
+
+    def r(t, s):
+        h2 = 2.0 * hurst
+        return 0.5 * (np.abs(t) ** h2 + np.abs(s) ** h2 - np.abs(t - s) ** h2)
+
+    return r
+
+
 def suite_fbm() -> dict:
     checks = [
-        _check("k1-analytic-h075", abs(fbm_k1(0.75, 1.0) - 1.5), 1e-12),
-        _check("k1-limit-near-half", abs(fbm_k1(0.501, 1.0) - 1.0), 1e-2),
+        _check("k1-analytic-h075", abs(fbm_kernel_spec(0.75, 1.0).k1_bound - 1.5), 1e-12),
+        _check("k1-limit-near-half", abs(fbm_kernel_spec(0.501, 1.0).k1_bound - 1.0), 1e-2),
     ]
     for hurst in (0.6, 0.75, 0.9):
         kernel = fbm_kernel_spec(hurst, 1.0)
@@ -210,7 +218,7 @@ def suite_fbm() -> dict:
         exact = 2.0 * hurst * 0.5 ** (2.0 * hurst - 1.0)
         checks.append(_check(f"k1-empirical-h{hurst}", abs(k1_empirical(kernel) - exact), 1e-5))
         est = op_norm_estimate(kernel, 512)
-        checks.append(_check(f"op-norm-h{hurst}", est, op_norm_bound(0.0, fbm_k1(hurst, 1.0))))
+        checks.append(_check(f"op-norm-h{hurst}", est, op_norm_bound(0.0, kernel.k1_bound)))
     est_b = op_norm_estimate(brownian_kernel(1.0), 512)
     checks.append(_check("op-norm-brownian", abs(est_b - 1.0), 1e-6))
     kernel = fbm_kernel_spec(0.7, 1.0)

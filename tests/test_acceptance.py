@@ -22,8 +22,6 @@ from chaosfield.integrals import (
 from chaosfield.kernels import (
     brownian_kernel,
     covariance_from_kernel,
-    fbm_covariance,
-    fbm_k1,
     fbm_kernel_spec,
     k1_empirical,
     op_norm_bound,
@@ -38,7 +36,7 @@ from chaosfield.mc import (
 )
 from chaosfield.multiindex import MultiIndex, Truncation
 from chaosfield.sde import solve_closed_form, solve_picard
-from chaosfield.verify import hermite_orthogonality_error, wick_hermite_error
+from chaosfield.verify import fbm_covariance, hermite_orthogonality_error, wick_hermite_error
 
 
 def _report(number, name, ok):
@@ -110,12 +108,10 @@ def test_criterion_04_strat_identity_and_trace():
 
 def test_criterion_05_fbm_constant_bound():
     start = time.time()
-    exact = abs(fbm_k1(0.75, 1.0) - 1.5) <= 1e-12
-    empirical_ok = all(
-        k1_empirical(fbm_kernel_spec(h, 1.0)) <= fbm_k1(h, 1.0) + 1e-6
-        for h in (0.6, 0.75, 0.9)
-    )
-    limit_ok = abs(fbm_k1(0.5 + 1e-3, 1.0) - 1.0) <= 1e-2
+    exact = abs(fbm_kernel_spec(0.75, 1.0).k1_bound - 1.5) <= 1e-12
+    fbm_kernels = [fbm_kernel_spec(h, 1.0) for h in (0.6, 0.75, 0.9)]
+    empirical_ok = all(k1_empirical(kernel) <= kernel.k1_bound + 1e-6 for kernel in fbm_kernels)
+    limit_ok = abs(fbm_kernel_spec(0.5 + 1e-3, 1.0).k1_bound - 1.0) <= 1e-2
     elapsed = time.time() - start
     _report(5, "fbm-kernel-bound", exact and empirical_ok and limit_ok and elapsed < 10.0)
 
@@ -125,7 +121,7 @@ def test_criterion_06_operator_norm():
     bm_ok = abs(bm - 1.0) <= 1e-6 and bm <= op_norm_bound(0.0, 1.0)
     kernel = fbm_kernel_spec(0.75, 1.0)
     est = op_norm_estimate(kernel, 512)
-    fbm_ok = est <= op_norm_bound(0.0, fbm_k1(0.75, 1.0))
+    fbm_ok = est <= op_norm_bound(0.0, kernel.k1_bound)
     _report(6, "operator-norm", bm_ok and fbm_ok)
 
 

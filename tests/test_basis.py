@@ -12,7 +12,7 @@ from chaosfield.basis import (
     quad_singular,
     quad_singular_smooth,
 )
-from chaosfield.errors import DomainError
+from chaosfield.errors import ConfigurationError, DomainError
 
 
 @pytest.mark.parametrize("kind", ["cosine", "legendre"])
@@ -85,6 +85,13 @@ def test_recurrence_keeps_the_bits_of_cosine_mode_two(horizon):
     assert basis._rows(2, t)[1].tobytes() == basis.eval([1, 2], t)[1].tobytes()
     with pytest.raises(DomainError):
         basis._rows(3, np.array([0.5, horizon + 0.1]))
+
+
+@pytest.mark.parametrize("panels, nodes", [(0, 16), (2.5, 16), (8, 0), (8, True), (-1, 4)])
+def test_quadrature_rule_refuses_a_count_that_is_not_an_integer_of_at_least_one(panels, nodes):
+    # QuadratureRule(0, 16) integrated everything to 0.0 with numpy's divide warnings; 2.5 panels were accepted
+    with pytest.raises(ConfigurationError, match="must be an integer >= 1"):
+        QuadratureRule(panels, nodes)
 
 
 def test_domain_checks():

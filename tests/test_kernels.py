@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 from scipy.special import roots_jacobi
 
+import chaosfield
 from chaosfield.basis import BasisFamily, _on_live_rows, jacobi01, quad_singular_smooth
 from chaosfield import kernels, sde
 from chaosfield.errors import ConfigurationError, DomainError, InvalidCovarianceError, UnsupportedKernelError
@@ -15,8 +16,6 @@ from chaosfield.kernels import (
     brownian_kernel,
     covariance_from_kernel,
     fbm_c_h,
-    fbm_covariance,
-    fbm_k1,
     fbm_kernel,
     fbm_kernel_dt,
     fbm_kernel_spec,
@@ -32,6 +31,7 @@ from chaosfield.kernels import (
 )
 from chaosfield.multiindex import Truncation
 from chaosfield.sde import solve_closed_form, solve_picard
+from chaosfield.verify import fbm_covariance
 
 
 def test_fbm_c_h_value():
@@ -67,22 +67,60 @@ def test_fbm_kernel_dt_matches_finite_difference():
 
 
 def test_fbm_k1_values():
-    assert fbm_k1(0.75, 1.0) == pytest.approx(1.5, rel=1e-14)
-    assert fbm_k1(0.75, 4.0) == pytest.approx(3.0, rel=1e-14)
-    assert fbm_k1(0.501, 1.0) == pytest.approx(1.0, abs=1e-2)
+    assert fbm_kernel_spec(0.75, 1.0).k1_bound == pytest.approx(1.5, rel=1e-14)
+    assert fbm_kernel_spec(0.75, 4.0).k1_bound == pytest.approx(3.0, rel=1e-14)
+    assert fbm_kernel_spec(0.501, 1.0).k1_bound == pytest.approx(1.0, abs=1e-2)
+
+
+@pytest.mark.parametrize("horizon", [1e-6, 1.0, 3.7, 1e100])
+@pytest.mark.parametrize("hurst", [0.51, 0.6, 0.75, 0.9, 0.999])
+def test_fbm_kernel_holds_c_h_and_k1_bound_bit_for_bit(hurst, horizon):
+    # the two free functions the kernel's attributes replaced, as they were written
+    c_h = math.sqrt(
+        2.0 * hurst * math.gamma(1.5 - hurst) / (math.gamma(hurst + 0.5) * math.gamma(2.0 - 2.0 * hurst))
+    )
+    k1 = (
+        hurst
+        * (2.0 * hurst - 1.0)
+        * math.gamma(hurst - 0.5)
+        / math.gamma(hurst + 0.5)
+        * horizon ** (2.0 * hurst - 1.0)
+    )
+    kernel = fbm_kernel_spec(hurst, horizon)
+    assert (kernel.c_h, kernel.k1_bound) == (c_h, k1)
+    assert kernel.c_h == fbm_c_h(hurst)
+
+
+def test_the_fbm_k1_bound_and_covariance_are_no_library_functions():
+    # the kernel holds K1; the analytic covariance is the verify suites' oracle
+    assert not any(hasattr(module, name) for module in (chaosfield, kernels) for name in ("fbm_k1", "fbm_covariance"))
+
+
+@pytest.mark.parametrize("horizon", [True, "1", math.nan, math.inf, 0, -1])
+@pytest.mark.parametrize("make", [brownian_kernel, lambda t: fbm_kernel_spec(0.75, t)], ids=["brownian", "fbm"])
+def test_kernels_refuse_a_horizon_that_is_not_a_positive_finite_real(make, horizon):
+    # True was read as horizon 1, and "1" escaped with TypeError
+    with pytest.raises(DomainError, match="horizon must be a positive and finite real number"):
+        make(horizon)
+
+
+@pytest.mark.parametrize("hurst", [True, "0.75", math.nan, 0.5, 1.0])
+def test_fbm_kernel_refuses_a_hurst_index_outside_the_open_interval(hurst):
+    with pytest.raises(DomainError, match="Hurst index must lie in"):
+        fbm_kernel_spec(hurst, 1.0)
 
 
 def test_k1_empirical_below_analytic_bound():
     kernel = fbm_kernel_spec(0.75, 1.0)
     emp = k1_empirical(kernel)
-    assert emp <= fbm_k1(0.75, 1.0) + 1e-6
+    assert emp <= kernel.k1_bound + 1e-6
 
 
 def test_k1_empirical_raises_without_convergence(monkeypatch):
     kernel = fbm_kernel_spec(0.75, 1.0)
     monkeypatch.setattr(kernels, "_K1_GRID", 32)
     monkeypatch.setattr(kernels, "_K1_REFINEMENTS", 1)
-    assert k1_empirical(kernel) <= fbm_k1(0.75, 1.0) + 1e-6
+    assert k1_empirical(kernel) <= kernel.k1_bound + 1e-6
     # no two grids agree to a zero tolerance
     monkeypatch.setattr(kernels, "_K1_TOL", 0.0)
     with pytest.raises(DomainError, match="did not converge"):
@@ -183,7 +221,7 @@ def test_op_norm_estimates():
     assert op_norm_estimate(brownian_kernel(1.0), 128) == pytest.approx(1.0, abs=1e-6)
     kernel = fbm_kernel_spec(0.75, 1.0)
     est = op_norm_estimate(kernel, 128)
-    assert est <= op_norm_bound(0.0, fbm_k1(0.75, 1.0))
+    assert est <= op_norm_bound(0.0, kernel.k1_bound)
     # 4473^2 entries are over the table budget: refused before the matrix is allocated
     with pytest.raises(ConfigurationError, match="K\\* matrix"):
         op_norm_estimate(kernel, 4473)
@@ -283,6 +321,10 @@ def test_hr_gram():
     bad = lambda t, s: np.where(t != s, -1.0, 0.0)  # noqa: E731
     with pytest.raises(InvalidCovarianceError):
         hr_gram(bad, [0.0, 1.0])
+    # an empty grid raised IndexError from eigvalsh(g)[0]
+    for times in ([], [[0.25, 0.5]], 0.5):
+        with pytest.raises(DomainError, match="times must be a non-empty 1-D array"):
+            hr_gram(np.minimum, times)
 
 
 def test_grid_kernel_from_csv(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from chaosfield.basis import BasisFamily
 from chaosfield.chaos import ChaosExpansion, chaos_eval
 from chaosfield.errors import ConfigurationError, DomainError
-from chaosfield.kernels import brownian_kernel, fbm_covariance, fbm_kernel_spec
+from chaosfield.kernels import brownian_kernel, fbm_kernel_spec
 from chaosfield.mc import (
     SampleBatch,
     discrete_ito_batch,
@@ -16,6 +16,7 @@ from chaosfield.mc import (
     synthesize_paths,
 )
 from chaosfield.multiindex import MultiIndex, Truncation
+from chaosfield.verify import fbm_covariance
 
 
 def test_sample_batch_reproducible():

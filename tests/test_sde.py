@@ -27,6 +27,14 @@ def at(sol, t):
     return ChaosExpansion.from_dense(sol.trunc, sol.coeffs[sol._time_index(t)])
 
 
+@pytest.mark.parametrize("solve", [solve_closed_form, solve_picard])
+@pytest.mark.parametrize("grid", [[], np.zeros((0, 3)), [[0.0, 1.0]], 0.5])
+def test_solvers_refuse_an_empty_or_multidimensional_time_grid(solve, grid):
+    # Picard escaped with numpy's reshape ValueError on [], and closed form returned a solution with no times
+    with pytest.raises(DomainError, match="time grid must be a non-empty 1-D array"):
+        solve(brownian_kernel(1.0), BASIS, Truncation(2, 2), grid)
+
+
 def test_closed_form_initial_condition():
     sol = solve_closed_form(brownian_kernel(1.0), BASIS, Truncation(3, 3), [0.0, 0.5, 1.0])
     at0 = at(sol, 0.0)
