@@ -9,6 +9,8 @@ integral identities simple.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,6 +65,28 @@ def _dot_rows(w, vals):
     return np.matmul(np.asarray(vals, dtype=float)[..., None, :], w[..., :, None])[..., 0, 0]
 
 
+def _check_horizon(horizon) -> None:
+    """Refuse a horizon that is not a real number in (0, inf) as a float (True reads as 1; 10**400 overflows)."""
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Real) or not 0 < horizon <= sys.float_info.max:
+        raise DomainError(f"horizon must be a positive and finite real number, not {horizon!r}")
+
+
+def _check_times(times) -> np.ndarray:
+    """An array of times as a float array, refused unless it is non-empty and 1-D."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size:
+        raise DomainError(f"times must be a non-empty 1-D array, not one of shape {times.shape}")
+    return times
+
+
+def _live_rows(a, b):
+    """Where the interval [a, b] is non-empty; a NaN or infinite endpoint, which would read as empty, is refused."""
+    ends = np.append(a, b)
+    if not np.isfinite(ends).all():
+        raise DomainError(f"an integration endpoint must be finite, not {float(ends[~np.isfinite(ends)][0])!r}")
+    return np.greater(b, a)
+
+
 def _on_live_rows(total, live):
     """``total`` where the interval is non-empty, exactly 0 elsewhere; a float for scalar endpoints."""
     out = np.where(live, total, 0.0)
@@ -77,6 +101,7 @@ class QuadratureRule:
     table of shape broadcast(a, b).shape + (n,), one integrand call, one sum
     over the last axis.  An empty interval (b <= a) gives exactly 0; its
     nodes sit at its endpoint, and f is not called when all rows are empty.
+    A NaN or infinite endpoint raises DomainError.
     """
 
     panels: int = 8
@@ -98,7 +123,7 @@ class QuadratureRule:
         return (mid + half * x).reshape(shape), (half * w).reshape(shape)
 
     def integrate(self, f, a, b):
-        live = np.greater(b, a)
+        live = _live_rows(a, b)
         if not np.any(live):
             return _on_live_rows(0.0, live)
         xs, ws = self.nodes_weights(a, np.maximum(a, b))
@@ -126,8 +151,7 @@ class BasisFamily:
     def __post_init__(self):
         if self.kind not in ("cosine", "legendre"):
             raise DomainError(f"unknown basis kind {self.kind!r}")
-        if not 0 < self.horizon < math.inf:
-            raise DomainError("horizon must be positive and finite")
+        _check_horizon(self.horizon)
 
     def _check(self, t):
         t = np.asarray(t, dtype=float)
@@ -240,7 +264,7 @@ def quad_singular_smooth(g, a, b, gamma: float):
         return DEFAULT_RULE.integrate(g, a, b)
     if not -1.0 < gamma < math.inf:  # NaN fails it too
         raise DomainError(f"exponent must be finite and > -1 for an integrable singularity, not {gamma!r}")
-    live = np.greater(b, a)
+    live = _live_rows(a, b)
     if not np.any(live):
         return _on_live_rows(0.0, live)
     v, w = jacobi01(96, 0.0, gamma)

@@ -208,10 +208,7 @@ def _read_alpha(pairs, trunc: Truncation) -> MultiIndex:
         isinstance(p, list) and len(p) == 2 and all(_is_int(v) for v in p) for p in pairs
     ):
         raise ConfigurationError(f"alpha must be a list of [position, value] integer pairs, not {pairs!r}")
-    try:
-        alpha = MultiIndex(tuple((k, a) for k, a in pairs))
-    except ValueError as exc:
-        raise ConfigurationError(f"alpha {pairs!r}: {exc}") from None
+    alpha = MultiIndex(tuple((k, a) for k, a in pairs))  # refuses a bad position or value
     if not trunc.contains(alpha):
         raise ConfigurationError(f"alpha {pairs!r} outside truncation {trunc}")
     return alpha

@@ -39,7 +39,7 @@ from .kernels import (
     op_norm_bound,
     op_norm_estimate,
 )
-from .multiindex import Truncation, _check_table_size
+from .multiindex import Truncation, _check_integer, _check_table_size
 from .sde import solve_closed_form, solve_picard
 from .verify import run_suite
 
@@ -58,26 +58,15 @@ class ExperimentConfig:
     out: str = "."
 
     def validate(self) -> None:
-        for name in ("modes", "order", "grid"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, not {value!r}")
-        for name in ("hurst", "horizon"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigurationError(f"{name} must be a real number, not {value!r}")
-        if not isinstance(self.out, str) or not self.out:  # "" would fail in os.makedirs after the solve
-            raise ConfigurationError(f"out must be a non-empty string, not {self.out!r}")
+        """Check only what no library constructor reads: the kernel name, hurst (for every kernel), order, grid, out."""
         if self.kernel not in ("brownian", "fbm"):
             raise ConfigurationError(f"unknown kernel {self.kernel!r}")
-        if not 0.5 < self.hurst < 1.0:
-            raise ConfigurationError("hurst must lie in (1/2, 1)")
-        if not 0 < self.horizon < math.inf:
-            raise ConfigurationError("horizon must be positive and finite")
-        if self.modes < 1 or self.order < 1 or self.grid < 2:
-            raise ConfigurationError("modes, order must be >= 1 and grid >= 2")
-        if self.basis not in ("cosine", "legendre"):
-            raise ConfigurationError(f"unknown basis {self.basis!r}")
+        if isinstance(self.hurst, bool) or not isinstance(self.hurst, numbers.Real) or not 0.5 < self.hurst < 1.0:
+            raise ConfigurationError(f"hurst must be a real number in (1/2, 1), not {self.hurst!r}")
+        _check_integer("order", self.order, 1)  # Truncation takes max_order 0
+        _check_integer("grid", self.grid, 2)
+        if not isinstance(self.out, str) or not self.out:  # "" would fail in os.makedirs after the solve
+            raise ConfigurationError(f"out must be a non-empty string, not {self.out!r}")
 
     def make_kernel(self):
         if self.kernel == "brownian":

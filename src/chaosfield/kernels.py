@@ -21,7 +21,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .basis import (
     BasisFamily,
     QuadratureRule,
+    _check_horizon,
     _check_modes,
+    _check_times,
     _dot_rows,
     _golub_welsch,
     _leggauss,
@@ -66,9 +68,7 @@ class KernelSpec:
     gamma0 = 0.0
 
     def __init__(self, horizon: float):
-        # a bool is an Integral, so True would read as horizon 1
-        if isinstance(horizon, bool) or not isinstance(horizon, numbers.Real) or not 0 < horizon < math.inf:
-            raise DomainError(f"horizon must be a positive and finite real number, not {horizon!r}")
+        _check_horizon(horizon)
         self.horizon = horizon
         self._mtilde_memo = lru_cache(maxsize=32)(self._mtilde_request)  # at most 32 tables of len(ks) x len(t)
 
@@ -219,14 +219,10 @@ _JACOBI_NODES = 48
 _SERIES_TERMS = 60
 
 
-def _check_hurst(hurst: float):
+def fbm_c_h(hurst: float) -> float:
+    """Normalizing constant C_H of the fBm Volterra kernel; the one check of the Hurst index."""
     if not isinstance(hurst, numbers.Real) or not 0.5 < hurst < 1.0:  # a str is refused here, not by TypeError
         raise DomainError(f"Hurst index must lie in (1/2, 1), not {hurst!r}")
-
-
-def fbm_c_h(hurst: float) -> float:
-    """Normalizing constant C_H of the fBm Volterra kernel."""
-    _check_hurst(hurst)
     return math.sqrt(
         2.0 * hurst * math.gamma(1.5 - hurst) / (math.gamma(hurst + 0.5) * math.gamma(2.0 - 2.0 * hurst))
     )
@@ -234,7 +230,6 @@ def fbm_c_h(hurst: float) -> float:
 
 def fbm_kernel(hurst: float, t, s):
     """fBm Volterra kernel K(t, s) for 0 < s <= t, broadcast over t and s."""
-    _check_hurst(hurst)
     return _fbm_kernel(fbm_c_h(hurst) * (hurst - 0.5), hurst, t, s)
 
 
@@ -275,7 +270,6 @@ def _fbm_kernel(c: float, hurst: float, t, s):
 
 def fbm_kernel_dt(hurst: float, t: float, s: float) -> float:
     """dK/dt for the fBm kernel, 0 < s < t; s may be an array."""
-    _check_hurst(hurst)
     return _fbm_dt(fbm_c_h(hurst) * (hurst - 0.5), hurst, t, s)
 
 
@@ -334,13 +328,12 @@ class _Fbm(KernelSpec):
     name = "fbm"
 
     def __init__(self, hurst: float, horizon: float):
-        _check_hurst(hurst)
+        self.c_h = fbm_c_h(hurst)  # refuses a bad Hurst index before the horizon is checked
         super().__init__(horizon)
         self.hurst = hurst
         self.singularity = hurst - 1.5
         self.origin_exponent = 0.5 - hurst
         self.gamma0 = hurst - 0.5
-        self.c_h = fbm_c_h(hurst)
         self._c = self.c_h * (hurst - 0.5)
         # the analytic bound K_1(T) that ``k1_empirical`` is checked against
         k1_unit = hurst * (2.0 * hurst - 1.0) * math.gamma(hurst - 0.5) / math.gamma(hurst + 0.5)
@@ -438,7 +431,10 @@ class _Grid(KernelSpec):
     name = "custom-grid"
 
     def __init__(self, t_grid, s_grid, values):
-        t_grid, s_grid, grid_k = (np.array(x, dtype=float) for x in (t_grid, s_grid, values))
+        try:
+            t_grid, s_grid, grid_k = (np.array(x, dtype=float) for x in (t_grid, s_grid, values))
+        except (TypeError, ValueError) as exc:  # a ragged table, or text where a number should be
+            raise ConfigurationError(f"the grids and the table must be rectangular arrays of numbers: {exc}") from None
         if grid_k.shape != (len(t_grid), len(s_grid)):
             raise ConfigurationError(f"the table's shape {grid_k.shape} is not (t points, s points)")
         if not (np.all(np.isfinite(t_grid)) and np.all(np.isfinite(s_grid)) and np.all(np.isfinite(grid_k))):
@@ -572,8 +568,8 @@ def k1_empirical(kernel: KernelSpec) -> float:
 
 def op_norm_bound(k0: float, k1: float) -> float:
     """Analytic bound on ||K*|| from the diagonal bound K0 and integral bound K1."""
-    if k0 < 0 or k1 < 0:
-        raise DomainError("K0 and K1 must be non-negative")
+    if not (0 <= k0 < math.inf and 0 <= k1 < math.inf):  # NaN fails it too
+        raise DomainError(f"K0 and K1 must be non-negative and finite, not {k0!r} and {k1!r}")
     if k0 > 0:
         return math.sqrt(2.0 * (k0 * k0 + k1))
     return math.sqrt(k1)
@@ -667,9 +663,7 @@ def hr_gram(r, times) -> np.ndarray:
     R broadcasts over its two arguments.  PSD allows a minimum eigenvalue
     down to -1e-10 max(1, max |G_ij|).  Empty or non-1-D ``times`` raise DomainError.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not times.size:
-        raise DomainError(f"times must be a non-empty 1-D array, not one of shape {times.shape}")
+    times = _check_times(times)
     g = np.asarray(r(times[:, None], times[None, :]), dtype=float)
     if not np.allclose(g, g.T, atol=1e-12):
         raise InvalidCovarianceError("covariance Gram matrix is not symmetric")

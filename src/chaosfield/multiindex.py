@@ -52,9 +52,9 @@ class MultiIndex:
         last = 0
         for k, a in self.entries:
             if k <= last:
-                raise ValueError("positions must be strictly increasing and >= 1")
+                raise ConfigurationError(f"multi-index {self.entries!r}: positions must be strictly increasing and >= 1")
             if a <= 0 or a != int(a):
-                raise ValueError("stored values must be positive integers")
+                raise ConfigurationError(f"multi-index {self.entries!r}: stored values must be positive integers")
             last = k
 
     @staticmethod

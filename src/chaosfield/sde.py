@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisFamily, _leggauss, jacobi01
+from .basis import BasisFamily, _check_times, _leggauss, jacobi01
 from .chaos import _wick_exp_rows
 from .errors import DomainError
 from .kernels import KernelSpec
@@ -304,14 +304,6 @@ def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.nda
         q_prev, q = q, (y * q - s2 * q_prev) / (n + 1)
         out = out + q
     return out if out.ndim else float(out)
-
-
-def _check_times(grid) -> np.ndarray:
-    """A solver's time grid as a float array, refused unless it is non-empty and 1-D."""
-    times = np.asarray(grid, dtype=float)
-    if times.ndim != 1 or not times.size:
-        raise DomainError(f"the time grid must be a non-empty 1-D array, not one of shape {times.shape}")
-    return times
 
 
 def solve_closed_form(

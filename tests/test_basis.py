@@ -225,6 +225,27 @@ def test_quad_singular_refuses_an_exponent_that_is_not_finite_and_above_minus_on
 
 @pytest.mark.parametrize(
     "quad",
+    [
+        lambda f, a, b: DEFAULT_RULE.integrate(f, a, b),
+        lambda f, a, b: quad_singular(f, a, b, -0.5),
+        lambda f, a, b: quad_singular_smooth(f, a, b, -0.5),
+        lambda f, a, b: quad_singular_smooth(f, a, b, 0.0),
+    ],
+    ids=["rule", "quad_singular", "quad_singular_smooth", "quad_singular_smooth-exponent-0"],
+)
+@pytest.mark.parametrize(
+    "a, b",
+    [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0), (np.array([0.0, math.nan]), 1.0)],
+    ids=["nan-lower", "nan-upper", "inf-upper", "inf-lower", "nan-row"],
+)
+def test_quadratures_refuse_an_endpoint_that_is_not_finite(quad, a, b):
+    # a NaN endpoint read as an empty interval and gave 0.0; an infinite one gave NaN with numpy warnings
+    with pytest.raises(DomainError, match="endpoint must be finite"):
+        quad(lambda t: np.ones_like(t), a, b)
+
+
+@pytest.mark.parametrize(
+    "quad",
     [quad_singular, quad_singular_smooth],
     ids=["quad_singular-lower", "quad_singular_smooth-lower"],
 )

@@ -417,6 +417,25 @@ def test_non_finite_horizon_exits_2(command, horizon, tmp_path, capsys):
     assert not (tmp_path / "sde_solution.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [([command, "--horizon", "-1"], "-1.0") for command in ("sde", "integrate", "fbm")]
+    + [([command, "--config", "{cfg}"], "True") for command in ("sde", "integrate")],
+    ids=["sde", "integrate", "fbm", "sde-config-true", "integrate-config-true"],
+)
+def test_a_bad_horizon_exits_2_with_the_kernels_one_line(argv, line, tmp_path, monkeypatch, capsys):
+    # sde and integrate printed validate's own "configuration error: horizon must be positive and finite"
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": True, "modes": 2, "order": 1}))
+    code = main([arg.format(cfg=cfg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: horizon must be a positive and finite real number, not {line}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("grid", ["0", "-5"])
 def test_fbm_grid_below_one_exits_2(grid, capsys):
     code, out = run(capsys, "fbm", "--grid", grid)

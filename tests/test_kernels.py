@@ -96,10 +96,15 @@ def test_the_fbm_k1_bound_and_covariance_are_no_library_functions():
     assert not any(hasattr(module, name) for module in (chaosfield, kernels) for name in ("fbm_k1", "fbm_covariance"))
 
 
-@pytest.mark.parametrize("horizon", [True, "1", math.nan, math.inf, 0, -1])
-@pytest.mark.parametrize("make", [brownian_kernel, lambda t: fbm_kernel_spec(0.75, t)], ids=["brownian", "fbm"])
+@pytest.mark.parametrize("horizon", [True, "1", math.nan, math.inf, 10**400, 0, -1])
+@pytest.mark.parametrize(
+    "make",
+    [brownian_kernel, lambda t: fbm_kernel_spec(0.75, t), lambda t: BasisFamily("cosine", t)],
+    ids=["brownian", "fbm", "basis"],
+)
 def test_kernels_refuse_a_horizon_that_is_not_a_positive_finite_real(make, horizon):
-    # True was read as horizon 1, and "1" escaped with TypeError
+    # True was read as horizon 1, and "1" escaped with TypeError; the basis took True too, and
+    # 10**400, which no float holds, reached numpy as an object array
     with pytest.raises(DomainError, match="horizon must be a positive and finite real number"):
         make(horizon)
 
@@ -215,6 +220,13 @@ def test_op_norm_bound():
     assert op_norm_bound(1.0, 1.5) == pytest.approx(math.sqrt(5.0))
     with pytest.raises(DomainError):
         op_norm_bound(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("k0, k1", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+def test_op_norm_bound_refuses_a_constant_that_is_not_finite(k0, k1):
+    # k < 0 is false for NaN: (nan, 0) returned 0.0 and (0, nan) returned NaN
+    with pytest.raises(DomainError, match="non-negative and finite"):
+        op_norm_bound(k0, k1)
 
 
 def test_op_norm_estimates():
@@ -461,6 +473,22 @@ def _grid_csv(tmp_path, text):
 
 # a well-formed adapted table, which each case below breaks in one way
 GOOD_GRID = "t_s,0.0,0.5,1.0\n0.0,1,0,0\n0.5,1,1,0\n1.0,1,1,1\n"
+
+
+@pytest.mark.parametrize(
+    "t_grid, s_grid, values",
+    [
+        ([0.0, 1.0], [0.0, 1.0], [[1.0, 0.0], [1.0]]),
+        ([0.0, 1.0], [0.0, 1.0], [[1.0, 0.0], [1.0, "one"]]),
+        ([0.0, "x"], [0.0, 1.0], [[1.0, 0.0], [1.0, 1.0]]),
+        ([0.0, 1.0], [0.0, 1.0], [[1.0, 0.0], [1.0, {}]]),
+    ],
+    ids=["ragged", "text-value", "text-grid", "dict-value"],
+)
+def test_grid_kernel_refuses_a_table_that_is_not_a_rectangle_of_numbers(t_grid, s_grid, values):
+    # numpy's ValueError escaped: "inhomogeneous shape" and "could not convert string to float"
+    with pytest.raises(ConfigurationError, match="rectangular arrays of numbers"):
+        grid_kernel(t_grid, s_grid, values)
 
 
 def test_grid_kernel_refuses_an_empty_file(tmp_path):

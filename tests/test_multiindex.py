@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,17 @@ def test_add_sub():
     down = _tables(trunc).down
     assert down[imap[b], 0] == imap[a]
     assert down[imap[a], 2] == -1
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [((0, 1),), ((2, 1), (1, 1)), ((1, 1), (1, 2)), ((1, 0),), ((1, -2),), ((1, 1.5),)],
+    ids=["position-0", "decreasing", "repeated", "value-0", "negative", "fraction"],
+)
+def test_multi_index_refuses_bad_entries_by_name(entries):
+    # a bare ValueError, which chaos._read_alpha re-wrapped by hand
+    with pytest.raises(ConfigurationError, match=rf"^multi-index {re.escape(repr(entries))}: "):
+        MultiIndex(entries)
 
 
 def test_truncation_size():

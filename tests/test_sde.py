@@ -31,7 +31,7 @@ def at(sol, t):
 @pytest.mark.parametrize("grid", [[], np.zeros((0, 3)), [[0.0, 1.0]], 0.5])
 def test_solvers_refuse_an_empty_or_multidimensional_time_grid(solve, grid):
     # Picard escaped with numpy's reshape ValueError on [], and closed form returned a solution with no times
-    with pytest.raises(DomainError, match="time grid must be a non-empty 1-D array"):
+    with pytest.raises(DomainError, match="times must be a non-empty 1-D array"):
         solve(brownian_kernel(1.0), BASIS, Truncation(2, 2), grid)
 
 

@@ -7,8 +7,9 @@ public function is set by some call, the rules that the library never calls
 the built-in sum or quad_singular, that it imports no scipy and declares
 exactly its third-party imports as runtime dependencies, that every kernel
 spec's M~ goes through the one memo, which no module but kernels.py gets
-round by a private kernels name or an M~ piece, and that the sde CSV's
-coefficients come from the numpy formatter, not repr."""
+round by a private kernels name or an M~ piece, that the horizon and time-array
+rules are each raised from one place, and that the sde CSV's coefficients come
+from the numpy formatter, not repr."""
 
 import ast
 import importlib
@@ -417,6 +418,45 @@ def test_only_kernels_py_reads_mtilde_around_the_memo():
         "z = kernel._mtilde_memo(basis, ks, b)\nw = kernel.mtilde(basis, ks, t) + basis._check(t)\n"
     )
     assert _private_kernel_uses(ast.parse(sample)) == [1, 2, 4, 5, 6]
+
+
+# the input rules that kernels, bases, solvers and hr_gram share, each by the wording of its refusal
+SHARED_RULES = {"horizon": r"horizon must be", "times": r"time(s| grid) must be"}
+
+
+def _raises_of(tree, pattern):
+    # line of each raise whose message, or a literal piece of its f-string, matches the pattern
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise)
+            for part in ast.walk(node)
+            if isinstance(part, ast.Constant) and isinstance(part.value, str) and re.search(pattern, part.value)
+        }
+    )
+
+
+def test_each_shared_input_rule_is_raised_from_one_place():
+    # basis.py holds each rule; an inline copy elsewhere would drift in wording and in what it accepts
+    found = {
+        rule: [
+            path.name
+            for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
+            for _ in _raises_of(ast.parse(path.read_text()), pattern)
+        ]
+        for rule, pattern in SHARED_RULES.items()
+    }
+    assert found == {"horizon": ["basis.py"], "times": ["basis.py"]}
+    # the check sees a second copy in either spelling, and leaves docstrings and other messages alone
+    sample = (
+        'def f(t):\n    """the horizon must be positive"""\n'
+        '    if t <= 0:\n        raise DomainError(f"horizon must be positive, not {t!r}")\n'
+        '    raise ConfigurationError("horizon must be finite")\n'
+        'raise DomainError(f"the time grid must be 1-D, not {s}")\nraise DomainError("t outside [0, T]")\n'
+    )
+    tree = ast.parse(sample)
+    assert (_raises_of(tree, SHARED_RULES["horizon"]), _raises_of(tree, SHARED_RULES["times"])) == ([4, 5], [6])
 
 
 def test_export_writes_almost_every_coefficient_by_numpy(tmp_path, monkeypatch):
