@@ -37,7 +37,6 @@ def _golub_welsch(diag, offdiag, mass: float):
     return nodes, mass * vectors[0] ** 2
 
 
-@lru_cache(maxsize=64)  # one op uses about 6 keys; each new Hurst index brings new ones
 def jacobi01(n: int, a: float, b: float):
     """Nodes/weights for int_0^1 (1-v)^a v^b f(v) dv = sum w_i f(v_i).
 
@@ -72,10 +71,12 @@ def _check_horizon(horizon) -> None:
 
 
 def _check_times(times) -> np.ndarray:
-    """An array of times as a float array, refused unless it is non-empty and 1-D."""
+    """An array of times as a float array, refused unless it is non-empty, 1-D and finite."""
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not times.size:
-        raise DomainError(f"times must be a non-empty 1-D array, not one of shape {times.shape}")
+    bad = times[~np.isfinite(times)]
+    if times.ndim != 1 or not times.size or bad.size:
+        what = f"one holding {float(bad[0])!r}" if bad.size else f"one of shape {times.shape}"
+        raise DomainError(f"times must be a non-empty 1-D array of finite numbers, not {what}")
     return times
 
 

@@ -173,7 +173,9 @@ _KSTAR_BLOCK = 32
 
 
 def _kstar_grid(horizon: float, n_grid: int):
-    """The cell edges t_j = j T / n and midpoints s_r of the uniform K* grid."""
+    """The cell edges t_j = j T / n and midpoints s_r of the uniform K* grid; every ``kstar`` checks n here."""
+    _check_integer("n_grid", n_grid, 1)
+    _check_table_size(n_grid * n_grid, f"the {n_grid} x {n_grid} K* matrix")
     edges = np.linspace(0.0, horizon, n_grid + 1)
     return edges, 0.5 * (edges[:-1] + edges[1:])
 
@@ -230,12 +232,16 @@ def fbm_c_h(hurst: float) -> float:
 
 def fbm_kernel(hurst: float, t, s):
     """fBm Volterra kernel K(t, s) for 0 < s <= t, broadcast over t and s."""
-    return _fbm_kernel(fbm_c_h(hurst) * (hurst - 0.5), hurst, t, s)
+    return _Fbm(hurst, 1.0).eval(t, s)
 
 
-@lru_cache(maxsize=64)  # a few floats per Hurst index, like jacobi01's rules
+def fbm_kernel_dt(hurst: float, t: float, s: float) -> float:
+    """dK/dt for the fBm kernel, 0 < s < t; s may be an array."""
+    return _Fbm(hurst, 1.0).dt_eval(t, s)
+
+
 def _fbm_series(hurst: float):
-    """B(a, b) and the coefficients (1-a)_n/n!/(n+b), (1-b)_n/n!/(n+a) of ``_fbm_kernel``'s two series, n < 60."""
+    """B(a, b) and the coefficients (1-a)_n/n!/(n+b), (1-b)_n/n!/(n+a) of the fBm kernel's two series, n < 60."""
     a, b = hurst - 0.5, 1.0 - 2.0 * hurst
     n = np.arange(_SERIES_TERMS, dtype=float)
 
@@ -243,41 +249,6 @@ def _fbm_series(hurst: float):
         return np.cumprod(np.r_[1.0, (p + n[:-1]) / (n[:-1] + 1.0)]) / (n + q)
 
     return math.gamma(a) * math.gamma(b) / math.gamma(a + b), coefficients(1.0 - a, b), coefficients(1.0 - b, a)
-
-
-def _fbm_kernel(c: float, hurst: float, t, s):
-    """K(t, s) = c s^a F(s/t), F(rho) = int_0^(1-rho) w^(a-1) (1-w)^(b-1) dw, a = H - 1/2, b = 1 - 2H.
-
-    F is an incomplete Beta function (Decreusefond and Ustunel, Potential
-    Anal. 10, 1999), summed by the series that converges like 2^-n on each
-    half of (0, 1]: for rho <= 1/2, F = B(a, b) - sum_n (1-a)_n/n! rho^(n+b)/(n+b);
-    for rho > 1/2, F = sum_n (1-b)_n/n! x^(a+n)/(a+n), x = 1 - rho = (t - s)/t,
-    whose difference t - s is exact there.
-    """
-    # one pass of positive tests, so NaN fails it
-    if not np.all(np.greater(s, 0) & np.less_equal(s, t) & np.less(t, math.inf)):
-        raise DomainError("require 0 < s <= t < inf")
-    beta, low, high = _fbm_series(hurst)
-    near = np.less_equal(s, 0.5 * t)  # rho <= 1/2
-    x = np.where(near, s / t, (t - s) / t)
-    column = (-1,) + (1,) * near.ndim
-    coef = np.where(near, low.reshape(column), high.reshape(column))  # each point's own series, one Horner pass
-    power = x ** np.where(near, 1.0 - 2.0 * hurst, hurst - 0.5)  # x^b or x^a
-    series = power * np.polynomial.polynomial.polyval(x, coef, tensor=False)
-    val = c * s ** (hurst - 0.5) * np.where(near, beta - series, series)
-    return val if val.ndim else float(val)
-
-
-def fbm_kernel_dt(hurst: float, t: float, s: float) -> float:
-    """dK/dt for the fBm kernel, 0 < s < t; s may be an array."""
-    return _fbm_dt(fbm_c_h(hurst) * (hurst - 0.5), hurst, t, s)
-
-
-def _fbm_dt(c: float, hurst: float, t: float, s):
-    # s stays as given: a scalar s keeps scalar pow, which numpy's array pow can differ from in the last bit
-    if not np.all(np.greater(s, 0) & np.less(s, t) & np.less(t, math.inf)):  # positive tests, so NaN fails
-        raise DomainError("require 0 < s < t < inf")
-    return c * s ** (0.5 - hurst) * (t - s) ** (hurst - 1.5) * t ** (hurst - 0.5)
 
 
 def _gauss_rule_of(x, w, n: int):
@@ -302,27 +273,14 @@ def _gauss_rule_of(x, w, n: int):
     return _golub_welsch(a, b[1:], mass)
 
 
-def _fbm_mtilde_rule(hurst: float):
-    """(rho, lam), the Gauss rule of the fBm M~ weight in rho = s/t: M~_k(t) = c t^(H+1/2) sum_l lam_l m_k(t rho_l).
-
-    The weight's moments are B(m + 3/2 - H, H - 1/2) / (m + H + 1/2).  psi's
-    rule (v, w) and the outer rule (y, ww) are each exact to degree 2n - 1, so
-    the measure sum_ij ww_i w_j delta(y_i v_j) has the weight's first 2n
-    moments, and its n-point Gauss rule is the weight's own.
-    """
-    v, w = jacobi01(_JACOBI_NODES, hurst - 1.5, 0.5 - hurst)
-    y, ww = jacobi01(_JACOBI_NODES, 0.0, hurst - 0.5)
-    return _gauss_rule_of(np.outer(y, v).ravel(), np.outer(ww, w).ravel(), _JACOBI_NODES)
-
-
 class _Fbm(KernelSpec):
     """Fractional Brownian motion with Hurst index in (1/2, 1).
 
-    psi is a Beta-weight quadrature batched over modes, the basis values of
-    every mode from one ``BasisFamily._rows`` recurrence.  M~ is one sum over
-    the Gauss rule of its own weight (``_fbm_mtilde_rule``), built on the
-    kernel's first M~ miss: 48 basis values per (mode, t), all modes of a
-    block of t values from one recurrence.
+    It holds what H determines: its series, and psi's and M~'s Gauss rules,
+    each built on first use.  psi is a Beta-weight quadrature batched over
+    modes, every mode's basis values from one ``BasisFamily._rows`` recurrence;
+    M~ is one sum over the Gauss rule of its own weight: 48 basis values per
+    (mode, t), all modes of a block of t values from one recurrence.
     """
 
     name = "fbm"
@@ -335,15 +293,38 @@ class _Fbm(KernelSpec):
         self.origin_exponent = 0.5 - hurst
         self.gamma0 = hurst - 0.5
         self._c = self.c_h * (hurst - 0.5)
+        self._series = _fbm_series(hurst)
         # the analytic bound K_1(T) that ``k1_empirical`` is checked against
         k1_unit = hurst * (2.0 * hurst - 1.0) * math.gamma(hurst - 0.5) / math.gamma(hurst + 0.5)
         self.k1_bound = k1_unit * horizon ** (2.0 * hurst - 1.0)
 
     def eval(self, t, s):
-        return _fbm_kernel(self._c, self.hurst, t, s)
+        """K(t, s) = c s^a F(s/t), F(rho) = int_0^(1-rho) w^(a-1) (1-w)^(b-1) dw, a = H - 1/2, b = 1 - 2H.
+
+        F is an incomplete Beta function (Decreusefond and Ustunel, Potential
+        Anal. 10, 1999), summed by the series that converges like 2^-n on each
+        half of (0, 1]: for rho <= 1/2, F = B(a, b) - sum_n (1-a)_n/n! rho^(n+b)/(n+b);
+        for rho > 1/2, F = sum_n (1-b)_n/n! x^(a+n)/(a+n), x = 1 - rho = (t - s)/t,
+        whose difference t - s is exact there.
+        """
+        # one pass of positive tests, so NaN fails it
+        if not np.all(np.greater(s, 0) & np.less_equal(s, t) & np.less(t, math.inf)):
+            raise DomainError("require 0 < s <= t < inf")
+        hurst, (beta, low, high) = self.hurst, self._series
+        near = np.less_equal(s, 0.5 * t)  # rho <= 1/2
+        x = np.where(near, s / t, (t - s) / t)
+        column = (-1,) + (1,) * near.ndim
+        coef = np.where(near, low.reshape(column), high.reshape(column))  # each point's own series, one Horner pass
+        power = x ** np.where(near, 1.0 - 2.0 * hurst, hurst - 0.5)  # x^b or x^a
+        series = power * np.polynomial.polynomial.polyval(x, coef, tensor=False)
+        val = self._c * s ** (hurst - 0.5) * np.where(near, beta - series, series)
+        return val if val.ndim else float(val)
 
     def dt_eval(self, t, s):
-        return _fbm_dt(self._c, self.hurst, t, s)
+        # s stays as given: a scalar s keeps scalar pow, which numpy's array pow can differ from in the last bit
+        if not np.all(np.greater(s, 0) & np.less(s, t) & np.less(t, math.inf)):  # positive tests, so NaN fails
+            raise DomainError("require 0 < s < t < inf")
+        return self._c * s ** (0.5 - self.hurst) * (t - s) ** (self.hurst - 1.5) * t ** (self.hurst - 0.5)
 
     def dt_smooth(self, t, s):
         return self._c * s ** (0.5 - self.hurst) * t ** (self.hurst - 0.5)
@@ -354,8 +335,8 @@ class _Fbm(KernelSpec):
         # a[r, j] = c s_r^(1/2 - H) sum_q D[j - r, q] P[j, q], D[d, q] = ((d + x_q/2) h)^(H - 3/2) and
         # P[j, q] = w_q t_jq^(H - 1/2) h/2: six Toeplitz-times-column-scale products per block of rows.
         hurst, c, horizon = self.hurst, self._c, self.horizon
-        h = horizon / n_grid
         edges, mids = _kstar_grid(horizon, n_grid)
+        h = horizon / n_grid
         xg, wg = _leggauss(6)
         # offsets[q, n + d] = D[d, q] for d = 1..n-1 and 0 for d <= 0, so row r of block q is a window of it
         offsets = np.zeros((6, 2 * n_grid))
@@ -384,7 +365,7 @@ class _Fbm(KernelSpec):
     def psi(self, basis: BasisFamily, ks, s):
         """Smooth factor in (K m_k)(s) = s^(H - 1/2) psi_k(s); Beta-weight quadrature."""
         modes = _check_modes(ks)
-        v, w = jacobi01(_JACOBI_NODES, self.hurst - 1.5, 0.5 - self.hurst)
+        v, w = self._psi_rule
         rows = basis._rows(int(modes.max()), np.outer(s, v))
         if not np.array_equal(modes, np.arange(1, len(rows) + 1)):
             rows = rows[modes - 1]
@@ -392,8 +373,22 @@ class _Fbm(KernelSpec):
         return rows @ w
 
     @cached_property
+    def _psi_rule(self):
+        """psi's Gauss-Jacobi rule for the Beta weight (1 - v)^(H - 3/2) v^(1/2 - H) on (0, 1)."""
+        return jacobi01(_JACOBI_NODES, self.hurst - 1.5, 0.5 - self.hurst)
+
+    @cached_property
     def _mtilde_rule(self):
-        rho, lam = _fbm_mtilde_rule(self.hurst)
+        """(rho, c lam), (rho, lam) the Gauss rule of M~'s weight: M~_k(t) = c t^(H+1/2) sum_l lam_l m_k(t rho_l).
+
+        The weight's moments are B(m + 3/2 - H, H - 1/2) / (m + H + 1/2).  psi's
+        rule (v, w) and the outer rule (y, ww) are each exact to degree 2n - 1, so
+        the measure sum_ij ww_i w_j delta(y_i v_j) has the weight's first 2n
+        moments, and its n-point Gauss rule is the weight's own.
+        """
+        v, w = self._psi_rule
+        y, ww = jacobi01(_JACOBI_NODES, 0.0, self.hurst - 0.5)
+        rho, lam = _gauss_rule_of(np.outer(y, v).ravel(), np.outer(ww, w).ravel(), _JACOBI_NODES)
         return rho, self._c * lam
 
     def _mtilde(self, basis, modes, ts):
@@ -584,8 +579,6 @@ def discretize_kstar(kernel: KernelSpec, n_grid: int) -> np.ndarray:
     with an entry that is not finite (the kernel's powers overflow at a huge
     horizon) raises DomainError.
     """
-    _check_integer("n_grid", n_grid, 1)
-    _check_table_size(n_grid * n_grid, f"the {n_grid} x {n_grid} K* matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
         a = kernel.kstar(n_grid)
     if not np.all(np.isfinite(a)):
@@ -661,7 +654,7 @@ def hr_gram(r, times) -> np.ndarray:
     """Gram matrix G_ij = R(t_i, t_j) of a covariance callable R, checked to be symmetric and PSD.
 
     R broadcasts over its two arguments.  PSD allows a minimum eigenvalue
-    down to -1e-10 max(1, max |G_ij|).  Empty or non-1-D ``times`` raise DomainError.
+    down to -1e-10 max(1, max |G_ij|).  Empty, non-1-D or non-finite ``times`` raise DomainError.
     """
     times = _check_times(times)
     g = np.asarray(r(times[:, None], times[None, :]), dtype=float)

@@ -50,12 +50,15 @@ class MultiIndex:
 
     def __post_init__(self):
         last = 0
-        for k, a in self.entries:
-            if k <= last:
-                raise ConfigurationError(f"multi-index {self.entries!r}: positions must be strictly increasing and >= 1")
-            if a <= 0 or a != int(a):
-                raise ConfigurationError(f"multi-index {self.entries!r}: stored values must be positive integers")
-            last = k
+        try:
+            for k, a in self.entries:
+                if k <= last:
+                    raise ConfigurationError(f"multi-index {self.entries!r}: positions must be strictly increasing and >= 1")
+                if a <= 0 or a != int(a):
+                    raise ConfigurationError(f"multi-index {self.entries!r}: stored values must be positive integers")
+                last = k
+        except (TypeError, ValueError, OverflowError):  # not a pair of numbers, or a NaN or infinite value
+            raise ConfigurationError(f"multi-index {self.entries!r}: entries must be pairs of integers") from None
 
     @staticmethod
     def zero() -> "MultiIndex":

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chaosfield import cli, kernels
+from chaosfield import basis, cli, integrals, kernels, sde
 from chaosfield.basis import jacobi01
 from chaosfield.cli import main
 from chaosfield.multiindex import MAX_TABLE_ENTRIES
@@ -549,14 +549,23 @@ def test_integrate_the_well_formed_integrand_exits_0(tmp_path, capsys):
     [
         (["fbm", "--hurst", "0.6123", "--grid", "64"], 2),
         (["sde", "--kernel", "fbm", "--hurst", "0.6321", "--modes", "4", "--order", "3", "--grid", "32"], 4),
+        (["integrate", "--mode", "field-ito", "--kernel", "fbm", "--hurst", "0.6456", "--modes", "4", "--order", "3"], 2),
     ],
-    ids=["fbm", "sde-fbm"],
+    ids=["fbm", "sde-fbm", "integrate-field-ito-fbm"],
 )
-def test_fbm_commands_build_few_gauss_jacobi_rules(argv, rules, capsys, tmp_path):
-    # fbm: K*'s diagonal-cell rule and k1_empirical's; sde: the two behind M~'s own rule (psi shares
-    # one), the Picard integration matrix's and the covariance's.  K(t, s) itself is a series and builds none.
-    jacobi01.cache_clear()
+def test_fbm_commands_build_few_gauss_jacobi_rules(argv, rules, capsys, tmp_path, monkeypatch):
+    # fbm: K*'s diagonal-cell rule and k1_empirical's, and no psi rule; sde: psi's (which M~'s own rule
+    # reads again from the kernel), M~'s outer rule, the Picard integration matrix's and the covariance's;
+    # integrate: psi's and the 96-node pairing rule.  K(t, s) itself is a series and builds none.
+    builds = []
+
+    def counted(*key):
+        builds.append(key)
+        return jacobi01(*key)
+
+    for module in (basis, integrals, kernels, sde):
+        monkeypatch.setattr(module, "jacobi01", counted)
     extra = ["--out", str(tmp_path)] if argv[0] == "sde" else []
     code, _ = run(capsys, *argv, *extra)
     assert code == 0
-    assert jacobi01.cache_info().misses == rules
+    assert len(builds) == rules, builds

@@ -175,7 +175,7 @@ def test_kstar_other_horizon_spans_several_blocks():
 def test_fbm_kstar_temporaries_stay_near_1_mb():
     n_grid = 512
     kernel = fbm_kernel_spec(0.7, 1.0)
-    discretize_kstar(kernel, 8)  # the Gauss-Jacobi rule is cached from here on
+    discretize_kstar(kernel, 8)  # the 6-point Gauss-Legendre rule is cached from here on
     tracemalloc.start()
     try:
         a = discretize_kstar(kernel, n_grid)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.special import roots_jacobi
 
 import chaosfield
 from chaosfield.basis import BasisFamily, _on_live_rows, jacobi01, quad_singular_smooth
-from chaosfield import kernels, sde
+from chaosfield import kernels
 from chaosfield.errors import ConfigurationError, DomainError, InvalidCovarianceError, UnsupportedKernelError
 from chaosfield.kernels import (
     KernelSpec,
@@ -94,6 +95,16 @@ def test_fbm_kernel_holds_c_h_and_k1_bound_bit_for_bit(hurst, horizon):
 def test_the_fbm_k1_bound_and_covariance_are_no_library_functions():
     # the kernel holds K1; the analytic covariance is the verify suites' oracle
     assert not any(hasattr(module, name) for module in (chaosfield, kernels) for name in ("fbm_k1", "fbm_covariance"))
+
+
+def test_no_module_cache_is_keyed_by_a_hurst_index():
+    # the fBm kernel holds its series and its psi and M~ Gauss rules, so no module state grows with the H seen
+    assert not any(hasattr(f, "cache_info") for f in (jacobi01, kernels._fbm_series))
+    assert not hasattr(kernels, "_fbm_mtilde_rule")
+    kernel = fbm_kernel_spec(0.7, 1.0)
+    assert vars(kernel).keys().isdisjoint({"_psi_rule", "_mtilde_rule"})  # each rule is built on its first use
+    kernel.mtilde(BasisFamily("cosine", 1.0), 3, [0.5])
+    assert {"_psi_rule", "_mtilde_rule"} <= vars(kernel).keys()  # M~'s rule read psi's, which the kernel keeps
 
 
 @pytest.mark.parametrize("horizon", [True, "1", math.nan, math.inf, 10**400, 0, -1])
@@ -213,6 +224,24 @@ def test_kstar_refuses_a_grid_that_is_not_an_integer(estimate, n_grid):
     with pytest.raises(ConfigurationError, match="n_grid"):
         estimate(brownian_kernel(1.0), n_grid)
     assert estimate(brownian_kernel(1.0), np.int64(4)) is not None
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0), grid_kernel([0.0, 1.0], [0.0, 1.0], np.eye(2))],
+    ids=lambda kernel: kernel.name,
+)
+@pytest.mark.parametrize("n_grid", [0, -3, 2.5, np.float64(4.0), True, "8"])
+def test_every_kernels_kstar_refuses_a_grid_count_by_name(kernel, n_grid):
+    # fBm's kstar raised ZeroDivisionError at 0 and TypeError at 2.5; the base class returned a 0 x 0 matrix at 0
+    message = rf"^n_grid must be an integer >= 1, not {re.escape(repr(n_grid))}$"
+    with pytest.raises(ConfigurationError, match=message):
+        kernel.kstar(n_grid)
+    with pytest.raises(ConfigurationError, match=message):
+        discretize_kstar(kernel, n_grid)
+    with pytest.raises(ConfigurationError, match="K\\* matrix"):
+        kernel.kstar(4473)
+    assert kernel.kstar(np.int64(2)).shape == (2, 2)
 
 
 def test_op_norm_bound():
@@ -336,6 +365,10 @@ def test_hr_gram():
     # an empty grid raised IndexError from eigvalsh(g)[0]
     for times in ([], [[0.25, 0.5]], 0.5):
         with pytest.raises(DomainError, match="times must be a non-empty 1-D array"):
+            hr_gram(np.minimum, times)
+    # a NaN time was reported as a covariance that is not symmetric
+    for times, bad in (([0.1, math.nan], "nan"), ([-math.inf, 0.5], "-inf"), ([0.25, math.inf], "inf")):
+        with pytest.raises(DomainError, match=f"array of finite numbers, not one holding {bad}$"):
             hr_gram(np.minimum, times)
 
 
@@ -631,19 +664,6 @@ def test_grid_kernel_from_a_table_equals_the_csv_kernel_bit_for_bit(tmp_path):
     path.write_text("t_s,0.0,1.0\n1.0,1,1\n0.0,1,0\n")
     with pytest.raises(ConfigurationError, match="kernel.csv: the t-grid needs at least two increasing points"):
         grid_kernel_from_csv(path)
-
-
-def test_jacobi_rule_cache_stays_bounded_across_hurst_indices(monkeypatch):
-    # each fBm Picard solve asks for Gauss-Jacobi rules keyed by its own H; the cache evicts the oldest
-    for name, value in (("_UNIFORM", 2), ("_LAYERS", 2), ("_NODES", 4)):
-        monkeypatch.setattr(sde, name, value)
-    jacobi01.cache_clear()
-    basis = BasisFamily("cosine", 1.0)
-    for hurst in np.linspace(0.55, 0.95, 30):
-        solve_picard(fbm_kernel_spec(hurst, 1.0), basis, Truncation(2, 1), [1.0])
-    info = jacobi01.cache_info()
-    assert info.misses > info.maxsize
-    assert info.currsize <= info.maxsize
 
 
 def split_quadrature_kernel(hurst, t, s):

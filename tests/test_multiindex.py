@@ -57,11 +57,36 @@ def test_add_sub():
 
 @pytest.mark.parametrize(
     "entries",
-    [((0, 1),), ((2, 1), (1, 1)), ((1, 1), (1, 2)), ((1, 0),), ((1, -2),), ((1, 1.5),)],
-    ids=["position-0", "decreasing", "repeated", "value-0", "negative", "fraction"],
+    [
+        ((0, 1),),
+        ((2, 1), (1, 1)),
+        ((1, 1), (1, 2)),
+        ((1, 0),),
+        ((1, -2),),
+        ((1, 1.5),),
+        (("a", 1),),
+        ((1, "b"),),
+        (1,),
+        ((1,),),
+        ((1, math.nan),),
+    ],
+    ids=[
+        "position-0",
+        "decreasing",
+        "repeated",
+        "value-0",
+        "negative",
+        "fraction",
+        "text-position",
+        "text-value",
+        "bare-number",
+        "one-number-pair",
+        "nan-value",
+    ],
 )
 def test_multi_index_refuses_bad_entries_by_name(entries):
-    # a bare ValueError, which chaos._read_alpha re-wrapped by hand
+    # a bare ValueError, which chaos._read_alpha re-wrapped by hand; an entry that is no pair of numbers
+    # escaped as TypeError or ValueError
     with pytest.raises(ConfigurationError, match=rf"^multi-index {re.escape(repr(entries))}: "):
         MultiIndex(entries)
 

@@ -15,7 +15,6 @@ last bit.
 import csv
 import io
 import math
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from chaosfield import kernels, sde
 from chaosfield.basis import BasisFamily, QuadratureRule, _dot_rows, jacobi01, quad_singular, quad_singular_smooth
 from chaosfield.errors import DomainError
 from chaosfield.kernels import (
-    _fbm_mtilde_rule,
     brownian_kernel,
     covariance_from_kernel,
     fbm_c_h,
@@ -148,21 +146,17 @@ def ref_fbm_mtilde(kernel, basis, k, t, jacobi_nodes=48):
     return vals if np.ndim(k) else float(vals[0])
 
 
-ref_mtilde_rule = lru_cache(_fbm_mtilde_rule)
-
-
 def ref_fbm_mtilde_sum(kernel, basis, k, t):
-    """The fBm M~_k(t) = t^(H+1/2) sum_l c lam_l m_k(t rho_l) as one scalar sum over the rule of its weight.
+    """The fBm M~_k(t) = t^(H+1/2) sum_l c lam_l m_k(t rho_l) as one scalar sum over the kernel's rule.
 
-    c = C_H (H - 1/2).  gamma0 = H - 1/2 is exact for H in (1/2, 1), so
-    gamma0 + 1/2 is the same float as H.
+    The kernel's rule holds the weights c lam_l, c = C_H (H - 1/2).  gamma0 =
+    H - 1/2 is exact for H in (1/2, 1), so gamma0 + 1/2 is the same float as H.
     """
     if t <= 0:
         return 0.0
     hurst = kernel.gamma0 + 0.5
-    rho, lam = ref_mtilde_rule(hurst)
-    c = fbm_c_h(hurst) * (hurst - 0.5)
-    return float(t ** (hurst + 0.5) * np.dot(c * lam, basis._rows(k, t * rho)[k - 1]))
+    rho, weights = kernel._mtilde_rule
+    return float(t ** (hurst + 0.5) * np.dot(weights, basis._rows(k, t * rho)[k - 1]))
 
 
 def ref_picard_nodes(w_k, trunc):
@@ -377,15 +371,15 @@ FBM_HURSTS = [0.51, 0.6, 0.75, 0.9, 0.99, 0.999]
 
 @pytest.mark.parametrize("hurst", FBM_HURSTS)
 def test_mtilde_rule_moments(hurst):
-    """The rule integrates rho^m, m = 0..95, against the weight's closed-form moments."""
+    """The kernel's rule integrates rho^m, m = 0..95, to c times the weight's closed-form moments."""
     from scipy.special import beta
 
-    rho, lam = _fbm_mtilde_rule(hurst)
+    rho, weights = fbm_kernel_spec(hurst, 1.0)._mtilde_rule  # c lam, c = C_H (H - 1/2)
     assert np.all((rho > 0) & (rho < 1))
-    assert np.all(lam > 0)
+    assert np.all(weights > 0)
     m = np.arange(96)
-    exact = beta(m + 1.5 - hurst, hurst - 0.5) / (m + hurst + 0.5)
-    got = np.array([np.dot(lam, rho**j) for j in m])
+    exact = fbm_c_h(hurst) * (hurst - 0.5) * beta(m + 1.5 - hurst, hurst - 0.5) / (m + hurst + 0.5)
+    got = np.array([np.dot(weights, rho**j) for j in m])
     np.testing.assert_allclose(got, exact, rtol=1e-11, atol=0.0)
 
 

@@ -28,10 +28,11 @@ def at(sol, t):
 
 
 @pytest.mark.parametrize("solve", [solve_closed_form, solve_picard])
-@pytest.mark.parametrize("grid", [[], np.zeros((0, 3)), [[0.0, 1.0]], 0.5])
+@pytest.mark.parametrize("grid", [[], np.zeros((0, 3)), [[0.0, 1.0]], 0.5, [0.0, math.nan], [0.5, math.inf]])
 def test_solvers_refuse_an_empty_or_multidimensional_time_grid(solve, grid):
-    # Picard escaped with numpy's reshape ValueError on [], and closed form returned a solution with no times
-    with pytest.raises(DomainError, match="times must be a non-empty 1-D array"):
+    # Picard escaped with numpy's reshape ValueError on [], and closed form returned a solution with no times;
+    # a NaN or infinite time is refused by the same rule, before the basis reads it
+    with pytest.raises(DomainError, match="^times must be a non-empty 1-D array of finite numbers, not one "):
         solve(brownian_kernel(1.0), BASIS, Truncation(2, 2), grid)
 
 
