@@ -10,14 +10,7 @@ from .chaos import (
     wick_exp_first_chaos,
     wick_product,
 )
-from .errors import (
-    ChaosFieldError,
-    ConfigurationError,
-    DimensionError,
-    DomainError,
-    InvalidCovarianceError,
-    UnsupportedKernelError,
-)
+from .errors import ChaosFieldError, ConfigurationError, DomainError
 from .hermite import hermite, hermite_table
 from .integrals import (
     AdmissibilityReport,

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import ConfigurationError, DomainError
 from .hermite import hermite_table
 from .multiindex import (
     MultiIndex,
@@ -287,26 +288,38 @@ def truncate_expansion(f: ChaosExpansion, trunc: Truncation) -> ChaosExpansion:
     return ChaosExpansion.from_dense(trunc, vec)
 
 
+def _check_samples(z) -> np.ndarray:
+    """z as a float array: one sample of modes (K,) or a batch (n, K), every entry finite."""
+    try:
+        z = np.asarray(z, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+        what = reprlib.repr(z)
+    else:
+        if z.ndim not in (1, 2):
+            what = f"an array of shape {z.shape}"
+        elif not np.all(np.isfinite(z)):
+            what = f"an array holding {float(z[~np.isfinite(z)][0])!r}"
+        else:
+            return z
+    raise DomainError(f"samples must be a finite vector of modes or an (n, K) array, not {what}")
+
+
 def chaos_eval(f: ChaosExpansion, z):
     """Evaluate sum_alpha f_alpha xi_alpha(z).
 
-    z may be a single sample of length >= K or an (n_samples, K') array.
+    z is one finite sample of length >= K or an (n_samples, K') array of them.
     Samples are evaluated in zero-padded blocks of one width, so a sample's
     value does not depend on the rest of the batch; see ``_IndexTables.eval_plan``
     for how each block is summed.
     """
-    z = np.asarray(z, dtype=float)
+    z = _check_samples(z)
     one_sample = z.ndim == 1
     zz = z[None, :] if one_sample else z
-    if zz.ndim != 2:
-        raise DimensionError(f"samples must be a vector or an (n, K) array, not of shape {z.shape}")
-    if not np.all(np.isfinite(zz)):
-        raise DomainError("samples must be finite")
     tables = _tables(f.trunc)
     modes, n_max = f.trunc.modes, f.trunc.max_order
     used = min(zz.shape[1], modes)
     if used < modes and np.any(f.vec[np.any(tables.exponents[:, used:], axis=1)]):
-        raise DimensionError("sample vector shorter than the expansion support")
+        raise DomainError("sample vector shorter than the expansion support")
     halves, blocks, pairs, width = tables.eval_plan
     coeffs = f.vec[pairs]
     grades = [

@@ -120,13 +120,12 @@ def _emit(payload: dict, out_path: str = None) -> None:
 
 
 def cmd_hermite(args: argparse.Namespace) -> int:
-    if args.n_max < 0:
-        raise ConfigurationError("n-max must be non-negative")
     if args.t_points < 1:
         raise ConfigurationError("t-points must be >= 1")
     if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
         raise ConfigurationError("t-min and t-max must be finite")
-    _check_table_size((args.n_max + 1) * args.t_points, "the Hermite table")
+    # hermite_table refuses a negative n-max; the budget counts one row for it, so no oversized grid is built first
+    _check_table_size((max(args.n_max, 0) + 1) * args.t_points, "the Hermite table")
     ts = np.linspace(args.t_min, args.t_max, args.t_points)
     table = hermite_table(args.n_max, ts)
     if not np.all(np.isfinite(table)):

@@ -5,21 +5,9 @@ class ChaosFieldError(Exception):
     """Base class for library errors."""
 
 
-class DimensionError(ChaosFieldError):
-    """An input vector is too short for the requested support."""
-
-
 class ConfigurationError(ChaosFieldError):
     """Mismatched truncations, invalid configuration values, etc."""
 
 
 class DomainError(ChaosFieldError):
     """Argument outside its mathematical domain (t outside [0,T], H outside (1/2,1), ...)."""
-
-
-class UnsupportedKernelError(ChaosFieldError):
-    """The kernel lacks the data required by the requested operation."""
-
-
-class InvalidCovarianceError(ChaosFieldError):
-    """A covariance Gram matrix failed the positive-semidefinite check."""

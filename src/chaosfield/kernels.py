@@ -31,7 +31,7 @@ from .basis import (
     jacobi01,
     quad_singular_smooth,
 )
-from .errors import ConfigurationError, DomainError, InvalidCovarianceError, UnsupportedKernelError
+from .errors import ConfigurationError, DomainError
 from .multiindex import _check_integer, _check_table_size
 
 
@@ -113,7 +113,7 @@ class KernelSpec:
 
     def dt_eval(self, t, s):
         """K1(t, s) = dK/dt, which a kernel without derivative data leaves to this refusal."""
-        raise UnsupportedKernelError(f"kernel {self.name!r} lacks derivative data")
+        raise ConfigurationError(f"kernel {self.name!r} lacks derivative data")
 
     def dt_smooth(self, t, s):
         """K1(t, s) (t - s)^(-singularity), which every quadrature near the diagonal weights exactly.
@@ -659,11 +659,11 @@ def hr_gram(r, times) -> np.ndarray:
     times = _check_times(times)
     g = np.asarray(r(times[:, None], times[None, :]), dtype=float)
     if not np.allclose(g, g.T, atol=1e-12):
-        raise InvalidCovarianceError("covariance Gram matrix is not symmetric")
+        raise DomainError("covariance Gram matrix is not symmetric")
     eigmin = float(np.linalg.eigvalsh(g)[0])
     scale = max(1.0, float(np.max(np.abs(g))))
     if eigmin < -1e-10 * scale:
-        raise InvalidCovarianceError(f"minimum eigenvalue {eigmin} below tolerance")
+        raise DomainError(f"minimum eigenvalue {eigmin} below tolerance")
     return g
 
 

@@ -52,13 +52,19 @@ class MultiIndex:
         last = 0
         try:
             for k, a in self.entries:
+                # 1.5 or True names no mode; a plain int, as in every index-table entry, passes on its type alone
+                if type(k) is not int and (type(k) is bool or k != int(k)):
+                    break
                 if k <= last:
                     raise ConfigurationError(f"multi-index {self.entries!r}: positions must be strictly increasing and >= 1")
                 if a <= 0 or a != int(a):
                     raise ConfigurationError(f"multi-index {self.entries!r}: stored values must be positive integers")
                 last = k
-        except (TypeError, ValueError, OverflowError):  # not a pair of numbers, or a NaN or infinite value
-            raise ConfigurationError(f"multi-index {self.entries!r}: entries must be pairs of integers") from None
+            else:
+                return
+        except (TypeError, ValueError, OverflowError):  # not a pair of numbers, or a NaN or infinite entry
+            pass
+        raise ConfigurationError(f"multi-index {self.entries!r}: entries must be pairs of integers")
 
     @staticmethod
     def zero() -> "MultiIndex":

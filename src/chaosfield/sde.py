@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import BasisFamily, _check_times, _leggauss, jacobi01
-from .chaos import _wick_exp_rows
+from .chaos import _check_samples, _wick_exp_rows
 from .errors import DomainError
 from .kernels import KernelSpec
 from .multiindex import Truncation, _check_integer, _tables
@@ -284,18 +284,17 @@ def sample_wick_exponential(mtilde_row: np.ndarray, z, max_order: int) -> np.nda
     By the Hermite generating function the order-n part is
     q_n = |c|^n H_n(y/|c|)/n! with y = <c, z>, so one projection and the
     recurrence q_{n+1} = (y q_n - |c|^2 q_{n-1})/(n+1) give the sum at any
-    order.  Non-finite samples or M~ values raise DomainError, and an order
-    that is not a non-negative integer ConfigurationError.
+    order.  M~ values that are not a finite vector, samples ``chaos_eval``
+    refuses or one shorter than c raise DomainError, a bad order
+    ConfigurationError.
     """
     _check_integer("max_order", max_order, 0)
     c = np.asarray(mtilde_row, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 0:
-        raise DomainError("a sample needs a mode axis: shape (K,) or (n, K)")
+    if c.ndim != 1 or not np.all(np.isfinite(c)):
+        raise DomainError("M~ values must be a finite vector")
+    z = _check_samples(z)
     if z.shape[-1] < len(c):
         raise DomainError("sample vector shorter than the mode count")
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(c))):
-        raise DomainError("samples and M~ values must be finite")
     y = z[..., : len(c)] @ c
     s2 = float(c @ c)
     q_prev, q = np.zeros_like(y), np.ones_like(y)  # q_{-1} = 0 makes the first step q_1 = y

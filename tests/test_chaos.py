@@ -14,7 +14,7 @@ from chaosfield.chaos import (
     wick_exp_first_chaos,
     wick_product,
 )
-from chaosfield.errors import ConfigurationError, DimensionError, DomainError
+from chaosfield.errors import ConfigurationError, DomainError
 from chaosfield.hermite import hermite, hermite_table
 from chaosfield.multiindex import MultiIndex, Truncation, _tables, index_map
 from test_chaos_tables import from_dense
@@ -41,6 +41,8 @@ def test_arithmetic():
     assert h.get(MultiIndex.eps(1)) == 4.0
     assert h.get(MultiIndex.eps(2)) == -2.0
     assert (h - h).norm_squared() == 0.0
+    with pytest.raises(ConfigurationError, match="truncation mismatch in addition"):
+        f + ChaosExpansion.constant(Truncation(2, 3), 1.0)
 
 
 @pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan])
@@ -55,6 +57,8 @@ def test_dense_roundtrip():
     f = ChaosExpansion(trunc, {MultiIndex.eps(2): 1.5, MultiIndex.single(1, 2): -0.5})
     g = ChaosExpansion.from_dense(trunc, f.vec)
     assert g.coeffs == f.coeffs
+    with pytest.raises(ConfigurationError, match=r"dense vector shape \(5,\), expected \(6,\)"):
+        ChaosExpansion.from_dense(trunc, f.vec[:-1])
 
 
 def test_json_roundtrip():
@@ -83,6 +87,8 @@ def test_wick_product_mean_multiplicative():
     f = ChaosExpansion(trunc, {MultiIndex.zero(): 2.0, MultiIndex.eps(1): 1.0})
     g = ChaosExpansion(trunc, {MultiIndex.zero(): -3.0, MultiIndex.eps(2): 0.5})
     assert wick_product(f, g).mean == pytest.approx(-6.0)
+    with pytest.raises(ConfigurationError, match="shared truncation"):
+        wick_product(f, ChaosExpansion.constant(Truncation(3, 2), 1.0))
 
 
 def test_wick_product_dropped_mass():
@@ -102,6 +108,8 @@ def test_wick_exponential_coefficients():
     alpha = from_dense([1, 2])
     expected = 0.5 * (-2.0) ** 2 / math.sqrt(math.factorial(1) * math.factorial(2))
     assert f.get(alpha) == pytest.approx(expected, rel=1e-14)
+    with pytest.raises(ConfigurationError, match="coefficient vector must have length 2"):
+        wick_exp_first_chaos(np.array([0.5, -2.0, 1.0]), trunc)
 
 
 def test_wick_exp_is_exponential_under_wick_product():
@@ -122,7 +130,7 @@ def test_xi_alpha_eval_hermite():
     xi = ChaosExpansion(Truncation(2, 2), {MultiIndex.single(1, 2): 1.0})
     # H_2(z)/sqrt(2!) = (z^2 - 1)/sqrt(2)
     assert chaos_eval(xi, z) == pytest.approx((1.3**2 - 1) / math.sqrt(2))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError, match="shorter than the expansion support"):
         chaos_eval(ChaosExpansion(Truncation(5, 1), {MultiIndex.eps(5): 1.0}), z)
 
 
@@ -150,6 +158,8 @@ def test_hvalued_rejects_nonfinite_coefficients(bad):
     arr[1, 0] = bad
     with pytest.raises(DomainError):
         HValuedChaos(Truncation(2, 1), arr)
+    with pytest.raises(ConfigurationError, match=r"shape \(3, 3\), expected \(3, 2\)"):
+        HValuedChaos(Truncation(2, 1), np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])

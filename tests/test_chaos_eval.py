@@ -9,6 +9,7 @@ the number of BLAS threads.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,9 +20,10 @@ import pytest
 
 from chaosfield import chaos, multiindex
 from chaosfield.chaos import ChaosExpansion, chaos_eval, wick_exp_first_chaos
-from chaosfield.errors import ConfigurationError, DimensionError, DomainError
+from chaosfield.errors import ConfigurationError, DomainError
 from chaosfield.hermite import hermite_table
 from chaosfield.multiindex import MultiIndex, Truncation, _EVAL_BLOCK, _IndexTables, _tables
+from chaosfield.sde import sample_wick_exponential
 
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = [(1, 5), (2, 3), (3, 12), (8, 3), (8, 4), (16, 2), (12, 4), (6, 10)]
@@ -37,7 +39,7 @@ def ref_chaos_eval(f: ChaosExpansion, z):
     rows = np.flatnonzero(f.vec)
     exponents = _tables(f.trunc).exponents[rows]
     if np.any(exponents[:, zz.shape[1] :]):
-        raise DimensionError("sample vector shorter than the expansion support")
+        raise DomainError("sample vector shorter than the expansion support")
     n_max = f.trunc.max_order
     table = hermite_table(n_max, zz[:, : f.trunc.modes].T)
     for n in range(2, n_max + 1):
@@ -109,9 +111,9 @@ def test_short_sample_is_enough_for_the_support_and_refused_past_it():
     f = ChaosExpansion(trunc, {MultiIndex(((1, 1), (3, 2))): 0.5, MultiIndex.zero(): 1.5})
     z = np.random.default_rng(6).standard_normal((30, 3))
     assert_close_to_ref(f, z)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError, match="shorter than the expansion support"):
         chaos_eval(f, z[:, :2])
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError, match="shorter than the expansion support"):
         chaos_eval(f, z[0, :2])
 
 
@@ -129,7 +131,7 @@ def test_zero_index_on_a_zero_column_sample():
 
 def test_samples_of_more_than_two_axes_are_refused():
     f = random_expansion(Truncation(2, 2), 0)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError, match=r"not an array of shape \(3, 4, 2\)"):
         chaos_eval(f, np.zeros((3, 4, 2)))
 
 
@@ -183,6 +185,30 @@ def test_bits_do_not_depend_on_the_blas_thread_count():
 
 # ---------------------------------------------------------------------------
 # failing loudly
+
+
+# a sample array that both evaluators refuse, and how the one message names it
+BAD_SAMPLES = {
+    "0-D": (np.array(1.2), "an array of shape ()"),
+    "3-D": (np.zeros((3, 2, 2)), "an array of shape (3, 2, 2)"),
+    "nan": (np.array([[0.1, 0.2], [0.3, np.nan]]), "an array holding nan"),
+    "inf": ([0.1, np.inf], "an array holding inf"),
+    "-inf": ([-np.inf, 0.1], "an array holding -inf"),
+    "ragged": ([[0.1, 0.2], [0.3]], "[[0.1, 0.2], [0.3]]"),
+    "text": (["a", "b"], "['a', 'b']"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SAMPLES)
+def test_chaos_eval_and_sample_wick_exponential_refuse_a_bad_sample_array_alike(name):
+    # chaos_eval refused a 0-D or 3-D array with DimensionError, sample_wick_exponential evaluated a 3-D one,
+    # each worded the non-finite refusal its own way, and a ragged or text array escaped as ValueError
+    z, what = BAD_SAMPLES[name]
+    message = f"samples must be a finite vector of modes or an (n, K) array, not {what}"
+    f = random_expansion(Truncation(2, 2), 0)
+    for call in (lambda: chaos_eval(f, z), lambda: sample_wick_exponential(np.array([0.5, 0.1]), z, 3)):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_overflowing_hermite_values_raise():

@@ -486,6 +486,10 @@ def test_hermite_table_over_the_budget_exits_2_before_allocating(capsys):
     assert code == 2
     assert out == ""
     assert peak < 1_000_000
+    # hermite_table refuses n-max -1, but only after the time grid is built: the budget must bound 1e9 points first
+    (code, out), peak = peak_bytes(lambda: run(capsys, "hermite", "--n-max", "-1", "--t-points", "1000000000"))
+    assert (code, out) == (2, "")
+    assert peak < 1_000_000
 
 
 def test_sde_grid_over_the_budget_exits_2_before_allocating(tmp_path, capsys):

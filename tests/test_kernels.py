@@ -11,7 +11,7 @@ from scipy.special import roots_jacobi
 import chaosfield
 from chaosfield.basis import BasisFamily, _on_live_rows, jacobi01, quad_singular_smooth
 from chaosfield import kernels
-from chaosfield.errors import ConfigurationError, DomainError, InvalidCovarianceError, UnsupportedKernelError
+from chaosfield.errors import ConfigurationError, DomainError
 from chaosfield.kernels import (
     KernelSpec,
     brownian_kernel,
@@ -263,6 +263,8 @@ def test_op_norm_estimates():
     kernel = fbm_kernel_spec(0.75, 1.0)
     est = op_norm_estimate(kernel, 128)
     assert est <= op_norm_bound(0.0, kernel.k1_bound)
+    # a zero K* has no direction to iterate along: its norm is exactly 0
+    assert op_norm_estimate(grid_kernel([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2))), 16) == 0.0
     # 4473^2 entries are over the table budget: refused before the matrix is allocated
     with pytest.raises(ConfigurationError, match="K\\* matrix"):
         op_norm_estimate(kernel, 4473)
@@ -360,8 +362,10 @@ def test_hr_gram():
     assert g[0, 2] == 0.25
     assert np.all(np.linalg.eigvalsh(g) >= -1e-12)
     bad = lambda t, s: np.where(t != s, -1.0, 0.0)  # noqa: E731
-    with pytest.raises(InvalidCovarianceError):
+    with pytest.raises(DomainError, match="minimum eigenvalue -1.0 below tolerance"):
         hr_gram(bad, [0.0, 1.0])
+    with pytest.raises(DomainError, match="covariance Gram matrix is not symmetric"):
+        hr_gram(lambda t, s: np.minimum(t, s) + 0.1 * t, [0.25, 0.5, 1.0])
     # an empty grid raised IndexError from eigvalsh(g)[0]
     for times in ([], [[0.25, 0.5]], 0.5):
         with pytest.raises(DomainError, match="times must be a non-empty 1-D array"):
@@ -637,7 +641,7 @@ def test_a_kernel_without_dt_eval_is_refused_where_k1_is_needed():
 
     kernel = NoDerivative(1.0)
     for call in (lambda: kernel.psi(BasisFamily("cosine", 1.0), (1, 2), np.array([0.5])), lambda: k1_empirical(kernel)):
-        with pytest.raises(UnsupportedKernelError, match="'no-derivative' lacks derivative data"):
+        with pytest.raises(ConfigurationError, match="'no-derivative' lacks derivative data"):
             call()
     # what needs only eval still works
     assert discretize_kstar(kernel, 4)[0, 0] == pytest.approx(1.125)

@@ -69,6 +69,8 @@ def test_add_sub():
         (1,),
         ((1,),),
         ((1, math.nan),),
+        ((1.5, 1),),
+        ((True, 1),),
     ],
     ids=[
         "position-0",
@@ -82,11 +84,14 @@ def test_add_sub():
         "bare-number",
         "one-number-pair",
         "nan-value",
+        "fractional-position",
+        "bool-position",
     ],
 )
 def test_multi_index_refuses_bad_entries_by_name(entries):
     # a bare ValueError, which chaos._read_alpha re-wrapped by hand; an entry that is no pair of numbers
-    # escaped as TypeError or ValueError
+    # escaped as TypeError or ValueError; a position of 1.5 or True constructed, and 1.5 failed later
+    # in an index lookup with a raw KeyError
     with pytest.raises(ConfigurationError, match=rf"^multi-index {re.escape(repr(entries))}: "):
         MultiIndex(entries)
 

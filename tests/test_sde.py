@@ -232,10 +232,17 @@ def test_sample_wick_exponential_rejects_non_finite_input(bad):
 
 
 def test_sample_wick_exponential_rejects_a_sample_without_mode_axis():
-    with pytest.raises(DomainError, match="mode axis"):
+    with pytest.raises(DomainError, match=r"not an array of shape \(\)"):
         sample_wick_exponential(np.array([0.5]), np.array(1.2), 3)
     with pytest.raises(DomainError, match="shorter"):
         sample_wick_exponential(np.array([0.5, 0.1]), np.array([1.2]), 3)
+
+
+@pytest.mark.parametrize("c", [np.array(0.5), np.ones((2, 2))], ids=["0-D", "2-D"])
+def test_sample_wick_exponential_refuses_an_mtilde_row_that_is_not_a_vector(c):
+    # len() of a 0-D row and float() of a 2-D row's c @ c escaped as TypeError
+    with pytest.raises(DomainError, match="M~ values must be a finite vector"):
+        sample_wick_exponential(c, np.zeros((3, 2)), 2)
 
 
 @pytest.mark.parametrize("order", [-1, 2.5, True], ids=repr)

@@ -7,9 +7,10 @@ public function is set by some call, the rules that the library never calls
 the built-in sum or quad_singular, that it imports no scipy and declares
 exactly its third-party imports as runtime dependencies, that every kernel
 spec's M~ goes through the one memo, which no module but kernels.py gets
-round by a private kernels name or an M~ piece, that the horizon and time-array
-rules are each raised from one place, and that the sde CSV's coefficients come
-from the numpy formatter, not repr."""
+round by a private kernels name or an M~ piece, that the horizon, time-array
+and sample-array rules are each raised from one place, that the library raises
+only ConfigurationError and DomainError, and that the sde CSV's coefficients
+come from the numpy formatter, not repr."""
 
 import ast
 import importlib
@@ -421,7 +422,7 @@ def test_only_kernels_py_reads_mtilde_around_the_memo():
 
 
 # the input rules that kernels, bases, solvers and hr_gram share, each by the wording of its refusal
-SHARED_RULES = {"horizon": r"horizon must be", "times": r"time(s| grid) must be"}
+SHARED_RULES = {"horizon": r"horizon must be", "times": r"time(s| grid) must be", "samples": r"samples must be"}
 
 
 def _raises_of(tree, pattern):
@@ -447,7 +448,7 @@ def test_each_shared_input_rule_is_raised_from_one_place():
         ]
         for rule, pattern in SHARED_RULES.items()
     }
-    assert found == {"horizon": ["basis.py"], "times": ["basis.py"]}
+    assert found == {"horizon": ["basis.py"], "times": ["basis.py"], "samples": ["chaos.py"]}
     # the check sees a second copy in either spelling, and leaves docstrings and other messages alone
     sample = (
         'def f(t):\n    """the horizon must be positive"""\n'
@@ -457,6 +458,51 @@ def test_each_shared_input_rule_is_raised_from_one_place():
     )
     tree = ast.parse(sample)
     assert (_raises_of(tree, SHARED_RULES["horizon"]), _raises_of(tree, SHARED_RULES["times"])) == ([4, 5], [6])
+
+
+# the two errors of the library's contract: the CLI maps each to exit 2
+CONTRACT_ERRORS = {"ConfigurationError", "DomainError"}
+
+
+def _raises_outside_the_contract(tree):
+    """The enclosing function or class of each raise of a class outside the two, and of each
+    _check_integer call that hands it another, in source order; a bare re-raise passes."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (getattr(exc, "id", None) or getattr(exc, "attr", None)) not in CONTRACT_ERRORS:
+                found.append(scope)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_integer":
+            errors = node.args[3:] + [kw.value for kw in node.keywords if kw.arg == "error"]
+            if any(getattr(e, "id", None) not in CONTRACT_ERRORS for e in errors):
+                found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_library_raises_only_the_two_contract_errors():
+    # a bad request gets ConfigurationError or DomainError, and nothing else, whichever module refuses it;
+    # _check_integer raises the class its caller names, and the scan sees every caller name one of the two
+    found = {
+        path.name: hits
+        for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
+        if (hits := _raises_outside_the_contract(ast.parse(path.read_text())))
+    }
+    assert found == {"multiindex.py": ["_check_integer"]}
+    # the check sees another class, called or not, and a foreign class handed to _check_integer;
+    # it leaves a bare re-raise and either contract error alone
+    sample = (
+        "def f(x):\n    raise ValueError(x)\nclass A:\n    def g(self):\n        raise errors.DimensionError\n"
+        "def h(x):\n    try:\n        pass\n    except OSError:\n        raise\n"
+        "    _check_integer('n', x, 1, TypeError)\n    _check_integer('n', x, 1, error=DomainError)\n"
+        "    raise ConfigurationError('x') from None\nraise errors.DomainError('y')\n"
+    )
+    assert _raises_outside_the_contract(ast.parse(sample)) == ["f", "g", "h"]
 
 
 def test_export_writes_almost_every_coefficient_by_numpy(tmp_path, monkeypatch):
