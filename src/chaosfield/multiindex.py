@@ -36,6 +36,8 @@ MAX_TABLE_ENTRIES = 20_000_000
 # (2-vCPU Xeon, numpy 2.4, glibc malloc), from page faults on every call.
 _EVAL_BLOCK = 256
 
+_BOOLS = (bool, np.bool_)  # True == 1 == int(True), yet a flag is no position or count of a multi-index
+
 
 @dataclass(frozen=True, slots=True)
 class MultiIndex:
@@ -53,7 +55,9 @@ class MultiIndex:
         try:
             for k, a in self.entries:
                 # 1.5 or True names no mode; a plain int, as in every index-table entry, passes on its type alone
-                if type(k) is not int and (type(k) is bool or k != int(k)):
+                if type(k) is not int and (isinstance(k, _BOOLS) or k != int(k)):
+                    break
+                if type(a) is not int and isinstance(a, _BOOLS):  # nor does True count one
                     break
                 if k <= last:
                     raise ConfigurationError(f"multi-index {self.entries!r}: positions must be strictly increasing and >= 1")

@@ -157,11 +157,14 @@ def _library_rules(hurst):
         (96, 0.0, 1.0 - 2.0 * hurst),  # the covariance
         (96, 0.0, hurst - 0.5),  # the pairing matrix C
         (72, hurst - 1.5, 1.0 - 2.0 * hurst),  # k1_empirical
-        (32, 0.0, hurst - 0.5),  # Picard's first panel
     ]
 
 
-JACOBI_RULES = [rule for hurst in (0.51, 0.6, 0.75, 0.9, 0.999) for rule in _library_rules(hurst)] + [
+JACOBI_RULES = [
+    rule
+    for hurst in (0.51, 0.6, 0.75, 0.9, 0.999)
+    for rule in _library_rules(hurst) + [(32, 0.0, hurst - 0.5)]  # the Picard tests' exact-weight oracle
+] + [
     (48, -0.25, -0.75),  # a + b = -1 exactly, where the textbook k = 1 off-diagonal entry is 0/0
     (48, 0.3, -0.3),  # a + b = 0, where the textbook k = 0 diagonal entry is 0/0
     (1, 0.0, 0.1),

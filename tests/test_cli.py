@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from chaosfield import basis, cli, integrals, kernels, sde
+from chaosfield import basis, cli, integrals, kernels
 from chaosfield.basis import jacobi01
 from chaosfield.cli import main
 from chaosfield.multiindex import MAX_TABLE_ENTRIES
+from test_basis import _library_rules
 
 
 def run(capsys, *argv):
@@ -552,24 +553,26 @@ def test_integrate_the_well_formed_integrand_exits_0(tmp_path, capsys):
     "argv, rules",
     [
         (["fbm", "--hurst", "0.6123", "--grid", "64"], 2),
-        (["sde", "--kernel", "fbm", "--hurst", "0.6321", "--modes", "4", "--order", "3", "--grid", "32"], 4),
+        (["sde", "--kernel", "fbm", "--hurst", "0.6321", "--modes", "4", "--order", "3", "--grid", "32"], 3),
         (["integrate", "--mode", "field-ito", "--kernel", "fbm", "--hurst", "0.6456", "--modes", "4", "--order", "3"], 2),
     ],
     ids=["fbm", "sde-fbm", "integrate-field-ito-fbm"],
 )
 def test_fbm_commands_build_few_gauss_jacobi_rules(argv, rules, capsys, tmp_path, monkeypatch):
     # fbm: K*'s diagonal-cell rule and k1_empirical's, and no psi rule; sde: psi's (which M~'s own rule
-    # reads again from the kernel), M~'s outer rule, the Picard integration matrix's and the covariance's;
+    # reads again from the kernel), M~'s outer rule and the covariance's, none for the Picard operator;
     # integrate: psi's and the 96-node pairing rule.  K(t, s) itself is a series and builds none.
+    # Every rule is one of test_basis's, bit for bit, whose moments and nodes are checked there.
     builds = []
 
     def counted(*key):
         builds.append(key)
         return jacobi01(*key)
 
-    for module in (basis, integrals, kernels, sde):
+    for module in (basis, integrals, kernels):
         monkeypatch.setattr(module, "jacobi01", counted)
     extra = ["--out", str(tmp_path)] if argv[0] == "sde" else []
     code, _ = run(capsys, *argv, *extra)
     assert code == 0
     assert len(builds) == rules, builds
+    assert set(builds) <= set(_library_rules(float(argv[argv.index("--hurst") + 1]))), builds

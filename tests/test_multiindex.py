@@ -71,6 +71,9 @@ def test_add_sub():
         ((1, math.nan),),
         ((1.5, 1),),
         ((True, 1),),
+        ((1, True),),
+        ((np.True_, 1),),
+        ((1, np.True_),),
     ],
     ids=[
         "position-0",
@@ -86,12 +89,15 @@ def test_add_sub():
         "nan-value",
         "fractional-position",
         "bool-position",
+        "bool-value",
+        "numpy-bool-position",
+        "numpy-bool-value",
     ],
 )
 def test_multi_index_refuses_bad_entries_by_name(entries):
     # a bare ValueError, which chaos._read_alpha re-wrapped by hand; an entry that is no pair of numbers
     # escaped as TypeError or ValueError; a position of 1.5 or True constructed, and 1.5 failed later
-    # in an index lookup with a raw KeyError
+    # in an index lookup with a raw KeyError; a stored True constructed and equalled the count 1
     with pytest.raises(ConfigurationError, match=rf"^multi-index {re.escape(repr(entries))}: "):
         MultiIndex(entries)
 

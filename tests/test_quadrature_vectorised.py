@@ -67,12 +67,19 @@ def grid_kernel(tmp_path_factory):
 # reference implementations
 
 
-def ref_integration_matrix(grid, gamma0, psi, sub_nodes=32):
-    """One quadrature per collocation row, as rows were first assembled."""
+def ref_integration_matrix(grid, gamma0, psi, sub_nodes=32, exact_first=False):
+    """One quadrature per collocation row, as rows were first assembled: Gauss-Legendre on every panel.
+
+    With ``exact_first`` the first panel takes Gauss-Jacobi for the s^gamma0
+    weight instead, which integrates the weight exactly: the oracle for the
+    single rule on the solver's mesh.
+    """
     p_count, q = grid.panels, grid.nodes
     n = p_count * q
     xg, wg = np.polynomial.legendre.leggauss(sub_nodes)
-    vj, wj = jacobi01(sub_nodes, 0.0, gamma0) if gamma0 != 0.0 else (None, None)
+    vj, wj = jacobi01(sub_nodes, 0.0, gamma0) if exact_first else (None, None)
+    lo, hi = grid.edges[:-1], grid.edges[1:]
+    panel_nodes = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * grid.ref_nodes[None, :]
     w = np.zeros((n, n))
     full = np.zeros((p_count, q))
 
@@ -80,7 +87,7 @@ def ref_integration_matrix(grid, gamma0, psi, sub_nodes=32):
         a = grid.edges[p]
         if upper <= a:
             return np.zeros(q)
-        if p == 0 and gamma0 != 0.0 and a == 0.0:
+        if p == 0 and exact_first:
             s = upper * vj
             weights = upper ** (gamma0 + 1.0) * wj
             mt = np.asarray(psi(s), dtype=float)
@@ -89,14 +96,14 @@ def ref_integration_matrix(grid, gamma0, psi, sub_nodes=32):
             s = a + half * (xg + 1.0)
             weights = half * wg
             mt = s**gamma0 * np.asarray(psi(s), dtype=float)
-        l = _lagrange_eval(grid.panel_nodes[p], s)
+        l = _lagrange_eval(panel_nodes[p], s)
         return l @ (weights * mt)
 
     for p in range(p_count):
         full[p] = partial(p, grid.edges[p + 1])
         for i in range(q):
             row = p * q + i
-            w[row, p * q : (p + 1) * q] = partial(p, grid.panel_nodes[p, i])
+            w[row, p * q : (p + 1) * q] = partial(p, panel_nodes[p, i])
             for prev in range(p):
                 w[row, prev * q : (prev + 1) * q] = full[prev]
     return w
@@ -109,12 +116,11 @@ def ref_table_integration_matrix(grid, gamma0, psi, sub_nodes=32):
     The sub-nodes of one call all lie inside one panel, which names the table.
     """
     xg, _ = np.polynomial.legendre.leggauss(sub_nodes)
-    vj = jacobi01(sub_nodes, 0.0, gamma0)[0] if gamma0 != 0.0 else None
 
     def table_psi(s):
         p = int(np.searchsorted(grid.edges, s[0], side="right")) - 1
         a, b = grid.edges[p], grid.edges[p + 1]
-        nodes = b * vj if p == 0 and gamma0 != 0.0 else a + 0.5 * (b - a) * (xg + 1.0)
+        nodes = a + 0.5 * (b - a) * (xg + 1.0)
         return _lagrange_eval(nodes, s).T @ np.asarray(psi(nodes), dtype=float)
 
     return ref_integration_matrix(grid, gamma0, table_psi, sub_nodes)
@@ -278,20 +284,25 @@ def test_integration_matrix_matches_row_loop(basis, grid_kernel):
 
 
 def test_integration_matrix_default_mesh_fbm():
-    # the solver's own mesh: 6 equal panels, the first split into 12 geometric layers, 20 nodes each
-    basis, kernel = BASES[0], fbm_kernel_spec(0.7, 1.0)
-    cgrid = _CollocationGrid(1.0, 6, 12, 20)
-    gamma0, psi = kmk_factor(kernel, basis, 2)
-    ref = ref_integration_matrix(cgrid, gamma0, psi)
-    (ops_k,) = _integration_matrix(cgrid, gamma0, lambda s: kernel.psi(basis, (2,), s))
-    got = _dense(ops_k)
-    assert np.array_equal(got == 0.0, ref == 0.0)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the solver's own mesh: 6 equal panels, the first split into 12 geometric layers, 20 nodes each.
+    # Its first panel, about 6.8e-10 wide, takes Gauss-Legendre like the rest; against Gauss-Jacobi
+    # there, which weights s^gamma0 exactly, the operator moves by at most 1.7e-12 max|op| (H 0.55, mode 8)
+    basis, cgrid = BASES[1], _CollocationGrid(1.0, sde._UNIFORM, sde._LAYERS, sde._NODES)
+    for hurst in (0.501, 0.55, 0.75, 0.999):
+        kernel = fbm_kernel_spec(hurst, 1.0)
+        gamma0, psi = kmk_factor(kernel, basis, 8)
+        (ops_k,) = _integration_matrix(cgrid, gamma0, lambda s: kernel.psi(basis, (8,), s))
+        got = _dense(ops_k)
+        ref = ref_integration_matrix(cgrid, gamma0, psi)
+        assert np.array_equal(got == 0.0, ref == 0.0), hurst
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), hurst
+        exact = ref_integration_matrix(cgrid, gamma0, psi, exact_first=True)
+        assert np.max(np.abs(got - exact)) <= 2e-12 * np.max(np.abs(exact)), hurst
 
 
 @pytest.mark.parametrize("kernel", [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0)], ids=["brownian", "fbm"])
 def test_integration_matrix_on_one_panel(kernel):
-    # for fBm the first panel's Gauss-Jacobi rule is then the whole operator
+    # one panel from the origin: for fBm the s^gamma0 weight there takes the same Gauss-Legendre rule as elsewhere
     basis, cgrid = BASES[1], _CollocationGrid(1.0, 1, 0, 6)
     (ops_k,) = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, (2,), s))
     gamma0, psi = kmk_factor(kernel, basis, 2)

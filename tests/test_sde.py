@@ -72,6 +72,24 @@ def test_off_grid_time_rejected():
                 read(bad)
 
 
+def test_off_grid_time_rejected_at_a_tiny_horizon():
+    # an absolute tolerance of 1e-10 read 0.6e-12 as the grid time 0.5e-12
+    horizon = 1e-12
+    times = np.linspace(0.0, horizon, 5)
+    sol = solve_closed_form(brownian_kernel(horizon), BasisFamily("cosine", horizon), Truncation(2, 2), times)
+    assert sol.second_moment(0.5e-12) == float(np.dot(sol.coeffs[2], sol.coeffs[2]))
+    with pytest.raises(DomainError, match="not on the solution grid"):
+        sol.second_moment(0.6e-12)
+
+
+def test_grid_time_found_at_a_huge_horizon():
+    # an absolute tolerance of 1e-10 refused the float next to the grid time 1e20 / 3
+    horizon = 1e20
+    times = np.linspace(0.0, horizon, 4)
+    sol = solve_closed_form(brownian_kernel(horizon), BasisFamily("cosine", horizon), Truncation(2, 2), times)
+    assert sol.second_moment(np.nextafter(times[1], 0.0)) == sol.second_moment(times[1])
+
+
 @pytest.mark.parametrize(
     "kernel", [brownian_kernel(1.0), fbm_kernel_spec(0.75, 1.0)], ids=["brownian", "fbm"]
 )
