@@ -31,13 +31,19 @@ from .multiindex import (
 )
 
 
+# the operations that can overflow compute without numpy's warning: ``from_dense`` refuses their inf or NaN
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class ChaosExpansion:
     """Coefficient vector over a fixed truncation, in its enumeration order.
 
     ``ChaosExpansion(trunc, {alpha: c})`` puts each c at the row of alpha; a
-    key outside the truncation raises ConfigurationError.  Immutable: ``vec``
-    is read-only and operations return new expansions.
+    key outside the truncation raises ConfigurationError, and a coefficient
+    that is not finite DomainError, here and in ``from_dense``, so an
+    operation that overflows is refused where its result is built.
+    Immutable: ``vec`` is read-only and operations return new expansions.
     """
 
     trunc: Truncation
@@ -52,8 +58,7 @@ class ChaosExpansion:
             except KeyError as exc:
                 raise ConfigurationError(f"index {exc.args[0]} outside truncation {trunc}") from None
             vec[rows] = list(coeffs.values())
-        vec.flags.writeable = False
-        self.__dict__.update(trunc=trunc, vec=vec)  # frozen: bypasses __setattr__
+        self.__dict__.update(trunc=trunc, vec=_frozen(vec))  # frozen: bypasses __setattr__
 
     def __reduce__(self):
         # the cached ``coeffs`` view cannot be pickled; it is rebuilt on use
@@ -85,6 +90,7 @@ class ChaosExpansion:
             total += c * c
         return total
 
+    @_quiet
     def __add__(self, other: "ChaosExpansion") -> "ChaosExpansion":
         if other.trunc != self.trunc:
             raise ConfigurationError("truncation mismatch in addition")
@@ -93,6 +99,7 @@ class ChaosExpansion:
     def __sub__(self, other: "ChaosExpansion") -> "ChaosExpansion":
         return self + other.scale(-1.0)
 
+    @_quiet
     def scale(self, c: float) -> "ChaosExpansion":
         if not math.isfinite(c):
             raise DomainError("scale factor must be finite")
@@ -104,9 +111,8 @@ class ChaosExpansion:
         vec = np.array(vec, dtype=float)
         if vec.shape != (trunc.size(),):
             raise ConfigurationError(f"dense vector shape {vec.shape}, expected ({trunc.size()},)")
-        vec.flags.writeable = False
         out = object.__new__(ChaosExpansion)
-        out.__dict__.update(trunc=trunc, vec=vec)
+        out.__dict__.update(trunc=trunc, vec=_frozen(vec))
         return out
 
     @staticmethod
@@ -182,6 +188,14 @@ class HValuedChaos:
         return HValuedChaos(trunc, arr)
 
 
+def _frozen(vec: np.ndarray) -> np.ndarray:
+    """``vec`` made read-only, once every coefficient is checked to be finite."""
+    if not np.isfinite(vec).all():
+        raise DomainError(f"chaos coefficients must be finite, not {float(vec[~np.isfinite(vec)][0])!r}")
+    vec.flags.writeable = False
+    return vec
+
+
 def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
@@ -221,6 +235,7 @@ def _read_value(value) -> float:
     return float(value)
 
 
+@_quiet
 def wick_product(f: ChaosExpansion, g: ChaosExpansion) -> ChaosExpansion:
     """Wick product on the shared truncation.
 
@@ -251,6 +266,7 @@ def _dropped_mass(tables, fd: np.ndarray, gd: np.ndarray) -> float:
     return float(np.dot(sums, sums))
 
 
+@_quiet
 def wick_exp_first_chaos(c, trunc: Truncation) -> ChaosExpansion:
     """Truncated Wick exponential of the first-chaos element sum_k c_k xi_k.
 

@@ -214,9 +214,11 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
 # 2000 x 257 path syntheses and Stratonovich sums with about 1000 more
 # minor page faults each (glibc malloc).
 _MTILDE_BLOCK = 3072
-# nodes of the fBm psi and K* first-segment Gauss-Jacobi rules and of M~'s own Gauss rule;
+# nodes of the fBm psi Gauss-Jacobi rule, of M~'s outer Gauss-Jacobi rule and of M~'s own Gauss rule;
 # 32 left M~ of cosine modes 17-32 off by up to 1.5e-3
 _JACOBI_NODES = 48
+# offsets j - r of the fBm K* cells that are K's own differences; the Gauss cells beyond then agree with them
+_KSTAR_EXACT_OFFSETS = 3  # to 4.6e-14 of max|A| at H <= 0.95 (8.1e-13 at 0.999); 1 left 2.65e-8, 2 left 2.0e-12
 # terms of each series of the fBm kernel; 2^-60 is below float64 rounding
 _SERIES_TERMS = 60
 
@@ -330,17 +332,16 @@ class _Fbm(KernelSpec):
         return self._c * s ** (0.5 - self.hurst) * t ** (self.hurst - 0.5)
 
     def kstar(self, n_grid):
-        # Cell j's Gauss node x_q sits at t_jq = (j + 1/2 + x_q/2) h, (j - r + x_q/2) h above row r's
-        # midpoint s_r, so the singular factor depends on the offset j - r alone.  Above the diagonal,
-        # a[r, j] = c s_r^(1/2 - H) sum_q D[j - r, q] P[j, q], D[d, q] = ((d + x_q/2) h)^(H - 3/2) and
-        # P[j, q] = w_q t_jq^(H - 1/2) h/2: six Toeplitz-times-column-scale products per block of rows.
+        # Offsets j - r < _KSTAR_EXACT_OFFSETS are K's own differences, the cells beyond six-node Gauss sums: node x_q
+        # of cell j is (j - r + x_q/2) h above s_r, so a[r, j] = c s_r^(1/2 - H) sum_q D[j - r, q] P[j, q], P = smooth.
         hurst, c, horizon = self.hurst, self._c, self.horizon
         edges, mids = _kstar_grid(horizon, n_grid)
         h = horizon / n_grid
         xg, wg = _leggauss(6)
-        # offsets[q, n + d] = D[d, q] for d = 1..n-1 and 0 for d <= 0, so row r of block q is a window of it
+        exact = _KSTAR_EXACT_OFFSETS
+        # offsets[q, n + d] = D[d, q] = ((d + x_q/2) h)^(H - 3/2) for d >= exact, 0 below: row r of block q is a window
         offsets = np.zeros((6, 2 * n_grid))
-        offsets[:, n_grid + 1 :] = ((np.arange(1, n_grid) + 0.5 * xg[:, None]) * h) ** (hurst - 1.5)
+        offsets[:, n_grid + exact :] = ((np.arange(exact, n_grid) + 0.5 * xg[:, None]) * h) ** (hurst - 1.5)
         toeplitz = sliding_window_view(offsets, n_grid, axis=1)  # [q, n - r, j] = D[j - r, q]
         smooth = wg[:, None] * ((np.arange(n_grid) + 0.5 + 0.5 * xg[:, None]) * h) ** (hurst - 0.5) * (0.5 * h)
         # the scalar factors take Python-float powers, which numpy's array power can differ from in the last bit
@@ -354,12 +355,10 @@ class _Fbm(KernelSpec):
             for q in range(1, 6):
                 block += np.multiply(windows[q], smooth[q, i:], out=tmp)
             block *= scale[i:stop, None]
-        # the diagonal cell (s_r, t_{r+1}]: Gauss-Jacobi for the (t - s_r)^(H - 3/2) weight
-        gamma = hurst - 1.5
-        v, w = jacobi01(_JACOBI_NODES, 0.0, gamma)
-        length = edges[1:] - mids
-        inner = _dot_rows(w, (mids[:, None] + length[:, None] * v) ** (hurst - 0.5))
-        np.fill_diagonal(a, scale * (np.array([x ** (gamma + 1.0) for x in length.tolist()]) * inner))
+        lower = 0.0  # K(t_r, s_r): t_r < s_r lies off the Volterra support
+        for d in range(min(exact, n_grid)):  # a[r, r + d] = K(t_{r+d+1}, s_r) - K(t_{r+d}, s_r), one eval per offset
+            upper = self.eval(edges[d + 1 :], mids[: n_grid - d])
+            a[range(n_grid - d), range(d, n_grid)], lower = upper - lower, upper[:-1]
         return a
 
     def psi(self, basis: BasisFamily, ks, s):
@@ -590,15 +589,17 @@ _POWER_ITERATIONS = 5000  # op_norm_estimate's cap
 
 
 def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512) -> float:
-    """Largest singular value of the discretized K*, by power iteration on A^T A.
+    """Largest singular value of the discretized K*, by power iteration on A^T A, as A^T (A v).
 
     A is first scaled by 2^-e, e the binary exponent of max |A_ij|, so that
-    A^T A cannot overflow at a huge horizon nor lose bits at a tiny one; a
-    power of two scales exactly, and so does the square root of its square,
-    so the estimate has the bits of the unscaled iteration wherever that
-    stays in range.  Iteration stops when the eigenvalue estimate changes by
-    at most 1e-8 relative; DomainError is raised when ``_POWER_ITERATIONS`` iterations
-    do not get there, or when the norm itself exceeds the float range.
+    the products cannot overflow at a huge horizon nor lose bits at a tiny
+    one: every |A_ij| < 1 and |v| = 1, so each entry of A v stays below n and
+    each of A^T (A v) below n^2.  A power of two scales exactly, and so does
+    the square root of its square, so the estimate has the bits of the
+    unscaled iteration wherever that stays in range.  Iteration stops when
+    the eigenvalue estimate changes by at most 1e-8 relative; DomainError is
+    raised when ``_POWER_ITERATIONS`` iterations do not get there, or when
+    the norm itself exceeds the float range.
     """
     a = discretize_kstar(kernel, n_grid)
     e = int(np.frexp(max(a.max(), -a.min()))[1])  # max |A_ij| without an |A| temporary
@@ -607,14 +608,13 @@ def op_norm_estimate(kernel: KernelSpec, n_grid: int = 512) -> float:
     v = rng.standard_normal(n_grid)
     v /= np.linalg.norm(v)
     lam = 0.0
-    b = a.T @ a
-    w = b @ v
+    w = a.T @ (a @ v)  # two matrix-vector products, where forming A^T A takes an n^3 one
     for _ in range(_POWER_ITERATIONS):
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        w = b @ v  # the Rayleigh quotient's product is the next iteration's
+        w = a.T @ (a @ v)  # the Rayleigh quotient's product is the next iteration's
         lam_new = float(v @ w)
         if abs(lam_new - lam) <= 1e-8 * lam_new:
             try:

@@ -23,7 +23,7 @@ from .basis import BasisFamily, _check_times, _leggauss
 from .chaos import _check_samples, _wick_exp_rows
 from .errors import DomainError
 from .kernels import KernelSpec
-from .multiindex import Truncation, _check_integer, _tables
+from .multiindex import Truncation, _check_integer, _check_table_size, _tables
 
 
 @dataclass(frozen=True)
@@ -452,6 +452,8 @@ def solve_picard(
     coefficient to higher-order ones, so its system is not triangular.
     """
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
+    panels = _UNIFORM + _LAYERS  # u below holds one value per coefficient, panel and node: checked here too
+    _check_table_size(len(tables.exponents) * panels * _NODES, f"Picard on {panels} panels of {_NODES}")
     times = _check_times(grid)
     mt = kernel.mtilde(basis, range(1, trunc.modes + 1), times).T.copy()  # checks the times before the operator is built
     cgrid = _CollocationGrid(basis.horizon, _UNIFORM, _LAYERS, _NODES)

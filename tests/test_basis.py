@@ -152,7 +152,6 @@ def _library_rules(hurst):
     return [
         (48, hurst - 1.5, 0.5 - hurst),  # psi's Beta weight: a + b = -1 up to rounding
         (48, 0.0, hurst - 0.5),  # the outer rule of M~'s weight
-        (48, 0.0, hurst - 1.5),  # K*'s diagonal cell
         (96, 0.0, 0.5 - hurst),  # quad_singular_smooth at the origin exponent
         (96, 0.0, 1.0 - 2.0 * hurst),  # the covariance
         (96, 0.0, hurst - 0.5),  # the pairing matrix C
@@ -163,7 +162,8 @@ def _library_rules(hurst):
 JACOBI_RULES = [
     rule
     for hurst in (0.51, 0.6, 0.75, 0.9, 0.999)
-    for rule in _library_rules(hurst) + [(32, 0.0, hurst - 0.5)]  # the Picard tests' exact-weight oracle
+    # the Picard tests' exact-weight oracle, and v^(H - 3/2), a weight singular at 0 like K1's (t - s)^(H - 3/2)
+    for rule in _library_rules(hurst) + [(32, 0.0, hurst - 0.5), (48, 0.0, hurst - 1.5)]
 ] + [
     (48, -0.25, -0.75),  # a + b = -1 exactly, where the textbook k = 1 off-diagonal entry is 0/0
     (48, 0.3, -0.3),  # a + b = 0, where the textbook k = 0 diagonal entry is 0/0

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chaosfield import basis, cli, integrals, kernels
+from chaosfield import basis, cli, integrals, kernels, sde
 from chaosfield.basis import jacobi01
 from chaosfield.cli import main
 from chaosfield.multiindex import MAX_TABLE_ENTRIES
@@ -503,6 +503,17 @@ def test_sde_grid_over_the_budget_exits_2_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "sde_solution.csv").exists()
 
 
+def test_sde_picard_over_the_budget_exits_2_before_building_its_operator(tmp_path, capsys, monkeypatch):
+    # (16, 6) holds 74 613 coefficients, inside the budget, but Picard's 74 613 x 18 x 20 array is not
+    def unreachable(*args):
+        raise AssertionError("integration operator built before the collocation array was checked")
+
+    monkeypatch.setattr(sde, "_integration_matrix", unreachable)
+    err = run_refused(capsys, "sde", "--modes", "16", "--order", "6", "--grid", "2", "--out", str(tmp_path))
+    assert "needs 26860680 table entries" in err
+    assert not (tmp_path / "sde_solution.csv").exists()
+
+
 GOOD_INTEGRAND = {"trunc": {"modes": 2, "max_order": 1}, "coeffs": [{"alpha": [], "k": 1, "value": 1.0}]}
 
 
@@ -552,16 +563,17 @@ def test_integrate_the_well_formed_integrand_exits_0(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, rules",
     [
-        (["fbm", "--hurst", "0.6123", "--grid", "64"], 2),
+        (["fbm", "--hurst", "0.6123", "--grid", "64"], 1),
         (["sde", "--kernel", "fbm", "--hurst", "0.6321", "--modes", "4", "--order", "3", "--grid", "32"], 3),
         (["integrate", "--mode", "field-ito", "--kernel", "fbm", "--hurst", "0.6456", "--modes", "4", "--order", "3"], 2),
     ],
     ids=["fbm", "sde-fbm", "integrate-field-ito-fbm"],
 )
 def test_fbm_commands_build_few_gauss_jacobi_rules(argv, rules, capsys, tmp_path, monkeypatch):
-    # fbm: K*'s diagonal-cell rule and k1_empirical's, and no psi rule; sde: psi's (which M~'s own rule
-    # reads again from the kernel), M~'s outer rule and the covariance's, none for the Picard operator;
-    # integrate: psi's and the 96-node pairing rule.  K(t, s) itself is a series and builds none.
+    # fbm: k1_empirical's rule alone, since K* takes K's own values next to its diagonal, and no psi rule;
+    # sde: psi's (which M~'s own rule reads again from the kernel), M~'s outer rule and the covariance's,
+    # none for the Picard operator; integrate: psi's and the 96-node pairing rule.  K(t, s) itself is a
+    # series and builds none.
     # Every rule is one of test_basis's, bit for bit, whose moments and nodes are checked there.
     builds = []
 

@@ -22,7 +22,9 @@ from chaosfield.chaos import (
     chaos_eval,
     truncate_expansion,
     wick_exp_first_chaos,
+    wick_product,
 )
+from chaosfield.errors import DomainError
 from chaosfield.integrals import ito_integral
 from chaosfield.multiindex import MultiIndex, Truncation, _tables, enumerate_multiindices
 
@@ -111,13 +113,37 @@ def test_vector_and_view_are_read_only():
         f.vec = np.zeros(6)
 
 
-def test_zeros_drop_out_of_the_view_and_nan_stays():
+def test_zeros_drop_out_of_the_view_and_nan_is_refused():
     trunc = Truncation(2, 2)
-    f = ChaosExpansion(trunc, {MultiIndex.eps(1): 0.0, MultiIndex.eps(2): math.nan, MultiIndex.zero(): 1.0})
+    f = ChaosExpansion(trunc, {MultiIndex.eps(1): 0.0, MultiIndex.eps(2): -0.5, MultiIndex.zero(): 1.0})
     assert list(f.coeffs) == [MultiIndex.zero(), MultiIndex.eps(2)]
-    assert math.isnan(f.coeffs[MultiIndex.eps(2)])
     assert f.get(MultiIndex.eps(1)) == 0.0
     assert ChaosExpansion.constant(trunc, 0.0).coeffs == {}
+    # a coefficient that is not finite is refused, by the dict constructor and by from_dense alike
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="chaos coefficients must be finite"):
+            ChaosExpansion(trunc, {MultiIndex.eps(1): 0.0, MultiIndex.eps(2): bad})
+        with pytest.raises(DomainError, match="chaos coefficients must be finite"):
+            ChaosExpansion.from_dense(trunc, np.r_[1.0, bad, np.zeros(trunc.size() - 2)])
+
+
+BIG = Truncation(2, 3)
+
+
+@pytest.mark.parametrize(
+    "overflow",
+    [
+        lambda: wick_exp_first_chaos([1e200, 0.0], BIG),  # c^2 / sqrt(2) = 7e399
+        lambda: ChaosExpansion.constant(BIG, 1e300).scale(1e10),
+        lambda: ChaosExpansion.constant(BIG, 1.5e308) + ChaosExpansion.constant(BIG, 1.5e308),
+        lambda: wick_product(ChaosExpansion.constant(BIG, 1e200), ChaosExpansion.constant(BIG, 1e200)),
+    ],
+    ids=["wick-exp", "scale", "add", "wick-product"],
+)
+def test_an_overflowing_operation_is_refused_without_a_warning(overflow):
+    # numpy's overflow is not the signal (the test config makes a RuntimeWarning an error): from_dense refuses inf
+    with pytest.raises(DomainError, match="chaos coefficients must be finite, not inf"):
+        overflow()
 
 
 def test_truncate_expansion_to_fewer_modes_matches_dict_reference():

@@ -5,10 +5,11 @@ the per-mode call bit for bit.  Every spec's M~ memo, whichever kernel,
 must count one hit or miss per request and evict the least recently used.
 ``discretize_kstar`` reads K* from the kernel's ``kstar``: the derived one
 evaluates K(t, s) for a block of rows s in one ``eval_ts`` call and must
-equal the column-by-column loop it was first written as, bit for bit, since
-``norm_estimate`` reads its bits.  fBm builds K* from tables of cell offsets,
-with no cumulative sum to difference: its diagonal keeps the column loop's
-bits, and the cells above it agree with the loop to roundoff.
+equal the column-by-column loop over ``eval`` it was first written as, bit
+for bit, since ``norm_estimate`` reads its bits.  fBm's ``kstar`` takes the
+same differences of ``eval`` on the diagonal and the two offsets above it,
+with the loop's bits, and six-node Gauss sums from tables of cell offsets
+further out, which agree with the loop to roundoff.
 """
 
 import tracemalloc
@@ -16,12 +17,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaosfield.basis import BasisFamily, _dot_rows, _leggauss, jacobi01
+from chaosfield.basis import BasisFamily
 from chaosfield.kernels import (
     _KSTAR_BLOCK,
+    _KSTAR_EXACT_OFFSETS,
     brownian_kernel,
     discretize_kstar,
-    fbm_c_h,
     fbm_kernel_spec,
 )
 from test_quadrature_vectorised import grid_kernel  # noqa: F401  (a fixture: K(t, s) = 1 + (t - s)^2 on a CSV grid)
@@ -29,39 +30,17 @@ from test_quadrature_vectorised import grid_kernel  # noqa: F401  (a fixture: K(
 BASES = [BasisFamily("cosine", 1.0), BasisFamily("legendre", 1.0)]
 
 
-def ref_fbm_column(hurst, t_sorted, s):
-    """K(t_i, s) for the fBm kernel: a singular first segment, then an incremental Gauss sum, one column."""
-    c = fbm_c_h(hurst) * (hurst - 0.5)
-    t_sorted = np.atleast_1d(np.asarray(t_sorted, dtype=float))
-    out = np.zeros_like(t_sorted)
-    above = t_sorted > s
-    if not np.any(above):
-        return out
-    ts = t_sorted[above]
-    vals = np.empty_like(ts)
-    # the first segment by 48-node Gauss-Jacobi with the weight (tau - s)^(H - 3/2) built in
-    gamma, length = hurst - 1.5, ts[0] - s
-    v, w = jacobi01(48, 0.0, gamma)
-    first = length ** (gamma + 1.0) * _dot_rows(w, (s + length * v) ** (hurst - 0.5))
-    vals[0] = first
-    if len(ts) > 1:
-        x, w = _leggauss(6)
-        lo, hi = ts[:-1], ts[1:]
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        nodes = mid[:, None] + half[:, None] * x[None, :]
-        seg = np.sum((nodes - s) ** (hurst - 1.5) * nodes ** (hurst - 0.5) * w[None, :], axis=1) * half
-        vals[1:] = first + np.cumsum(seg)
-    out[above] = c * s ** (0.5 - hurst) * vals
-    return out
+def ref_discretize_kstar(kernel, n_grid):
+    """The K* matrix one ``eval`` column per row, as it was first assembled.
 
-
-def ref_discretize_kstar(column, horizon, n_grid):
-    """The K* matrix one column call per row, as it was first assembled."""
-    edges = np.linspace(0.0, horizon, n_grid + 1)
+    s_r goes in as an array, as every ``kstar`` passes it: numpy's power of a
+    scalar can differ from its array power in the last bit.
+    """
+    edges = np.linspace(0.0, kernel.horizon, n_grid + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     a = np.zeros((n_grid, n_grid))
     for i, s in enumerate(mids):
-        kvals = column(edges[i + 1 :], s)
+        kvals = kernel.eval(edges[i + 1 :], np.full(n_grid - i, s))
         a[i, i] = kvals[0]
         if len(kvals) > 1:
             a[i, i + 1 :] = np.diff(kvals)
@@ -135,41 +114,36 @@ def test_other_kernels_memo_evicts_the_least_recently_used_mode(name, grid_kerne
 # K* in row blocks
 
 
-def ref_fbm_kstar(hurst, horizon, n_grid):
-    return ref_discretize_kstar(lambda t, s: ref_fbm_column(hurst, t, s), horizon, n_grid)
+# fBm K* beyond offset 2 is six-node Gauss sums, within these fractions of max|A| of K's differences:
+# 4.6e-14 was measured for H 0.55-0.95 and up to 5.6e-13 for H 0.51-0.999 (n <= 256)
+KSTAR_REL = {0.51: 1e-12, 0.55: 1e-13, 0.75: 1e-13, 0.8: 1e-13, 0.95: 1e-13, 0.99: 1e-12, 0.999: 1e-12}
 
 
-# above the diagonal the offset build and the differenced cumulative sums differ by roundoff:
-# at most 2.5e-14 of max|A| was measured (H 0.95, n 256)
-KSTAR_REL = 4e-14
-
-
-def assert_kstar_agrees(got, ref):
-    """The diagonal and the zeros below it bit for bit; the cells above within KSTAR_REL of max|A|."""
-    assert np.tril(got).tobytes() == np.tril(ref).tobytes()
-    np.testing.assert_allclose(got, ref, rtol=0.0, atol=KSTAR_REL * np.max(np.abs(ref)))
+def assert_kstar_agrees(got, ref, hurst):
+    """Offsets 0-2 and the zeros below them bit for bit; the cells further out within KSTAR_REL[hurst] of max|A|."""
+    exact = _KSTAR_EXACT_OFFSETS
+    assert np.tril(got, exact - 1).tobytes() == np.tril(ref, exact - 1).tobytes()
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=KSTAR_REL[hurst] * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("n_grid", [1, 2, 127, 256, 3 * _KSTAR_BLOCK + 5])
-@pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
+@pytest.mark.parametrize("hurst", [0.51, 0.55, 0.75, 0.95, 0.99, 0.999])
 def test_fbm_kstar_bit_equal_to_column_loop(hurst, n_grid):
-    # the diagonal and the zeros below it keep the column loop's bits; above it the offset build
-    # has no cumulative sum to difference, so it agrees with the loop to roundoff
+    # next to the diagonal both take K's own differences; further out the Gauss sums agree to roundoff
     for horizon in (1.0, 2.5):
-        got = discretize_kstar(fbm_kernel_spec(hurst, horizon), n_grid)
-        assert_kstar_agrees(got, ref_fbm_kstar(hurst, horizon, n_grid))
+        kernel = fbm_kernel_spec(hurst, horizon)
+        assert_kstar_agrees(discretize_kstar(kernel, n_grid), ref_discretize_kstar(kernel, n_grid), hurst)
 
 
 @pytest.mark.parametrize("n_grid", [1, 2, 127, 256])
 def test_brownian_and_grid_kstar_bit_equal_to_column_loop(n_grid, grid_kernel):
     for kernel in (brownian_kernel(1.0), grid_kernel):
-        ref = ref_discretize_kstar(lambda t, s: kernel.eval(np.atleast_1d(t), s), kernel.horizon, n_grid)
-        assert discretize_kstar(kernel, n_grid).tobytes() == ref.tobytes(), kernel.name
+        assert discretize_kstar(kernel, n_grid).tobytes() == ref_discretize_kstar(kernel, n_grid).tobytes(), kernel.name
 
 
 def test_kstar_other_horizon_spans_several_blocks():
-    n_grid = 3 * _KSTAR_BLOCK + 5
-    assert_kstar_agrees(discretize_kstar(fbm_kernel_spec(0.8, 2.5), n_grid), ref_fbm_kstar(0.8, 2.5, n_grid))
+    kernel, n_grid = fbm_kernel_spec(0.8, 2.5), 3 * _KSTAR_BLOCK + 5
+    assert_kstar_agrees(discretize_kstar(kernel, n_grid), ref_discretize_kstar(kernel, n_grid), 0.8)
 
 
 def test_fbm_kstar_temporaries_stay_near_1_mb():

@@ -8,6 +8,7 @@ from chaosfield.chaos import ChaosExpansion, chaos_eval
 from chaosfield.errors import ConfigurationError, DomainError
 from chaosfield.kernels import brownian_kernel, fbm_kernel_spec
 from chaosfield.mc import (
+    _compare_values,
     SampleBatch,
     discrete_ito_batch,
     discrete_strat_batch,
@@ -214,10 +215,13 @@ def test_mc_compare_rejects_nonfinite_oracle(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_mc_compare_rejects_nonfinite_chaos_values(bad):
+    # a non-finite coefficient is refused where the expansion is built; values that are not finite
+    # (a solution's samples, compared without an expansion) are refused by the comparison itself
     batch = sample_batch(1, 20, 1)
-    f = ChaosExpansion(Truncation(1, 1), {MultiIndex.zero(): bad})
-    with pytest.raises(DomainError):
-        mc_compare(f, np.zeros(20), batch)
+    with pytest.raises(DomainError, match="chaos coefficients must be finite"):
+        mc_compare(ChaosExpansion(Truncation(1, 1), {MultiIndex.zero(): bad}), np.zeros(20), batch)
+    with pytest.raises(DomainError, match="chaos and oracle values must be finite"):
+        _compare_values(np.full(20, bad), np.zeros(20), batch)
 
 
 def test_discrete_sums_of_one_path_are_row_0_of_the_batch():

@@ -163,6 +163,18 @@ def test_picard_checks_the_times_before_building_the_operator(monkeypatch, kerne
         solve_picard(kernel, BASIS, Truncation(2, 2), [0.0, bad])
 
 
+@pytest.mark.parametrize("shape", [(16, 6), (1, 100_000)])
+def test_picard_refuses_a_collocation_array_over_the_budget(monkeypatch, shape):
+    # S x 18 panels x 20 nodes: 26.9M entries at (16, 6), 36.0M at (1, 100000), where the truncation
+    # itself is within the budget; refused before the operator is built
+    def unreachable(*args):
+        raise AssertionError("integration operator built before the collocation array was checked")
+
+    monkeypatch.setattr(sde, "_integration_matrix", unreachable)
+    with pytest.raises(ConfigurationError, match="Picard on 18 panels of 20 needs"):
+        solve_picard(brownian_kernel(1.0), BASIS, Truncation(*shape), [0.0, 1.0])
+
+
 @pytest.mark.parametrize("kernel, bad", BAD_TIMES, ids=BAD_TIME_IDS)
 def test_closed_form_and_m_tilde_reject_a_time_off_the_horizon(kernel, bad):
     # fBm M~ once returned 0 for a NaN or negative t
