@@ -27,7 +27,7 @@ def main():
     basis = BasisFamily("cosine", 1.0)
     trunc = Truncation(8, 2)
     eta = brownian_path_integrand(trunc, basis)
-    mt = np.array([basis.antideriv(k, 1.0) for k in range(1, 9)])
+    mt = basis.antideriv(range(1, 9), 1.0)
     s_k = float(np.sum(mt**2))
 
     ito = ito_integral(eta)

@@ -213,32 +213,29 @@ class BasisFamily:
             out *= np.sqrt((2 * np.arange(1, top + 1) - 1) / big_t).reshape((-1,) + (1,) * t.ndim)
         return out
 
-    def antideriv(self, k: int, t):
-        """M_k(t) = int_0^t m_k(s) ds in closed form."""
-        _check_modes(k)
+    def antideriv(self, k, t):
+        """M_k(t) = int_0^t m_k(s) ds in closed form; modes as in ``eval``, one row per mode for a sequence."""
+        ks = _check_modes(k)
+        modes = ks.reshape(-1)
         t = self._check(t)
         big_t = self.horizon
+        col = (-1,) + (1,) * t.ndim  # a factor per mode, as a column against t
         if self.kind == "cosine":
-            if k == 1:
-                val = t / math.sqrt(big_t)
-            else:
-                freq = (k - 1) * math.pi / big_t
-                val = math.sqrt(2.0 / big_t) * np.sin(freq * t) / freq
+            freq = (np.maximum(modes, 2) - 1) * math.pi / big_t  # mode 1's row, t / sqrt(T), is set below
+            val = math.sqrt(2.0 / big_t) * np.sin(np.multiply.outer(freq, t)) / freq.reshape(col)
+            val[modes == 1] = t / math.sqrt(big_t)
         else:
+            # int_{-1}^{x} P_n = (P_{n+1}(x) - P_{n-1}(x)) / (2n + 1), n = modes - 1, and P_{-1} = -P_0 gives
+            # mode 1 its x + 1; as in ``eval``, columns of the identity hold the Legendre coefficients
             x = 2.0 * t / big_t - 1.0
-            n = k - 1
-            scale = math.sqrt((2 * k - 1) / big_t) * big_t / 2.0
-            if n == 0:
-                val = scale * (x + 1.0)
-            else:
-                # int_{-1}^{x} P_n = (P_{n+1}(x) - P_{n-1}(x)) / (2n + 1)
-                up = [0.0] * (n + 1) + [1.0]
-                down = [0.0] * (n - 1) + [1.0]
-                val = scale * (
-                    np.polynomial.legendre.legval(x, up)
-                    - np.polynomial.legendre.legval(x, down)
-                ) / (2 * n + 1)
-        return val if np.asarray(val).ndim else float(val)
+            eye = np.eye(modes.max() + 1)
+            up, down = eye[:, modes], eye[:, np.maximum(modes - 2, 0)]
+            down[0, modes == 1] = -1.0
+            scale = np.sqrt((2 * modes - 1) / big_t) * big_t / 2.0
+            diff = np.polynomial.legendre.legval(x, up) - np.polynomial.legendre.legval(x, down)
+            val = scale.reshape(col) * diff / (2 * modes - 1).reshape(col)
+        val = val if ks.ndim else val[0]
+        return val if val.ndim else float(val)
 
 
 def quad_singular(f, a, b, gamma: float):

@@ -146,12 +146,16 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     if refused := sorted(given & {"grid", "out"}):  # sde's keys, which a config file shared with it may hold
         raise ConfigurationError(f"integrate reads no {refused[0]}")
     basis = cfg.make_basis()
-    trunc = cfg.truncation()
     if args.integrand == "w-path":
-        eta = brownian_path_integrand(trunc, basis)
+        eta = brownian_path_integrand(cfg.truncation(), basis)
     else:
         with open(args.integrand) as fh:
             eta = HValuedChaos.from_dict(json.load(fh))
+        # the file holds its own truncation: a modes or order given must name it, not be ignored
+        own = (eta.trunc.modes, eta.trunc.max_order)
+        named = (cfg.modes if "modes" in given else own[0], cfg.order if "order" in given else own[1])
+        if Truncation(*named) != eta.trunc:
+            raise ConfigurationError(f"the integrand file is on truncation {own}, not {named}")
     if args.mode == "ito":
         result = ito_integral(eta)
     elif args.mode == "strat":

@@ -13,11 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisFamily, DEFAULT_RULE, jacobi01
+from .basis import BasisFamily, DEFAULT_RULE, quad_singular_smooth
 from .chaos import ChaosExpansion, HValuedChaos, truncate_expansion
 from .errors import ConfigurationError, DomainError
 from .kernels import KernelSpec
-from .multiindex import Truncation, _tables
+from .multiindex import Truncation, _check_table_size, _tables
 
 
 def ito_integral(eta: HValuedChaos) -> ChaosExpansion:
@@ -66,20 +66,17 @@ def strat_via_trace(eta: HValuedChaos) -> ChaosExpansion:
 def kernel_pairing_matrix(kernel: KernelSpec, basis: BasisFamily, modes: int) -> np.ndarray:
     """Matrix C[j, k] = int_0^T m_{j+1}(t) (K m_{k+1})(t) dt = int_0^T t^gamma0 m_{j+1}(t) psi_{k+1}(t) dt.
 
-    For gamma0 != 0 the weight t^gamma0 is exact in a Gauss-Jacobi rule of 96
-    nodes, the count ``quad_singular_smooth`` takes for the default rule, so
-    no node sits at the singular endpoint; gamma0 = 0 takes the default
-    composite rule.
+    One ``quad_singular_smooth`` call over all (j, k): the weight t^gamma0 is
+    exact in its rule, so no node sits at the singular endpoint.  Its
+    (j, k, node) table is checked against the table budget before it is built.
     """
     ks = np.arange(1, modes + 1)
-    g0, big_t = kernel.gamma0, basis.horizon
-    if g0:
-        v, w = jacobi01(96, 0.0, g0)
-        s, ws = big_t * v, big_t ** (g0 + 1.0) * w
-    else:
-        s, ws = DEFAULT_RULE.nodes_weights(0.0, big_t)
-    mj = basis.eval(ks, s)
-    return np.stack([(mj * psi_k) @ ws for psi_k in kernel.psi(basis, ks, s)], axis=1)
+
+    def products(s):
+        _check_table_size(modes * modes * s.size, f"the {modes} x {modes} field Ito pairing on {s.size} nodes")
+        return basis.eval(ks, s)[:, None] * kernel.psi(basis, ks, s)
+
+    return quad_singular_smooth(products, 0.0, basis.horizon, kernel.gamma0)
 
 
 def field_ito_integral(eta: HValuedChaos, kernel: KernelSpec, basis: BasisFamily) -> ChaosExpansion:
@@ -126,10 +123,10 @@ def _path_pairing(basis: BasisFamily, modes: int) -> np.ndarray:
     is memoised.
     """
     xs, ws = DEFAULT_RULE.nodes_weights(0.0, basis.horizon)
-    m_vals = basis.eval(np.arange(1, modes + 1), xs)
+    ks = np.arange(1, modes + 1)
+    m_vals = basis.eval(ks, xs)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
-        rows = [m_vals @ (ws * np.asarray(basis.antideriv(k, xs), dtype=float)) for k in range(1, modes + 1)]
-    pairing = np.array(rows)
+        pairing = np.array([m_vals @ (ws * big_m) for big_m in basis.antideriv(ks, xs)])
     if not np.all(np.isfinite(pairing)):
         raise DomainError(f"the path pairing (M_k, m_j) overflows at horizon {basis.horizon!r}")
     pairing.flags.writeable = False

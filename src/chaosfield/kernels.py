@@ -48,18 +48,18 @@ class KernelSpec:
     = K1(t, s) = dK/dt.  ``singularity`` is the exponent of K1 in (t - s) as
     t -> s+ (0 when K1 is regular there), ``origin_exponent`` that of K(t, s)
     in s as s -> 0.  Every method takes arrays: ``eval``, ``dt_eval`` and
-    ``dt_smooth`` broadcast over t and s, ``diag_limit`` over s, so each
-    integral below is one call on a whole node table.
+    ``dt_smooth`` broadcast over t and s, so each integral below is one call
+    on a whole node table.
 
     Every pairing with a basis goes through one factorisation
     (K m_k)(s) = s^gamma0 psi_k(s), psi_k smooth at 0, and its antiderivative
     M~_k(t) = int_0^t K(t, s) m_k(s) ds.  The base class derives each piece
-    (``diag_limit``, ``gamma0`` = 0, ``psi``, ``_mtilde``, ``kstar`` and
-    ``dt_smooth``) from ``eval`` and ``dt_eval``; a subclass overrides those
-    it has in exact or faster form.  ``mtilde`` memoises ``_mtilde`` per kernel
-    object and request (basis, modes, time bytes): M~ never depends on samples.
-    The memo reads M~(t <= 0) as exactly 0, so ``_mtilde`` sees only t > 0;
-    every module reads M~ through ``mtilde``.
+    (``gamma0`` = 0, ``psi``, ``_mtilde``, ``kstar`` and ``dt_smooth``) from
+    ``eval`` and ``dt_eval``; a subclass overrides those it has in exact or
+    faster form.  ``mtilde`` memoises ``_mtilde`` per kernel object and
+    request (basis, modes, time bytes): M~ never depends on samples.  The memo
+    reads M~(t <= 0) as exactly 0, so ``_mtilde`` sees only t > 0; every
+    module reads M~ through ``mtilde``.
     """
 
     name: str
@@ -107,10 +107,6 @@ class KernelSpec:
         out = np.where(below, self.eval(np.where(below, t, ss), ss), 0.0)
         return out if np.ndim(s) else out[0]
 
-    def diag_limit(self, s):
-        """K(s+, s), which is K(s, s): ``eval`` puts the diagonal on the s <= t side."""
-        return self.eval(s, s)
-
     def dt_eval(self, t, s):
         """K1(t, s) = dK/dt, which a kernel without derivative data leaves to this refusal."""
         raise ConfigurationError(f"kernel {self.name!r} lacks derivative data")
@@ -126,16 +122,17 @@ class KernelSpec:
         """psi_k(s) for modes ks and a 1-D array s, shape (len(ks), len(s)).
 
         Derived: K m_k = K(s+, s) m_k(s) + int_0^s m_k(tau) K1(s, tau) dtau,
-        by quadrature on one node table for all s.
+        by quadrature on one node table for all s.  K(s+, s) is K(s, s):
+        ``eval`` puts the diagonal on the s <= t side.
         """
         rule = QuadratureRule(panels=4, nodes=12)
         gam, g0 = self.singularity, self.origin_exponent
         s = np.asarray(s, dtype=float)
-        local = self.diag_limit(s) * basis.eval(ks, s)
+        local = self.eval(s, s) * basis.eval(ks, s)
         if not gam:
             return local + rule.integrate(lambda tau: basis.eval(ks, tau) * self.dt_eval(s[:, None], tau), 0.0, s)
-        # two-sided Jacobi weight tau^g0 (x - tau)^gam, both exponents exact
-        v, w = jacobi01(min(rule.panels * rule.nodes, 96), gam, g0)
+        # two-sided Jacobi weight tau^g0 (x - tau)^gam, both exponents exact, on as many nodes (48) as ``rule``
+        v, w = jacobi01(rule.panels * rule.nodes, gam, g0)
         live = s > 0
         x = np.where(live, s, 1.0)  # s = 0 has no integral, and K1 is singular there
         tau = x[:, None] * v
@@ -145,14 +142,16 @@ class KernelSpec:
     def _mtilde(self, basis: BasisFamily, ks, t) -> np.ndarray:
         """M~_k(t_i) for modes ks over a 1-D array of checked times t > 0, shape (len(ks), len(t)).
 
-        Derived: one quadrature of K(t_i, .) m_k for all t_i per mode k.
+        Derived: one quadrature of K(t_i, .) m_k over every mode k for each block of times t_i, so K
+        is evaluated once at each node and the (mode, time, node) tables stay within ``_MTILDE_BLOCK``.
         """
-        g0 = self.origin_exponent
-
-        def row(j):
-            return quad_singular_smooth(lambda s: self.eval(t[..., None], s) * basis.eval(j, s) * s**-g0, 0.0, t, g0)
-
-        return np.array([row(j) for j in ks])
+        g0, step = self.origin_exponent, max(1, _MTILDE_BLOCK // len(ks))
+        out = np.empty((len(ks), len(t)))
+        for i in range(0, len(t), step):
+            out[:, i : i + step] = quad_singular_smooth(
+                lambda s: self.eval(t[i : i + step, None], s) * basis.eval(ks, s) * s**-g0, 0.0, t[i : i + step], g0
+            )
+        return out
 
     def kstar(self, n_grid: int) -> np.ndarray:
         """The n_grid x n_grid matrix of K* on step functions of the uniform grid of [0, T].
@@ -168,6 +167,11 @@ class KernelSpec:
         return a
 
 
+# (mode, t) pairs per block of an M~ quadrature, the derived one and fBm's: its temporaries,
+# pairs * nodes floats, stay near 1 MB for fBm's 48 nodes and 3 MB for the derived 96 or 128.
+# Bigger fBm ones (4.7 MB) left later 2000 x 257 path syntheses and Stratonovich sums with
+# about 1000 more minor page faults each (glibc malloc).
+_MTILDE_BLOCK = 3072
 # rows of K* per block: the block's temporaries stay under 1 MB for n_grid <= 512
 _KSTAR_BLOCK = 32
 
@@ -197,7 +201,7 @@ class _Brownian(KernelSpec):
         return basis.eval(ks, s)
 
     def _mtilde(self, basis, ks, t):
-        return np.array([basis.antideriv(j, t) for j in ks])
+        return basis.antideriv(ks, t)
 
 
 def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
@@ -209,11 +213,6 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
 # fractional Brownian motion kernel, H > 1/2
 
 
-# (mode, t) pairs per basis evaluation in the fBm M~ sum: its temporaries,
-# pairs * nodes floats, stay near 1 MB.  Bigger ones (4.7 MB) left later
-# 2000 x 257 path syntheses and Stratonovich sums with about 1000 more
-# minor page faults each (glibc malloc).
-_MTILDE_BLOCK = 3072
 # nodes of the fBm psi Gauss-Jacobi rule, of M~'s outer Gauss-Jacobi rule and of M~'s own Gauss rule;
 # 32 left M~ of cosine modes 17-32 off by up to 1.5e-3
 _JACOBI_NODES = 48

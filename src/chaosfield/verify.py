@@ -71,7 +71,7 @@ def _max_diff(f: ChaosExpansion, g: ChaosExpansion) -> float:
 def _w_squared_coeffs(trunc: Truncation, basis: BasisFamily) -> ChaosExpansion:
     """Chaos coefficients of W_K(T)^2 / 2."""
     modes = trunc.modes
-    mt = np.array([basis.antideriv(k, basis.horizon) for k in range(1, modes + 1)])
+    mt = basis.antideriv(np.arange(1, modes + 1), basis.horizon)
     coeffs = {MultiIndex.zero(): float(np.sum(mt**2)) / 2.0}
     for k in range(1, modes + 1):
         coeffs[MultiIndex.single(k, 2)] = mt[k - 1] ** 2 * math.sqrt(2.0) / 2.0
@@ -135,7 +135,7 @@ def suite_integrals() -> dict:
     basis = BasisFamily("cosine", 1.0)
     trunc = Truncation(modes, 2)
     eta = brownian_path_integrand(trunc, basis)
-    mt = np.array([basis.antideriv(k, 1.0) for k in range(1, modes + 1)])
+    mt = basis.antideriv(np.arange(1, modes + 1), 1.0)
     s_k = float(np.sum(mt**2))
     target = _w_squared_coeffs(trunc, basis)
 

@@ -45,6 +45,52 @@ def test_antideriv_vanishes_at_horizon_for_higher_modes(kind):
         assert basis.antideriv(k, 1.0) == pytest.approx(0.0, abs=1e-14)
 
 
+def _antideriv_one_mode(basis, k, t):
+    # M_k(t) for one int mode, each closed form written out with Python-float factors
+    big_t = basis.horizon
+    t = np.clip(np.asarray(t, dtype=float), 0.0, big_t)
+    if basis.kind == "cosine":
+        if k == 1:
+            return t / math.sqrt(big_t)
+        freq = (k - 1) * math.pi / big_t
+        return math.sqrt(2.0 / big_t) * np.sin(freq * t) / freq
+    x = 2.0 * t / big_t - 1.0
+    scale = math.sqrt((2 * k - 1) / big_t) * big_t / 2.0
+    if k == 1:
+        return scale * (x + 1.0)
+    legval = np.polynomial.legendre.legval
+    return scale * (legval(x, [0.0] * k + [1.0]) - legval(x, [0.0] * (k - 2) + [1.0])) / (2 * k - 1)
+
+
+@pytest.mark.parametrize("kind", ["cosine", "legendre"])
+@pytest.mark.parametrize("horizon", [1e-3, 1.0, 3.7])
+def test_antideriv_rows_equal_one_mode_calls_bit_for_bit(kind, horizon):
+    # one sin over the (mode, t) table, or two legval calls on identity columns, give each mode's own bits
+    basis = BasisFamily(kind, horizon)
+    ks = np.arange(1, 41)
+    grid = np.linspace(0.0, horizon, 129)
+    for t in (0.3 * horizon, grid, np.random.default_rng(7).uniform(0.0, horizon, (5, 7))):
+        rows = basis.antideriv(ks, t)
+        assert rows.shape == (40,) + np.shape(t)
+        for k, row in zip(ks.tolist(), rows):
+            one = np.asarray(basis.antideriv(k, t))
+            assert row.tobytes() == one.tobytes() == np.asarray(_antideriv_one_mode(basis, k, t)).tobytes(), k
+    assert isinstance(basis.antideriv(3, 0.3 * horizon), float)
+    assert basis.antideriv(3, grid).shape == grid.shape
+
+
+@pytest.mark.parametrize("kind", ["cosine", "legendre"])
+@pytest.mark.parametrize("modes", [[3, 1, 2], (3, 1, 2), np.array([3, 1, 2])], ids=["list", "tuple", "ndarray"])
+def test_antideriv_takes_a_sequence_of_modes(kind, modes):
+    # like eval, one row per mode, in the order given; a sequence used to escape as TypeError or ValueError
+    basis = BasisFamily(kind, 2.0)
+    t = np.array([0.0, 0.5, 2.0])
+    rows = basis.antideriv(modes, t)
+    assert rows.shape == (3, 3)
+    assert np.array_equal(rows, np.array([basis.antideriv(k, t) for k in (3, 1, 2)]))
+    assert basis.antideriv(modes, 0.5).tolist() == [basis.antideriv(k, 0.5) for k in (3, 1, 2)]
+
+
 def test_cosine_first_mode_constant():
     basis = BasisFamily("cosine", 4.0)
     assert basis.eval(1, 1.7) == pytest.approx(0.5)
@@ -133,9 +179,8 @@ def test_non_integer_mode_refused(kind, mode):
         basis.eval(mode, t)
     with pytest.raises(DomainError, match="integer"):
         basis._rows(mode, t)
-    if np.ndim(mode) == 0:
-        with pytest.raises(DomainError, match="integer"):
-            basis.antideriv(mode, t)
+    with pytest.raises(DomainError, match="integer"):
+        basis.antideriv(mode, t)
     # integer types of any width stay valid
     assert basis.eval(np.int32(2), 0.5) == basis.eval(2, 0.5)
     assert basis.antideriv(np.int64(3), 0.5) == basis.antideriv(3, 0.5)

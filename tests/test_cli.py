@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chaosfield import basis, cli, integrals, kernels, sde
+from chaosfield import basis, cli, kernels, sde
 from chaosfield.basis import jacobi01
 from chaosfield.cli import main
 from chaosfield.multiindex import MAX_TABLE_ENTRIES
@@ -56,20 +56,43 @@ def test_integrate_strat_mean(capsys):
     assert mean == pytest.approx(0.5, abs=1e-12)
 
 
-def test_integrate_from_json_file(tmp_path, capsys):
+def _integrand_file(tmp_path):
+    # an integrand on truncation (2, 1) whose Ito integral has norm^2 1 + 0.5^2
     from chaosfield.chaos import HValuedChaos
     from chaosfield.multiindex import Truncation
 
     trunc = Truncation(2, 1)
     coeffs = np.zeros((trunc.size(), 2))
     coeffs[0] = [1.0, 0.5]
-    eta = HValuedChaos(trunc, coeffs)
     path = tmp_path / "eta.json"
-    path.write_text(json.dumps(eta.to_dict()))
-    code, out = run(capsys, "integrate", "--integrand", str(path), "--modes", "2", "--order", "1")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["norm_squared"] == pytest.approx(1.25, abs=1e-12)
+    path.write_text(json.dumps(HValuedChaos(trunc, coeffs).to_dict()))
+    return str(path)
+
+
+def test_integrate_from_json_file(tmp_path, capsys):
+    # a modes and order that match the file's truncation pass, as does leaving them out
+    for given in (["--modes", "2", "--order", "1"], ["--order", "1"], []):
+        code, out = run(capsys, "integrate", "--integrand", _integrand_file(tmp_path), *given)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["norm_squared"] == pytest.approx(1.25, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "given, named",
+    [(["--modes", "5", "--order", "3"], "(5, 3)"), (["--order", "3"], "(2, 3)"), ({"modes": 5}, "(5, 1)")],
+    ids=["flags", "order-flag", "config-modes"],
+)
+def test_integrate_from_json_file_refuses_another_truncation(given, named, tmp_path, capsys):
+    # the file's truncation is the integrand's own; a modes or order that names another one was ignored
+    if isinstance(given, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(given))
+        given = ["--config", str(config)]
+    assert main(["integrate", "--integrand", _integrand_file(tmp_path), *given]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: the integrand file is on truncation (2, 1), not {named}\n"
 
 
 def test_integrate_missing_file(capsys):
@@ -572,7 +595,7 @@ def test_integrate_the_well_formed_integrand_exits_0(tmp_path, capsys):
 def test_fbm_commands_build_few_gauss_jacobi_rules(argv, rules, capsys, tmp_path, monkeypatch):
     # fbm: k1_empirical's rule alone, since K* takes K's own values next to its diagonal, and no psi rule;
     # sde: psi's (which M~'s own rule reads again from the kernel), M~'s outer rule and the covariance's,
-    # none for the Picard operator; integrate: psi's and the 96-node pairing rule.  K(t, s) itself is a
+    # none for the Picard operator; integrate: psi's and quad_singular_smooth's 96-node pairing rule.  K(t, s) itself is a
     # series and builds none.
     # Every rule is one of test_basis's, bit for bit, whose moments and nodes are checked there.
     builds = []
@@ -581,7 +604,7 @@ def test_fbm_commands_build_few_gauss_jacobi_rules(argv, rules, capsys, tmp_path
         builds.append(key)
         return jacobi01(*key)
 
-    for module in (basis, integrals, kernels):
+    for module in (basis, kernels):  # the only modules that build a rule; test_tooling holds them to it
         monkeypatch.setattr(module, "jacobi01", counted)
     extra = ["--out", str(tmp_path)] if argv[0] == "sde" else []
     code, _ = run(capsys, *argv, *extra)

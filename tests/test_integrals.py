@@ -22,6 +22,8 @@ from chaosfield.kernels import (
     fbm_kernel_spec,
     m_tilde,
 )
+from chaosfield import multiindex
+from chaosfield.errors import ConfigurationError
 from chaosfield.multiindex import MultiIndex, Truncation, index_map
 
 
@@ -148,6 +150,19 @@ def test_fbm_pairing_matrix_matches_a_160_node_gauss_jacobi_rule(kind, hurst):
         ks = np.arange(1, modes + 1)
         ref = (basis.eval(ks, s) * ws) @ kernel.psi(basis, ks, s).T
         np.testing.assert_allclose(kernel_pairing_matrix(kernel, basis, modes), ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kernel, nodes", [(brownian_kernel(1.0), 128), (fbm_kernel_spec(0.7, 1.0), 96)], ids=["brownian", "fbm"]
+)
+def test_pairing_matrix_checks_its_node_table_against_the_budget(kernel, nodes, monkeypatch):
+    # the (j, k, node) products of all modes at once are refused over the budget before they are built
+    basis = BasisFamily("cosine", 1.0)
+    monkeypatch.setattr(multiindex, "MAX_TABLE_ENTRIES", 4 * 4 * nodes)
+    assert kernel_pairing_matrix(kernel, basis, 4).shape == (4, 4)
+    monkeypatch.setattr(kernel, "psi", None)  # nothing of the table is computed
+    with pytest.raises(ConfigurationError, match=f"the 5 x 5 field Ito pairing on {nodes} nodes"):
+        kernel_pairing_matrix(kernel, basis, 5)
 
 
 def test_admissibility_diagnostic():

@@ -387,15 +387,15 @@ def test_grid_kernel_from_csv(tmp_path):
     kernel = grid_kernel_from_csv(path)
     assert kernel.eval(0.85, 0.3) == pytest.approx(1.0)
     assert kernel.eval(0.3, 0.85) == 0.0
-    assert kernel.diag_limit(0.5) == pytest.approx(1.0)
-    # the base class's diag_limit, K(s, s), reads what K(s+, s) is for Brownian motion and fBm on (0, T]
+    assert kernel.eval(0.5, 0.5) == pytest.approx(1.0)
+    # the derived psi's K(s, s) reads what K(s+, s) is for Brownian motion and fBm on (0, T]
     diag = np.array([1e-9, 0.3, 0.5, 1.0])
-    assert brownian_kernel(1.0).diag_limit(diag).tolist() == [1.0] * 4
-    assert fbm_kernel_spec(0.7, 1.0).diag_limit(diag).tolist() == [0.0] * 4
-    # every shipped kernel's diag_limit and dt_eval return arrays of the broadcast shape
+    assert brownian_kernel(1.0).eval(diag, diag).tolist() == [1.0] * 4
+    assert fbm_kernel_spec(0.7, 1.0).eval(diag, diag).tolist() == [0.0] * 4
+    # every shipped kernel's eval on the diagonal and dt_eval return arrays of the broadcast shape
     s, t = np.array([0.2, 0.3, 0.5]), np.array([[0.6], [1.0]])
     for spec in (brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0), kernel):
-        assert isinstance(spec.diag_limit(s), np.ndarray) and spec.diag_limit(s).shape == (3,)
+        assert isinstance(spec.eval(s, s), np.ndarray) and spec.eval(s, s).shape == (3,)
         assert isinstance(spec.dt_eval(t, s), np.ndarray) and spec.dt_eval(t, s).shape == (2, 3)
 
 
@@ -470,7 +470,7 @@ def test_grid_kernel_psi_matches_the_exact_kernel_up_to_the_horizon(tmp_path):
     # [T - h, T] mixed in the zero upper triangle: K(s, s) read 0.75 and psi was off by up to 1.6 there
     kernel, h = _exp_grid_kernel(tmp_path, 257), 1.0 / 256
     s = np.linspace(0.0, 1.0, 2001)
-    assert np.max(np.abs(kernel.diag_limit(s) - 1.0)) < 2e-3  # 9.7e-4 measured, O(h) in the last cell
+    assert np.max(np.abs(kernel.eval(s, s) - 1.0)) < 2e-3  # 9.7e-4 measured, O(h) in the last cell
     for basis in (BasisFamily("cosine"), BasisFamily("legendre")):
         err = np.max(np.abs(kernel.psi(basis, np.arange(1, 5), s) - EXACT_EXP.psi(basis, np.arange(1, 5), s)), axis=0)
         assert np.max(err[s <= 1.0 - h]) < 2e-5, basis.kind  # 7.2e-6 / 1.1e-5 measured
@@ -591,6 +591,47 @@ class Affine(KernelSpec):
 
     def dt_eval(self, t, s):
         return self.a + 0.0 * np.asarray(s)
+
+
+class CountingPower(KernelSpec):
+    """K(t, s) = (1 + t - s) s^g0 on s <= t, counting its eval calls; every other piece is derived."""
+
+    name = "counting-power"
+
+    def __init__(self, g0):
+        super().__init__(1.0)
+        self.origin_exponent, self.calls = g0, 0
+
+    def eval(self, t, s):
+        self.calls += 1
+        return np.where(s <= t, (1.0 + t - s) * s**self.origin_exponent, 0.0)
+
+
+@pytest.mark.parametrize("g0", [0.0, -0.3])
+@pytest.mark.parametrize("kind", ["cosine", "legendre"])
+def test_derived_mtilde_evaluates_the_kernel_once_at_each_node(kind, g0, monkeypatch):
+    # one quad_singular_smooth over (modes, times, nodes); each row is the one-mode quadrature, bit for bit
+    basis, kernel = BasisFamily(kind, 1.0), CountingPower(g0)
+    ks = (1, 2, 5, 9)
+
+    def one_mode_rows(t):
+        integrals = [
+            quad_singular_smooth(lambda s: kernel.eval(t[..., None], s) * basis.eval(k, s) * s**-g0, 0.0, t, g0)
+            for k in ks
+        ]
+        kernel.calls -= len(ks)  # the reference's own eval calls
+        return np.array(integrals)
+
+    t = np.array([0.05, 0.4, 1.0])
+    assert kernel.mtilde(basis, ks, t).tobytes() == one_mode_rows(t).tobytes()
+    assert kernel.calls == 1
+    kernel.mtilde(basis, ks, t)
+    assert kernel.calls == 1  # the memo answers a repeated request
+    # over _MTILDE_BLOCK (mode, time) pairs the times go in blocks: K once per block, still once at each node
+    monkeypatch.setattr(kernels, "_MTILDE_BLOCK", 8)
+    t = np.array([0.05, 0.2, 0.4, 0.7, 1.0])
+    assert kernel.mtilde(basis, ks, t).tobytes() == one_mode_rows(t).tobytes()
+    assert kernel.calls == 1 + 3
 
 
 def test_derived_pieces_read_their_own_kernel():

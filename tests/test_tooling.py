@@ -1,10 +1,11 @@
 """The commands that leave scipy unloaded and the shipped demos, each run in a
 fresh interpreter, the benchmark's per-layer span names against the
 library's public API, the kernel protocol's rules that the shipped kernels
-override only protocol methods, derive diag_limit and are named only in
+override only protocol methods and are named only in
 kernels.py and that no class assigns the retired ``adapted`` flag, the rule that every defaulted parameter of a
 public function is set by some call, the rules that the library never calls
-the built-in sum or quad_singular, that it imports no scipy and declares
+the built-in sum or quad_singular and builds Gauss-Jacobi rules only in
+basis.py and kernels.py, that it imports no scipy and declares
 exactly its third-party imports as runtime dependencies, that every kernel
 spec's M~ goes through the one memo, which no module but kernels.py gets
 round by a private kernels name or an M~ piece, that the horizon, time-array
@@ -120,7 +121,7 @@ def test_benchmark_per_layer_spans_name_traced_public_functions():
 
 # what a kernel class may define: the protocol's attributes and methods; a private helper of its own is fine
 PROTOCOL = {"name", "singularity", "origin_exponent", "gamma0", "__init__"} | {
-    "eval", "diag_limit", "dt_eval", "dt_smooth", "psi", "_mtilde", "kstar"
+    "eval", "dt_eval", "dt_smooth", "psi", "_mtilde", "kstar"
 }
 SHIPPED_KERNEL_CLASSES = {"_Brownian", "_Fbm", "_Grid"}
 
@@ -169,7 +170,6 @@ def test_shipped_kernels_override_only_protocol_methods():
     for cls in classes:
         assert cls.__bases__ == (KernelSpec,), cls
         assert _beyond_the_protocol(cls) == [], cls
-        assert "diag_limit" not in vars(cls), cls  # K(s+, s) is K(s, s), which the base class reads from eval
     # ... and no module outside kernels.py names those classes: consumers see only KernelSpec
     found = {
         str(path.relative_to(ROOT)): sorted(hits)
@@ -269,10 +269,10 @@ def test_library_makes_no_builtin_sum_call():
     assert _builtin_sum_calls(ast.parse("x = sum(v)\ny = np.sum(v) + v.sum()")) == [1]
 
 
-def _quad_singular_calls(tree):
-    # line of each call of quad_singular, by its bare name or as a module attribute
+def _calls_of(name, tree):
+    # line of each call of ``name``, by its bare name or as a module attribute
     calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
-    return [n.lineno for n in calls if "quad_singular" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+    return [n.lineno for n in calls if name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
 
 
 def test_library_makes_no_quad_singular_call():
@@ -281,12 +281,22 @@ def test_library_makes_no_quad_singular_call():
     found = {
         path.name: hits
         for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
-        if (hits := _quad_singular_calls(ast.parse(path.read_text())))
+        if (hits := _calls_of("quad_singular", ast.parse(path.read_text())))
     }
     assert found == {}
     # the check sees either spelling, and leaves quad_singular_smooth alone
     sample = "a = quad_singular(f, 0, 1, -0.5)\nb = basis.quad_singular(f, 0, 1, -0.5)\nc = quad_singular_smooth(g, 0, 1, -0.5)"
-    assert _quad_singular_calls(ast.parse(sample)) == [1, 2]
+    assert _calls_of("quad_singular", ast.parse(sample)) == [1, 2]
+
+
+def test_only_basis_and_kernels_build_gauss_jacobi_rules():
+    # a kernel-basis pairing takes its rule from quad_singular_smooth, so no other module builds one by hand
+    found = {
+        path.name: hits
+        for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
+        if path.name not in ("basis.py", "kernels.py") and (hits := _calls_of("jacobi01", ast.parse(path.read_text())))
+    }
+    assert found == {}
 
 
 def _top_level_imports(tree):
