@@ -39,7 +39,7 @@ from .kernels import (
     op_norm_bound,
     op_norm_estimate,
 )
-from .multiindex import Truncation, _check_integer, _check_table_size
+from .multiindex import Truncation, _check_integer, _check_table_size, _tables
 from .sde import solve_closed_form, solve_picard
 from .verify import run_suite
 
@@ -147,15 +147,22 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"integrate reads no {refused[0]}")
     basis = cfg.make_basis()
     if args.integrand == "w-path":
-        eta = brownian_path_integrand(cfg.truncation(), basis)
+        trunc = cfg.truncation()
     else:
         with open(args.integrand) as fh:
             eta = HValuedChaos.from_dict(json.load(fh))
+        trunc = eta.trunc
         # the file holds its own truncation: a modes or order given must name it, not be ignored
-        own = (eta.trunc.modes, eta.trunc.max_order)
+        own = (trunc.modes, trunc.max_order)
         named = (cfg.modes if "modes" in given else own[0], cfg.order if "order" in given else own[1])
-        if Truncation(*named) != eta.trunc:
+        if Truncation(*named) != trunc:
             raise ConfigurationError(f"the integrand file is on truncation {own}, not {named}")
+    if args.mode != "strat":
+        # the Ito output lives on (K, N + 1): its tables refuse an over-budget result before the
+        # integrand or the pairing is built, and within budget fill the cache ito_integral reads
+        _tables(Truncation(trunc.modes, trunc.max_order + 1))
+    if args.integrand == "w-path":
+        eta = brownian_path_integrand(trunc, basis)
     if args.mode == "ito":
         result = ito_integral(eta)
     elif args.mode == "strat":

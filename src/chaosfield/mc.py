@@ -10,9 +10,12 @@ counter, key and buffer element by element, and a Python int converts
 without the numpy-scalar round trip an array element costs on every row.
 
 The discrete-time estimators sum in blocks of ``_ROW_BLOCK`` rows, writing
-each block's terms into two buffers allocated once per call, so nothing
-(n, grid)-sized or block-sized is allocated per block; each row's pairwise
-sum is unchanged, so are the bits.
+each block's terms into flat buffers allocated once per call, so nothing
+(n, grid)-sized or block-sized is allocated per block.  The terms are taken
+over each block's flat span of rows x points, so each ufunc is one
+contiguous pass rather than one inner loop per row; the terms that pair a
+row's last point with the next row's first are computed but never summed.
+Each row's pairwise sum is unchanged, so are the bits.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .multiindex import Truncation, _check_integer
 # units on exactly agreeing Stratonovich batches (Brownian and fBm paths).
 ROUNDOFF_FACTOR = 8.0
 
-# Rows per block of the discrete-time estimators: each of their two 128 x 256 float64 buffers is 262 kB.
+# Rows per block of the discrete-time estimators: at 257 points each of their flat float64 buffers
+# (two, three for a path that is not C-ordered) is 263 kB.
 _ROW_BLOCK = 128
 
 
@@ -101,37 +105,59 @@ def _check_paths(x, y):
 
 
 def _row_sums(term, x, y):
-    """sum of term(x_rows, y_rows, out, tmp) along the last axis, ``_ROW_BLOCK`` rows at a time.
+    """sum of term(x_rows, y_rows, span, out, tmp) along the last axis, ``_ROW_BLOCK`` rows at a time.
 
-    ``term`` writes a block's terms into ``out`` through ``tmp``, two
-    (rows, n - 1) buffers allocated once per call.  Leading axes of any rank
-    are flattened into rows; a 1-D path gives a numpy scalar.
+    ``term`` takes a block's terms over its flat span: ``span(rows)`` is the
+    block's b rows of m points as one contiguous vector, and the terms of
+    its pairs (i, i + 1) go into ``out`` through ``tmp``, flat buffers
+    allocated once per call.  So each ufunc is one contiguous pass; over the
+    (b, m - 1) views ``x[:, :-1]`` and ``x[:, 1:]`` numpy runs one inner loop
+    per row.  The term pairing a row's last point with the next row's first
+    lands in the last column of ``out``'s (b, m) view, and ``np.sum`` reads
+    only the first m - 1 columns, so it is computed but never summed: each
+    row sums the values of the one-shot sum in its order, with its bits.
+    ``span`` copies a block that is not C-contiguous into one more such
+    buffer, never the whole input.  Leading axes of any rank are flattened
+    into rows; a 1-D path gives a numpy scalar.
     """
     x, y = _check_paths(x, y)
-    lead = x.shape[:-1]
-    x2 = x.reshape(math.prod(lead), x.shape[-1])
+    lead, m = x.shape[:-1], x.shape[-1]
+    x2 = x.reshape(math.prod(lead), m)
     y2 = y.reshape(x2.shape)
     out = np.empty(len(x2))
-    terms, tmp = (np.empty((min(_ROW_BLOCK, len(x2)), max(x2.shape[1] - 1, 0))) for _ in range(2))
+    size = min(_ROW_BLOCK, len(x2)) * m
+    terms, tmp = np.empty(size), np.empty(size)
+    copy = None if x2.flags.c_contiguous and y2.flags.c_contiguous else np.empty(size)
+
+    def span(rows):
+        if rows.flags.c_contiguous:
+            return rows.ravel()
+        flat = copy[: rows.size]
+        np.copyto(flat.reshape(rows.shape), rows)
+        return flat
+
     for start in range(0, len(x2), _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        block = terms[: len(x2[rows])]
-        term(x2[rows], y2[rows], block, tmp[: len(block)])
-        np.sum(block, axis=-1, out=out[rows])
+        n = x2[rows].size
+        term(x2[rows], y2[rows], span, terms[: n - 1], tmp[: n - 1])
+        np.sum(terms[:n].reshape(-1, m)[:, : m - 1], axis=-1, out=out[rows])
     return out.reshape(lead)[()]
 
 
-def _ito_terms(x, y, out, tmp):
+def _ito_terms(x, y, span, out, tmp):
     # X(t_i) (Y(t_{i+1}) - Y(t_i)), np.diff's subtraction
-    np.subtract(y[:, 1:], y[:, :-1], out=out)
-    np.multiply(x[:, :-1], out, out=out)
+    ys = span(y)
+    np.subtract(ys[1:], ys[:-1], out=out)
+    np.multiply(span(x)[:-1], out, out=out)
 
 
-def _strat_terms(x, y, out, tmp):
+def _strat_terms(x, y, span, out, tmp):
     # (0.5 (X(t_i) + X(t_{i+1}))) (Y(t_{i+1}) - Y(t_i)), in the one-shot expression's order
-    np.add(x[:, :-1], x[:, 1:], out=out)
+    xs = span(x)
+    np.add(xs[:-1], xs[1:], out=out)
     np.multiply(0.5, out, out=out)
-    np.multiply(out, np.subtract(y[:, 1:], y[:, :-1], out=tmp), out=out)
+    ys = span(y)
+    np.multiply(out, np.subtract(ys[1:], ys[:-1], out=tmp), out=out)
 
 
 def discrete_ito_batch(x, y) -> np.ndarray:

@@ -145,19 +145,30 @@ def _exponents(modes: int, max_order: int) -> np.ndarray:
 
     Rows are graded by order.  Within a grade, weight on earlier positions
     comes first (eps_1 before eps_2), i.e. descending lexicographic order.
+    Each step over one more position keeps only its row map and its new
+    first column; the table is filled from the last step backwards, in time
+    linear in its size rather than regathering the table at every step.
     """
     size = math.comb(max_order + modes, modes)
     _check_table_size(size * modes, f"truncation ({modes}, {max_order})")
     orders = np.arange(max_order + 1)
-    table, order = orders[:, None].astype(np.int32), orders  # I(1, max_order) and each row's order
+    order, steps = orders, []  # each row's order over the positions so far: I(1, max_order)
     for j in range(1, modes):
         # grade n over j + 1 positions is, for first = n..0, first followed by the rows of order
         # n - first over j positions: together, the first C(n + j, j) rows of the table, in order
         ends = [math.comb(n + j, j) for n in range(max_order + 1)]
         take = np.concatenate([np.arange(end) for end in ends])
         grade = np.repeat(orders, ends)
-        table = np.concatenate(((grade - order[take])[:, None], table[take]), axis=1, dtype=np.int32)
+        steps.append((take, grade - order[take]))
         order = grade
+    # step j's table is its new first column beside the rows ``take`` of step j - 1's, so column c
+    # of the last table is read through the takes of the steps after position c, newest first
+    table = np.empty((size, modes), dtype=np.int32)
+    idx = np.arange(size)
+    for col, (take, first) in enumerate(reversed(steps)):
+        table[:, col] = first[idx]
+        idx = take[idx]
+    table[:, -1] = orders[idx]
     return table
 
 

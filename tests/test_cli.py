@@ -202,6 +202,25 @@ def test_integrate_oversized_json_integrand_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+OVER_BUDGET_OUTPUT = "configuration error: truncation (1500, 2) needs 1690876500 table entries"
+
+
+@pytest.mark.parametrize("mode", ["ito", "field-ito"])
+def test_integrate_refuses_an_over_budget_output_before_building_the_integrand(mode, monkeypatch, capsys):
+    # (1500, 1) fits the table budget, but its Ito output (1500, 2) does not; the path integrand took seconds first
+    monkeypatch.setattr(cli, "brownian_path_integrand", lambda *args: pytest.fail("integrand built before refusing"))
+    assert main(["integrate", "--mode", mode, "--modes", "1500", "--order", "1"]) == 2
+    assert capsys.readouterr().err.startswith(OVER_BUDGET_OUTPUT)
+
+
+def test_integrate_refuses_an_over_budget_output_right_after_reading_the_integrand(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps({"trunc": {"modes": 1500, "max_order": 1}, "coeffs": []}))
+    monkeypatch.setattr(cli, "field_ito_integral", lambda *args: pytest.fail("pairing built before refusing"))
+    assert main(["integrate", "--mode", "field-ito", "--integrand", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(OVER_BUDGET_OUTPUT)
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kernel": "fbm", "hurst": 0.9, "modes": 3, "order": 2, "grid": 8}))

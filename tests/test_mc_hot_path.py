@@ -97,14 +97,36 @@ def brownian_paths(shape, seed=11):
     return np.cumsum(steps, axis=-1), np.cumsum(steps[..., ::-1], axis=-1)
 
 
+def layouts(x):
+    """(name, path, its values as a C-ordered float64 array): the layouts and dtypes an estimator must take."""
+    wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
+    wide[..., ::2] = x
+    tall = np.zeros((2 * x.shape[0],) + x.shape[1:])
+    tall[::2] = x
+    single, whole = x.astype(np.float32), np.rint(x * 1000).astype(np.int64)
+    return [
+        ("c", x, x),
+        ("fortran", np.asfortranarray(x), x),
+        ("column-strided", wide[..., ::2], x),
+        ("row-strided", tall[::2], x),
+        ("transposed", np.ascontiguousarray(x.swapaxes(0, -1)).swapaxes(0, -1), x),
+        ("float32", single, single.astype(float)),
+        ("int64", whole, whole.astype(float)),
+    ]
+
+
 @pytest.mark.parametrize("estimator, ref", ESTIMATORS, ids=["ito", "strat"])
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 2000])
 def test_blocked_sums_bit_equal_to_one_shot(estimator, ref, rows):
+    # the one-shot sum is taken over C-ordered float64 paths; every layout and dtype gives its bits
     x, y = brownian_paths((rows, 257))
-    got = estimator(x, y)
-    assert got.shape == (rows,)
-    assert got.tobytes() == ref(x, y).tobytes()
-    assert estimator(x, x).tobytes() == ref(x, x).tobytes()
+    for (name, xl, xc), (_, yl, yc) in zip(layouts(x), layouts(y)):
+        want = ref(xc, yc).tobytes()
+        got = estimator(xl, yl)
+        assert got.shape == (rows,), name
+        assert got.tobytes() == want, name
+        assert estimator(xl, xl).tobytes() == ref(xc, xc).tobytes(), name
+        assert estimator(xl, yc).tobytes() == estimator(xc, yl).tobytes() == want, name
 
 
 @pytest.mark.parametrize("estimator, ref", ESTIMATORS, ids=["ito", "strat"])
@@ -113,6 +135,11 @@ def test_blocked_sums_keep_the_shape_contract(estimator, ref):
     got = estimator(x, y)
     assert got.shape == (3, 5)
     assert got.tobytes() == ref(x, y).tobytes()
+    for (name, xl, xc), (_, yl, yc) in zip(layouts(x), layouts(y)):
+        assert estimator(xl, yl).tobytes() == ref(xc, yc).tobytes(), name
+        two = estimator(xl[..., :2], yl[..., :2])  # a 2-point grid: one increment, and a cross-row term per row
+        assert two.shape == (3, 5), name
+        assert two.tobytes() == ref(xc[..., :2].copy(), yc[..., :2].copy()).tobytes(), name
     one = estimator(x[0, 0], y[0, 0])  # a 1-D path gives a numpy scalar, not a 0-d array
     assert type(one) is np.float64
     assert one == got[0, 0] == ref(x[0, 0], y[0, 0])
@@ -123,15 +150,17 @@ def test_blocked_sums_keep_the_shape_contract(estimator, ref):
 
 
 def test_strat_sum_peak_memory_stays_in_row_blocks():
+    # one shot: four 2000 x 256 temporaries, 8.3 MB; a path that is not C-ordered is copied a block at a time
     x, _ = brownian_paths((2000, 257))
-    discrete_strat_batch(x, x)  # warm
-    tracemalloc.start()
-    try:
-        discrete_strat_batch(x, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1_000_000  # one shot: four 2000 x 256 temporaries, 8.3 MB
+    for name, xl, _ in layouts(x)[:4]:  # C-ordered, Fortran-ordered, column- and row-strided float64
+        discrete_strat_batch(xl, xl)  # warm
+        tracemalloc.start()
+        try:
+            discrete_strat_batch(xl, xl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000, name
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,10 @@ def ref_exponents(modes, max_order):
 
 
 def test_exponents_match_the_prepending_recursion():
-    # every (K, N) with K <= 16, N <= 8 and at most 200 000 table entries
-    cases = [(k, n) for k in range(1, 17) for n in range(9) if math.comb(n + k, k) * k <= 200_000]
-    assert len(cases) > 100
+    # every (K, N) with K <= 40, N <= 8 and at most 200 000 table entries, and two large tables
+    cases = [(k, n) for k in range(1, 41) for n in range(9) if math.comb(n + k, k) * k <= 200_000]
+    cases += [(60, 3), (1000, 1)]
+    assert len(cases) > 200
     for modes, max_order in cases:
         got, want = _exponents(modes, max_order), ref_exponents(modes, max_order)
         assert np.array_equal(got, want), (modes, max_order)
