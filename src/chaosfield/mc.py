@@ -97,8 +97,7 @@ def synthesize_paths(
 
 
 def _check_paths(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x), np.asarray(y)  # any dtype: ``_row_sums`` casts a block at a time
     if x.shape != y.shape:
         raise ConfigurationError("integrand and integrator paths must share a grid")
     return x, y
@@ -116,9 +115,10 @@ def _row_sums(term, x, y):
     lands in the last column of ``out``'s (b, m) view, and ``np.sum`` reads
     only the first m - 1 columns, so it is computed but never summed: each
     row sums the values of the one-shot sum in its order, with its bits.
-    ``span`` copies a block that is not C-contiguous into one more such
-    buffer, never the whole input.  Leading axes of any rank are flattened
-    into rows; a 1-D path gives a numpy scalar.
+    ``span`` copies a block that is not C-contiguous float64 into one more
+    such buffer, cast as ``np.asarray(x, dtype=float)`` would (a float32 or
+    integer path casts exactly), never the whole input.  Leading axes of any
+    rank are flattened into rows; a 1-D path gives a numpy scalar.
     """
     x, y = _check_paths(x, y)
     lead, m = x.shape[:-1], x.shape[-1]
@@ -127,13 +127,14 @@ def _row_sums(term, x, y):
     out = np.empty(len(x2))
     size = min(_ROW_BLOCK, len(x2)) * m
     terms, tmp = np.empty(size), np.empty(size)
-    copy = None if x2.flags.c_contiguous and y2.flags.c_contiguous else np.empty(size)
+    direct = all(a.flags.c_contiguous and a.dtype == np.float64 for a in (x2, y2))
+    copy = None if direct else np.empty(size)
 
     def span(rows):
-        if rows.flags.c_contiguous:
+        if rows.flags.c_contiguous and rows.dtype == np.float64:
             return rows.ravel()
         flat = copy[: rows.size]
-        np.copyto(flat.reshape(rows.shape), rows)
+        np.copyto(flat.reshape(rows.shape), rows, casting="unsafe")
         return flat
 
     for start in range(0, len(x2), _ROW_BLOCK):

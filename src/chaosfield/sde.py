@@ -319,10 +319,6 @@ def solve_closed_form(
 # Picard / collocation solver
 
 
-# Gauss nodes of each sub-quadrature in the Picard integration operator
-_SUB_NODES = 32
-
-
 def _lagrange_eval(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix L[j, m] = ell_j(x_m) for the Lagrange basis on ``nodes``, by the barycentric formula."""
     diff = nodes[:, None] - nodes[None, :]
@@ -342,12 +338,13 @@ def _lagrange_eval(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # solve_picard's mesh: _UNIFORM equal panels, the first split into _LAYERS geometric
-# layers of ratio _RATIO (sigma, each layer's outer edge over the next one's), _NODES
-# Gauss-Legendre nodes a panel
+# layers of ratio _RATIO (sigma, each layer's outer edge over the next one's) when m~
+# carries a power s^gamma0 at the origin, _NODES Gauss-Legendre nodes a panel
 _UNIFORM = 6
 _LAYERS = 12
 _RATIO = 0.2
 _NODES = 20
+_TIME_BLOCK = 2**16  # entries of a block of solve_picard's output rows: its temporaries stay near 0.5 MB
 
 
 class _CollocationGrid:
@@ -360,11 +357,8 @@ class _CollocationGrid:
     exponentially in their count, where an algebraically graded mesh resolves
     it only algebraically (the hp idea of Brunner and Schoetzau, SIAM J.
     Numer. Anal. 44, 2006).  Every panel is an affine image of the reference
-    panel [-1, 1] with the Gauss-Legendre nodes ``ref_nodes``, so one Lagrange
-    table on those nodes serves all panels.  The first panel, about 6.8e-10 T
-    wide on the solver's mesh, needs no Gauss-Jacobi rule for m~'s weight
-    s^gamma0: Gauss-Legendre there moves the operator by at most 1.7e-12 of its
-    largest entry.
+    panel [-1, 1] with the Gauss-Legendre nodes ``ref_nodes``: ``points``
+    holds the nodes of each panel and ``half`` each panel's half-width.
     """
 
     def __init__(self, horizon: float, uniform: int, layers: int, nodes: int):
@@ -374,65 +368,59 @@ class _CollocationGrid:
         self.edges = np.concatenate(([0.0], h * _RATIO ** np.arange(layers, 0, -1), h * np.arange(1, uniform + 1)))
         self.edges[-1] = horizon
         self.ref_nodes, _ = _leggauss(nodes)
+        self.half = 0.5 * np.diff(self.edges)[:, None]
+        self.points = self.edges[:-1, None] + self.half * (self.ref_nodes + 1.0)
 
-    def interp_matrix(self, times: np.ndarray) -> np.ndarray:
-        """E[i, m] mapping node values to values at ``times`` panelwise."""
-        q = self.nodes
-        idx = np.clip(np.searchsorted(self.edges, times, side="right") - 1, 0, self.panels - 1)
-        lo, hi = self.edges[idx], self.edges[idx + 1]
-        out = np.zeros((len(times), self.panels, q))
-        out[np.arange(len(times)), idx] = _lagrange_eval(self.ref_nodes, 2.0 * (times - lo) / (hi - lo) - 1.0).T
-        return out.reshape(len(times), -1)
+    def interpolate(self, u: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Values at ``times`` of the panelwise interpolants of node values u (rows, panels, nodes): (len(times), rows).
+
+        Each time reads only its own panel's nodes, and the times go in blocks
+        of about ``_TIME_BLOCK`` output entries, so no temporary grows with
+        the number of times.
+        """
+        out = np.empty((len(times), len(u)))
+        step = max(1, _TIME_BLOCK // max(len(u), self.nodes))
+        for start in range(0, len(times), step):
+            t, block = times[start : start + step], out[start : start + step]
+            idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.panels - 1)
+            order = np.argsort(idx, kind="stable")  # the block's times panel by panel
+            lo, hi = self.edges[idx], self.edges[idx + 1]
+            lag = _lagrange_eval(self.ref_nodes, (2.0 * (t - lo) / (hi - lo) - 1.0)[order]).T
+            bounds = np.searchsorted(idx[order], np.arange(self.panels + 1))
+            for p in np.flatnonzero(np.diff(bounds)):
+                a, b = bounds[p], bounds[p + 1]
+                block[order[a:b]] = lag[a:b] @ u[:, p].T
+        return out
 
 
-@lru_cache(maxsize=8)  # one key per (nodes, sub) in use; the default mesh's tables take 0.29 MB
-def _sub_node_tables(nodes: int, sub: int):
-    """(frac, xi, lt, l) of ``_integration_matrix``: they depend on the two node counts only, so they are read-only."""
-    ref_nodes, _ = _leggauss(nodes)
-    xg, _ = _leggauss(sub)
-    frac = np.append(0.5 * (ref_nodes + 1.0), 1.0)  # (x_m - a) / (b - a), the whole panel last
-    # the sub-nodes in reference coordinates; the whole-panel row is the rule's own nodes, exactly
-    xi = np.vstack([frac[:nodes, None] * (xg + 1.0) - 1.0, xg])
-    lt = _lagrange_eval(xg, xi.ravel())
-    l = _lagrange_eval(ref_nodes, xi.ravel()).reshape(nodes, nodes + 1, sub)
-    for table in (frac, xi, lt, l):
-        table.flags.writeable = False
-    return frac, xi, lt, l
+@lru_cache(maxsize=4)  # one key per node count in use; 3.4 kB at 20 nodes
+def _volterra_matrix(nodes: int) -> np.ndarray:
+    """C[j, m] = int_{-1}^{x_m} ell_j, and C[j, nodes] = w_j = int_{-1}^{1} ell_j; read-only.
 
-
-def _integration_matrix(grid: _CollocationGrid, gamma0: float, psi) -> np.ndarray:
-    """The Volterra operator v -> int_0^{x_m} v~(s) m~_k(s) ds, every mode, as per-panel blocks.
-
-    v~ is the panelwise Lagrange interpolant of the node values v and
-    m~_k(s) = s^gamma0 psi_k(s), where ``psi(s)`` returns psi_k(s) for all
-    modes at once, shape (modes, len(s)).  The result has shape
-    (modes, panels, nodes, nodes + 1): [k, p, j, m] weights node j of panel p
-    in the integral from the panel's left edge up to its node m, and column
-    m = nodes in the integral over the whole panel, which every later panel adds.
-
-    All is built in panel coordinates.  The sub-quadrature from a panel's
-    left edge up to reference point x_m has its nodes at
-    xi = -1 + (x_m + 1)(xg + 1)/2 in every panel, so one Lagrange table on
-    the collocation nodes serves all panels.  psi is evaluated only at the
-    nodes of each panel's whole-panel rule, and one Lagrange table on those
-    nodes interpolates it to the other sub-nodes; s^gamma0 is exact at each.
-    Every panel, the first included, takes this one Gauss-Legendre rule: the
-    s^gamma0 weight at the origin gets no Gauss-Jacobi rule of its own, since
-    the first panel of the solver's mesh is only (T/6) 0.2^12, about 6.8e-10 T,
-    wide.  There the operator is within 1.7e-12 max|op| of the one with the
-    weight integrated exactly, for H from 0.501 to 0.999.
+    ell_j is the Lagrange basis on the ``nodes`` Gauss-Legendre nodes x of
+    [-1, 1], with weights w.  Each partial integral takes the same rule mapped
+    onto [-1, x_m], which is exact for ell_j's degree nodes - 1, and the last
+    column is the rule's own weights.
     """
-    q, sub = grid.nodes, _SUB_NODES
-    _, wg = _leggauss(sub)
-    frac, xi, lt, l = _sub_node_tables(q, sub)
-    a, b = grid.edges[:-1], grid.edges[1:]
-    half = 0.5 * (b - a)[:, None, None]
-    s = a[:, None, None] + half * (xi + 1.0)  # (panels, q + 1, sub)
-    table = psi(s[:, q].ravel())  # psi on the whole-panel nodes only
-    modes = len(table)
-    # the mode axis stays a batch axis in every product, so each mode's bits do not depend on the others
-    mt = s**gamma0 * (table.reshape(modes, len(s), sub) @ lt).reshape((modes,) + s.shape)
-    return np.einsum("jms,kpms->kpjm", l, half * np.outer(frac, wg) * mt)
+    x, w = _leggauss(nodes)
+    frac = 0.5 * (x + 1.0)  # (x_m + 1) / 2, the mapped rule's scale
+    sub = frac[:, None] * (x + 1.0) - 1.0  # sub[m, i]: node i of the rule on [-1, x_m]
+    c = np.empty((nodes, nodes + 1))
+    c[:, :nodes] = (_lagrange_eval(x, sub.ravel()).reshape(nodes, nodes, nodes) @ w) * frac
+    c[:, nodes] = w
+    c.flags.writeable = False
+    return c
+
+
+def _kernel_at_nodes(grid: _CollocationGrid, gamma0: float, psi) -> np.ndarray:
+    """m~_k(x) (b - a)/2 = x^gamma0 psi_k(x) (b - a)/2 at every node x of every panel [a, b]: shape (modes, panels, nodes).
+
+    ``psi(s)`` returns psi_k(s) for all modes at once, shape (modes, len(s)),
+    and is asked only at the panels' nodes.  The half-width maps an integral
+    over a panel onto the reference panel of ``_volterra_matrix``.
+    """
+    x = grid.points
+    return psi(x.ravel()).reshape((-1,) + x.shape) * (x**gamma0 * grid.half)
 
 
 def solve_picard(
@@ -443,35 +431,55 @@ def solve_picard(
 ) -> PropagatorSolution:
     """Solve the triangular coefficient system by induction on |alpha|.
 
-    Product-integration collocation: each u_alpha is represented by its values
-    at the ``_NODES`` Gauss-Legendre nodes of each panel of ``_CollocationGrid``
-    (``_UNIFORM`` equal panels, the first split into ``_LAYERS`` geometric ones),
-    and the Volterra integral is a precomputed block per panel and mode plus
-    the panel's whole-span row, all modes built together.
-    Only the Ito interpretation is solved: the Stratonovich form couples each
-    coefficient to higher-order ones, so its system is not triangular.
+    Collocation of the Volterra system (the Nystrom form; Brunner,
+    Collocation Methods for Volterra Integral and Related Functional
+    Equations, CUP 2004): each u_alpha is represented by its values at the
+    ``_NODES`` Gauss-Legendre nodes of each panel of ``_CollocationGrid``.
+    Since the system is linear, u_alpha is one Volterra integral of the
+    summed integrand g_alpha = sum_k sqrt(alpha_k) m~_k u_{alpha - eps_k},
+    and integrating g_alpha's panelwise interpolant takes one matrix that
+    does not depend on the mode, ``_volterra_matrix``: the mode enters only
+    through m~_k at the nodes.  The grades run on v_alpha = u_alpha /
+    sqrt(alpha!), whose system has no weights.  The mesh has ``_UNIFORM``
+    equal panels, the first split into ``_LAYERS`` geometric ones only where
+    m~ carries the power s^gamma0 (fBm); the Brownian and grid kernels'
+    integrands are smooth at the origin.  Only the Ito interpretation is
+    solved: the Stratonovich form couples each coefficient to higher-order
+    ones, so its system is not triangular.
     """
     tables = _tables(trunc)  # checks the truncation's size before any quadrature
-    panels = _UNIFORM + _LAYERS  # u below holds one value per coefficient, panel and node: checked here too
+    layers = _LAYERS if kernel.gamma0 else 0
+    panels = _UNIFORM + layers  # v below holds one value per coefficient, panel and node: checked here too
     _check_table_size(len(tables.exponents) * panels * _NODES, f"Picard on {panels} panels of {_NODES}")
     times = _check_times(grid)
     mt = kernel.mtilde(basis, range(1, trunc.modes + 1), times).T.copy()  # checks the times before the operator is built
-    cgrid = _CollocationGrid(basis.horizon, _UNIFORM, _LAYERS, _NODES)
+    cgrid = _CollocationGrid(basis.horizon, _UNIFORM, layers, _NODES)
     modes = np.arange(1, trunc.modes + 1)
-    ops = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
+    km = _kernel_at_nodes(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s)).reshape(trunc.modes, -1)
+    c = _volterra_matrix(_NODES)
 
-    # grade by grade: u_alpha = sum_k sqrt(alpha_k) W_k u_{alpha - eps_k}, one product per (grade, mode)
-    nodes = cgrid.nodes
-    u = np.zeros((len(tables.exponents), cgrid.panels, nodes))
-    u[0] = 1.0
+    # v_alpha = u_alpha / sqrt(alpha!) solves the system without its weights: v_alpha = sum_{k: alpha_k > 0}
+    # int_0^t m~_k v_{alpha - eps_k}.  Grade by grade (the enumeration is graded), alpha = beta + eps_k over
+    # the previous grade's rows beta; within a grade the rows with alpha_1 > 0 come first, in their beta's order
+    nodes, size = _NODES, len(tables.exponents)
+    v = np.empty((size, panels, nodes))
+    v[0] = 1.0
+    flat = v.reshape(size, -1)
+    starts = np.searchsorted(tables.orders, np.arange(trunc.max_order + 2))
+    term = np.empty_like(flat)
     for grade in range(1, trunc.max_order + 1):
-        rows = np.nonzero(tables.orders == grade)[0]
-        for k in range(trunc.modes):
-            sel = rows[tables.down[rows, k] >= 0]
-            out = u[tables.down[sel, k]].transpose(1, 0, 2) @ ops[k]  # (panels, len(sel), nodes + 1)
-            out[1:, :, :nodes] += np.cumsum(out[:-1, :, nodes:], axis=0)  # the whole panels before p
-            u[sel] += np.sqrt(tables.exponents[sel, k])[:, None, None] * out[..., :nodes].transpose(1, 0, 2)
+        prev, rows = slice(starts[grade - 1], starts[grade]), slice(starts[grade], starts[grade + 1])
+        below = starts[grade] - starts[grade - 1]
+        g = np.empty((rows.stop - rows.start, panels * nodes))
+        np.multiply(flat[prev], km[0], out=g[:below])  # beta + eps_1 is row n of the grade for beta the n-th below
+        g[below:] = 0.0
+        for k in range(1, trunc.modes):  # each beta + eps_k is another alpha, so no row repeats in one scatter
+            g[tables.up[prev, k] - rows.start] += np.multiply(flat[prev], km[k], out=term[:below])
+        # v_alpha at node m of panel p: the partial integral over p, plus the whole panels before p
+        whole = g.reshape(-1, panels, nodes) @ c[:, nodes]
+        np.matmul(g.reshape(-1, nodes), c[:, :nodes], out=flat[rows].reshape(-1, nodes))
+        v[rows, 1:] += np.cumsum(whole[:, :-1], axis=1)[..., None]
 
-    coeffs = cgrid.interp_matrix(times) @ u.reshape(len(u), -1).T
+    coeffs = cgrid.interpolate(v, times)
+    coeffs /= tables.inv_sqrt_factorial
     return PropagatorSolution(trunc, times, coeffs, mt)
-

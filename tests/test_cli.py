@@ -546,12 +546,13 @@ def test_sde_grid_over_the_budget_exits_2_before_allocating(tmp_path, capsys):
 
 
 def test_sde_picard_over_the_budget_exits_2_before_building_its_operator(tmp_path, capsys, monkeypatch):
-    # (16, 6) holds 74 613 coefficients, inside the budget, but Picard's 74 613 x 18 x 20 array is not
+    # (16, 6) holds 74 613 coefficients, inside the budget, but Picard's fBm 74 613 x 18 x 20 array is not
     def unreachable(*args):
-        raise AssertionError("integration operator built before the collocation array was checked")
+        raise AssertionError("m~ taken at the collocation nodes before the collocation array was checked")
 
-    monkeypatch.setattr(sde, "_integration_matrix", unreachable)
-    err = run_refused(capsys, "sde", "--modes", "16", "--order", "6", "--grid", "2", "--out", str(tmp_path))
+    monkeypatch.setattr(sde, "_kernel_at_nodes", unreachable)
+    argv = ["sde", "--kernel", "fbm", "--modes", "16", "--order", "6", "--grid", "2", "--out", str(tmp_path)]
+    err = run_refused(capsys, *argv)
     assert "needs 26860680 table entries" in err
     assert not (tmp_path / "sde_solution.csv").exists()
 

@@ -488,8 +488,8 @@ def test_k1_empirical_bounds_a_negative_k1(tmp_path):
 
 
 def test_grid_kernel_picard_gap_shrinks_with_the_grid(tmp_path):
-    # closed form against Picard, Truncation(4, 3) on 33 times: 3.1e-4 / 2.1e-5 / 3.1e-6 (cosine) and
-    # 5.6e-6 (Legendre, 257) measured; with the last column skipped 3.0e-4 / 2.3e-4 / 7.7e-4, no shrinkage
+    # closed form against Picard, Truncation(4, 3) on 33 times: 3.1e-4 / 2.1e-5 / 1.5e-6 (cosine) and
+    # 2.7e-6 (Legendre, 257) measured; with the last column skipped 3.0e-4 / 2.3e-4 / 7.7e-4, no shrinkage
     trunc, times = Truncation(4, 3), np.linspace(0.0, 1.0, 33)
     kernels = [_exp_grid_kernel(tmp_path, points) for points in (17, 65, 257)]
     for basis in (BasisFamily("cosine"), BasisFamily("legendre")):

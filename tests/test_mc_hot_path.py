@@ -150,9 +150,10 @@ def test_blocked_sums_keep_the_shape_contract(estimator, ref):
 
 
 def test_strat_sum_peak_memory_stays_in_row_blocks():
-    # one shot: four 2000 x 256 temporaries, 8.3 MB; a path that is not C-ordered is copied a block at a time
+    # one shot: four 2000 x 256 temporaries, 8.3 MB; a path that is not C-ordered float64 is copied, and cast,
+    # a block at a time (a whole float32 path cast up front peaked at 8.8 MB)
     x, _ = brownian_paths((2000, 257))
-    for name, xl, _ in layouts(x)[:4]:  # C-ordered, Fortran-ordered, column- and row-strided float64
+    for name, xl, _ in layouts(x)[:4] + layouts(x)[5:]:  # C, Fortran, column- and row-strided float64; float32; int64
         discrete_strat_batch(xl, xl)  # warm
         tracemalloc.start()
         try:

@@ -3,7 +3,7 @@
 The reference functions below are the per-row, per-(t, k), per-alpha and
 per-node loops these routines were first written as.  M~ keeps the scalar
 arithmetic of each value and the CSV export its bytes, so both must agree
-exactly.  The integration operator and Picard sum in another order, and
+exactly.  Picard sums in another order than its per-alpha loop, and
 k1_empirical takes numpy's array power where the loop took the scalar one,
 so they agree to rounding: tolerances are a few units of float64 epsilon,
 scaled by the number of terms a value sums.  Quadratures and kernel
@@ -37,10 +37,10 @@ from chaosfield.kernels import (
 from chaosfield.multiindex import Truncation, enumerate_multiindices, index_map
 from chaosfield.sde import (
     PropagatorSolution,
-    _SUB_NODES,
     _CollocationGrid,
-    _integration_matrix,
+    _kernel_at_nodes,
     _lagrange_eval,
+    _volterra_matrix,
     solve_closed_form,
     solve_picard,
 )
@@ -67,74 +67,24 @@ def grid_kernel(tmp_path_factory):
 # reference implementations
 
 
-def ref_integration_matrix(grid, gamma0, psi, sub_nodes=32, exact_first=False):
-    """One quadrature per collocation row, as rows were first assembled: Gauss-Legendre on every panel.
-
-    With ``exact_first`` the first panel takes Gauss-Jacobi for the s^gamma0
-    weight instead, which integrates the weight exactly: the oracle for the
-    single rule on the solver's mesh.
-    """
-    p_count, q = grid.panels, grid.nodes
-    n = p_count * q
-    xg, wg = np.polynomial.legendre.leggauss(sub_nodes)
-    vj, wj = jacobi01(sub_nodes, 0.0, gamma0) if exact_first else (None, None)
-    lo, hi = grid.edges[:-1], grid.edges[1:]
-    panel_nodes = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * grid.ref_nodes[None, :]
-    w = np.zeros((n, n))
-    full = np.zeros((p_count, q))
-
-    def partial(p, upper):
-        a = grid.edges[p]
-        if upper <= a:
-            return np.zeros(q)
-        if p == 0 and exact_first:
-            s = upper * vj
-            weights = upper ** (gamma0 + 1.0) * wj
-            mt = np.asarray(psi(s), dtype=float)
-        else:
-            half = 0.5 * (upper - a)
-            s = a + half * (xg + 1.0)
-            weights = half * wg
-            mt = s**gamma0 * np.asarray(psi(s), dtype=float)
-        l = _lagrange_eval(panel_nodes[p], s)
-        return l @ (weights * mt)
-
-    for p in range(p_count):
-        full[p] = partial(p, grid.edges[p + 1])
-        for i in range(q):
-            row = p * q + i
-            w[row, p * q : (p + 1) * q] = partial(p, panel_nodes[p, i])
-            for prev in range(p):
-                w[row, prev * q : (prev + 1) * q] = full[prev]
-    return w
-
-
-def ref_table_integration_matrix(grid, gamma0, psi, sub_nodes=32):
-    """ref_integration_matrix with psi read off a table: inside partial(p, upper), psi at each
-    sub-node is the Lagrange interpolant of psi on the panel's whole-panel sub-nodes.
-
-    The sub-nodes of one call all lie inside one panel, which names the table.
-    """
-    xg, _ = np.polynomial.legendre.leggauss(sub_nodes)
-
-    def table_psi(s):
-        p = int(np.searchsorted(grid.edges, s[0], side="right")) - 1
-        a, b = grid.edges[p], grid.edges[p + 1]
-        nodes = a + 0.5 * (b - a) * (xg + 1.0)
-        return _lagrange_eval(nodes, s).T @ np.asarray(psi(nodes), dtype=float)
-
-    return ref_integration_matrix(grid, gamma0, table_psi, sub_nodes)
-
-
-def _dense(ops_k):
-    """The (n, n) matrix of one mode's block operator: each panel's block, and below it its whole-panel row."""
-    panels, q = ops_k.shape[:2]
+def ref_volterra(c, panels):
+    """The dense (n, n) Volterra operator of ``_volterra_matrix`` c on ``panels`` panels: node j of panel p'
+    weighs node m of panel p by c[j, m] when p' = p and by the whole-panel weight c[j, -1] when p' < p."""
+    q = len(c)
     w = np.zeros((panels * q, panels * q))
     for p in range(panels):
-        block = slice(p * q, (p + 1) * q)
-        w[block, block] = ops_k[p, :, :q].T
-        w[(p + 1) * q :, block] = ops_k[p, :, q]
+        w[p * q : (p + 1) * q, p * q : (p + 1) * q] = c[:, :q].T
+        w[(p + 1) * q :, p * q : (p + 1) * q] = c[:, q]
     return w
+
+
+def ref_interp_matrix(grid, times):
+    """E[i, (p, j)] = ell_j at time i when it lies in panel p: the dense matrix from node values to ``times``."""
+    idx = np.clip(np.searchsorted(grid.edges, times, side="right") - 1, 0, grid.panels - 1)
+    lo, hi = grid.edges[idx], grid.edges[idx + 1]
+    out = np.zeros((len(times), grid.panels, grid.nodes))
+    out[np.arange(len(times)), idx] = _lagrange_eval(grid.ref_nodes, 2.0 * (times - lo) / (hi - lo) - 1.0).T
+    return out.reshape(len(times), -1)
 
 
 def ref_fbm_mtilde(kernel, basis, k, t, jacobi_nodes=48):
@@ -165,19 +115,20 @@ def ref_fbm_mtilde_sum(kernel, basis, k, t):
     return float(t ** (hurst + 0.5) * np.dot(weights, basis._rows(k, t * rho)[k - 1]))
 
 
-def ref_picard_nodes(w_k, trunc):
-    """u_alpha at the collocation nodes by a loop over multi-indices."""
+def ref_picard_nodes(km, volterra, trunc):
+    """u_alpha at the collocation nodes by a loop over multi-indices: the Volterra integral of
+    sum_k sqrt(alpha_k) m~_k u_{alpha - eps_k}, with km[k] m~_k at the nodes and ``volterra`` the dense operator."""
     alphas = enumerate_multiindices(trunc)
     imap = index_map(trunc)
-    u = np.zeros((len(alphas), w_k[0].shape[0]))
+    u = np.zeros((len(alphas), volterra.shape[0]))
     u[0] = 1.0
     for j, alpha in enumerate(alphas):
         if alpha.order() == 0:
             continue
         acc = np.zeros(u.shape[1])
         for k, a in alpha.entries:
-            acc += math.sqrt(a) * (w_k[k - 1] @ u[imap[sub_eps(alpha, k)]])
-        u[j] = acc
+            acc += math.sqrt(a) * km[k - 1] * u[imap[sub_eps(alpha, k)]]
+        u[j] = volterra @ acc
     return u
 
 
@@ -254,7 +205,7 @@ def ref_export_csv(sol):
 
 
 # ---------------------------------------------------------------------------
-# integration matrices
+# the Volterra operator
 
 
 def _kernels(grid_kernel):
@@ -266,63 +217,47 @@ def _kernels(grid_kernel):
     ]
 
 
-@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
-def test_integration_matrix_matches_row_loop(basis, grid_kernel):
-    cgrid = _CollocationGrid(1.0, 3, 3, 5)  # 6 panels: 2 equal ones, the first split into 4
-    for name, kernel in _kernels(grid_kernel):
-        modes = (1, 3)
-        batched = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))
-        assert batched.shape == (len(modes), 6, 5, 6)
-        for k, ops_k in zip(modes, batched):
-            got = _dense(ops_k)
-            gamma0, psi = kmk_factor(kernel, basis, k)
-            # the grid kernel's derived psi has kinks at the CSV's s nodes, so its pointwise
-            # operator differs from the tabulated one by ~2e-3; the analytic kernels' do not
-            ref = (ref_table_integration_matrix if name == "grid" else ref_integration_matrix)(cgrid, gamma0, psi)
-            assert np.array_equal(got == 0.0, ref == 0.0), name  # the same lower-triangular pattern
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (name, k)
+@pytest.mark.parametrize("nodes", range(2, 21))
+def test_volterra_matrix_integrates_every_polynomial_of_lower_degree(nodes):
+    # C[j, m] = int_{-1}^{x_m} ell_j: applied to node values of P it gives P's antiderivative from -1 at each node
+    c = _volterra_matrix(nodes)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    assert c.shape == (nodes, nodes + 1) and not c.flags.writeable
+    assert c[:, nodes].tobytes() == w.tobytes()
+    for degree in range(nodes):
+        p = np.eye(nodes)[degree]  # the Legendre polynomial P_degree, |P| <= 1 on [-1, 1]
+        exact = np.polynomial.legendre.legval(np.append(x, 1.0), np.polynomial.legendre.legint(p, lbnd=-1))
+        assert np.max(np.abs(np.polynomial.legendre.legval(x, p) @ c - exact)) <= 1e-14, degree
 
 
-def test_integration_matrix_default_mesh_fbm():
-    # the solver's own mesh: 6 equal panels, the first split into 12 geometric layers, 20 nodes each.
-    # Its first panel, about 6.8e-10 wide, takes Gauss-Legendre like the rest; against Gauss-Jacobi
-    # there, which weights s^gamma0 exactly, the operator moves by at most 1.7e-12 max|op| (H 0.55, mode 8)
-    basis, cgrid = BASES[1], _CollocationGrid(1.0, sde._UNIFORM, sde._LAYERS, sde._NODES)
-    for hurst in (0.501, 0.55, 0.75, 0.999):
-        kernel = fbm_kernel_spec(hurst, 1.0)
-        gamma0, psi = kmk_factor(kernel, basis, 8)
-        (ops_k,) = _integration_matrix(cgrid, gamma0, lambda s: kernel.psi(basis, (8,), s))
-        got = _dense(ops_k)
-        ref = ref_integration_matrix(cgrid, gamma0, psi)
-        assert np.array_equal(got == 0.0, ref == 0.0), hurst
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), hurst
-        exact = ref_integration_matrix(cgrid, gamma0, psi, exact_first=True)
-        assert np.max(np.abs(got - exact)) <= 2e-12 * np.max(np.abs(exact)), hurst
+@pytest.mark.parametrize("name, points", [("brownian", 6 * 20), ("fbm", 18 * 20)], ids=["brownian", "fbm"])
+def test_picard_asks_psi_only_at_the_collocation_nodes(name, points, monkeypatch):
+    # one call at the nodes of the mesh: 6 panels for Brownian motion, 18 where m~ carries s^gamma0 at the origin
+    kernel, asked = brownian_kernel(1.0) if name == "brownian" else fbm_kernel_spec(0.7, 1.0), []
+    psi = kernel.psi
+
+    def counting_psi(basis, ks, s):
+        asked.append(np.array(s))
+        return psi(basis, ks, s)
+
+    monkeypatch.setattr(kernel, "psi", counting_psi)
+    solve_picard(kernel, BASES[0], Truncation(3, 2), np.linspace(0.0, 1.0, 9))
+    assert len(asked) == 1 and asked[0].size == points
+    grid = _CollocationGrid(1.0, sde._UNIFORM, points // sde._NODES - sde._UNIFORM, sde._NODES)
+    assert asked[0].tobytes() == grid.points.ravel().tobytes()
 
 
-@pytest.mark.parametrize("kernel", [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0)], ids=["brownian", "fbm"])
-def test_integration_matrix_on_one_panel(kernel):
-    # one panel from the origin: for fBm the s^gamma0 weight there takes the same Gauss-Legendre rule as elsewhere
-    basis, cgrid = BASES[1], _CollocationGrid(1.0, 1, 0, 6)
-    (ops_k,) = _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, (2,), s))
-    gamma0, psi = kmk_factor(kernel, basis, 2)
-    ref = ref_integration_matrix(cgrid, gamma0, psi)
-    got = _dense(ops_k)
-    assert np.array_equal(got == 0.0, ref == 0.0)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize("kernel", [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0)], ids=["brownian", "fbm"])
-def test_integration_matrix_asks_psi_only_for_the_whole_panel_nodes(kernel):
-    # 18 panels x 32 sub-nodes, against 18 x 21 x 32 when every sub-quadrature called psi
-    basis, cgrid, asked = BASES[0], _CollocationGrid(1.0, 6, 12, 20), []
-
-    def counting_psi(s):
-        asked.append(len(s))
-        return kernel.psi(basis, (1, 2, 3), s)
-
-    _integration_matrix(cgrid, kernel.gamma0, counting_psi)
-    assert sum(asked) == 18 * _SUB_NODES == 576
+@pytest.mark.parametrize("block", [1, 7, 40, 2**16])
+def test_interpolation_in_blocks_matches_the_dense_matrix(block, monkeypatch):
+    # times in any order, on the panel edges and at the horizon, against one dense product
+    monkeypatch.setattr(sde, "_TIME_BLOCK", block)
+    grid = _CollocationGrid(1.0, 3, 4, 6)
+    times = np.concatenate([np.linspace(0.0, 1.0, 23)[::-1], grid.edges, [0.3, 1e-9]])
+    u = np.random.default_rng(4).standard_normal((5, grid.panels, grid.nodes))
+    got = grid.interpolate(u, times)
+    ref = ref_interp_matrix(grid, times) @ u.reshape(len(u), -1).T
+    assert got.shape == (len(times), 5)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +278,11 @@ def test_batched_psi_and_mtilde_bit_equal_to_per_mode(basis, name, grid_kernel):
         assert row.tobytes() == kmk_factor(kernel, basis, k)[1](s).tobytes(), k
         per_t = np.array([kernel.mtilde(basis, k, np.array([t]))[0] for t in times])
         assert kernel.mtilde(basis, k, times).tobytes() == per_t.tobytes(), k
-    # the integration operators of all modes, built together, against each mode built alone
+    # m~ at the collocation nodes of all modes, taken together, against each mode taken alone
     cgrid = _CollocationGrid(1.0, 2, 1, 4)
-    together = _integration_matrix(cgrid, kernel.gamma0, lambda x: kernel.psi(basis, modes, x))
+    together = _kernel_at_nodes(cgrid, kernel.gamma0, lambda x: kernel.psi(basis, modes, x))
     for k, got in zip(modes, together):
-        (alone,) = _integration_matrix(cgrid, kernel.gamma0, lambda x: kernel.psi(basis, (k,), x))
+        (alone,) = _kernel_at_nodes(cgrid, kernel.gamma0, lambda x: kernel.psi(basis, (k,), x))
         assert got.tobytes() == alone.tobytes(), k
 
 
@@ -416,10 +351,12 @@ def test_picard_grades_match_alpha_loop(kernel, shape, monkeypatch):
     for name, value in mesh.items():
         monkeypatch.setattr(sde, name, value)
     sol = solve_picard(kernel, basis, trunc, times)
-    cgrid = _CollocationGrid(1.0, *mesh.values())
-    modes = np.arange(1, trunc.modes + 1)
-    w_k = [_dense(ops_k) for ops_k in _integration_matrix(cgrid, kernel.gamma0, lambda s: kernel.psi(basis, modes, s))]
-    ref = cgrid.interp_matrix(times) @ ref_picard_nodes(w_k, trunc).T
+    cgrid = _CollocationGrid(1.0, mesh["_UNIFORM"], mesh["_LAYERS"] if kernel.gamma0 else 0, mesh["_NODES"])
+    half = 0.5 * np.diff(cgrid.edges)[:, None]
+    x = cgrid.edges[:-1, None] + half * (np.polynomial.legendre.leggauss(mesh["_NODES"])[0] + 1.0)
+    km = kernel.psi(basis, range(1, trunc.modes + 1), x.ravel()) * (x**kernel.gamma0 * half).ravel()
+    volterra = ref_volterra(_volterra_matrix(mesh["_NODES"]), cgrid.panels)
+    ref = ref_interp_matrix(cgrid, times) @ ref_picard_nodes(km, volterra, trunc).T
     assert np.max(np.abs(sol.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(sol.mtilde, solve_closed_form(kernel, basis, trunc, times).mtilde)
 

@@ -156,23 +156,33 @@ BAD_TIME_IDS = [f"{kernel}-{bad}" for kernel in ("brownian", "fbm") for bad in (
 @pytest.mark.parametrize("kernel, bad", BAD_TIMES, ids=BAD_TIME_IDS)
 def test_picard_checks_the_times_before_building_the_operator(monkeypatch, kernel, bad):
     def unreachable(*args):
-        raise AssertionError("integration operator built before the times were checked")
+        raise AssertionError("m~ taken at the collocation nodes before the times were checked")
 
-    monkeypatch.setattr(sde, "_integration_matrix", unreachable)
+    monkeypatch.setattr(sde, "_kernel_at_nodes", unreachable)
     with pytest.raises(DomainError):
         solve_picard(kernel, BASIS, Truncation(2, 2), [0.0, bad])
 
 
 @pytest.mark.parametrize("shape", [(16, 6), (1, 100_000)])
 def test_picard_refuses_a_collocation_array_over_the_budget(monkeypatch, shape):
-    # S x 18 panels x 20 nodes: 26.9M entries at (16, 6), 36.0M at (1, 100000), where the truncation
-    # itself is within the budget; refused before the operator is built
+    # fBm: S x 18 panels x 20 nodes, 26.9M entries at (16, 6), 36.0M at (1, 100000), where the truncation
+    # itself is within the budget; refused before m~ is taken at the nodes
     def unreachable(*args):
-        raise AssertionError("integration operator built before the collocation array was checked")
+        raise AssertionError("m~ taken at the collocation nodes before the collocation array was checked")
 
-    monkeypatch.setattr(sde, "_integration_matrix", unreachable)
+    monkeypatch.setattr(sde, "_kernel_at_nodes", unreachable)
     with pytest.raises(ConfigurationError, match="Picard on 18 panels of 20 needs"):
-        solve_picard(brownian_kernel(1.0), BASIS, Truncation(*shape), [0.0, 1.0])
+        solve_picard(fbm_kernel_spec(0.75, 1.0), BASIS, Truncation(*shape), [0.0, 1.0])
+
+
+def test_picard_refuses_a_brownian_collocation_array_over_the_budget_on_six_panels(monkeypatch):
+    # Brownian motion takes 6 panels: (16, 6) is 8.95M entries, inside the budget, and (1, 200000) 24.0M
+    def unreachable(*args):
+        raise AssertionError("m~ taken at the collocation nodes before the collocation array was checked")
+
+    monkeypatch.setattr(sde, "_kernel_at_nodes", unreachable)
+    with pytest.raises(ConfigurationError, match="^Picard on 6 panels of 20 needs 24000120 table entries"):
+        solve_picard(brownian_kernel(1.0), BASIS, Truncation(1, 200_000), [0.0, 1.0])
 
 
 @pytest.mark.parametrize("kernel, bad", BAD_TIMES, ids=BAD_TIME_IDS)
@@ -196,15 +206,22 @@ def _peak_of_a_warm_picard_solve(kernel, shape, points):
 
 
 def test_picard_peak_memory():
-    # eight dense (360, 360) integration matrices alone would take 8.3 MB; 4.1 MB measured
+    # eight dense (360, 360) integration matrices alone would take 8.3 MB; 2.5 MB measured
     peak = _peak_of_a_warm_picard_solve(brownian_kernel(1.0), (8, 4), 257)
     assert peak <= 10e6, peak
 
 
 def test_picard_peak_memory_fbm():
-    # psi runs in blocks of panels: 1.9 MB measured, 2.1 MB with one psi call over every table point
+    # 1.9 MB measured
     peak = _peak_of_a_warm_picard_solve(fbm_kernel_spec(0.7, 1.0), (6, 4), 129)
     assert peak <= 4e6, peak
+
+
+def test_picard_peak_memory_stays_in_blocks_of_output_times():
+    # one dense (times, panels x nodes) interpolation matrix was 36.0M entries here, a 343 MB peak;
+    # the output, 100 001 x 2, is 1.6 MB, and 4.8 MB measured in all
+    peak = _peak_of_a_warm_picard_solve(brownian_kernel(1.0), (1, 1), 100_001)
+    assert peak <= 10e6, peak
 
 
 def test_second_moment_monotone_in_order():
