@@ -190,10 +190,10 @@ def cmd_sde(args: argparse.Namespace) -> int:
     trunc = cfg.truncation()
     _check_table_size((cfg.grid + 1) * trunc.size(), "the solution on the time grid")
     grid = np.linspace(0.0, cfg.horizon, cfg.grid + 1)
-    # a value that overflows at a huge horizon is refused by _json_text below, with one message
+    # a value that overflows at a huge horizon is refused by name where it is computed, or by _json_text below
     with np.errstate(over="ignore", invalid="ignore"):
+        picard = solve_picard(kernel, basis, trunc, grid)  # first: it refuses an over-budget collocation at once
         closed = solve_closed_form(kernel, basis, trunc, grid)
-        picard = solve_picard(kernel, basis, trunc, grid)
         discrepancy = float(np.max(np.abs(closed.coeffs - picard.coeffs)))
         second = closed.second_moment(cfg.horizon)
         exp_cov = float(np.exp(covariance_from_kernel(kernel, cfg.horizon, cfg.horizon)))

@@ -225,7 +225,15 @@ def suite_fbm() -> dict:
     analytic = fbm_covariance(0.7)
     ts = np.linspace(0.2, 1.0, 5)
     cov_err = np.max(np.abs(covariance_from_kernel(kernel, ts[:, None], ts) - analytic(ts[:, None], ts)))
-    checks.append(_check("covariance-vs-analytic-h07", cov_err, 2e-5))  # 1.43e-5 measured
+    checks.append(_check("covariance-vs-analytic-h07", cov_err, 2e-5))  # 1.17e-5 measured, off the diagonal
+    for hurst in (0.51, 0.75, 0.95):
+        # R(t, t) from the kernel's own series, relative to t^2H, at t = T = 1 and t = T = 3.7: 3.3e-16 at most measured
+        analytic = fbm_covariance(hurst)
+        rel_err = max(
+            abs(covariance_from_kernel(fbm_kernel_spec(hurst, t), t, t) - analytic(t, t)) / t ** (2.0 * hurst)
+            for t in (1.0, 3.7)
+        )
+        checks.append(_check(f"variance-vs-analytic-h{hurst}", rel_err, 1e-14))
     return _wrap("fbm", checks)
 
 

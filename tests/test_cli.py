@@ -329,6 +329,23 @@ def run_refused(capsys, *argv):
     return captured.err
 
 
+def test_an_over_budget_picard_request_is_refused_before_the_closed_form(tmp_path, monkeypatch, capsys):
+    # Picard checks its collocation table first, so the closed form over the 201 grid times is never solved
+    monkeypatch.setattr(cli, "solve_closed_form", lambda *args: pytest.fail("closed form solved before refusing"))
+    out_dir = tmp_path / "out"
+    argv = ["sde", "--kernel", "fbm", "--modes", "16", "--order", "6", "--grid", "200", "--out", str(out_dir)]
+    assert "Picard on 18 panels of 20" in run_refused(capsys, *argv)
+    assert not out_dir.exists()
+
+
+def test_an_overflowing_fbm_variance_exits_2_by_name(tmp_path, capsys):
+    # T^2H exceeds the float range here: the variance refuses it by name, before the JSON writer meets a non-finite value
+    out_dir = tmp_path / "out"
+    argv = ["sde", "--kernel", "fbm", "--hurst", "0.99", "--horizon", "1e160", "--out", str(out_dir)]
+    assert "R(t, t) overflows" in run_refused(capsys, *argv)
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("where", ["flag", "file"])
 @pytest.mark.parametrize("mode", ["ito", "strat", "field-ito"])
 def test_integrate_refuses_a_hurst_index_the_kernel_does_not_read(mode, where, tmp_path, capsys):
@@ -607,15 +624,15 @@ def test_integrate_the_well_formed_integrand_exits_0(tmp_path, capsys):
     "argv, rules",
     [
         (["fbm", "--hurst", "0.6123", "--grid", "64"], 1),
-        (["sde", "--kernel", "fbm", "--hurst", "0.6321", "--modes", "4", "--order", "3", "--grid", "32"], 3),
+        (["sde", "--kernel", "fbm", "--hurst", "0.6321", "--modes", "4", "--order", "3", "--grid", "32"], 2),
         (["integrate", "--mode", "field-ito", "--kernel", "fbm", "--hurst", "0.6456", "--modes", "4", "--order", "3"], 2),
     ],
     ids=["fbm", "sde-fbm", "integrate-field-ito-fbm"],
 )
 def test_fbm_commands_build_few_gauss_jacobi_rules(argv, rules, capsys, tmp_path, monkeypatch):
     # fbm: k1_empirical's rule alone, since K* takes K's own values next to its diagonal, and no psi rule;
-    # sde: psi's (which M~'s own rule reads again from the kernel), M~'s outer rule and the covariance's,
-    # none for the Picard operator; integrate: psi's and quad_singular_smooth's 96-node pairing rule.  K(t, s) itself is a
+    # sde: psi's (which M~'s own rule reads again from the kernel) and M~'s outer rule, none for the Picard operator
+    # and none for R(T, T), which the kernel integrates from its series; integrate: psi's and quad_singular_smooth's 96-node pairing rule.  K(t, s) itself is a
     # series and builds none.
     # Every rule is one of test_basis's, bit for bit, whose moments and nodes are checked there.
     builds = []

@@ -32,7 +32,7 @@ from chaosfield.kernels import (
 )
 from chaosfield.multiindex import Truncation
 from chaosfield.sde import solve_closed_form, solve_picard
-from chaosfield.verify import fbm_covariance
+from chaosfield.verify import fbm_covariance, suite_fbm
 
 
 def test_fbm_c_h_value():
@@ -818,24 +818,36 @@ def _covariance_kernels(tmp_path):
     return [fbm_kernel_spec(h) for h in (0.51, 0.75, 0.99)] + [brownian_kernel(1.0), grid_kernel_from_csv(path)]
 
 
-# (t, s, kernel evaluations per call): equal after the live-row substitution means one
+# (t, s, kernel evaluations per call: the derived Brownian and grid kernels', fBm's). A row with t = s is the
+# kernel's _variance: one evaluation for the derived kernels, none for fBm's series; the other live rows take two.
 DIAGONAL_CASES = [
-    (1.0, 1.0, 1),
-    (0.37, 0.37, 1),
-    (np.linspace(0.1, 1.0, 5), np.linspace(0.1, 1.0, 5), 1),  # equal arrays, distinct objects
-    (np.array([0.0, 0.5, -0.2]), np.array([0.3, 0.5, 0.4]), 1),  # the dead rows both read T
-    (np.array([[0.2], [0.6], [1.0]]), np.array([[0.2, 0.6, 1.0]]), 2),
-    (0.4, 0.9, 2),
-    (np.array([0.0, 0.5, 0.8]), np.array([0.3, 0.5, 0.6]), 2),  # a dead row and a live one off the diagonal
+    (1.0, 1.0, 1, 0),
+    (0.37, 0.37, 1, 0),
+    (np.linspace(0.1, 1.0, 5), np.linspace(0.1, 1.0, 5), 1, 0),  # equal arrays, distinct objects
+    (np.array([0.0, 0.5, -0.2]), np.array([0.3, 0.5, 0.4]), 1, 0),  # the dead rows read 0 without an evaluation
+    (np.array([[0.2], [0.6], [1.0]]), np.array([[0.2, 0.6, 1.0]]), 3, 2),
+    (0.4, 0.9, 2, 2),
+    (np.array([0.0, 0.5, 0.8]), np.array([0.3, 0.5, 0.6]), 3, 2),  # a dead row, a live diagonal one and an off one
 ]
 
 
-@pytest.mark.parametrize("t, s, calls", DIAGONAL_CASES)
-def test_covariance_from_kernel_evaluates_once_on_the_diagonal_with_the_same_bits(t, s, calls, tmp_path):
+@pytest.mark.parametrize("t, s, calls, fbm_calls", DIAGONAL_CASES)
+def test_covariance_from_kernel_evaluates_once_on_the_diagonal_with_the_same_bits(t, s, calls, fbm_calls, tmp_path):
+    # the derived kernels keep the two-evaluation quadrature's bits on every row, fBm on its off-diagonal rows; fBm's
+    # diagonal is its series' R(t, t), checked against t^2H
+    t_rows, s_rows = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    live = np.minimum(t_rows, s_rows) > 0
+    diagonal = live & (t_rows == s_rows)
     for kernel in _covariance_kernels(tmp_path):
         got, want = covariance_from_kernel(kernel, t, s), ref_covariance_from_kernel(kernel, t, s)
         assert type(got) is type(want)
-        assert np.array_equal(got, want), kernel.name
+        if kernel.name == "fbm":
+            got_rows, want_rows = np.asarray(got), np.asarray(want)
+            assert np.array_equal(got_rows[~diagonal], want_rows[~diagonal])
+            power = np.array([x ** (2.0 * kernel.hurst) for x in t_rows[diagonal].tolist()])
+            assert np.all(np.abs(got_rows[diagonal] / power - 1.0) <= 7e-16), kernel.hurst
+        else:
+            assert np.array_equal(got, want), kernel.name
         count = []
 
         def counted(tt, ss, inner=kernel.eval):
@@ -843,5 +855,30 @@ def test_covariance_from_kernel_evaluates_once_on_the_diagonal_with_the_same_bit
             return inner(tt, ss)
 
         kernel.eval = counted
-        assert np.array_equal(covariance_from_kernel(kernel, t, s), want)
-        assert len(count) == calls, kernel.name
+        assert np.array_equal(covariance_from_kernel(kernel, t, s), got)
+        assert len(count) == (fbm_calls if kernel.name == "fbm" else calls), kernel.name
+
+
+# max over T in {1e-3, 1, 3.7, 1e3} of |R(T, T) / T^2H - 1| from the series, measured: 6.7e-16 up to H 0.99, then
+# the two near series terms of size 1/(2 - 2H) cancel
+SERIES_VARIANCE_ERROR = {
+    0.5001: 2.3e-16, 0.51: 2.3e-16, 0.6: 2.3e-16, 0.75: 2.3e-16, 0.9: 2.3e-16, 0.95: 4.5e-16, 0.99: 6.7e-16,
+    0.995: 1.6e-15, 0.999: 2.3e-15, 0.9999: 7.9e-14,
+}
+
+
+@pytest.mark.parametrize("hurst", sorted(SERIES_VARIANCE_ERROR))
+def test_fbm_variance_from_the_series_is_exact_to_roundoff(hurst):
+    for horizon in (1e-3, 1.0, 3.7, 1e3):
+        err = abs(covariance_from_kernel(fbm_kernel_spec(hurst, horizon), horizon, horizon) / horizon ** (2 * hurst) - 1)
+        assert err <= SERIES_VARIANCE_ERROR[hurst], horizon
+
+
+def test_the_variance_checks_alone_catch_a_c_h_defect_of_1e_12(monkeypatch):
+    # a c_H defect of 1e-6 failed no check of the fbm suite before its variance checks
+    variance_checks = [f"variance-vs-analytic-h{hurst}" for hurst in (0.51, 0.75, 0.95)]
+    clean = {check["name"]: check["pass"] for check in suite_fbm()["checks"]}
+    assert set(variance_checks) <= set(clean) and all(clean.values())
+    monkeypatch.setattr(kernels, "fbm_c_h", lambda hurst, exact=kernels.fbm_c_h: exact(hurst) * (1.0 + 1e-12))
+    failed = [check["name"] for check in suite_fbm()["checks"] if not check["pass"]]
+    assert failed == variance_checks

@@ -492,8 +492,11 @@ def test_fbm_kernel_on_arrays_agrees_with_scalar_calls():
 
 @pytest.mark.parametrize("kernel", [brownian_kernel(1.0), fbm_kernel_spec(0.7, 1.0)], ids=["brownian", "fbm"])
 def test_covariance_on_arrays_agrees_with_scalar_calls(kernel):
-    t = np.array([0.0, 0.25, 0.6, 1.0])
+    # each row is its own quadrature or the kernel's _variance, so its bits do not depend on the batch around it
+    t = np.array([-0.3, 0.0, 0.25, 0.6, 1.0])
     batched = covariance_from_kernel(kernel, t[:, None], t[None, :])
     scalar = [[covariance_from_kernel(kernel, float(x), float(y)) for y in t] for x in t]
-    assert _within_ulps(batched, scalar)
-    assert np.all(batched[0] == 0.0) and np.all(batched[:, 0] == 0.0)
+    assert np.array_equal(batched, scalar)
+    assert np.all(batched[:2] == 0.0) and np.all(batched[:, :2] == 0.0)  # min(t, s) <= 0 reads 0
+    with pytest.raises(DomainError, match="finite"):
+        covariance_from_kernel(kernel, t[:, None], np.r_[t, np.nan][None, :])

@@ -121,7 +121,7 @@ def test_benchmark_per_layer_spans_name_traced_public_functions():
 
 # what a kernel class may define: the protocol's attributes and methods; a private helper of its own is fine
 PROTOCOL = {"name", "singularity", "origin_exponent", "gamma0", "__init__"} | {
-    "eval", "dt_eval", "dt_smooth", "psi", "_mtilde", "kstar"
+    "eval", "dt_eval", "dt_smooth", "psi", "_mtilde", "_variance", "kstar"
 }
 SHIPPED_KERNEL_CLASSES = {"_Brownian", "_Fbm", "_Grid"}
 
