@@ -166,16 +166,12 @@ class BasisFamily:
         """m_k(t), k >= 1; for a sequence of modes, one row per mode: shape (len(k),) + shape(t)."""
         ks = _check_modes(k)
         modes = ks.reshape(-1)
-        t = self._check(t)
-        big_t = self.horizon
         if self.kind == "cosine":
+            t, big_t = self._check(t), self.horizon
             val = math.sqrt(2.0 / big_t) * np.cos(np.multiply.outer((modes - 1) * math.pi, t) / big_t)
             val[modes == 1] = 1.0 / math.sqrt(big_t)
         else:
-            # column j of the identity holds the Legendre coefficients of P_{modes[j] - 1}
-            coef = np.eye(modes.max())[:, modes - 1]
-            scale = np.sqrt((2 * modes - 1) / big_t).reshape((-1,) + (1,) * t.ndim)
-            val = scale * np.polynomial.legendre.legval(2.0 * t / big_t - 1.0, coef)
+            val = self._rows(int(modes.max()), t)[modes - 1]
         val = val if ks.ndim else val[0]
         return val if val.ndim else float(val)
 
@@ -183,35 +179,42 @@ class BasisFamily:
         """m_1..m_top at t, shape (top,) + shape(t), by the family's three-term recurrence.
 
         Cosine: one cos(pi t / T), the arithmetic of ``eval(2, t)``, then
-        cos(j theta) = 2 cos(theta) cos((j-1) theta) - cos((j-2) theta).
-        Legendre: Bonnet's j P_j = (2j-1) x P_{j-1} - (j-1) P_{j-2}.  Row k
-        depends only on t, never on ``top``; it differs from ``eval(k, t)`` by
-        rounding that grows as k^2 eps.
+        cos(j theta) = 2 cos(theta) cos((j-1) theta) - cos((j-2) theta), row k within
+        k^2 eps of ``eval(k, t)``.  Legendre: ``_legendre``'s rows, scaled, which ``eval``
+        reads, so bit for bit.  Row k depends only on t, not on ``top`` or t's shape.
         """
         _check_modes(top)
-        t = self._check(t)
-        big_t = self.horizon
-        out = np.empty((top,) + t.shape)
-        out[0] = 1.0
-        if self.kind == "cosine":
-            if top > 1:
-                out[1] = np.cos(math.pi * t / big_t)
-                two_x = 2.0 * out[1]
-            for j in range(2, top):
-                np.multiply(two_x, out[j - 1], out=out[j])
-                out[j] -= out[j - 2]
-            out[0] = 1.0 / math.sqrt(big_t)
-            out[1:] *= math.sqrt(2.0 / big_t)
-        else:
-            x = 2.0 * t / big_t - 1.0
-            if top > 1:
-                out[1] = x
-            for j in range(2, top):
-                np.multiply((2 * j - 1) * x, out[j - 1], out=out[j])
-                out[j] -= (j - 1) * out[j - 2]
-                out[j] /= j
+        t, big_t = self._check(t), self.horizon
+        if self.kind == "legendre":
+            out = self._legendre(top - 1, t)[1:]
             out *= np.sqrt((2 * np.arange(1, top + 1) - 1) / big_t).reshape((-1,) + (1,) * t.ndim)
-        return out
+            return out
+        out = np.empty((top, t.size))  # one flat row per mode, so a 0-d t works too
+        out[0] = 1.0
+        if top > 1:
+            out[1] = np.cos(math.pi * t.reshape(-1) / big_t)
+            two_x = 2.0 * out[1]
+        for j in range(2, top):
+            np.multiply(two_x, out[j - 1], out=out[j])
+            out[j] -= out[j - 2]
+        out[0] = 1.0 / math.sqrt(big_t)
+        out[1:] *= math.sqrt(2.0 / big_t)
+        return out.reshape((top,) + t.shape)
+
+    def _legendre(self, top: int, t) -> np.ndarray:
+        """P_-1, P_0, ..., P_top at x = 2t/T - 1 for a checked t, shape (top + 2,) + shape(t).
+
+        Bonnet's j P_j = (2j-1) x P_{j-1} - (j-1) P_{j-2}, on a flat view so a 0-d t works too.
+        P_-1 = -P_0 makes (P_{n+1} - P_{n-1}) / (2n + 1), the integral of P_n from -1, x + 1 at n = 0.
+        """
+        p = np.empty((top + 2,) + t.shape)
+        flat, x = p.reshape(top + 2, t.size), 2.0 * t.reshape(-1) / self.horizon - 1.0
+        flat[0], flat[1] = -1.0, 1.0
+        for j in range(1, top + 1):
+            np.multiply((2 * j - 1) * x, flat[j], out=flat[j + 1])
+            flat[j + 1] -= (j - 1) * flat[j - 1]
+            flat[j + 1] /= j
+        return p
 
     def antideriv(self, k, t):
         """M_k(t) = int_0^t m_k(s) ds in closed form; modes as in ``eval``, one row per mode for a sequence."""
@@ -225,15 +228,10 @@ class BasisFamily:
             val = math.sqrt(2.0 / big_t) * np.sin(np.multiply.outer(freq, t)) / freq.reshape(col)
             val[modes == 1] = t / math.sqrt(big_t)
         else:
-            # int_{-1}^{x} P_n = (P_{n+1}(x) - P_{n-1}(x)) / (2n + 1), n = modes - 1, and P_{-1} = -P_0 gives
-            # mode 1 its x + 1; as in ``eval``, columns of the identity hold the Legendre coefficients
-            x = 2.0 * t / big_t - 1.0
-            eye = np.eye(modes.max() + 1)
-            up, down = eye[:, modes], eye[:, np.maximum(modes - 2, 0)]
-            down[0, modes == 1] = -1.0
+            # int_{-1}^{x} P_n = (P_{n+1}(x) - P_{n-1}(x)) / (2n + 1), n = modes - 1: rows n + 2 and n of ``_legendre``
+            p = self._legendre(int(modes.max()), t)
             scale = np.sqrt((2 * modes - 1) / big_t) * big_t / 2.0
-            diff = np.polynomial.legendre.legval(x, up) - np.polynomial.legendre.legval(x, down)
-            val = scale.reshape(col) * diff / (2 * modes - 1).reshape(col)
+            val = scale.reshape(col) * (p[modes + 1] - p[modes - 1]) / (2 * modes - 1).reshape(col)
         val = val if ks.ndim else val[0]
         return val if val.ndim else float(val)
 

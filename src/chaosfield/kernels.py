@@ -87,8 +87,8 @@ class KernelSpec:
     def _mtilde_request(self, basis: BasisFamily, ks: tuple, t_bytes: bytes) -> np.ndarray:
         t = np.frombuffer(t_bytes)
         basis._check(t)  # a NaN or negative t raises here, so nothing is stored
-        # M~(t <= 0) = 0 exactly, where Legendre's antiderivative leaves about 1e-17: the piece gets
-        # only the unclipped t > 0
+        # M~(t <= 0) = 0 exactly, where fBm's t^(H + 1/2) is not real for the slack below 0: the piece
+        # gets only the unclipped t > 0
         live = t > 0
         table = np.zeros((len(t), len(ks))).T  # time-major memory: its transpose is the solvers' C-ordered rows
         table[:, live] = self._mtilde(basis, ks, t[live])
@@ -228,6 +228,11 @@ def brownian_kernel(horizon: float = 1.0) -> KernelSpec:
 # nodes of the fBm psi Gauss-Jacobi rule, of M~'s outer Gauss-Jacobi rule and of M~'s own Gauss rule;
 # 32 left M~ of cosine modes 17-32 off by up to 1.5e-3
 _JACOBI_NODES = 48
+# the top mode each basis may ask of those 48-node rules: against scipy's quad(weight="alg") at t = T = 1
+# and H 0.55 / 0.75 / 0.95, cosine M~ is off by at most 1.4e-13 / 9.4e-13 / 9.7e-13 at mode 40 and by 2e-10
+# to 1.2e-9 at 44; Legendre M~ by at most 2.8e-14 at mode 96, the degree-95 limit of the rules' exactness
+# (at 97 it is off by order 1)
+_FBM_TOP_MODE = {"cosine": 40, "legendre": 96}
 # offsets j - r of the fBm K* cells that are K's own differences; the Gauss cells beyond then agree with them
 _KSTAR_EXACT_OFFSETS = 3  # to 4.6e-14 of max|A| at H <= 0.95 (8.1e-13 at 0.999); 1 left 2.65e-8, 2 left 2.0e-12
 # terms of each series of the fBm kernel; 2^-60 is below float64 rounding
@@ -373,11 +378,18 @@ class _Fbm(KernelSpec):
             a[range(n_grid - d), range(d, n_grid)], lower = upper - lower, upper[:-1]
         return a
 
+    def _top_mode(self, basis: BasisFamily, modes) -> int:
+        """The top mode of a request, refused past the one the 48-node rules resolve for the basis."""
+        top, limit = int(np.max(modes)), _FBM_TOP_MODE[basis.kind]
+        if top > limit:
+            raise DomainError(f"fBm's {_JACOBI_NODES}-node rules resolve {basis.kind} modes up to {limit}, not {top}")
+        return top
+
     def psi(self, basis: BasisFamily, ks, s):
         """Smooth factor in (K m_k)(s) = s^(H - 1/2) psi_k(s); Beta-weight quadrature."""
         modes = _check_modes(ks)
         v, w = self._psi_rule
-        rows = basis._rows(int(modes.max()), np.outer(s, v))
+        rows = basis._rows(self._top_mode(basis, modes), np.outer(s, v))
         if not np.array_equal(modes, np.arange(1, len(rows) + 1)):
             rows = rows[modes - 1]
         rows *= self._c  # in place: these (modes, len(s), nodes) tables are the largest temporaries of an fBm run
@@ -443,8 +455,8 @@ class _Fbm(KernelSpec):
         # t values; the per-row dot product and Python-float power keep each value equal to the
         # scalar sum bit for bit
         modes = np.asarray(modes)
+        top = self._top_mode(basis, modes)
         rho, weights = self._mtilde_rule
-        top = int(modes.max())
         out = np.empty((len(modes), len(ts)))
         step = max(1, _MTILDE_BLOCK // top)
         for start in range(0, len(ts), step):

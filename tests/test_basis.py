@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import beta, roots_jacobi
+from scipy.special import beta, eval_legendre, roots_jacobi
 
 from chaosfield.basis import (
     BasisFamily,
@@ -62,21 +62,39 @@ def _antideriv_one_mode(basis, k, t):
     return scale * (legval(x, [0.0] * k + [1.0]) - legval(x, [0.0] * (k - 2) + [1.0])) / (2 * k - 1)
 
 
+def _same_bits_at_every_shape(f, t):
+    # f at a (5, 7) t, at its flattening and at each point alone: the same bits point for point
+    flat = np.asarray(f(t.ravel()))
+    assert np.asarray(f(t)).reshape(flat.shape).tobytes() == flat.tobytes()
+    for i, point in enumerate(t.ravel().tolist()):
+        assert np.asarray(f(point)).tobytes() == flat[..., i].tobytes(), point
+
+
 @pytest.mark.parametrize("kind", ["cosine", "legendre"])
 @pytest.mark.parametrize("horizon", [1e-3, 1.0, 3.7])
 def test_antideriv_rows_equal_one_mode_calls_bit_for_bit(kind, horizon):
-    # one sin over the (mode, t) table, or two legval calls on identity columns, give each mode's own bits
+    # one sin or one Legendre recurrence over the (mode, t) table gives each mode's own bits; the closed
+    # forms written out per mode give cosine's bits, and Legendre's legval sums to within k^2 eps sqrt(T),
+    # the scale of |M_k|
     basis = BasisFamily(kind, horizon)
     ks = np.arange(1, 41)
     grid = np.linspace(0.0, horizon, 129)
-    for t in (0.3 * horizon, grid, np.random.default_rng(7).uniform(0.0, horizon, (5, 7))):
+    sample = np.random.default_rng(7).uniform(0.0, horizon, (5, 7))
+    for t in (0.3 * horizon, grid, sample):
         rows = basis.antideriv(ks, t)
         assert rows.shape == (40,) + np.shape(t)
         for k, row in zip(ks.tolist(), rows):
             one = np.asarray(basis.antideriv(k, t))
-            assert row.tobytes() == one.tobytes() == np.asarray(_antideriv_one_mode(basis, k, t)).tobytes(), k
+            ref = np.asarray(_antideriv_one_mode(basis, k, t))
+            assert row.tobytes() == one.tobytes(), k
+            if kind == "cosine":
+                assert one.tobytes() == ref.tobytes(), k
+            else:
+                assert np.max(np.abs(one - ref)) <= k * k * np.finfo(float).eps * math.sqrt(horizon), k
     assert isinstance(basis.antideriv(3, 0.3 * horizon), float)
     assert basis.antideriv(3, grid).shape == grid.shape
+    _same_bits_at_every_shape(lambda t: basis.antideriv(ks, t), sample)
+    _same_bits_at_every_shape(lambda t: basis.antideriv(7, t), sample)
 
 
 @pytest.mark.parametrize("kind", ["cosine", "legendre"])
@@ -100,13 +118,19 @@ def test_cosine_first_mode_constant():
 @pytest.mark.parametrize("kind", ["cosine", "legendre"])
 @pytest.mark.parametrize("horizon", [1.0, 2.5])
 def test_recurrence_rows_match_direct_evaluation(kind, horizon):
-    # the three-term recurrence loses about k^2 eps against np.cos / legval, relative to sup |m_k|
+    # the three-term recurrence loses about k^2 eps against np.cos / scipy's eval_legendre, relative to
+    # sup |m_k|; Legendre's eval reads the rows themselves
     basis = BasisFamily(kind, horizon)
     t = np.linspace(0.0, horizon, 100_001)
     modes = np.arange(1, 65)
     rows = basis._rows(64, t)
     assert rows.shape == (64, len(t))
-    direct = basis.eval(modes, t)
+    if kind == "cosine":
+        direct = basis.eval(modes, t)
+    else:
+        assert basis.eval(modes, t).tobytes() == rows.tobytes()
+        scale = np.sqrt((2 * modes[:, None] - 1) / horizon)
+        direct = scale * eval_legendre(modes[:, None] - 1, 2.0 * t / horizon - 1.0)
     sup = np.sqrt((2.0 if kind == "cosine" else 2 * modes - 1) / horizon)
     err = np.max(np.abs(rows - direct), axis=1)
     assert np.all(err <= 2.0 * modes**2 * np.finfo(float).eps * sup)
@@ -121,6 +145,11 @@ def test_recurrence_row_independent_of_top(kind):
     assert full.shape == (20, 7, 9)
     for top in range(1, 20):
         assert basis._rows(top, t).tobytes() == full[:top].tobytes(), top
+    # nor on the shape of t; eval takes the same path, and a scalar call returns a float
+    _same_bits_at_every_shape(lambda t: basis._rows(20, t), t[:5, :7])
+    _same_bits_at_every_shape(lambda t: basis.eval(np.arange(1, 21), t), t[:5, :7])
+    _same_bits_at_every_shape(lambda t: basis.eval(3, t), t[:5, :7])
+    assert isinstance(basis.eval(3, 0.3), float)
 
 
 @pytest.mark.parametrize("horizon", [1.0, 2.5])

@@ -167,6 +167,16 @@ def test_fbm_non_convergence_exits_2(diagnostic, kwargs, monkeypatch, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", [["sde", "--grid", "16"], ["integrate", "--mode", "field-ito"]], ids=lambda c: c[0])
+def test_fbm_past_its_mode_limit_exits_2(command, tmp_path, capsys):
+    # the 48-node fBm rules resolve cosine modes up to 40; at 64 the closed form and Picard disagreed by 0.37
+    argv = command + ["--kernel", "fbm", "--modes", "64", "--order", "1"]
+    assert main(argv + (["--out", str(tmp_path)] if command[0] == "sde" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cosine modes up to 40, not 64" in captured.err
+
+
 def test_fbm_bad_hurst(capsys):
     code, _ = run(capsys, "fbm", "--hurst", "0.4")
     assert code == 2

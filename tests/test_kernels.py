@@ -4,9 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import RegularGridInterpolator
-from scipy.special import roots_jacobi
+from scipy.special import eval_legendre, roots_jacobi
 
 import chaosfield
 from chaosfield.basis import BasisFamily, _on_live_rows, jacobi01, quad_singular_smooth
@@ -165,6 +165,47 @@ def test_fbm_mtilde_first_mode_analytic():
         fbm_c_h(hurst) * (hurst - 0.5) * b * big_t**hurst / (hurst + 0.5)
     )
     assert m_tilde(kernel, basis, 1, big_t) == pytest.approx(expected, rel=1e-12)
+
+
+def _quad_mtilde(kernel, kind, k):
+    """M~_k(1) = int_0^1 K(1, s) m_k(s) ds by adaptive quadrature, both end powers of K weighted exactly.
+
+    K(1, s) goes like s^(1/2 - H) at 0 and (1 - s)^(H - 1/2) at 1; the cofactor is read just inside the
+    ends, where the rule's end nodes sit and ``eval`` refuses s = 0.
+    """
+    hurst, inside = kernel.hurst, (5e-324, np.nextafter(1.0, 0.0))
+
+    def mode(s):
+        if kind == "cosine":
+            return math.sqrt(2.0) * math.cos((k - 1) * math.pi * s)
+        return math.sqrt(2 * k - 1) * eval_legendre(k - 1, 2.0 * s - 1.0)
+
+    def cofactor(s):
+        s = min(max(s, inside[0]), inside[1])
+        return kernel.eval(1.0, s) * mode(s) * s ** (hurst - 0.5) * (1.0 - s) ** (0.5 - hurst)
+
+    with warnings.catch_warnings():  # QUADPACK flags roundoff at H 0.55; its error estimate is checked instead
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, error = quad(
+            cofactor, 0.0, 1.0, weight="alg", wvar=(0.5 - hurst, hurst - 0.5), epsabs=1e-14, epsrel=0.0, limit=200
+        )
+    assert error < 3e-14
+    return value
+
+
+@pytest.mark.parametrize("kind, limit", [("cosine", 40), ("legendre", 96)])
+@pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
+def test_fbm_resolves_modes_up_to_its_limit_and_refuses_the_next(kind, limit, hurst):
+    # the 48-node rules: cosine M~ was off by 2e-10 to 1.2e-9 at mode 44, Legendre's by order 1 at mode 97
+    kernel, basis = fbm_kernel_spec(hurst, 1.0), BasisFamily(kind, 1.0)
+    assert abs(kernel.mtilde(basis, limit, [1.0])[0] - _quad_mtilde(kernel, kind, limit)) <= 1e-12
+    assert kernel.psi(basis, [1, limit], np.array([0.5, 1.0])).shape == (2, 2)
+    message = f"{kind} modes up to {limit}, not {limit + 1}"
+    with pytest.raises(DomainError, match=message):
+        kernel.mtilde(basis, range(1, limit + 2), [0.5, 1.0])
+    with pytest.raises(DomainError, match=message):
+        kernel.psi(basis, [limit + 1], np.array([0.5]))
+    assert kernel._mtilde_memo.cache_info().currsize == 1
 
 
 def test_covariance_from_kernel():

@@ -289,6 +289,20 @@ def test_library_makes_no_quad_singular_call():
     assert _calls_of("quad_singular", ast.parse(sample)) == [1, 2]
 
 
+def test_library_evaluates_legendre_modes_by_one_recurrence():
+    # BasisFamily's Bonnet recurrence is the one Legendre evaluator; legval on one-hot identity columns
+    # cost K^2 times the points and was the less accurate, and no second evaluator comes back
+    names = ("legval", "legvander", "Legendre")
+    found = {
+        path.name: hits
+        for path in sorted((ROOT / "src" / "chaosfield").glob("*.py"))
+        if (hits := [line for name in names for line in _calls_of(name, ast.parse(path.read_text()))])
+    }
+    assert found == {}
+    sample = "a = np.polynomial.legendre.legval(x, c)\nb = legvander(x, 3)\nc = np.polynomial.Legendre([1])(x)"
+    assert [_calls_of(name, ast.parse(sample)) for name in names] == [[1], [2], [3]]
+
+
 def test_only_basis_and_kernels_build_gauss_jacobi_rules():
     # a kernel-basis pairing takes its rule from quad_singular_smooth, so no other module builds one by hand
     found = {
